@@ -8,11 +8,12 @@
 //! | Discovery / recommendation / preview | [`Hive::search`], [`Hive::recommend_resources`], [`Hive::explain_relationship`], [`Hive::discover_communities`], [`Hive::collaborative_recommendations`], [`Hive::update_report`] |
 //! | Personal activity history | [`Hive::search_history`], [`Hive::timeline`] |
 //!
-//! The facade owns the [`HiveDb`] and lazily maintains the derived
-//! [`KnowledgeNetwork`]: any mutation invalidates the cache; the next
-//! knowledge-backed call rebuilds it. (A production deployment would
-//! update incrementally; rebuild-on-dirty keeps the semantics obvious
-//! and is plenty fast at demo scale.)
+//! The facade owns the [`HiveDb`] and four structures derived from it
+//! (the [`KnowledgeNetwork`], the relationship-graph snapshot, the
+//! [`DbIndexes`] and the [`PprCache`]), each in a generation-stamped
+//! tier that one protocol keeps current on read (`tier.rs`): a hit, a
+//! re-stamp when no journaled delta affects the tier, an in-place patch,
+//! or a rebuild. Mutations therefore need no explicit invalidation.
 //!
 //! Every public service entry point routes through the instrumented
 //! [`Hive::service`] / [`Hive::service_mut`] choke point (enforced by
@@ -39,70 +40,25 @@ use crate::model::{Paper, Presentation, QaTarget, User, WorkpadItem};
 use crate::peers::{self, PeerRecConfig, PeerRecommendation};
 use crate::ppr::PprCache;
 use crate::reports::{self, ReportScope, UpdateReport};
+use crate::tier::{RelSnapshot, Tier};
 use hive_concept::{bootstrap_concept_map, BootstrapConfig, ConceptMap};
 use hive_obs::ServiceKind;
-use std::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Generation-stamped relationship-graph snapshot: the `rel:*` triple
-/// export of the knowledge network plus its [`hive_store::GraphView`]
-/// CSR adjacency, built once per database generation so repeated
-/// explanation queries skip both the export and the store scan. When
-/// the generation moves by patchable mutations only, the snapshot is
-/// delta-patched in place instead of rebuilt (see
-/// [`Hive::relationship_graph`]).
-#[derive(Clone)]
-pub(crate) struct RelSnapshot {
-    pub(crate) generation: u64,
-    pub(crate) store: hive_store::TripleStore,
-    pub(crate) view: hive_store::GraphView,
-}
-
-/// The journaled mutation suffix since `since`, provided the whole
-/// window is patchable: the journal still covers it and no structural
-/// mutation (entity creation, content revision) occurred. Copied out so
-/// callers can patch cached structures while the borrow on the journal
-/// is released.
-pub(crate) fn patchable_deltas(db: &HiveDb, since: u64) -> Option<Vec<crate::db::DbDelta>> {
-    let deltas = db.deltas_since(since)?;
-    if deltas.iter().any(|d| d.is_structural()) {
-        return None;
-    }
-    Some(deltas.to_vec())
-}
-
-/// Recovers the guard from a possibly poisoned `lock()` result. The
-/// caches hold derived, generation-stamped values: a panic mid-update
-/// leaves at worst a stale entry, which the generation check rejects —
-/// so poisoning is recoverable by construction, in one place instead
-/// of four copy-pasted `match` blocks.
-pub(crate) fn unpoison<T>(res: std::sync::LockResult<std::sync::MutexGuard<'_, T>>) -> std::sync::MutexGuard<'_, T> {
-    match res {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// The Hive platform facade.
 pub struct Hive {
     db: HiveDb,
-    kn_cache: Mutex<Option<(u64, Arc<KnowledgeNetwork>)>>,
-    rel_cache: Mutex<Option<Arc<RelSnapshot>>>,
-    idx_cache: Mutex<Option<Arc<DbIndexes>>>,
-    ppr_cache: Mutex<Option<(u64, Arc<PprCache>)>>,
+    kn: Tier<KnowledgeNetwork>,
+    rel: Tier<RelSnapshot>,
+    idx: Tier<DbIndexes>,
+    ppr: Tier<PprCache>,
 }
 
 impl Hive {
     /// Wraps a (possibly pre-populated) platform database.
     pub fn new(db: HiveDb) -> Self {
-        Hive {
-            db,
-            kn_cache: Mutex::new(None),
-            rel_cache: Mutex::new(None),
-            idx_cache: Mutex::new(None),
-            ppr_cache: Mutex::new(None),
-        }
+        Hive { db, kn: Tier::new(), rel: Tier::new(), idx: Tier::new(), ppr: Tier::new() }
     }
 
     /// Read access to the platform database.
@@ -110,12 +66,10 @@ impl Hive {
         &self.db
     }
 
-    /// Write access to the database. The derived caches (knowledge
-    /// network, relationship-graph snapshot) are generation-stamped and
-    /// delta-maintained, so mutations need no explicit invalidation:
-    /// the next knowledge-backed call consumes
-    /// [`HiveDb::deltas_since`] and patches the cached structures in
-    /// place (or rebuilds on structural change).
+    /// Write access to the database. The derived tiers are
+    /// generation-stamped, so mutations need no explicit invalidation:
+    /// the next read moves each tier forward through
+    /// [`HiveDb::deltas_since`] (or rebuilds it).
     ///
     /// Internal plumbing: external callers should use the typed
     /// mutation methods ([`Hive::add_user`], [`Hive::workpad_note`],
@@ -141,7 +95,7 @@ impl Hive {
 
     /// Mutating variant of [`Hive::service`]: same span/counter
     /// protocol, `f` gets `&mut Hive` (and typically goes through
-    /// [`Hive::db_mut`], which invalidates the derived caches).
+    /// [`Hive::db_mut`]).
     pub fn service_mut<T>(&mut self, kind: ServiceKind, f: impl FnOnce(&mut Self) -> T) -> T {
         let token = hive_obs::service_enter(kind, self.db.now().ticks());
         let out = f(self);
@@ -149,200 +103,26 @@ impl Hive {
         out
     }
 
-    /// The current knowledge network.
-    ///
-    /// Three-tier maintenance, cheapest wins: a generation match is a
-    /// pure cache hit (`core.kn.hit`); a generation lag whose
-    /// [`HiveDb::deltas_since`] window is free of structural mutations
-    /// is patched in place in O(|delta|) (`core.kn.delta`) — bit-
-    /// identical to a cold rebuild because fresh builds replay the same
-    /// event sequence; anything else rebuilds (`core.kn.miss`).
+    /// The current knowledge network (`core.kn.*` tier).
     pub fn knowledge(&self) -> Arc<KnowledgeNetwork> {
-        let generation = self.db.generation();
-        // Only the cache probe runs under the lock. A stale value is
-        // *taken out* and patched/rebuilt with the guard released, so
-        // the critical section never spans a snapshot rebuild (lint
-        // R11); the refreshed value is published by re-locking below.
-        let stale = {
-            let mut guard = unpoison(self.kn_cache.lock());
-            if let Some((cached_gen, kn)) = guard.as_ref() {
-                if *cached_gen == generation {
-                    hive_obs::count("core.kn.hit", 1);
-                    return Arc::clone(kn);
-                }
-            }
-            guard.take()
-        };
-        let patched = stale.and_then(|(cached_gen, mut kn)| {
-            let patch = patchable_deltas(&self.db, cached_gen)?;
-            let span = hive_obs::span_enter("kn-delta", self.db.now().ticks());
-            let net = Arc::make_mut(&mut kn);
-            let w = crate::knowledge::FusionWeights::default();
-            let mut touched = false;
-            for d in &patch {
-                touched |= d.touches_graph();
-                net.apply_delta(d, &w);
-            }
-            if touched {
-                net.refresh_unified_csr();
-            }
-            hive_obs::span_exit(span, self.db.now().ticks());
-            hive_obs::count("core.kn.delta", 1);
-            Some(kn)
-        });
-        let kn = match patched {
-            Some(kn) => kn,
-            None => {
-                hive_obs::count("core.kn.miss", 1);
-                let span = hive_obs::span_enter("kn-build", self.db.now().ticks());
-                let kn = Arc::new(KnowledgeNetwork::build(&self.db));
-                hive_obs::span_exit(span, self.db.now().ticks());
-                kn
-            }
-        };
-        let mut guard = unpoison(self.kn_cache.lock());
-        *guard = Some((generation, Arc::clone(&kn)));
-        kn
+        self.kn.get(&self.db, || KnowledgeNetwork::build(&self.db))
     }
 
-    /// The current relationship-graph snapshot: generation hit, delta
-    /// patch (`core.rel.delta` — the triple export is extended with the
-    /// missed events, then the CSR view consumes the store's own delta
-    /// log), or full rebuild, in that order of preference.
+    /// The current relationship-graph snapshot (`core.rel.*` tier), built
+    /// cold from `kn` when the tier cannot move forward.
     pub(crate) fn relationship_graph(&self, kn: &KnowledgeNetwork) -> Arc<RelSnapshot> {
-        let generation = self.db.generation();
-        // Same take-patch-republish protocol as [`Hive::knowledge`]:
-        // the guard only ever covers the cache probe and the final
-        // publish, never the export or the CSR build (lint R11).
-        let stale = {
-            let mut guard = unpoison(self.rel_cache.lock());
-            if let Some(snap) = guard.as_ref() {
-                if snap.generation == generation {
-                    hive_obs::count("core.rel.hit", 1);
-                    return Arc::clone(snap);
-                }
-            }
-            guard.take()
-        };
-        let patched = stale.and_then(|mut snap| {
-            let patch = patchable_deltas(&self.db, snap.generation)?;
-            let span = hive_obs::span_enter("rel-delta", self.db.now().ticks());
-            let s = Arc::make_mut(&mut snap);
-            for d in &patch {
-                crate::knowledge::apply_rel_delta(&mut s.store, d);
-            }
-            if !s.view.apply_delta(&s.store) {
-                s.view = hive_store::GraphView::build(&s.store);
-            }
-            s.generation = generation;
-            hive_obs::span_exit(span, self.db.now().ticks());
-            hive_obs::count("core.rel.delta", 1);
-            Some(snap)
-        });
-        let snap = match patched {
-            Some(snap) => snap,
-            None => {
-                hive_obs::count("core.rel.miss", 1);
-                let span = hive_obs::span_enter("rel-snapshot-build", self.db.now().ticks());
-                let store = kn.to_store(&self.db);
-                let view = hive_store::GraphView::build(&store);
-                hive_obs::span_exit(span, self.db.now().ticks());
-                Arc::new(RelSnapshot { generation, store, view })
-            }
-        };
-        let mut guard = unpoison(self.rel_cache.lock());
-        *guard = Some(Arc::clone(&snap));
-        snap
+        self.rel.get(&self.db, || RelSnapshot::build(&self.db, kn))
     }
 
-    /// The current secondary-index set, under the same three-tier
-    /// maintenance as [`Hive::knowledge`]: generation hit
-    /// (`core.idx.hit`), in-place suffix patch via `Arc::make_mut`
-    /// (`core.idx.delta` — arenas are append-only, so *every*
-    /// journal-covered lag is patchable, structural or not), else a
-    /// cold [`DbIndexes::build`] (`core.idx.miss`). The build runs with
-    /// the guard released (lint R11) and is republished by re-locking.
+    /// The current secondary-index set (`core.idx.*` tier).
     pub fn indexes(&self) -> Arc<DbIndexes> {
-        let generation = self.db.generation();
-        let stale = {
-            let mut guard = unpoison(self.idx_cache.lock());
-            if let Some(idx) = guard.as_ref() {
-                if idx.generation() == generation {
-                    hive_obs::count("core.idx.hit", 1);
-                    return Arc::clone(idx);
-                }
-            }
-            guard.take()
-        };
-        let patched = stale.and_then(|mut idx| {
-            let span = hive_obs::span_enter("idx-delta", self.db.now().ticks());
-            let ok = Arc::make_mut(&mut idx).patch(&self.db);
-            hive_obs::span_exit(span, self.db.now().ticks());
-            if !ok {
-                return None;
-            }
-            hive_obs::count("core.idx.delta", 1);
-            Some(idx)
-        });
-        let idx = match patched {
-            Some(idx) => idx,
-            None => {
-                hive_obs::count("core.idx.miss", 1);
-                let span = hive_obs::span_enter("idx-build", self.db.now().ticks());
-                let idx = Arc::new(DbIndexes::build(&self.db));
-                hive_obs::span_exit(span, self.db.now().ticks());
-                idx
-            }
-        };
-        let mut guard = unpoison(self.idx_cache.lock());
-        *guard = Some(Arc::clone(&idx));
-        idx
+        self.idx.get(&self.db, || DbIndexes::build(&self.db))
     }
 
-    /// The current PPR memo tier — the fourth generation-keyed snapshot
-    /// cache, maintained like [`Hive::knowledge`]: a generation match
-    /// reuses the memo as-is (`core.ppr.hit`); a journal-covered lag is
-    /// patched forward under `Arc::make_mut` (`core.ppr.delta`) —
-    /// graph-touching deltas clear the memoized score vectors in
-    /// O(delta) while neutral ones keep them, since memo entries are
-    /// exact solves against one graph snapshot; anything else starts a
-    /// fresh tier (`core.ppr.miss`). Every PPR-backed service (peer
-    /// recommendation, contextual search, resource recommendation)
-    /// resolves its canonicalized seed distribution through this cache,
-    /// so repeated queries per generation solve the power iteration
-    /// once and stay bit-identical to a cold run.
+    /// The current PPR memo (`core.ppr.*` tier), through which every
+    /// PPR-backed service solves each seed distribution once per graph.
     pub fn ppr(&self) -> Arc<PprCache> {
-        let generation = self.db.generation();
-        let stale = {
-            let mut guard = unpoison(self.ppr_cache.lock());
-            if let Some((cached_gen, cache)) = guard.as_ref() {
-                if *cached_gen == generation {
-                    hive_obs::count("core.ppr.hit", 1);
-                    return Arc::clone(cache);
-                }
-            }
-            guard.take()
-        };
-        let patched = stale.and_then(|(cached_gen, mut cache)| {
-            let patch = patchable_deltas(&self.db, cached_gen)?;
-            let span = hive_obs::span_enter("ppr-delta", self.db.now().ticks());
-            if patch.iter().any(|d| d.touches_graph()) {
-                Arc::make_mut(&mut cache).clear();
-            }
-            hive_obs::span_exit(span, self.db.now().ticks());
-            hive_obs::count("core.ppr.delta", 1);
-            Some(cache)
-        });
-        let cache = match patched {
-            Some(cache) => cache,
-            None => {
-                hive_obs::count("core.ppr.miss", 1);
-                Arc::new(PprCache::new())
-            }
-        };
-        let mut guard = unpoison(self.ppr_cache.lock());
-        *guard = Some((generation, Arc::clone(&cache)));
-        cache
+        self.ppr.get(&self.db, PprCache::new)
     }
 
     // ---- concept map & personalization services ---------------------------
@@ -742,18 +522,34 @@ mod tests {
 
     #[test]
     fn relationship_graph_cached_per_generation() {
-        let mut h = hive();
-        let kn = h.knowledge();
-        let r1 = h.relationship_graph(&kn);
-        let r2 = h.relationship_graph(&kn);
-        assert!(Arc::ptr_eq(&r1, &r2), "warm snapshot reused");
-        let gen_before = h.db().generation();
-        let users = h.db().user_ids();
-        h.follow(users[1], users[2]).unwrap();
-        assert!(h.db().generation() > gen_before, "mutation bumps generation");
-        let kn2 = h.knowledge();
-        let r3 = h.relationship_graph(&kn2);
-        assert!(!Arc::ptr_eq(&r1, &r3), "generation move invalidates");
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            let mut h = hive();
+            let users = h.db().user_ids();
+            // Held the way a published epoch holds them, so a patch would
+            // have to copy.
+            let kn = h.knowledge();
+            let r1 = h.relationship_graph(&kn);
+            let r2 = h.relationship_graph(&kn);
+            assert!(Arc::ptr_eq(&r1, &r2), "warm snapshot reused");
+            let deltas = || {
+                let snap = hive_obs::snapshot();
+                (snap.counter("core.kn.delta"), snap.counter("core.rel.delta"))
+            };
+            let (kn0, rel0) = deltas();
+            let session = QaTarget::Session(h.db().session_ids()[0]);
+            h.comment(users[0], session, "a neutral write").unwrap();
+            let kn2 = h.knowledge();
+            assert!(Arc::ptr_eq(&kn, &kn2), "a neutral window re-stamps the network");
+            assert!(Arc::ptr_eq(&r1, &h.relationship_graph(&kn2)), "and the rel snapshot");
+            assert_eq!(deltas(), (kn0 + 1, rel0 + 1), "a re-stamp counts as a delta");
+            let gen_before = h.db().generation();
+            h.follow(users[1], users[2]).unwrap();
+            assert!(h.db().generation() > gen_before, "mutation bumps generation");
+            let kn3 = h.knowledge();
+            let r3 = h.relationship_graph(&kn3);
+            assert!(!Arc::ptr_eq(&kn, &kn3), "a graph-touching window patches a copy");
+            assert!(!Arc::ptr_eq(&r1, &r3), "generation move invalidates");
+        });
     }
 
     #[test]

@@ -74,42 +74,6 @@ impl HistoryQuery {
         self.limit = limit;
         self
     }
-
-    /// Legacy bridge from the retired mutable-struct shape (stringly
-    /// categories, bare from/to pair). Unknown category labels are
-    /// dropped; a list made up entirely of unknown labels collapses to
-    /// an empty window, matching the old behavior of labels that never
-    /// compare equal. Migrate to the builder; this goes away next
-    /// release.
-    #[doc(hidden)]
-    #[deprecated(note = "build with HistoryQuery::new() and the with_* setters")]
-    pub fn from_parts(
-        actors: Vec<UserId>,
-        categories: Vec<&'static str>,
-        from: Option<Timestamp>,
-        to: Option<Timestamp>,
-        text: Option<String>,
-        limit: usize,
-    ) -> Self {
-        let mut range = match (from, to) {
-            (None, None) => TickRange::all(),
-            (Some(f), None) => TickRange::since(f),
-            (None, Some(t)) => TickRange::until(t),
-            (Some(f), Some(t)) => TickRange::between(f, t),
-        };
-        let typed: Vec<ActivityCategory> =
-            categories.iter().filter_map(|c| ActivityCategory::parse(c)).collect();
-        if !categories.is_empty() && typed.is_empty() {
-            range = TickRange::between(Timestamp(0), Timestamp(0));
-        }
-        let mut q = HistoryQuery::new()
-            .with_actors(actors)
-            .with_categories(typed)
-            .within(range)
-            .limit(limit);
-        q.text = text;
-        q
-    }
 }
 
 /// One history hit with relevance.
@@ -314,31 +278,6 @@ mod tests {
         let idx = DbIndexes::build(&db);
         let q = HistoryQuery::new().limit(1);
         assert_eq!(search_history(&db, &kn, &idx, &q, None).len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_from_parts_bridge_matches_builder() {
-        let (db, users, _) = world();
-        let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
-        let legacy = HistoryQuery::from_parts(
-            vec![users[0]],
-            vec!["checkin", "no-such-category"],
-            Some(Timestamp(5)),
-            Some(Timestamp(25)),
-            None,
-            3,
-        );
-        let built = HistoryQuery::new()
-            .with_actors(vec![users[0]])
-            .with_categories(vec![ActivityCategory::CheckIn])
-            .within(TickRange::between(Timestamp(5), Timestamp(25)))
-            .limit(3);
-        let a = search_history(&db, &kn, &idx, &legacy, None);
-        let b = search_history(&db, &kn, &idx, &built, None);
-        assert_eq!(a.len(), b.len());
-        assert!(a.iter().zip(&b).all(|(x, y)| x.record == y.record));
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub mod ppr;
 pub mod reports;
 pub mod serve;
 pub mod sim;
+mod tier;
 pub mod trends;
 
 pub use api::Hive;

@@ -19,7 +19,7 @@
 use crate::db::DbDelta;
 use crate::knowledge::FusionWeights;
 use hive_graph::{personalized_pagerank_csr, CsrView, DynamicPpr, NodeId, PprConfig};
-use crate::api::unpoison;
+use crate::tier::unpoison;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 

@@ -1,9 +1,10 @@
 //! Epoch-snapshot serving: single writer, lock-free concurrent readers.
 //!
-//! The facade ([`crate::api::Hive`]) serializes every knowledge-backed
-//! call behind its `Mutex`-guarded caches — correct, but the opposite
-//! of the paper's read-dominated service mix. This module splits the
-//! platform into the two roles that mix actually has:
+//! The facade ([`crate::api::Hive`]) keeps its derived tiers in
+//! `Mutex`-guarded slots and answers from the live, mutating database —
+//! correct for one caller, but the opposite of the paper's
+//! read-dominated service mix. This module splits the platform into the
+//! two roles that mix actually has:
 //!
 //! * **One writer** owns the [`Hive`] inside a [`HiveServer`] and
 //!   applies typed mutators through [`HiveServer::writer`]. Rust's
@@ -12,20 +13,19 @@
 //! * **Many readers** hold cloned [`ReadHandle`]s and call
 //!   [`ReadHandle::epoch`] to get an immutable [`Arc<Epoch>`] — a
 //!   self-consistent bundle of database snapshot, knowledge network,
-//!   and relationship-graph snapshot at one generation. Every Table-1
-//!   read service is a method on [`Epoch`], so readers never touch a
-//!   lock after the sub-microsecond `Arc` clone out of the publish
-//!   slot, and an epoch once handed out never changes underneath them.
+//!   relationship-graph snapshot, indexes and PPR memo at one
+//!   generation. Every Table-1 read service is a method on [`Epoch`],
+//!   so readers never touch a lock after the sub-microsecond `Arc`
+//!   clone out of the publish slot, and an epoch once handed out never
+//!   changes underneath them.
 //!
-//! [`HiveServer::publish`] makes the next epoch visible. It leans on
-//! the delta machinery from the facade: [`Hive::knowledge`] and
-//! `Hive::relationship_graph` patch their cached structures forward
-//! through the journaled [`crate::db::DbDelta`] suffix
-//! (`Arc::make_mut` + `apply_delta`), falling back to a rebuild when
-//! the window is gone or a structural mutation occurred. Because the
-//! retiring epoch still holds references to those same `Arc`s,
-//! `Arc::make_mut` copies-on-write — the old epoch keeps answering out
-//! of its own frozen structures while the new one moves forward.
+//! [`HiveServer::publish`] makes the next epoch visible by taking the
+//! facade's four derived tiers at the current generation. A tier the
+//! journaled [`crate::db::DbDelta`] window leaves unchanged hands the
+//! retiring epoch's `Arc` on under the new stamp; one the window changes
+//! is patched under `Arc::make_mut`, which copies because the retiring
+//! epoch still pins the old value, so that epoch keeps answering out of
+//! its own frozen structures.
 //!
 //! The pure-read service bodies shared by the facade and [`Epoch`]
 //! live here as `read_*` free functions over `(&HiveDb,
@@ -34,7 +34,7 @@
 //! checks the stronger property that any epoch read is bit-identical
 //! to a serial replay at that epoch's generation.
 
-use crate::api::{patchable_deltas, Hive, RelSnapshot};
+use crate::api::Hive;
 use crate::clock::Timestamp;
 use crate::collab::CfModel;
 use crate::communities::{self, Communities, Method};
@@ -51,6 +51,7 @@ use crate::knowledge::KnowledgeNetwork;
 use crate::peers::{self, PeerRecConfig, PeerRecommendation};
 use crate::ppr::PprCache;
 use crate::reports::{self, ReportScope, UpdateReport};
+use crate::tier::RelSnapshot;
 use hive_obs::ServiceKind;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -209,17 +210,15 @@ impl Epoch {
     /// platform" — the reference answer a published epoch must match
     /// bit-for-bit.
     pub fn rebuild(db: Arc<HiveDb>) -> Epoch {
-        let generation = db.generation();
         let kn = Arc::new(KnowledgeNetwork::build(&db));
-        let store = kn.to_store(&db);
-        let view = hive_store::GraphView::build(&store);
+        let rel = Arc::new(RelSnapshot::build(&db, &kn));
         let idx = Arc::new(DbIndexes::build(&db));
         Epoch {
-            generation,
+            generation: db.generation(),
             seq: 0,
             db,
             kn,
-            rel: Arc::new(RelSnapshot { generation, store, view }),
+            rel,
             idx,
             ppr: Arc::new(PprCache::new()),
         }
@@ -483,12 +482,9 @@ impl HiveServer {
         HiveServer { hive, slot: Arc::new(Slot { current: RwLock::new(boot) }) }
     }
 
-    /// Bundles the facade's current generation into an epoch. The
-    /// knowledge network and rel snapshot come from the facade's
-    /// delta-maintained caches: if the journal still covers the gap
-    /// those patch forward in O(|delta|) (`Arc::make_mut` copies on
-    /// write, because the retiring epoch still pins the old `Arc`s),
-    /// otherwise they rebuild.
+    /// Bundles the facade's current generation into an epoch: the four
+    /// derived structures come from the facade's tiers (re-stamped,
+    /// patched or rebuilt there) and the database is copied.
     fn snapshot_epoch(hive: &Hive, seq: u64) -> Epoch {
         let generation = hive.db().generation();
         let kn = hive.knowledge();
@@ -535,7 +531,8 @@ impl HiveServer {
             return prev;
         }
         let span = hive_obs::span_enter("epoch-publish", self.hive.db().now().ticks());
-        if patchable_deltas(self.hive.db(), prev.generation).is_some() {
+        let window = self.hive.db().deltas_since(prev.generation);
+        if window.is_some_and(|w| !w.iter().any(DbDelta::is_structural)) {
             hive_obs::count("serve.epoch.patch", 1);
         } else {
             hive_obs::count("serve.epoch.rebuild", 1);
@@ -584,6 +581,7 @@ impl HiveServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::QaTarget;
     use crate::sim::{SimConfig, WorldBuilder};
 
     fn server() -> HiveServer {
@@ -648,16 +646,44 @@ mod tests {
         let mut s = server();
         let users = s.hive().db().user_ids();
         let session = s.hive().db().session_ids()[0];
+        let u = users[2];
+        // Answers that read every tier: kn (similar peers), rel
+        // (explanation), and idx + ppr (search, peer recommendation).
+        let answers = |e: &Epoch| -> Vec<(String, u64)> {
+            let peers = e.similar_peers(u, 5).into_iter().map(|(v, x)| (format!("{v:?}"), x));
+            let explained = ("explain".to_string(), e.explain_relationship(u, users[3]).combined);
+            let hits = e.search(u, "tensor stream", DiscoverConfig::default());
+            let recs = e.recommend_peers(u, PeerRecConfig::default());
+            peers
+                .chain([explained])
+                .chain(hits.iter().map(|h| (format!("{:?}", h.resource), h.score)))
+                .chain(recs.iter().map(|p| (format!("{:?}", p.user), p.score)))
+                .map(|(key, x)| (key, x.to_bits()))
+                .collect()
+        };
+        let cold = |e: &Epoch| Epoch::rebuild(Arc::new(e.db().clone()));
         s.writer().follow(users[2], users[3]).ok();
         s.writer().check_in(users[2], session).ok();
         let epoch = s.publish();
-        let cold = Epoch::rebuild(Arc::new(epoch.db().clone()));
-        let u = users[2];
-        let a: Vec<(UserId, u64)> =
-            epoch.similar_peers(u, 5).into_iter().map(|(v, s)| (v, s.to_bits())).collect();
-        let b: Vec<(UserId, u64)> =
-            cold.similar_peers(u, 5).into_iter().map(|(v, s)| (v, s.to_bits())).collect();
-        assert_eq!(a, b, "patched-forward epoch must equal cold rebuild");
+        assert_eq!(
+            answers(&epoch),
+            answers(&cold(&epoch)),
+            "patched-forward epoch must equal cold rebuild"
+        );
+        // A neutral-only window: the tiers move on by re-stamping.
+        s.writer().comment(u, QaTarget::Session(session), "a neutral write").unwrap();
+        s.writer().post_tweet(Some(u), "@neutral", "a neutral tweet", session).unwrap();
+        let restamped = s.publish();
+        assert!(restamped.generation() > epoch.generation());
+        assert!(
+            std::ptr::eq(restamped.knowledge(), epoch.knowledge()),
+            "kn is re-stamped, not copied"
+        );
+        assert_eq!(
+            answers(&restamped),
+            answers(&cold(&restamped)),
+            "re-stamped epoch must equal cold rebuild"
+        );
     }
 
     #[test]

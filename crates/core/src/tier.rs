@@ -1,0 +1,224 @@
+//! One maintenance protocol for the facade's four derived tiers: the
+//! [`KnowledgeNetwork`], the [`RelSnapshot`], the [`DbIndexes`] and the
+//! [`PprCache`]. Each implements [`Derived`]; one [`Tier`] per structure
+//! stamps it with the database generation it reflects and, on a stale
+//! stamp, classifies the journal window it borrows from
+//! [`HiveDb::deltas_since`] *before* it touches the value:
+//!
+//! * no window, or a delta the tier cannot patch → cold build with no
+//!   copy first (`core.<t>.miss`);
+//! * no delta that affects the tier → the same `Arc` under the new stamp
+//!   (`core.<t>.delta`);
+//! * otherwise → `Arc::make_mut` plus [`Derived::patch`]
+//!   (`core.<t>.delta`). `make_mut` copies exactly when a published epoch
+//!   still pins the old value, so that epoch stays frozen.
+//!
+//! Re-stamping is exact: a delta that does not affect a tier is one its
+//! patch applies as a no-op ([`KnowledgeNetwork::apply_delta`] and
+//! [`crate::knowledge::apply_rel_delta`] ignore `Neutral`; the memo only
+//! clears on graph edges), so the re-stamped value is what a patch would
+//! have produced, and a patch is bit-identical to a cold build (the
+//! replay-order argument, DESIGN.md §11).
+
+use crate::db::index::DbIndexes;
+use crate::db::{DbDelta, HiveDb};
+use crate::knowledge::{apply_rel_delta, FusionWeights, KnowledgeNetwork};
+use crate::ppr::PprCache;
+use hive_store::{GraphView, TripleStore};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard};
+
+/// Recovers the guard from a possibly poisoned `lock()` result. Tier
+/// slots and memos hold derived, generation-stamped values: a panic
+/// mid-update leaves at worst a stale entry, which the stamp check
+/// rejects, so poisoning is recoverable by construction.
+pub(crate) fn unpoison<T>(res: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
+    match res {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// A structure derived from the [`HiveDb`] that a [`Tier`] keeps current
+/// by patching it forward through the delta journal.
+pub(crate) trait Derived: Clone {
+    /// Counter bumped when the stamp is current.
+    const HIT: &'static str;
+    /// Counter bumped when the value moves forward by re-stamp or patch.
+    const DELTA: &'static str;
+    /// Counter bumped when the value is built cold.
+    const MISS: &'static str;
+    /// Span opened around a patch.
+    const PATCH_SPAN: &'static str;
+    /// Span opened around a cold build (`None` when the build is trivial).
+    const BUILD_SPAN: Option<&'static str>;
+
+    /// Whether `d` changes this structure at all. The default suits the
+    /// graph-derived tiers: only graph edges change them.
+    fn affected_by(d: &DbDelta) -> bool {
+        d.touches_graph()
+    }
+
+    /// Whether `d` can be patched in; one refusal forces a cold build.
+    /// The default suits the graph-derived tiers.
+    fn patchable(d: &DbDelta) -> bool {
+        !d.is_structural()
+    }
+
+    /// Applies `window` (every delta patchable, at least one affecting)
+    /// in place. Returns `false` only when `db` is not the database this
+    /// value was derived from (a foreign lineage that happens to cover
+    /// the stamp, which the facade never produces); the tier then builds
+    /// cold.
+    fn patch(&mut self, db: &HiveDb, window: &[DbDelta]) -> bool;
+}
+
+/// A generation-stamped cache slot for one [`Derived`] structure. Only
+/// the stamp probe and the final store run under the lock, never a patch
+/// or a build (lint R11).
+pub(crate) struct Tier<T> {
+    slot: Mutex<Option<(u64, Arc<T>)>>,
+}
+
+impl<T: Derived> Tier<T> {
+    /// An empty tier: the first [`Tier::get`] builds.
+    pub(crate) fn new() -> Self {
+        Tier { slot: Mutex::new(None) }
+    }
+
+    /// The value at `db`'s current generation: the cached one, moved
+    /// forward through the journal, or built by `cold` (see the module
+    /// docs for the rule).
+    pub(crate) fn get(&self, db: &HiveDb, cold: impl FnOnce() -> T) -> Arc<T> {
+        let generation = db.generation();
+        let stale = {
+            let mut guard = unpoison(self.slot.lock());
+            match guard.as_ref() {
+                Some((stamp, value)) if *stamp == generation => {
+                    hive_obs::count(T::HIT, 1);
+                    return Arc::clone(value);
+                }
+                _ => guard.take(),
+            }
+        };
+        let forward = stale.and_then(|(stamp, mut value)| {
+            let window = db.deltas_since(stamp)?;
+            if !window.iter().all(T::patchable) {
+                return None;
+            }
+            if window.iter().any(T::affected_by) {
+                let span = hive_obs::span_enter(T::PATCH_SPAN, db.now().ticks());
+                let patched = Arc::make_mut(&mut value).patch(db, window);
+                hive_obs::span_exit(span, db.now().ticks());
+                if !patched {
+                    return None;
+                }
+            }
+            hive_obs::count(T::DELTA, 1);
+            Some(value)
+        });
+        let value = forward.unwrap_or_else(|| {
+            hive_obs::count(T::MISS, 1);
+            let span = T::BUILD_SPAN.map(|name| hive_obs::span_enter(name, db.now().ticks()));
+            let value = Arc::new(cold());
+            if let Some(span) = span {
+                hive_obs::span_exit(span, db.now().ticks());
+            }
+            value
+        });
+        *unpoison(self.slot.lock()) = Some((generation, Arc::clone(&value)));
+        value
+    }
+}
+
+impl Derived for KnowledgeNetwork {
+    const HIT: &'static str = "core.kn.hit";
+    const DELTA: &'static str = "core.kn.delta";
+    const MISS: &'static str = "core.kn.miss";
+    const PATCH_SPAN: &'static str = "kn-delta";
+    const BUILD_SPAN: Option<&'static str> = Some("kn-build");
+
+    fn patch(&mut self, _db: &HiveDb, window: &[DbDelta]) -> bool {
+        let w = FusionWeights::default();
+        for d in window {
+            self.apply_delta(d, &w);
+        }
+        self.refresh_unified_csr();
+        true
+    }
+}
+
+/// The relationship-graph snapshot: the `rel:*` triple export of the
+/// knowledge network plus its [`GraphView`] CSR adjacency, so repeated
+/// explanation queries skip both the export and the store scan.
+#[derive(Clone)]
+pub(crate) struct RelSnapshot {
+    pub(crate) store: TripleStore,
+    pub(crate) view: GraphView,
+}
+
+impl RelSnapshot {
+    /// Cold export of `kn` over `db`, plus its CSR view.
+    pub(crate) fn build(db: &HiveDb, kn: &KnowledgeNetwork) -> Self {
+        let store = kn.to_store(db);
+        let view = GraphView::build(&store);
+        RelSnapshot { store, view }
+    }
+}
+
+impl Derived for RelSnapshot {
+    const HIT: &'static str = "core.rel.hit";
+    const DELTA: &'static str = "core.rel.delta";
+    const MISS: &'static str = "core.rel.miss";
+    const PATCH_SPAN: &'static str = "rel-delta";
+    const BUILD_SPAN: Option<&'static str> = Some("rel-snapshot-build");
+
+    /// Extends the triple export with the window's events, then lets the
+    /// CSR view consume the store's own delta log.
+    fn patch(&mut self, _db: &HiveDb, window: &[DbDelta]) -> bool {
+        for d in window {
+            apply_rel_delta(&mut self.store, d);
+        }
+        if !self.view.apply_delta(&self.store) {
+            self.view = GraphView::build(&self.store);
+        }
+        true
+    }
+}
+
+impl Derived for DbIndexes {
+    const HIT: &'static str = "core.idx.hit";
+    const DELTA: &'static str = "core.idx.delta";
+    const MISS: &'static str = "core.idx.miss";
+    const PATCH_SPAN: &'static str = "idx-delta";
+    const BUILD_SPAN: Option<&'static str> = Some("idx-build");
+
+    /// Every delta moves the generation the index is stamped with.
+    fn affected_by(_: &DbDelta) -> bool {
+        true
+    }
+
+    /// Arenas are append-only, so every journal-covered lag is a suffix
+    /// scan, structural or not.
+    fn patchable(_: &DbDelta) -> bool {
+        true
+    }
+
+    fn patch(&mut self, db: &HiveDb, _window: &[DbDelta]) -> bool {
+        DbIndexes::patch(self, db)
+    }
+}
+
+impl Derived for PprCache {
+    const HIT: &'static str = "core.ppr.hit";
+    const DELTA: &'static str = "core.ppr.delta";
+    const MISS: &'static str = "core.ppr.miss";
+    const PATCH_SPAN: &'static str = "ppr-delta";
+    const BUILD_SPAN: Option<&'static str> = None;
+
+    /// Memo entries are exact solves against one graph, so a graph
+    /// change drops them all.
+    fn patch(&mut self, _db: &HiveDb, _window: &[DbDelta]) -> bool {
+        self.clear();
+        true
+    }
+}

@@ -156,14 +156,8 @@ impl Follower {
             }
         };
         match &frame.payload {
-            FramePayload::Checkpoint(cp) => {
-                let cp = cp.clone();
-                self.ingest_checkpoint(&frame, &cp)
-            }
-            FramePayload::Ops(batch) => {
-                let batch = batch.clone();
-                self.ingest_ops(&frame, &batch)
-            }
+            FramePayload::Checkpoint(cp) => self.ingest_checkpoint(&frame, cp),
+            FramePayload::Ops(batch) => self.ingest_ops(&frame, batch),
         }
     }
 

@@ -3,7 +3,8 @@
 # pass (R1 hermetic-deps, R2 no-panic-paths, R3 deterministic-time,
 # R4 no-stray-io, R5 forbid-unsafe, R6 no-raw-threads,
 # R7 instrumented-facade, R8 delta-log, R9 snapshot-discipline,
-# R10 exhaustive-delta, R11 lock-scope, R12 determinism-taint).
+# R10 exhaustive-delta, R11 lock-scope, R12 determinism-taint,
+# R13 no-full-scan).
 # Everything must work with no network access — the workspace has zero
 # registry dependencies. The lint pass publishes a machine-readable
 # report at target/lint-report.json as a CI artifact.
