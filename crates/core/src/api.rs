@@ -15,6 +15,12 @@
 //! re-stamp when no journaled delta affects the tier, an in-place patch,
 //! or a rebuild. Mutations therefore need no explicit invalidation.
 //!
+//! Each read service is written once, here. A published
+//! [`crate::serve::Epoch`] is a pinned copy of this facade — the
+//! database cloned at one generation, each tier slot holding the stamp
+//! and `Arc` the writer's tier had at publish — and derefs to it, so a
+//! served read runs the same method and every tier probe is a hit.
+//!
 //! Every public service entry point routes through the instrumented
 //! [`Hive::service`] / [`Hive::service_mut`] choke point (enforced by
 //! lint rule R7): one place opens the `hive-obs` span, stamps logical
@@ -29,9 +35,9 @@ use crate::communities::{self, Communities, Method};
 use crate::context::{build_context, ActivityContext, ContextConfig};
 use crate::db::index::DbIndexes;
 use crate::db::HiveDb;
-use crate::discover::{DiscoverConfig, Resource, SearchHit};
+use crate::discover::{self, DiscoverConfig, Resource, SearchHit};
 use crate::error::Result;
-use crate::evidence::RelationshipExplanation;
+use crate::evidence::{self, RelationshipExplanation};
 use crate::feed::{self, FeedDigest, Update};
 use crate::history::{self, HistoryHit, HistoryQuery};
 use crate::ids::*;
@@ -125,6 +131,19 @@ impl Hive {
         self.ppr.get(&self.db, PprCache::new)
     }
 
+    /// A copy of the facade as it stands: the database cloned and each
+    /// tier slot holding this one's stamp and `Arc`. A published epoch
+    /// is one (`serve.rs`), so it answers with these same methods.
+    pub(crate) fn pinned(&self) -> Hive {
+        Hive {
+            db: self.db.clone(),
+            kn: self.kn.pinned(),
+            rel: self.rel.pinned(),
+            idx: self.idx.pinned(),
+            ppr: self.ppr.pinned(),
+        }
+    }
+
     // ---- concept map & personalization services ---------------------------
 
     /// Bootstraps a concept map from user-supplied documents (§2.1).
@@ -146,14 +165,27 @@ impl Hive {
     /// Recommends new peers, contextualized by the active workpad.
     pub fn recommend_peers(&self, user: UserId, cfg: PeerRecConfig) -> Vec<PeerRecommendation> {
         self.service(ServiceKind::PeerRecommendation, |h| {
-            crate::serve::read_recommend_peers(&h.db, &h.knowledge(), &h.ppr(), user, cfg)
+            let kn = h.knowledge();
+            let ctx = build_context(&h.db, &kn, user, cfg.common.context);
+            peers::recommend_peers(&h.db, &kn, &h.ppr(), user, &ctx, cfg)
         })
     }
 
     /// Locates peers with the most similar content profile.
     pub fn similar_peers(&self, user: UserId, k: usize) -> Vec<(UserId, f64)> {
         self.service(ServiceKind::SimilarPeers, |h| {
-            crate::serve::read_similar_peers(&h.db, &h.knowledge(), user, k)
+            let kn = h.knowledge();
+            let mut out: Vec<(UserId, f64)> = h
+                .db
+                .user_ids()
+                .into_iter()
+                .filter(|&v| v != user)
+                .map(|v| (v, kn.user_similarity(user, v)))
+                .filter(|(_, s)| *s > 0.0)
+                .collect();
+            out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            out.truncate(k);
+            out
         })
     }
 
@@ -201,14 +233,18 @@ impl Hive {
     /// Context-aware search over papers, presentations, sessions, users.
     pub fn search(&self, user: UserId, query: &str, cfg: DiscoverConfig) -> Vec<SearchHit> {
         self.service(ServiceKind::Search, |h| {
-            crate::serve::read_search(&h.db, &h.knowledge(), &h.indexes(), &h.ppr(), user, query, cfg)
+            let kn = h.knowledge();
+            let ctx = build_context(&h.db, &kn, user, cfg.common.context);
+            discover::search(&h.db, &kn, &h.indexes(), &h.ppr(), &ctx, query, cfg)
         })
     }
 
     /// Pure contextual resource recommendation (empty query).
     pub fn recommend_resources(&self, user: UserId, cfg: DiscoverConfig) -> Vec<SearchHit> {
         self.service(ServiceKind::ResourceRecommendation, |h| {
-            crate::serve::read_recommend_resources(&h.db, &h.knowledge(), &h.indexes(), &h.ppr(), user, cfg)
+            let kn = h.knowledge();
+            let ctx = build_context(&h.db, &kn, user, cfg.common.context);
+            discover::recommend_resources(&h.db, &kn, &h.indexes(), &h.ppr(), &ctx, cfg)
         })
     }
 
@@ -228,7 +264,7 @@ impl Hive {
         self.service(ServiceKind::RelationshipExplanation, |h| {
             let kn = h.knowledge();
             let rel = h.relationship_graph(&kn);
-            crate::serve::read_explain(&h.db, &kn, &rel, a, b)
+            evidence::explain_relationship_with_view(&h.db, &kn, &rel.store, &rel.view, a, b, 3)
         })
     }
 
@@ -249,7 +285,19 @@ impl Hive {
         sentences: usize,
     ) -> Option<hive_text::DocumentSummary> {
         self.service(ServiceKind::Summarization, |h| {
-            crate::serve::read_summarize(&h.db, &h.knowledge(), user, resource, sentences)
+            let ctx = build_context(&h.db, &h.knowledge(), user, ContextConfig::default());
+            let text = match resource {
+                Resource::Paper(p) => h.db.get_paper(p).ok()?.text(),
+                Resource::Presentation(p) => h.db.get_presentation(p).ok()?.slides_text.clone(),
+                Resource::Session(s) => h.db.get_session(s).ok()?.text(),
+                Resource::User(u) => h.db.get_user(u).ok()?.profile_text(),
+            };
+            let terms: Vec<&str> = ctx.terms.iter().map(String::as_str).collect();
+            hive_text::summarize_document(
+                &text,
+                &terms,
+                hive_text::DocSumConfig { sentences, ..Default::default() },
+            )
         })
     }
 
@@ -304,7 +352,9 @@ impl Hive {
     /// Context-ranked highlights over the update stream.
     pub fn highlights(&self, user: UserId, since: Timestamp, k: usize) -> Vec<(Update, f64)> {
         self.service(ServiceKind::Feed, |h| {
-            crate::serve::read_highlights(&h.db, &h.knowledge(), &h.indexes(), user, since, k)
+            let kn = h.knowledge();
+            let ctx = build_context(&h.db, &kn, user, ContextConfig::default());
+            feed::highlights(&h.db, &kn, &h.indexes(), &ctx, user, since, k)
         })
     }
 
@@ -323,7 +373,9 @@ impl Hive {
     /// Searches the activity history, optionally context-ranked.
     pub fn search_history(&self, query: &HistoryQuery, contextual_for: Option<UserId>) -> Vec<HistoryHit> {
         self.service(ServiceKind::HistorySearch, |h| {
-            crate::serve::read_search_history(&h.db, &h.knowledge(), &h.indexes(), query, contextual_for)
+            let kn = h.knowledge();
+            let ctx = contextual_for.map(|u| build_context(&h.db, &kn, u, ContextConfig::default()));
+            history::search_history(&h.db, &kn, &h.indexes(), query, ctx.as_ref())
         })
     }
 
@@ -577,6 +629,13 @@ mod tests {
         assert!(!hist.is_empty());
         let tl = h.timeline(&[], 100);
         assert!(!tl.is_empty());
+        // Degenerate arguments answer empty instead of panicking.
+        assert!(h.timeline(&[], 0).is_empty());
+        let unsummarized =
+            h.update_report(&ReportScope::Platform, Timestamp(0), Timestamp(u64::MAX), 0);
+        assert!(unsummarized.summary.rows.is_empty());
+        assert_eq!(unsummarized.summary.retained, 0.0);
+        assert_eq!(unsummarized.total_events, report.total_events, "the window is still counted");
     }
 
     #[test]

@@ -25,17 +25,15 @@ use crate::db::{DbDelta, HiveDb};
 use crate::knowledge::{apply_rel_delta, FusionWeights, KnowledgeNetwork};
 use crate::ppr::PprCache;
 use hive_store::{GraphView, TripleStore};
-use std::sync::{Arc, LockResult, Mutex, MutexGuard};
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
-/// Recovers the guard from a possibly poisoned `lock()` result. Tier
-/// slots and memos hold derived, generation-stamped values: a panic
+/// Recovers the guard from a possibly poisoned lock result. Tier slots,
+/// memos and the serving layer's publish slot hold derived or
+/// generation-stamped values that each write replaces whole: a panic
 /// mid-update leaves at worst a stale entry, which the stamp check
 /// rejects, so poisoning is recoverable by construction.
-pub(crate) fn unpoison<T>(res: LockResult<MutexGuard<'_, T>>) -> MutexGuard<'_, T> {
-    match res {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+pub(crate) fn unpoison<G>(res: LockResult<G>) -> G {
+    res.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A structure derived from the [`HiveDb`] that a [`Tier`] keeps current
@@ -83,6 +81,12 @@ impl<T: Derived> Tier<T> {
     /// An empty tier: the first [`Tier::get`] builds.
     pub(crate) fn new() -> Self {
         Tier { slot: Mutex::new(None) }
+    }
+
+    /// A new slot holding this one's stamp and `Arc`: the two share the
+    /// value but not the lock. A published epoch pins one per tier.
+    pub(crate) fn pinned(&self) -> Self {
+        Tier { slot: Mutex::new(unpoison(self.slot.lock()).clone()) }
     }
 
     /// The value at `db`'s current generation: the cached one, moved

@@ -122,7 +122,7 @@ impl Follower {
         leader_next_seq.saturating_sub(self.next_seq)
     }
 
-    /// A lock-free read handle over the replica's published epochs
+    /// A read handle over the replica's published epochs
     /// (`None` before the bootstrap checkpoint).
     pub fn reader(&self) -> Option<ReadHandle> {
         self.server.as_ref().map(HiveServer::reader)
@@ -266,7 +266,7 @@ impl Follower {
                 // The classified delta stream is the cross-check: the
                 // replica's own journal for this window must match the
                 // leader's bit-for-bit.
-                if let Some(mine) = server.deltas_since(frame.start_gen) {
+                if let Some(mine) = server.hive().db().deltas_since(frame.start_gen) {
                     if mine != batch.deltas {
                         return Err(format!(
                             "journaled delta stream diverges ({} local vs {} shipped)",

@@ -5,7 +5,7 @@ use crate::frame::{Frame, FramePayload, OpsBatch, FRAME_VERSION};
 use crate::ops::{self, ReplOp};
 use crate::{ReplicaError, Result};
 use hive_core::serve::{HiveServer, ReadHandle};
-use hive_core::{Hive, HiveDb};
+use hive_core::{DbDelta, Hive, HiveDb};
 
 /// Wraps a [`HiveServer`] and turns its accepted mutations into a
 /// monotonically numbered frame log.
@@ -86,7 +86,7 @@ impl Leader {
         self.server.hive()
     }
 
-    /// A lock-free read handle over the leader's published epochs.
+    /// A read handle over the leader's published epochs.
     pub fn reader(&self) -> ReadHandle {
         self.server.reader()
     }
@@ -122,7 +122,7 @@ impl Leader {
             let end_gen = self.server.generation();
             let ops = std::mem::take(&mut self.pending);
             self.server.publish();
-            match self.server.deltas_since(start_gen) {
+            match self.server.hive().db().deltas_since(start_gen).map(<[DbDelta]>::to_vec) {
                 Some(deltas) => {
                     frames.push(Frame {
                         version: FRAME_VERSION,

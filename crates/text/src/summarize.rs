@@ -426,13 +426,17 @@ struct GroupStats {
     s_inv: Vec<f64>,
 }
 
-/// Summarizes `table` down to at most `cfg.max_rows` rows.
+/// Summarizes `table` down to at most `cfg.max_rows` rows. A zero-row
+/// budget keeps nothing of a non-empty table: no rows, the worst loss,
+/// nothing retained.
 pub fn summarize_table(table: &Table, cfg: SummaryConfig) -> TableSummary {
-    assert!(cfg.max_rows >= 1, "summary must allow at least one row");
     let compiled = Compiled::compile(table);
     let groups = compiled.initial_groups();
     if groups.len() <= cfg.max_rows {
         return compiled.finish(groups);
+    }
+    if cfg.max_rows == 0 {
+        return TableSummary { rows: Vec::new(), loss: compiled.worst_loss(), retained: 0.0 };
     }
     match cfg.strategy {
         Strategy::Greedy => greedy(&compiled, groups, cfg.max_rows),

@@ -110,7 +110,7 @@ fn promoted_follower_continues_log_like_a_never_failed_leader() {
     let mut rng_a = Rng::seed_from_u64(555);
     let mut rng_b = Rng::seed_from_u64(555);
 
-    let mut drive = |c: &mut Cluster, rng: &mut Rng, steps: std::ops::Range<usize>| {
+    let drive = |c: &mut Cluster, rng: &mut Rng, steps: std::ops::Range<usize>| {
         for step in steps {
             for op in hive_replica::synth::step_ops(c.leader_hive(), step, rng) {
                 let _ = c.apply(op);
