@@ -7,21 +7,22 @@
 
 use hive_bench::{header, row};
 use hive_concept::{bootstrap_concept_map, diff_maps, AlignConfig, BootstrapConfig};
-use hive_core::knowledge::KnowledgeNetwork;
+use hive_core::knowledge::{concept_layers, KnowledgeNetwork};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_store::StoreStats;
 
 fn main() {
     let world = WorldBuilder::new(SimConfig::medium()).build();
     let kn = KnowledgeNetwork::build(&world.db);
+    let concepts = concept_layers(&world.db);
     println!("Figure 3 — layers of the dynamic Hive knowledge network");
 
     header("Graph layers");
     row(&["layer".into(), "nodes".into(), "edges".into()]);
     for (name, g) in [
-        ("social (connections+follows)", &kn.social),
-        ("co-authorship", &kn.coauthor),
-        ("citation", &kn.citation),
+        ("social (connections+follows)", &*kn.social),
+        ("co-authorship", &*kn.coauthor),
+        ("citation", &*kn.citation),
         ("unified (all layers fused)", &kn.unified),
     ] {
         row(&[
@@ -33,18 +34,13 @@ fn main() {
 
     header("Concept-map layers (bootstrapped from content)");
     row(&["layer".into(), "concepts".into(), "relations".into(), "weight".into()]);
-    for (name, c, r, w) in kn.concepts.inventory() {
+    for (name, c, r, w) in concepts.inventory() {
         row(&[name, c.to_string(), r.to_string(), format!("{w:.1}")]);
     }
 
     header("Alignment quality matrix (mean link score)");
-    let m = kn.concepts.alignment_matrix();
-    let names: Vec<String> = kn
-        .concepts
-        .inventory()
-        .into_iter()
-        .map(|(n, ..)| n)
-        .collect();
+    let m = concepts.alignment_matrix();
+    let names: Vec<String> = concepts.inventory().into_iter().map(|(n, ..)| n).collect();
     let mut head = vec![String::new()];
     head.extend(names.iter().cloned());
     row(&head);
@@ -56,7 +52,7 @@ fn main() {
 
     header("Ablation: lexical-only vs lexical+structural alignment");
     row(&["variant".into(), "links".into(), "mean score".into()]);
-    let layers: Vec<_> = kn.concepts.layers().map(|(_, l)| l.map.clone()).collect();
+    let layers: Vec<_> = concepts.layers().map(|(_, l)| l.map.clone()).collect();
     if layers.len() >= 2 {
         for (label, cfg) in [
             ("lexical only", AlignConfig { use_structure: false, ..Default::default() }),
@@ -98,7 +94,7 @@ fn main() {
     row(&["change magnitude".into(), format!("{:.1}", delta.magnitude())]);
 
     header("Integrated network as weighted RDF (R2DB export)");
-    let store = kn.concepts.export_store().expect("valid export");
+    let store = concepts.export_store().expect("valid export");
     let n = store.len();
     let relationship_store = kn.to_store(&world.db);
     println!("concept-network triples exported: {n}");

@@ -79,7 +79,7 @@ fn parse_user(key: &str) -> Option<UserId> {
 /// The merged social + co-authorship user graph.
 pub fn user_graph(kn: &KnowledgeNetwork) -> Graph {
     let mut g = Graph::new();
-    for src in [&kn.social, &kn.coauthor] {
+    for src in [&*kn.social, &*kn.coauthor] {
         for n in src.nodes() {
             g.add_node(src.key(n).to_string());
         }

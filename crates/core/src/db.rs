@@ -13,9 +13,11 @@ use std::collections::{HashMap, HashSet};
 
 pub mod index;
 
-/// Ring capacity of the mutation delta journal. A derived cache that
-/// falls further than this behind the database can no longer be patched
-/// and must rebuild.
+/// Window of the mutation delta journal: [`HiveDb::deltas_since`]
+/// answers the last `DB_DELTA_LOG_CAP` deltas. A derived cache that falls
+/// further than this behind the database can no longer be patched and
+/// must rebuild. The journal is compacted lazily, so it holds at most
+/// twice this many entries.
 pub const DB_DELTA_LOG_CAP: usize = 4096;
 
 /// One database mutation, classified for delta cache maintenance.
@@ -158,9 +160,9 @@ pub struct HiveDb {
     generation: u64,
     /// Delta journal: one entry per generation bump, so entry `i`
     /// describes the mutation that moved the counter from
-    /// `delta_base + i` to `delta_base + i + 1`. Ring-capped at
-    /// [`DB_DELTA_LOG_CAP`]; `delta_base` tracks how many entries have
-    /// been compacted away.
+    /// `delta_base + i` to `delta_base + i + 1`. Holds at least the last
+    /// [`DB_DELTA_LOG_CAP`] entries and fewer than twice that many;
+    /// `delta_base` tracks how many entries have been compacted away.
     deltas: Vec<DbDelta>,
     delta_base: u64,
     // Secondary indexes.
@@ -219,11 +221,13 @@ impl HiveDb {
     }
 
     /// The sole generation bump site: advances the counter and journals
-    /// the classified delta, compacting the journal past its ring cap.
+    /// the classified delta. Compaction is amortized: once the journal
+    /// reaches twice [`DB_DELTA_LOG_CAP`] it drains down to the last
+    /// `DB_DELTA_LOG_CAP`, so each bump moves at most one entry on average.
     fn bump(&mut self, delta: DbDelta) {
         self.generation += 1; // lint:allow(delta-log) -- the one legal bump
         self.deltas.push(delta);
-        if self.deltas.len() > DB_DELTA_LOG_CAP {
+        if self.deltas.len() >= 2 * DB_DELTA_LOG_CAP {
             let excess = self.deltas.len() - DB_DELTA_LOG_CAP;
             self.deltas.drain(..excess);
             self.delta_base += excess as u64;
@@ -231,10 +235,14 @@ impl HiveDb {
     }
 
     /// The mutation deltas applied after generation `generation`, in
-    /// order, or `None` when that window has been compacted away (or
-    /// never existed) and the caller must rebuild.
+    /// order, or `None` when `generation` lies before the last
+    /// [`DB_DELTA_LOG_CAP`] deltas (or never existed) and the caller must
+    /// rebuild. Entries kept past the window while compaction is pending
+    /// are never handed out.
     pub fn deltas_since(&self, generation: u64) -> Option<&[DbDelta]> {
-        if generation > self.generation || generation < self.delta_base {
+        let oldest =
+            self.delta_base.max(self.generation.saturating_sub(DB_DELTA_LOG_CAP as u64));
+        if generation > self.generation || generation < oldest {
             return None;
         }
         Some(&self.deltas[(generation - self.delta_base) as usize..])
@@ -1629,6 +1637,13 @@ mod tests {
         assert!(recent
             .iter()
             .all(|d| *d == DbDelta::CheckIn { user: users[0], session: sessions[0] }));
+        // Past several compactions the window is exactly the last CAP deltas.
+        for _ in 0..(3 * DB_DELTA_LOG_CAP) {
+            db.check_in(users[0], sessions[0]).unwrap();
+        }
+        let oldest = db.generation() - DB_DELTA_LOG_CAP as u64;
+        assert_eq!(db.deltas_since(oldest).map(<[DbDelta]>::len), Some(DB_DELTA_LOG_CAP));
+        assert_eq!(db.deltas_since(oldest - 1), None, "one past the window must refuse");
     }
 
     #[test]

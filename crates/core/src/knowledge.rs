@@ -14,12 +14,21 @@
 //! * the **activity layer** (user ↔ resource bipartite edges),
 //! * the **content layer** — a TF-IDF corpus over papers, presentations
 //!   and sessions, with per-entity vectors,
-//! * **concept-map layers** bootstrapped from paper abstracts and session
-//!   topics, aligned and integrated via `hive-concept`,
 //! * a **unified weighted graph** over entity IRIs for PPR-style
 //!   propagation, and
 //! * a weighted-RDF export ([`KnowledgeNetwork::to_store`]) for ranked
 //!   path queries (relationship explanation, Figure 2).
+//!
+//! The network is the serving knowledge tier, so it holds only layers a
+//! Table-1 read uses. The layers no patchable delta changes (the
+//! co-authorship and citation graphs, the corpus and the four vector
+//! maps) sit behind `Arc`s, and so does the social layer, which only
+//! follows and connections change: a patch of a network that a published
+//! epoch still pins copies the unified layer and its CSR, plus the social
+//! layer when the window holds a follow or connection, and shares the
+//! rest. The **concept-map layers** (paper abstracts and session topics,
+//! aligned and integrated via `hive-concept`) are built on demand by
+//! [`concept_layers`] and are not cached.
 
 use crate::db::{DbDelta, HiveDb};
 use crate::ids::{PaperId, PresentationId, SessionId, UserId};
@@ -28,6 +37,7 @@ use hive_graph::{CsrView, Graph};
 use hive_store::{Term, TripleStore};
 use hive_text::tfidf::{Corpus, SparseVector};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Edge weights used when fusing layers into the unified graph. Exposed
 /// so the ablation benches can sweep them.
@@ -72,16 +82,17 @@ impl Default for FusionWeights {
     }
 }
 
-/// The derived knowledge network.
+/// The derived knowledge network. Cloning it copies the unified layer
+/// and its CSR; the `Arc` layers are shared until a patch writes one.
 #[derive(Clone, Debug)]
 pub struct KnowledgeNetwork {
     /// Social layer: connections (undirected, weight 1) and follows
     /// (directed, weight 0.5) between user IRIs.
-    pub social: Graph,
+    pub social: Arc<Graph>,
     /// Co-authorship layer: user IRIs, weight = number of shared papers.
-    pub coauthor: Graph,
+    pub coauthor: Arc<Graph>,
     /// Citation layer: paper IRIs, directed citing -> cited.
-    pub citation: Graph,
+    pub citation: Arc<Graph>,
     /// Unified multi-layer graph over all entity IRIs (undirected).
     pub unified: Graph,
     /// CSR snapshot of [`Self::unified`], built once so every PPR run
@@ -89,17 +100,15 @@ pub struct KnowledgeNetwork {
     /// skips the per-call adjacency flattening.
     pub unified_csr: CsrView,
     /// Content corpus over papers, presentations, sessions, and profiles.
-    pub corpus: Corpus,
+    pub corpus: Arc<Corpus>,
     /// TF-IDF vectors per paper.
-    pub paper_vectors: HashMap<PaperId, SparseVector>,
+    pub paper_vectors: Arc<HashMap<PaperId, SparseVector>>,
     /// TF-IDF vectors per presentation (slide text).
-    pub presentation_vectors: HashMap<PresentationId, SparseVector>,
+    pub presentation_vectors: Arc<HashMap<PresentationId, SparseVector>>,
     /// TF-IDF vectors per session (title + topics).
-    pub session_vectors: HashMap<SessionId, SparseVector>,
+    pub session_vectors: Arc<HashMap<SessionId, SparseVector>>,
     /// Per-user content vectors (interests + authored papers).
-    pub user_vectors: HashMap<UserId, SparseVector>,
-    /// Concept-map layers (papers, sessions) aligned and integrated.
-    pub concepts: ContextNetwork,
+    pub user_vectors: Arc<HashMap<UserId, SparseVector>>,
 }
 
 impl KnowledgeNetwork {
@@ -118,19 +127,17 @@ impl KnowledgeNetwork {
         let unified_csr = CsrView::build(&unified);
         let (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors) =
             build_content(db);
-        let concepts = build_concepts(db);
         KnowledgeNetwork {
-            social,
-            coauthor,
-            citation,
+            social: Arc::new(social),
+            coauthor: Arc::new(coauthor),
+            citation: Arc::new(citation),
             unified,
             unified_csr,
-            corpus,
-            paper_vectors,
-            presentation_vectors,
-            session_vectors,
-            user_vectors,
-            concepts,
+            corpus: Arc::new(corpus),
+            paper_vectors: Arc::new(paper_vectors),
+            presentation_vectors: Arc::new(presentation_vectors),
+            session_vectors: Arc::new(session_vectors),
+            user_vectors: Arc::new(user_vectors),
         }
     }
 
@@ -206,8 +213,11 @@ impl KnowledgeNetwork {
     /// place, with the same edge semantics (and insertion order) as a
     /// fresh [`KnowledgeNetwork::build_with`] replay. Returns `false`
     /// for [`DbDelta::Structural`] — the caller must rebuild. The static
-    /// layers (co-authorship, citation, content, concepts) never change
-    /// under patchable deltas.
+    /// layers (co-authorship, citation, content) never change under
+    /// patchable deltas, so they stay shared with every copy of the
+    /// network. Every patchable graph delta writes the unified layer;
+    /// only follows and connections write the social layer, copying it
+    /// first if a copy of the network still shares it.
     ///
     /// After a batch of applications, call
     /// [`KnowledgeNetwork::refresh_unified_csr`] once to re-derive the
@@ -216,13 +226,15 @@ impl KnowledgeNetwork {
         match d {
             DbDelta::Structural => false,
             DbDelta::Neutral => true,
-            DbDelta::Follow { .. }
-            | DbDelta::Connect { .. }
-            | DbDelta::CheckIn { .. }
+            DbDelta::Follow { .. } | DbDelta::Connect { .. } => {
+                apply_social_delta(Arc::make_mut(&mut self.social), w, d);
+                apply_unified_delta(&mut self.unified, w, d);
+                true
+            }
+            DbDelta::CheckIn { .. }
             | DbDelta::Attend { .. }
             | DbDelta::Discuss { .. }
             | DbDelta::ViewPaper { .. } => {
-                apply_social_delta(&mut self.social, w, d);
                 apply_unified_delta(&mut self.unified, w, d);
                 true
             }
@@ -312,7 +324,7 @@ fn build_coauthor(db: &HiveDb, w: &FusionWeights) -> Graph {
     }
     for p in db.paper_ids() {
         let Ok(paper) = db.get_paper(p) else { continue; };
-            let authors = paper.authors.clone();
+        let authors = &paper.authors;
         for (i, &a) in authors.iter().enumerate() {
             for &b in &authors[i + 1..] {
                 let (na, nb) = (g.add_node(a.iri()), g.add_node(b.iri()));
@@ -330,8 +342,7 @@ fn build_citation(db: &HiveDb, _w: &FusionWeights) -> Graph {
     }
     for p in db.paper_ids() {
         let Ok(paper) = db.get_paper(p) else { continue; };
-            let citations = paper.citations.clone();
-        for c in citations {
+        for &c in &paper.citations {
             let (np, nc) = (g.add_node(p.iri()), g.add_node(c.iri()));
             g.add_edge(np, nc, 1.0);
         }
@@ -359,7 +370,7 @@ fn build_unified(db: &HiveDb, w: &FusionWeights) -> Graph {
         g.add_node(c.iri());
     }
     for p in db.paper_ids() {
-        let Ok(paper) = db.get_paper(p).cloned() else { continue; };
+        let Ok(paper) = db.get_paper(p) else { continue; };
         for (i, &a) in paper.authors.iter().enumerate() {
             und(&mut g, a.iri(), p.iri(), w.authorship);
             for &b in &paper.authors[i + 1..] {
@@ -451,8 +462,8 @@ fn build_content(db: &HiveDb) -> ContentIndexes {
         let Ok(user) = db.get_user(u) else { continue; };
         let profile = user.profile_text();
         let mut v = corpus.vectorize(&profile);
-        for &p in db.papers_of(u).to_vec().iter() {
-            if let Some(pv) = paper_vectors.get(&p) {
+        for p in db.papers_of(u) {
+            if let Some(pv) = paper_vectors.get(p) {
                 v.accumulate(pv, 1.0);
             }
         }
@@ -464,7 +475,11 @@ fn build_content(db: &HiveDb) -> ContentIndexes {
     (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors)
 }
 
-fn build_concepts(db: &HiveDb) -> ContextNetwork {
+/// The Figure-3 concept-map layers: a papers layer bootstrapped from
+/// paper texts (weight 1.0) and a sessions layer from session texts
+/// (weight 0.8), aligned. Built on demand: no served read uses them, so
+/// the knowledge tier neither caches nor patches them.
+pub fn concept_layers(db: &HiveDb) -> ContextNetwork {
     let paper_texts: Vec<String> = db
         .paper_ids()
         .iter()
@@ -586,9 +601,9 @@ mod tests {
     #[test]
     fn concept_layers_built_and_aligned() {
         let (db, ..) = world();
-        let kn = KnowledgeNetwork::build(&db);
-        assert_eq!(kn.concepts.layer_count(), 2);
-        let inv = kn.concepts.inventory();
+        let concepts = concept_layers(&db);
+        assert_eq!(concepts.layer_count(), 2);
+        let inv = concepts.inventory();
         assert!(inv[0].1 > 0, "paper concepts extracted");
         assert!(inv[1].1 > 0, "session concepts extracted");
     }

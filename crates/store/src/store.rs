@@ -47,10 +47,12 @@ pub enum DeltaOp {
     },
 }
 
-/// Maximum retained delta-log length. Older entries are compacted away;
-/// snapshots stamped before the retained window fall back to a rebuild.
-/// Sized so that every realistic patch window (a facade cache lagging a
-/// burst of mutations) fits, while bounding memory to a few hundred KB.
+/// Retained delta-log window: [`TripleStore::deltas_since`] answers the
+/// last `DELTA_LOG_CAP` ops and refuses older stamps, which fall back to
+/// a rebuild. Sized so that every realistic patch window (a facade cache
+/// lagging a burst of mutations) fits, while bounding memory to a few
+/// hundred KB. The log is compacted lazily (see [`TripleStore::log_op`]),
+/// so it holds at most twice this many entries.
 pub const DELTA_LOG_CAP: usize = 4096;
 
 /// One permutation index over `(a, b, c)` key tuples.
@@ -138,7 +140,8 @@ pub struct TripleStore {
     /// Generation at which `delta_log` starts: `delta_log[i]` is the op
     /// that produced generation `delta_base + i + 1`.
     delta_base: u64,
-    /// The retained suffix of mutation ops, newest last.
+    /// A suffix of mutation ops, newest last, holding at least the last
+    /// [`DELTA_LOG_CAP`] and fewer than twice that many.
     delta_log: Vec<DeltaOp>,
 }
 
@@ -171,15 +174,16 @@ impl TripleStore {
     }
 
     /// The single mutation choke point: records the op in the delta log
-    /// and advances the generation, compacting the log's oldest entries
-    /// past [`DELTA_LOG_CAP`]. Every mutating method routes through
-    /// here, so `generation - delta_base` always equals the retained
-    /// log length and [`Self::deltas_since`] can hand out exact patch
-    /// suffixes.
+    /// and advances the generation. Every mutating method routes through
+    /// here, so `generation - delta_base` always equals the log length
+    /// and [`Self::deltas_since`] can hand out exact patch suffixes.
+    /// Compaction is amortized: once the log reaches twice
+    /// [`DELTA_LOG_CAP`] it drains down to the last `DELTA_LOG_CAP`, so
+    /// each op moves at most one entry on average.
     fn log_op(&mut self, op: DeltaOp) {
         self.generation += 1; // lint:allow(delta-log) -- the one legal bump
         self.delta_log.push(op);
-        if self.delta_log.len() > DELTA_LOG_CAP {
+        if self.delta_log.len() >= 2 * DELTA_LOG_CAP {
             let excess = self.delta_log.len() - DELTA_LOG_CAP;
             self.delta_log.drain(..excess);
             self.delta_base += excess as u64;
@@ -187,10 +191,13 @@ impl TripleStore {
     }
 
     /// The ops applied since `generation` (oldest first), or `None` when
-    /// that window has been compacted away (or `generation` is from the
-    /// future, i.e. a different store) — callers must rebuild then.
+    /// `generation` lies before the last [`DELTA_LOG_CAP`] ops (or is
+    /// from the future, i.e. a different store) — callers must rebuild
+    /// then. Entries kept past the window while compaction is pending
+    /// are never handed out.
     pub fn deltas_since(&self, generation: u64) -> Option<&[DeltaOp]> {
-        if generation > self.generation || generation < self.delta_base {
+        let oldest = self.delta_base.max(self.generation.saturating_sub(DELTA_LOG_CAP as u64));
+        if generation > self.generation || generation < oldest {
             return None;
         }
         Some(&self.delta_log[(generation - self.delta_base) as usize..])
@@ -683,6 +690,13 @@ mod tests {
         assert!(st.deltas_since(g0).is_none(), "compacted window must refuse");
         let recent = st.generation() - 5;
         assert_eq!(st.deltas_since(recent).map(<[DeltaOp]>::len), Some(5));
+        // Past several compactions the window is exactly the last CAP ops.
+        for i in 0..(3 * DELTA_LOG_CAP) {
+            st.insert(Term::iri(format!("k{i}")), Term::iri("p"), Term::iri("m"), 0.5).unwrap();
+        }
+        let oldest = st.generation() - DELTA_LOG_CAP as u64;
+        assert_eq!(st.deltas_since(oldest).map(<[DeltaOp]>::len), Some(DELTA_LOG_CAP));
+        assert!(st.deltas_since(oldest - 1).is_none(), "one past the window must refuse");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use hive_concept::propagate::{top_activated, PropagationConfig};
 use hive_core::evidence::{combined_score, relationship_evidence};
-use hive_core::knowledge::KnowledgeNetwork;
+use hive_core::knowledge::{concept_layers, KnowledgeNetwork};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_store::{PathQuery, StoreStats, Term, TripleStore};
 use std::collections::HashMap;
@@ -88,16 +88,16 @@ fn evidence_agrees_with_planted_topics() {
 #[test]
 fn concept_layers_propagate_across_alignment() {
     let world = WorldBuilder::new(SimConfig::small()).build();
-    let kn = KnowledgeNetwork::build(&world.db);
-    assert_eq!(kn.concepts.layer_count(), 2);
-    let g = kn.concepts.integrated_graph(0.9);
+    let concepts = concept_layers(&world.db);
+    assert_eq!(concepts.layer_count(), 2);
+    let g = concepts.integrated_graph(0.9);
     assert!(g.node_count() > 0);
     // Seed from the most significant paper concept; activation should
     // reach at least one other node (its neighborhood).
-    let (lid, layer) = kn.concepts.layers().next().expect("papers layer");
+    let (lid, layer) = concepts.layers().next().expect("papers layer");
     if let Some((top, _)) = layer.map.top_concepts(1).first() {
         let mut seeds = HashMap::new();
-        seeds.insert(kn.concepts.node_key(lid, top), 1.0);
+        seeds.insert(concepts.node_key(lid, top), 1.0);
         let activated = top_activated(&g, &seeds, 10, PropagationConfig::default());
         assert!(
             !activated.is_empty(),
