@@ -301,4 +301,95 @@ mod tests {
         let pr = pagerank(&g, PprConfig::default());
         assert!(pr[b.index()] > pr[c.index()]);
     }
+
+    /// `n` nodes; every `dangle_every`-th node (0 = none) has no
+    /// out-edges, every other node `out_deg` random weighted ones.
+    fn random_graph(n: usize, out_deg: usize, dangle_every: usize, seed: u64) -> Graph {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
+        let mut rng = hive_rng::Rng::seed_from_u64(seed);
+        for i in 0..n {
+            if dangle_every > 0 && i % dangle_every == 0 {
+                continue;
+            }
+            for _ in 0..out_deg {
+                let j = rng.gen_range(0..n);
+                g.add_edge(ids[i], ids[j], rng.gen_range(0.1..1.0));
+            }
+        }
+        g
+    }
+
+    /// FNV-1a over every rank's bit pattern: moves if any rank moves by
+    /// an ulp.
+    fn bits_hash(ranks: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in ranks {
+            for byte in r.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The kernel's output bits, pinned: per graph, five configs, each
+    /// with a seeded and a uniform restart. The graphs span 8, 28 and 5
+    /// chunks of `hive_par::chunk_len`; the last two have dangling nodes
+    /// (one in seven, seed 14 among them), so the chunk-ordered folds of
+    /// the L1 delta and of the dangling mass both reach the output.
+    /// `max_iters` 0 returns the restart vector, and tolerance 0 runs
+    /// every sweep.
+    #[test]
+    fn ppr_output_bits_are_pinned() {
+        // Row per graph; per config, the seeded hash then the uniform one.
+        const GOLDEN: [[u64; 10]; 3] = [
+            [
+                0xe3f0_2c63_2806_6954, 0x8a87_e6f6_2b69_90dd,
+                0x2134_66a4_b549_5f92, 0xe4d1_9da7_eaa4_1e36,
+                0x1aa5_cd02_f8ab_8367, 0x8001_89d8_f5c0_9125,
+                0xd751_9f5e_92d6_37a0, 0x2b98_46d9_acb4_67d6,
+                0x759f_344e_5c27_2d78, 0x0d51_eb66_2c99_12be,
+            ],
+            [
+                0xad02_f809_94ea_c8e2, 0xe17a_9f75_6c69_7642,
+                0xc11e_7a5c_5533_f744, 0x4932_2f50_bbd8_2929,
+                0x6069_0846_f4cf_3a67, 0x36e6_cd07_e969_7dc5,
+                0x8e2d_d346_073d_45d9, 0xaa48_d322_46ed_5eed,
+                0x78ef_d77d_1203_3dd3, 0xd932_b689_bd2d_9b59,
+            ],
+            [
+                0x1a97_9737_289d_2b40, 0xbd46_7d76_3924_7653,
+                0x4424_78e7_bff2_5acb, 0x1331_11a9_d5a1_f6eb,
+                0xa280_67a7_d756_bfe7, 0x0120_1dd1_357e_1535,
+                0x0f34_b356_a9f3_d4d8, 0x1037_d993_7dc3_e3d0,
+                0xbeea_7b47_b2fc_0ce9, 0xfe2e_9257_95ce_a108,
+            ],
+        ];
+        let graphs =
+            [random_graph(2_000, 20, 0, 11), random_graph(7_000, 6, 7, 23), random_graph(1_100, 6, 7, 5)];
+        let configs = [
+            PprConfig::default(),
+            PprConfig { damping: 0.6, ..PprConfig::default() },
+            PprConfig { max_iters: 0, ..PprConfig::default() },
+            PprConfig { max_iters: 3, ..PprConfig::default() },
+            PprConfig { tolerance: 0.0, ..PprConfig::default() },
+        ];
+        let seeded: HashMap<NodeId, f64> =
+            [(NodeId(5), 0.7), (NodeId(17), 0.3), (NodeId(14), 0.2)].into_iter().collect();
+        let uniform = HashMap::new();
+        let got: Vec<[u64; 10]> = graphs
+            .iter()
+            .map(|g| {
+                let csr = CsrView::build(g);
+                let mut row = [0u64; 10];
+                for (i, cfg) in configs.iter().enumerate() {
+                    row[2 * i] = bits_hash(&personalized_pagerank_csr(&csr, &seeded, *cfg));
+                    row[2 * i + 1] = bits_hash(&personalized_pagerank_csr(&csr, &uniform, *cfg));
+                }
+                row
+            })
+            .collect();
+        assert_eq!(got, GOLDEN, "PPR output bits moved");
+    }
 }

@@ -26,6 +26,11 @@ cargo run -p hive-lint --offline -- --json target/lint-report.json
 # Figure 3 regenerates byte for byte: the concept-map layers are built
 # on demand, off the serving knowledge tier, and this keeps them checked.
 ./target/release/fig3_layers | diff - results/fig3_layers.txt
+# E4 and Figure 4 print only PPR-backed read results (rankings and
+# hit-rates, no timings), so they regenerate byte for byte too and pin
+# the served ranking bits end to end.
+./target/release/exp_peer_rec | diff - results/exp_peer_rec.txt
+./target/release/fig4_workpads | diff - results/fig4_workpads.txt
 # Bench regression gate over the checked-in BENCH_hive.json: no
 # *_speedup metric may sit below 1.0 (see tools/bench_allowlist.txt).
 cargo run -q --release -p hive-bench --offline --bin bench_gate -- \
