@@ -43,20 +43,20 @@ fn bench_diffusion() {
 fn bench_ppr_scaling() {
     header("ini_ppr");
     report_header();
-    // Big enough to clear the hive-par edge-count gate (32_768 edges),
-    // so the pool really engages: ~160k directed edges.
+    // The full-iteration workload: a uniform random expander of 20,000
+    // nodes and ~160k directed edges, seven times the edges of the
+    // largest served graph (928 nodes, 23,542 edges).
     let g = random_graph(20_000, 4);
     let csr = CsrView::build(&g);
     let mut seeds = HashMap::new();
     seeds.insert(NodeId(3), 1.0);
     let cfg = PprConfig::default();
     let n = iters(10, 3);
-    // Interleave one cold/serial/parallel sample per round (the PR-5
-    // bench_store bias fix) so drift in machine state lands evenly on
-    // all three variants instead of biasing whichever block ran last.
+    // Interleave one cold/warm sample per round so drift in machine
+    // state lands evenly on both variants instead of biasing whichever
+    // block ran last.
     let mut cold = Vec::new();
-    let mut serial = Vec::new();
-    let mut par = Vec::new();
+    let mut warm = Vec::new();
     std::hint::black_box(personalized_pagerank_csr(&csr, &seeds, cfg)); // warmup
     for _ in 0..n {
         let (_, us) = time_once(|| {
@@ -64,24 +64,14 @@ fn bench_ppr_scaling() {
         });
         cold.push(us);
         let (_, us) = time_once(|| {
-            hive_par::with_threads(1, || {
-                std::hint::black_box(personalized_pagerank_csr(&csr, &seeds, cfg));
-            });
+            std::hint::black_box(personalized_pagerank_csr(&csr, &seeds, cfg));
         });
-        serial.push(us);
-        let (_, us) = time_once(|| {
-            hive_par::with_threads(4, || {
-                std::hint::black_box(personalized_pagerank_csr(&csr, &seeds, cfg));
-            });
-        });
-        par.push(us);
+        warm.push(us);
     }
     report("cold_rebuild_csr", &cold);
-    report("warm_serial_t1", &serial);
-    report("warm_parallel_t4", &par);
+    report("warm_serial_t1", &warm);
     metric("host_threads", std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64));
-    metric("ppr_warm_vs_cold_speedup", mean(&cold) / mean(&serial));
-    metric("ppr_t4_vs_t1_speedup", mean(&serial) / mean(&par));
+    metric("ppr_warm_vs_cold_speedup", mean(&cold) / mean(&warm));
 }
 
 /// Community-structured topology (ring of dense cliques with sparse

@@ -6,10 +6,9 @@
 //! three parallel arrays (offsets / sources / pull coefficients), the
 //! layout used by shared-memory graph engines (Ligra) and in-memory RDF
 //! stores (RDF-3X): one cache-friendly sweep per iteration, and a
-//! *pull* orientation in which every node's next rank is computed
-//! independently — which is what makes the hive-par chunked iteration
-//! deterministic (each element's value never depends on chunk
-//! scheduling).
+//! *pull* orientation in which every node's next rank is one ordered sum
+//! over its in-edges, written once — so a sweep needs no scatter and its
+//! output bits depend only on the edge order fixed here.
 //!
 //! Build once per graph snapshot and reuse across queries; callers that
 //! cache a `CsrView` (e.g. the knowledge network) skip the rebuild on

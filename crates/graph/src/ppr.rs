@@ -8,14 +8,8 @@
 
 use crate::csr::CsrView;
 use crate::graph::{Graph, NodeId};
-use hive_par::{atomic_vec, chunk_count, par_map, par_rounds, plain_vec, with_threads, AtomicF64};
+use hive_par::{chunk_count, chunk_len, par_map};
 use std::collections::HashMap;
-
-/// Below this many edges a power iteration runs on the calling thread:
-/// the per-round barrier cost would exceed the per-round work. The gate
-/// depends only on graph size, and the serial path is bit-identical to
-/// the parallel one, so results never change — only scheduling.
-const PAR_EDGE_THRESHOLD: usize = 32_768;
 
 /// Below this many nodes the top-k scoring pass stays serial.
 const PAR_TOPK_THRESHOLD: usize = 4_096;
@@ -52,12 +46,12 @@ pub fn personalized_pagerank(
 
 /// Power-iteration PPR over a prebuilt [`CsrView`] snapshot.
 ///
-/// The iteration is *pull-based*: `next[v]` is assembled from `v`'s
-/// incoming edges, so every element of `next` is an independent
-/// computation and the hive-par chunked schedule cannot change any
-/// value. The per-iteration L1 delta and the next round's dangling mass
-/// are folded per chunk and merged in chunk order, keeping the whole
-/// run bit-identical for any `HIVE_THREADS`.
+/// One serial sweep loop over two plain rank buffers. The iteration is
+/// *pull-based*: `next[v]` is one ordered sum over `v`'s incoming CSR
+/// edges. The per-sweep L1 delta and the next sweep's dangling mass are
+/// folded per [`chunk_len`] chunk and the chunk partials summed in chunk
+/// order, so the output is a pure function of the graph, the seeds and
+/// the config. Each solve adds its sweep count to `graph.ppr.sweeps`.
 pub fn personalized_pagerank_csr(
     csr: &CsrView,
     seeds: &HashMap<NodeId, f64>,
@@ -87,60 +81,50 @@ pub fn personalized_pagerank_csr(
         }
     }
     let d = cfg.damping;
-    // Double-buffered rank state; round parity picks source and
-    // destination. Atomic cells let disjoint chunks write through `&`.
-    let bufs = [atomic_vec(&restart), atomic_vec(&vec![0.0; n])];
-    let n_chunks = chunk_count(n);
-    let deltas = atomic_vec(&vec![0.0; n_chunks]);
-    let dangle_parts = atomic_vec(&vec![0.0; n_chunks]);
-    let dangling0: f64 =
+    let chunk = chunk_len(n);
+    let mut cur = restart.clone();
+    let mut next = vec![0.0f64; n];
+    let mut deltas = vec![0.0f64; chunk_count(n)];
+    let mut dangle_parts = vec![0.0f64; chunk_count(n)];
+    let mut dangling: f64 =
         (0..n).filter(|&i| csr.out_weight[i] == 0.0).map(|i| restart[i]).sum();
-    let cur_dangling = AtomicF64::new(dangling0);
-    let mut executed = 0usize;
-    let mut run = || {
-        par_rounds(
-            n,
-            cfg.max_iters,
-            |r, ci, range| {
-                let (src, dst) =
-                    if r % 2 == 0 { (&bufs[0], &bufs[1]) } else { (&bufs[1], &bufs[0]) };
-                // Restart mass plus redistributed dangling mass.
-                let base = 1.0 - d + d * cur_dangling.load();
-                let mut delta = 0.0;
-                let mut dangle = 0.0;
-                for i in range {
-                    let lo = csr.in_off[i] as usize;
-                    let hi = csr.in_off[i + 1] as usize;
-                    let mut pulled = 0.0;
-                    for e in lo..hi {
-                        pulled += src[csr.in_src[e] as usize].load() * csr.in_coef[e];
-                    }
-                    let v = base * restart[i] + d * pulled;
-                    dst[i].store(v);
-                    delta += (v - src[i].load()).abs();
-                    if csr.out_weight[i] == 0.0 {
-                        dangle += v;
-                    }
+    let mut sweeps = 0u64;
+    for _ in 0..cfg.max_iters {
+        // Restart mass plus redistributed dangling mass.
+        let base = 1.0 - d + d * dangling;
+        for (ci, (delta_part, dangle_part)) in
+            deltas.iter_mut().zip(dangle_parts.iter_mut()).enumerate()
+        {
+            let mut delta = 0.0;
+            let mut dangle = 0.0;
+            for i in ci * chunk..((ci + 1) * chunk).min(n) {
+                let lo = csr.in_off[i] as usize;
+                let hi = csr.in_off[i + 1] as usize;
+                let mut pulled = 0.0;
+                for (&u, &coef) in csr.in_src[lo..hi].iter().zip(&csr.in_coef[lo..hi]) {
+                    pulled += cur[u as usize] * coef;
                 }
-                deltas[ci].store(delta);
-                dangle_parts[ci].store(dangle);
-            },
-            |_r| {
-                executed += 1;
-                let delta: f64 = deltas.iter().map(AtomicF64::load).sum();
-                cur_dangling.store(dangle_parts.iter().map(AtomicF64::load).sum());
-                delta >= cfg.tolerance
-            },
-        );
-    };
-    if csr.edge_count() < PAR_EDGE_THRESHOLD {
-        with_threads(1, run);
-    } else {
-        run();
+                let v = base * restart[i] + d * pulled;
+                next[i] = v;
+                delta += (v - cur[i]).abs();
+                if csr.out_weight[i] == 0.0 {
+                    dangle += v;
+                }
+            }
+            *delta_part = delta;
+            *dangle_part = dangle;
+        }
+        std::mem::swap(&mut cur, &mut next);
+        sweeps += 1;
+        let delta: f64 = deltas.iter().sum();
+        dangling = dangle_parts.iter().sum();
+        // Stop unless the change reached the tolerance (NaN stops too).
+        if !(delta >= cfg.tolerance) {
+            break;
+        }
     }
-    // Round r writes bufs[(r + 1) % 2]; after `executed` rounds the
-    // freshest ranks live in bufs[executed % 2] (restart itself if 0).
-    plain_vec(&bufs[executed % 2])
+    hive_obs::count("graph.ppr.sweeps", sweeps);
+    cur
 }
 
 /// Classic PageRank (uniform restart).
@@ -300,6 +284,27 @@ mod tests {
         g.add_edge(c, a, 1.0);
         let pr = pagerank(&g, PprConfig::default());
         assert!(pr[b.index()] > pr[c.index()]);
+    }
+
+    #[test]
+    fn each_solve_counts_its_sweeps() {
+        let mut g = Graph::new();
+        let a = g.add_node("a");
+        let b = g.add_node("b");
+        g.add_undirected_edge(a, b, 1.0);
+        let csr = CsrView::build(&g);
+        let uniform = HashMap::new();
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            let every = PprConfig { tolerance: 0.0, max_iters: 3, ..PprConfig::default() };
+            personalized_pagerank_csr(&csr, &uniform, every);
+            personalized_pagerank_csr(&csr, &uniform, PprConfig { max_iters: 0, ..every });
+            // Uniform ranks on a symmetric pair are already stationary:
+            // the first sweep moves nothing and stops the solve.
+            personalized_pagerank_csr(&csr, &uniform, PprConfig::default());
+            assert_eq!(hive_obs::snapshot().counter("graph.ppr.sweeps"), 3 + 0 + 1);
+            hive_obs::reset();
+        });
     }
 
     /// `n` nodes; every `dangle_every`-th node (0 = none) has no

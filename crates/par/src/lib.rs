@@ -18,13 +18,13 @@
 //!   partials **in chunk order** — and the serial fallback performs the
 //!   exact same chunked merge, so `HIVE_THREADS=1` and `HIVE_THREADS=64`
 //!   produce the same bits (floating-point association included).
-//! * [`par_rounds`] runs iterative algorithms (power iteration, ALS
-//!   sweeps) with a pool of persistent workers synchronized by a
-//!   barrier per round, avoiding per-iteration spawn cost; per-chunk
-//!   scratch is merged in chunk order by the caller between rounds.
 //! * [`par_tasks`] runs a handful of **coarse** independent tasks (file
 //!   scans, reader loops) — one dispatch unit per task, no chunking and
 //!   no item-count cutoff — returning results in input order.
+//!
+//! Iterative kernels stay serial: hive-graph's PPR power iteration is one
+//! plain loop that uses [`chunk_len`] only to fix the order in which it
+//! folds its per-sweep sums.
 //!
 //! ## Adaptive execution policy
 //!
@@ -57,9 +57,8 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
 /// Hard ceiling on the pool size, to keep a typo'd `HIVE_THREADS` sane.
@@ -78,11 +77,10 @@ pub const MIN_CHUNK: usize = 256;
 /// Serial cutoffs: below these item counts the primitive's serial path
 /// beats spawning a scope. Each is calibrated to the primitive's
 /// per-item overhead profile (element closures for map, chunk folds
-/// for reduce, barrier rounds for the round loop).
+/// for reduce).
 const MAP_SERIAL_CUTOFF: usize = 1_024;
 const CHUNKED_SERIAL_CUTOFF: usize = 1_024;
 const REDUCE_SERIAL_CUTOFF: usize = 2_048;
-const ROUNDS_SERIAL_CUTOFF: usize = 1_024;
 
 static POOL_SIZE: OnceLock<usize> = OnceLock::new();
 static HOST: OnceLock<usize> = OnceLock::new();
@@ -155,7 +153,7 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// Runs `f` with **exactly** `n` workers, bypassing the host clamp.
 /// For tests and calibration runs that must exercise the pool
-/// machinery (chunk queues, counter harvest, barrier rounds) even on
+/// machinery (chunk queues, counter harvest) even on
 /// hosts with fewer cores; production callers want [`with_threads`].
 pub fn force_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     with_override(Override { n: n.clamp(1, MAX_THREADS), forced: true }, f)
@@ -556,130 +554,6 @@ where
     }
 }
 
-/// Persistent-worker round loop for iterative algorithms.
-///
-/// Spawns the pool **once**, then repeats up to `max_rounds` rounds: in
-/// each round every fixed chunk of `0..n_items` is processed exactly
-/// once by `step(round, chunk_index, range)`, workers synchronize on a
-/// barrier, and `after(round)` runs alone between rounds, returning
-/// `true` to continue. Compared to re-spawning a scope per iteration
-/// this costs two barrier waits per round instead of a pool spawn,
-/// which is what makes parallel power iteration profitable.
-///
-/// `step` must confine its writes to state owned by its chunk (disjoint
-/// slices expressed through [`AtomicF64`] cells, per-chunk scratch
-/// slots, ...). `after` may read and fold the per-chunk scratch — in
-/// chunk order, to preserve the determinism contract.
-pub fn par_rounds<F, G>(n_items: usize, max_rounds: usize, step: F, mut after: G)
-where
-    F: Fn(usize, usize, Range<usize>) + Sync,
-    G: FnMut(usize) -> bool,
-{
-    count_dispatch("rounds", n_items);
-    if max_rounds == 0 {
-        return;
-    }
-    let chunk = chunk_len(n_items);
-    let n_chunks = chunk_count(n_items);
-    let t = threads();
-    let mut rounds_run: u64 = 0;
-    if below_cutoff(t, n_items, ROUNDS_SERIAL_CUTOFF) || n_chunks <= 1 {
-        for r in 0..max_rounds {
-            for ci in 0..n_chunks {
-                let start = ci * chunk;
-                step(r, ci, start..(start + chunk).min(n_items));
-            }
-            rounds_run = r as u64 + 1;
-            if !after(r) {
-                break;
-            }
-        }
-        hive_obs::count("par.rounds.rounds", rounds_run);
-        return;
-    }
-    let workers = t.min(n_chunks);
-    let barrier = Barrier::new(workers + 1);
-    let stop = AtomicBool::new(false);
-    let harvest = ObsHarvest::new();
-    let step = &step;
-    let barrier_ref = &barrier;
-    let stop_ref = &stop;
-    let harvest_ref = &harvest;
-    thread::scope(|s| {
-        for w in 0..workers {
-            s.spawn(move || {
-                pin_serial();
-                harvest_ref.enter_worker();
-                for r in 0..max_rounds {
-                    barrier_ref.wait();
-                    if stop_ref.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut ci = w;
-                    while ci < n_chunks {
-                        let start = ci * chunk;
-                        step(r, ci, start..(start + chunk).min(n_items));
-                        ci += workers;
-                    }
-                    barrier_ref.wait();
-                }
-                harvest_ref.exit_worker();
-            });
-        }
-        let mut executed = 0;
-        while executed < max_rounds {
-            barrier_ref.wait(); // release workers into the round
-            barrier_ref.wait(); // round complete
-            executed += 1;
-            let proceed = after(executed - 1) && executed < max_rounds;
-            if !proceed {
-                stop_ref.store(true, Ordering::Release);
-                if executed < max_rounds {
-                    barrier_ref.wait(); // wake workers so they observe stop
-                }
-                break;
-            }
-        }
-        rounds_run = executed as u64;
-    });
-    harvest.merge();
-    hive_obs::count("par.rounds.rounds", rounds_run);
-}
-
-/// An `f64` cell with atomic load/store (bit-preserving, relaxed
-/// ordering — synchronization comes from the surrounding barrier or
-/// scope join). Lets disjoint chunks of a shared vector be written
-/// through `&self` without `unsafe`.
-#[derive(Debug, Default)]
-pub struct AtomicF64(AtomicU64);
-
-impl AtomicF64 {
-    /// A new cell holding `v`.
-    pub fn new(v: f64) -> Self {
-        AtomicF64(AtomicU64::new(v.to_bits()))
-    }
-
-    /// Reads the value (relaxed).
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Writes the value (relaxed).
-    pub fn store(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// Wraps a plain vector into atomic cells (for shared iterative state).
-pub fn atomic_vec(values: &[f64]) -> Vec<AtomicF64> {
-    values.iter().map(|&v| AtomicF64::new(v)).collect()
-}
-
-/// Unwraps atomic cells back into a plain vector.
-pub fn plain_vec(values: &[AtomicF64]) -> Vec<f64> {
-    values.iter().map(AtomicF64::load).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,52 +675,6 @@ mod tests {
     }
 
     #[test]
-    fn par_rounds_matches_serial_and_stops_early() {
-        // Jacobi-style smoothing: x'[i] = avg of neighbors; run until
-        // the per-round movement (chunk-merged) is tiny.
-        let run = |t: usize| {
-            force_workers(t, || {
-                let n = 2_048;
-                let xs = atomic_vec(&lcg(9, n));
-                let ys = atomic_vec(&vec![0.0; n]);
-                let deltas = atomic_vec(&vec![0.0; chunk_count(n)]);
-                let mut rounds = 0usize;
-                par_rounds(
-                    n,
-                    50,
-                    |r, ci, range| {
-                        let (src, dst) = if r % 2 == 0 { (&xs, &ys) } else { (&ys, &xs) };
-                        let mut delta = 0.0;
-                        for i in range {
-                            let left = src[i.saturating_sub(1)].load();
-                            let right = src[(i + 1).min(n - 1)].load();
-                            let v = 0.3 * src[i].load() + 0.1 * (left + right);
-                            dst[i].store(v);
-                            delta += (v - src[i].load()).abs();
-                        }
-                        deltas[ci].store(delta);
-                    },
-                    |_r| {
-                        rounds += 1;
-                        let total: f64 = deltas.iter().map(AtomicF64::load).sum();
-                        total > 1e-3
-                    },
-                );
-                let fin = if rounds % 2 == 0 { &xs } else { &ys };
-                (rounds, plain_vec(fin))
-            })
-        };
-        let (r1, v1) = run(1);
-        let (r4, v4) = run(4);
-        assert_eq!(r1, r4);
-        assert!(r1 < 50, "must converge before the round cap");
-        assert_eq!(v1.len(), v4.len());
-        for (a, b) in v1.iter().zip(&v4) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn nested_parallel_calls_are_pinned_serial() {
         let items: Vec<u32> = (0..2_000).collect();
         let out = force_workers(4, || {
@@ -931,13 +759,5 @@ mod tests {
             assert_eq!(snap.gauge("test.peak"), 5, "peak survives the scope join");
             hive_obs::reset();
         });
-    }
-
-    #[test]
-    fn atomic_f64_roundtrips_bits() {
-        let cell = AtomicF64::new(-0.0);
-        assert_eq!(cell.load().to_bits(), (-0.0f64).to_bits());
-        cell.store(f64::MIN_POSITIVE);
-        assert_eq!(cell.load(), f64::MIN_POSITIVE);
     }
 }

@@ -6,43 +6,10 @@
 use hive_core::peers::PeerRecConfig;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::Hive;
-use hive_graph::{personalized_pagerank_csr, CsrView, Graph, NodeId, PprConfig};
 use hive_par::with_threads;
 use hive_rng::Rng;
 use hive_scent::{cp_als, SparseTensor};
 use hive_text::tfidf::Corpus;
-use std::collections::HashMap;
-
-fn big_graph(n: usize, out_deg: usize, seed: u64) -> Graph {
-    let mut g = Graph::new();
-    let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
-    let mut rng = Rng::seed_from_u64(seed);
-    for i in 0..n {
-        for _ in 0..out_deg {
-            let j = rng.gen_range(0..n);
-            g.add_edge(ids[i], ids[j], rng.gen_range(0.1..1.0));
-        }
-    }
-    g
-}
-
-#[test]
-fn ppr_vector_is_bit_identical_across_thread_counts() {
-    // 2000 nodes x 20 out-edges = 40k edges, above the 32_768-edge gate,
-    // so the parallel path genuinely runs.
-    let g = big_graph(2_000, 20, 11);
-    let csr = CsrView::build(&g);
-    let mut seeds = HashMap::new();
-    seeds.insert(NodeId(5), 0.7);
-    seeds.insert(NodeId(17), 0.3);
-    let cfg = PprConfig::default();
-    let serial = with_threads(1, || personalized_pagerank_csr(&csr, &seeds, cfg));
-    let par = with_threads(4, || personalized_pagerank_csr(&csr, &seeds, cfg));
-    assert_eq!(serial.len(), par.len());
-    for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-        assert!(a.to_bits() == b.to_bits(), "node {i}: {a} != {b}");
-    }
-}
 
 #[test]
 fn peer_ranking_is_identical_across_thread_counts() {
