@@ -8,19 +8,22 @@
 //! [`personalized_pagerank_csr`] run would produce. [`PprCache`] is
 //! therefore an *exact memo tier*: it answers repeated queries for the
 //! same canonicalized seed distribution with the identical
-//! power-iteration output, solved once per (generation, seed-set) —
-//! peer recommendation, contextual search, and the fingerprint battery
-//! all re-ask the same seed distributions against one graph generation,
-//! which is where the serving win lives. The forward-push engine
-//! ([`DynamicPpr`]) rides the same journal through [`apply_ppr_delta`]
-//! and answers *approximate* queries within its certified push
-//! tolerance; its budgeted fallback re-solves bit-identical to cold.
+//! power-iteration output, solved once per (generation, seed-set) and
+//! holding at most [`PprCache::CAP`] of them — peer recommendation,
+//! contextual search, and the fingerprint battery all re-ask the same
+//! seed distributions against one graph generation, which is where the
+//! serving win lives.
+//!
+//! [`apply_ppr_delta`] routes journaled deltas into the forward-push
+//! engine ([`DynamicPpr`]), which answers *approximate* queries within
+//! its certified push tolerance. No serving path calls it: every served
+//! score is an exact solve from the memo.
 
 use crate::db::DbDelta;
 use crate::knowledge::FusionWeights;
 use hive_graph::{personalized_pagerank_csr, CsrView, DynamicPpr, NodeId, PprConfig};
 use crate::tier::unpoison;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Canonical cache key: sorted `(node index, raw mass bits)` plus the
@@ -40,17 +43,31 @@ fn key_of(seeds: &HashMap<NodeId, f64>, cfg: &PprConfig) -> PprKey {
 /// One instance is pinned per knowledge-network generation (the facade
 /// patches it forward through the journal; served [`Epoch`]s pin it
 /// like the kn/rel/idx tiers), so entries never outlive the graph they
-/// were solved against.
+/// were solved against. At most [`PprCache::CAP`] entries are kept.
 ///
 /// [`Epoch`]: crate::serve::Epoch
 pub struct PprCache {
-    entries: Mutex<BTreeMap<PprKey, Arc<Vec<f64>>>>,
+    memo: Mutex<Memo>,
+}
+
+/// The memo proper: solved score vectors by key, and the same keys in
+/// insertion order, oldest first, for eviction.
+#[derive(Clone, Default)]
+struct Memo {
+    entries: BTreeMap<PprKey, Arc<Vec<f64>>>,
+    order: VecDeque<PprKey>,
 }
 
 impl PprCache {
+    /// Most seed distributions one memo holds. Inserting past it evicts
+    /// the oldest insertion and counts `core.ppr.memo_evict`. An entry is
+    /// one score per graph node, so on the large simulated world (928
+    /// nodes) a full memo holds about 7.6 MB.
+    pub const CAP: usize = 1_024;
+
     /// Empty cache for a fresh graph snapshot.
     pub fn new() -> Self {
-        PprCache { entries: Mutex::new(BTreeMap::new()) }
+        PprCache { memo: Mutex::new(Memo::default()) }
     }
 
     /// Memoized exact PPR: bit-identical to calling
@@ -59,8 +76,8 @@ impl PprCache {
     pub fn scores(&self, csr: &CsrView, seeds: &HashMap<NodeId, f64>, cfg: PprConfig) -> Arc<Vec<f64>> {
         let key = key_of(seeds, &cfg);
         {
-            let guard = unpoison(self.entries.lock());
-            if let Some(hit) = guard.get(&key) {
+            let guard = unpoison(self.memo.lock());
+            if let Some(hit) = guard.entries.get(&key) {
                 hive_obs::count("core.ppr.memo_hit", 1);
                 return Arc::clone(hit);
             }
@@ -70,13 +87,25 @@ impl PprCache {
         // insert wins and both results are bitwise identical anyway.
         let solved = Arc::new(personalized_pagerank_csr(csr, seeds, cfg));
         hive_obs::count("core.ppr.solve", 1);
-        let mut guard = unpoison(self.entries.lock());
-        Arc::clone(guard.entry(key).or_insert(solved))
+        let mut guard = unpoison(self.memo.lock());
+        let memo = &mut *guard;
+        if let Some(first) = memo.entries.get(&key) {
+            return Arc::clone(first);
+        }
+        memo.order.push_back(key.clone());
+        memo.entries.insert(key, Arc::clone(&solved));
+        if memo.entries.len() > Self::CAP {
+            if let Some(oldest) = memo.order.pop_front() {
+                memo.entries.remove(&oldest);
+                hive_obs::count("core.ppr.memo_evict", 1);
+            }
+        }
+        solved
     }
 
-    /// Number of memoized seed distributions (test introspection).
+    /// Number of memoized seed distributions, at most [`PprCache::CAP`].
     pub fn len(&self) -> usize {
-        unpoison(self.entries.lock()).len()
+        unpoison(self.memo.lock()).entries.len()
     }
 
     /// True when nothing is memoized yet.
@@ -89,7 +118,7 @@ impl PprCache {
     /// to (O(delta) invalidation instead of a rebuild: the allocation
     /// and the tier slot survive).
     pub fn clear(&self) {
-        unpoison(self.entries.lock()).clear();
+        *unpoison(self.memo.lock()) = Memo::default();
     }
 }
 
@@ -101,8 +130,8 @@ impl Default for PprCache {
 
 impl Clone for PprCache {
     fn clone(&self) -> Self {
-        let entries = unpoison(self.entries.lock()).clone();
-        PprCache { entries: Mutex::new(entries) }
+        let memo = unpoison(self.memo.lock()).clone();
+        PprCache { memo: Mutex::new(memo) }
     }
 }
 
@@ -174,5 +203,41 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn memo_evicts_the_oldest_insertion_past_its_cap() {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> =
+            (0..PprCache::CAP + 3).map(|i| g.add_node(format!("n{i}"))).collect();
+        for w in ids.windows(2) {
+            g.add_undirected_edge(w[0], w[1], 1.0);
+        }
+        let csr = CsrView::build(&g);
+        let cfg = PprConfig { max_iters: 2, ..PprConfig::default() };
+        let seed = |i: usize| -> HashMap<NodeId, f64> { [(ids[i], 1.0)].into_iter().collect() };
+        let cache = PprCache::new();
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            let first = cache.scores(&csr, &seed(0), cfg);
+            for i in 1..PprCache::CAP + 3 {
+                let _ = cache.scores(&csr, &seed(i), cfg);
+            }
+            assert_eq!(cache.len(), PprCache::CAP);
+            assert_eq!(hive_obs::snapshot().counter("core.ppr.memo_evict"), 3);
+            // The first insertion was evicted: asking again re-solves
+            // (evicting the next oldest) to the same bits.
+            let again = cache.scores(&csr, &seed(0), cfg);
+            let snap = hive_obs::snapshot();
+            assert_eq!(snap.counter("core.ppr.solve"), PprCache::CAP as u64 + 4);
+            assert_eq!(snap.counter("core.ppr.memo_evict"), 4);
+            assert_eq!(cache.len(), PprCache::CAP);
+            assert!(!Arc::ptr_eq(&first, &again), "an evicted key is solved afresh");
+            assert!(again.iter().zip(first.iter()).all(|(a, b)| a.to_bits() == b.to_bits()));
+            // The newest insertions are still memoized.
+            let _ = cache.scores(&csr, &seed(PprCache::CAP + 2), cfg);
+            assert_eq!(hive_obs::snapshot().counter("core.ppr.memo_hit"), 1);
+            hive_obs::reset();
+        });
     }
 }

@@ -5,7 +5,7 @@ use crate::fault::{self, FaultKind, LoadOutcome};
 use crate::oracle;
 use crate::workload::{self, WorkloadStats};
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::{Hive, HiveError};
+use hive_core::{Hive, HiveError, PprCache};
 use hive_rng::Rng;
 use hive_store::StoreError;
 use std::fmt;
@@ -19,6 +19,8 @@ pub enum CheckerKind {
     Fault,
     /// Parallel-vs-serial or cached-vs-fresh answers diverged.
     Differential,
+    /// A memo held more than its stated bound.
+    Bound,
 }
 
 impl CheckerKind {
@@ -28,6 +30,7 @@ impl CheckerKind {
             CheckerKind::Recovery => "recovery",
             CheckerKind::Fault => "fault",
             CheckerKind::Differential => "differential",
+            CheckerKind::Bound => "bound",
         }
     }
 }
@@ -120,7 +123,7 @@ impl SoakReport {
             self.diff_checks,
         );
         if self.ok() {
-            out.push_str("OK: zero violations across recovery, fault, and differential oracles");
+            out.push_str("OK: zero violations across recovery, fault, differential, and bound oracles");
         } else {
             out.push_str(&format!("FAILED: {} violation(s)", self.violations.len()));
             for v in &self.violations {
@@ -182,6 +185,14 @@ impl SimHarness {
                 hive = self.crash_restore(hive, step, &mut fault_rng, &mut report);
                 report.crashes += 1;
             }
+        }
+        let memo = hive.ppr().len();
+        if memo > PprCache::CAP {
+            report.violations.push(Violation {
+                step: cfg.steps,
+                checker: CheckerKind::Bound,
+                detail: format!("PPR memo holds {memo} entries, above its cap of {}", PprCache::CAP),
+            });
         }
         report.steps_run = cfg.steps;
         report.ops_applied = stats.applied;

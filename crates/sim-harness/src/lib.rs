@@ -16,6 +16,8 @@
 //! 3. **Differential oracles** ([`oracle::differential_check`]):
 //!    parallel-vs-serial knowledge-network builds (1 thread vs N) and
 //!    cached-vs-fresh relationship-graph views must agree bit-for-bit.
+//!    At the end of the run the facade's PPR memo must hold at most
+//!    [`hive_core::PprCache::CAP`] entries.
 //! 4. **Snapshot consistency** ([`serve`]): an N-reader × 1-writer
 //!    soak over the epoch serving layer where every concurrent read
 //!    must be bit-identical to a cold serial replay at the epoch it
