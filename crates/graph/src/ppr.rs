@@ -8,7 +8,7 @@
 
 use crate::csr::CsrView;
 use crate::graph::{Graph, NodeId};
-use hive_par::{chunk_count, chunk_len, par_map};
+use hive_par::{chunk_len, par_map};
 use std::collections::HashMap;
 
 /// Below this many nodes the top-k scoring pass stays serial.
@@ -84,20 +84,20 @@ pub fn personalized_pagerank_csr(
     let chunk = chunk_len(n);
     let mut cur = restart.clone();
     let mut next = vec![0.0f64; n];
-    let mut deltas = vec![0.0f64; chunk_count(n)];
-    let mut dangle_parts = vec![0.0f64; chunk_count(n)];
     let mut dangling: f64 =
         (0..n).filter(|&i| csr.out_weight[i] == 0.0).map(|i| restart[i]).sum();
     let mut sweeps = 0u64;
     for _ in 0..cfg.max_iters {
         // Restart mass plus redistributed dangling mass.
         let base = 1.0 - d + d * dangling;
-        for (ci, (delta_part, dangle_part)) in
-            deltas.iter_mut().zip(dangle_parts.iter_mut()).enumerate()
-        {
-            let mut delta = 0.0;
-            let mut dangle = 0.0;
-            for i in ci * chunk..((ci + 1) * chunk).min(n) {
+        // The L1 change and the next sweep's dangling mass, each summed
+        // within a chunk, then over the chunks in order.
+        let mut delta = 0.0;
+        let mut next_dangling = 0.0;
+        for start in (0..n).step_by(chunk) {
+            let mut chunk_delta = 0.0;
+            let mut chunk_dangling = 0.0;
+            for i in start..(start + chunk).min(n) {
                 let lo = csr.in_off[i] as usize;
                 let hi = csr.in_off[i + 1] as usize;
                 let mut pulled = 0.0;
@@ -106,20 +106,21 @@ pub fn personalized_pagerank_csr(
                 }
                 let v = base * restart[i] + d * pulled;
                 next[i] = v;
-                delta += (v - cur[i]).abs();
+                chunk_delta += (v - cur[i]).abs();
                 if csr.out_weight[i] == 0.0 {
-                    dangle += v;
+                    chunk_dangling += v;
                 }
             }
-            *delta_part = delta;
-            *dangle_part = dangle;
+            delta += chunk_delta;
+            next_dangling += chunk_dangling;
         }
         std::mem::swap(&mut cur, &mut next);
         sweeps += 1;
-        let delta: f64 = deltas.iter().sum();
-        dangling = dangle_parts.iter().sum();
-        // Stop unless the change reached the tolerance (NaN stops too).
-        if !(delta >= cfg.tolerance) {
+        dangling = next_dangling;
+        // Sweep on while the L1 change reaches the tolerance; a NaN
+        // change does not, and stops the solve.
+        let moving = delta >= cfg.tolerance;
+        if !moving {
             break;
         }
     }
@@ -302,7 +303,8 @@ mod tests {
             // Uniform ranks on a symmetric pair are already stationary:
             // the first sweep moves nothing and stops the solve.
             personalized_pagerank_csr(&csr, &uniform, PprConfig::default());
-            assert_eq!(hive_obs::snapshot().counter("graph.ppr.sweeps"), 3 + 0 + 1);
+            // 3 sweeps, then none, then 1.
+            assert_eq!(hive_obs::snapshot().counter("graph.ppr.sweeps"), 4);
             hive_obs::reset();
         });
     }
