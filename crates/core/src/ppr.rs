@@ -23,7 +23,7 @@ use crate::db::DbDelta;
 use crate::knowledge::FusionWeights;
 use hive_graph::{personalized_pagerank_csr, CsrView, DynamicPpr, NodeId, PprConfig};
 use crate::tier::unpoison;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Canonical cache key: sorted `(node index, raw mass bits)` plus the
@@ -50,12 +50,12 @@ pub struct PprCache {
     memo: Mutex<Memo>,
 }
 
-/// The memo proper: solved score vectors by key, and the same keys in
-/// insertion order, oldest first, for eviction.
+/// The memo proper: solved score vectors by key, each stamped with its
+/// insertion number so the oldest can be found for eviction.
 #[derive(Clone, Default)]
 struct Memo {
-    entries: BTreeMap<PprKey, Arc<Vec<f64>>>,
-    order: VecDeque<PprKey>,
+    entries: BTreeMap<PprKey, (u64, Arc<Vec<f64>>)>,
+    inserted: u64,
 }
 
 impl PprCache {
@@ -77,7 +77,7 @@ impl PprCache {
         let key = key_of(seeds, &cfg);
         {
             let guard = unpoison(self.memo.lock());
-            if let Some(hit) = guard.entries.get(&key) {
+            if let Some((_, hit)) = guard.entries.get(&key) {
                 hive_obs::count("core.ppr.memo_hit", 1);
                 return Arc::clone(hit);
             }
@@ -89,17 +89,21 @@ impl PprCache {
         hive_obs::count("core.ppr.solve", 1);
         let mut guard = unpoison(self.memo.lock());
         let memo = &mut *guard;
-        if let Some(first) = memo.entries.get(&key) {
+        if let Some((_, first)) = memo.entries.get(&key) {
             return Arc::clone(first);
         }
-        memo.order.push_back(key.clone());
-        memo.entries.insert(key, Arc::clone(&solved));
-        if memo.entries.len() > Self::CAP {
-            if let Some(oldest) = memo.order.pop_front() {
+        if memo.entries.len() >= Self::CAP {
+            // An O(CAP) scan, run only at the cap: far cheaper than the
+            // solve it follows.
+            let oldest =
+                memo.entries.iter().min_by_key(|(_, (at, _))| *at).map(|(k, _)| k.clone());
+            if let Some(oldest) = oldest {
                 memo.entries.remove(&oldest);
                 hive_obs::count("core.ppr.memo_evict", 1);
             }
         }
+        memo.inserted += 1;
+        memo.entries.insert(key, (memo.inserted, Arc::clone(&solved)));
         solved
     }
 

@@ -153,8 +153,8 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// Runs `f` with **exactly** `n` workers, bypassing the host clamp.
 /// For tests and calibration runs that must exercise the pool
-/// machinery (chunk queues, counter harvest) even on
-/// hosts with fewer cores; production callers want [`with_threads`].
+/// machinery (chunk queues, counter harvest) even on hosts with fewer
+/// cores; production callers want [`with_threads`].
 pub fn force_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
     with_override(Override { n: n.clamp(1, MAX_THREADS), forced: true }, f)
 }
