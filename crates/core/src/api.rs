@@ -748,6 +748,109 @@ mod tests {
         assert!(h.import_collection_json(users[1], &dangling).is_err());
     }
 
+    /// FNV-1a over everything a served answer shows: strings with their
+    /// length, floats by their bits.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn len(&mut self, n: usize) {
+            self.bytes(&(n as u64).to_le_bytes());
+        }
+        fn str(&mut self, s: &str) {
+            self.len(s.len());
+            self.bytes(s.as_bytes());
+        }
+        fn f64(&mut self, x: f64) {
+            self.bytes(&x.to_bits().to_le_bytes());
+        }
+        fn hits(&mut self, hits: &[SearchHit]) {
+            self.len(hits.len());
+            for hit in hits {
+                self.str(&hit.resource.iri());
+                self.f64(hit.score);
+                self.str(&hit.title);
+                self.str(hit.preview.as_deref().unwrap_or("\u{0}"));
+                self.len(hit.key_concepts.len());
+                for c in &hit.key_concepts {
+                    self.str(c);
+                }
+            }
+        }
+        fn items(&mut self, items: &[crate::evidence::EvidenceItem]) {
+            self.len(items.len());
+            for item in items {
+                self.str(item.kind.label());
+                self.f64(item.score);
+                self.str(&item.explanation);
+            }
+        }
+    }
+
+    /// The served bits of the four context-ranked reads, pinned on the
+    /// small world: every user's search (default config and a wide one
+    /// with many key concepts), resource and peer recommendation, and an
+    /// explanation against the next user. One hash per read.
+    #[test]
+    fn served_read_bits_are_pinned() {
+        // Recorded against the read path before the score-then-render
+        // rewrite; every change since must keep them.
+        const GOLDEN: [u64; 5] = [
+            0xa685_2866_8e03_d471, // search, default config
+            0x2f23_e546_e036_bc89, // search, top 40 with 20 concepts per hit
+            0x553c_e125_8ee7_0c4d, // recommend_resources
+            0x6d1c_7591_3e88_c2a5, // recommend_peers
+            0xe1b1_710b_c076_0601, // explain_relationship
+        ];
+        let h = hive();
+        let users = h.db().user_ids();
+        let mut rng = hive_rng::Rng::seed_from_u64(7);
+        let wide = DiscoverConfig::defaults().with_top_k(40).with_concepts_per_hit(20);
+        let mut hashes: [Fnv; 5] = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
+        let mut kinds = std::collections::BTreeSet::new();
+        let (mut previews, mut concepts, mut paths) = (0, 0, 0);
+        for (i, &u) in users.iter().enumerate() {
+            let query = crate::sim::topic_phrase(i % crate::sim::topic_count(), &mut rng);
+            let hits = h.search(u, &query, DiscoverConfig::default());
+            hashes[0].hits(&hits);
+            let hits = h.search(u, &query, wide);
+            previews += hits.iter().filter(|x| x.preview.is_some()).count();
+            concepts += hits.iter().map(|x| x.key_concepts.len()).sum::<usize>();
+            hashes[1].hits(&hits);
+            hashes[2].hits(&h.recommend_resources(u, DiscoverConfig::default()));
+            let recs = h.recommend_peers(u, PeerRecConfig::default());
+            hashes[3].len(recs.len());
+            for rec in &recs {
+                hashes[3].str(&rec.user.iri());
+                hashes[3].f64(rec.score);
+                hashes[3].items(&rec.reasons);
+                kinds.extend(rec.reasons.iter().map(|r| r.kind));
+                hashes[3].len(rec.likely_sessions.len());
+                for &(s, score) in &rec.likely_sessions {
+                    hashes[3].str(&s.iri());
+                    hashes[3].f64(score);
+                }
+            }
+            let exp = h.explain_relationship(u, users[(i + 1) % users.len()]);
+            hashes[4].items(&exp.items);
+            kinds.extend(exp.items.iter().map(|r| r.kind));
+            hashes[4].f64(exp.combined);
+            hashes[4].len(exp.paths.len());
+            paths += exp.paths.len();
+            for p in &exp.paths {
+                hashes[4].str(p);
+            }
+        }
+        assert_eq!(kinds.len(), 12, "every evidence kind is covered: {kinds:?}");
+        assert!(previews > 0 && concepts > 0 && paths > 0, "{previews} {concepts} {paths}");
+        assert_eq!(hashes.map(|f| f.0), GOLDEN, "served read bits moved");
+    }
+
     #[test]
     fn collaborative_recommendations_exclude_seen() {
         let h = hive();
