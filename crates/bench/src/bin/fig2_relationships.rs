@@ -3,6 +3,9 @@
 //! knowledge-network paths, as the screenshot's right-hand column shows
 //! for "K. Selcuk Candan" and "Carsten Griwodz". Also reports ranked-path
 //! query latency vs store size (the R2DB primitive behind the feature).
+//! The latency table goes to stderr: stdout holds no timing, so it is
+//! byte-stable and `tools/ci.sh` diffs it against
+//! `results/fig2_relationships.txt`.
 //!
 //! Run: `cargo run -p hive-bench --release --bin fig2_relationships`
 
@@ -68,10 +71,11 @@ fn main() {
         weak_items.len()
     );
 
-    // Ranked path query latency on the exported store.
-    header("Ranked path query latency (R2DB primitive)");
+    // Ranked path query latency on the exported store. Timings go to
+    // stderr, so stdout stays byte-stable and CI can diff it.
     let store = kn.to_store(db);
-    println!("store: {} triples over {} terms", store.len(), store.dict().len());
+    println!("\nstore: {} triples over {} terms", store.len(), store.dict().len());
+    eprintln!("\n=== Ranked path query latency (R2DB primitive) ===");
     for k in [1usize, 3, 5] {
         let samples = time_n(10, || {
             let _ = PathQuery::new(Term::iri(a.iri()), Term::iri(b.iri()))
@@ -79,10 +83,11 @@ fn main() {
                 .max_hops(4)
                 .run(&store);
         });
-        row(&[
+        eprintln!(
+            "{:<36} {:<14} {}",
             format!("top-{k} paths, <=4 hops"),
             fmt_us(percentile(&samples, 50.0)),
             fmt_us(percentile(&samples, 95.0)),
-        ]);
+        );
     }
 }

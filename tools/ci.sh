@@ -26,6 +26,10 @@ cargo run -p hive-lint --offline -- --json target/lint-report.json
 # Figure 3 regenerates byte for byte: the concept-map layers are built
 # on demand, off the serving knowledge tier, and this keeps them checked.
 ./target/release/fig3_layers | diff - results/fig3_layers.txt
+# Figure 2 prints explain_relationship's evidence text and paths end to
+# end (its path-latency table goes to stderr), so it regenerates byte
+# for byte as well.
+./target/release/fig2_relationships | diff - results/fig2_relationships.txt
 # E4 and Figure 4 print only PPR-backed read results (rankings and
 # hit-rates, no timings), so they regenerate byte for byte too and pin
 # the served ranking bits end to end.
