@@ -134,9 +134,8 @@ pub fn relationship_evidence(
         interest_sim,
         format!("declared interests overlap (jaccard {:.2})", interest_sim),
     );
-    // 2a. Affiliation (current = strong, past = weaker).
-    let affs_a: HashSet<&str> = ua.all_affiliations().collect();
-    let affs_b: HashSet<&str> = ub.all_affiliations().collect();
+    // 2a. Affiliation (current = strong, past = weaker). A shared past
+    // affiliation is named as the first of `a`'s, current then past.
     if ua.affiliation == ub.affiliation {
         push(
             &mut items,
@@ -144,7 +143,9 @@ pub fn relationship_evidence(
             0.8,
             format!("both currently at {}", ua.affiliation),
         );
-    } else if let Some(shared) = affs_a.intersection(&affs_b).next() {
+    } else if let Some(shared) =
+        ua.all_affiliations().find(|&x| ub.all_affiliations().any(|y| y == x))
+    {
         push(
             &mut items,
             EvidenceKind::Affiliation,
@@ -742,6 +743,27 @@ mod tests {
         assert!(text.contains("Ann"));
         assert!(text.contains("co-authorship"));
         assert!(text.contains("connecting paths"));
+    }
+
+    #[test]
+    fn shared_past_affiliation_is_named_in_the_first_users_order() {
+        let mut db = HiveDb::new();
+        let past = |names: [&str; 3]| names.iter().map(|s| s.to_string()).collect();
+        let a = db.add_user(
+            User::new("A", "NEC").with_past_affiliations(past(["ASU", "UniTo", "MIT"])),
+        );
+        let b = db.add_user(
+            User::new("B", "IBM").with_past_affiliations(past(["MIT", "UniTo", "ASU"])),
+        );
+        let kn = KnowledgeNetwork::build(&db);
+        for _ in 0..64 {
+            let items = relationship_evidence(&db, &kn, a, b);
+            let aff = items.iter().find(|i| i.kind == EvidenceKind::Affiliation);
+            assert_eq!(
+                aff.map(|i| i.explanation.as_str()),
+                Some("shared (past) affiliation: ASU")
+            );
+        }
     }
 
     #[test]
