@@ -8,7 +8,7 @@ use hive_bench::{
 };
 use hive_rng::Rng;
 use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
-use hive_text::snippet::{extract_snippet, SnippetConfig};
+use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
 use hive_text::summarize::{summarize_table, Strategy, SummaryConfig, Table, ValueLattice};
 use hive_text::tfidf::Corpus;
 use hive_text::tokenize::tokenize_filtered;
@@ -88,12 +88,9 @@ fn bench_snippets() {
     report_header();
     for (paragraphs, n) in [(5usize, 100), (40, 20)] {
         let doc = long_document(paragraphs);
+        let context = SnippetContext::new(["tensor streams", "change detection"]);
         let samples = time_n(iters(n, 5), || {
-            std::hint::black_box(extract_snippet(
-                &doc,
-                &["tensor streams", "change detection"],
-                SnippetConfig::default(),
-            ));
+            std::hint::black_box(extract_snippet(&doc, &context, SnippetConfig::default()));
         });
         report(&format!("{paragraphs}_paragraphs"), &samples);
     }

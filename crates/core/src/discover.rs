@@ -19,10 +19,11 @@ use crate::ids::{ConferenceId, PaperId, PresentationId, SessionId, UserId};
 use crate::knowledge::KnowledgeNetwork;
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
-use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
-use hive_text::snippet::{extract_snippet, SnippetConfig};
+use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
 use hive_text::tfidf::SparseVector;
 use std::collections::HashMap;
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// A searchable resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,14 +39,9 @@ pub enum Resource {
 }
 
 impl Resource {
-    /// Knowledge-network IRI of the resource.
+    /// Knowledge-network IRI of the resource (its `Display` form).
     pub fn iri(&self) -> String {
-        match self {
-            Resource::Paper(p) => p.iri(),
-            Resource::Presentation(p) => p.iri(),
-            Resource::Session(s) => s.iri(),
-            Resource::User(u) => u.iri(),
-        }
+        self.to_string()
     }
 
     /// Kind label for display.
@@ -55,6 +51,17 @@ impl Resource {
             Resource::Presentation(_) => "presentation",
             Resource::Session(_) => "session",
             Resource::User(_) => "user",
+        }
+    }
+}
+
+impl fmt::Display for Resource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Resource::Paper(p) => p.fmt(f),
+            Resource::Presentation(p) => p.fmt(f),
+            Resource::Session(s) => s.fmt(f),
+            Resource::User(u) => u.fmt(f),
         }
     }
 }
@@ -182,7 +189,8 @@ impl Default for DiscoverConfig {
     }
 }
 
-fn resource_text(db: &HiveDb, r: Resource) -> String {
+/// The text a resource's preview and key concepts are drawn from.
+pub(crate) fn resource_text(db: &HiveDb, r: Resource) -> String {
     match r {
         Resource::Paper(p) => db.get_paper(p).map(|x| x.text()).unwrap_or_default(),
         Resource::Presentation(p) => db
@@ -217,12 +225,13 @@ fn resource_vector(kn: &KnowledgeNetwork, r: Resource) -> Option<&SparseVector> 
     }
 }
 
-/// Graph activation per IRI from the context seeds (normalized to max 1).
+/// The PPR vector over the unified graph from the context seeds, or
+/// `None` when no seed is a graph node.
 fn graph_activation(
     kn: &KnowledgeNetwork,
     ppr_cache: &PprCache,
     ctx: &ActivityContext,
-) -> HashMap<String, f64> {
+) -> Option<Arc<Vec<f64>>> {
     let g = &kn.unified;
     let mut seeds: HashMap<NodeId, f64> = HashMap::new();
     // lint:allow(determinism-taint) -- distinct keys hit distinct nodes; PPR sorts seeds
@@ -232,14 +241,9 @@ fn graph_activation(
         }
     }
     if seeds.is_empty() {
-        return HashMap::new();
+        return None;
     }
-    let ppr = ppr_cache.scores(&kn.unified_csr, &seeds, PprConfig::default());
-    let max = ppr.iter().cloned().fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
-    g.nodes()
-        .filter(|n| ppr[n.index()] > 0.0)
-        .map(|n| (g.key(n).to_string(), ppr[n.index()] / max))
-        .collect()
+    Some(ppr_cache.scores(&kn.unified_csr, &seeds, PprConfig::default()))
 }
 
 /// Context-aware search. `query` may be empty, in which case ranking is
@@ -250,6 +254,9 @@ fn graph_activation(
 /// venue- or author-scoped config walks index postings (`idx.hit`), an
 /// unscoped one enumerates the arenas (`idx.scan_fallback`), so
 /// unscoped results are unchanged from the retired inline sweep.
+///
+/// Every candidate is scored as a number; titles, previews and key
+/// concepts are built only for the `top_k` hits returned.
 pub fn search(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
@@ -260,7 +267,23 @@ pub fn search(
     cfg: DiscoverConfig,
 ) -> Vec<SearchHit> {
     let qvec = kn.corpus.vectorize_known(query);
-    let activation = graph_activation(kn, ppr_cache, ctx);
+    let (qnorm, cnorm) = (qvec.norm(), ctx.vector.norm());
+    // Activation is the PPR score over its maximum, 0 off the graph.
+    let ppr = graph_activation(kn, ppr_cache, ctx);
+    let max = ppr
+        .as_ref()
+        .map_or(0.0, |p| p.iter().cloned().fold(0.0f64, f64::max))
+        .max(f64::MIN_POSITIVE);
+    let mut iri = String::new();
+    let mut activation = |r: Resource| -> f64 {
+        let Some(ppr) = &ppr else { return 0.0 };
+        iri.clear();
+        let _ = write!(iri, "{r}");
+        match kn.unified.node(&iri).map(|n| ppr[n.index()]) {
+            Some(p) if p > 0.0 => p / max,
+            _ => 0.0,
+        }
+    };
     let mut candidates = ResourceQuery::new().with_users(cfg.include_users);
     if let Some(v) = cfg.venue {
         candidates = candidates.at_venue(v);
@@ -268,55 +291,52 @@ pub fn search(
     if let Some(a) = cfg.author {
         candidates = candidates.by_author(a);
     }
-    let mut hits: Vec<SearchHit> = candidates
+    let mut scored: Vec<(Resource, f64)> = candidates
         .run(db, idx)
         .into_iter()
         .filter_map(|r| {
-            let rv = resource_vector(kn, r);
-            let q = rv.map(|v| qvec.cosine(v)).unwrap_or(0.0);
-            let c = rv.map(|v| ctx.similarity(v)).unwrap_or(0.0);
-            let a = activation.get(&r.iri()).copied().unwrap_or(0.0);
+            let (q, c) = match resource_vector(kn, r) {
+                Some(v) => {
+                    let vnorm = v.norm();
+                    (qvec.cosine_normed(qnorm, v, vnorm), ctx.vector.cosine_normed(cnorm, v, vnorm))
+                }
+                None => (0.0, 0.0),
+            };
+            let a = activation(r);
             let score = cfg.query_weight * q + cfg.context_weight * c + cfg.graph_weight * a;
-            if score <= 0.0 {
-                return None;
-            }
-            Some(SearchHit {
+            (score > 0.0).then_some((r, score))
+        })
+        .collect();
+    let order = |x: &(Resource, f64), y: &(Resource, f64)| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0));
+    let k = cfg.common.top_k;
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, order);
+        scored.truncate(k);
+    }
+    scored.sort_by(order);
+    let context = SnippetContext::new(
+        query.split_whitespace().chain(ctx.terms.iter().map(String::as_str)),
+    );
+    scored
+        .into_iter()
+        .map(|(r, score)| {
+            let mut hit = SearchHit {
                 resource: r,
                 score,
                 title: resource_title(db, r),
                 preview: None,
                 key_concepts: Vec::new(),
-            })
+            };
+            let text = resource_text(db, r);
+            if !text.is_empty() {
+                hit.preview = extract_snippet(&text, &context, SnippetConfig::default())
+                    .filter(|s| s.score > 0.0)
+                    .map(|s| s.text);
+                hit.key_concepts = kn.key_concepts(r, &text, cfg.concepts_per_hit);
+            }
+            hit
         })
-        .collect();
-    hits.sort_by(|a, b| {
-        b.score
-            .total_cmp(&a.score)
-            .then_with(|| a.resource.cmp(&b.resource))
-    });
-    hits.truncate(cfg.common.top_k);
-    // Generate previews only for returned hits (lazy, per the perf guide).
-    let context_terms: Vec<&str> = ctx.terms.iter().map(String::as_str).collect();
-    let query_terms: Vec<&str> = query.split_whitespace().collect();
-    for hit in &mut hits {
-        let text = resource_text(db, hit.resource);
-        if text.is_empty() {
-            continue;
-        }
-        let mut terms = query_terms.clone();
-        terms.extend(context_terms.iter());
-        hit.preview = extract_snippet(&text, &terms, SnippetConfig::default())
-            .filter(|s| s.score > 0.0)
-            .map(|s| s.text);
-        hit.key_concepts = extract_keyphrases(
-            &text,
-            KeyphraseConfig { top_k: cfg.concepts_per_hit, ..Default::default() },
-        )
-        .into_iter()
-        .map(|k| k.phrase)
-        .collect();
-    }
-    hits
+        .collect()
 }
 
 /// Pure contextual recommendation (empty query).

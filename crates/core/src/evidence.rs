@@ -17,12 +17,14 @@
 //! of Figure 2).
 
 use crate::db::HiveDb;
-use crate::ids::{PaperId, UserId};
+use crate::discover::Resource;
+use crate::ids::{ConferenceId, PaperId, SessionId, UserId};
 use crate::knowledge::KnowledgeNetwork;
-use crate::model::QaTarget;
+use crate::model::{ActivityEvent, Paper, QaTarget, User};
 use hive_store::{GraphView, PathQuery, Term, TripleStore};
 use hive_text::tokenize::tokenize_filtered;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 /// The evidence taxonomy of §2 (the paper's nine bullets, with the
 /// citation bullet split into its three named sub-cases).
@@ -106,13 +108,122 @@ fn push(items: &mut Vec<EvidenceItem>, kind: EvidenceKind, score: f64, explanati
     }
 }
 
-fn jaccard_str(a: &[String], b: &[String]) -> f64 {
-    let sa: HashSet<String> = a.iter().flat_map(|s| tokenize_filtered(s)).collect();
-    let sb: HashSet<String> = b.iter().flat_map(|s| tokenize_filtered(s)).collect();
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
+/// `|a ∩ b|` and `|a ∪ b|`.
+fn overlap<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> (usize, usize) {
+    let inter = a.intersection(b).count();
+    (inter, a.len() + b.len() - inter)
+}
+
+fn interest_tokens(user: &User) -> HashSet<String> {
+    user.interests.iter().flat_map(|s| tokenize_filtered(s)).collect()
+}
+
+/// The papers `papers` cite, as a set.
+fn references(db: &HiveDb, papers: &[PaperId]) -> HashSet<PaperId> {
+    papers
+        .iter()
+        .flat_map(|&p| db.get_paper(p).map(|pp| pp.citations.clone()).unwrap_or_default())
+        .collect()
+}
+
+/// Sessions, papers and presentations the user checked into or viewed.
+fn touched(db: &HiveDb, u: UserId) -> HashSet<Resource> {
+    db.activities_of(u)
+        .iter()
+        .filter_map(|r| match r.event {
+            ActivityEvent::CheckIn(s) => Some(Resource::Session(s)),
+            ActivityEvent::ViewPaper(p) => Some(Resource::Paper(p)),
+            ActivityEvent::ViewPresentation(p) => Some(Resource::Presentation(p)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// What the evidence between user `a` and anyone needs from `a` alone,
+/// derived once per request however many counterparts it is scored
+/// against.
+struct Side<'d> {
+    id: UserId,
+    user: &'d User,
+    interests: HashSet<String>,
+    groups: HashSet<&'d str>,
+    papers: HashSet<PaperId>,
+    /// Each (citing, cited) pair of `a`'s papers, in paper order.
+    cites: Vec<(&'d Paper, &'d Paper)>,
+    refs: HashSet<PaperId>,
+    /// The papers `refs` cite, one entry per citation.
+    ref_hops: Vec<PaperId>,
+    confs: HashSet<ConferenceId>,
+    series: HashSet<&'d str>,
+    sessions: HashSet<SessionId>,
+    touched: HashSet<Resource>,
+    /// Reciprocal question/answer exchanges per counterpart.
+    qa: HashMap<UserId, usize>,
+}
+
+impl<'d> Side<'d> {
+    fn of(db: &'d HiveDb, a: UserId) -> Option<Self> {
+        let user = db.get_user(a).ok()?;
+        let papers = db.papers_of(a);
+        let cites = papers
+            .iter()
+            .filter_map(|&p| db.get_paper(p).ok())
+            .flat_map(|citing| {
+                citing.citations.iter().filter_map(move |&c| Some((citing, db.get_paper(c).ok()?)))
+            })
+            .collect();
+        let refs = references(db, papers);
+        let ref_hops = refs
+            // lint:allow(determinism-taint) -- only counted
+            .iter()
+            .flat_map(|&mid| db.get_paper(mid).map(|p| p.citations.clone()).unwrap_or_default())
+            .collect();
+        let confs: HashSet<ConferenceId> = db.conferences_of(a).into_iter().collect();
+        let series = confs
+            // lint:allow(determinism-taint) -- only the intersection count is used
+            .iter()
+            .filter_map(|&c| db.get_conference(c).ok().map(|x| x.series.as_str()))
+            .collect();
+        // One pass over the questions counts every counterpart's
+        // exchanges: an answer to the other's question, or a question on
+        // the other's presentation.
+        let mut qa: HashMap<UserId, usize> = HashMap::new();
+        for q in db.question_ids() {
+            let Ok(question) = db.get_question(q) else { continue; };
+            for &ans in db.answers_to(q) {
+                let Ok(answer) = db.get_answer(ans) else { continue; };
+                if question.author == a {
+                    *qa.entry(answer.author).or_insert(0) += 1;
+                } else if answer.author == a {
+                    *qa.entry(question.author).or_insert(0) += 1;
+                }
+            }
+            if let QaTarget::Presentation(p) = question.target {
+                if let Ok(pres) = db.get_presentation(p) {
+                    if question.author == a {
+                        *qa.entry(pres.presenter).or_insert(0) += 1;
+                    } else if pres.presenter == a {
+                        *qa.entry(question.author).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        Some(Side {
+            id: a,
+            user,
+            interests: interest_tokens(user),
+            groups: user.groups.iter().map(String::as_str).collect(),
+            papers: papers.iter().copied().collect(),
+            cites,
+            refs,
+            ref_hops,
+            confs,
+            series,
+            sessions: db.checkins_of(a).iter().map(|c| c.session).collect(),
+            touched: touched(db, a),
+            qa,
+        })
     }
-    sa.intersection(&sb).count() as f64 / sa.union(&sb).count() as f64
 }
 
 /// Computes every evidence item between `a` and `b`, strongest first.
@@ -122,12 +233,24 @@ pub fn relationship_evidence(
     a: UserId,
     b: UserId,
 ) -> Vec<EvidenceItem> {
+    Side::of(db, a).map(|side| evidence_with(db, kn, &side, b)).unwrap_or_default()
+}
+
+/// Every evidence item between `side`'s user and `b`, strongest first.
+fn evidence_with(db: &HiveDb, kn: &KnowledgeNetwork, side: &Side<'_>, b: UserId) -> Vec<EvidenceItem> {
     let mut items = Vec::new();
-    let (Ok(ua), Ok(ub)) = (db.get_user(a), db.get_user(b)) else {
+    let (a, ua) = (side.id, side.user);
+    let Ok(ub) = db.get_user(b) else {
         return items;
     };
     // 1. Profile / declared interests.
-    let interest_sim = jaccard_str(&ua.interests, &ub.interests);
+    let interests_b = interest_tokens(ub);
+    let interest_sim = if side.interests.is_empty() || interests_b.is_empty() {
+        0.0
+    } else {
+        let (inter, union) = overlap(&side.interests, &interests_b);
+        inter as f64 / union as f64
+    };
     push(
         &mut items,
         EvidenceKind::SharedInterests,
@@ -154,12 +277,11 @@ pub fn relationship_evidence(
         );
     }
     // 2b. Group membership.
-    let groups_a: HashSet<&String> = ua.groups.iter().collect();
     let shared_groups: Vec<&str> = ub
         .groups
         .iter()
-        .filter(|g| groups_a.contains(g))
-        .map(|g| g.as_str())
+        .map(String::as_str)
+        .filter(|g| side.groups.contains(g))
         .collect();
     if !shared_groups.is_empty() {
         push(
@@ -173,13 +295,9 @@ pub fn relationship_evidence(
         );
     }
     // 3. Co-authorship.
-    let papers_a: HashSet<PaperId> = db.papers_of(a).iter().copied().collect();
-    let shared_papers: Vec<PaperId> = db
-        .papers_of(b)
-        .iter()
-        .copied()
-        .filter(|p| papers_a.contains(p))
-        .collect();
+    let papers_b = db.papers_of(b);
+    let shared_papers: Vec<PaperId> =
+        papers_b.iter().copied().filter(|p| side.papers.contains(p)).collect();
     if !shared_papers.is_empty() {
         let titles: Vec<String> = shared_papers
             .iter()
@@ -195,23 +313,16 @@ pub fn relationship_evidence(
     // 4. Direct citation (either direction).
     let mut direct = 0usize;
     let mut direct_example = String::new();
-    for &pa in db.papers_of(a) {
-        let Ok(paper_a) = db.get_paper(pa) else { continue; };
-        for &cited in &paper_a.citations {
-            if db.get_paper(cited).map(|p| p.has_author(b)).unwrap_or(false) {
-                direct += 1;
-                if direct_example.is_empty() {
-                    direct_example = format!(
-                        "\"{}\" cites {}'s \"{}\"",
-                        paper_a.title,
-                        ub.name,
-                        db.get_paper(cited).map(|p| p.title.as_str()).unwrap_or("?")
-                    );
-                }
+    for &(citing, cited) in &side.cites {
+        if cited.has_author(b) {
+            direct += 1;
+            if direct_example.is_empty() {
+                direct_example =
+                    format!("\"{}\" cites {}'s \"{}\"", citing.title, ub.name, cited.title);
             }
         }
     }
-    for &pb in db.papers_of(b) {
+    for &pb in papers_b {
         let Ok(paper_b) = db.get_paper(pb) else { continue; };
         for &cited in &paper_b.citations {
             if db.get_paper(cited).map(|p| p.has_author(a)).unwrap_or(false) {
@@ -239,24 +350,16 @@ pub fn relationship_evidence(
     // citation". Shared references count fully; 2-hop transitive chains
     // (a's paper cites X, X cites b's paper, either direction) count at
     // half weight.
-    let refs_of = |u: UserId| -> HashSet<PaperId> {
-        db.papers_of(u)
+    let refs_b = references(db, papers_b);
+    let shared_refs = side.refs.intersection(&refs_b).count();
+    let papers_b_set: HashSet<PaperId> = papers_b.iter().copied().collect();
+    let transitive = side.ref_hops.iter().filter(|hop| papers_b_set.contains(hop)).count()
+        + refs_b
+            // lint:allow(determinism-taint) -- only counted
             .iter()
-            .flat_map(|&p| db.get_paper(p).map(|pp| pp.citations.clone()).unwrap_or_default())
-            .collect()
-    };
-    let refs_a = refs_of(a);
-    let refs_b = refs_of(b);
-    let shared_refs = refs_a.intersection(&refs_b).count();
-    let papers_b_set: HashSet<PaperId> = db.papers_of(b).iter().copied().collect();
-    let papers_a_set: HashSet<PaperId> = db.papers_of(a).iter().copied().collect();
-    let transitive_hops = |refs: &HashSet<PaperId>, targets: &HashSet<PaperId>| -> usize {
-        refs.iter()
             .flat_map(|&mid| db.get_paper(mid).map(|p| p.citations.clone()).unwrap_or_default())
-            .filter(|hop| targets.contains(hop))
-            .count()
-    };
-    let transitive = transitive_hops(&refs_a, &papers_b_set) + transitive_hops(&refs_b, &papers_a_set);
+            .filter(|hop| side.papers.contains(hop))
+            .count();
     if shared_refs > 0 || transitive > 0 {
         let score = (0.15 * shared_refs as f64 + 0.075 * transitive as f64).min(0.7);
         let mut text = String::new();
@@ -295,9 +398,8 @@ pub fn relationship_evidence(
     }
     // 7. Conference co-participation: same edition, or same series across
     // years.
-    let confs_a: HashSet<_> = db.conferences_of(a).into_iter().collect();
     let confs_b: HashSet<_> = db.conferences_of(b).into_iter().collect();
-    let same_edition = confs_a.intersection(&confs_b).count();
+    let same_edition = side.confs.intersection(&confs_b).count();
     if same_edition > 0 {
         push(
             &mut items,
@@ -306,17 +408,12 @@ pub fn relationship_evidence(
             format!("attended {same_edition} conference edition(s) together"),
         );
     } else {
-        let series_a: HashSet<String> = confs_a
+        let series_b: HashSet<&str> = confs_b
             // lint:allow(determinism-taint) -- only the intersection count is used
             .iter()
-            .filter_map(|&c| db.get_conference(c).ok().map(|x| x.series.clone()))
+            .filter_map(|&c| db.get_conference(c).ok().map(|x| x.series.as_str()))
             .collect();
-        let series_b: HashSet<String> = confs_b
-            // lint:allow(determinism-taint) -- only the intersection count is used
-            .iter()
-            .filter_map(|&c| db.get_conference(c).ok().map(|x| x.series.clone()))
-            .collect();
-        let shared_series = series_a.intersection(&series_b).count();
+        let shared_series = side.series.intersection(&series_b).count();
         if shared_series > 0 {
             push(
                 &mut items,
@@ -329,12 +426,12 @@ pub fn relationship_evidence(
     // 8. Session co-participation: "related sessions or same session/same
     // time". Same sessions count fully; distinct-but-topically-related
     // sessions (content cosine above 0.4) count at a quarter weight.
-    let sess_a: HashSet<_> = db.checkins_of(a).iter().map(|c| c.session).collect();
+    let sess_a = &side.sessions;
     let sess_b: HashSet<_> = db.checkins_of(b).iter().map(|c| c.session).collect();
     let shared_sessions = sess_a.intersection(&sess_b).count();
     let mut related_sessions = 0usize;
     // lint:allow(determinism-taint) -- pure counting, order-insensitive
-    for &sa in &sess_a {
+    for &sa in sess_a {
         if sess_b.contains(&sa) {
             continue;
         }
@@ -370,27 +467,7 @@ pub fn relationship_evidence(
     }
     // 9. Reciprocal Q&A: one answered the other's question, or asked on
     // the other's presentation.
-    let mut qa_hits = 0usize;
-    for q in db.question_ids() {
-        let Ok(question) = db.get_question(q) else { continue; };
-        for &ans in db.answers_to(q) {
-            let Ok(answer) = db.get_answer(ans) else { continue; };
-            if (question.author == a && answer.author == b)
-                || (question.author == b && answer.author == a)
-            {
-                qa_hits += 1;
-            }
-        }
-        if let QaTarget::Presentation(p) = question.target {
-            if let Ok(pres) = db.get_presentation(p) {
-                if (question.author == a && pres.presenter == b)
-                    || (question.author == b && pres.presenter == a)
-                {
-                    qa_hits += 1;
-                }
-            }
-        }
-    }
+    let qa_hits = side.qa.get(&b).copied().unwrap_or(0);
     if qa_hits > 0 {
         push(
             &mut items,
@@ -410,22 +487,9 @@ pub fn relationship_evidence(
         );
     }
     // 11. Activity similarity: Jaccard over touched resources.
-    let touched = |u: UserId| -> HashSet<String> {
-        db.activities_of(u)
-            .iter()
-            .filter_map(|r| match r.event {
-                crate::model::ActivityEvent::CheckIn(s) => Some(s.iri()),
-                crate::model::ActivityEvent::ViewPaper(p) => Some(p.iri()),
-                crate::model::ActivityEvent::ViewPresentation(p) => Some(p.iri()),
-                _ => None,
-            })
-            .collect()
-    };
-    let ta = touched(a);
-    let tb = touched(b);
-    if !ta.is_empty() && !tb.is_empty() {
-        let inter = ta.intersection(&tb).count();
-        let union = ta.union(&tb).count();
+    let tb = touched(db, b);
+    if !side.touched.is_empty() && !tb.is_empty() {
+        let (inter, union) = overlap(&side.touched, &tb);
         let asim = inter as f64 / union as f64;
         if asim > 0.0 {
             push(
@@ -484,16 +548,21 @@ pub fn combined_score(items: &[EvidenceItem]) -> f64 {
     1.0 - items.iter().map(|i| 1.0 - i.score).product::<f64>()
 }
 
-/// [`relationship_evidence`] against every peer in `peers`, fanned out
-/// over the worker pool (each pair's evidence scan is independent).
-/// Results come back in `peers` order, identical for any `HIVE_THREADS`.
+/// [`relationship_evidence`] between `user` and every peer in `peers`,
+/// in `peers` order. `user`'s side of the evidence is derived once for
+/// the whole batch. Each pair is independent work for `par_map`, which
+/// runs batches under its 1,024-item cutoff serially: a peer
+/// recommendation scores 25 candidates by default.
 pub fn batch_relationship_evidence(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
     user: UserId,
     peers: &[UserId],
 ) -> Vec<Vec<EvidenceItem>> {
-    hive_par::par_map(peers, |&peer| relationship_evidence(db, kn, user, peer))
+    match Side::of(db, user) {
+        Some(side) => hive_par::par_map(peers, |&peer| evidence_with(db, kn, &side, peer)),
+        None => vec![Vec::new(); peers.len()],
+    }
 }
 
 /// Full Figure 2 output: evidence list + strongest knowledge-network

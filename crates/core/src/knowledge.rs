@@ -29,15 +29,27 @@
 //! rest. The **concept-map layers** (paper abstracts and session topics,
 //! aligned and integrated via `hive-concept`) are built on demand by
 //! [`concept_layers`] and are not cached.
+//!
+//! The content layer also memoizes each resource's key concepts (its
+//! full ranked TextRank phrase list), filled lazily by the searches that
+//! return the resource, so a build pays nothing for it. Resource text
+//! changes only through structural deltas, which rebuild the network and
+//! start an empty memo; a patched copy shares its source's memo, so a
+//! published epoch and the writer fill one memo between them. It holds
+//! at most one entry per paper, presentation, session and user of the
+//! database the network was built from.
 
 use crate::db::{DbDelta, HiveDb};
+use crate::discover::Resource;
 use crate::ids::{PaperId, PresentationId, SessionId, UserId};
+use crate::tier::unpoison;
 use hive_concept::{bootstrap_concept_map, AlignConfig, BootstrapConfig, ContextNetwork};
 use hive_graph::{CsrView, Graph};
 use hive_store::{Term, TripleStore};
+use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
 use hive_text::tfidf::{Corpus, SparseVector};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Edge weights used when fusing layers into the unified graph. Exposed
 /// so the ablation benches can sweep them.
@@ -83,7 +95,8 @@ impl Default for FusionWeights {
 }
 
 /// The derived knowledge network. Cloning it copies the unified layer
-/// and its CSR; the `Arc` layers are shared until a patch writes one.
+/// and its CSR; the `Arc` layers are shared until a patch writes one,
+/// and the key-concept memo is shared for good.
 #[derive(Clone, Debug)]
 pub struct KnowledgeNetwork {
     /// Social layer: connections (undirected, weight 1) and follows
@@ -109,6 +122,8 @@ pub struct KnowledgeNetwork {
     pub session_vectors: Arc<HashMap<SessionId, SparseVector>>,
     /// Per-user content vectors (interests + authored papers).
     pub user_vectors: Arc<HashMap<UserId, SparseVector>>,
+    /// Each resource's ranked key phrases, filled on first use.
+    key_concepts: Arc<Mutex<HashMap<Resource, Arc<[String]>>>>,
 }
 
 impl KnowledgeNetwork {
@@ -138,7 +153,34 @@ impl KnowledgeNetwork {
             presentation_vectors: Arc::new(presentation_vectors),
             session_vectors: Arc::new(session_vectors),
             user_vectors: Arc::new(user_vectors),
+            key_concepts: Arc::default(),
         }
+    }
+
+    /// The top `k` key concepts of `r`, whose text is `text`: the first
+    /// `k` phrases of `extract_keyphrases(text)`, which ranks under a
+    /// total order, so they equal a run with `top_k: k`. The full ranked
+    /// list is extracted once per resource and memoized; `text` is read
+    /// only on a miss.
+    pub(crate) fn key_concepts(&self, r: Resource, text: &str, k: usize) -> Vec<String> {
+        let memoized = unpoison(self.key_concepts.lock()).get(&r).cloned();
+        let phrases = memoized.unwrap_or_else(|| {
+            // Extract outside the lock; a racing request extracts the
+            // same list, and the first insert wins.
+            let cfg = KeyphraseConfig { top_k: usize::MAX, ..Default::default() };
+            let phrases: Arc<[String]> =
+                extract_keyphrases(text, cfg).into_iter().map(|kp| kp.phrase).collect();
+            let mut memo = unpoison(self.key_concepts.lock());
+            Arc::clone(memo.entry(r).or_insert(phrases))
+        });
+        phrases.iter().take(k).cloned().collect()
+    }
+
+    /// Number of resources whose key concepts are memoized: at most the
+    /// papers, presentations, sessions and users of the database the
+    /// network was built from.
+    pub fn key_concept_entries(&self) -> usize {
+        unpoison(self.key_concepts.lock()).len()
     }
 
     /// Content similarity between two users in `[0, 1]`.
@@ -623,6 +665,79 @@ mod tests {
         .run(&st)
         .unwrap();
         assert!(!paths.is_empty());
+    }
+
+    /// The memoized phrase list of `r`, if filled.
+    fn memo_entry(kn: &KnowledgeNetwork, r: Resource) -> Option<Arc<[String]>> {
+        unpoison(kn.key_concepts.lock()).get(&r).cloned()
+    }
+
+    #[test]
+    fn memoized_key_concepts_equal_a_direct_extraction_for_every_k() {
+        let (db, users, sessions, papers) = world();
+        let kn = KnowledgeNetwork::build(&db);
+        let pres = db.presentation_ids()[0];
+        let resources = [
+            Resource::Paper(papers[0]),
+            Resource::Presentation(pres),
+            Resource::Session(sessions[0]),
+            Resource::User(users[1]),
+        ];
+        for r in resources {
+            let text = crate::discover::resource_text(&db, r);
+            for k in 0..=8 {
+                let direct: Vec<String> =
+                    extract_keyphrases(&text, KeyphraseConfig { top_k: k, ..Default::default() })
+                        .into_iter()
+                        .map(|kp| kp.phrase)
+                        .collect();
+                assert_eq!(kn.key_concepts(r, &text, k), direct, "{r:?} with k = {k}");
+            }
+        }
+        assert_eq!(kn.key_concept_entries(), resources.len(), "one entry per resource");
+    }
+
+    #[test]
+    fn a_patched_copy_of_a_pinned_network_shares_the_memo() {
+        let (db, users, sessions, papers) = world();
+        let mut server = crate::serve::HiveServer::new(db);
+        let pinned = server.current();
+        let kn0 = pinned.knowledge();
+        let r = Resource::Paper(papers[0]);
+        let text = crate::discover::resource_text(pinned.db(), r);
+        let concepts = kn0.key_concepts(r, &text, 3);
+        let filled = memo_entry(&kn0, r).expect("filled by the first request");
+        server.writer().check_in(users[2], sessions[0]).unwrap();
+        let next = server.publish();
+        let kn1 = next.knowledge();
+        assert!(!Arc::ptr_eq(&kn0, &kn1), "the pinned network was copied for the patch");
+        let shared = memo_entry(&kn1, r).expect("the copy sees the entry");
+        assert!(Arc::ptr_eq(&filled, &shared), "the same phrase list, not a re-extraction");
+        assert_eq!(kn1.key_concepts(r, &text, 3), concepts);
+    }
+
+    #[test]
+    fn revised_slides_get_the_revised_texts_concepts() {
+        let (db, users, ..) = world();
+        let pres = db.presentation_ids()[0];
+        let mut hive = crate::api::Hive::new(db);
+        let concepts = |hive: &crate::api::Hive| {
+            let hits = hive.search(users[0], "privacy anonymization", Default::default());
+            hits.into_iter()
+                .find(|h| h.resource == Resource::Presentation(pres))
+                .map(|h| h.key_concepts)
+        };
+        let before = concepts(&hive).expect("the slides match the context");
+        let revised = "privacy anonymization differential disclosure perturbation utility";
+        hive.revise_slides(users[0], pres, revised).unwrap();
+        let after = concepts(&hive).expect("the revised slides match the query");
+        let direct: Vec<String> =
+            extract_keyphrases(revised, KeyphraseConfig { top_k: 3, ..Default::default() })
+                .into_iter()
+                .map(|kp| kp.phrase)
+                .collect();
+        assert_eq!(after, direct);
+        assert_ne!(before, after);
     }
 
     #[test]

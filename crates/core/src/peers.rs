@@ -193,8 +193,9 @@ pub fn recommend_peers(
         .map(|(_, s)| *s)
         .filter(|s| *s > 0.0)
         .unwrap_or(1.0);
-    // Blend with evidence — the expensive pass. Each candidate's
-    // evidence scan is independent, so fan it out over the pool.
+    // Blend with evidence, the expensive pass: the requester's side of
+    // the evidence is derived once for the whole pool, and a pool this
+    // size (25 by default) is far below `par_map`'s serial cutoff.
     let peer_ids: Vec<UserId> = candidates.iter().map(|&(u, _)| u).collect();
     let evidence = batch_relationship_evidence(db, kn, user, &peer_ids);
     let mut scored: Vec<PeerRecommendation> = candidates

@@ -194,6 +194,22 @@ impl SimHarness {
                 detail: format!("PPR memo holds {memo} entries, above its cap of {}", PprCache::CAP),
             });
         }
+        // The key-concept memo holds at most one entry per resource.
+        let concepts = hive.knowledge().key_concept_entries();
+        let db = hive.db();
+        let resources = db.paper_ids().len()
+            + db.presentation_ids().len()
+            + db.session_ids().len()
+            + db.user_ids().len();
+        if concepts > resources {
+            report.violations.push(Violation {
+                step: cfg.steps,
+                checker: CheckerKind::Bound,
+                detail: format!(
+                    "key-concept memo holds {concepts} entries for {resources} resources"
+                ),
+            });
+        }
         report.steps_run = cfg.steps;
         report.ops_applied = stats.applied;
         report.ops_rejected = stats.rejected;

@@ -37,7 +37,7 @@ pub mod tokenize;
 pub use docsum::{summarize_document, DocSumConfig, DocumentSummary};
 pub use keyphrase::{extract_keyphrases, Keyphrase, KeyphraseConfig};
 pub use overlap::{containment, shingle_set, shingle_similarity, MinHashSignature};
-pub use snippet::{extract_snippet, Snippet, SnippetConfig};
+pub use snippet::{extract_snippet, Snippet, SnippetConfig, SnippetContext};
 pub use summarize::{summarize_table, SummaryConfig, Table, TableSummary, ValueLattice};
 pub use tfidf::{Corpus, SparseVector};
 pub use tokenize::{tokenize, tokenize_filtered};

@@ -39,18 +39,29 @@ impl Default for SnippetConfig {
     }
 }
 
+/// The context a snippet should cover: raw words (query terms, active
+/// context terms) normalized once, so one request can score many
+/// documents against them.
+#[derive(Clone, Debug, Default)]
+pub struct SnippetContext {
+    terms: HashSet<String>,
+}
+
+impl SnippetContext {
+    /// Tokenizes and stopword-filters each raw word or phrase.
+    pub fn new<'a>(raw: impl IntoIterator<Item = &'a str>) -> Self {
+        SnippetContext { terms: raw.into_iter().flat_map(tokenize_filtered).collect() }
+    }
+}
+
 /// Extracts the best snippet of up to `cfg.max_sentences` consecutive
-/// sentences for the given context terms (raw words; normalized
-/// internally). Returns `None` for an empty document.
-pub fn extract_snippet(document: &str, context_terms: &[&str], cfg: SnippetConfig) -> Option<Snippet> {
+/// sentences for the given context. Returns `None` for an empty document.
+pub fn extract_snippet(document: &str, context: &SnippetContext, cfg: SnippetConfig) -> Option<Snippet> {
     let sents = sentences(document);
     if sents.is_empty() {
         return None;
     }
-    let context: HashSet<String> = context_terms
-        .iter()
-        .flat_map(|t| tokenize_filtered(t))
-        .collect();
+    let context = &context.terms;
     let sent_tokens: Vec<Vec<String>> = sents.iter().map(|s| tokenize_filtered(s)).collect();
     let n = sents.len();
     let win = cfg.max_sentences.max(1);
@@ -109,8 +120,8 @@ mod tests {
 
     #[test]
     fn finds_context_bearing_sentences() {
-        let s = extract_snippet(DOC, &["tensor streams", "change detection"], SnippetConfig::default())
-            .unwrap();
+        let ctx = SnippetContext::new(["tensor streams", "change detection"]);
+        let s = extract_snippet(DOC, &ctx, SnippetConfig::default()).unwrap();
         assert!(s.text.contains("tensor streams") || s.text.contains("Tensor streams"));
         assert!(s.score > 0.0);
     }
@@ -118,13 +129,13 @@ mod tests {
     #[test]
     fn respects_window_limit() {
         let cfg = SnippetConfig { max_sentences: 1, ..Default::default() };
-        let s = extract_snippet(DOC, &["tensor"], cfg).unwrap();
+        let s = extract_snippet(DOC, &SnippetContext::new(["tensor"]), cfg).unwrap();
         assert_eq!(s.sentence_count, 1);
     }
 
     #[test]
     fn no_context_terms_prefers_early_short() {
-        let s = extract_snippet(DOC, &[], SnippetConfig::default()).unwrap();
+        let s = extract_snippet(DOC, &SnippetContext::default(), SnippetConfig::default()).unwrap();
         assert_eq!(s.score, 0.0);
         assert_eq!(s.start_sentence, 0);
         assert_eq!(s.sentence_count, 1);
@@ -132,14 +143,16 @@ mod tests {
 
     #[test]
     fn empty_document() {
-        assert!(extract_snippet("", &["x"], SnippetConfig::default()).is_none());
+        let ctx = SnippetContext::new(["x"]);
+        assert!(extract_snippet("", &ctx, SnippetConfig::default()).is_none());
     }
 
     #[test]
     fn coverage_beats_single_term_density() {
         // One sentence repeats a single context term; another pair covers both.
         let doc = "Graphs graphs graphs graphs. Community detection in graphs works well.";
-        let s = extract_snippet(doc, &["graphs", "community"], SnippetConfig::default()).unwrap();
+        let ctx = SnippetContext::new(["graphs", "community"]);
+        let s = extract_snippet(doc, &ctx, SnippetConfig::default()).unwrap();
         assert!(
             s.text.contains("Community"),
             "coverage should dominate: {}",
@@ -152,7 +165,7 @@ mod tests {
         let doc = "Tensor analysis is hard. Filler sentence here. Tensor analysis is hard.";
         let s = extract_snippet(
             doc,
-            &["tensor"],
+            &SnippetContext::new(["tensor"]),
             SnippetConfig { max_sentences: 1, ..Default::default() },
         )
         .unwrap();

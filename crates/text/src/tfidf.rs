@@ -113,7 +113,14 @@ impl SparseVector {
 
     /// Cosine similarity in `[0, 1]` for non-negative vectors.
     pub fn cosine(&self, other: &SparseVector) -> f64 {
-        let denom = self.norm() * other.norm();
+        self.cosine_normed(self.norm(), other, other.norm())
+    }
+
+    /// [`Self::cosine`] given both vectors' [`Self::norm`]s, for a caller
+    /// that compares one vector with many and sums each norm once. The
+    /// arithmetic is the same, so are the bits.
+    pub fn cosine_normed(&self, norm: f64, other: &SparseVector, other_norm: f64) -> f64 {
+        let denom = norm * other_norm;
         if denom == 0.0 {
             0.0
         } else {

@@ -80,6 +80,43 @@ fn cosine_properties() {
     });
 }
 
+/// `cosine_normed` given the two norms returns the bits of the formula
+/// `cosine` always computed, `dot / (norm * norm)` with 0 for a zero
+/// denominator, on weights of mixed magnitude, empty vectors and vectors
+/// whose every given weight is zero.
+#[test]
+fn cosine_normed_matches_the_dot_over_norms_formula() {
+    check("text::cosine_normed_matches_formula", DEFAULT_CASES, |rng| {
+        let gen = |rng: &mut Rng| -> SparseVector {
+            let n = rng.gen_range(0..24usize);
+            let all_zero = rng.gen_range(0..6u32) == 0;
+            SparseVector::from_entries((0..n).map(|_| {
+                let w = if all_zero {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-3..4i32))
+                };
+                (rng.gen_range(0..48u32), w)
+            }))
+        };
+        let (a, b) = (gen(rng), gen(rng));
+        let formula = |x: &SparseVector, y: &SparseVector| {
+            let denom = x.norm() * y.norm();
+            if denom == 0.0 {
+                0.0
+            } else {
+                x.dot(y) / denom
+            }
+        };
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let normed = x.cosine_normed(x.norm(), y, y.norm());
+            prop_ensure_eq!(normed.to_bits(), formula(x, y).to_bits());
+            prop_ensure_eq!(normed.to_bits(), x.cosine(y).to_bits());
+        }
+        Ok(())
+    });
+}
+
 /// TF-IDF vectors are unit length (or empty) and IDF is positive.
 #[test]
 fn tfidf_normalization() {
