@@ -122,8 +122,10 @@ pub struct KnowledgeNetwork {
     pub session_vectors: Arc<HashMap<SessionId, SparseVector>>,
     /// Per-user content vectors (interests + authored papers).
     pub user_vectors: Arc<HashMap<UserId, SparseVector>>,
-    /// Each resource's ranked key phrases, filled on first use.
-    key_concepts: Arc<Mutex<HashMap<Resource, Arc<[String]>>>>,
+    /// Each resource's ranked key phrases, filled on first use. A
+    /// phrase is stemmed alphanumeric tokens joined by spaces, so one
+    /// string per resource holds the list, a phrase to a line.
+    key_concepts: Arc<Mutex<HashMap<Resource, Arc<str>>>>,
 }
 
 impl KnowledgeNetwork {
@@ -168,12 +170,13 @@ impl KnowledgeNetwork {
             // Extract outside the lock; a racing request extracts the
             // same list, and the first insert wins.
             let cfg = KeyphraseConfig { top_k: usize::MAX, ..Default::default() };
-            let phrases: Arc<[String]> =
+            let ranked: Vec<String> =
                 extract_keyphrases(text, cfg).into_iter().map(|kp| kp.phrase).collect();
+            let phrases: Arc<str> = ranked.join("\n").into();
             let mut memo = unpoison(self.key_concepts.lock());
             Arc::clone(memo.entry(r).or_insert(phrases))
         });
-        phrases.iter().take(k).cloned().collect()
+        phrases.split_terminator('\n').take(k).map(str::to_string).collect()
     }
 
     /// Number of resources whose key concepts are memoized: at most the
@@ -668,7 +671,7 @@ mod tests {
     }
 
     /// The memoized phrase list of `r`, if filled.
-    fn memo_entry(kn: &KnowledgeNetwork, r: Resource) -> Option<Arc<[String]>> {
+    fn memo_entry(kn: &KnowledgeNetwork, r: Resource) -> Option<Arc<str>> {
         unpoison(kn.key_concepts.lock()).get(&r).cloned()
     }
 
