@@ -225,13 +225,14 @@ fn resource_vector(kn: &KnowledgeNetwork, r: Resource) -> Option<&SparseVector> 
     }
 }
 
-/// The PPR vector over the unified graph from the context seeds, or
-/// `None` when no seed is a graph node.
+/// The PPR vector over the unified graph from the context seeds and its
+/// maximum (at least `f64::MIN_POSITIVE`), or `None` when no seed is a
+/// graph node.
 fn graph_activation(
     kn: &KnowledgeNetwork,
     ppr_cache: &PprCache,
     ctx: &ActivityContext,
-) -> Option<Arc<Vec<f64>>> {
+) -> Option<(Arc<Vec<f64>>, f64)> {
     let g = &kn.unified;
     let mut seeds: HashMap<NodeId, f64> = HashMap::new();
     // lint:allow(determinism-taint) -- distinct keys hit distinct nodes; PPR sorts seeds
@@ -243,7 +244,9 @@ fn graph_activation(
     if seeds.is_empty() {
         return None;
     }
-    Some(ppr_cache.scores(&kn.unified_csr, &seeds, PprConfig::default()))
+    let ppr = ppr_cache.scores(&kn.unified_csr, &seeds, PprConfig::default());
+    let max = ppr.iter().cloned().fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
+    Some((ppr, max))
 }
 
 /// Context-aware search. `query` may be empty, in which case ranking is
@@ -268,15 +271,12 @@ pub fn search(
 ) -> Vec<SearchHit> {
     let qvec = kn.corpus.vectorize_known(query);
     let (qnorm, cnorm) = (qvec.norm(), ctx.vector.norm());
-    // Activation is the PPR score over its maximum, 0 off the graph.
+    // A resource's activation is its PPR score over the maximum, 0 off
+    // the graph; its node is found through one reused IRI buffer.
     let ppr = graph_activation(kn, ppr_cache, ctx);
-    let max = ppr
-        .as_ref()
-        .map_or(0.0, |p| p.iter().cloned().fold(0.0f64, f64::max))
-        .max(f64::MIN_POSITIVE);
     let mut iri = String::new();
     let mut activation = |r: Resource| -> f64 {
-        let Some(ppr) = &ppr else { return 0.0 };
+        let Some((ppr, max)) = &ppr else { return 0.0 };
         iri.clear();
         let _ = write!(iri, "{r}");
         match kn.unified.node(&iri).map(|n| ppr[n.index()]) {
@@ -298,7 +298,8 @@ pub fn search(
             let (q, c) = match resource_vector(kn, r) {
                 Some(v) => {
                     let vnorm = v.norm();
-                    (qvec.cosine_normed(qnorm, v, vnorm), ctx.vector.cosine_normed(cnorm, v, vnorm))
+                    let q = qvec.cosine_normed(qnorm, v, vnorm);
+                    (q, ctx.vector.cosine_normed(cnorm, v, vnorm))
                 }
                 None => (0.0, 0.0),
             };
@@ -307,7 +308,8 @@ pub fn search(
             (score > 0.0).then_some((r, score))
         })
         .collect();
-    let order = |x: &(Resource, f64), y: &(Resource, f64)| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0));
+    let order =
+        |x: &(Resource, f64), y: &(Resource, f64)| y.1.total_cmp(&x.1).then_with(|| x.0.cmp(&y.0));
     let k = cfg.common.top_k;
     if k < scored.len() {
         scored.select_nth_unstable_by(k, order);

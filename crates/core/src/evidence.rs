@@ -118,12 +118,12 @@ fn interest_tokens(user: &User) -> HashSet<String> {
     user.interests.iter().flat_map(|s| tokenize_filtered(s)).collect()
 }
 
-/// The papers `papers` cite, as a set.
-fn references(db: &HiveDb, papers: &[PaperId]) -> HashSet<PaperId> {
-    papers
-        .iter()
-        .flat_map(|&p| db.get_paper(p).map(|pp| pp.citations.clone()).unwrap_or_default())
-        .collect()
+/// Every citation `papers` make, one item per citation.
+fn citations<'a>(
+    db: &'a HiveDb,
+    papers: impl Iterator<Item = &'a PaperId> + 'a,
+) -> impl Iterator<Item = PaperId> + 'a {
+    papers.flat_map(move |&p| db.get_paper(p).map_or(&[][..], |x| &x.citations).iter().copied())
 }
 
 /// Sessions, papers and presentations the user checked into or viewed.
@@ -172,12 +172,9 @@ impl<'d> Side<'d> {
                 citing.citations.iter().filter_map(move |&c| Some((citing, db.get_paper(c).ok()?)))
             })
             .collect();
-        let refs = references(db, papers);
-        let ref_hops = refs
-            // lint:allow(determinism-taint) -- only counted
-            .iter()
-            .flat_map(|&mid| db.get_paper(mid).map(|p| p.citations.clone()).unwrap_or_default())
-            .collect();
+        let refs: HashSet<PaperId> = citations(db, papers.iter()).collect();
+        // lint:allow(determinism-taint) -- only counted
+        let ref_hops = citations(db, refs.iter()).collect();
         let confs: HashSet<ConferenceId> = db.conferences_of(a).into_iter().collect();
         let series = confs
             // lint:allow(determinism-taint) -- only the intersection count is used
@@ -350,16 +347,12 @@ fn evidence_with(db: &HiveDb, kn: &KnowledgeNetwork, side: &Side<'_>, b: UserId)
     // citation". Shared references count fully; 2-hop transitive chains
     // (a's paper cites X, X cites b's paper, either direction) count at
     // half weight.
-    let refs_b = references(db, papers_b);
+    let refs_b: HashSet<PaperId> = citations(db, papers_b.iter()).collect();
     let shared_refs = side.refs.intersection(&refs_b).count();
     let papers_b_set: HashSet<PaperId> = papers_b.iter().copied().collect();
     let transitive = side.ref_hops.iter().filter(|hop| papers_b_set.contains(hop)).count()
-        + refs_b
-            // lint:allow(determinism-taint) -- only counted
-            .iter()
-            .flat_map(|&mid| db.get_paper(mid).map(|p| p.citations.clone()).unwrap_or_default())
-            .filter(|hop| side.papers.contains(hop))
-            .count();
+        // lint:allow(determinism-taint) -- only counted
+        + citations(db, refs_b.iter()).filter(|hop| side.papers.contains(hop)).count();
     if shared_refs > 0 || transitive > 0 {
         let score = (0.15 * shared_refs as f64 + 0.075 * transitive as f64).min(0.7);
         let mut text = String::new();
