@@ -186,30 +186,7 @@ impl SimHarness {
                 report.crashes += 1;
             }
         }
-        let memo = hive.ppr().len();
-        if memo > PprCache::CAP {
-            report.violations.push(Violation {
-                step: cfg.steps,
-                checker: CheckerKind::Bound,
-                detail: format!("PPR memo holds {memo} entries, above its cap of {}", PprCache::CAP),
-            });
-        }
-        // The key-concept memo holds at most one entry per resource.
-        let concepts = hive.knowledge().key_concept_entries();
-        let db = hive.db();
-        let resources = db.paper_ids().len()
-            + db.presentation_ids().len()
-            + db.session_ids().len()
-            + db.user_ids().len();
-        if concepts > resources {
-            report.violations.push(Violation {
-                step: cfg.steps,
-                checker: CheckerKind::Bound,
-                detail: format!(
-                    "key-concept memo holds {concepts} entries for {resources} resources"
-                ),
-            });
-        }
+        check_bounds(&hive, cfg.steps, &mut report);
         report.steps_run = cfg.steps;
         report.ops_applied = stats.applied;
         report.ops_rejected = stats.rejected;
@@ -245,6 +222,7 @@ impl SimHarness {
         report: &mut SoakReport,
     ) -> Hive {
         let pre = oracle::fingerprint(&hive);
+        check_bounds(&hive, step, report);
         let json = match hive.db().to_json() {
             Ok(j) => j,
             Err(e) => {
@@ -381,5 +359,33 @@ impl SimHarness {
                 None => report.faults_skipped += 1,
             }
         }
+    }
+}
+
+/// The stated memo bounds: the PPR memo within [`PprCache::CAP`], and the
+/// key-concept memo within one entry per paper, presentation, session
+/// and user. Checked after each pre-crash fingerprint, whose searches and
+/// peer recommendations fill both memos, and at the end of the run.
+fn check_bounds(hive: &Hive, step: usize, report: &mut SoakReport) {
+    let memo = hive.ppr().len();
+    if memo > PprCache::CAP {
+        report.violations.push(Violation {
+            step,
+            checker: CheckerKind::Bound,
+            detail: format!("PPR memo holds {memo} entries, above its cap of {}", PprCache::CAP),
+        });
+    }
+    let concepts = hive.knowledge().key_concept_entries();
+    let db = hive.db();
+    let resources = db.paper_ids().len()
+        + db.presentation_ids().len()
+        + db.session_ids().len()
+        + db.user_ids().len();
+    if concepts > resources {
+        report.violations.push(Violation {
+            step,
+            checker: CheckerKind::Bound,
+            detail: format!("key-concept memo holds {concepts} entries for {resources} resources"),
+        });
     }
 }
