@@ -234,7 +234,12 @@ pub fn relationship_evidence(
 }
 
 /// Every evidence item between `side`'s user and `b`, strongest first.
-fn evidence_with(db: &HiveDb, kn: &KnowledgeNetwork, side: &Side<'_>, b: UserId) -> Vec<EvidenceItem> {
+fn evidence_with(
+    db: &HiveDb,
+    kn: &KnowledgeNetwork,
+    side: &Side<'_>,
+    b: UserId,
+) -> Vec<EvidenceItem> {
     let mut items = Vec::new();
     let (a, ua) = (side.id, side.user);
     let Ok(ub) = db.get_user(b) else {

@@ -56,7 +56,11 @@ impl SnippetContext {
 
 /// Extracts the best snippet of up to `cfg.max_sentences` consecutive
 /// sentences for the given context. Returns `None` for an empty document.
-pub fn extract_snippet(document: &str, context: &SnippetContext, cfg: SnippetConfig) -> Option<Snippet> {
+pub fn extract_snippet(
+    document: &str,
+    context: &SnippetContext,
+    cfg: SnippetConfig,
+) -> Option<Snippet> {
     let sents = sentences(document);
     if sents.is_empty() {
         return None;
