@@ -218,7 +218,10 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
         let hits: Vec<String> = hive
             .search(u, "tensor stream community detection", DiscoverConfig::default())
             .iter()
-            .map(|h| format!("{:?}={}:{}", h.resource, bits(h.score), h.title))
+            .map(|h| {
+                let (preview, concepts) = (&h.preview, h.key_concepts.join(","));
+                format!("{:?}={}:{}:{preview:?}:{concepts}", h.resource, bits(h.score), h.title)
+            })
             .collect();
         fp.push(format!("search:{}", u.iri()), hits.join("|"));
     }

@@ -154,7 +154,10 @@ fn epoch_battery(epoch: &Epoch) -> String {
         let hits: Vec<String> = epoch
             .search(u, "tensor stream community detection", DiscoverConfig::default())
             .into_iter()
-            .map(|h| format!("{}:{}", bits(h.score), h.title))
+            .map(|h| {
+                let (preview, concepts) = (&h.preview, h.key_concepts.join(","));
+                format!("{}:{}:{preview:?}:{concepts}", bits(h.score), h.title)
+            })
             .collect();
         out.push_str(&format!("\nsearch:{}={}", u.iri(), hits.join("|")));
         let digest = epoch.digest(u, Timestamp(0));
