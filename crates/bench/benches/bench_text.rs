@@ -88,8 +88,8 @@ fn bench_snippets() {
     report_header();
     for (paragraphs, n) in [(5usize, 100), (40, 20)] {
         let doc = long_document(paragraphs);
-        let context = SnippetContext::new(["tensor streams", "change detection"]);
         let samples = time_n(iters(n, 5), || {
+            let context = SnippetContext::new(["tensor streams", "change detection"]);
             std::hint::black_box(extract_snippet(&doc, &context, SnippetConfig::default()));
         });
         report(&format!("{paragraphs}_paragraphs"), &samples);

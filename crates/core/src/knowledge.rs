@@ -122,10 +122,8 @@ pub struct KnowledgeNetwork {
     pub session_vectors: Arc<HashMap<SessionId, SparseVector>>,
     /// Per-user content vectors (interests + authored papers).
     pub user_vectors: Arc<HashMap<UserId, SparseVector>>,
-    /// Each resource's ranked key phrases, filled on first use. A
-    /// phrase is stemmed alphanumeric tokens joined by spaces, so one
-    /// string per resource holds the list, a phrase to a line.
-    key_concepts: Arc<Mutex<HashMap<Resource, Arc<str>>>>,
+    /// Each resource's ranked key phrases, filled on first use.
+    key_concepts: Arc<Mutex<HashMap<Resource, Arc<[String]>>>>,
 }
 
 impl KnowledgeNetwork {
@@ -170,13 +168,12 @@ impl KnowledgeNetwork {
             // Extract outside the lock; a racing request extracts the
             // same list, and the first insert wins.
             let cfg = KeyphraseConfig { top_k: usize::MAX, ..Default::default() };
-            let ranked: Vec<String> =
+            let ranked: Arc<[String]> =
                 extract_keyphrases(text, cfg).into_iter().map(|kp| kp.phrase).collect();
-            let phrases: Arc<str> = ranked.join("\n").into();
             let mut memo = unpoison(self.key_concepts.lock());
-            Arc::clone(memo.entry(r).or_insert(phrases))
+            Arc::clone(memo.entry(r).or_insert(ranked))
         });
-        phrases.split_terminator('\n').take(k).map(str::to_string).collect()
+        phrases.iter().take(k).cloned().collect()
     }
 
     /// Number of resources whose key concepts are memoized: at most the
@@ -671,7 +668,7 @@ mod tests {
     }
 
     /// The memoized phrase list of `r`, if filled.
-    fn memo_entry(kn: &KnowledgeNetwork, r: Resource) -> Option<Arc<str>> {
+    fn memo_entry(kn: &KnowledgeNetwork, r: Resource) -> Option<Arc<[String]>> {
         unpoison(kn.key_concepts.lock()).get(&r).cloned()
     }
 
