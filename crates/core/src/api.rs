@@ -792,28 +792,31 @@ mod tests {
         }
     }
 
-    /// The served bits of the four context-ranked reads, pinned on the
-    /// small world: every user's search (default config and a wide one
-    /// with many key concepts), resource and peer recommendation, and an
-    /// explanation against the next user. One hash per read.
+    /// The served bits of the four context-ranked reads and of content
+    /// similarity, pinned on the small world: every user's search
+    /// (default config and a wide one with many key concepts), resource
+    /// and peer recommendation, an explanation against the next user, and
+    /// similar peers. One hash per read.
     #[test]
     fn served_read_bits_are_pinned() {
         // Recorded against the read path before the score-then-render
-        // rewrite; every change since must keep them.
-        const GOLDEN: [u64; 5] = [
+        // rewrite (similar_peers before it summed the user's norm once);
+        // every change since must keep them.
+        const GOLDEN: [u64; 6] = [
             0xa685_2866_8e03_d471, // search, default config
             0x2f23_e546_e036_bc89, // search, top 40 with 20 concepts per hit
             0x553c_e125_8ee7_0c4d, // recommend_resources
             0x6d1c_7591_3e88_c2a5, // recommend_peers
             0xe1b1_710b_c076_0601, // explain_relationship
+            0x6c5c_3741_bc2e_91e2, // similar_peers
         ];
         let h = hive();
         let users = h.db().user_ids();
         let mut rng = hive_rng::Rng::seed_from_u64(7);
         let wide = DiscoverConfig::defaults().with_top_k(40).with_concepts_per_hit(20);
-        let mut hashes: [Fnv; 5] = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
+        let mut hashes: [Fnv; 6] = std::array::from_fn(|_| Fnv(0xcbf2_9ce4_8422_2325));
         let mut kinds = std::collections::BTreeSet::new();
-        let (mut previews, mut concepts, mut paths) = (0, 0, 0);
+        let (mut previews, mut concepts, mut paths, mut similar) = (0, 0, 0, 0);
         for (i, &u) in users.iter().enumerate() {
             let query = crate::sim::topic_phrase(i % crate::sim::topic_count(), &mut rng);
             let hits = h.search(u, &query, DiscoverConfig::default());
@@ -845,9 +848,19 @@ mod tests {
             for p in &exp.paths {
                 hashes[4].str(p);
             }
+            let peers = h.similar_peers(u, 10);
+            hashes[5].len(peers.len());
+            similar += peers.len();
+            for (v, score) in peers {
+                hashes[5].str(&v.iri());
+                hashes[5].f64(score);
+            }
         }
         assert_eq!(kinds.len(), 12, "every evidence kind is covered: {kinds:?}");
-        assert!(previews > 0 && concepts > 0 && paths > 0, "{previews} {concepts} {paths}");
+        assert!(
+            previews > 0 && concepts > 0 && paths > 0 && similar > 0,
+            "{previews} {concepts} {paths} {similar}"
+        );
         assert_eq!(hashes.map(|f| f.0), GOLDEN, "served read bits moved");
     }
 

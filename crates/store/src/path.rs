@@ -217,7 +217,9 @@ fn dijkstra(
     best[src_row * layers] = 0.0;
     heap.push((HeapEntry { cost: 0.0, node: src }, src_row, 0usize));
     let mut found: Option<(usize, usize)> = None;
+    let mut pops = 0u64;
     while let Some((entry, row, hops)) = heap.pop() {
+        pops += 1;
         if entry.cost > best[row * layers + hops] {
             continue;
         }
@@ -248,6 +250,8 @@ fn dijkstra(
             }
         }
     }
+    hive_obs::count("store.path_query.searches", 1);
+    hive_obs::count("store.path_query.pops", pops);
     let (mut row, mut hops) = found?;
     // Reconstruct.
     let mut nodes = vec![view.node_at(row)];
@@ -474,6 +478,109 @@ mod tests {
             .run_on(&st, &view)
             .unwrap();
         assert!(directed.is_empty());
+    }
+
+    #[test]
+    fn each_search_counts_its_heap_pops() {
+        let st = diamond();
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            PathQuery::new(Term::iri("a"), Term::iri("d")).top_k(3).run(&st).unwrap();
+            let counts = hive_obs::snapshot();
+            // Yen: the first path a-b-d, its two spurs, then a-d's one spur.
+            assert_eq!(counts.counter("store.path_query.searches"), 4);
+            assert_eq!(counts.counter("store.path_query.pops"), 12);
+            hive_obs::reset();
+        });
+    }
+
+    /// FNV-1a over little-endian words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Every returned path's bits, pinned over seeded random stores:
+    /// 4-40 nodes, n-5n triples over 1-3 predicates, weights on the
+    /// `rel:*` export's grid of tenths in [0.5, 1] (half of them as the
+    /// co-author weight computes them), so equal-cost ties are common.
+    /// Queries mix k, hop budgets, directed and predicate-restricted
+    /// traversal, and unknown or equal endpoints, whose errors are
+    /// hashed too.
+    #[test]
+    fn ranked_path_bits_are_pinned() {
+        // Recorded against the search before hop dominance and O(1) row lookup.
+        const GOLDEN: u64 = 0x6b99_629a_9e75_5e9b;
+        const GRID: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+        let mut rng = hive_rng::Rng::seed_from_u64(18);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let (mut paths, mut errors) = (0usize, 0usize);
+        for _ in 0..400 {
+            let n: usize = rng.gen_range(4..=40);
+            let preds: usize = rng.gen_range(1..=3);
+            let mut st = TripleStore::new();
+            for _ in 0..rng.gen_range(n..=5 * n) {
+                let (s, o) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let p = rng.gen_range(0..preds);
+                let w = if rng.gen_bool(0.5) {
+                    GRID[rng.gen_range(0..GRID.len())]
+                } else {
+                    let count = f64::from(rng.gen_range(1..=6u32));
+                    (0.5 + 0.1 * count).min(1.0)
+                };
+                let node = |i: usize| Term::iri(format!("n{i}"));
+                st.insert(node(s), Term::iri(format!("p{p}")), node(o), w).unwrap();
+            }
+            let view = GraphView::build(&st);
+            for _ in 0..6 {
+                // Index n names a node the store does not hold.
+                let (s, o) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+                let mut q = PathQuery::new(Term::iri(format!("n{s}")), Term::iri(format!("n{o}")))
+                    .top_k([1, 2, 3, 5, 8][rng.gen_range(0..5usize)])
+                    .max_hops([1, 2, 3, 4, 6][rng.gen_range(0..5usize)]);
+                if rng.gen_bool(0.3) {
+                    q = q.directed();
+                }
+                if rng.gen_bool(0.3) {
+                    // p3 is never stored: a restriction to it alone finds nothing.
+                    let only = rng.gen_range(0..=preds);
+                    q = q.over_predicates(vec![Term::iri(format!("p{only}"))]);
+                }
+                match q.run_on(&st, &view) {
+                    Ok(found) => {
+                        h.word(found.len() as u64);
+                        for p in &found {
+                            paths += 1;
+                            h.word(p.nodes.len() as u64);
+                            for node in &p.nodes {
+                                h.word(u64::from(node.0));
+                            }
+                            for t in &p.triples {
+                                for id in [t.s, t.p, t.o] {
+                                    h.word(u64::from(id.0));
+                                }
+                                h.word(t.weight.to_bits());
+                            }
+                            h.word(p.score.to_bits());
+                        }
+                    }
+                    Err(e) => {
+                        errors += 1;
+                        for b in e.to_string().bytes() {
+                            h.word(u64::from(b));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(paths > 2_000 && errors > 100, "{paths} paths, {errors} errors");
+        assert_eq!(h.0, GOLDEN, "ranked path bits moved ({paths} paths, {errors} errors)");
     }
 
     #[test]
