@@ -19,7 +19,9 @@
 //!
 //! Both edge directions are materialized (reverse hops carry
 //! `forward = false`), so one view serves directed and undirected
-//! queries; per-query predicate filters apply at traversal time.
+//! queries; per-query predicate filters apply at traversal time. A dense
+//! term-id-to-row table, re-derived whenever the node array changes,
+//! makes [`GraphView::node_index`] one array read.
 
 use crate::dict::TermId;
 use crate::store::{DeltaOp, StoredTriple, TripleStore};
@@ -60,15 +62,22 @@ fn hop_cost(weight: f64) -> f64 {
 }
 
 /// Dictionary-encoded CSR adjacency snapshot of a [`TripleStore`],
-/// stamped with the generation it reflects. Node lookup is a binary
-/// search over the sorted node array (no hash map to keep in sync).
+/// stamped with the generation it reflects. Node lookup is one read of a
+/// dense term-id-to-row table (no hashing), derived from the sorted node
+/// array whenever that changes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GraphView {
     generation: u64,
     nodes: Vec<TermId>,
     off: Vec<u32>,
     edges: Vec<ViewEdge>,
+    /// `rows[t]` is the row of term id `t`, [`NO_ROW`] for a term
+    /// without edges; sized to one past the largest node id.
+    rows: Vec<u32>,
 }
+
+/// The row-table entry of a term that has no edges.
+const NO_ROW: u32 = u32::MAX;
 
 impl GraphView {
     /// Scans `store` once and flattens every resource-to-resource edge
@@ -103,7 +112,20 @@ impl GraphView {
             edges.extend(list);
             off.push(edges.len() as u32);
         }
-        GraphView { generation: store.generation(), nodes, off, edges }
+        let mut view =
+            GraphView { generation: store.generation(), nodes, off, edges, rows: Vec::new() };
+        view.index_rows();
+        view
+    }
+
+    /// Re-derives the term-id-to-row table from the node array: O(V),
+    /// less than one splice's shift of the edge array.
+    fn index_rows(&mut self) {
+        self.rows.clear();
+        self.rows.resize(self.nodes.last().map_or(0, |n| n.0 as usize + 1), NO_ROW);
+        for (i, n) in self.nodes.iter().enumerate() {
+            self.rows[n.0 as usize] = i as u32;
+        }
     }
 
     /// Patches this view in place with the store's delta suffix since
@@ -128,8 +150,7 @@ impl GraphView {
         if self.off.is_empty() {
             self.off.push(0); // a Default view is an empty zero-generation view
         }
-        let ops: Vec<DeltaOp> = ops.to_vec();
-        for op in ops {
+        for &op in ops {
             match op {
                 DeltaOp::Upsert { s, p, o, weight } => {
                     if !store.dict().resolve(o).map(Term::is_resource).unwrap_or(false) {
@@ -146,6 +167,7 @@ impl GraphView {
                 }
             }
         }
+        self.index_rows();
         self.generation = store.generation();
         hive_obs::count("store.view.delta", 1);
         true
@@ -224,7 +246,10 @@ impl GraphView {
     /// Dense row index of `n` in this view, if it has any edges. Rows
     /// are numbered `0..node_count()` in ascending term-id order.
     pub fn node_index(&self, n: TermId) -> Option<usize> {
-        self.nodes.binary_search(&n).ok()
+        match self.rows.get(n.0 as usize) {
+            Some(&row) if row != NO_ROW => Some(row as usize),
+            _ => None,
+        }
     }
 
     /// The term id of row `i` (inverse of [`GraphView::node_index`]).
@@ -259,6 +284,9 @@ impl GraphView {
         }
         if self.off != other.off {
             return Some("row offsets differ".to_string());
+        }
+        if self.rows != other.rows {
+            return Some("row tables differ".to_string());
         }
         for (i, (a, b)) in self.edges.iter().zip(&other.edges).enumerate() {
             let same = a.to == b.to
@@ -336,15 +364,35 @@ mod tests {
 
     #[test]
     fn apply_delta_handles_self_loops_and_row_removal() {
+        // Patches, then checks the view (row table included) against a
+        // cold build, and every term's row lookup against the node array.
+        fn patch(view: &mut GraphView, st: &TripleStore) {
+            assert!(view.apply_delta(st));
+            assert_eq!(view.bitwise_diff(&GraphView::build(st)), None);
+            for t in (0..st.dict().len() as u32).map(TermId) {
+                assert_eq!(view.node_index(t), view.nodes.binary_search(&t).ok(), "{t:?}");
+            }
+        }
+        let (x, y, z, w) = (Term::iri("x"), Term::iri("y"), Term::iri("z"), Term::iri("w"));
+        let rel = Term::iri("rel");
         let mut st = TripleStore::new();
-        st.insert(Term::iri("x"), Term::iri("rel"), Term::iri("y"), 0.5).unwrap();
+        st.insert(x.clone(), rel.clone(), y.clone(), 0.5).unwrap();
         let mut view = GraphView::build(&st);
-        st.insert(Term::iri("x"), Term::iri("rel"), Term::iri("x"), 0.4).unwrap();
-        st.remove(&Term::iri("x"), &Term::iri("rel"), &Term::iri("y"));
-        assert!(view.apply_delta(&st));
-        let rebuilt = GraphView::build(&st);
-        assert_eq!(view.bitwise_diff(&rebuilt), None);
+        st.insert(x.clone(), rel.clone(), x.clone(), 0.4).unwrap();
+        st.remove(&x, &rel, &y);
+        patch(&mut view, &st);
         assert_eq!(view.node_count(), 1, "y's row must vanish with its last hop");
+        // Rows x, z, w in id order; then z, the middle row, loses its hop.
+        st.insert(z.clone(), rel.clone(), w.clone(), 0.6).unwrap();
+        st.insert(x.clone(), rel.clone(), w.clone(), 0.7).unwrap();
+        patch(&mut view, &st);
+        st.remove(&z, &rel, &w);
+        patch(&mut view, &st);
+        assert_eq!(view.node_count(), 2, "z's middle row must vanish");
+        // y regains a hop, and with it a row between x and w.
+        st.insert(y.clone(), rel.clone(), w.clone(), 0.8).unwrap();
+        patch(&mut view, &st);
+        assert_eq!(view.node_count(), 3);
     }
 
     #[test]
