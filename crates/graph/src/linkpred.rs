@@ -36,12 +36,17 @@ pub fn jaccard(g: &Graph, u: NodeId, v: NodeId) -> f64 {
 }
 
 /// Adamic–Adar score: common neighbors weighted by inverse log-degree,
-/// so rare shared contacts count more than hubs.
+/// so rare shared contacts count more than hubs. The terms are summed in
+/// ascending node order, so the result's bits do not depend on the sets'
+/// storage order.
 pub fn adamic_adar(g: &Graph, u: NodeId, v: NodeId) -> f64 {
     let nu = neighbor_set(g, u);
     let nv = neighbor_set(g, v);
-    nu.intersection(&nv)
-        .map(|&z| {
+    let mut common: Vec<NodeId> = nu.intersection(&nv).copied().collect();
+    common.sort_unstable();
+    common
+        .into_iter()
+        .map(|z| {
             let deg = neighbor_set(g, z).len();
             if deg > 1 {
                 1.0 / (deg as f64).ln()
@@ -111,6 +116,27 @@ mod tests {
         }
         let after = adamic_adar(&g, u, v);
         assert!(after < base, "hubifying a shared neighbor lowers AA: {after} < {base}");
+    }
+
+    #[test]
+    fn adamic_adar_bits_repeat() {
+        // u and v share five neighbors, of degrees 2 to 6.
+        let mut g = Graph::new();
+        let u = g.add_node("u");
+        let v = g.add_node("v");
+        for i in 0..5 {
+            let z = g.add_node(format!("z{i}"));
+            g.add_undirected_edge(u, z, 1.0);
+            g.add_undirected_edge(v, z, 1.0);
+            for j in 0..i {
+                let leaf = g.add_node(format!("z{i}.{j}"));
+                g.add_undirected_edge(z, leaf, 1.0);
+            }
+        }
+        let first = adamic_adar(&g, u, v).to_bits();
+        for _ in 0..64 {
+            assert_eq!(adamic_adar(&g, u, v).to_bits(), first, "sum order moved the bits");
+        }
     }
 
     #[test]
