@@ -175,12 +175,21 @@ impl Hive {
     pub fn similar_peers(&self, user: UserId, k: usize) -> Vec<(UserId, f64)> {
         self.service(ServiceKind::SimilarPeers, |h| {
             let kn = h.knowledge();
+            // `KnowledgeNetwork::user_similarity` with the user's norm
+            // summed once: a user without a vector is similar to no one.
+            let Some(uv) = kn.user_vectors.get(&user) else {
+                return Vec::new();
+            };
+            let norm = uv.norm();
             let mut out: Vec<(UserId, f64)> = h
                 .db
                 .user_ids()
                 .into_iter()
                 .filter(|&v| v != user)
-                .map(|v| (v, kn.user_similarity(user, v)))
+                .filter_map(|v| {
+                    let vv = kn.user_vectors.get(&v)?;
+                    Some((v, uv.cosine_normed(norm, vv, vv.norm())))
+                })
                 .filter(|(_, s)| *s > 0.0)
                 .collect();
             out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
