@@ -227,7 +227,8 @@ fn dijkstra(
     // returned chain. On the `rel:*` export (weights are tenths in
     // [0.5, 1]) two prefix costs with different hop counts differ by at
     // least `HOP_EPSILON`, far above rounding, so adding a hop keeps that
-    // order, and the heap's total order pops the kept states as before.
+    // order, and the heap's total order pops the kept states in the order
+    // it would without the skip.
     let view = adj.view;
     let src_row = view.node_index(src)?; // edge-less source reaches nothing
     let layers = max_hops + 1;
@@ -568,7 +569,7 @@ mod tests {
                     q = q.directed();
                 }
                 if rng.gen_bool(0.3) {
-                    // p3 is never stored: a restriction to it alone finds nothing.
+                    // Index `preds` names a predicate the store does not hold.
                     let only = rng.gen_range(0..=preds);
                     q = q.over_predicates(vec![Term::iri(format!("p{only}"))]);
                 }
