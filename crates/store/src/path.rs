@@ -28,7 +28,7 @@ use crate::store::{StoredTriple, TripleStore};
 use crate::term::Term;
 use crate::view::{GraphView, ViewEdge};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A loop-free path through the triple graph, strongest-first ranked.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,10 +144,13 @@ impl PathQuery {
             .dict()
             .get(&self.target)
             .ok_or_else(|| StoreError::UnknownTerm(self.target.to_string()))?;
-        let pred_ids: Option<HashSet<TermId>> = if self.predicates.is_empty() {
+        let pred_ids: Option<Vec<TermId>> = if self.predicates.is_empty() {
             None
         } else {
-            Some(self.predicates.iter().filter_map(|p| store.dict().get(p)).collect())
+            let mut ids: Vec<TermId> =
+                self.predicates.iter().filter_map(|p| store.dict().get(p)).collect();
+            ids.sort_unstable();
+            Some(ids)
         };
         let trav = Traversal { view, preds: pred_ids, undirected: self.undirected };
         Ok(yen_top_k(&trav, src, dst, self.k, self.max_hops))
@@ -159,7 +162,8 @@ impl PathQuery {
 /// snapshot serves every query shape.
 struct Traversal<'a> {
     view: &'a GraphView,
-    preds: Option<HashSet<TermId>>,
+    /// Sorted predicate ids, searched per edge.
+    preds: Option<Vec<TermId>>,
     undirected: bool,
 }
 
@@ -167,7 +171,7 @@ impl Traversal<'_> {
     fn edges_at(&self, row: usize) -> impl Iterator<Item = &ViewEdge> + '_ {
         self.view.edges_of_index(row).iter().filter(move |e| {
             (self.undirected || e.forward)
-                && self.preds.as_ref().map_or(true, |ps| ps.contains(&e.triple.p))
+                && self.preds.as_ref().is_none_or(|ps| ps.binary_search(&e.triple.p).is_ok())
         })
     }
 }
@@ -613,7 +617,7 @@ mod tests {
             .run(&st)
             .unwrap();
         for p in &paths {
-            let uniq: HashSet<_> = p.nodes.iter().collect();
+            let uniq: std::collections::HashSet<_> = p.nodes.iter().collect();
             assert_eq!(uniq.len(), p.nodes.len(), "path has a loop: {:?}", p.nodes);
         }
     }
