@@ -175,12 +175,11 @@ impl Hive {
     pub fn similar_peers(&self, user: UserId, k: usize) -> Vec<(UserId, f64)> {
         self.service(ServiceKind::SimilarPeers, |h| {
             let kn = h.knowledge();
-            // `KnowledgeNetwork::user_similarity` with the user's norm
-            // summed once: a user without a vector is similar to no one.
+            // `KnowledgeNetwork::user_similarity`: a user without a
+            // vector is similar to no one.
             let Some(uv) = kn.user_vectors.get(&user) else {
                 return Vec::new();
             };
-            let norm = uv.norm();
             let mut out: Vec<(UserId, f64)> = h
                 .db
                 .user_ids()
@@ -188,7 +187,7 @@ impl Hive {
                 .filter(|&v| v != user)
                 .filter_map(|v| {
                     let vv = kn.user_vectors.get(&v)?;
-                    Some((v, uv.cosine_normed(norm, vv, vv.norm())))
+                    Some((v, uv.cosine(vv)))
                 })
                 .filter(|(_, s)| *s > 0.0)
                 .collect();

@@ -88,7 +88,7 @@ pub fn build_context(
     // from who you are even with an empty pad.
     seed(&mut seeds, user.iri(), 0.25 * cfg.workpad_weight);
     if let Some(uv) = kn.user_vectors.get(&user) {
-        vector.accumulate(uv, 0.25 * cfg.workpad_weight);
+        vector.accumulate(uv.vector(), 0.25 * cfg.workpad_weight);
     }
     // Active workpad items.
     if let Some(pad_id) = db.active_workpad_of(user) {
@@ -101,13 +101,13 @@ pub fn build_context(
                     WorkpadItem::UserAvatar(u) => {
                         seed(&mut seeds, u.iri(), w);
                         if let Some(v) = kn.user_vectors.get(&u) {
-                            vector.accumulate(v, w);
+                            vector.accumulate(v.vector(), w);
                         }
                     }
                     WorkpadItem::Paper(p) => {
                         seed(&mut seeds, p.iri(), w);
                         if let Some(v) = kn.paper_vectors.get(&p) {
-                            vector.accumulate(v, w);
+                            vector.accumulate(v.vector(), w);
                         }
                     }
                     WorkpadItem::Presentation(p) => {
@@ -116,13 +116,13 @@ pub fn build_context(
                             seed(&mut seeds, pres.session.iri(), 0.5 * w);
                         }
                         if let Some(v) = kn.presentation_vectors.get(&p) {
-                            vector.accumulate(v, w);
+                            vector.accumulate(v.vector(), w);
                         }
                     }
                     WorkpadItem::Session(s) => {
                         seed(&mut seeds, s.iri(), w);
                         if let Some(v) = kn.session_vectors.get(&s) {
-                            vector.accumulate(v, w);
+                            vector.accumulate(v.vector(), w);
                         }
                     }
                     WorkpadItem::Question(q) => {
@@ -169,18 +169,18 @@ pub fn build_context(
             ActivityEvent::CheckIn(s) => {
                 seed(&mut seeds, s.iri(), w);
                 if let Some(v) = kn.session_vectors.get(&s) {
-                    vector.accumulate(v, w);
+                    vector.accumulate(v.vector(), w);
                 }
             }
             ActivityEvent::ViewPaper(p) => {
                 seed(&mut seeds, p.iri(), w);
                 if let Some(v) = kn.paper_vectors.get(&p) {
-                    vector.accumulate(v, w);
+                    vector.accumulate(v.vector(), w);
                 }
             }
             ActivityEvent::ViewPresentation(p) => {
                 if let Some(v) = kn.presentation_vectors.get(&p) {
-                    vector.accumulate(v, w);
+                    vector.accumulate(v.vector(), w);
                 }
             }
             ActivityEvent::Follow(u) => seed(&mut seeds, u.iri(), 0.5 * w),
@@ -258,8 +258,8 @@ mod tests {
         assert!(ctx.seeds.contains_key(&sessions[1].iri()));
         // The graph-pad context is closer to the graph paper than the
         // tensor paper despite Zach's tensor interests.
-        let sim_graph = ctx.similarity(&kn.paper_vectors[&papers[1]]);
-        let sim_tensor = ctx.similarity(&kn.paper_vectors[&papers[0]]);
+        let sim_graph = ctx.similarity(kn.paper_vectors[&papers[1]].vector());
+        let sim_tensor = ctx.similarity(kn.paper_vectors[&papers[0]].vector());
         assert!(sim_graph > sim_tensor, "{sim_graph} > {sim_tensor}");
     }
 

@@ -16,11 +16,10 @@ use crate::context::ActivityContext;
 use crate::db::index::{DbIndexes, ResourceQuery};
 use crate::db::HiveDb;
 use crate::ids::{ConferenceId, PaperId, PresentationId, SessionId, UserId};
-use crate::knowledge::KnowledgeNetwork;
+use crate::knowledge::{ContentVector, KnowledgeNetwork};
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
 use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
-use hive_text::tfidf::SparseVector;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::sync::Arc;
@@ -216,7 +215,7 @@ fn resource_title(db: &HiveDb, r: Resource) -> String {
     }
 }
 
-fn resource_vector(kn: &KnowledgeNetwork, r: Resource) -> Option<&SparseVector> {
+fn resource_vector(kn: &KnowledgeNetwork, r: Resource) -> Option<&ContentVector> {
     match r {
         Resource::Paper(p) => kn.paper_vectors.get(&p),
         Resource::Presentation(p) => kn.presentation_vectors.get(&p),
@@ -296,11 +295,10 @@ pub fn search(
         .into_iter()
         .filter_map(|r| {
             let (q, c) = match resource_vector(kn, r) {
-                Some(v) => {
-                    let vnorm = v.norm();
-                    let q = qvec.cosine_normed(qnorm, v, vnorm);
-                    (q, ctx.vector.cosine_normed(cnorm, v, vnorm))
-                }
+                Some(v) => (
+                    qvec.cosine_normed(qnorm, v.vector(), v.norm()),
+                    ctx.vector.cosine_normed(cnorm, v.vector(), v.norm()),
+                ),
                 None => (0.0, 0.0),
             };
             let a = activation(r);

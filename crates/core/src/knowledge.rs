@@ -94,6 +94,39 @@ impl Default for FusionWeights {
     }
 }
 
+/// A TF-IDF content vector with its norm, summed once when the content
+/// layer is built. Content vectors change only when a structural delta
+/// rebuilds the network, and patched copies share them through the same
+/// `Arc`, so a comparison never re-sums a stored vector's norm.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ContentVector {
+    vector: SparseVector,
+    norm: f64,
+}
+
+impl ContentVector {
+    fn new(vector: SparseVector) -> Self {
+        let norm = vector.norm();
+        ContentVector { vector, norm }
+    }
+
+    /// The vector.
+    pub fn vector(&self) -> &SparseVector {
+        &self.vector
+    }
+
+    /// The vector's [`SparseVector::norm`].
+    pub fn norm(&self) -> f64 {
+        self.norm
+    }
+
+    /// [`SparseVector::cosine`] with both stored norms: the same
+    /// arithmetic on the same norms, so the same bits.
+    pub fn cosine(&self, other: &ContentVector) -> f64 {
+        self.vector.cosine_normed(self.norm, &other.vector, other.norm)
+    }
+}
+
 /// The derived knowledge network. Cloning it copies the unified layer
 /// and its CSR; the `Arc` layers are shared until a patch writes one,
 /// and the key-concept memo is shared for good.
@@ -115,13 +148,13 @@ pub struct KnowledgeNetwork {
     /// Content corpus over papers, presentations, sessions, and profiles.
     pub corpus: Arc<Corpus>,
     /// TF-IDF vectors per paper.
-    pub paper_vectors: Arc<HashMap<PaperId, SparseVector>>,
+    pub paper_vectors: Arc<HashMap<PaperId, ContentVector>>,
     /// TF-IDF vectors per presentation (slide text).
-    pub presentation_vectors: Arc<HashMap<PresentationId, SparseVector>>,
+    pub presentation_vectors: Arc<HashMap<PresentationId, ContentVector>>,
     /// TF-IDF vectors per session (title + topics).
-    pub session_vectors: Arc<HashMap<SessionId, SparseVector>>,
+    pub session_vectors: Arc<HashMap<SessionId, ContentVector>>,
     /// Per-user content vectors (interests + authored papers).
-    pub user_vectors: Arc<HashMap<UserId, SparseVector>>,
+    pub user_vectors: Arc<HashMap<UserId, ContentVector>>,
     /// Each resource's ranked key phrases, filled on first use.
     key_concepts: Arc<Mutex<HashMap<Resource, Arc<[String]>>>>,
 }
@@ -461,10 +494,10 @@ fn apply_unified_delta(g: &mut Graph, w: &FusionWeights, d: &DbDelta) {
 
 type ContentIndexes = (
     Corpus,
-    HashMap<PaperId, SparseVector>,
-    HashMap<PresentationId, SparseVector>,
-    HashMap<SessionId, SparseVector>,
-    HashMap<UserId, SparseVector>,
+    HashMap<PaperId, ContentVector>,
+    HashMap<PresentationId, ContentVector>,
+    HashMap<SessionId, ContentVector>,
+    HashMap<UserId, ContentVector>,
 );
 
 fn build_content(db: &HiveDb) -> ContentIndexes {
@@ -490,10 +523,10 @@ fn build_content(db: &HiveDb) -> ContentIndexes {
     fn weighted<K: Copy + std::hash::Hash + Eq>(
         corpus: &Corpus,
         tf: &HashMap<K, SparseVector>,
-    ) -> HashMap<K, SparseVector> {
+    ) -> HashMap<K, ContentVector> {
         let (keys, tfs): (Vec<K>, Vec<SparseVector>) =
             tf.iter().map(|(&k, v)| (k, v.clone())).unzip();
-        keys.into_iter().zip(corpus.tfidf_batch(&tfs)).collect()
+        keys.into_iter().zip(corpus.tfidf_batch(&tfs).into_iter().map(ContentVector::new)).collect()
     }
     let paper_vectors = weighted(&corpus, &paper_tf);
     let presentation_vectors = weighted(&corpus, &pres_tf);
@@ -506,12 +539,12 @@ fn build_content(db: &HiveDb) -> ContentIndexes {
         let mut v = corpus.vectorize(&profile);
         for p in db.papers_of(u) {
             if let Some(pv) = paper_vectors.get(p) {
-                v.accumulate(pv, 1.0);
+                v.accumulate(pv.vector(), 1.0);
             }
         }
         v.normalize();
         if !v.is_empty() {
-            user_vectors.insert(u, v);
+            user_vectors.insert(u, ContentVector::new(v));
         }
     }
     (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors)

@@ -245,15 +245,14 @@ pub fn predict_sessions(
         f.extend(db.following(user));
         f
     };
-    // The user's norm is summed once, not once per session.
-    let user_vec = kn.user_vectors.get(&user).map(|uv| (uv, uv.norm()));
+    let user_vec = kn.user_vectors.get(&user);
     let mut out: Vec<(SessionId, f64)> = db
         .session_ids()
         .into_iter()
         .filter(|s| !already.contains(s))
         .map(|s| {
             let content = match (user_vec, kn.session_vectors.get(&s)) {
-                (Some((uv, norm)), Some(sv)) => uv.cosine_normed(norm, sv, sv.norm()),
+                (Some(uv), Some(sv)) => uv.cosine(sv),
                 _ => 0.0,
             };
             let attending_friends = db

@@ -1092,7 +1092,11 @@ impl<'a> Parser<'a> {
                     while !self.eat_punct("}") && self.peek().is_some() {
                         let before = self.pos;
                         if self.eat_punct("..") {
-                            children.push(self.expr(true)); // base
+                            // `Foo { .. }` in a pattern (say, inside
+                            // `matches!`) has no base to parse.
+                            if !self.at_punct("}") {
+                                children.push(self.expr(true)); // base
+                            }
                         } else if self.peek().is_some_and(|t| t.kind == TokKind::Ident) {
                             let fseg = self.bump().map(|t| t.text.clone()).unwrap_or_default();
                             if self.eat_punct(":") {

@@ -75,6 +75,29 @@ mod tests {
     assert!(only(&diags, rules::NO_PANIC_PATHS).is_empty(), "{diags:?}");
 }
 
+/// A rest pattern `Foo { .. }` inside `matches!` once made the parser
+/// read past its closing brace, so a later `#[cfg(test)]` module's
+/// items lost their test flag and their panics were reported.
+#[test]
+fn r2_ast_keeps_test_modules_after_a_rest_pattern_in_a_macro() {
+    let mut cfg = WorkspaceConfig::default();
+    cfg.panic_free.insert("a".to_string());
+    let src = "\
+pub enum S { A { r: u8 }, B }
+pub fn is_a(s: &S) -> bool { matches!(s, S::A { .. }) }
+pub fn broken(x: Option<u8>) -> u8 { x.unwrap() }
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { Some(1u8).unwrap(); }
+}
+";
+    let diags = analyze(&cfg, &[("a/lib.rs", "a", src)]);
+    let panics = only(&diags, rules::NO_PANIC_PATHS);
+    assert_eq!(panics.len(), 1, "{diags:?}");
+    assert_eq!(panics[0].line, 3, "only the library unwrap");
+}
+
 /// The differential the AST migration buys: the token engine flags any
 /// `.expect(` textually, the AST engine resolves the receiver and
 /// exempts calls to the workspace's own `expect` methods. Both engines

@@ -33,8 +33,12 @@ impl Default for ClusterConfig {
 pub struct ClusterStats {
     /// Ops frames applied cleanly by followers.
     pub frames_applied: u64,
-    /// Checkpoint installs (bootstrap + re-sync).
+    /// Checkpoint installs (bootstrap + re-sync): checkpoints taken
+    /// by a follower that was waiting for one.
     pub checkpoints_installed: u64,
+    /// In-stream checkpoints a streaming follower verified against its
+    /// own generation.
+    pub checkpoints_verified: u64,
     /// Duplicated frames ignored.
     pub duplicates_ignored: u64,
     /// Ops frames dropped while a follower awaited re-sync.
@@ -95,7 +99,8 @@ impl Cluster {
                 // Bootstrap bypasses the fault plan: a deployment that
                 // cannot even hand its first checkpoint over is not a
                 // replication scenario.
-                tally(&mut stats, slot.follower.ingest(&wire));
+                let resyncing = slot.follower.needs_resync();
+                tally(&mut stats, resyncing, slot.follower.ingest(&wire));
             }
         }
         Cluster { leader, slots, cfg, stats }
@@ -138,7 +143,8 @@ impl Cluster {
                 slot.transport.send(wire);
             }
             for arrived in slot.transport.drain() {
-                tally(&mut self.stats, slot.follower.ingest(&arrived));
+                let resyncing = slot.follower.needs_resync();
+                tally(&mut self.stats, resyncing, slot.follower.ingest(&arrived));
             }
             hive_obs::gauge_set(
                 "replica.lag",
@@ -267,14 +273,44 @@ impl Cluster {
     }
 }
 
-fn tally(stats: &mut ClusterStats, outcome: Result<Ingest>) {
+/// Counts one ingest outcome. `Ingest::Checkpoint` means an install or
+/// a verification; `resyncing` (the follower's state before the ingest)
+/// tells them apart.
+fn tally(stats: &mut ClusterStats, resyncing: bool, outcome: Result<Ingest>) {
     match outcome {
         Ok(Ingest::Applied { .. }) => stats.frames_applied += 1,
-        Ok(Ingest::Checkpoint) => stats.checkpoints_installed += 1,
+        Ok(Ingest::Checkpoint) if resyncing => stats.checkpoints_installed += 1,
+        Ok(Ingest::Checkpoint) => stats.checkpoints_verified += 1,
         Ok(Ingest::Duplicate) => stats.duplicates_ignored += 1,
         Ok(Ingest::AwaitingResync) => stats.frames_awaiting_resync += 1,
         Err(ReplicaError::Gap { .. }) => stats.gaps += 1,
         Err(ReplicaError::Corrupt(_)) => stats.corrupt_frames += 1,
         Err(_) => stats.other_refusals += 1,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hive_core::sim::{SimConfig, WorldBuilder};
+
+    #[test]
+    fn checkpoint_installs_and_verifications_are_counted_apart() {
+        let db =
+            WorldBuilder::new(SimConfig { seed: 3, users: 8, ..SimConfig::small() }).build().db;
+        let (followers, every, commits) = (2u64, 4u64, 13u64);
+        let cfg = ClusterConfig { seed: 3, checkpoint_every: every, faults: FaultPlan::none() };
+        let mut cluster = Cluster::new(db, followers as usize, cfg);
+        for _ in 0..commits {
+            cluster.apply(ReplOp::AdvanceClock(1)).expect("the clock always advances");
+            cluster.commit();
+        }
+        let stats = cluster.stats();
+        assert_eq!(stats.frames_applied, followers * commits);
+        // The bootstrap is the only install; every cadence checkpoint
+        // reaches a streaming follower and is verified.
+        assert_eq!(stats.checkpoints_installed, followers);
+        assert_eq!(stats.checkpoints_verified, followers * (commits / every));
+        assert_eq!(stats.resync_checkpoints, 0);
     }
 }

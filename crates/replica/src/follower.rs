@@ -2,12 +2,13 @@
 //! deterministic state machine and serves epochs that are bit-identical
 //! to the leader's at the same sequence number.
 
-use crate::frame::{self, Frame, FramePayload, OpsBatch};
+use crate::frame::{self, Opened, OpsBatch, PayloadKind};
 use crate::ops;
 use crate::{ReplicaError, Result};
 use hive_core::persist::ReplicaCheckpoint;
 use hive_core::serve::{HiveServer, ReadHandle};
 use hive_core::Hive;
+use hive_json::FromJson;
 
 /// Where a follower is in the protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,31 +144,31 @@ impl Follower {
     /// re-sync and surface as typed errors; divergence marks it broken.
     /// Either way the replica's published epochs stay consistent — a
     /// failed ingest publishes nothing.
+    ///
+    /// The wire is opened header-first. A payload is parsed only to be
+    /// replayed (ops) or installed (a checkpoint while re-syncing); a
+    /// duplicate or an in-stream checkpoint is judged from its header.
     pub fn ingest(&mut self, wire: &str) -> Result<Ingest> {
         if let FollowerState::Broken { reason } = &self.state {
             return Err(ReplicaError::Broken(reason.clone()));
         }
-        let frame = match frame::decode(wire) {
+        let frame = match frame::open(wire) {
             Ok(f) => f,
-            Err(e) => {
-                hive_obs::count("replica.follower.corrupt", 1);
-                self.state = FollowerState::NeedsResync { reason: format!("corrupt frame: {e}") };
-                return Err(e);
-            }
+            Err(e) => return self.refuse_corrupt(e),
         };
-        match &frame.payload {
-            FramePayload::Checkpoint(cp) => self.ingest_checkpoint(&frame, cp),
-            FramePayload::Ops(batch) => self.ingest_ops(&frame, batch),
-        }
-    }
-
-    fn ingest_checkpoint(&mut self, frame: &Frame, cp: &ReplicaCheckpoint) -> Result<Ingest> {
         if frame.seq < self.next_seq {
             hive_obs::count("replica.follower.dup", 1);
             return Ok(Ingest::Duplicate);
         }
+        match frame.kind {
+            PayloadKind::Checkpoint => self.ingest_checkpoint(&frame),
+            PayloadKind::Ops => self.ingest_ops(&frame),
+        }
+    }
+
+    fn ingest_checkpoint(&mut self, frame: &Opened) -> Result<Ingest> {
         match &self.state {
-            FollowerState::NeedsResync { .. } => self.install_checkpoint(frame, cp),
+            FollowerState::NeedsResync { .. } => self.install_checkpoint(frame),
             FollowerState::Streaming => {
                 if frame.seq > self.next_seq {
                     return self.flag_gap(frame.seq);
@@ -193,7 +194,11 @@ impl Follower {
         }
     }
 
-    fn install_checkpoint(&mut self, frame: &Frame, cp: &ReplicaCheckpoint) -> Result<Ingest> {
+    fn install_checkpoint(&mut self, frame: &Opened) -> Result<Ingest> {
+        let cp: ReplicaCheckpoint = match parse_payload(frame) {
+            Ok(cp) => cp,
+            Err(e) => return self.refuse_corrupt(e),
+        };
         if cp.generation != frame.end_gen {
             return self.flag_divergence(
                 frame.seq,
@@ -203,7 +208,7 @@ impl Follower {
                 ),
             );
         }
-        match HiveServer::from_checkpoint(cp) {
+        match HiveServer::from_checkpoint(&cp) {
             Ok(server) => {
                 self.server = Some(server);
                 self.next_seq = frame.seq + 1;
@@ -220,17 +225,17 @@ impl Follower {
         }
     }
 
-    fn ingest_ops(&mut self, frame: &Frame, batch: &OpsBatch) -> Result<Ingest> {
-        if frame.seq < self.next_seq {
-            hive_obs::count("replica.follower.dup", 1);
-            return Ok(Ingest::Duplicate);
-        }
+    fn ingest_ops(&mut self, frame: &Opened) -> Result<Ingest> {
         if self.needs_resync() {
             return Ok(Ingest::AwaitingResync);
         }
         if frame.seq > self.next_seq {
             return self.flag_gap(frame.seq);
         }
+        let batch: OpsBatch = match parse_payload(frame) {
+            Ok(batch) => batch,
+            Err(e) => return self.refuse_corrupt(e),
+        };
         // The replay runs against a scoped borrow of the server; any
         // disagreement falls through to `flag_divergence` afterwards
         // (which needs `&mut self` again).
@@ -291,6 +296,12 @@ impl Follower {
         }
     }
 
+    fn refuse_corrupt(&mut self, e: ReplicaError) -> Result<Ingest> {
+        hive_obs::count("replica.follower.corrupt", 1);
+        self.state = FollowerState::NeedsResync { reason: format!("corrupt frame: {e}") };
+        Err(e)
+    }
+
     fn flag_gap(&mut self, got: u64) -> Result<Ingest> {
         let expected = self.next_seq;
         hive_obs::count("replica.follower.gap", 1);
@@ -304,5 +315,116 @@ impl Follower {
         hive_obs::count("replica.follower.diverged", 1);
         self.state = FollowerState::Broken { reason: detail.clone() };
         Err(ReplicaError::Diverged { seq, detail })
+    }
+}
+
+/// Parses a frame's payload: the only place a follower reads past a
+/// header.
+fn parse_payload<T: FromJson>(frame: &Opened) -> Result<T> {
+    hive_obs::count("replica.follower.payload_decodes", 1);
+    frame.parse()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{Frame, FramePayload};
+    use crate::{Leader, ReplOp};
+    use hive_core::sim::{SimConfig, WorldBuilder};
+    use hive_json::{Json, ToJson};
+    use hive_obs::Level;
+
+    fn leader() -> Leader {
+        let db =
+            WorldBuilder::new(SimConfig { seed: 4, users: 8, ..SimConfig::small() }).build().db;
+        Leader::new(db, 100)
+    }
+
+    /// Delivers the leader's next sealed frames to the follower.
+    fn ship(leader: &mut Leader, follower: &mut Follower, checkpoint: bool) -> Vec<Result<Ingest>> {
+        let frames = leader.seal_frames(checkpoint);
+        frames.iter().map(|f| follower.ingest(&frame::encode(f))).collect()
+    }
+
+    fn counter(name: &str) -> u64 {
+        hive_obs::snapshot().counter(name)
+    }
+
+    #[test]
+    fn resync_install_parses_the_checkpoint_payload() {
+        hive_obs::with_level(Level::Counts, || {
+            hive_obs::reset();
+            let mut leader = leader();
+            let mut follower = Follower::blank(0);
+            assert_eq!(ship(&mut leader, &mut follower, true), vec![Ok(Ingest::Checkpoint)]);
+            assert!(follower.is_streaming());
+            assert_eq!(counter("replica.follower.resync.install"), 1);
+            assert_eq!(counter("replica.follower.payload_decodes"), 1);
+            assert_eq!(counter("replica.follower.checkpoint.verified"), 0);
+            hive_obs::reset();
+        });
+    }
+
+    #[test]
+    fn in_stream_checkpoint_is_judged_from_its_header() {
+        hive_obs::with_level(Level::Counts, || {
+            let mut leader = leader();
+            let mut follower = Follower::blank(0);
+            ship(&mut leader, &mut follower, true);
+            hive_obs::reset();
+            leader.apply(ReplOp::AdvanceClock(1)).expect("the clock always advances");
+            // One ops frame, replayed, then an in-stream checkpoint.
+            let outcomes = ship(&mut leader, &mut follower, true);
+            assert_eq!(outcomes, vec![Ok(Ingest::Applied { ops: 1 }), Ok(Ingest::Checkpoint)]);
+            assert_eq!(counter("replica.follower.checkpoint.verified"), 1);
+            assert_eq!(counter("replica.follower.payload_decodes"), 1, "the ops frame only");
+            assert_eq!(follower.next_seq(), leader.next_seq());
+            hive_obs::reset();
+        });
+    }
+
+    /// The wire a version-1 build sent: the frame JSON, escaped into a
+    /// `{"crc","body"}` envelope with the checksum over the body.
+    fn version_1_wire(frame: &Frame) -> String {
+        let FramePayload::Ops(batch) = &frame.payload else {
+            panic!("an ops frame");
+        };
+        let body = Json::Obj(vec![
+            ("version".to_string(), Json::Int(1)),
+            ("seq".to_string(), frame.seq.to_json()),
+            ("start_gen".to_string(), frame.start_gen.to_json()),
+            ("end_gen".to_string(), frame.end_gen.to_json()),
+            ("payload".to_string(), Json::Obj(vec![("Ops".to_string(), batch.to_json())])),
+        ])
+        .render();
+        Json::Obj(vec![
+            ("crc".to_string(), Json::Str(format!("{:016x}", frame::fnv1a(body.as_bytes())))),
+            ("body".to_string(), Json::Str(body)),
+        ])
+        .render()
+    }
+
+    #[test]
+    fn version_1_wire_is_refused_as_corrupt() {
+        hive_obs::with_level(Level::Counts, || {
+            let mut leader = leader();
+            let mut follower = Follower::blank(0);
+            ship(&mut leader, &mut follower, true);
+            let published = follower.reader().expect("booted").epoch().generation();
+            hive_obs::reset();
+            leader.apply(ReplOp::AdvanceClock(1)).expect("the clock always advances");
+            let frames = leader.seal_frames(false);
+            let [ops_frame] = frames.as_slice() else {
+                panic!("one ops frame sealed");
+            };
+            let err = follower.ingest(&version_1_wire(ops_frame)).expect_err("v1 is refused");
+            assert!(matches!(err, ReplicaError::Corrupt(_)), "got {err:?}");
+            assert!(follower.needs_resync());
+            assert_eq!(counter("replica.follower.corrupt"), 1);
+            assert_eq!(counter("replica.follower.payload_decodes"), 0);
+            let now = follower.reader().expect("booted").epoch().generation();
+            assert_eq!(now, published, "a refused frame publishes nothing");
+            hive_obs::reset();
+        });
     }
 }

@@ -6,19 +6,37 @@
 //! them — the follower's cross-check oracle), or a full-snapshot
 //! checkpoint for bootstrap and gap/truncation recovery.
 //!
-//! The wire form wraps the frame JSON in an envelope with an FNV-1a
-//! checksum, so transport damage (the fault injector truncates and
-//! mangles frames on purpose) surfaces as a typed
-//! [`ReplicaError::Corrupt`] — never as a half-applied frame.
+//! The wire form is one plain-text header line followed by the
+//! payload's JSON exactly as rendered:
+//!
+//! ```text
+//! <checksum> <version> <seq> <start_gen> <end_gen> <ops|checkpoint>
+//! <payload JSON>
+//! ```
+//!
+//! The checksum is 16 lowercase hex digits of FNV-1a over every byte
+//! after it, so transport damage anywhere in the header or the payload
+//! (the fault injector truncates and mangles frames on purpose)
+//! surfaces as a typed [`ReplicaError::Corrupt`] — never as a
+//! half-applied frame. A receiver opens a wire header-first (`open`):
+//! the checksum and version are checked and the header parsed, while
+//! the payload stays text until the receiver parses it. [`decode`] is
+//! `open` plus that parse.
 
 use crate::ops::ReplOp;
-use crate::ReplicaError;
+use crate::{ReplicaError, Result};
 use hive_core::db::DbDelta;
 use hive_core::persist::ReplicaCheckpoint;
-use hive_json::Json;
+use hive_json::FromJson;
+use std::str::FromStr;
 
-/// Current frame format version; a mismatch refuses the frame.
-pub const FRAME_VERSION: u32 = 1;
+/// Current frame format version; a mismatch refuses the frame. A
+/// version-1 wire (the frame JSON escaped into a `{"crc","body"}`
+/// envelope) fails the checksum and is refused as corrupt.
+pub const FRAME_VERSION: u32 = 2;
+
+/// Hex digits of the checksum that opens every wire.
+const CHECKSUM_DIGITS: usize = 16;
 
 /// A batch of replicated operations plus the classified delta stream
 /// the leader journaled while applying them (one delta per generation
@@ -44,8 +62,6 @@ pub enum FramePayload {
     Checkpoint(ReplicaCheckpoint),
 }
 
-hive_json::impl_json_enum_payload!(FramePayload { Ops, Checkpoint });
-
 /// One slot of the replication log.
 #[derive(Clone, Debug)]
 pub struct Frame {
@@ -62,8 +78,6 @@ pub struct Frame {
     pub payload: FramePayload,
 }
 
-hive_json::impl_json_struct!(Frame { version, seq, start_gen, end_gen, payload });
-
 impl Frame {
     /// True for checkpoint frames.
     pub fn is_checkpoint(&self) -> bool {
@@ -71,7 +85,70 @@ impl Frame {
     }
 }
 
-/// 64-bit FNV-1a over the frame body bytes.
+/// A payload's kind, as the wire header names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PayloadKind {
+    /// An [`OpsBatch`].
+    Ops,
+    /// A [`ReplicaCheckpoint`].
+    Checkpoint,
+}
+
+impl PayloadKind {
+    fn label(self) -> &'static str {
+        match self {
+            PayloadKind::Ops => "ops",
+            PayloadKind::Checkpoint => "checkpoint",
+        }
+    }
+}
+
+impl FromStr for PayloadKind {
+    type Err = ();
+
+    fn from_str(label: &str) -> std::result::Result<Self, ()> {
+        match label {
+            "ops" => Ok(PayloadKind::Ops),
+            "checkpoint" => Ok(PayloadKind::Checkpoint),
+            _ => Err(()),
+        }
+    }
+}
+
+/// A wire whose checksum and version checked out and whose header is
+/// parsed. The payload is still text.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Opened<'a> {
+    /// Log sequence number.
+    pub(crate) seq: u64,
+    /// Leader generation before the frame's effects.
+    pub(crate) start_gen: u64,
+    /// Leader generation after the frame's effects.
+    pub(crate) end_gen: u64,
+    /// What the payload is.
+    pub(crate) kind: PayloadKind,
+    payload: &'a str,
+}
+
+impl Opened<'_> {
+    /// Parses the payload as `T`, which the caller picks from `kind`
+    /// ([`OpsBatch`] or [`ReplicaCheckpoint`]). A payload that does not
+    /// parse as `T` is [`ReplicaError::Corrupt`].
+    pub(crate) fn parse<T: FromJson>(&self) -> Result<T> {
+        hive_json::from_str(self.payload)
+            .map_err(|e| ReplicaError::Corrupt(format!("{} payload: {}", self.kind.label(), e.0)))
+    }
+
+    /// Parses the payload as the kind the header names.
+    fn payload(&self) -> Result<FramePayload> {
+        match self.kind {
+            PayloadKind::Ops => self.parse().map(FramePayload::Ops),
+            PayloadKind::Checkpoint => self.parse().map(FramePayload::Checkpoint),
+        }
+    }
+}
+
+/// 64-bit FNV-1a over the bytes.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -81,53 +158,96 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serializes a frame into its checksummed wire envelope:
-/// `{"crc":"<16 hex digits>","body":"<frame JSON>"}`.
-pub fn encode(frame: &Frame) -> String {
-    let body = hive_json::to_string(frame);
-    let crc = format!("{:016x}", fnv1a(body.as_bytes()));
-    Json::Obj(vec![
-        ("crc".to_string(), Json::Str(crc)),
-        ("body".to_string(), Json::Str(body)),
-    ])
-    .render()
+/// The checksum of `body` as written on the wire.
+fn checksum(body: &str) -> String {
+    format!("{:0width$x}", fnv1a(body.as_bytes()), width = CHECKSUM_DIGITS)
 }
 
-/// Parses and validates a wire envelope back into a frame. Any damage
-/// — unparseable envelope, checksum mismatch, unparseable body, or a
-/// version this build does not speak — is a typed
-/// [`ReplicaError::Corrupt`].
-pub fn decode(wire: &str) -> crate::Result<Frame> {
-    let envelope =
-        Json::parse(wire).map_err(|e| ReplicaError::Corrupt(format!("envelope: {}", e.0)))?;
-    let Json::Obj(pairs) = &envelope else {
-        return Err(ReplicaError::Corrupt("envelope is not an object".to_string()));
+/// Serializes a frame into its wire form: the header line, then the
+/// payload JSON as rendered. Counts the wire's length under
+/// `replica.frame.bytes.ops` or `replica.frame.bytes.checkpoint`.
+pub fn encode(frame: &Frame) -> String {
+    let (kind, payload, counter) = match &frame.payload {
+        FramePayload::Ops(batch) => {
+            (PayloadKind::Ops, hive_json::to_string(batch), "replica.frame.bytes.ops")
+        }
+        FramePayload::Checkpoint(cp) => {
+            (PayloadKind::Checkpoint, hive_json::to_string(cp), "replica.frame.bytes.checkpoint")
+        }
     };
-    let field = |name: &str| {
-        pairs
-            .iter()
-            .find_map(|(k, v)| (k == name).then_some(v))
-            .ok_or_else(|| ReplicaError::Corrupt(format!("envelope missing `{name}`")))
+    // The checksum opens the wire but covers everything after it, so
+    // its digits are written over a placeholder last.
+    let mut wire = format!(
+        "{:0width$} {} {} {} {} {}\n",
+        0,
+        frame.version,
+        frame.seq,
+        frame.start_gen,
+        frame.end_gen,
+        kind.label(),
+        width = CHECKSUM_DIGITS,
+    );
+    wire.push_str(&payload);
+    let crc = checksum(&wire[CHECKSUM_DIGITS..]);
+    wire.replace_range(..CHECKSUM_DIGITS, &crc);
+    hive_obs::count(counter, wire.len() as u64);
+    wire
+}
+
+/// Opens a wire header-first: checks the checksum over every byte
+/// after it, then the version, and parses the rest of the header. The
+/// payload is left as text. Any damage — a short wire, a checksum
+/// mismatch, a malformed header, or a version this build does not
+/// speak — is a typed [`ReplicaError::Corrupt`].
+pub(crate) fn open(wire: &str) -> Result<Opened<'_>> {
+    let corrupt = |what: &str| ReplicaError::Corrupt(format!("frame header: {what}"));
+    let (Some(crc), Some(rest)) = (wire.get(..CHECKSUM_DIGITS), wire.get(CHECKSUM_DIGITS..)) else {
+        return Err(corrupt("wire too short"));
     };
-    let crc = field("crc")?
-        .as_str()
-        .map_err(|e| ReplicaError::Corrupt(format!("crc: {}", e.0)))?;
-    let body = field("body")?
-        .as_str()
-        .map_err(|e| ReplicaError::Corrupt(format!("body: {}", e.0)))?;
-    let want = format!("{:016x}", fnv1a(body.as_bytes()));
+    let want = checksum(rest);
     if crc != want {
         return Err(ReplicaError::Corrupt(format!("checksum mismatch: {crc} != {want}")));
     }
-    let frame: Frame =
-        hive_json::from_str(body).map_err(|e| ReplicaError::Corrupt(format!("frame: {}", e.0)))?;
-    if frame.version != FRAME_VERSION {
+    let Some((header, payload)) = rest.split_once('\n') else {
+        return Err(corrupt("no end of line"));
+    };
+    let mut fields = header.strip_prefix(' ').ok_or_else(|| corrupt("no separator"))?.split(' ');
+    let version: u32 = field(&mut fields, "version")?;
+    if version != FRAME_VERSION {
         return Err(ReplicaError::Corrupt(format!(
-            "frame version {} (this build speaks {FRAME_VERSION})",
-            frame.version
+            "frame version {version} (this build speaks {FRAME_VERSION})"
         )));
     }
-    Ok(frame)
+    let seq = field(&mut fields, "seq")?;
+    let start_gen = field(&mut fields, "start_gen")?;
+    let end_gen = field(&mut fields, "end_gen")?;
+    let kind = field(&mut fields, "kind")?;
+    if fields.next().is_some() {
+        return Err(corrupt("trailing field"));
+    }
+    Ok(Opened { seq, start_gen, end_gen, kind, payload })
+}
+
+/// Parses the next header field as `T`.
+fn field<'a, T: FromStr>(fields: &mut impl Iterator<Item = &'a str>, name: &str) -> Result<T> {
+    fields
+        .next()
+        .and_then(|text| text.parse().ok())
+        .ok_or_else(|| ReplicaError::Corrupt(format!("frame header: bad or missing {name}")))
+}
+
+/// Opens a wire and parses its payload. Any damage to the header or the
+/// payload, or a payload that does not parse, is a typed
+/// [`ReplicaError::Corrupt`].
+pub fn decode(wire: &str) -> Result<Frame> {
+    let opened = open(wire)?;
+    Ok(Frame {
+        version: FRAME_VERSION,
+        seq: opened.seq,
+        start_gen: opened.start_gen,
+        end_gen: opened.end_gen,
+        payload: opened.payload()?,
+    })
 }
 
 #[cfg(test)]
@@ -183,11 +303,27 @@ mod tests {
                 "cut at {cut} must be corrupt"
             );
         }
-        // Interior damage that keeps the envelope parseable still trips
-        // the checksum.
-        let damaged = wire.replace("\\\"seq\\\":7", "\\\"seq\\\":8");
+        // Damage that keeps the header and the payload well-formed
+        // still trips the checksum: one header digit (the seq)...
+        let damaged = wire.replacen(" 7 40 42 ops\n", " 8 40 42 ops\n", 1);
         assert_ne!(damaged, wire, "replacement must hit");
         assert!(matches!(decode(&damaged), Err(ReplicaError::Corrupt(_))));
+        // ...and, separately, one payload byte.
+        let damaged = wire.replacen("\"AdvanceClock\":3", "\"AdvanceClock\":4", 1);
+        assert_ne!(damaged, wire, "replacement must hit");
+        assert!(matches!(decode(&damaged), Err(ReplicaError::Corrupt(_))));
+    }
+
+    #[test]
+    fn encode_counts_wire_bytes_by_kind() {
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            let wire = encode(&ops_frame());
+            let snap = hive_obs::snapshot();
+            assert_eq!(snap.counter("replica.frame.bytes.ops"), wire.len() as u64);
+            assert_eq!(snap.counter("replica.frame.bytes.checkpoint"), 0);
+            hive_obs::reset();
+        });
     }
 
     #[test]

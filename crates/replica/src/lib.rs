@@ -12,12 +12,19 @@
 //!   *and* the classified delta stream the leader journaled for them
 //!   (`start_gen..end_gen`), plus periodic full-snapshot checkpoint
 //!   frames for bootstrap and truncation recovery.
+//! * [`frame::encode`] writes a frame once: a checksummed plain-text
+//!   header (version, sequence, generation window, payload kind), then
+//!   the payload's JSON. A receiver opens the header first and parses
+//!   the payload only when it needs it.
 //! * [`Follower`]s replay the ops through their own facade — the same
 //!   deterministic mutators journal the identical delta stream, which
 //!   the follower cross-checks against the frame — then publish an
 //!   epoch, so reads served from a follower's
 //!   [`hive_core::serve::ReadHandle`] are bit-identical to the leader
-//!   at the same sequence number *by construction*.
+//!   at the same sequence number *by construction*. A streaming
+//!   follower checks an in-stream checkpoint's generation from its
+//!   header alone; only a re-syncing follower parses and installs the
+//!   snapshot.
 //! * The in-process [`Transport`] is the fault-injection point: it
 //!   drops, duplicates, reorders, and truncates frames deterministically
 //!   from a seed. Followers detect gaps and corruption, refuse with
