@@ -74,22 +74,23 @@ fn bench_cp() {
         std::hint::black_box(cp_als(&t, 3, 6, 1));
     });
     report("cp_als_rank3_iters6", &samples);
-    // Above the hive-par entry gate (2_048 nnz): the ALS sweeps fan the
-    // MTTKRP and row solves over the pool.
-    let big = random_tensor(100, 6_000, 6);
+    // Above par_reduce's size gate, so the t4 leg folds the MTTKRP and
+    // residual chunks on the pool.
+    let big = random_tensor(100, 12_000, 6);
+    assert!(big.nnz() >= hive_par::PAR_REDUCE_MIN_ITEMS, "{} entries", big.nnz());
     let n = iters(5, 2);
     let serial = time_n(n, || {
         hive_par::with_threads(1, || {
             std::hint::black_box(cp_als(&big, 3, 6, 1));
         });
     });
-    report("cp_als_6k_nnz_t1", &serial);
+    report("cp_als_10k_nnz_t1", &serial);
     let par = time_n(n, || {
         hive_par::with_threads(4, || {
             std::hint::black_box(cp_als(&big, 3, 6, 1));
         });
     });
-    report("cp_als_6k_nnz_t4", &par);
+    report("cp_als_10k_nnz_t4", &par);
     metric("cp_t4_vs_t1_speedup", mean(&serial) / mean(&par));
 }
 

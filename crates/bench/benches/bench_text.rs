@@ -3,9 +3,7 @@
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_text`
 
-use hive_bench::{
-    header, iters, mean, metric, report, report_header, time_n, write_json_fragment,
-};
+use hive_bench::{header, iters, report, report_header, time_n, write_json_fragment};
 use hive_rng::Rng;
 use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
 use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
@@ -50,25 +48,15 @@ fn bench_tfidf() {
         std::hint::black_box(corpus.vectorize_known(ABSTRACT));
     });
     report("vectorize_known", &samples);
-    // Whole-corpus re-weighting, the path the knowledge network build
-    // fans out over the pool.
+    // Whole-corpus re-weighting, what the knowledge network build does
+    // for each document arena.
     let tfs: Vec<_> = (0..200)
         .map(|i| corpus.vectorize_known(&format!("{ABSTRACT} variant {i}")))
         .collect();
-    let n = iters(20, 3);
-    let serial = time_n(n, || {
-        hive_par::with_threads(1, || {
-            std::hint::black_box(corpus.tfidf_batch(&tfs));
-        });
+    let samples = time_n(iters(20, 3), || {
+        std::hint::black_box(tfs.iter().map(|tf| corpus.tfidf(tf)).collect::<Vec<_>>());
     });
-    report("tfidf_batch_200_t1", &serial);
-    let par = time_n(n, || {
-        hive_par::with_threads(4, || {
-            std::hint::black_box(corpus.tfidf_batch(&tfs));
-        });
-    });
-    report("tfidf_batch_200_t4", &par);
-    metric("tfidf_t4_vs_t1_speedup", mean(&serial) / mean(&par));
+    report("tfidf_200_docs", &samples);
 }
 
 fn bench_keyphrases() {

@@ -548,9 +548,8 @@ pub fn combined_score(items: &[EvidenceItem]) -> f64 {
 
 /// [`relationship_evidence`] between `user` and every peer in `peers`,
 /// in `peers` order. `user`'s side of the evidence is derived once for
-/// the whole batch. Each pair is independent work for `par_map`, which
-/// runs batches under its 1,024-item cutoff serially: a peer
-/// recommendation scores 25 candidates by default.
+/// the whole batch; a peer recommendation scores 25 candidates by
+/// default.
 pub fn batch_relationship_evidence(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
@@ -558,7 +557,7 @@ pub fn batch_relationship_evidence(
     peers: &[UserId],
 ) -> Vec<Vec<EvidenceItem>> {
     match Side::of(db, user) {
-        Some(side) => hive_par::par_map(peers, |&peer| evidence_with(db, kn, &side, peer)),
+        Some(side) => peers.iter().map(|&peer| evidence_with(db, kn, &side, peer)).collect(),
         None => vec![Vec::new(); peers.len()],
     }
 }

@@ -518,15 +518,12 @@ fn build_content(db: &HiveDb) -> ContentIndexes {
         let Ok(session) = db.get_session(s) else { continue; };
         sess_tf.insert(s, corpus.index_document(&session.text()));
     }
-    // ...then weight, batching each arena through the parallel
-    // vectorizer (per-document TF-IDF is independent work).
+    // ...then weight each arena's documents against it.
     fn weighted<K: Copy + std::hash::Hash + Eq>(
         corpus: &Corpus,
         tf: &HashMap<K, SparseVector>,
     ) -> HashMap<K, ContentVector> {
-        let (keys, tfs): (Vec<K>, Vec<SparseVector>) =
-            tf.iter().map(|(&k, v)| (k, v.clone())).unzip();
-        keys.into_iter().zip(corpus.tfidf_batch(&tfs).into_iter().map(ContentVector::new)).collect()
+        tf.iter().map(|(&k, v)| (k, ContentVector::new(corpus.tfidf(v)))).collect()
     }
     let paper_vectors = weighted(&corpus, &paper_tf);
     let presentation_vectors = weighted(&corpus, &pres_tf);

@@ -24,7 +24,6 @@ use crate::ids::{SessionId, UserId};
 use crate::knowledge::KnowledgeNetwork;
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
-use hive_par::par_map;
 use std::collections::HashMap;
 
 /// How the two signals are blended (ablation axis for experiment E4).
@@ -194,8 +193,7 @@ pub fn recommend_peers(
         .filter(|s| *s > 0.0)
         .unwrap_or(1.0);
     // Blend with evidence, the expensive pass: the requester's side of
-    // the evidence is derived once for the whole pool, and a pool this
-    // size (25 by default) is far below `par_map`'s serial cutoff.
+    // the evidence is derived once for the whole pool.
     let peer_ids: Vec<UserId> = candidates.iter().map(|&(u, _)| u).collect();
     let evidence = batch_relationship_evidence(db, kn, user, &peer_ids);
     let mut scored: Vec<PeerRecommendation> = candidates
@@ -218,11 +216,8 @@ pub fn recommend_peers(
             .then_with(|| a.user.cmp(&b.user))
     });
     scored.truncate(cfg.common.top_k);
-    let predicted = par_map(&scored, |rec| {
-        predict_sessions(db, kn, rec.user, cfg.sessions_per_peer)
-    });
-    for (rec, sessions) in scored.iter_mut().zip(predicted) {
-        rec.likely_sessions = sessions;
+    for rec in &mut scored {
+        rec.likely_sessions = predict_sessions(db, kn, rec.user, cfg.sessions_per_peer);
     }
     scored
 }

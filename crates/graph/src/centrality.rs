@@ -2,13 +2,8 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::shortest::dijkstra;
-use hive_par::{par_map, par_reduce, with_threads};
+use hive_par::par_reduce;
 use hive_rng::{Rng, SliceRandom};
-
-/// Below this many sources the per-source sweeps stay serial; the gate
-/// depends only on input size, and hive-par's chunk-ordered merge keeps
-/// serial and parallel results bit-identical anyway.
-const PAR_SOURCE_THRESHOLD: usize = 16;
 
 /// Elementwise vector add, used to merge per-chunk score partials in
 /// chunk order.
@@ -29,26 +24,22 @@ pub fn degree_centrality(g: &Graph) -> Vec<f64> {
 /// Edge weights are treated as *costs*. Exact (all-sources) — prefer
 /// [`harmonic_centrality_sampled`] on large graphs.
 pub fn harmonic_centrality(g: &Graph) -> Vec<f64> {
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let one_source = |&u: &NodeId| -> f64 {
-        let dm = dijkstra(g, u);
-        g.nodes()
-            .filter(|&v| v != u)
-            .map(|v| {
-                let d = dm.distance(v);
-                if d.is_finite() && d > 0.0 {
-                    1.0 / d
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    };
-    if nodes.len() < PAR_SOURCE_THRESHOLD {
-        with_threads(1, || par_map(&nodes, one_source))
-    } else {
-        par_map(&nodes, one_source)
-    }
+    g.nodes()
+        .map(|u| {
+            let dm = dijkstra(g, u);
+            g.nodes()
+                .filter(|&v| v != u)
+                .map(|v| {
+                    let d = dm.distance(v);
+                    if d.is_finite() && d > 0.0 {
+                        1.0 / d
+                    } else {
+                        0.0
+                    }
+                })
+                .sum()
+        })
+        .collect()
 }
 
 /// Sampled approximation of *inbound* harmonic centrality.
@@ -57,9 +48,8 @@ pub fn harmonic_centrality(g: &Graph) -> Vec<f64> {
 /// `1/d(pivot, v)` into each reachable `v`, scaled by `n/samples`.
 pub fn harmonic_centrality_sampled(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     let n = g.node_count();
-    let mut scores = vec![0.0f64; n];
     if n == 0 || samples == 0 {
-        return scores;
+        return vec![0.0f64; n];
     }
     let mut pivots: Vec<NodeId> = g.nodes().collect();
     let mut rng = Rng::seed_from_u64(seed);
@@ -79,9 +69,7 @@ pub fn harmonic_centrality_sampled(g: &Graph, samples: usize, seed: u64) -> Vec<
         }
         acc
     };
-    let reduce = || par_reduce(&pivots, || vec![0.0f64; n], fold, merge_scores);
-    scores = if pivots.len() < PAR_SOURCE_THRESHOLD { with_threads(1, reduce) } else { reduce() };
-    scores
+    par_reduce(&pivots, || vec![0.0f64; n], fold, merge_scores)
 }
 
 /// Sampled betweenness centrality (Brandes' algorithm from `samples`
@@ -93,9 +81,8 @@ pub fn harmonic_centrality_sampled(g: &Graph, samples: usize, seed: u64) -> Vec<
 /// complementary signal to degree and harmonic centrality.
 pub fn betweenness_sampled(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
     let n = g.node_count();
-    let mut score = vec![0.0f64; n];
     if n == 0 || samples == 0 {
-        return score;
+        return vec![0.0f64; n];
     }
     let mut pivots: Vec<NodeId> = g.nodes().collect();
     let mut rng = Rng::seed_from_u64(seed);
@@ -137,9 +124,7 @@ pub fn betweenness_sampled(g: &Graph, samples: usize, seed: u64) -> Vec<f64> {
         }
         acc
     };
-    let reduce = || par_reduce(&pivots, || vec![0.0f64; n], fold, merge_scores);
-    score = if pivots.len() < PAR_SOURCE_THRESHOLD { with_threads(1, reduce) } else { reduce() };
-    score
+    par_reduce(&pivots, || vec![0.0f64; n], fold, merge_scores)
 }
 
 #[cfg(test)]

@@ -8,11 +8,8 @@
 
 use crate::csr::CsrView;
 use crate::graph::{Graph, NodeId};
-use hive_par::{chunk_len, par_map};
+use hive_par::chunk_len;
 use std::collections::HashMap;
-
-/// Below this many nodes the top-k scoring pass stays serial.
-const PAR_TOPK_THRESHOLD: usize = 4_096;
 
 /// Parameters for (personalized) PageRank.
 #[derive(Clone, Copy, Debug)]
@@ -141,15 +138,8 @@ pub fn top_k_excluding_seeds(
     cfg: PprConfig,
 ) -> Vec<(NodeId, f64)> {
     let scores = personalized_pagerank(g, seeds, cfg);
-    let mut ranked: Vec<(NodeId, f64)> = if g.node_count() >= PAR_TOPK_THRESHOLD {
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        par_map(&nodes, |&u| (u, scores[u.index()]))
-            .into_iter()
-            .filter(|(u, _)| !seeds.contains_key(u))
-            .collect()
-    } else {
-        g.nodes().filter(|n| !seeds.contains_key(n)).map(|n| (n, scores[n.index()])).collect()
-    };
+    let mut ranked: Vec<(NodeId, f64)> =
+        g.nodes().filter(|n| !seeds.contains_key(n)).map(|n| (n, scores[n.index()])).collect();
     // Bounded partial select: the comparator is a total order (NodeId
     // breaks exact-score ties), so selecting the k-th element and then
     // sorting only the kept prefix returns exactly what the old

@@ -1,35 +1,29 @@
 //! # hive-par — deterministic scoped worker pool
 //!
 //! All concurrency in the workspace flows through this crate (enforced
-//! by lint rule R6): a small set of data-parallel primitives built on
-//! `std::thread::scope`, designed so that **parallel output is
-//! bit-identical to serial output**.
+//! by lint rule R6). It has two primitives, both built on one worker
+//! loop over `std::thread::scope`:
 //!
-//! The determinism contract:
-//!
-//! * Work is split into **fixed chunks whose layout depends only on the
-//!   item count** (`chunk_len`), never on the worker count. Which
-//!   worker executes a chunk is scheduling noise; what each chunk
-//!   computes is not.
-//! * [`par_map`] / [`par_for_each_chunk`] / [`par_map_chunks_mut`]
-//!   write per-element / per-chunk results into pre-assigned slots, so
-//!   reassembly order is fixed.
-//! * [`par_reduce`] folds each chunk independently and merges the
-//!   partials **in chunk order** — and the serial fallback performs the
-//!   exact same chunked merge, so `HIVE_THREADS=1` and `HIVE_THREADS=64`
-//!   produce the same bits (floating-point association included).
 //! * [`par_tasks`] runs a handful of **coarse** independent tasks (file
 //!   scans, reader loops) — one dispatch unit per task, no chunking and
 //!   no item-count cutoff — returning results in input order.
+//! * [`par_reduce`] folds fixed chunks of a slice and merges the chunk
+//!   partials **in chunk order**. Its serial path performs the exact
+//!   same chunked merge, so `HIVE_THREADS=1` and `HIVE_THREADS=64`
+//!   produce the same bits (floating-point association included).
 //!
-//! Iterative kernels stay serial: hive-graph's PPR power iteration is one
-//! plain loop that uses [`chunk_len`] only to fix the order in which it
-//! folds its per-sweep sums.
+//! The determinism contract: the chunk layout depends only on the item
+//! count ([`chunk_len`]), never on the worker count, and results land
+//! in pre-assigned slots. Which worker executes a chunk is scheduling
+//! noise; what each chunk computes is not.
 //!
-//! ## Adaptive execution policy
+//! Small loops stay plain loops in their crates. hive-graph's PPR power
+//! iteration is one serial kernel that uses [`chunk_len`] only to fix
+//! the order in which it folds its per-sweep sums.
 //!
-//! Determinism makes the execution strategy a pure performance knob,
-//! and the pool exploits that in three ways:
+//! ## Execution policy
+//!
+//! Determinism makes the execution strategy a pure performance knob:
 //!
 //! * **Host clamp** — the effective worker count never exceeds
 //!   [`host_parallelism`], even under [`with_threads`]: requesting four
@@ -37,16 +31,15 @@
 //!   anyway and pay spawn + contention for nothing. Tests that must
 //!   exercise the pool machinery regardless of the host use
 //!   [`force_workers`].
-//! * **Per-primitive serial cutoff** — each primitive falls back to
-//!   its serial path below a profitability threshold (item counts too
-//!   small to amortize a scope spawn). The serial paths perform the
-//!   identical chunked merge, so the fallback is invisible in the
-//!   output bits; it is visible to observability as the
-//!   `par.serial_fallback` counter.
+//! * **One size gate** — [`par_reduce`] runs serial below
+//!   [`PAR_REDUCE_MIN_ITEMS`] items, too few to amortize a scope spawn.
+//!   Declining available workers is counted as `par.serial_fallback`;
+//!   every worker the loop starts is counted as `par.workers`, so an
+//!   obs report alone tells whether work reached the pool.
 //! * **Work-aware chunk sizing** — [`chunk_len`] keeps chunks at or
 //!   above [`MIN_CHUNK`] items (still a pure function of `n`), so
 //!   mid-sized inputs dispatch a handful of substantial chunks instead
-//!   of 64 slivers whose queue/lock traffic eats the speedup.
+//!   of 64 slivers whose queue traffic eats the speedup.
 //!
 //! Pool size comes from the `HIVE_THREADS` environment variable (read
 //! once), defaulting to `min(available_parallelism, 8)` and clamped to
@@ -70,17 +63,15 @@ pub const MAX_THREADS: usize = 256;
 pub const MAX_CHUNKS: usize = 64;
 
 /// Minimum items per chunk once an input is large enough to split.
-/// Chunks below this size cost more in queue/lock traffic than their
-/// work is worth; [`chunk_len`] never goes below `MIN_CHUNK.min(n)`.
+/// Chunks below this size cost more in queue traffic than their work
+/// is worth; [`chunk_len`] never goes below `MIN_CHUNK.min(n)`.
 pub const MIN_CHUNK: usize = 256;
 
-/// Serial cutoffs: below these item counts the primitive's serial path
-/// beats spawning a scope. Each is calibrated to the primitive's
-/// per-item overhead profile (element closures for map, chunk folds
-/// for reduce).
-const MAP_SERIAL_CUTOFF: usize = 1_024;
-const CHUNKED_SERIAL_CUTOFF: usize = 1_024;
-const REDUCE_SERIAL_CUTOFF: usize = 2_048;
+/// [`par_reduce`] runs serial below this many items. Calibrated on
+/// CP-ALS, the one reduction big enough to use the pool: an ALS sweep
+/// spawns several scopes per iteration, and below 8,192 tensor entries
+/// the spawns cost more than the MTTKRP folds they split.
+pub const PAR_REDUCE_MIN_ITEMS: usize = 8_192;
 
 static POOL_SIZE: OnceLock<usize> = OnceLock::new();
 static HOST: OnceLock<usize> = OnceLock::new();
@@ -191,34 +182,18 @@ fn unlock<T>(slot: Mutex<T>) -> T {
 }
 
 /// Pins nested parallel calls inside worker closures to serial, so a
-/// mapped function that itself uses hive-par does not oversubscribe.
+/// task that itself uses hive-par does not oversubscribe.
 fn pin_serial() {
     OVERRIDE.with(|c| c.set(Some(Override { n: 1, forced: true })));
 }
 
-/// The per-primitive serial gate. True when the pool is already pinned
-/// serial or the item count is below the primitive's profitability
-/// cutoff; in the latter case (workers were available but declined)
-/// the decision is recorded as `par.serial_fallback`. Serial paths
-/// replicate the chunked merge, so this only moves time, never bits.
-fn below_cutoff(t: usize, n: usize, cutoff: usize) -> bool {
-    if t <= 1 {
-        return true;
-    }
-    if n <= cutoff {
-        hive_obs::count("par.serial_fallback", 1);
-        return true;
-    }
-    false
-}
-
 /// Carries the caller's observability level into scoped workers and
 /// collects the named counters and gauges they record, so
-/// per-operation counts (store scans inside a `par_map` closure, say)
-/// survive the scope join. Both harvested kinds merge commutatively —
-/// counters by sum, gauges by max — so totals and peaks are identical
-/// for any worker count or chunk scheduling; spans opened inside
-/// workers stay worker-local and are deliberately dropped.
+/// per-operation counts (store scans inside a task, say) survive the
+/// scope join. Both harvested kinds merge commutatively — counters by
+/// sum, gauges by max — so totals and peaks are identical for any
+/// worker count or scheduling; spans opened inside workers stay
+/// worker-local and are deliberately dropped.
 struct ObsHarvest {
     level: hive_obs::Level,
     sink: Mutex<Vec<(String, u64)>>,
@@ -274,80 +249,50 @@ impl ObsHarvest {
     }
 }
 
-/// Records the shared entry counters for one pool primitive: the call
-/// itself, items submitted, fixed chunks dispatched, and the tail
-/// slack (how many item slots the last chunk leaves idle — the
-/// chunk-imbalance measure for a fixed layout).
-fn count_dispatch(primitive: &str, n_items: usize) {
-    hive_obs::count(&format!("par.{primitive}.calls"), 1);
-    hive_obs::count(&format!("par.{primitive}.items"), n_items as u64);
-    let chunks = chunk_count(n_items);
-    hive_obs::count("par.chunks", chunks as u64);
-    if chunks > 0 {
-        let slack = chunks * chunk_len(n_items) - n_items;
-        hive_obs::count("par.chunk_slack", slack as u64);
-    }
-}
-
-/// Applies `f` to every element, in parallel over fixed chunks, and
-/// returns the results in input order. Element results are independent,
-/// so output is identical for any worker count.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+/// The one worker loop: runs `job(i)` for every `i` in `0..n` on up to
+/// `t` scoped workers, which pull indices from a shared counter, and
+/// returns the results in index order. Workers run with nested calls
+/// pinned serial and their counters and gauges harvested; each started
+/// worker counts once as `par.workers`.
+fn run_workers<U, J>(t: usize, n: usize, job: J) -> Vec<U>
 where
-    T: Sync,
     U: Send,
-    F: Fn(&T) -> U + Sync,
+    J: Fn(usize) -> U + Sync,
 {
-    count_dispatch("map", items.len());
-    let t = threads();
-    if below_cutoff(t, items.len(), MAP_SERIAL_CUTOFF) {
-        return items.iter().map(f).collect();
-    }
-    let chunks: Vec<&[T]> = items.chunks(chunk_len(items.len())).collect();
-    let results: Vec<Mutex<Vec<U>>> = chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
+    let workers = t.min(n);
+    hive_obs::count("par.workers", workers as u64);
+    let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let harvest = ObsHarvest::new();
-    let f = &f;
-    let chunks_ref = &chunks;
-    let results_ref = &results;
-    let next_ref = &next;
-    let harvest_ref = &harvest;
     thread::scope(|s| {
-        for _ in 0..t.min(chunks.len()) {
-            s.spawn(move || {
+        for _ in 0..workers {
+            s.spawn(|| {
                 pin_serial();
-                harvest_ref.enter_worker();
+                harvest.enter_worker();
                 loop {
-                    let ci = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if ci >= chunks_ref.len() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    let out: Vec<U> = chunks_ref[ci].iter().map(f).collect();
-                    lock_set(&results_ref[ci], out);
+                    lock_set(&slots[i], Some(job(i)));
                 }
-                harvest_ref.exit_worker();
+                harvest.exit_worker();
             });
         }
     });
     harvest.merge();
-    let mut out = Vec::with_capacity(items.len());
-    for slot in results {
-        out.extend(unlock(slot));
-    }
-    out
+    slots.into_iter().filter_map(unlock).collect()
 }
 
 /// Runs `f(index, &item)` once per item, in parallel, and returns the
-/// results **in input order**. Unlike [`par_map`] there is no
-/// item-count cutoff: tasks are coarse by contract — a whole file
-/// scan, a reader loop, a writer loop — so even two of them are worth
-/// a scope spawn. Each task is its own dispatch unit (no chunking),
-/// pulled by workers from a shared index queue; results land in
-/// pre-assigned slots so reassembly never depends on scheduling.
+/// results **in input order**. There is no item-count cutoff: tasks
+/// are coarse by contract — a whole file scan, a reader loop, a writer
+/// loop — so even two of them are worth a scope spawn. Each task is its
+/// own dispatch unit (no chunking).
 ///
 /// The serial path (one worker, or a single task) runs the tasks in
-/// index order on the caller thread — identical output, by the same
-/// argument as the other primitives.
+/// index order on the caller thread — identical output, since each
+/// result lands in its own slot either way.
 pub fn par_tasks<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -355,150 +300,23 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     let n = items.len();
-    hive_obs::count("par.tasks.calls", 1);
-    hive_obs::count("par.tasks.items", n as u64);
     let t = threads();
     if t <= 1 || n <= 1 {
-        if t > 1 && n <= 1 {
+        if t > 1 {
             hive_obs::count("par.serial_fallback", 1);
         }
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let harvest = ObsHarvest::new();
-    let f = &f;
-    let items_ref = items;
-    let slots_ref = &slots;
-    let next_ref = &next;
-    let harvest_ref = &harvest;
-    thread::scope(|s| {
-        for _ in 0..t.min(n) {
-            s.spawn(move || {
-                pin_serial();
-                harvest_ref.enter_worker();
-                loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= items_ref.len() {
-                        break;
-                    }
-                    let out = f(i, &items_ref[i]);
-                    lock_set(&slots_ref[i], Some(out));
-                }
-                harvest_ref.exit_worker();
-            });
-        }
-    });
-    harvest.merge();
-    slots.into_iter().filter_map(unlock).collect()
-}
-
-/// Runs `f(offset, chunk)` over fixed mutable chunks of `data`, in
-/// parallel. Chunks are disjoint, so any worker count writes the same
-/// bytes.
-pub fn par_for_each_chunk<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    count_dispatch("for_each_chunk", n);
-    if n == 0 {
-        return;
-    }
-    let chunk = chunk_len(n);
-    let t = threads();
-    if below_cutoff(t, n, CHUNKED_SERIAL_CUTOFF) {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            f(ci * chunk, c);
-        }
-        return;
-    }
-    let queue = Mutex::new(data.chunks_mut(chunk).enumerate());
-    let harvest = ObsHarvest::new();
-    let f = &f;
-    let queue = &queue;
-    let harvest_ref = &harvest;
-    thread::scope(|s| {
-        for _ in 0..t.min(chunk_count(n)) {
-            s.spawn(move || {
-                pin_serial();
-                harvest_ref.enter_worker();
-                loop {
-                    let job = match queue.lock() {
-                        Ok(mut q) => q.next(),
-                        Err(poisoned) => poisoned.into_inner().next(),
-                    };
-                    match job {
-                        Some((ci, c)) => f(ci * chunk, c),
-                        None => break,
-                    }
-                }
-                harvest_ref.exit_worker();
-            });
-        }
-    });
-    harvest.merge();
-}
-
-/// Like [`par_for_each_chunk`] but each chunk also produces a value;
-/// the values come back **in chunk order**. This is the workhorse for
-/// fused passes: write a disjoint output chunk and return the chunk's
-/// partial statistics (delta, mass, ...) in one parallel region.
-pub fn par_map_chunks_mut<T, U, F>(data: &mut [T], f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T]) -> U + Sync,
-{
-    let n = data.len();
-    count_dispatch("map_chunks_mut", n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = chunk_len(n);
-    let t = threads();
-    if below_cutoff(t, n, CHUNKED_SERIAL_CUTOFF) {
-        return data.chunks_mut(chunk).enumerate().map(|(ci, c)| f(ci * chunk, c)).collect();
-    }
-    let slots: Vec<Mutex<Option<U>>> = (0..chunk_count(n)).map(|_| Mutex::new(None)).collect();
-    let queue = Mutex::new(data.chunks_mut(chunk).enumerate());
-    let harvest = ObsHarvest::new();
-    let f = &f;
-    let queue = &queue;
-    let slots_ref = &slots;
-    let harvest_ref = &harvest;
-    thread::scope(|s| {
-        for _ in 0..t.min(chunk_count(n)) {
-            s.spawn(move || {
-                pin_serial();
-                harvest_ref.enter_worker();
-                loop {
-                    let job = match queue.lock() {
-                        Ok(mut q) => q.next(),
-                        Err(poisoned) => poisoned.into_inner().next(),
-                    };
-                    match job {
-                        Some((ci, c)) => {
-                            let out = f(ci * chunk, c);
-                            lock_set(&slots_ref[ci], Some(out));
-                        }
-                        None => break,
-                    }
-                }
-                harvest_ref.exit_worker();
-            });
-        }
-    });
-    harvest.merge();
-    slots.into_iter().filter_map(unlock).collect()
+    run_workers(t, n, |i| f(i, &items[i]))
 }
 
 /// Chunked reduction: folds each fixed chunk with `fold` starting from
 /// `init()`, then merges the chunk partials **in chunk order** with
-/// `merge`. The serial path performs the identical chunked merge, so
-/// the result (floating-point association included) never depends on
-/// the worker count. Returns `init()` for empty input.
+/// `merge`. Below [`PAR_REDUCE_MIN_ITEMS`] items the chunks are folded
+/// on the caller thread; above it they go through the worker loop. The
+/// chunks and the merge are the same either way, so the result
+/// (floating-point association included) never depends on the worker
+/// count. Returns `init()` for empty input.
 pub fn par_reduce<T, A, I, F, M>(items: &[T], init: I, fold: F, merge: M) -> A
 where
     T: Sync,
@@ -508,50 +326,19 @@ where
     M: Fn(A, A) -> A,
 {
     let n = items.len();
-    count_dispatch("reduce", n);
-    if n == 0 {
-        return init();
-    }
-    let chunk = chunk_len(n);
+    let chunks = items.chunks(chunk_len(n));
+    let fold_chunk = |chunk: &[T]| chunk.iter().fold(init(), &fold);
     let t = threads();
-    let partials: Vec<A> = if below_cutoff(t, n, REDUCE_SERIAL_CUTOFF) {
-        items.chunks(chunk).map(|c| c.iter().fold(init(), &fold)).collect()
+    let partials: Vec<A> = if t > 1 && n >= PAR_REDUCE_MIN_ITEMS {
+        let chunks: Vec<&[T]> = chunks.collect();
+        run_workers(t, chunks.len(), |ci| fold_chunk(chunks[ci]))
     } else {
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        let slots: Vec<Mutex<Option<A>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let harvest = ObsHarvest::new();
-        let init = &init;
-        let fold = &fold;
-        let chunks = &chunks;
-        let slots_ref = &slots;
-        let next_ref = &next;
-        let harvest_ref = &harvest;
-        thread::scope(|s| {
-            for _ in 0..t.min(chunks.len()) {
-                s.spawn(move || {
-                    pin_serial();
-                    harvest_ref.enter_worker();
-                    loop {
-                        let ci = next_ref.fetch_add(1, Ordering::Relaxed);
-                        if ci >= chunks.len() {
-                            break;
-                        }
-                        let acc = chunks[ci].iter().fold(init(), fold);
-                        lock_set(&slots_ref[ci], Some(acc));
-                    }
-                    harvest_ref.exit_worker();
-                });
-            }
-        });
-        harvest.merge();
-        slots.into_iter().filter_map(unlock).collect()
+        if t > 1 {
+            hive_obs::count("par.serial_fallback", 1);
+        }
+        chunks.map(fold_chunk).collect()
     };
-    let mut iter = partials.into_iter();
-    match iter.next() {
-        Some(first) => iter.fold(first, merge),
-        None => init(),
-    }
+    partials.into_iter().reduce(merge).unwrap_or_else(init)
 }
 
 #[cfg(test)]
@@ -566,6 +353,18 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64
             })
             .collect()
+    }
+
+    /// Runs `f` at `Level::Counts` on a fresh registry and returns its
+    /// result with the snapshot it left.
+    fn counted<R>(f: impl FnOnce() -> R) -> (R, hive_obs::Registry) {
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            let out = f();
+            let snap = hive_obs::snapshot();
+            hive_obs::reset();
+            (out, snap)
+        })
     }
 
     #[test]
@@ -614,16 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_matches_serial_map() {
-        let items: Vec<u64> = (0..4099).collect();
-        let serial = with_threads(1, || par_map(&items, |&x| x * x + 1));
-        let parallel = force_workers(4, || par_map(&items, |&x| x * x + 1));
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), items.len());
-        assert_eq!(serial[10], 101);
-    }
-
-    #[test]
     fn par_reduce_is_bit_identical_across_thread_counts() {
         let xs = lcg(42, 10_001);
         let sum = |t: usize| {
@@ -636,110 +425,103 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_chunk_covers_every_element_once() {
-        let mut data = vec![0u32; 4099];
-        force_workers(4, || {
-            par_for_each_chunk(&mut data, |offset, chunk| {
-                for (i, v) in chunk.iter_mut().enumerate() {
-                    *v += (offset + i) as u32;
-                }
-            });
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u32);
-        }
-    }
-
-    #[test]
-    fn par_map_chunks_mut_returns_partials_in_chunk_order() {
-        let mut data: Vec<f64> = lcg(7, 2048);
-        let expect = data.clone();
-        let partials = force_workers(4, || {
-            par_map_chunks_mut(&mut data, |offset, chunk| {
-                let s: f64 = chunk.iter().sum();
-                (offset, s)
+    fn par_reduce_merges_partials_in_chunk_order() {
+        // Each chunk's partial is its first item; the merge concatenates,
+        // so the result lists the chunk starts in the order merged.
+        let n = 20_000;
+        let items: Vec<usize> = (0..n).collect();
+        let (starts, snap) = counted(|| {
+            force_workers(4, || {
+                par_reduce(
+                    &items,
+                    Vec::new,
+                    |mut acc: Vec<usize>, &x| {
+                        if acc.is_empty() {
+                            acc.push(x);
+                        }
+                        acc
+                    },
+                    |mut a, b| {
+                        a.extend(b);
+                        a
+                    },
+                )
             })
         });
-        assert_eq!(partials.len(), chunk_count(expect.len()));
-        let mut prev = None;
-        for (offset, _) in &partials {
-            assert!(prev.map_or(true, |p: usize| p < *offset));
-            prev = Some(*offset);
-        }
-        let total: f64 = partials.iter().map(|&(_, s)| s).sum();
-        let serial_total: f64 = expect
-            .chunks(chunk_len(expect.len()))
-            .map(|c| c.iter().sum::<f64>())
-            .sum();
-        assert_eq!(total.to_bits(), serial_total.to_bits());
+        let expect: Vec<usize> = (0..chunk_count(n)).map(|ci| ci * chunk_len(n)).collect();
+        assert_eq!(starts, expect);
+        assert_eq!(snap.counter("par.workers"), 4, "the chunks ran on the pool");
     }
 
     #[test]
     fn nested_parallel_calls_are_pinned_serial() {
-        let items: Vec<u32> = (0..2_000).collect();
+        let items: Vec<u32> = (0..8).collect();
         let out = force_workers(4, || {
-            par_map(&items, |&x| {
-                // Inside a worker the pool pins nested calls to serial.
-                let inner: Vec<u32> = par_map(&[x], |&y| y + threads() as u32);
-                inner[0]
-            })
+            // Inside a worker the pool pins nested calls to serial.
+            par_tasks(&items, |_, &x| x + threads() as u32)
         });
-        assert_eq!(out, (1..2_001).collect::<Vec<u32>>());
+        assert_eq!(out, (1..9).collect::<Vec<u32>>());
     }
 
     #[test]
     fn worker_counters_are_harvested_across_thread_counts() {
-        let items: Vec<u64> = (0..3_000).collect();
+        let items: Vec<u64> = (0..10_000).collect();
         let run = |t: usize| {
-            hive_obs::with_level(hive_obs::Level::Counts, || {
-                hive_obs::reset();
+            let (sum, snap) = counted(|| {
                 force_workers(t, || {
-                    par_map(&items, |&x| {
-                        hive_obs::count("test.work", 1);
-                        x
-                    })
-                });
-                let snap = hive_obs::snapshot();
-                let r = (snap.counter("test.work"), snap.counter("par.map.items"));
-                hive_obs::reset();
-                r
-            })
+                    par_reduce(
+                        &items,
+                        || 0u64,
+                        |a, &x| {
+                            hive_obs::count("test.work", 1);
+                            a + x
+                        },
+                        |a, b| a + b,
+                    )
+                })
+            });
+            (sum, snap.counter("test.work"), snap.counter("par.workers"))
         };
         // Worker-side counts survive the scope join and match serial.
-        assert_eq!(run(1), (3_000, 3_000));
-        assert_eq!(run(4), (3_000, 3_000));
+        assert_eq!(run(1), (49_995_000, 10_000, 0));
+        assert_eq!(run(4), (49_995_000, 10_000, 4));
     }
 
     #[test]
     fn small_inputs_fall_back_to_serial_and_count_it() {
-        let items: Vec<u64> = (0..100).collect();
-        hive_obs::with_level(hive_obs::Level::Counts, || {
-            hive_obs::reset();
-            // Workers available, but 100 items are below the map cutoff:
-            // the pool declines them and records the decision.
-            let out = force_workers(4, || par_map(&items, |&x| x + 1));
-            assert_eq!(out, (1..101).collect::<Vec<u64>>());
-            let snap = hive_obs::snapshot();
-            assert_eq!(snap.counter("par.serial_fallback"), 1);
-            hive_obs::reset();
-            // With one worker the serial path is the only path — no
-            // fallback is recorded because nothing was declined.
-            with_threads(1, || par_map(&items, |&x| x + 1));
-            let snap = hive_obs::snapshot();
-            assert_eq!(snap.counter("par.serial_fallback"), 0);
-            hive_obs::reset();
-        });
+        let sum = |n: u64| {
+            let items: Vec<u64> = (0..n).collect();
+            par_reduce(&items, || 0, |a, &x| a + x, |a, b| a + b)
+        };
+        // Workers available, but one item short of the gate: the pool
+        // declines the input and records the decision.
+        let below = PAR_REDUCE_MIN_ITEMS as u64 - 1;
+        let (out, snap) = counted(|| force_workers(4, || sum(below)));
+        assert_eq!(out, below * (below - 1) / 2);
+        assert_eq!(snap.counter("par.serial_fallback"), 1);
+        assert_eq!(snap.counter("par.workers"), 0);
+        // At the gate the chunks reach the workers.
+        let (_, snap) = counted(|| force_workers(4, || sum(below + 1)));
+        assert_eq!(snap.counter("par.serial_fallback"), 0);
+        assert_eq!(snap.counter("par.workers"), 4);
+        // With one worker the serial path is the only path — no
+        // fallback is recorded because nothing was declined.
+        let (_, snap) = counted(|| with_threads(1, || sum(below + 1)));
+        assert_eq!(snap.counter("par.serial_fallback"), 0);
+        assert_eq!(snap.counter("par.workers"), 0);
     }
 
     #[test]
     fn par_tasks_preserves_input_order_even_for_tiny_inputs() {
-        // Two items is below every chunked primitive's cutoff, but
-        // par_tasks still dispatches them to real workers.
+        // Four items is far below par_reduce's gate, but par_tasks
+        // still dispatches them to real workers.
         let items: Vec<u64> = (0..4).collect();
         let serial = with_threads(1, || par_tasks(&items, |i, &x| (i, x * 10)));
-        let parallel = force_workers(4, || par_tasks(&items, |i, &x| (i, x * 10)));
+        let (parallel, snap) =
+            counted(|| force_workers(4, || par_tasks(&items, |i, &x| (i, x * 10))));
         assert_eq!(serial, parallel);
         assert_eq!(serial, vec![(0, 0), (1, 10), (2, 20), (3, 30)]);
+        assert_eq!(snap.counter("par.workers"), 4);
         let empty: Vec<u64> = Vec::new();
         assert!(force_workers(2, || par_tasks(&empty, |i, &x| (i, x))).is_empty());
     }
@@ -747,17 +529,14 @@ mod tests {
     #[test]
     fn worker_gauges_are_harvested_by_max() {
         let items: Vec<u64> = (0..6).collect();
-        hive_obs::with_level(hive_obs::Level::Counts, || {
-            hive_obs::reset();
+        let (_, snap) = counted(|| {
             force_workers(3, || {
                 par_tasks(&items, |_, &x| {
                     hive_obs::gauge_max("test.peak", x);
                     x
                 })
-            });
-            let snap = hive_obs::snapshot();
-            assert_eq!(snap.gauge("test.peak"), 5, "peak survives the scope join");
-            hive_obs::reset();
+            })
         });
+        assert_eq!(snap.gauge("test.peak"), 5, "peak survives the scope join");
     }
 }

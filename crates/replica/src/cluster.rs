@@ -133,7 +133,7 @@ impl Cluster {
         }
         let frames = self.leader.seal_frames(resync_wanted);
         let wires: Vec<String> = frames.iter().map(frame::encode).collect();
-        for slot in &mut self.slots {
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
             if slot.down {
                 // Frames shipped at a crashed follower are simply lost;
                 // the restart path re-syncs from a checkpoint anyway.
@@ -146,14 +146,9 @@ impl Cluster {
                 let resyncing = slot.follower.needs_resync();
                 tally(&mut self.stats, resyncing, slot.follower.ingest(&arrived));
             }
-            hive_obs::gauge_set(
-                "replica.lag",
-                slot.follower.lag(self.leader.next_seq()),
-            );
-            hive_obs::gauge_max(
-                "replica.lag.max",
-                slot.follower.lag(self.leader.next_seq()),
-            );
+            let lag = slot.follower.lag(self.leader.next_seq());
+            hive_obs::gauge_set(&format!("replica.follower.{idx}.lag"), lag);
+            hive_obs::gauge_max("replica.lag.max", lag);
         }
     }
 
@@ -312,5 +307,35 @@ mod tests {
         assert_eq!(stats.checkpoints_installed, followers);
         assert_eq!(stats.checkpoints_verified, followers * (commits / every));
         assert_eq!(stats.resync_checkpoints, 0);
+    }
+
+    #[test]
+    fn each_follower_reports_its_own_lag() {
+        let db =
+            WorldBuilder::new(SimConfig { seed: 3, users: 8, ..SimConfig::small() }).build().db;
+        let cfg = ClusterConfig { seed: 5, checkpoint_every: 8, faults: FaultPlan::drops(0.5) };
+        let mut cluster = Cluster::new(db, 2, cfg);
+        let mut commits_with_differing_lags = 0;
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            for _ in 0..24 {
+                cluster.apply(ReplOp::AdvanceClock(1)).expect("the clock always advances");
+                cluster.commit();
+                let snap = hive_obs::snapshot();
+                let next_seq = cluster.leader().next_seq();
+                let lags: Vec<u64> = (0..2)
+                    .map(|i| cluster.follower(i).expect("two followers").lag(next_seq))
+                    .collect();
+                for (i, lag) in lags.iter().enumerate() {
+                    assert_eq!(snap.gauge(&format!("replica.follower.{i}.lag")), *lag);
+                }
+                assert!(snap.gauge("replica.lag.max") >= lags[0].max(lags[1]));
+                if lags[0] != lags[1] {
+                    commits_with_differing_lags += 1;
+                }
+            }
+            hive_obs::reset();
+        });
+        assert!(commits_with_differing_lags > 0, "the drops never split the followers' lags");
     }
 }

@@ -141,12 +141,12 @@ impl Transport {
             self.stats.truncated += 1;
             hive_obs::count("replica.transport.truncate", 1);
         }
-        self.queue.push_back(delivered.clone());
         if dup {
-            self.queue.push_back(delivered);
+            self.queue.push_back(delivered.clone());
             self.stats.duplicated += 1;
             hive_obs::count("replica.transport.dup", 1);
         }
+        self.queue.push_back(delivered);
         if reorder && self.queue.len() >= 2 {
             let last = self.queue.len() - 1;
             self.queue.swap(last, last - 1);

@@ -6,17 +6,8 @@
 //! well conditioned.
 
 use crate::tensor::SparseTensor;
-use hive_par::{par_map, par_reduce, with_threads};
+use hive_par::par_reduce;
 use hive_rng::Rng;
-
-/// Below this many observed entries an ALS sweep stays serial — the
-/// scoped-pool spawn would cost more than the sweep. The gate depends
-/// only on tensor size, and hive-par's chunk-ordered merges keep serial
-/// and parallel results bit-identical regardless. Calibrated against
-/// the `cp_t4_vs_t1` bench: an ALS sweep spawns several scopes per
-/// iteration, so it needs a larger tensor than a single fused pass to
-/// amortize them.
-const PAR_ENTRY_THRESHOLD: usize = 8_192;
 
 /// A rank-R CP model of a 3-mode tensor.
 #[derive(Clone, Debug)]
@@ -151,7 +142,6 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
         .iter()
         .map(|(idx, v)| ([idx[0], idx[1], idx[2]], v))
         .collect();
-    let small = entries.len() < PAR_ENTRY_THRESHOLD;
     let merge_mats = |mut a: Vec<Vec<f64>>, b: Vec<Vec<f64>>| {
         for (ra, rb) in a.iter_mut().zip(b) {
             for (x, y) in ra.iter_mut().zip(rb) {
@@ -160,52 +150,43 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
         }
         a
     };
-    let sweep = |factors: &mut [Vec<Vec<f64>>; 3]| {
-        for _ in 0..iters {
-            for mode in 0..3 {
-                let (m1, m2) = match mode {
-                    0 => (1, 2),
-                    1 => (0, 2),
-                    _ => (0, 1),
-                };
-                // MTTKRP: M[i_mode][r] += x * F1[i_m1][r] * F2[i_m2][r],
-                // folded per fixed entry chunk, partial matrices merged
-                // in chunk order.
-                let f1s = &factors[m1];
-                let f2s = &factors[m2];
-                let mttkrp = par_reduce(
-                    &entries,
-                    || vec![vec![0.0; rank]; dims[mode]],
-                    |mut acc, &([i, j, k], x)| {
-                        let coords = [i, j, k];
-                        let row = &mut acc[coords[mode]];
-                        let f1 = &f1s[coords[m1]];
-                        let f2 = &f2s[coords[m2]];
-                        for r in 0..rank {
-                            row[r] += x * f1[r] * f2[r];
-                        }
-                        acc
-                    },
-                    merge_mats,
-                );
-                let g = hadamard(&gram(&factors[m1], rank), &gram(&factors[m2], rank));
-                // Each row's normal equations are independent.
-                factors[mode] = par_map(&mttkrp, |row| solve_spd(&g, row));
-            }
+    for _ in 0..iters {
+        for mode in 0..3 {
+            let (m1, m2) = match mode {
+                0 => (1, 2),
+                1 => (0, 2),
+                _ => (0, 1),
+            };
+            // MTTKRP: M[i_mode][r] += x * F1[i_m1][r] * F2[i_m2][r],
+            // folded per fixed entry chunk, partial matrices merged in
+            // chunk order.
+            let f1s = &factors[m1];
+            let f2s = &factors[m2];
+            let mttkrp = par_reduce(
+                &entries,
+                || vec![vec![0.0; rank]; dims[mode]],
+                |mut acc, &([i, j, k], x)| {
+                    let coords = [i, j, k];
+                    let row = &mut acc[coords[mode]];
+                    let f1 = &f1s[coords[m1]];
+                    let f2 = &f2s[coords[m2]];
+                    for r in 0..rank {
+                        row[r] += x * f1[r] * f2[r];
+                    }
+                    acc
+                },
+                merge_mats,
+            );
+            let g = hadamard(&gram(&factors[m1], rank), &gram(&factors[m2], rank));
+            factors[mode] = mttkrp.iter().map(|row| solve_spd(&g, row)).collect();
         }
-    };
-    if small {
-        with_threads(1, || sweep(&mut factors));
-    } else {
-        sweep(&mut factors);
     }
     let model = CpModel { factors, rank, residual: 0.0 };
     let sq_err = |acc: f64, &([i, j, k], x): &([usize; 3], f64)| {
         let d = x - model.reconstruct(i, j, k);
         acc + d * d
     };
-    let resid = || par_reduce(&entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
-    let residual = if small { with_threads(1, resid) } else { resid() };
+    let residual = par_reduce(&entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
     CpModel { residual, ..model }
 }
 

@@ -17,7 +17,7 @@ pub enum CheckerKind {
     Recovery,
     /// A corrupted snapshot was mishandled (panic or silent load).
     Fault,
-    /// Parallel-vs-serial or cached-vs-fresh answers diverged.
+    /// The same question answered two ways diverged.
     Differential,
     /// A memo held more than its stated bound.
     Bound,
@@ -66,13 +66,11 @@ pub struct HarnessConfig {
     /// Run the differential oracles every this many steps (0 = only at
     /// crash points).
     pub diff_every: usize,
-    /// Worker count for the parallel side of the differential oracle.
-    pub threads: usize,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
-        HarnessConfig { seed: 42, steps: 120, crash_points: 3, users: 14, diff_every: 25, threads: 4 }
+        HarnessConfig { seed: 42, steps: 120, crash_points: 3, users: 14, diff_every: 25 }
     }
 }
 
@@ -206,7 +204,7 @@ impl SimHarness {
         }
         let (a, b) = (users[ai], users[bi]);
         report.diff_checks += 1;
-        for detail in oracle::differential_check(hive, probe, (a, b), self.cfg.threads) {
+        for detail in oracle::differential_check(hive, probe, (a, b)) {
             report.violations.push(Violation { step, checker: CheckerKind::Differential, detail });
         }
     }

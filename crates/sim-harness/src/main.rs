@@ -8,7 +8,7 @@ use hive_sim_harness::{
 };
 
 const USAGE: &str = "usage: hive-sim-harness [--seed N] [--steps M] [--crashes K] \
-[--users U] [--diff-every D] [--threads T] [--serve-readers R] [--followers F] \
+[--users U] [--diff-every D] [--serve-readers R] [--followers F] \
 [--faults none|all|drop|dup|reorder|truncate] [--sweep S]\n\
   --serve-readers R additionally runs the N-reader x 1-writer serving soak with R readers\n\
   --followers F additionally runs the replication soak with F log-shipped followers\n\
@@ -36,7 +36,6 @@ fn parse_config() -> Result<(HarnessConfig, u64, usize, usize, FaultMenu), Strin
             "--crashes" => cfg.crash_points = parse_flag(&arg, args.next())? as usize,
             "--users" => cfg.users = parse_flag(&arg, args.next())? as usize,
             "--diff-every" => cfg.diff_every = parse_flag(&arg, args.next())? as usize,
-            "--threads" => cfg.threads = (parse_flag(&arg, args.next())? as usize).max(2),
             "--serve-readers" => serve_readers = parse_flag(&arg, args.next())? as usize,
             "--followers" => followers = parse_flag(&arg, args.next())? as usize,
             "--faults" => {

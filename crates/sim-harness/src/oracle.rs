@@ -269,11 +269,6 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
 /// Differential oracles: the same questions asked two ways must agree
 /// bit-for-bit.
 ///
-/// * **parallel vs serial** — the knowledge network (its TF-IDF batch
-///   vectorization runs through `hive-par`) and a PPR sweep are built
-///   under 1 worker and under `threads` workers
-///   ([`hive_par::force_workers`] bypasses the host clamp so the
-///   parallel leg stays parallel even on a single-core host).
 /// * **cached vs fresh** — the facade's generation-cached relationship
 ///   store/view against a from-scratch export and
 ///   [`GraphView::build`].
@@ -282,36 +277,9 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
 ///   far, against a cold platform built from a clone of the same
 ///   database; the full fingerprint battery must match bit-for-bit.
 // lint:root(determinism)
-pub fn differential_check(
-    hive: &Hive,
-    probe: UserId,
-    pair: (UserId, UserId),
-    threads: usize,
-) -> Vec<String> {
+pub fn differential_check(hive: &Hive, probe: UserId, pair: (UserId, UserId)) -> Vec<String> {
     let mut out = Vec::new();
     let db = hive.db();
-    let serial = hive_par::with_threads(1, || {
-        let kn = KnowledgeNetwork::build(db);
-        (render_ppr(&kn, &PprCache::new(), probe), bits(kn.user_similarity(pair.0, pair.1)))
-    });
-    let parallel = hive_par::force_workers(threads.max(2), || {
-        let kn = KnowledgeNetwork::build(db);
-        (render_ppr(&kn, &PprCache::new(), probe), bits(kn.user_similarity(pair.0, pair.1)))
-    });
-    if serial.0 != parallel.0 {
-        out.push(format!(
-            "ppr diverges across thread counts for {}: {} != {}",
-            probe.iri(),
-            clip(&serial.0),
-            clip(&parallel.0)
-        ));
-    }
-    if serial.1 != parallel.1 {
-        out.push(format!(
-            "user similarity diverges across thread counts: {} != {}",
-            serial.1, parallel.1
-        ));
-    }
     // Cached path: facade rel-snapshot (reused across calls within a
     // generation). Fresh path: explicit export + view build.
     let cached = render_explanation(&hive.explain_relationship(pair.0, pair.1));

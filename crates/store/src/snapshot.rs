@@ -15,7 +15,7 @@ use crate::term::Term;
 pub struct Snapshot {
     /// Format version for forward compatibility.
     pub version: u32,
-    /// All triples as `(s, p, o, weight)`.
+    /// All triples as `(s, p, o, weight)`, in term order.
     pub triples: Vec<(Term, Term, Term, f64)>,
 }
 
@@ -25,15 +25,18 @@ hive_json::impl_json_struct!(Snapshot { version, triples });
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 impl TripleStore {
-    /// Captures the full store contents.
+    /// Captures the full store contents, sorted by `(s, p, o)` terms so
+    /// that the snapshot does not depend on dictionary id assignment: a
+    /// store restored from it captures the same snapshot again.
     pub fn snapshot(&self) -> Snapshot {
-        let triples = self
+        let mut triples: Vec<(Term, Term, Term, f64)> = self
             .iter()
             .map(|t| {
                 let (s, p, o) = self.resolve_triple(&t);
                 (s, p, o, t.weight)
             })
             .collect();
+        triples.sort_by(|a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)));
         Snapshot { version: SNAPSHOT_VERSION, triples }
     }
 

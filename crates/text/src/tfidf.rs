@@ -259,14 +259,6 @@ impl Corpus {
         self.tfidf(&tf)
     }
 
-    /// TF-IDF-weights a whole batch of raw TF vectors in parallel
-    /// (fixed-chunk, per-element — output is identical for any
-    /// `HIVE_THREADS`). Results come back in input order. This is the
-    /// corpus-vectorization hot path of the knowledge-network build.
-    pub fn tfidf_batch(&self, tfs: &[SparseVector]) -> Vec<SparseVector> {
-        hive_par::par_map(tfs, |tf| self.tfidf(tf))
-    }
-
     /// Like [`Self::vectorize`] but read-only: tokens outside the current
     /// vocabulary are silently dropped. Used by query-time services that
     /// hold the corpus immutably.

@@ -3,8 +3,10 @@
 
 use hive_bench::prop::{check, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
+use hive_core::knowledge::KnowledgeNetwork;
+use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_rng::Rng;
-use hive_store::{PathQuery, Term, TripleStore};
+use hive_store::{PathQuery, StoreError, Term, TripleStore};
 
 /// A small universe of terms so collisions (and thus interesting
 /// overwrite/remove behaviour) actually happen.
@@ -132,6 +134,113 @@ fn snapshot_roundtrip() {
         }
         Ok(())
     });
+}
+
+/// Characters the decoder fuzzing draws from: JSON punctuation, digits,
+/// the letters of the snapshot's keys and term tags, and multi-byte text.
+const ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', '-', '.', '0', '1', '9', 'e', 'E', 'I', 'r', 'v',
+    'n', 'u', 'l', ' ', 'é', '🐝',
+];
+
+/// The relationship-store export of a world small enough that every
+/// truncation of it is cheap to check.
+fn store_export() -> String {
+    let db = WorldBuilder::new(SimConfig {
+        seed: 5,
+        users: 4,
+        topics: 2,
+        conferences: 1,
+        sessions_per_conf: 2,
+        papers_per_conf: 3,
+        ..SimConfig::small()
+    })
+    .build()
+    .db;
+    let kn = KnowledgeNetwork::build(&db);
+    kn.to_store(&db).to_json().expect("a built store exports")
+}
+
+/// Decodes `json`, which must give a store whose indexes agree or a
+/// typed error; a panic fails the enclosing test. Returns whether it
+/// decoded.
+fn decodes(json: &str) -> Result<bool, String> {
+    match TripleStore::from_json(json) {
+        Ok(st) => {
+            prop_ensure!(st.check_invariants(), "decoded store breaks its invariants");
+            Ok(true)
+        }
+        Err(
+            StoreError::Snapshot(_)
+            | StoreError::SnapshotVersion { .. }
+            | StoreError::InvalidWeight(_)
+            | StoreError::InvalidPosition(_),
+        ) => Ok(false),
+        Err(e) => Err(format!("unexpected error kind: {e}")),
+    }
+}
+
+/// The unmutated export decodes and re-exports byte for byte.
+#[test]
+fn snapshot_export_roundtrips_byte_for_byte() {
+    let json = store_export();
+    let restored = TripleStore::from_json(&json).expect("a clean export decodes");
+    assert_eq!(restored.to_json().expect("re-export"), json);
+}
+
+/// Random strings, bare and behind a well-formed snapshot prefix, are
+/// refused with a typed error.
+#[test]
+fn snapshot_decoder_refuses_random_strings() {
+    check("store::snapshot_random_strings", 256, |rng| {
+        let len = rng.gen_range(0..160usize);
+        let text: String = (0..len).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]).collect();
+        prop_ensure!(!decodes(&text)?, "random string {text:?} decoded");
+        let headed = format!("{{\"version\":1,\"triples\":[[{text}");
+        prop_ensure!(!decodes(&headed)?, "{headed:?} decoded");
+        Ok(())
+    });
+}
+
+/// Every char-boundary truncation of a real export is refused with a
+/// typed error.
+#[test]
+fn snapshot_decoder_refuses_every_truncation() {
+    let json = store_export();
+    for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+        assert!(
+            matches!(TripleStore::from_json(&json[..cut]), Err(StoreError::Snapshot(_))),
+            "truncation at byte {cut} of {} must be refused",
+            json.len()
+        );
+    }
+}
+
+/// Single-char mutations of a real export decode to a consistent store
+/// or a typed error, never a panic; both outcomes occur.
+#[test]
+fn snapshot_decoder_survives_single_char_mutations() {
+    let json = store_export();
+    let boundaries: Vec<usize> = (0..json.len()).filter(|&i| json.is_char_boundary(i)).collect();
+    let (mut decoded, mut refused) = (0, 0);
+    check("store::snapshot_mutations", 256, |rng| {
+        let at = boundaries[rng.gen_range(0..boundaries.len())];
+        let old = json[at..].chars().next().expect("a char at a boundary");
+        let with = loop {
+            let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            if c != old {
+                break c;
+            }
+        };
+        let mutated = format!("{}{with}{}", &json[..at], &json[at + old.len_utf8()..]);
+        if decodes(&mutated)? {
+            decoded += 1;
+        } else {
+            refused += 1;
+        }
+        Ok(())
+    });
+    assert!(decoded > 0 && refused > 0, "{decoded} decoded, {refused} refused");
 }
 
 /// Shared body of the ranked-path invariants: scores sorted descending,
