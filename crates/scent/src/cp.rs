@@ -121,11 +121,23 @@ fn hadamard(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// CP-ALS on a 3-mode sparse tensor.
 ///
+/// The sums fold over the entries in the tensor's iteration order.
+///
 /// Panics if the tensor is not order-3 or `rank == 0`.
 pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel {
     assert_eq!(t.order(), 3, "cp_als requires a 3-mode tensor");
     assert!(rank > 0, "rank must be positive");
     let dims = [t.shape()[0], t.shape()[1], t.shape()[2]];
+    let entries: Vec<([usize; 3], f64)> = t
+        .iter()
+        .map(|(idx, v)| ([idx[0], idx[1], idx[2]], v))
+        .collect();
+    als(&entries, dims, rank, iters, seed)
+}
+
+/// CP-ALS over `entries` of a tensor of shape `dims`, folding every
+/// sum in entry order.
+fn als(entries: &[([usize; 3], f64)], dims: [usize; 3], rank: usize, iters: usize, seed: u64) -> CpModel {
     let mut rng = Rng::seed_from_u64(seed);
     let mut factors: [Vec<Vec<f64>>; 3] = [
         (0..dims[0])
@@ -138,10 +150,6 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
             .map(|_| (0..rank).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect(),
     ];
-    let entries: Vec<([usize; 3], f64)> = t
-        .iter()
-        .map(|(idx, v)| ([idx[0], idx[1], idx[2]], v))
-        .collect();
     let merge_mats = |mut a: Vec<Vec<f64>>, b: Vec<Vec<f64>>| {
         for (ra, rb) in a.iter_mut().zip(b) {
             for (x, y) in ra.iter_mut().zip(rb) {
@@ -163,7 +171,7 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
             let f1s = &factors[m1];
             let f2s = &factors[m2];
             let mttkrp = par_reduce(
-                &entries,
+                entries,
                 || vec![vec![0.0; rank]; dims[mode]],
                 |mut acc, &([i, j, k], x)| {
                     let coords = [i, j, k];
@@ -186,7 +194,7 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
         let d = x - model.reconstruct(i, j, k);
         acc + d * d
     };
-    let residual = par_reduce(&entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
+    let residual = par_reduce(entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
     CpModel { residual, ..model }
 }
 
@@ -272,6 +280,57 @@ mod tests {
         // 4x + y = 1; x + 3y = 2 -> x = 1/11, y = 7/11.
         assert!((x[0] - 1.0 / 11.0).abs() < 1e-6);
         assert!((x[1] - 7.0 / 11.0).abs() < 1e-6);
+    }
+
+    /// `draws` random cells of a `dim`×`dim`×3 tensor set to values in
+    /// [0.1, 1) (a redrawn cell keeps its last value).
+    fn random_tensor(dim: usize, draws: usize, seed: u64) -> SparseTensor {
+        let mut t = SparseTensor::new(vec![dim, dim, 3]);
+        let mut rng = Rng::seed_from_u64(seed);
+        for _ in 0..draws {
+            let idx = vec![rng.gen_range(0..dim), rng.gen_range(0..dim), rng.gen_range(0..3usize)];
+            t.set(&idx, rng.gen_range(0.1..1.0));
+        }
+        t
+    }
+
+    /// FNV-1a over the bit pattern of every factor entry, mode by mode
+    /// and row by row, then of the residual: moves if any of them moves
+    /// by an ulp.
+    fn model_bits_hash(model: &CpModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let values = model.factors.iter().flatten().flatten().chain([&model.residual]);
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// CP-ALS output bits, pinned. A tensor iterates its cells in hash
+    /// order, which differs from process to process, so the pin runs the
+    /// fold on the entries in coordinate order. The MTTKRP and residual
+    /// sums fold over fixed `hive_par::chunk_len` chunks merged in chunk
+    /// order, so the floating-point association is part of the output:
+    /// the first tensor spans 39 chunks of 256 entries, the second fits
+    /// one chunk.
+    #[test]
+    fn cp_als_output_bits_are_pinned() {
+        let pinned = |t: &SparseTensor| {
+            let mut entries: Vec<([usize; 3], f64)> =
+                t.iter().map(|(idx, v)| ([idx[0], idx[1], idx[2]], v)).collect();
+            entries.sort_unstable_by_key(|e| e.0);
+            let dims = [t.shape()[0], t.shape()[1], t.shape()[2]];
+            model_bits_hash(&als(&entries, dims, 3, 5, 1))
+        };
+        let large = random_tensor(100, 12_000, 9);
+        let small = random_tensor(20, 200, 9);
+        assert_eq!(large.nnz(), 9_916);
+        assert!(small.nnz() < hive_par::MIN_CHUNK, "{} entries", small.nnz());
+        const GOLDEN: [u64; 2] = [0xc320_9db6_45cb_57ea, 0xf500_04c8_92bd_8272];
+        assert_eq!([pinned(&large), pinned(&small)], GOLDEN, "CP-ALS output bits moved");
     }
 
     #[test]
