@@ -110,6 +110,7 @@ fn push(items: &mut Vec<EvidenceItem>, kind: EvidenceKind, score: f64, explanati
 
 /// `|a ∩ b|` and `|a ∪ b|`.
 fn overlap<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> (usize, usize) {
+    // lint:allow(determinism-taint) -- only counted
     let inter = a.intersection(b).count();
     (inter, a.len() + b.len() - inter)
 }
@@ -353,6 +354,7 @@ fn evidence_with(
     // (a's paper cites X, X cites b's paper, either direction) count at
     // half weight.
     let refs_b: HashSet<PaperId> = citations(db, papers_b.iter()).collect();
+    // lint:allow(determinism-taint) -- only counted
     let shared_refs = side.refs.intersection(&refs_b).count();
     let papers_b_set: HashSet<PaperId> = papers_b.iter().copied().collect();
     let transitive = side.ref_hops.iter().filter(|hop| papers_b_set.contains(hop)).count()
@@ -397,6 +399,7 @@ fn evidence_with(
     // 7. Conference co-participation: same edition, or same series across
     // years.
     let confs_b: HashSet<_> = db.conferences_of(b).into_iter().collect();
+    // lint:allow(determinism-taint) -- only counted
     let same_edition = side.confs.intersection(&confs_b).count();
     if same_edition > 0 {
         push(
@@ -411,6 +414,7 @@ fn evidence_with(
             .iter()
             .filter_map(|&c| db.get_conference(c).ok().map(|x| x.series.as_str()))
             .collect();
+        // lint:allow(determinism-taint) -- only counted
         let shared_series = side.series.intersection(&series_b).count();
         if shared_series > 0 {
             push(
@@ -426,6 +430,7 @@ fn evidence_with(
     // sessions (content cosine above 0.4) count at a quarter weight.
     let sess_a = &side.sessions;
     let sess_b: HashSet<_> = db.checkins_of(b).iter().map(|c| c.session).collect();
+    // lint:allow(determinism-taint) -- only counted
     let shared_sessions = sess_a.intersection(&sess_b).count();
     let mut related_sessions = 0usize;
     // lint:allow(determinism-taint) -- pure counting, order-insensitive

@@ -206,10 +206,11 @@ const UNWRAPPING: &[&str] = &["unwrap", "expect", "unwrap_or_else", "unwrap_or_d
 /// Constructor-shaped associated functions: `T::new(..) : T`.
 const CONSTRUCTORS: &[&str] = &["new", "default", "build", "empty", "load", "open"];
 /// Iteration methods that expose storage order (R12 sinks on
-/// `HashMap`/`HashSet` receivers).
+/// `HashMap`/`HashSet` receivers). The set operations return iterators
+/// in the receiver's storage order too.
 const ITER_METHODS: &[&str] = &[
     "iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "drain", "into_keys",
-    "into_values", "retain",
+    "into_values", "retain", "intersection", "union", "difference", "symmetric_difference",
 ];
 
 /// Strips references and transparent wrappers (`Arc`/`Rc`/`Box`) from

@@ -408,6 +408,31 @@ pub fn tally(m: &HashMap<String, u64>) -> u64 {
 }
 
 #[test]
+fn r12_fires_on_hashset_set_operation_reachable_from_a_root() {
+    let cfg = WorkspaceConfig::default();
+    // The first element of an intersection is an arbitrary member of a
+    // randomly seeded set, so naming it is a determinism bug.
+    let src = "\
+// lint:root(determinism)
+pub fn fingerprint(a: &HashSet<String>, b: &HashSet<String>) -> String {
+    shared(a, b)
+}
+
+pub fn shared(a: &HashSet<String>, b: &HashSet<String>) -> String {
+    a.intersection(&b).next().cloned().unwrap_or_default()
+}
+";
+    let diags = analyze(&cfg, &[("a/lib.rs", "a", src)]);
+    let taints = only(&diags, rules::DETERMINISM_TAINT);
+    assert_eq!(taints.len(), 1, "{diags:?}");
+    assert_eq!(taints[0].line, 7, "the .intersection() iteration");
+    assert!(
+        taints[0].message.contains("fingerprint"),
+        "the chain names the root: {taints:?}"
+    );
+}
+
+#[test]
 fn r12_is_silent_without_roots_and_honors_allows() {
     let cfg = WorkspaceConfig::default();
     // Same sink, no root: unreachable from any determinism fingerprint.
