@@ -7,8 +7,8 @@ use hive_bench::{
     header, iters, mean, metric, report, report_header, time_n, time_once, write_json_fragment,
 };
 use hive_graph::{
-    diffuse, personalized_pagerank_csr, CsrView, DiffusionParams, DynPprConfig, DynamicPpr, Graph,
-    ImpactIndex, ImpactQueryEngine, NodeId, PprConfig, RecomputeEngine,
+    diffuse, personalized_pagerank_csr, CsrView, DiffusionParams, Graph, ImpactIndex,
+    ImpactQueryEngine, NodeId, PprConfig, RecomputeEngine,
 };
 use hive_rng::Rng;
 use std::collections::HashMap;
@@ -74,82 +74,6 @@ fn bench_ppr_scaling() {
     metric("ppr_warm_vs_cold_speedup", mean(&cold) / mean(&warm));
 }
 
-/// Community-structured topology (ring of dense cliques with sparse
-/// bridges) modeling co-authorship/activity graphs: PPR mass
-/// concentrates around the seed's community, so a random arrival
-/// usually perturbs the maintained state by nearly nothing. A uniform
-/// random graph is the adversarial opposite — an expander where every
-/// arrival couples to every seed — and is kept in `bench_ppr_scaling`
-/// as the full-iteration workload.
-fn community_graph(cliques: usize, size: usize, seed: u64) -> Graph {
-    let mut g = Graph::new();
-    let n = cliques * size;
-    let ids: Vec<NodeId> = (0..n).map(|i| g.add_node(format!("n{i}"))).collect();
-    let mut rng = Rng::seed_from_u64(seed);
-    for c in 0..cliques {
-        let base = c * size;
-        for i in 0..size {
-            for _ in 0..3 {
-                let j = rng.gen_range(0..size);
-                if i != j {
-                    g.add_undirected_edge(ids[base + i], ids[base + j], rng.gen_range(0.5..1.0));
-                }
-            }
-        }
-        let next = ((c + 1) % cliques) * size;
-        for _ in 0..2 {
-            let a = rng.gen_range(0..size);
-            let b = rng.gen_range(0..size);
-            g.add_undirected_edge(ids[base + a], ids[next + b], 0.05);
-        }
-    }
-    g
-}
-
-fn bench_ppr_incremental() {
-    header("ini_ppr_incr");
-    report_header();
-    // Warm-update path: a single edge arrival lands between queries.
-    // The incremental leg patches residuals and pushes to the certified
-    // tolerance; the full leg does what the system otherwise must —
-    // reingest the edge, rebuild the CSR, and re-run the power
-    // iteration. Same arrivals, same seed, interleaved per round.
-    let g = community_graph(200, 100, 5);
-    let mut seeds = HashMap::new();
-    seeds.insert(NodeId(3), 1.0);
-    let cfg = PprConfig::default();
-    let mut engine = DynamicPpr::new(g.clone(), cfg, DynPprConfig::default());
-    std::hint::black_box(engine.scores_incremental(&seeds)); // prime the seed state
-    let mut full_graph = g;
-    let mut rng = Rng::seed_from_u64(17);
-    let node_count = full_graph.node_count();
-    let mut incr = Vec::new();
-    let mut full = Vec::new();
-    for _ in 0..iters(10, 3) {
-        let u = NodeId(rng.gen_range(0..node_count) as u32);
-        let v = NodeId(rng.gen_range(0..node_count) as u32);
-        let w = rng.gen_range(0.1..1.0);
-        let (_, us) = time_once(|| {
-            engine.apply_undirected_edge(u, v, w);
-            std::hint::black_box(engine.scores_incremental(&seeds));
-        });
-        incr.push(us);
-        let (_, us) = time_once(|| {
-            full_graph.add_undirected_edge(u, v, w);
-            std::hint::black_box(personalized_pagerank_csr(
-                &CsrView::build(&full_graph),
-                &seeds,
-                cfg,
-            ));
-        });
-        full.push(us);
-    }
-    report("warm_update_incremental", &incr);
-    report("warm_update_full", &full);
-    metric("host_threads", std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64));
-    metric("ppr_incr_vs_full_speedup", mean(&full) / mean(&incr));
-}
-
 fn bench_query_paths() {
     header("ini_query");
     report_header();
@@ -193,7 +117,6 @@ fn main() {
     println!("bench_ini — incremental impact-index microbenchmarks");
     bench_diffusion();
     bench_ppr_scaling();
-    bench_ppr_incremental();
     bench_query_paths();
     bench_update();
     write_json_fragment("bench_ini");

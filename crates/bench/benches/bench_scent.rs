@@ -3,9 +3,7 @@
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_scent`
 
-use hive_bench::{
-    header, iters, mean, metric, report, report_header, time_n, write_json_fragment,
-};
+use hive_bench::{header, iters, report, report_header, time_n, write_json_fragment};
 use hive_rng::Rng;
 use hive_scent::{cp_als, SketchConfig, SparseTensor, TensorSketch};
 
@@ -74,24 +72,11 @@ fn bench_cp() {
         std::hint::black_box(cp_als(&t, 3, 6, 1));
     });
     report("cp_als_rank3_iters6", &samples);
-    // Above par_reduce's size gate, so the t4 leg folds the MTTKRP and
-    // residual chunks on the pool.
     let big = random_tensor(100, 12_000, 6);
-    assert!(big.nnz() >= hive_par::PAR_REDUCE_MIN_ITEMS, "{} entries", big.nnz());
-    let n = iters(5, 2);
-    let serial = time_n(n, || {
-        hive_par::with_threads(1, || {
-            std::hint::black_box(cp_als(&big, 3, 6, 1));
-        });
+    let samples = time_n(iters(5, 2), || {
+        std::hint::black_box(cp_als(&big, 3, 6, 1));
     });
-    report("cp_als_10k_nnz_t1", &serial);
-    let par = time_n(n, || {
-        hive_par::with_threads(4, || {
-            std::hint::black_box(cp_als(&big, 3, 6, 1));
-        });
-    });
-    report("cp_als_10k_nnz_t4", &par);
-    metric("cp_t4_vs_t1_speedup", mean(&serial) / mean(&par));
+    report("cp_als_10k_nnz", &samples);
 }
 
 fn main() {

@@ -15,10 +15,6 @@
 //!   *raises* the enforcement floor — the metric fails below the
 //!   stated threshold instead of below 1.0 (an index claimed to beat a
 //!   scan by 5x must keep beating it by 5x, not merely break even);
-//! * `*_t4_vs_t1_*` metrics are auto-exempt when the recorded
-//!   `host_threads` is below 4 — on a small host the pool clamps to the
-//!   hardware and a "4-thread" run measures the same serial execution
-//!   plus noise, so the ratio carries no signal;
 //! * multi-reader serving ratios (`*_vs_r1_*`, `*concurrent_read*`)
 //!   and multi-follower replication apply ratios (`*_vs_f1_*`) are
 //!   auto-exempt when `host_threads` is below 2 — forced workers on a
@@ -100,18 +96,18 @@ enum Verdict {
     Pass,
     /// Below 1.0 but allowlisted as expected.
     Allowed,
-    /// Below 1.0 but the host lacks the thread floor the metric needs
-    /// to carry signal (the floor is attached).
-    Exempt(u32),
+    /// Below 1.0 but the host has fewer than the two threads the
+    /// metric needs to carry signal.
+    Exempt,
     /// A genuine speedup regression.
     Fail,
 }
 
-/// Pure disposition logic, separated from IO so the exemption rules
-/// are unit-testable: `*_t4_vs_t1_*` needs 4 host threads, the
-/// concurrency ratios (`*_vs_r1_*` readers, `*_vs_f1_*` follower
-/// replays, `*concurrent_read*`) need 2. `floor` is the enforcement
-/// threshold — 1.0 normally, higher for `name >= threshold` entries.
+/// Pure disposition logic, separated from IO so the exemption rule is
+/// unit-testable: the concurrency ratios (`*_vs_r1_*` readers,
+/// `*_vs_f1_*` follower replays, `*concurrent_read*`) need 2 host
+/// threads. `floor` is the enforcement threshold — 1.0 normally,
+/// higher for `name >= threshold` entries.
 fn judge(name: &str, value: f64, allowlisted: bool, host_threads: f64, floor: f64) -> Verdict {
     if value >= floor {
         return Verdict::Pass;
@@ -119,14 +115,11 @@ fn judge(name: &str, value: f64, allowlisted: bool, host_threads: f64, floor: f6
     if allowlisted {
         return Verdict::Allowed;
     }
-    if name.contains("_t4_vs_t1_") && host_threads < 4.0 {
-        return Verdict::Exempt(4);
-    }
     let needs_two = name.contains("_vs_r1_")
         || name.contains("_vs_f1_")
         || name.contains("concurrent_read");
     if needs_two && host_threads < 2.0 {
-        return Verdict::Exempt(2);
+        return Verdict::Exempt;
     }
     Verdict::Fail
 }
@@ -208,8 +201,8 @@ fn main() -> ExitCode {
             Verdict::Allowed => {
                 println!("bench_gate: allowed {label} = {:.3} (allowlist)", m.value);
             }
-            Verdict::Exempt(need) => println!(
-                "bench_gate: exempt  {label} = {:.3} (host_threads = {host_threads}, needs >= {need})",
+            Verdict::Exempt => println!(
+                "bench_gate: exempt  {label} = {:.3} (host_threads = {host_threads}, needs >= 2)",
                 m.value
             ),
             Verdict::Fail => {
@@ -249,17 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn t4_ratio_exempt_only_below_four_threads() {
-        assert_eq!(judge("build_t4_vs_t1_speedup", 0.9, false, 2.0, 1.0), Verdict::Exempt(4));
-        assert_eq!(judge("build_t4_vs_t1_speedup", 0.9, false, 4.0, 1.0), Verdict::Fail);
-    }
-
-    #[test]
     fn concurrency_ratios_exempt_only_below_two_threads() {
         for name in
             ["reads_r2_vs_r1_speedup", "apply_par_f2_vs_f1_speedup", "concurrent_read_speedup"]
         {
-            assert_eq!(judge(name, 0.8, false, 1.0, 1.0), Verdict::Exempt(2), "{name} on 1 thread");
+            assert_eq!(judge(name, 0.8, false, 1.0, 1.0), Verdict::Exempt, "{name} on 1 thread");
             assert_eq!(judge(name, 0.8, false, 2.0, 1.0), Verdict::Fail, "{name} on 2 threads");
         }
     }

@@ -339,7 +339,9 @@ impl DbIndexes {
 
 /// Clips an ascending posting list to positions `< prefix` whose record
 /// falls inside `range`. Positions ascend and the log is clock-ordered,
-/// so both clips are binary searches over the posting itself.
+/// so both clips are binary searches over the posting itself. An
+/// inverted window (start after end) clips to nothing, as the scan's
+/// `contains` test does.
 fn clip_posting<'a>(
     posting: &'a [u32],
     log: &[ActivityRecord],
@@ -353,7 +355,7 @@ fn clip_posting<'a>(
     }
     let lo = posting.partition_point(|&p| log[p as usize].at < range.start());
     let hi = posting.partition_point(|&p| log[p as usize].at < range.end());
-    &posting[lo..hi]
+    &posting[lo..hi.max(lo)]
 }
 
 /// A declarative activity-log query: actor set, category set, and a
@@ -909,6 +911,10 @@ mod tests {
                 .with_actors(vec![users[1]])
                 .with_categories(vec![Cat::Browse])
                 .within(TickRange::between(Timestamp(1), Timestamp(100))),
+            ActivityQuery::new()
+                .with_actors(vec![users[0]])
+                .within(TickRange::between(Timestamp(100), Timestamp(1))),
+            ActivityQuery::new().within(TickRange::between(Timestamp(100), Timestamp(1))),
         ];
         for q in queries {
             let fast: Vec<ActivityRecord> = q.run(&db, &idx).into_iter().copied().collect();

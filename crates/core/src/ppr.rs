@@ -1,5 +1,4 @@
-//! Generation-scoped PPR result cache and the delta hook feeding the
-//! incremental engine.
+//! Generation-scoped PPR result cache.
 //!
 //! Serving-path PPR must be a *pure function of (graph, seeds, config)*:
 //! the sim-harness oracles compare facade-vs-cold, patched-vs-rebuilt,
@@ -13,15 +12,8 @@
 //! contextual search, and the fingerprint battery all re-ask the same
 //! seed distributions against one graph generation, which is where the
 //! serving win lives.
-//!
-//! [`apply_ppr_delta`] routes journaled deltas into the forward-push
-//! engine ([`DynamicPpr`]), which answers *approximate* queries within
-//! its certified push tolerance. No serving path calls it: every served
-//! score is an exact solve from the memo.
 
-use crate::db::DbDelta;
-use crate::knowledge::FusionWeights;
-use hive_graph::{personalized_pagerank_csr, CsrView, DynamicPpr, NodeId, PprConfig};
+use hive_graph::{personalized_pagerank_csr, CsrView, NodeId, PprConfig};
 use crate::tier::unpoison;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -136,32 +128,6 @@ impl Clone for PprCache {
     fn clone(&self) -> Self {
         let memo = unpoison(self.memo.lock()).clone();
         PprCache { memo: Mutex::new(memo) }
-    }
-}
-
-/// Routes one journaled [`DbDelta`] into a [`DynamicPpr`] engine — the
-/// same edge sequence `apply_unified_delta` replays into the unified
-/// graph, so an engine fed every delta tracks the served graph exactly.
-pub fn apply_ppr_delta(engine: &mut DynamicPpr, w: &FusionWeights, d: &DbDelta) {
-    fn und(engine: &mut DynamicPpr, a: String, b: String, wt: f64) {
-        let (na, nb) = (engine.add_node(a), engine.add_node(b));
-        engine.apply_undirected_edge(na, nb, wt);
-    }
-    match *d {
-        DbDelta::Connect { a, b } => und(engine, a.iri(), b.iri(), w.connection),
-        DbDelta::Follow { follower, followee } => {
-            und(engine, follower.iri(), followee.iri(), w.follow)
-        }
-        DbDelta::CheckIn { user, session } => und(engine, user.iri(), session.iri(), w.checkin),
-        DbDelta::Attend { user, conf } => und(engine, user.iri(), conf.iri(), w.attendance),
-        DbDelta::Discuss { author, session, paper } => {
-            und(engine, author.iri(), session.iri(), w.discussion);
-            if let Some(p) = paper {
-                und(engine, author.iri(), p.iri(), w.view);
-            }
-        }
-        DbDelta::ViewPaper { user, paper } => und(engine, user.iri(), paper.iri(), w.view),
-        DbDelta::Neutral | DbDelta::Structural => {}
     }
 }
 

@@ -146,13 +146,6 @@ impl Graph {
         self.out[u.index()].iter().map(|(_, w)| w).sum()
     }
 
-    /// Borrow of `u`'s raw out-adjacency slot list (insertion order,
-    /// parallels already merged) — the allocation-free view the
-    /// forward-push kernel iterates per spill.
-    pub(crate) fn out_slice(&self, u: NodeId) -> &[(NodeId, f64)] {
-        &self.out[u.index()]
-    }
-
     /// All node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.keys.len() as u32).map(NodeId)

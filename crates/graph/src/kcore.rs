@@ -1,11 +1,11 @@
 //! k-core decomposition over the symmetrized graph.
 //!
 //! Hive uses core numbers to find the *active core* of a community (the
-//! researchers who keep the exchanges going) and to rank peers by
-//! engagement robustness: a node's core number is the largest k such
-//! that it survives in the subgraph where everyone has degree >= k.
+//! researchers who keep the exchanges going): a node's core number is
+//! the largest k such that it survives in the subgraph where everyone
+//! has degree >= k.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use std::collections::HashSet;
 
 /// Core number per node (unweighted degrees over the symmetrized graph;
@@ -59,19 +59,10 @@ pub fn core_numbers(g: &Graph) -> Vec<usize> {
     core
 }
 
-/// Nodes whose core number is at least `k` (the k-core).
-pub fn k_core(g: &Graph, k: usize) -> Vec<NodeId> {
-    core_numbers(g)
-        .into_iter()
-        .enumerate()
-        .filter(|(_, c)| *c >= k)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
 
     /// A 4-clique with two pendant chains hanging off it.
     fn clique_with_tails() -> (Graph, Vec<NodeId>) {
@@ -102,15 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn k_core_extraction() {
-        let (g, ids) = clique_with_tails();
-        let core3 = k_core(&g, 3);
-        assert_eq!(core3, ids[..4].to_vec());
-        assert_eq!(k_core(&g, 1).len(), 8);
-        assert!(k_core(&g, 4).is_empty());
-    }
-
-    #[test]
     fn isolated_nodes_have_core_zero() {
         let mut g = Graph::new();
         g.add_node("lonely");
@@ -127,7 +109,6 @@ mod tests {
     fn empty_graph() {
         let g = Graph::new();
         assert!(core_numbers(&g).is_empty());
-        assert!(k_core(&g, 1).is_empty());
     }
 
     #[test]

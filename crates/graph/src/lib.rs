@@ -1,20 +1,19 @@
-//! # hive-graph — weighted graph analytics substrate
+//! # hive-graph — weighted graph substrate
 //!
-//! Graph algorithms backing Hive's peer-network services (paper §2.4):
+//! Graph algorithms behind Hive's knowledge-network services (paper §2.4):
 //!
-//! * a dynamic directed weighted multigraph with node interning,
-//! * traversals (BFS/DFS, connected components),
-//! * shortest paths (Dijkstra),
-//! * **personalized PageRank** — the spreading-activation primitive used to
-//!   contextualize recommendations by the active workpad,
+//! * a dynamic directed weighted multigraph with node interning and its
+//!   CSR view,
+//! * **personalized PageRank** — the spreading-activation primitive that
+//!   ranks every PPR-backed read (search, resource and peer
+//!   recommendation) around the active context,
 //! * **community discovery** — label propagation and greedy modularity
-//!   (Table 1: "Community discovery and tracking"),
+//!   (Table 1: "Community discovery and tracking"), with core numbers for
+//!   each community's active core,
 //! * **Impact Neighborhood Indexing (INI)** — an incremental index of
 //!   decaying diffusion impact sets (paper ref \[6\], Kim/Candan/Sapino,
 //!   CIKM'12), with a full-recompute baseline for the E2 experiment,
-//! * link-prediction scores (common neighbors, Jaccard, Adamic–Adar) used
-//!   as relationship evidence,
-//! * centrality measures for ranking peers.
+//! * weakly connected components.
 //!
 //! ```
 //! use hive_graph::Graph;
@@ -29,29 +28,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod centrality;
 pub mod community;
 pub mod csr;
 pub mod graph;
 pub mod ini;
 pub mod kcore;
-pub mod linkpred;
 pub mod ppr;
-pub mod ppr_dyn;
-pub mod shortest;
 pub mod traverse;
 
 pub use community::{label_propagation, louvain, modularity, nmi, nmi_of_partitions, CommunityAssignment};
-pub use graph::{EdgeRef, Graph, NodeId};
-pub use ini::{ImpactIndex, ImpactQueryEngine, RecomputeEngine};
-pub use linkpred::{adamic_adar, common_neighbors, jaccard, preferential_attachment};
 pub use csr::CsrView;
-pub use ppr::{
-    pagerank, personalized_pagerank, personalized_pagerank_csr, top_k_excluding_seeds, PprConfig,
-};
-pub use ppr_dyn::{DynPprConfig, DynPprStats, DynamicPpr};
-pub use centrality::{betweenness_sampled, degree_centrality, harmonic_centrality, harmonic_centrality_sampled};
-pub use ini::{diffuse, DiffusionParams};
-pub use kcore::{core_numbers, k_core};
-pub use shortest::{dijkstra, DistanceMap};
-pub use traverse::{bfs_order, connected_components, dfs_order};
+pub use graph::{EdgeRef, Graph, NodeId};
+pub use ini::{diffuse, DiffusionParams, ImpactIndex, ImpactQueryEngine, RecomputeEngine};
+pub use kcore::core_numbers;
+pub use ppr::{pagerank, personalized_pagerank, personalized_pagerank_csr, PprConfig};
+pub use traverse::connected_components;

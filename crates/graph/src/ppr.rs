@@ -130,31 +130,6 @@ pub fn pagerank(g: &Graph, cfg: PprConfig) -> Vec<f64> {
     personalized_pagerank(g, &HashMap::new(), cfg)
 }
 
-/// Convenience: ranks all nodes by PPR score, descending, excluding seeds.
-pub fn top_k_excluding_seeds(
-    g: &Graph,
-    seeds: &HashMap<NodeId, f64>,
-    k: usize,
-    cfg: PprConfig,
-) -> Vec<(NodeId, f64)> {
-    let scores = personalized_pagerank(g, seeds, cfg);
-    let mut ranked: Vec<(NodeId, f64)> =
-        g.nodes().filter(|n| !seeds.contains_key(n)).map(|n| (n, scores[n.index()])).collect();
-    // Bounded partial select: the comparator is a total order (NodeId
-    // breaks exact-score ties), so selecting the k-th element and then
-    // sorting only the kept prefix returns exactly what the old
-    // full-sort-then-truncate produced.
-    let cmp = |a: &(NodeId, f64), b: &(NodeId, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    if k == 0 {
-        ranked.clear();
-    } else if k < ranked.len() {
-        ranked.select_nth_unstable_by(k - 1, cmp);
-        ranked.truncate(k);
-    }
-    ranked.sort_by(cmp);
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,49 +184,6 @@ mod tests {
                     ppr[ids[near].index()] > ppr[ids[far].index()],
                     "n{near} should outrank n{far}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_excludes_seeds() {
-        let mut g = Graph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        g.add_undirected_edge(a, b, 1.0);
-        let mut seeds = HashMap::new();
-        seeds.insert(a, 1.0);
-        let top = top_k_excluding_seeds(&g, &seeds, 10, PprConfig::default());
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0, b);
-    }
-
-    #[test]
-    fn top_k_partial_select_matches_full_sort() {
-        // Ring with varied weights plus exact ties (isolated nodes all
-        // score alike), so the NodeId tie-break is exercised.
-        let mut g = Graph::new();
-        let ids: Vec<_> = (0..40).map(|i| g.add_node(format!("n{i}"))).collect();
-        for i in 0..30usize {
-            g.add_undirected_edge(ids[i], ids[(i + 1) % 30], 0.2 + (i % 7) as f64 * 0.3);
-        }
-        let mut seeds = HashMap::new();
-        seeds.insert(ids[4], 1.0);
-        let scores = personalized_pagerank(&g, &seeds, PprConfig::default());
-        let mut full: Vec<(NodeId, f64)> = g
-            .nodes()
-            .filter(|n| !seeds.contains_key(n))
-            .map(|n| (n, scores[n.index()]))
-            .collect();
-        full.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        for k in [0usize, 1, 7, 39, 40, 64] {
-            let mut expect = full.clone();
-            expect.truncate(k);
-            let got = top_k_excluding_seeds(&g, &seeds, k, PprConfig::default());
-            assert_eq!(got.len(), expect.len(), "k={k}");
-            for (a, b) in got.iter().zip(&expect) {
-                assert_eq!(a.0, b.0, "k={k}");
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "k={k}");
             }
         }
     }

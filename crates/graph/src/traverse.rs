@@ -1,45 +1,7 @@
-//! Traversals: BFS, DFS, and (weakly) connected components.
+//! Weakly connected components.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use std::collections::VecDeque;
-
-/// Nodes reachable from `start` (following out-edges), in BFS order.
-pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for e in g.out_edges(u) {
-            if !visited[e.neighbor.index()] {
-                visited[e.neighbor.index()] = true;
-                queue.push_back(e.neighbor);
-            }
-        }
-    }
-    order
-}
-
-/// Nodes reachable from `start` (following out-edges), in DFS preorder.
-pub fn dfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u.index()] {
-            continue;
-        }
-        visited[u.index()] = true;
-        order.push(u);
-        // Push in reverse so lower-indexed neighbors are visited first.
-        let mut nbrs: Vec<NodeId> = g.out_edges(u).map(|e| e.neighbor).collect();
-        nbrs.reverse();
-        stack.extend(nbrs);
-    }
-    order
-}
 
 /// Weakly connected components (edges treated as undirected).
 ///
@@ -73,36 +35,6 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn chain() -> (Graph, Vec<NodeId>) {
-        let mut g = Graph::new();
-        let ids: Vec<_> = (0..5).map(|i| g.add_node(format!("n{i}"))).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1], 1.0);
-        }
-        (g, ids)
-    }
-
-    #[test]
-    fn bfs_visits_reachable_in_order() {
-        let (g, ids) = chain();
-        assert_eq!(bfs_order(&g, ids[0]), ids);
-        assert_eq!(bfs_order(&g, ids[3]), vec![ids[3], ids[4]]);
-    }
-
-    #[test]
-    fn dfs_preorder() {
-        let mut g = Graph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let c = g.add_node("c");
-        let d = g.add_node("d");
-        g.add_edge(a, b, 1.0);
-        g.add_edge(a, c, 1.0);
-        g.add_edge(b, d, 1.0);
-        // DFS explores b's subtree before c.
-        assert_eq!(dfs_order(&g, a), vec![a, b, d, c]);
-    }
 
     #[test]
     fn components_respect_direction_weakly() {

@@ -6,7 +6,7 @@
 //! well conditioned.
 
 use crate::tensor::SparseTensor;
-use hive_par::par_reduce;
+use hive_par::chunk_len;
 use hive_rng::Rng;
 
 /// A rank-R CP model of a 3-mode tensor.
@@ -119,6 +119,23 @@ fn hadamard(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// Folds `items` in fixed [`chunk_len`] chunks, each from `init()`, and
+/// merges the chunk partials in chunk order. The chunk layout depends
+/// only on the item count, so it fixes the floating-point association
+/// of every sum. Returns `init()` for empty input.
+fn chunked_fold<T, A>(
+    items: &[T],
+    init: impl Fn() -> A,
+    fold: impl Fn(A, &T) -> A,
+    merge: impl Fn(A, A) -> A,
+) -> A {
+    items
+        .chunks(chunk_len(items.len()))
+        .map(|chunk| chunk.iter().fold(init(), &fold))
+        .reduce(merge)
+        .unwrap_or_else(init)
+}
+
 /// CP-ALS on a 3-mode sparse tensor.
 ///
 /// The sums fold over the entries in the tensor's iteration order.
@@ -170,7 +187,7 @@ fn als(entries: &[([usize; 3], f64)], dims: [usize; 3], rank: usize, iters: usiz
             // chunk order.
             let f1s = &factors[m1];
             let f2s = &factors[m2];
-            let mttkrp = par_reduce(
+            let mttkrp = chunked_fold(
                 entries,
                 || vec![vec![0.0; rank]; dims[mode]],
                 |mut acc, &([i, j, k], x)| {
@@ -194,7 +211,7 @@ fn als(entries: &[([usize; 3], f64)], dims: [usize; 3], rank: usize, iters: usiz
         let d = x - model.reconstruct(i, j, k);
         acc + d * d
     };
-    let residual = par_reduce(entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
+    let residual = chunked_fold(entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
     CpModel { residual, ..model }
 }
 

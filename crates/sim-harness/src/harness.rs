@@ -196,7 +196,6 @@ impl SimHarness {
         if users.len() < 2 {
             return;
         }
-        let probe = users[rng.gen_range(0..users.len())];
         let ai = rng.gen_range(0..users.len());
         let mut bi = rng.gen_range(0..users.len() - 1);
         if bi >= ai {
@@ -204,7 +203,7 @@ impl SimHarness {
         }
         let (a, b) = (users[ai], users[bi]);
         report.diff_checks += 1;
-        for detail in oracle::differential_check(hive, probe, (a, b)) {
+        for detail in oracle::differential_check(hive, (a, b)) {
             report.violations.push(Violation { step, checker: CheckerKind::Differential, detail });
         }
     }

@@ -14,8 +14,8 @@
 //!    typed error — never a panic, never a silently half-loaded
 //!    database.
 //! 3. **Differential oracles** ([`oracle::differential_check`]):
-//!    cached-vs-fresh relationship-graph views, incremental-vs-cold PPR
-//!    and the delta-patched facade against a cold rebuild must agree.
+//!    cached-vs-fresh relationship-graph views and the delta-patched
+//!    facade against a cold rebuild must agree.
 //!    At the end of the run the facade's PPR memo must hold at most
 //!    [`hive_core::PprCache::CAP`] entries.
 //! 4. **Snapshot consistency** ([`serve`]): an N-reader × 1-writer

@@ -16,7 +16,7 @@ use hive_core::knowledge::KnowledgeNetwork;
 use hive_core::peers::PeerRecConfig;
 use hive_core::reports::ReportScope;
 use hive_core::{Hive, PprCache};
-use hive_graph::{personalized_pagerank_csr, CsrView, DynPprConfig, DynamicPpr, PprConfig};
+use hive_graph::PprConfig;
 use hive_store::{GraphView, PathQuery, Term};
 use std::collections::HashMap;
 
@@ -277,7 +277,7 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
 ///   far, against a cold platform built from a clone of the same
 ///   database; the full fingerprint battery must match bit-for-bit.
 // lint:root(determinism)
-pub fn differential_check(hive: &Hive, probe: UserId, pair: (UserId, UserId)) -> Vec<String> {
+pub fn differential_check(hive: &Hive, pair: (UserId, UserId)) -> Vec<String> {
     let mut out = Vec::new();
     let db = hive.db();
     // Cached path: facade rel-snapshot (reused across calls within a
@@ -295,80 +295,6 @@ pub fn differential_check(hive: &Hive, probe: UserId, pair: (UserId, UserId)) ->
             clip(&cached),
             clip(&fresh)
         ));
-    }
-    // Incremental vs full: seed a forward-push engine from the served
-    // unified graph, replay a deterministic burst of synthetic arrivals
-    // into both the engine and a plain graph copy, and demand the
-    // incremental scores stay inside the certified push tolerance of a
-    // cold power iteration — with the bit-identical top-8 ordering the
-    // serving battery fingerprints. A second engine with a zero error
-    // budget must fall back and reproduce the cold solve bit-for-bit.
-    let kn = hive.knowledge();
-    if let Some(seed_node) = kn.unified.node(&probe.iri()) {
-        let mut seeds = HashMap::new();
-        seeds.insert(seed_node, 1.0);
-        let mut engine =
-            DynamicPpr::new(kn.unified.clone(), PprConfig::default(), DynPprConfig::default());
-        let mut strict = DynamicPpr::new(
-            kn.unified.clone(),
-            PprConfig::default(),
-            DynPprConfig { error_budget: 0.0, ..DynPprConfig::default() },
-        );
-        let mut full_graph = kn.unified.clone();
-        let _ = engine.scores_incremental(&seeds);
-        let _ = strict.scores_incremental(&seeds);
-        let n = full_graph.node_count();
-        let mut rng = hive_rng::Rng::seed_from_u64(0x0a11_ce5e);
-        for _ in 0..8 {
-            let u = hive_graph::NodeId(rng.gen_range(0..n) as u32);
-            let v = hive_graph::NodeId(rng.gen_range(0..n) as u32);
-            if u == v {
-                continue;
-            }
-            let w = rng.gen_range(0.1..1.0);
-            engine.apply_undirected_edge(u, v, w);
-            strict.apply_undirected_edge(u, v, w);
-            full_graph.add_undirected_edge(u, v, w);
-        }
-        let incr = engine.scores_incremental(&seeds);
-        let exact = strict.scores_incremental(&seeds);
-        let full =
-            personalized_pagerank_csr(&CsrView::build(&full_graph), &seeds, PprConfig::default());
-        let l1: f64 = incr.iter().zip(&full).map(|(a, b)| (a - b).abs()).sum();
-        if l1 > 1e-8 {
-            out.push(format!(
-                "incremental ppr drifted {l1:e} L1 from full iteration for {}",
-                probe.iri()
-            ));
-        }
-        let top = |scores: &[f64]| {
-            let mut ranked: Vec<(usize, u64)> =
-                scores.iter().enumerate().map(|(i, &s)| (i, s.to_bits())).collect();
-            ranked.sort_by(|a, b| {
-                f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1)).then(a.0.cmp(&b.0))
-            });
-            ranked.truncate(8);
-            ranked.into_iter().map(|(i, _)| i).collect::<Vec<_>>()
-        };
-        if top(&incr) != top(&full) {
-            out.push(format!(
-                "incremental ppr top-8 order diverges from full iteration for {}",
-                probe.iri()
-            ));
-        }
-        // Fallback equivalence: any nonzero perturbation overflows the
-        // zero budget, forcing a re-solve that must replay cold
-        // bitwise. (When every arrival lands on zero-rank nodes the
-        // engine legitimately keeps serving its old solve — which is
-        // still bitwise-cold, so the comparison below covers both
-        // paths; the fallback *counter* proof lives in the controlled
-        // `tests/ppr_incremental.rs` suite.)
-        if exact.iter().zip(&full).any(|(a, b)| a.to_bits() != b.to_bits()) {
-            out.push(format!(
-                "zero-budget fallback is not bit-identical to cold solve for {}",
-                probe.iri()
-            ));
-        }
     }
     // Delta-vs-rebuild: the live facade has been answering out of
     // snapshots patched forward by the delta log; a cold platform over

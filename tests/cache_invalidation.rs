@@ -1,11 +1,14 @@
 //! Generation counters and the CSR snapshot caches: mutations must bump
-//! the generation, stale views must be detected, and the facade's cached
-//! relationship graph must never serve pre-mutation answers.
+//! the generation, stale views must be detected, the facade's cached
+//! relationship graph must never serve pre-mutation answers, and the
+//! facade's generation-keyed PPR tier emits its hit/delta/miss counters.
 
 use hive_core::model::User;
+use hive_core::peers::PeerRecConfig;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::Hive;
 use hive_store::{GraphView, Term, TripleStore};
+use std::collections::HashMap;
 
 #[test]
 fn store_generation_bumps_on_mutation() {
@@ -89,4 +92,43 @@ fn explain_relationship_never_serves_a_stale_view() {
     let again = hive.explain_relationship(a, b);
     assert_eq!(after.items.len(), again.items.len());
     assert!(after.combined.to_bits() == again.combined.to_bits());
+}
+
+#[test]
+fn facade_ppr_tier_emits_generation_counters() {
+    hive_obs::with_level(hive_obs::Level::Counts, || {
+        let world = WorldBuilder::new(SimConfig::small()).build();
+        let mut hive = Hive::new(world.db);
+        let users = hive.db().user_ids();
+        hive_obs::reset();
+        let first = hive.recommend_peers(users[0], PeerRecConfig::default());
+        let second = hive.recommend_peers(users[0], PeerRecConfig::default());
+        assert_eq!(first.len(), second.len(), "same generation, same answer");
+        for (a, b) in first.iter().zip(&second) {
+            assert_eq!(a.user, b.user);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+        let counters: HashMap<String, u64> =
+            hive_obs::drain_counters().into_iter().collect();
+        assert_eq!(counters.get("core.ppr.miss"), Some(&1), "first probe builds the tier");
+        assert!(
+            counters.get("core.ppr.hit").copied().unwrap_or(0) >= 1,
+            "second probe reuses it: {counters:?}"
+        );
+        assert!(
+            counters.get("core.ppr.memo_hit").copied().unwrap_or(0) >= 1,
+            "repeated seed distribution is memoized: {counters:?}"
+        );
+        // A journal-covered graph-touching mutation patches the tier
+        // forward (clearing the memo) instead of rebuilding it.
+        hive.follow(users[0], users[2]).unwrap();
+        let _ = hive.recommend_peers(users[0], PeerRecConfig::default());
+        let counters: HashMap<String, u64> =
+            hive_obs::drain_counters().into_iter().collect();
+        assert_eq!(
+            counters.get("core.ppr.delta"),
+            Some(&1),
+            "journaled mutation takes the delta path: {counters:?}"
+        );
+    });
 }

@@ -2,13 +2,16 @@
 //! world, exercising DB semantics, feeds, reports, and workpads together.
 
 use hive_core::clock::Timestamp;
-use hive_core::discover::DiscoverConfig;
+use hive_core::config::CommonConfig;
+use hive_core::discover::{DiscoverConfig, Resource};
 use hive_core::history::HistoryQuery;
+use hive_core::ids::{CollectionId, PaperId, SessionId, UserId};
 use hive_core::model::{QaTarget, WorkpadItem};
 use hive_core::peers::PeerRecConfig;
 use hive_core::reports::ReportScope;
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::Hive;
+use hive_core::{Hive, HiveDb, TickRange};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
 fn simulated_world_supports_every_service_group() {
@@ -184,4 +187,152 @@ fn platform_snapshot_survives_service_usage() {
         .map(|r| r.user)
         .collect();
     assert_eq!(a, b, "restored platform recommends identically");
+}
+
+/// Runs every read service on `hive` with degenerate inputs: unknown
+/// ids, result counts of 0, empty queries, a zero-width timeline, a
+/// zero-row report, inverted time windows and empty concept-bootstrap
+/// input. No probe may panic. A probe that asks for nothing (a count of
+/// 0, an empty window, an unknown entity) must get an empty result or a
+/// typed error; the others only have to answer. An empty query and an
+/// empty actor list mean "no filter", a history `limit` of 0 means "no
+/// limit", and an unknown user's recommenders start from the uniform
+/// restart, so those answers may be non-empty. Returns the labels of
+/// the probes that failed, and the number of probes run.
+fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
+    let ghost = UserId(1 << 20);
+    let mut users = vec![ghost];
+    users.extend(hive.db().user_ids().first());
+    let (t0, t1, never) = (Timestamp(0), Timestamp(10), Timestamp(u64::MAX));
+    let zero_k = CommonConfig { top_k: 0, ..PeerRecConfig::default().common };
+    let zero_hits = CommonConfig { top_k: 0, ..DiscoverConfig::default().common };
+    let no_pool = PeerRecConfig { candidate_pool: 0, ..PeerRecConfig::default() };
+    let mut failures = Vec::new();
+    let mut probes = 0usize;
+    let mut probe = |label: String, f: &dyn Fn() -> bool| {
+        probes += 1;
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(true) => {}
+            Ok(false) => failures.push(format!("{label}: not empty")),
+            Err(_) => failures.push(format!("{label}: panicked")),
+        }
+    };
+    for &u in &users {
+        let known = u != ghost;
+        probe(format!("activity_context({u})"), &|| {
+            let ctx = hive.activity_context(u);
+            known || (ctx.vector.is_empty() && ctx.terms.is_empty())
+        });
+        probe(format!("recommend_peers({u}, top_k 0)"), &|| {
+            hive.recommend_peers(u, PeerRecConfig { common: zero_k, ..PeerRecConfig::default() }).is_empty()
+        });
+        probe(format!("recommend_peers({u}, candidate_pool 0)"), &|| {
+            hive.recommend_peers(u, no_pool).len() <= no_pool.common.top_k
+        });
+        probe(format!("similar_peers({u}, 0)"), &|| hive.similar_peers(u, 0).is_empty());
+        probe(format!("similar_peers({u}, 5)"), &|| known || hive.similar_peers(u, 5).is_empty());
+        probe(format!("predict_sessions({u}, 0)"), &|| hive.predict_sessions(u, 0).is_empty());
+        for query in ["", "   ", "tensor"] {
+            probe(format!("search({u}, {query:?}, top_k 0)"), &|| {
+                hive.search(u, query, DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() })
+                    .is_empty()
+            });
+        }
+        for query in ["", "   ", "!!! ???"] {
+            probe(format!("search({u}, {query:?})"), &|| {
+                hive.search(u, query, DiscoverConfig::default()).len() <= DiscoverConfig::default().common.top_k
+            });
+        }
+        probe(format!("recommend_resources({u}, top_k 0)"), &|| {
+            hive.recommend_resources(u, DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() })
+                .is_empty()
+        });
+        probe(format!("recommend_resources({u})"), &|| {
+            let _ = hive.recommend_resources(u, DiscoverConfig::default());
+            true
+        });
+        probe(format!("collaborative_recommendations({u}, 0)"), &|| {
+            hive.collaborative_recommendations(u, 0).is_empty()
+        });
+        probe(format!("explain_relationship({u}, {ghost})"), &|| {
+            let e = hive.explain_relationship(u, ghost);
+            e.items.is_empty() && e.paths.is_empty()
+        });
+        probe(format!("summarize_resource({u}, unknown paper)"), &|| {
+            hive.summarize_resource(u, Resource::Paper(PaperId(1 << 20)), 3).is_none()
+        });
+        probe(format!("summarize_resource({u}, unknown user)"), &|| {
+            hive.summarize_resource(u, Resource::User(ghost), 3).is_none()
+        });
+        probe(format!("updates_for({u}, never)"), &|| hive.updates_for(u, never).is_empty());
+        probe(format!("highlights({u}, 0)"), &|| hive.highlights(u, t0, 0).is_empty());
+        probe(format!("highlights({u}, never)"), &|| hive.highlights(u, never, 5).is_empty());
+        probe(format!("digest({u}, never)"), &|| {
+            let d = hive.digest(u, never);
+            d.updates.is_empty() && d.counts.is_empty()
+        });
+        probe(format!("search_history(limit 0, {u})"), &|| {
+            let _ = hive.search_history(&HistoryQuery::new().limit(0), Some(u));
+            true
+        });
+        probe(format!("search_history(inverted window, {u})"), &|| {
+            let q = HistoryQuery::new().within(TickRange::between(t1, t0));
+            hive.search_history(&q, Some(u)).is_empty()
+        });
+        probe(format!("search_history(empty needle, {u})"), &|| {
+            let _ = hive.search_history(&HistoryQuery::new().matching(""), Some(u));
+            true
+        });
+        probe(format!("timeline([{u}], 0)"), &|| hive.timeline(&[u], 0).is_empty());
+        probe(format!("update_report(network {u}, 0 rows)"), &|| {
+            hive.update_report(&ReportScope::Network(u), t0, never, 0).summary.rows.is_empty()
+        });
+        probe(format!("update_report(network {u}, inverted)"), &|| {
+            hive.update_report(&ReportScope::Network(u), t1, t0, 6).total_events == 0
+        });
+    }
+    probe("search_history(unknown actor)".into(), &|| {
+        hive.search_history(&HistoryQuery::new().with_actors(vec![ghost]), None).is_empty()
+    });
+    probe("timeline([], 0)".into(), &|| hive.timeline(&[], 0).is_empty());
+    probe("timeline([ghost], 1)".into(), &|| hive.timeline(&[ghost], 1).is_empty());
+    probe("update_report(platform, 0 rows)".into(), &|| {
+        hive.update_report(&ReportScope::Platform, t0, never, 0).summary.rows.is_empty()
+    });
+    probe("update_report(platform, inverted)".into(), &|| {
+        hive.update_report(&ReportScope::Platform, never, t0, 6).total_events == 0
+    });
+    probe("update_report(empty group)".into(), &|| {
+        hive.update_report(&ReportScope::Group(Vec::new()), t0, never, 6).total_events == 0
+    });
+    probe("trending_sessions(inverted)".into(), &|| hive.trending_sessions(t1, t0, 5).is_empty());
+    probe("trending_sessions(k 0)".into(), &|| hive.trending_sessions(t0, never, 0).is_empty());
+    probe("rising_topics(inverted, k 0)".into(), &|| hive.rising_topics((t1, t0), (t1, t0), 0).is_empty());
+    probe("rising_topics(inverted)".into(), &|| hive.rising_topics((t1, t0), (never, t0), 5).is_empty());
+    probe("session_ticker(unknown)".into(), &|| hive.session_ticker(SessionId(1 << 20), t0).is_empty());
+    probe("export_collection_json(unknown)".into(), &|| {
+        hive.export_collection_json(CollectionId(1 << 20)).is_err()
+    });
+    probe("bootstrap_concepts(no documents)".into(), &|| {
+        hive.bootstrap_concepts("empty", &[]).concept_count() == 0
+    });
+    probe("bootstrap_concepts(empty documents)".into(), &|| {
+        hive.bootstrap_concepts("", &["", "   "]).concept_count() == 0
+    });
+    probe("discover_communities".into(), &|| {
+        let _ = hive.discover_communities();
+        true
+    });
+    (failures, probes)
+}
+
+#[test]
+fn degenerate_inputs_get_empty_results_or_typed_errors() {
+    let empty = Hive::new(HiveDb::new());
+    let world = Hive::new(WorldBuilder::new(SimConfig::small()).build().db);
+    let (mut failures, mut probes) = degenerate_probe_failures(&empty);
+    let (more, n) = degenerate_probe_failures(&world);
+    failures.extend(more);
+    probes += n;
+    assert!(failures.is_empty(), "{} of {probes} probes failed:\n{}", failures.len(), failures.join("\n"));
 }

@@ -1,11 +1,11 @@
-//! Property tests for the graph analytics substrate, driven by the
+//! Property tests for the graph substrate, driven by the
 //! in-tree seeded runner (`hive_bench::prop`).
 
 use hive_bench::prop::{check, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
 use hive_graph::{
-    connected_components, core_numbers, diffuse, dijkstra, label_propagation, louvain,
-    modularity, personalized_pagerank, DiffusionParams, Graph, NodeId, PprConfig,
+    connected_components, core_numbers, diffuse, label_propagation, louvain, modularity,
+    personalized_pagerank, DiffusionParams, Graph, NodeId, PprConfig,
 };
 use hive_rng::Rng;
 use std::collections::HashMap;
@@ -74,26 +74,6 @@ fn ppr_seed_dominates_unreachable() {
                     ppr[n.index()] < 1e-9,
                     "unreachable node has rank {}",
                     ppr[n.index()]
-                );
-            }
-        }
-        Ok(())
-    });
-}
-
-/// Dijkstra distances satisfy the triangle inequality over edges:
-/// d(v) <= d(u) + w(u,v) for every edge, and d(source) = 0.
-#[test]
-fn dijkstra_relaxed_everywhere() {
-    check("graph::dijkstra_relaxed_everywhere", DEFAULT_CASES, |rng| {
-        let g = build(&gen_edges(rng));
-        let dm = dijkstra(&g, NodeId(0));
-        prop_ensure_eq!(dm.distance(NodeId(0)), 0.0);
-        for (u, v, w) in g.edges() {
-            if dm.distance(u).is_finite() {
-                prop_ensure!(
-                    dm.distance(v) <= dm.distance(u) + w + 1e-9,
-                    "edge ({u:?}, {v:?}) not relaxed"
                 );
             }
         }

@@ -20,7 +20,6 @@ cargo run -q --release -p hive-bench --offline --bin bench_merge -- \
   "$HIVE_BENCH_JSON_DIR" BENCH_hive.json
 
 # Regression gate: every *_speedup metric must be >= 1.0 (known-serial
-# cases live in the allowlist; t4-vs-t1 ratios are auto-exempt on hosts
-# with fewer than 4 threads).
+# cases live in the allowlist).
 cargo run -q --release -p hive-bench --offline --bin bench_gate -- \
   BENCH_hive.json tools/bench_allowlist.txt
