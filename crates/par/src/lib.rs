@@ -278,7 +278,8 @@ mod tests {
         assert_eq!(chunk_len(100_000), 1_563);
         assert_eq!(count(100_000), MAX_CHUNKS);
         for n in [0usize, 1, 7, 63, 64, 65, 255, 256, 257, 1000, 4097, 100_000] {
-            let total: usize = (0..count(n)).map(|ci| (n - ci * chunk_len(n)).min(chunk_len(n))).sum();
+            let total: usize =
+                (0..count(n)).map(|ci| (n - ci * chunk_len(n)).min(chunk_len(n))).sum();
             assert_eq!(total, n, "chunks must tile exactly for n={n}");
         }
     }

@@ -154,7 +154,13 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
 
 /// CP-ALS over `entries` of a tensor of shape `dims`, folding every
 /// sum in entry order.
-fn als(entries: &[([usize; 3], f64)], dims: [usize; 3], rank: usize, iters: usize, seed: u64) -> CpModel {
+fn als(
+    entries: &[([usize; 3], f64)],
+    dims: [usize; 3],
+    rank: usize,
+    iters: usize,
+    seed: u64,
+) -> CpModel {
     let mut rng = Rng::seed_from_u64(seed);
     let mut factors: [Vec<Vec<f64>>; 3] = [
         (0..dims[0])

@@ -224,7 +224,8 @@ fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
             known || (ctx.vector.is_empty() && ctx.terms.is_empty())
         });
         probe(format!("recommend_peers({u}, top_k 0)"), &|| {
-            hive.recommend_peers(u, PeerRecConfig { common: zero_k, ..PeerRecConfig::default() }).is_empty()
+            hive.recommend_peers(u, PeerRecConfig { common: zero_k, ..PeerRecConfig::default() })
+                .is_empty()
         });
         probe(format!("recommend_peers({u}, candidate_pool 0)"), &|| {
             hive.recommend_peers(u, no_pool).len() <= no_pool.common.top_k
@@ -234,18 +235,26 @@ fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
         probe(format!("predict_sessions({u}, 0)"), &|| hive.predict_sessions(u, 0).is_empty());
         for query in ["", "   ", "tensor"] {
             probe(format!("search({u}, {query:?}, top_k 0)"), &|| {
-                hive.search(u, query, DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() })
-                    .is_empty()
+                hive.search(
+                    u,
+                    query,
+                    DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() },
+                )
+                .is_empty()
             });
         }
         for query in ["", "   ", "!!! ???"] {
             probe(format!("search({u}, {query:?})"), &|| {
-                hive.search(u, query, DiscoverConfig::default()).len() <= DiscoverConfig::default().common.top_k
+                hive.search(u, query, DiscoverConfig::default()).len()
+                    <= DiscoverConfig::default().common.top_k
             });
         }
         probe(format!("recommend_resources({u}, top_k 0)"), &|| {
-            hive.recommend_resources(u, DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() })
-                .is_empty()
+            hive.recommend_resources(
+                u,
+                DiscoverConfig { common: zero_hits, ..DiscoverConfig::default() },
+            )
+            .is_empty()
         });
         probe(format!("recommend_resources({u})"), &|| {
             let _ = hive.recommend_resources(u, DiscoverConfig::default());
@@ -307,9 +316,15 @@ fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
     });
     probe("trending_sessions(inverted)".into(), &|| hive.trending_sessions(t1, t0, 5).is_empty());
     probe("trending_sessions(k 0)".into(), &|| hive.trending_sessions(t0, never, 0).is_empty());
-    probe("rising_topics(inverted, k 0)".into(), &|| hive.rising_topics((t1, t0), (t1, t0), 0).is_empty());
-    probe("rising_topics(inverted)".into(), &|| hive.rising_topics((t1, t0), (never, t0), 5).is_empty());
-    probe("session_ticker(unknown)".into(), &|| hive.session_ticker(SessionId(1 << 20), t0).is_empty());
+    probe("rising_topics(inverted, k 0)".into(), &|| {
+        hive.rising_topics((t1, t0), (t1, t0), 0).is_empty()
+    });
+    probe("rising_topics(inverted)".into(), &|| {
+        hive.rising_topics((t1, t0), (never, t0), 5).is_empty()
+    });
+    probe("session_ticker(unknown)".into(), &|| {
+        hive.session_ticker(SessionId(1 << 20), t0).is_empty()
+    });
     probe("export_collection_json(unknown)".into(), &|| {
         hive.export_collection_json(CollectionId(1 << 20)).is_err()
     });
@@ -334,5 +349,10 @@ fn degenerate_inputs_get_empty_results_or_typed_errors() {
     let (more, n) = degenerate_probe_failures(&world);
     failures.extend(more);
     probes += n;
-    assert!(failures.is_empty(), "{} of {probes} probes failed:\n{}", failures.len(), failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "{} of {probes} probes failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
 }

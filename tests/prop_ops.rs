@@ -78,9 +78,19 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
         0 => ReplOp::Follow(FollowOp { follower: u, followee: u }),
         1 => ReplOp::RequestConnection(RequestConnectionOp { from: u, to: u }),
         2 => ReplOp::Follow(FollowOp { follower: u, followee: ghost_user }),
-        3 => ReplOp::CheckIn(CheckInOp { user: u, session: SessionId(past(db.session_ids().len(), rng)) }),
-        4 => ReplOp::Attend(AttendOp { user: u, conf: ConferenceId(past(db.conference_ids().len(), rng)) }),
-        5 => ReplOp::Comment(CommentOp { author: u, target: QaTarget::Session(session), text: empty }),
+        3 => ReplOp::CheckIn(CheckInOp {
+            user: u,
+            session: SessionId(past(db.session_ids().len(), rng)),
+        }),
+        4 => ReplOp::Attend(AttendOp {
+            user: u,
+            conf: ConferenceId(past(db.conference_ids().len(), rng)),
+        }),
+        5 => ReplOp::Comment(CommentOp {
+            author: u,
+            target: QaTarget::Session(session),
+            text: empty,
+        }),
         6 => ReplOp::AskQuestion(AskQuestionOp {
             author: u,
             target: QaTarget::Session(session),
@@ -92,11 +102,24 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
             question: QuestionId(past(db.question_ids().len(), rng)),
             text: "an answer to no question".into(),
         }),
-        8 => ReplOp::PostTweet(PostTweetOp { author: Some(u), handle: "@ghost".into(), text: empty, session }),
-        9 => ReplOp::ViewPaper(ViewPaperOp { user: u, paper: PaperId(past(db.paper_ids().len(), rng)) }),
+        8 => ReplOp::PostTweet(PostTweetOp {
+            author: Some(u),
+            handle: "@ghost".into(),
+            text: empty,
+            session,
+        }),
+        9 => ReplOp::ViewPaper(ViewPaperOp {
+            user: u,
+            paper: PaperId(past(db.paper_ids().len(), rng)),
+        }),
         10 => ReplOp::CreateWorkpad(CreateWorkpadOp { owner: ghost_user, name: "nobody's".into() }),
-        11 => ReplOp::ImportCollection(ImportCollectionOp { user: u, collection: CollectionId(far(rng)) }),
-        12 => ReplOp::RespondConnection(RespondConnectionOp { to: u, from: ghost_user, accept: true }),
+        11 => ReplOp::ImportCollection(ImportCollectionOp {
+            user: u,
+            collection: CollectionId(far(rng)),
+        }),
+        12 => {
+            ReplOp::RespondConnection(RespondConnectionOp { to: u, from: ghost_user, accept: true })
+        }
         13 => ReplOp::SetFollowFilter(SetFollowFilterOp {
             follower: u,
             followee: ghost_user,
@@ -107,7 +130,8 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
             let papers = db.paper_ids();
             let paper = papers[rng.gen_range(0..papers.len())];
             let authors = db.get_paper(paper).map(|p| p.authors.clone()).unwrap_or_default();
-            let outsider = users.iter().copied().find(|x| !authors.contains(x)).unwrap_or(ghost_user);
+            let outsider =
+                users.iter().copied().find(|x| !authors.contains(x)).unwrap_or(ghost_user);
             ReplOp::AddPresentation(Presentation::new(paper, outsider, session))
         }
         15 => {
@@ -136,9 +160,15 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
             };
             let user = if owner == u { other } else { u };
             match rng.gen_range(0..5u32) {
-                0 => ReplOp::WorkpadAdd(WorkpadAddOp { user, pad, item: WorkpadItem::Session(session) }),
+                0 => ReplOp::WorkpadAdd(WorkpadAddOp {
+                    user,
+                    pad,
+                    item: WorkpadItem::Session(session),
+                }),
                 1 => ReplOp::WorkpadNote(WorkpadNoteOp { user, pad, text: "not mine".into() }),
-                2 => ReplOp::WorkpadRemove(WorkpadRemoveOp { user, pad, item: WorkpadItem::Note(0) }),
+                2 => {
+                    ReplOp::WorkpadRemove(WorkpadRemoveOp { user, pad, item: WorkpadItem::Note(0) })
+                }
                 3 => ReplOp::ActivateWorkpad(ActivateWorkpadOp { user, pad }),
                 _ => ReplOp::ExportWorkpad(ExportWorkpadOp { user, pad }),
             }
@@ -162,8 +192,11 @@ fn rejected_ops_leave_no_trace() {
     let mut rejected = 0usize;
     let mut applied = 0usize;
     check("ops::rejected_ops_leave_no_trace", CASES, |rng| {
-        let world = WorldBuilder::new(SimConfig { seed: rng.gen_range(0..1u64 << 32), ..SimConfig::small() })
-            .build();
+        let world = WorldBuilder::new(SimConfig {
+            seed: rng.gen_range(0..1u64 << 32),
+            ..SimConfig::small()
+        })
+        .build();
         let mut hive = Hive::new(world.db);
         for step in 0..STEPS {
             let mut batch = synth::step_ops(&hive, step, rng);
