@@ -1,78 +1,26 @@
-//! hive-lint benchmarks: full-workspace scan wall-time and throughput,
-//! plus the token-engine vs AST-engine cost split.
+//! hive-lint benchmark: full-workspace scan wall-time and throughput.
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_lint`
-//!
-//! The `ast_vs_token_speedup` ratio sits *below* 1.0 by design — the
-//! AST engine parses, resolves and builds a call graph where the token
-//! engine only scans masked lines — and is allowlisted in
-//! `tools/bench_allowlist.txt`. It is recorded so the cost of
-//! resolution-grade precision stays visible release-to-release.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use hive_bench::{header, iters, mean, metric, report, report_header, time_n, write_json_fragment};
-use hive_lint::config::WorkspaceConfig;
-use hive_lint::{check_lib_root, check_source, SourceRules};
 
 fn workspace_root() -> PathBuf {
     hive_lint::find_workspace_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above crates/bench")
 }
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    let mut entries: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-/// The v1-style analyzer: token rules only, over every crate source
-/// file, with the same per-crate flag derivation the workspace scan
-/// uses. Returns the diagnostic count (the token engine keeps its
-/// false positives — that gap is what the AST engine buys back).
-fn token_pass(root: &Path, cfg: &WorkspaceConfig) -> usize {
-    let mut count = 0;
-    for (name, dir) in &cfg.crates {
-        let mut sources = Vec::new();
-        rust_files(&dir.join("src"), &mut sources);
-        for path in &sources {
-            let Ok(source) = std::fs::read_to_string(path) else { continue };
-            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().into_owned();
-            let which = SourceRules {
-                no_panic: cfg.panic_free.contains(name),
-                deterministic_time: !cfg.clock_files.contains(&rel),
-                no_stray_io: !cfg.io_exempt.contains(name),
-                no_raw_threads: !cfg.thread_crates.contains(name),
-                delta_log: true,
-                no_full_scan: false,
-            };
-            count += check_source(&rel, &source, which).len();
-            if path.file_name().is_some_and(|f| f == "lib.rs") {
-                count += check_lib_root(&rel, &source).len();
-            }
-        }
-    }
-    count
-}
-
 fn main() {
     println!("bench_lint — static analyzer wall-time and throughput");
     let root = workspace_root();
-    let cfg = hive_lint::config::load(&root).expect("workspace config");
     let n = iters(10, 2);
 
     header("lint");
     report_header();
 
-    // Full scan: both engines, all twelve rules, exactly what
-    // `cargo run -p hive-lint` executes.
+    // Full scan: every rule, exactly what `cargo run -p hive-lint`
+    // executes.
     let mut files = 0usize;
     let mut loc = 0usize;
     let full = time_n(n, || {
@@ -85,23 +33,6 @@ fn main() {
     metric("files", files as f64);
     metric("loc", loc as f64);
     metric("loc_per_s", loc as f64 / (mean(&full) / 1e6));
-
-    // AST engine alone: lex + parse + resolve + R2/R7-R12.
-    let ast = time_n(n, || {
-        std::hint::black_box(
-            hive_lint::check_ast_workspace(&root, &cfg).expect("ast pass"),
-        );
-    });
-    report("ast_pass", &ast);
-
-    // Token engine alone: the v1 analyzer over the same files.
-    let token = time_n(n, || {
-        std::hint::black_box(token_pass(&root, &cfg));
-    });
-    report("token_pass", &token);
-
-    // Below 1.0 by design (see module docs); allowlisted for the gate.
-    metric("ast_vs_token_speedup", mean(&token) / mean(&ast));
 
     write_json_fragment("bench_lint");
 }

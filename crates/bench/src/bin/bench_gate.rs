@@ -267,11 +267,11 @@ mod tests {
     #[test]
     fn allowlist_parses_plain_floor_and_comment_lines() {
         let entries = parse_allowlist(
-            "# comment\nlint/ast_vs_token_speedup\nidx_vs_scan_speedup >= 5.0 # floor\n",
+            "# comment\nserve_reads/reads_r2_vs_r1_speedup\nidx_vs_scan_speedup >= 5.0 # floor\n",
         )
         .unwrap();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].name, "lint/ast_vs_token_speedup");
+        assert_eq!(entries[0].name, "serve_reads/reads_r2_vs_r1_speedup");
         assert_eq!(entries[0].floor, None);
         assert_eq!(entries[1].name, "idx_vs_scan_speedup");
         assert_eq!(entries[1].floor, Some(5.0));

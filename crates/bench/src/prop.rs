@@ -49,6 +49,72 @@ pub fn check_seed(name: &str, seed: u64, mut f: impl FnMut(&mut Rng) -> Result<(
     }
 }
 
+/// `text` with the char at byte offset `at` replaced by `with`.
+pub fn replace_char(text: &str, at: usize, with: char) -> String {
+    let old = text[at..].chars().next().expect("a char at a boundary");
+    let mut out = String::with_capacity(text.len() + 4);
+    out.push_str(&text[..at]);
+    out.push(with);
+    out.push_str(&text[at + old.len_utf8()..]);
+    out
+}
+
+/// A char of `alphabet` other than `old`.
+pub fn other_char(rng: &mut Rng, alphabet: &[char], old: char) -> char {
+    loop {
+        let c = alphabet[rng.gen_range(0..alphabet.len())];
+        if c != old {
+            return c;
+        }
+    }
+}
+
+/// One mutation of `text` for decoder fuzzing: a char replaced by one
+/// of `alphabet`, a digit changed (JSON text still parses), a span
+/// deleted or a span repeated. `text` must hold a digit.
+pub fn mutate(rng: &mut Rng, text: &str, alphabet: &[char]) -> String {
+    let boundary = |rng: &mut Rng| {
+        let mut at = rng.gen_range(0..text.len());
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    };
+    match rng.gen_range(0..4u32) {
+        0 => {
+            let at = boundary(rng);
+            let old = text[at..].chars().next().unwrap_or(' ');
+            replace_char(text, at, other_char(rng, alphabet, old))
+        }
+        1 => {
+            let digits: Vec<usize> = text
+                .char_indices()
+                .filter(|(_, c)| c.is_ascii_digit())
+                .map(|(i, _)| i)
+                .collect();
+            let at = digits[rng.gen_range(0..digits.len())];
+            let old = text.as_bytes()[at];
+            let new = loop {
+                let d = b'0' + rng.gen_range(0..10u8);
+                if d != old {
+                    break d as char;
+                }
+            };
+            replace_char(text, at, new)
+        }
+        2 => {
+            let (a, b) = (boundary(rng), boundary(rng));
+            let (a, b) = (a.min(b), a.max(b));
+            format!("{}{}", &text[..a], &text[b..])
+        }
+        _ => {
+            let (a, b) = (boundary(rng), boundary(rng));
+            let (a, b) = (a.min(b), a.max(b));
+            format!("{}{}", &text[..b], &text[a..])
+        }
+    }
+}
+
 /// Fails the current property case unless `cond` holds.
 #[macro_export]
 macro_rules! prop_ensure {

@@ -147,7 +147,8 @@ fn parse_user_iri(key: &str) -> Option<UserId> {
 /// Recommends peers for `user` under their current activity context.
 ///
 /// Users already connected to `user` (and `user` themself) are excluded —
-/// the service proposes *new* colleagues.
+/// the service proposes *new* colleagues. A user the database does not
+/// know gets no recommendations.
 pub fn recommend_peers(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
@@ -156,6 +157,9 @@ pub fn recommend_peers(
     ctx: &ActivityContext,
     cfg: PeerRecConfig,
 ) -> Vec<PeerRecommendation> {
+    if db.get_user(user).is_err() {
+        return Vec::new();
+    }
     let g = &kn.unified;
     // Seed PPR from the context (fall back to the user node alone).
     let mut seeds: HashMap<NodeId, f64> = HashMap::new();

@@ -272,12 +272,10 @@ pub enum Expr {
         /// Closure body.
         body: Box<Expr>,
     },
-    /// `lhs op= rhs` assignment; `op` is `=` or a compound op text.
+    /// `lhs = rhs` or compound (`+=`, …) assignment.
     Assign {
         /// Assignment target.
         target: Box<Expr>,
-        /// Operator text (`=`, `+=`, …).
-        op: String,
         /// Assigned value.
         value: Box<Expr>,
         /// Source line of the operator.

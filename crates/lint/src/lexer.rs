@@ -1,13 +1,13 @@
-//! Two lexers over Rust source.
+//! The Rust lexer every rule runs on.
 //!
-//! * The **masking lexer** ([`lex`]) blanks comments, string/char
-//!   literals, and `#[cfg(test)]` / `#[test]` regions byte-for-byte —
-//!   the fast substrate for the token-scan rules (R1, R3–R6).
-//! * The **token lexer** ([`tokenize`]) produces a positioned token
-//!   stream (identifiers, literals, lifetimes, punctuation) for the
-//!   recursive-descent parser behind the AST rules (R2, R7–R12).
+//! [`tokenize`] produces a positioned token stream (identifiers,
+//! literals, lifetimes, punctuation) with comments dropped and string,
+//! char and numeric literals kept as single opaque tokens. The token
+//! rules (R3–R6, R8, R13) match token sequences over it, and the
+//! recursive-descent parser behind the AST rules (R2, R7, R9–R12) reads
+//! the same stream.
 //!
-//! Both harvest `lint:` markers from comments: `lint:allow(rule,…)`
+//! The lexer harvests `lint:` markers from comments: `lint:allow(rule,…)`
 //! waives a rule at a site, `lint:mutator(Type,…)` declares a function
 //! a sanctioned snapshot-mutation choke point (R9), and
 //! `lint:root(determinism)` marks a function as a determinism-taint
@@ -37,43 +37,6 @@ pub enum MarkerKind {
     Root,
 }
 
-/// Lexed view of one source file: the original text with comments,
-/// string/char literals, and test-only regions blanked (byte-for-byte,
-/// newlines preserved, so line/column arithmetic still holds), plus the
-/// `lint:` markers harvested from the comments before blanking.
-pub struct LexedSource {
-    /// The masked source text.
-    pub masked: String,
-    /// Every `lint:` marker, in file order.
-    pub markers: Vec<Marker>,
-}
-
-impl LexedSource {
-    /// True if `rule` is waived on `line` (marker on the same line or
-    /// the line directly above).
-    pub fn allows(&self, rule: &str, line: usize) -> bool {
-        self.markers.iter().any(|m| {
-            m.kind == MarkerKind::Allow
-                && (m.line == line || m.line + 1 == line)
-                && m.args.iter().any(|a| a == rule)
-        })
-    }
-
-    /// `(line, rule)` pairs for every allow marker — the shape the
-    /// token-rule engine consumes.
-    pub fn allow_pairs(&self) -> Vec<(usize, String)> {
-        let mut out = Vec::new();
-        for m in &self.markers {
-            if m.kind == MarkerKind::Allow {
-                for a in &m.args {
-                    out.push((m.line, a.clone()));
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Harvests every `lint:<kind>(args)` marker from a comment body.
 pub(crate) fn harvest_markers(body: &str, line: usize, out: &mut Vec<Marker>) {
     for (needle, kind) in [
@@ -99,79 +62,8 @@ pub(crate) fn harvest_markers(body: &str, line: usize, out: &mut Vec<Marker>) {
     }
 }
 
-/// Runs the masking lexer: blanks comments and string/char literals,
-/// then blanks `#[cfg(test)]` / `#[test]` regions.
-pub fn lex(source: &str) -> LexedSource {
-    let mut masked: Vec<char> = Vec::with_capacity(source.len());
-    let mut markers = Vec::new();
-    let chars: Vec<char> = source.chars().collect();
-    let mut i = 0;
-    let mut line = 1;
-    // Pushes a blank for `c`, preserving newlines and horizontal layout.
-    let blank = |c: char| if c == '\n' { '\n' } else { ' ' };
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '/' && i + 1 < chars.len() && chars[i + 1] == '/' {
-            // Line comment: harvest markers, blank to end of line.
-            let start = i;
-            while i < chars.len() && chars[i] != '\n' {
-                i += 1;
-            }
-            let body: String = chars[start..i].iter().collect();
-            harvest_markers(&body, line, &mut markers);
-            masked.extend(std::iter::repeat(' ').take(i - start));
-        } else if c == '/' && i + 1 < chars.len() && chars[i + 1] == '*' {
-            // Block comment, nesting supported.
-            let start_line = line;
-            let start = i;
-            let mut depth = 1;
-            i += 2;
-            while i < chars.len() && depth > 0 {
-                if chars[i] == '/' && i + 1 < chars.len() && chars[i + 1] == '*' {
-                    depth += 1;
-                    i += 2;
-                } else if chars[i] == '*' && i + 1 < chars.len() && chars[i + 1] == '/' {
-                    depth -= 1;
-                    i += 2;
-                } else {
-                    if chars[i] == '\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-            }
-            let body: String = chars[start..i].iter().collect();
-            harvest_markers(&body, start_line, &mut markers);
-            for &bc in &chars[start..i] {
-                masked.push(blank(bc));
-            }
-        } else if c == '"' || (c == 'r' && is_raw_string_start(&chars, i)) {
-            // String literal (plain or raw). Blank the contents.
-            let (end, newlines) = skip_string(&chars, i);
-            for &bc in &chars[i..end] {
-                masked.push(blank(bc));
-            }
-            line += newlines;
-            i = end;
-        } else if c == '\'' && is_char_literal(&chars, i) {
-            let end = skip_char_literal(&chars, i);
-            masked.extend(std::iter::repeat(' ').take(end - i));
-            i = end;
-        } else {
-            if c == '\n' {
-                line += 1;
-            }
-            masked.push(c);
-            i += 1;
-        }
-    }
-    let mut lexed = LexedSource { masked: masked.into_iter().collect(), markers };
-    blank_test_regions(&mut lexed.masked);
-    lexed
-}
-
-/// `r"`, `r#"`, `r##"`, ... (also `br"` is handled via the `b` falling
-/// through as a normal char before `r`).
+/// `r"`, `r#"`, `r##"`, ... (`br"` and `b"` arrive as an identifier
+/// first; [`tokenize`] splices them).
 fn is_raw_string_start(chars: &[char], i: usize) -> bool {
     let mut j = i + 1;
     while j < chars.len() && chars[j] == '#' {
@@ -180,10 +72,8 @@ fn is_raw_string_start(chars: &[char], i: usize) -> bool {
     j < chars.len() && chars[j] == '"'
 }
 
-/// Skips a string literal starting at `i`; returns (end index, newlines
-/// crossed).
-fn skip_string(chars: &[char], i: usize) -> (usize, usize) {
-    let mut newlines = 0;
+/// Skips a string literal starting at `i`; returns its end index.
+fn skip_string(chars: &[char], i: usize) -> usize {
     if chars[i] == 'r' {
         let mut hashes = 0;
         let mut j = i + 1;
@@ -194,31 +84,23 @@ fn skip_string(chars: &[char], i: usize) -> (usize, usize) {
         j += 1; // opening quote
         // Scan for `"` followed by `hashes` hashes.
         while j < chars.len() {
-            if chars[j] == '\n' {
-                newlines += 1;
-            }
             if chars[j] == '"' && chars[j + 1..].iter().take_while(|&&c| c == '#').count() >= hashes
             {
-                return (j + 1 + hashes, newlines);
+                return j + 1 + hashes;
             }
             j += 1;
         }
-        (j, newlines)
+        j.min(chars.len())
     } else {
         let mut j = i + 1;
         while j < chars.len() {
             match chars[j] {
                 '\\' => j += 2,
-                '"' => return (j + 1, newlines),
-                c => {
-                    if c == '\n' {
-                        newlines += 1;
-                    }
-                    j += 1;
-                }
+                '"' => return j + 1,
+                _ => j += 1,
             }
         }
-        (j, newlines)
+        j.min(chars.len())
     }
 }
 
@@ -248,66 +130,6 @@ fn skip_char_literal(chars: &[char], i: usize) -> usize {
     }
     (j + 1).min(chars.len())
 }
-
-/// Blanks `#[cfg(test)]` and `#[test]` items in already-masked source:
-/// from the attribute through the matching close brace (or trailing
-/// semicolon for brace-less items).
-fn blank_test_regions(masked: &mut String) {
-    let mut out: Vec<char> = masked.chars().collect();
-    let mut from = 0;
-    while let Some(at) = find_test_attr(&out, from) {
-        // Find the end of the region: first `{` after the attribute,
-        // matched to its closing brace; or a `;` that arrives first.
-        let mut j = at;
-        let mut end = out.len();
-        while j < out.len() {
-            match out[j] {
-                '{' => {
-                    let mut depth = 0;
-                    while j < out.len() {
-                        match out[j] {
-                            '{' => depth += 1,
-                            '}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    end = (j + 1).min(out.len());
-                    break;
-                }
-                ';' => {
-                    end = j + 1;
-                    break;
-                }
-                _ => j += 1,
-            }
-        }
-        for cell in out.iter_mut().take(end).skip(at) {
-            if *cell != '\n' {
-                *cell = ' ';
-            }
-        }
-        from = end.max(at + 1);
-    }
-    *masked = out.into_iter().collect();
-}
-
-/// Char offset of the next test attribute at or after `from`, if any.
-fn find_test_attr(chars: &[char], from: usize) -> Option<usize> {
-    let matches_at = |i: usize, pat: &str| -> bool {
-        pat.chars().enumerate().all(|(k, pc)| chars.get(i + k) == Some(&pc))
-    };
-    (from..chars.len()).find(|&i| matches_at(i, "#[cfg(test)]") || matches_at(i, "#[test]"))
-}
-
-// ---------------------------------------------------------------------------
-// Token lexer
-// ---------------------------------------------------------------------------
 
 /// Token classes produced by [`tokenize`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -359,7 +181,7 @@ const JOINED: &[&str] = &[
     "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-/// Runs the token lexer: comments skipped (markers harvested), string /
+/// Runs the lexer: comments skipped (markers harvested), string /
 /// char / numeric literals kept as single opaque tokens, lifetimes
 /// distinguished from char literals, multi-char operators joined.
 pub fn tokenize(source: &str) -> (Vec<Tok>, Vec<Marker>) {
@@ -418,7 +240,7 @@ pub fn tokenize(source: &str) -> (Vec<Tok>, Vec<Marker>) {
             harvest_markers(&body, start_line, &mut markers);
         } else if c == '"' || (c == 'r' && is_raw_string_start(&chars, i)) {
             let (tl, tc) = (line, col);
-            let (end, _) = skip_string(&chars, i);
+            let end = skip_string(&chars, i);
             let text: String = chars[i..end].iter().collect();
             for &sc in &chars[i..end] {
                 bump(sc, &mut line, &mut col);
@@ -473,7 +295,8 @@ pub fn tokenize(source: &str) -> (Vec<Tok>, Vec<Marker>) {
             let text: String = chars[start..i].iter().collect();
             // `b"..."` byte strings: the `b` arrived first; splice.
             if (text == "b" || text == "br") && chars.get(i).is_some_and(|&q| q == '"' || q == '#') {
-                let (end, _) = skip_string(&chars, if chars[i] == '"' { i } else { i });
+                // A raw byte string is scanned from its `r`.
+                let end = skip_string(&chars, if text == "br" { i - 1 } else { i });
                 let lit: String = chars[start..end].iter().collect();
                 for &sc in &chars[i..end] {
                     bump(sc, &mut line, &mut col);
@@ -553,6 +376,15 @@ mod tests {
         assert!(toks.iter().any(|t| t.kind == TokKind::Literal && t.text.contains("a } b")));
         assert!(toks.iter().any(|t| t.kind == TokKind::Literal && t.text == "'x'"));
         assert!(toks.iter().any(|t| t.kind == TokKind::Lifetime && t.text == "'a"));
+    }
+
+    #[test]
+    fn raw_byte_strings_and_unterminated_strings_are_single_literals() {
+        let (toks, _) = tokenize("let b = br\"a\\\"; x");
+        assert!(toks.iter().any(|t| t.kind == TokKind::Literal && t.text == "br\"a\\\""));
+        assert!(toks.iter().any(|t| t.is_ident("x")), "the literal ends at its quote");
+        let (toks, _) = tokenize("let s = \"abc\\");
+        assert_eq!(toks.last().map(|t| t.kind), Some(TokKind::Literal));
     }
 
     #[test]

@@ -4,18 +4,22 @@
 //! `hive-par` pool, which fans the per-file scan out across workers)
 //! that turns the workspace's operational conventions into
 //! machine-checked invariants (DESIGN.md, "Static analysis
-//! architecture"). Thirteen rules run over two engines:
+//! architecture"). Thirteen rules run, each on one engine. Every
+//! scanned file is read and tokenized once by the one lexer
+//! ([`lexer::tokenize`]); the token rules match its token stream, and a
+//! crate `src/` file's stream is also parsed for the AST rules.
 //!
-//! **Token rules** match forbidden tokens in *lexed* source: a minimal
-//! Rust lexer blanks `//` and `/* */` comments, string and char
-//! literals, and `#[cfg(test)]` / `#[test]` regions first, so a
-//! forbidden token inside a doc comment, a string, or a unit test never
-//! fires.
+//! **R1 `hermetic-deps`** reads the manifests line by line: every
+//! `[dependencies]` / `[dev-dependencies]` entry in every manifest is a
+//! workspace path dep (or `workspace = true` indirection to one); no
+//! registry crates, so the build never touches the network.
 //!
-//! * **R1 `hermetic-deps`** — every `[dependencies]` /
-//!   `[dev-dependencies]` entry in every manifest is a workspace path
-//!   dep (or `workspace = true` indirection to one); no registry crates,
-//!   so the build never touches the network.
+//! **Token rules** match forbidden token sequences. Comments never
+//! reach the stream, literals are single opaque tokens, and
+//! `#[cfg(test)]` / `#[test]` items are skipped, so a forbidden token
+//! inside a doc comment, a string, or a unit test never fires; spacing
+//! never hides one.
+//!
 //! * **R3 `deterministic-time`** — no `Instant::now` / `SystemTime::now`
 //!   outside the declared clock file; simulation time is logical.
 //! * **R4 `no-stray-io`** — no `println!` / `eprintln!` / `dbg!` in
@@ -27,6 +31,10 @@
 //!   `thread::Builder` outside the declared thread crate; all
 //!   concurrency goes through the deterministic `hive-par` pool so
 //!   parallel output stays bit-identical to serial.
+//! * **R8 `delta-log`** — no direct `generation +=` bumps anywhere but
+//!   the delta-log APIs, in `src/`, benches, tests and examples alike.
+//!   A bump that skips the journal silently breaks incremental cache
+//!   maintenance.
 //! * **R13 `no-full-scan`** — no full activity-log iteration
 //!   (`activity_log().iter()`, `for .. in db.activity_log()`,
 //!   `.activities_between(`) in hive-core service code outside the
@@ -44,9 +52,6 @@
 //!   facade routes through the instrumented `Hive::service(..)` /
 //!   `Hive::service_mut(..)` choke point, so no Table-1 service can
 //!   silently bypass the hive-obs span/counter layer.
-//! * **R8 `delta-log`** — no direct `generation +=` bumps anywhere but
-//!   the delta-log APIs. A bump that skips the journal silently breaks
-//!   incremental cache maintenance.
 //! * **R9 `snapshot-discipline`** — `&mut` access to a protected
 //!   snapshot type (`TripleStore`, `HiveDb`, ...) only through its home
 //!   crate, owners, or functions declared `lint:mutator(T)`.
@@ -64,7 +69,8 @@
 //!
 //! Any rule can be waived at a single site with a
 //! `// lint:allow(<rule>)` comment on the same line or the line above
-//! (`# lint:allow(<rule>)` in TOML). Crate coverage (panic-free,
+//! (`# lint:allow(<rule>)` in TOML); one [`AllowIndex`] decides every
+//! waiver. Crate coverage (panic-free,
 //! io-exempt, thread crates, facade/clock files) is derived from the
 //! workspace manifests — see [`config`].
 
@@ -83,10 +89,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use lexer::{lex, tokenize, LexedSource, Marker, MarkerKind, Tok, TokKind};
+pub use lexer::{tokenize, Marker, Tok, TokKind};
 pub use rules::AllowIndex;
-
-use lexer::MarkerKind as MK;
 
 /// One rule violation at a file/line/column.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -135,119 +139,149 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Which token-level source rules apply to a given file.
+/// Which flagged token rules apply to a given file. R8 `delta-log`
+/// applies to every scanned file and has no flag.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SourceRules {
-    /// Apply R2 `no-panic-paths` (token engine; the workspace scan uses
-    /// the AST engine for R2 — this stays for differential testing and
-    /// for bench/test surfaces the AST pass does not cover).
-    pub no_panic: bool,
     /// Apply R3 `deterministic-time`.
     pub deterministic_time: bool,
     /// Apply R4 `no-stray-io`.
     pub no_stray_io: bool,
     /// Apply R6 `no-raw-threads`.
     pub no_raw_threads: bool,
-    /// Apply R8 `delta-log` (token engine; src/ uses the AST engine).
-    pub delta_log: bool,
     /// Apply R13 `no-full-scan`.
     pub no_full_scan: bool,
 }
 
-/// Forbidden-token tables: (needle, needs ident-boundary before it).
-const PANIC_TOKENS: &[(&str, bool)] = &[
-    (".unwrap()", false),
-    (".expect(", false),
-    ("panic!", true),
-    ("unreachable!", true),
-    ("todo!", true),
-];
-const TIME_TOKENS: &[(&str, bool)] = &[("Instant::now", true), ("SystemTime::now", true)];
-const IO_TOKENS: &[(&str, bool)] = &[("println!", true), ("eprintln!", true), ("dbg!", true)];
-const THREAD_TOKENS: &[(&str, bool)] =
-    &[("thread::spawn", true), ("thread::scope", true), ("thread::Builder", true)];
-const DELTA_TOKENS: &[(&str, bool)] = &[("generation +=", true), ("generation+=", true)];
-const FULL_SCAN_TOKENS: &[(&str, bool)] = &[
-    ("activity_log().iter()", false),
-    ("in db.activity_log()", false),
-    (".activities_between(", false),
-];
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
+/// A token rule: the rule it reports, what its message says, and the
+/// token sequences it forbids, written as token texts joined by single
+/// spaces.
+struct TokenRule {
+    rule: &'static str,
+    what: &'static str,
+    needles: &'static [&'static str],
 }
 
-/// Finds `needle` occurrences in `line`, honoring an identifier
-/// boundary before the match when asked (so `dbg!` does not fire inside
-/// `herbg!`, nor `panic!` inside `should_panic!`-like names). Returns
-/// the 1-based columns of the hits.
-fn token_cols(line: &str, needle: &str, boundary: bool) -> Vec<usize> {
-    let mut cols = Vec::new();
-    let mut from = 0;
-    while let Some(at) = line[from..].find(needle) {
-        let abs = from + at;
-        let ok = !boundary
-            || abs == 0
-            || !line[..abs].chars().next_back().map(is_ident_char).unwrap_or(false);
-        if ok {
-            cols.push(line[..abs].chars().count() + 1);
+const TIME: TokenRule = TokenRule {
+    rule: rules::DETERMINISTIC_TIME,
+    what: "wall-clock read outside the declared clock file",
+    needles: &["Instant :: now", "SystemTime :: now"],
+};
+const IO: TokenRule = TokenRule {
+    rule: rules::NO_STRAY_IO,
+    what: "stray console output in library code",
+    needles: &["println !", "eprintln !", "dbg !"],
+};
+const THREADS: TokenRule = TokenRule {
+    rule: rules::NO_RAW_THREADS,
+    what: "raw thread primitive outside crates/par (use the hive-par pool)",
+    needles: &["thread :: spawn", "thread :: scope", "thread :: Builder"],
+};
+const DELTA: TokenRule = TokenRule {
+    rule: rules::DELTA_LOG,
+    what: "direct generation bump outside the delta-log API (record a delta instead)",
+    needles: &["generation +="],
+};
+const FULL_SCAN: TokenRule = TokenRule {
+    rule: rules::NO_FULL_SCAN,
+    what: "full activity-log scan in service code (plan through db::index instead)",
+    needles: &[
+        "activity_log ( ) . iter ( )",
+        "in db . activity_log ( )",
+        ". activities_between (",
+    ],
+};
+/// The attribute R5 requires in every library root.
+const FORBID_UNSAFE_ATTR: &str = "# ! [ forbid ( unsafe_code ) ]";
+
+/// True when `toks` starts with `needle`'s tokens. Literal and lifetime
+/// tokens never match.
+fn starts_with(toks: &[Tok], needle: &str) -> bool {
+    let mut parts = needle.split(' ');
+    let mut toks = toks.iter();
+    parts.all(|part| {
+        toks.next().is_some_and(|t| {
+            matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == part
+        })
+    })
+}
+
+/// `needle` as it reads in source: its tokens joined, with a space
+/// only between two identifiers.
+fn render(needle: &str) -> String {
+    let word = |c: Option<char>| c.is_some_and(lexer::is_ident_char);
+    let mut out = String::new();
+    for part in needle.split(' ') {
+        if word(out.chars().next_back()) && word(part.chars().next()) {
+            out.push(' ');
         }
-        from = abs + needle.len();
+        out.push_str(part);
     }
-    cols
+    out
 }
 
-/// Runs the token-level source rules over one file.
-pub fn check_source(file: &str, source: &str, which: SourceRules) -> Vec<Diagnostic> {
-    let lexed = lex(source);
+/// The runs of `toks` outside `#[cfg(test)]` and `#[test]` items. An
+/// item runs from its attribute through the close brace that matches
+/// its first `{`, or through a `;` that comes first.
+fn live_runs(toks: &[Tok]) -> Vec<&[Tok]> {
+    let mut runs = Vec::new();
+    let (mut start, mut i) = (0, 0);
+    while i < toks.len() {
+        let attr = ["# [ cfg ( test ) ]", "# [ test ]"]
+            .into_iter()
+            .find(|attr| starts_with(&toks[i..], attr));
+        let Some(attr) = attr else {
+            i += 1;
+            continue;
+        };
+        runs.push(&toks[start..i]);
+        i += attr.split(' ').count();
+        let mut depth = 0usize;
+        while i < toks.len() {
+            let t = &toks[i];
+            i += 1;
+            if t.is_punct("{") {
+                depth += 1;
+            } else if t.is_punct("}") && depth > 0 {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            } else if t.is_punct(";") && depth == 0 {
+                break;
+            }
+        }
+        start = i;
+    }
+    runs.push(&toks[start..]);
+    runs
+}
+
+/// Every token-rule hit in one file's live runs, waived or not: the
+/// rules `which` switches on, plus R8 on every file.
+fn token_hits(file: &str, runs: &[&[Tok]], which: SourceRules) -> Vec<Diagnostic> {
+    let table: Vec<&TokenRule> = [
+        (which.deterministic_time, &TIME),
+        (which.no_stray_io, &IO),
+        (which.no_raw_threads, &THREADS),
+        (true, &DELTA),
+        (which.no_full_scan, &FULL_SCAN),
+    ]
+    .into_iter()
+    .filter_map(|(on, rule)| on.then_some(rule))
+    .collect();
     let mut out = Vec::new();
-    let mut table: Vec<(&str, &[(&str, bool)], &str)> = Vec::new();
-    if which.no_panic {
-        table.push((rules::NO_PANIC_PATHS, PANIC_TOKENS, "panicking call in library code"));
-    }
-    if which.deterministic_time {
-        table.push((
-            rules::DETERMINISTIC_TIME,
-            TIME_TOKENS,
-            "wall-clock read outside the declared clock file",
-        ));
-    }
-    if which.no_stray_io {
-        table.push((rules::NO_STRAY_IO, IO_TOKENS, "stray console output in library code"));
-    }
-    if which.no_raw_threads {
-        table.push((
-            rules::NO_RAW_THREADS,
-            THREAD_TOKENS,
-            "raw thread primitive outside crates/par (use the hive-par pool)",
-        ));
-    }
-    if which.delta_log {
-        table.push((
-            rules::DELTA_LOG,
-            DELTA_TOKENS,
-            "direct generation bump outside the delta-log API (record a delta instead)",
-        ));
-    }
-    if which.no_full_scan {
-        table.push((
-            rules::NO_FULL_SCAN,
-            FULL_SCAN_TOKENS,
-            "full activity-log scan in service code (plan through db::index instead)",
-        ));
-    }
-    for (lineno, line) in lexed.masked.lines().enumerate() {
-        let lineno = lineno + 1;
-        for &(rule, tokens, what) in &table {
-            for &(needle, boundary) in tokens {
-                for col in token_cols(line, needle, boundary) {
-                    if !lexed.allows(rule, lineno) {
+    for run in runs {
+        for (i, t) in run.iter().enumerate() {
+            for rule in &table {
+                for needle in rule.needles {
+                    if starts_with(&run[i..], needle) {
                         out.push(Diagnostic::new(
-                            rule,
+                            rule.rule,
                             file,
-                            lineno,
-                            col,
-                            format!("{what}: `{needle}`"),
+                            t.line,
+                            t.col,
+                            format!("{}: `{}`", rule.what, render(needle)),
                         ));
                     }
                 }
@@ -257,113 +291,41 @@ pub fn check_source(file: &str, source: &str, which: SourceRules) -> Vec<Diagnos
     out
 }
 
-/// Runs R5 over a library root: the file must open with
+/// The R5 hit of a library root that lacks `#![forbid(unsafe_code)]`.
+fn missing_forbid(file: &str, runs: &[&[Tok]]) -> Option<Diagnostic> {
+    let found = runs
+        .iter()
+        .any(|run| (0..run.len()).any(|i| starts_with(&run[i..], FORBID_UNSAFE_ATTR)));
+    (!found).then(|| {
+        Diagnostic::new(
+            rules::FORBID_UNSAFE,
+            file,
+            1,
+            1,
+            format!("library root is missing `{}`", render(FORBID_UNSAFE_ATTR)),
+        )
+    })
+}
+
+/// Drops the hits a `lint:allow` marker of `file` waives.
+fn unwaived(file: &str, markers: &[Marker], mut hits: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let mut allows = AllowIndex::default();
+    allows.add_markers(file, markers);
+    hits.retain(|d| !allows.allows(file, d.rule, d.line));
+    hits
+}
+
+/// Runs the token rules (R3, R4, R6, R8, R13) over one file.
+pub fn check_source(file: &str, source: &str, which: SourceRules) -> Vec<Diagnostic> {
+    let (toks, markers) = tokenize(source);
+    unwaived(file, &markers, token_hits(file, &live_runs(&toks), which))
+}
+
+/// Runs R5 over a library root: the file must carry
 /// `#![forbid(unsafe_code)]`.
 pub fn check_lib_root(file: &str, source: &str) -> Vec<Diagnostic> {
-    let lexed = lex(source);
-    if lexed.masked.contains("#![forbid(unsafe_code)]") {
-        return Vec::new();
-    }
-    if lexed.allows(rules::FORBID_UNSAFE, 1) {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        rules::FORBID_UNSAFE,
-        file,
-        1,
-        1,
-        "library root is missing `#![forbid(unsafe_code)]`".to_string(),
-    )]
-}
-
-/// Char offset of `pat` in `chars` at or after `from`, if any.
-fn find_sub(chars: &[char], from: usize, pat: &str) -> Option<usize> {
-    let matches_at =
-        |i: usize| pat.chars().enumerate().all(|(k, pc)| chars.get(i + k) == Some(&pc));
-    (from..chars.len()).find(|&i| matches_at(i))
-}
-
-/// Runs R7 over the service facade with the *token* engine: every
-/// `pub fn` body (in masked source, so tests and doc examples never
-/// fire) must contain a `self.service(` or `self.service_mut(` call,
-/// unless the function is named in [`rules::FACADE_EXEMPT`] or waived.
-///
-/// The workspace scan uses the AST engine
-/// ([`rules::check_ast`]) for R7; this implementation is retained as
-/// the reference for the token-vs-AST differential test.
-pub fn check_facade(file: &str, source: &str) -> Vec<Diagnostic> {
-    let lexed = lex(source);
-    let chars: Vec<char> = lexed.masked.chars().collect();
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(at) = find_sub(&chars, from, "pub fn ") {
-        // Ident boundary: don't fire inside e.g. `repub fn`-like text.
-        if at > 0 && is_ident_char(chars[at - 1]) {
-            from = at + 1;
-            continue;
-        }
-        let line = chars[..at].iter().filter(|&&c| c == '\n').count() + 1;
-        let col = at - chars[..at].iter().rposition(|&c| c == '\n').map_or(0, |p| p + 1) + 1;
-        let mut j = at + "pub fn ".len();
-        while j < chars.len() && chars[j].is_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < chars.len() && is_ident_char(chars[j]) {
-            j += 1;
-        }
-        let name: String = chars[name_start..j].iter().collect();
-        // Body start: the first `{` of the item; a `;` first means a
-        // body-less declaration (trait method), which R7 skips.
-        let mut body_start = None;
-        while j < chars.len() {
-            match chars[j] {
-                '{' => {
-                    body_start = Some(j);
-                    break;
-                }
-                ';' => break,
-                _ => j += 1,
-            }
-        }
-        let Some(open) = body_start else {
-            from = j.max(at + 1);
-            continue;
-        };
-        let mut depth = 0;
-        let mut k = open;
-        while k < chars.len() {
-            match chars[k] {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let body: String = chars[open..k.min(chars.len())].iter().collect();
-        let routed = body.contains("self.service(") || body.contains("self.service_mut(");
-        if !routed
-            && !rules::FACADE_EXEMPT.contains(&name.as_str())
-            && !lexed.allows(rules::INSTRUMENTED_FACADE, line)
-        {
-            out.push(Diagnostic::new(
-                rules::INSTRUMENTED_FACADE,
-                file,
-                line,
-                col,
-                format!(
-                    "`pub fn {name}` does not route through `Hive::service(..)` / `Hive::service_mut(..)`"
-                ),
-            ));
-        }
-        from = k.max(at + 1);
-    }
-    out
+    let (toks, markers) = tokenize(source);
+    unwaived(file, &markers, missing_forbid(file, &live_runs(&toks)).into_iter().collect())
 }
 
 /// Runs R1 over a manifest: every entry of a dependency section must be
@@ -373,7 +335,14 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
     let mut in_dep_section = false;
     let mut dotted_dep_header: Option<usize> = None;
     let mut dotted_dep_hermetic = false;
-    let mut allows: Vec<Marker> = Vec::new();
+    let mut markers = Vec::new();
+    for (lineno, raw) in contents.lines().enumerate() {
+        if let Some(hash) = raw.find('#') {
+            lexer::harvest_markers(&raw[hash..], lineno + 1, &mut markers);
+        }
+    }
+    let mut allows = AllowIndex::default();
+    allows.add_markers(file, &markers);
     let flush_dotted = |header: &mut Option<usize>, hermetic: &mut bool,
                             out: &mut Vec<Diagnostic>| {
         if let Some(line) = header.take() {
@@ -389,18 +358,8 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
         }
         *hermetic = false;
     };
-    let allowed_at = |allows: &[Marker], lineno: usize| {
-        allows.iter().any(|m| {
-            m.kind == MK::Allow
-                && (m.line == lineno || m.line + 1 == lineno)
-                && m.args.iter().any(|a| a == rules::HERMETIC_DEPS)
-        })
-    };
     for (lineno, raw) in contents.lines().enumerate() {
         let lineno = lineno + 1;
-        if let Some(hash) = raw.find('#') {
-            lexer::harvest_markers(&raw[hash..], lineno, &mut allows);
-        }
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -449,7 +408,7 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
             || value.contains("workspace = true")
             || value.contains("workspace=true")
             || key.ends_with(".workspace");
-        if !hermetic && !allowed_at(&allows, lineno) {
+        if !hermetic && !allows.allows(file, rules::HERMETIC_DEPS, lineno) {
             out.push(Diagnostic::new(
                 rules::HERMETIC_DEPS,
                 file,
@@ -490,78 +449,53 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// One file's worth of AST-engine front-end output, produced on a pool
-/// worker and merged back on the caller in input order.
-struct ParsedFile {
-    loc: usize,
-    allow_lines: Vec<(usize, String)>,
-    file: ast::File,
+/// One scanned file: where it is, which token rules it gets, and
+/// whether it is a crate `src/` file the AST rules parse.
+struct Job {
+    path: PathBuf,
+    file: String,
+    which: SourceRules,
+    /// The crate of a `src/` file.
+    krate: Option<String>,
+    /// The crate's `src/lib.rs`, which R5 checks.
+    lib_root: bool,
 }
 
-/// Parses every `src/` file of every crate and runs the AST rules.
-/// Exposed separately so benches can time the AST engine alone.
-///
-/// The per-file front end (read, lex, marker harvest, parse) fans out
-/// over the [`hive_par`] pool; results are merged in input order, so
-/// the symbol table, allow index, and diagnostics are byte-identical
-/// to a serial scan regardless of worker count.
-pub fn check_ast_workspace(
-    root: &Path,
-    cfg: &config::WorkspaceConfig,
-) -> io::Result<(Vec<Diagnostic>, ScanStats)> {
-    let rel = |p: &Path| -> String {
-        p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/")
-    };
-    let mut jobs: Vec<(String, PathBuf)> = Vec::new();
-    for (name, dir) in &cfg.crates {
-        let mut sources = Vec::new();
-        rust_files(&dir.join("src"), &mut sources)?;
-        for path in sources {
-            jobs.push((name.clone(), path));
-        }
+/// What one job hands back: its line count, markers, token-rule hits
+/// (waived or not) and, for a `src/` file, its parsed items.
+struct Scanned {
+    loc: usize,
+    markers: Vec<Marker>,
+    hits: Vec<Diagnostic>,
+    parsed: Option<ast::File>,
+}
+
+/// Reads and tokenizes one file, runs its token rules, and parses a
+/// `src/` file for the AST rules.
+fn scan_file(job: &Job) -> io::Result<Scanned> {
+    let source = fs::read_to_string(&job.path)?;
+    let (toks, markers) = tokenize(&source);
+    let runs = live_runs(&toks);
+    let mut hits = token_hits(&job.file, &runs, job.which);
+    if job.lib_root {
+        hits.extend(missing_forbid(&job.file, &runs));
     }
-    let parsed = hive_par::par_tasks(&jobs, |_, (name, path)| -> io::Result<ParsedFile> {
-        let source = fs::read_to_string(path)?;
-        let file_rel = rel(path);
-        let loc = source.lines().count();
-        let (toks, markers) = tokenize(&source);
-        let mut allow_lines = Vec::new();
-        for m in &markers {
-            if m.kind == MK::Allow {
-                for a in &m.args {
-                    allow_lines.push((m.line, a.clone()));
-                }
-            }
-        }
-        let items = parser::parse(&toks, &markers);
-        Ok(ParsedFile {
-            loc,
-            allow_lines,
-            file: ast::File { path: file_rel, crate_name: name.clone(), items },
-        })
+    let parsed = job.krate.as_ref().map(|name| ast::File {
+        path: job.file.clone(),
+        crate_name: name.clone(),
+        items: parser::parse(&toks, &markers),
     });
-    let mut files = Vec::with_capacity(parsed.len());
-    let mut allows = AllowIndex::default();
-    let mut stats = ScanStats::default();
-    for item in parsed {
-        let p = item?;
-        stats.files += 1;
-        stats.loc += p.loc;
-        for (line, rule) in &p.allow_lines {
-            allows.insert(&p.file.path, *line, rule);
-        }
-        files.push(p.file);
-    }
-    let ws = resolve::Workspace::build(&files);
-    Ok((rules::check_ast(&ws, cfg, &allows), stats))
+    Ok(Scanned { loc: source.lines().count(), markers, hits, parsed })
 }
 
 /// Scans the whole workspace rooted at `root` and returns every
 /// diagnostic in stable report order, plus scan-size counters.
 ///
-/// Per-file token scanning and AST parsing run on the [`hive_par`]
-/// pool; diagnostics are merged in file order and then sorted, so the
-/// report is byte-identical at any worker count.
+/// Each file is read and tokenized once, on the [`hive_par`] pool: its
+/// token rules run on the token stream, and a `src/` file's stream is
+/// parsed for the AST rules. Results merge in file order and the
+/// diagnostics are then sorted, so the report is byte-identical at any
+/// worker count.
 pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, ScanStats)> {
     let cfg = config::load(root)?;
     let mut out = Vec::new();
@@ -579,32 +513,20 @@ pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, ScanSta
         out.extend(check_manifest(&rel(manifest), &contents));
     }
 
-    // Token rules R3/R4/R6 over src/, R3/R6/R8 over benches/, R5 over
-    // library roots. (R2/R7/R8 on src/ run on the AST engine below.)
-    // Each file's scan is independent, so the jobs fan out over the
-    // hive-par pool; `par_tasks` preserves input order, and the merge
-    // below walks that order, so the report is byte-stable.
-    struct TokenJob {
-        path: PathBuf,
-        file: String,
-        which: SourceRules,
-        counted: bool,
-    }
-    let mut jobs: Vec<TokenJob> = Vec::new();
+    // One job per file: R3/R4/R6/R8/R13 and the AST rules over src/
+    // (R5 on lib.rs), R3/R6/R8 over benches/, root tests/ and examples/.
+    let mut jobs: Vec<Job> = Vec::new();
     for (name, dir) in &cfg.crates {
-        let io_checked = !cfg.io_exempt.contains(name);
         let threads_checked = !cfg.thread_crates.contains(name);
-
+        let lib_rs = dir.join("src").join("lib.rs");
         let mut sources = Vec::new();
         rust_files(&dir.join("src"), &mut sources)?;
         for path in sources {
             let file = rel(&path);
             let which = SourceRules {
-                no_panic: false,
                 deterministic_time: !cfg.clock_files.contains(&file),
-                no_stray_io: io_checked,
+                no_stray_io: !cfg.io_exempt.contains(name),
                 no_raw_threads: threads_checked,
-                delta_log: false,
                 // R13 covers the platform's service code only: the
                 // index module and the arena layer are the two places
                 // allowed to walk the whole log. (Crate names here are
@@ -613,7 +535,8 @@ pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, ScanSta
                     && !file.ends_with("/db.rs")
                     && !file.contains("/db/"),
             };
-            jobs.push(TokenJob { path, file, which, counted: false });
+            let lib_root = path == lib_rs;
+            jobs.push(Job { path, file, which, krate: Some(name.clone()), lib_root });
         }
         let mut benches = Vec::new();
         rust_files(&dir.join("benches"), &mut benches)?;
@@ -622,14 +545,11 @@ pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, ScanSta
             let which = SourceRules {
                 deterministic_time: true,
                 no_raw_threads: threads_checked,
-                delta_log: true,
                 ..Default::default()
             };
-            jobs.push(TokenJob { path, file, which, counted: true });
+            jobs.push(Job { path, file, which, krate: None, lib_root: false });
         }
     }
-
-    // R3+R6+R8 over the workspace-level integration tests and examples.
     for extra in ["tests", "examples"] {
         let mut files = Vec::new();
         rust_files(&root.join(extra), &mut files)?;
@@ -638,41 +558,27 @@ pub fn scan_workspace_stats(root: &Path) -> io::Result<(Vec<Diagnostic>, ScanSta
             let which = SourceRules {
                 deterministic_time: true,
                 no_raw_threads: true,
-                delta_log: true,
                 ..Default::default()
             };
-            jobs.push(TokenJob { path, file, which, counted: true });
+            jobs.push(Job { path, file, which, krate: None, lib_root: false });
         }
     }
 
     let mut stats = ScanStats::default();
-    let scanned = hive_par::par_tasks(&jobs, |_, job| -> io::Result<(Vec<Diagnostic>, usize)> {
-        let source = fs::read_to_string(&job.path)?;
-        Ok((check_source(&job.file, &source, job.which), source.lines().count()))
-    });
-    for (job, result) in jobs.iter().zip(scanned) {
-        let (diags, loc) = result?;
-        if job.counted {
-            stats.files += 1;
-            stats.loc += loc;
-        }
-        out.extend(diags);
+    let mut allows = AllowIndex::default();
+    let mut hits = Vec::new();
+    let mut parsed = Vec::new();
+    for (job, result) in jobs.iter().zip(hive_par::par_tasks(&jobs, |_, job| scan_file(job))) {
+        let scanned = result?;
+        stats.files += 1;
+        stats.loc += scanned.loc;
+        allows.add_markers(&job.file, &scanned.markers);
+        hits.extend(scanned.hits);
+        parsed.extend(scanned.parsed);
     }
-
-    // R5 over each crate's library root, if it has one.
-    for (_, dir) in &cfg.crates {
-        let lib_rs = dir.join("src/lib.rs");
-        if lib_rs.is_file() {
-            let source = fs::read_to_string(&lib_rs)?;
-            out.extend(check_lib_root(&rel(&lib_rs), &source));
-        }
-    }
-
-    // AST rules R2/R7/R8/R9/R10/R11/R12 over every crate's src/.
-    let (ast_diags, ast_stats) = check_ast_workspace(root, &cfg)?;
-    out.extend(ast_diags);
-    stats.files += ast_stats.files;
-    stats.loc += ast_stats.loc;
+    out.extend(hits.into_iter().filter(|d| !allows.allows(&d.file, d.rule, d.line)));
+    let ws = resolve::Workspace::build(&parsed);
+    out.extend(rules::check_ast(&ws, &cfg, &allows));
 
     sort_diagnostics(&mut out);
     Ok((out, stats))
@@ -724,11 +630,42 @@ mod tests {
         .is_empty());
     }
 
+    /// Columns where `needle` matches in `src`.
+    fn match_cols(src: &str, needle: &str) -> Vec<usize> {
+        let (toks, _) = tokenize(src);
+        (0..toks.len()).filter(|&i| starts_with(&toks[i..], needle)).map(|i| toks[i].col).collect()
+    }
+
     #[test]
     fn boundary_guard_avoids_identifier_suffixes() {
-        assert!(token_cols("my_dbg!(x)", "dbg!", true).is_empty());
-        assert_eq!(token_cols("dbg!(x)", "dbg!", true), vec![1]);
-        assert!(token_cols("x.unwrap_or(1)", ".unwrap()", false).is_empty());
+        assert!(match_cols("my_dbg!(x)", "dbg !").is_empty());
+        assert_eq!(match_cols("dbg!(x)", "dbg !"), vec![1]);
+        assert!(match_cols("x.unwrap_or(1)", ". unwrap ( )").is_empty());
+    }
+
+    #[test]
+    fn needles_match_tokens_not_spacing_or_literals() {
+        assert_eq!(match_cols("a.generation+=1; b.generation  +=  1;", "generation +="), [3, 20]);
+        let quoted = "let s = \"Instant::now\"; // Instant::now";
+        assert!(match_cols(quoted, "Instant :: now").is_empty());
+        assert_eq!(render("in db . activity_log ( )"), "in db.activity_log()");
+    }
+
+    #[test]
+    fn test_items_are_skipped_through_their_brace_or_semicolon() {
+        let src = "\
+#[cfg(test)]
+const T: fn() -> Instant = Instant::now;
+fn f() { let t = Instant::now(); }
+#[cfg(test)]
+mod tests { fn g() { let t = { Instant::now() }; } }
+#[test] fn h() { let t = Instant::now(); }
+fn k() { let t = Instant::now(); }
+";
+        let which = SourceRules { deterministic_time: true, ..Default::default() };
+        let d = check_source("f.rs", src, which);
+        let lines: Vec<usize> = d.iter().map(|d| d.line).collect();
+        assert_eq!(lines, [3, 7], "{d:?}");
     }
 
     #[test]

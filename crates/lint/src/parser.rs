@@ -4,7 +4,7 @@
 //! token or folded into [`Expr::Other`], and every loop is guaranteed
 //! to advance. The goal is not fidelity to the grammar but a faithful
 //! skeleton of items, calls, matches, and lock/loop structure for the
-//! structural rules (R9–R12) and the AST versions of R2/R7/R8.
+//! AST rules (R2, R7, R9–R12).
 
 use crate::ast::*;
 use crate::lexer::{Marker, MarkerKind, Tok, TokKind};
@@ -887,13 +887,11 @@ impl<'a> Parser<'a> {
             }
             match t.text.as_str() {
                 "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>=" => {
-                    let op = t.text.clone();
                     let (line, col) = (t.line, t.col);
                     self.pos += 1;
                     let value = self.expr(allow_struct);
                     lhs = Expr::Assign {
                         target: Box::new(lhs),
-                        op,
                         value: Box::new(value),
                         line,
                         col,

@@ -3,8 +3,8 @@
 //!
 //! [`Workspace::build`] digests every parsed file into per-function
 //! [`FnRecord`]s: resolved call edges, match shapes, lock-guard scopes,
-//! panic/assignment sites, and taint sinks. The rule pass
-//! (`rules_ast`) then works purely on these records plus the symbol
+//! panic sites, and taint sinks. The rule pass ([`crate::rules`])
+//! then works purely on these records plus the symbol
 //! tables — it never re-walks the AST.
 //!
 //! Resolution is heuristic by design: a method call resolves through
@@ -134,8 +134,6 @@ pub struct FnRecord {
     pub guard_scopes: Vec<GuardScope>,
     /// `.unwrap()` / `.expect(..)` / panic-macro sites.
     pub panic_sites: Vec<Site>,
-    /// `generation += ..` assignment sites.
-    pub generation_bumps: Vec<Site>,
     /// HashMap/HashSet iteration and clock/RNG sites (R12 sinks).
     pub taint_sinks: Vec<Site>,
     /// True if the body calls `self.service(..)` / `self.service_mut(..)`.
@@ -510,7 +508,6 @@ fn collect_const_panics(path: &str, items: &[Item], out: &mut Vec<FnRecord>, fil
                             matches_macros: Vec::new(),
                             guard_scopes: Vec::new(),
                             panic_sites: sites,
-                            generation_bumps: Vec::new(),
                             taint_sinks: Vec::new(),
                             routes_service: false,
                         });
@@ -574,7 +571,6 @@ impl<'a> FileCtx<'a> {
             matches_macros: Vec::new(),
             guard_scopes: Vec::new(),
             panic_sites: Vec::new(),
-            generation_bumps: Vec::new(),
             taint_sinks: Vec::new(),
             routes_service: false,
         };
@@ -839,10 +835,7 @@ impl<'a> FileCtx<'a> {
                     self.expr_in_scope(a, env, rec, guards, live);
                 }
             }
-            Expr::Assign { target, op, value, line, col } => {
-                if op == "+=" && place_is_generation(target) {
-                    rec.generation_bumps.push((*line, *col, "generation += ..".to_string()));
-                }
+            Expr::Assign { target, value, .. } => {
                 self.expr_in_scope(target, env, rec, guards, live);
                 self.expr_in_scope(value, env, rec, guards, live);
             }
@@ -1239,16 +1232,6 @@ fn bind_pats(pats: &[Pat], ty: &str, env: &mut TypeEnv) {
             }
             _ => {}
         }
-    }
-}
-
-/// Is the assignment target `..generation`?
-fn place_is_generation(e: &Expr) -> bool {
-    match e {
-        Expr::Field { name, .. } => name == "generation",
-        Expr::Path { segs, .. } => segs.last().is_some_and(|s| s == "generation"),
-        Expr::Other(children) => children.first().is_some_and(place_is_generation),
-        _ => false,
     }
 }
 

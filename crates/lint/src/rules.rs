@@ -1,15 +1,16 @@
-//! AST rule engine: R2/R7/R8 (migrated off the token path) and the
-//! structural rules R9–R12 over the resolved [`Workspace`].
+//! AST rule engine: R2 and R7 and the structural rules R9–R12 over the
+//! resolved [`Workspace`], plus the rule names and the one waiver index
+//! every rule consults.
 //!
 //! Every rule here works on [`FnRecord`]s and the call graph — no text
 //! matching. Waivers use the same `lint:allow(<rule>)` comment markers
-//! as the token rules; the index is built from the tokenizing lexer's
-//! marker harvest.
+//! as the token rules, and one [`AllowIndex`] decides them all.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::SelfKind;
 use crate::config::WorkspaceConfig;
+use crate::lexer::{Marker, MarkerKind};
 use crate::resolve::{Callee, FnKey, FnRecord, Workspace};
 use crate::Diagnostic;
 
@@ -67,13 +68,16 @@ pub struct AllowIndex {
 }
 
 impl AllowIndex {
-    /// Records a marker for `rule` at `file:line`.
-    pub fn insert(&mut self, file: &str, line: usize, rule: &str) {
-        self.map.entry(file.to_string()).or_default().push((line, rule.to_string()));
+    /// Records every `lint:allow` marker of `file`.
+    pub fn add_markers(&mut self, file: &str, markers: &[Marker]) {
+        for m in markers.iter().filter(|m| m.kind == MarkerKind::Allow) {
+            let sites = self.map.entry(file.to_string()).or_default();
+            sites.extend(m.args.iter().map(|rule| (m.line, rule.clone())));
+        }
     }
 
     /// True if `rule` is waived at `file:line` (marker on the same line
-    /// or the line directly above — the token rules' convention).
+    /// or the line directly above).
     pub fn allows(&self, file: &str, rule: &str, line: usize) -> bool {
         self.map.get(file).is_some_and(|v| {
             v.iter().any(|(l, r)| r == rule && (*l == line || *l + 1 == line))
@@ -99,8 +103,7 @@ const REBUILD_NAMES: &[&str] = &["build", "rebuild", "to_store"];
 pub fn check_ast(ws: &Workspace, cfg: &WorkspaceConfig, allows: &AllowIndex) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     check_panic_paths(ws, cfg, allows, &mut out);
-    check_facade_routing(ws, cfg, allows, &mut out);
-    check_delta_log(ws, allows, &mut out);
+    check_service_routing(ws, cfg, allows, &mut out);
     check_snapshot_discipline(ws, allows, &mut out);
     check_exhaustive_delta(ws, allows, &mut out);
     check_lock_scope(ws, cfg, allows, &mut out);
@@ -137,10 +140,8 @@ fn check_panic_paths(
 /// R7 `instrumented-facade` (AST): every unrestricted `pub fn` of a
 /// facade file must call `self.service(..)` / `self.service_mut(..)`
 /// somewhere in its body, unless exempt by name. `pub(crate)` helpers
-/// are crate-internal plumbing, not services, and are skipped — which
-/// also matches the token reference engine, whose `pub fn ` needle
-/// never matches a restricted visibility.
-fn check_facade_routing(
+/// are crate-internal plumbing, not services, and are skipped.
+fn check_service_routing(
     ws: &Workspace,
     cfg: &WorkspaceConfig,
     allows: &AllowIndex,
@@ -167,29 +168,6 @@ fn check_facade_routing(
                 r.name
             ),
         ));
-    }
-}
-
-/// R8 `delta-log` (AST): direct `generation += ..` bumps outside the
-/// journaling APIs (which carry `lint:allow(delta-log)` markers).
-fn check_delta_log(ws: &Workspace, allows: &AllowIndex, out: &mut Vec<Diagnostic>) {
-    for r in &ws.records {
-        if r.is_test {
-            continue;
-        }
-        for (line, col, what) in &r.generation_bumps {
-            if !allows.allows(&r.file, DELTA_LOG, *line) {
-                out.push(Diagnostic::new(
-                    DELTA_LOG,
-                    &r.file,
-                    *line,
-                    *col,
-                    format!(
-                        "direct generation bump outside the delta-log API (record a delta instead): `{what}`"
-                    ),
-                ));
-            }
-        }
     }
 }
 

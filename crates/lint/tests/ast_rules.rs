@@ -1,7 +1,5 @@
 //! AST-engine fixture tests: pass/fail source pairs for the
-//! resolution-based rules (R2/R7/R8 on the AST path, R9-R12), plus a
-//! token-vs-AST differential showing where the AST engine is more
-//! precise than the masked-token heuristics.
+//! resolution-based rules (R2, R7, R9-R12).
 //!
 //! Each test builds a tiny synthetic workspace in memory — tokenize,
 //! parse, resolve, check — so the fixtures exercise the exact pipeline
@@ -9,7 +7,7 @@
 
 use hive_lint::config::WorkspaceConfig;
 use hive_lint::rules::{self, AllowIndex};
-use hive_lint::{ast, check_source, parser, resolve, tokenize, Diagnostic, MarkerKind, SourceRules};
+use hive_lint::{ast, parser, resolve, tokenize, Diagnostic};
 
 /// Parses `(path, crate, source)` triples into a resolved workspace and
 /// runs the AST rules under `cfg`.
@@ -18,13 +16,7 @@ fn analyze(cfg: &WorkspaceConfig, files: &[(&str, &str, &str)]) -> Vec<Diagnosti
     let mut allows = AllowIndex::default();
     for (path, krate, src) in files {
         let (toks, markers) = tokenize(src);
-        for m in &markers {
-            if m.kind == MarkerKind::Allow {
-                for a in &m.args {
-                    allows.insert(path, m.line, a);
-                }
-            }
-        }
+        allows.add_markers(path, &markers);
         let items = parser::parse(&toks, &markers);
         parsed.push(ast::File {
             path: path.to_string(),
@@ -98,39 +90,6 @@ mod tests {
     assert_eq!(panics[0].line, 3, "only the library unwrap");
 }
 
-/// The differential the AST migration buys: the token engine flags any
-/// `.expect(` textually, the AST engine resolves the receiver and
-/// exempts calls to the workspace's own `expect` methods. Both engines
-/// agree on the true positive.
-#[test]
-fn r2_token_vs_ast_differential() {
-    let src = "\
-pub struct Parser;
-impl Parser {
-    pub fn expect(&self, b: u8) -> u8 { b }
-}
-pub fn fine(p: &Parser) -> u8 { p.expect(1) }
-pub fn broken(x: Option<u8>) -> u8 { x.unwrap() }
-";
-    let token = check_source(
-        "a/lib.rs",
-        src,
-        SourceRules { no_panic: true, ..SourceRules::default() },
-    );
-    let token_panics = only(&token, rules::NO_PANIC_PATHS);
-    let mut cfg = WorkspaceConfig::default();
-    cfg.panic_free.insert("a".to_string());
-    let ast_panics = only(&analyze(&cfg, &[("a/lib.rs", "a", src)]), rules::NO_PANIC_PATHS);
-    // Token path: 2 hits (the parser's own expect + the unwrap).
-    // AST path: 1 hit (the unwrap only) — strictly fewer false positives.
-    assert_eq!(token_panics.len(), 2, "{token_panics:?}");
-    assert_eq!(ast_panics.len(), 1, "{ast_panics:?}");
-    assert!(
-        token_panics.iter().any(|d| d.line == ast_panics[0].line),
-        "both engines agree on the true positive"
-    );
-}
-
 // ---------------------------------------------------------------- R7
 
 #[test]
@@ -155,8 +114,7 @@ impl Hive {
 #[test]
 fn r7_ast_facade_skips_restricted_visibility_helpers() {
     // `pub(crate)` plumbing in a facade file is not part of the service
-    // surface: neither the token engine (whose needle is the literal
-    // `pub fn `) nor the AST engine may flag it.
+    // surface, so R7 may not flag it.
     let mut cfg = WorkspaceConfig::default();
     cfg.facade_files.push("a/api.rs".to_string());
     let src = "\
@@ -182,27 +140,6 @@ impl Hive {
 ";
     let diags = analyze(&cfg, &[("a/api.rs", "a", src)]);
     assert!(only(&diags, rules::INSTRUMENTED_FACADE).is_empty(), "{diags:?}");
-}
-
-// ---------------------------------------------------------------- R8
-
-#[test]
-fn r8_ast_fires_on_direct_generation_bumps_unless_allowed() {
-    let cfg = WorkspaceConfig::default();
-    let src = "\
-pub struct Db { generation: u64 }
-impl Db {
-    pub fn rogue(&mut self) { self.generation += 1; }
-    pub fn journal(&mut self) {
-        // lint:allow(delta-log)
-        self.generation += 1;
-    }
-}
-";
-    let diags = analyze(&cfg, &[("a/lib.rs", "a", src)]);
-    let bumps = only(&diags, rules::DELTA_LOG);
-    assert_eq!(bumps.len(), 1, "{diags:?}");
-    assert_eq!(bumps[0].line, 3, "only the unwaived bump");
 }
 
 // ---------------------------------------------------------------- R9

@@ -1,17 +1,43 @@
-//! Fixture tests: one deliberate violation per rule R1-R8, asserting
-//! the exact rule id, file label, and line of each diagnostic, plus a
-//! `lint:allow` escape-hatch case that must stay silent.
+//! Fixture tests: one deliberate violation per rule R1-R8 and R13,
+//! asserting the exact rule id, file label, and line of each
+//! diagnostic, plus a `lint:allow` escape-hatch case that must stay
+//! silent. R2 and R7 run on the AST engine, the rest on the token rules.
 
-use hive_lint::{check_facade, check_lib_root, check_manifest, check_source, rules, SourceRules};
+use hive_lint::config::WorkspaceConfig;
+use hive_lint::{
+    ast, check_lib_root, check_manifest, check_source, parser, resolve, rules, tokenize,
+    AllowIndex, Diagnostic, SourceRules,
+};
 
 const ALL_SOURCE_RULES: SourceRules = SourceRules {
-    no_panic: true,
     deterministic_time: true,
     no_stray_io: true,
     no_raw_threads: true,
-    delta_log: true,
     no_full_scan: true,
 };
+
+/// Parses one fixture as the only file of crate `fixtures` and runs the
+/// AST rules under `cfg`.
+fn analyze(cfg: &WorkspaceConfig, file: &str, src: &str) -> Vec<Diagnostic> {
+    let (toks, markers) = tokenize(src);
+    let mut allows = AllowIndex::default();
+    allows.add_markers(file, &markers);
+    let items = parser::parse(&toks, &markers);
+    let parsed = [ast::File { path: file.to_string(), crate_name: "fixtures".to_string(), items }];
+    rules::check_ast(&resolve::Workspace::build(&parsed), cfg, &allows)
+}
+
+/// A workspace whose `fixtures` crate is panic-free (R2).
+fn panic_free() -> WorkspaceConfig {
+    let mut cfg = WorkspaceConfig::default();
+    cfg.panic_free.insert("fixtures".to_string());
+    cfg
+}
+
+/// A workspace whose service facade is `file` (R7).
+fn facade(file: &str) -> WorkspaceConfig {
+    WorkspaceConfig { facade_files: vec![file.to_string()], ..WorkspaceConfig::default() }
+}
 
 #[test]
 fn r1_hermetic_deps_fires_on_registry_dep() {
@@ -27,7 +53,7 @@ fn r1_hermetic_deps_fires_on_registry_dep() {
 #[test]
 fn r2_no_panic_paths_fires_outside_tests_only() {
     let src = include_str!("fixtures/r2_panic.rs");
-    let diags = check_source("fixtures/r2_panic.rs", src, ALL_SOURCE_RULES);
+    let diags = analyze(&panic_free(), "fixtures/r2_panic.rs", src);
     let panics: Vec<_> = diags.iter().filter(|d| d.rule == rules::NO_PANIC_PATHS).collect();
     assert_eq!(panics.len(), 2, "{diags:?}");
     assert_eq!(panics[0].file, "fixtures/r2_panic.rs");
@@ -85,7 +111,7 @@ fn r6_no_raw_threads_fires_on_spawn_and_scope() {
 #[test]
 fn r7_instrumented_facade_fires_on_unrouted_services() {
     let src = include_str!("fixtures/r7_facade_fail.rs");
-    let diags = check_facade("fixtures/r7_facade_fail.rs", src);
+    let diags = analyze(&facade("fixtures/r7_facade_fail.rs"), "fixtures/r7_facade_fail.rs", src);
     assert_eq!(diags.len(), 2, "{diags:?}");
     assert_eq!(diags[0].rule, rules::INSTRUMENTED_FACADE);
     assert_eq!(diags[0].file, "fixtures/r7_facade_fail.rs");
@@ -98,7 +124,7 @@ fn r7_instrumented_facade_fires_on_unrouted_services() {
 #[test]
 fn r7_instrumented_facade_passes_routed_exempt_and_waived_fns() {
     let src = include_str!("fixtures/r7_facade_pass.rs");
-    let diags = check_facade("fixtures/r7_facade_pass.rs", src);
+    let diags = analyze(&facade("fixtures/r7_facade_pass.rs"), "fixtures/r7_facade_pass.rs", src);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -115,6 +141,24 @@ fn r8_delta_log_fires_on_direct_generation_bumps() {
     // The lint:allow'd bump, the plain assignment, and the
     // `regeneration` identifier stay silent.
     assert_eq!(diags.len(), 2, "{diags:?}");
+}
+
+#[test]
+fn r8_delta_log_honors_a_waiver_on_the_line_above() {
+    let src = "\
+pub struct Db { generation: u64 }
+impl Db {
+    pub fn rogue(&mut self) { self.generation += 1; }
+    pub fn journal(&mut self) {
+        // lint:allow(delta-log)
+        self.generation += 1;
+    }
+}
+";
+    let diags = check_source("a/lib.rs", src, SourceRules::default());
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, rules::DELTA_LOG);
+    assert_eq!(diags[0].line, 3, "only the unwaived bump");
 }
 
 #[test]
@@ -138,6 +182,8 @@ fn lint_allow_waives_every_rule_at_the_marked_site() {
     let src = include_str!("fixtures/allowed.rs");
     let diags = check_source("fixtures/allowed.rs", src, ALL_SOURCE_RULES);
     assert!(diags.is_empty(), "allow markers must silence all sites: {diags:?}");
+    let diags = analyze(&panic_free(), "fixtures/allowed.rs", src);
+    assert!(diags.is_empty(), "the R2 waiver holds on the AST engine: {diags:?}");
 }
 
 #[test]

@@ -138,7 +138,7 @@ fn chunked_fold<T, A>(
 
 /// CP-ALS on a 3-mode sparse tensor.
 ///
-/// The sums fold over the entries in the tensor's iteration order.
+/// The sums fold over the entries in the tensor's coordinate order.
 ///
 /// Panics if the tensor is not order-3 or `rank == 0`.
 pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel {
@@ -149,18 +149,6 @@ pub fn cp_als(t: &SparseTensor, rank: usize, iters: usize, seed: u64) -> CpModel
         .iter()
         .map(|(idx, v)| ([idx[0], idx[1], idx[2]], v))
         .collect();
-    als(&entries, dims, rank, iters, seed)
-}
-
-/// CP-ALS over `entries` of a tensor of shape `dims`, folding every
-/// sum in entry order.
-fn als(
-    entries: &[([usize; 3], f64)],
-    dims: [usize; 3],
-    rank: usize,
-    iters: usize,
-    seed: u64,
-) -> CpModel {
     let mut rng = Rng::seed_from_u64(seed);
     let mut factors: [Vec<Vec<f64>>; 3] = [
         (0..dims[0])
@@ -194,7 +182,7 @@ fn als(
             let f1s = &factors[m1];
             let f2s = &factors[m2];
             let mttkrp = chunked_fold(
-                entries,
+                &entries,
                 || vec![vec![0.0; rank]; dims[mode]],
                 |mut acc, &([i, j, k], x)| {
                     let coords = [i, j, k];
@@ -217,7 +205,7 @@ fn als(
         let d = x - model.reconstruct(i, j, k);
         acc + d * d
     };
-    let residual = chunked_fold(entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
+    let residual = chunked_fold(&entries, || 0.0f64, sq_err, |a, b| a + b).sqrt();
     CpModel { residual, ..model }
 }
 
@@ -332,22 +320,15 @@ mod tests {
         h
     }
 
-    /// CP-ALS output bits, pinned. A tensor iterates its cells in hash
-    /// order, which differs from process to process, so the pin runs the
-    /// fold on the entries in coordinate order. The MTTKRP and residual
-    /// sums fold over fixed `hive_par::chunk_len` chunks merged in chunk
-    /// order, so the floating-point association is part of the output:
-    /// the first tensor spans 39 chunks of 256 entries, the second fits
-    /// one chunk.
+    /// CP-ALS output bits, pinned. A tensor iterates its cells in
+    /// coordinate order, so the fold order is the same in every process.
+    /// The MTTKRP and residual sums fold over fixed `hive_par::chunk_len`
+    /// chunks merged in chunk order, so the floating-point association is
+    /// part of the output: the first tensor spans 39 chunks of 256
+    /// entries, the second fits one chunk.
     #[test]
     fn cp_als_output_bits_are_pinned() {
-        let pinned = |t: &SparseTensor| {
-            let mut entries: Vec<([usize; 3], f64)> =
-                t.iter().map(|(idx, v)| ([idx[0], idx[1], idx[2]], v)).collect();
-            entries.sort_unstable_by_key(|e| e.0);
-            let dims = [t.shape()[0], t.shape()[1], t.shape()[2]];
-            model_bits_hash(&als(&entries, dims, 3, 5, 1))
-        };
+        let pinned = |t: &SparseTensor| model_bits_hash(&cp_als(t, 3, 5, 1));
         let large = random_tensor(100, 12_000, 9);
         let small = random_tensor(20, 200, 9);
         assert_eq!(large.nnz(), 9_916);

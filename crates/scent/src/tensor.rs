@@ -1,13 +1,14 @@
 //! Sparse COO tensors of arbitrary order.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A sparse tensor: a shape and a coordinate->value map. Zero values are
-/// never stored.
+/// never stored. Cells iterate in coordinate order, so every fold over a
+/// tensor runs in one order in every process.
 #[derive(Clone, Debug, Default)]
 pub struct SparseTensor {
     shape: Vec<usize>,
-    data: HashMap<Vec<usize>, f64>,
+    data: BTreeMap<Vec<usize>, f64>,
 }
 
 impl SparseTensor {
@@ -15,7 +16,7 @@ impl SparseTensor {
     pub fn new(shape: Vec<usize>) -> Self {
         assert!(!shape.is_empty(), "tensor order must be >= 1");
         assert!(shape.iter().all(|&d| d > 0), "all dimensions must be positive");
-        SparseTensor { shape, data: HashMap::new() }
+        SparseTensor { shape, data: BTreeMap::new() }
     }
 
     /// The tensor's shape.
@@ -62,7 +63,7 @@ impl SparseTensor {
         self.set(idx, cur + v);
     }
 
-    /// Iterates `(coordinates, value)`.
+    /// Iterates `(coordinates, value)` in coordinate order.
     pub fn iter(&self) -> impl Iterator<Item = (&[usize], f64)> {
         self.data.iter().map(|(k, &v)| (k.as_slice(), v))
     }
@@ -72,16 +73,24 @@ impl SparseTensor {
         self.data.values().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Frobenius distance `||self - other||_F` (shapes must match).
+    /// Frobenius distance `||self - other||_F` (shapes must match). Sums
+    /// over `self`'s cells, then over the cells only `other` has, each in
+    /// coordinate order; both walks merge the two sorted maps instead of
+    /// looking cells up.
     pub fn frobenius_distance(&self, other: &SparseTensor) -> f64 {
         assert_eq!(self.shape, other.shape, "shape mismatch");
         let mut sum = 0.0;
-        for (idx, v) in self.iter() {
-            let d = v - other.data.get(idx).copied().unwrap_or(0.0);
+        let mut theirs = other.data.iter().peekable();
+        for (idx, v) in &self.data {
+            while theirs.next_if(|(k, _)| *k < idx).is_some() {}
+            let w = theirs.next_if(|(k, _)| *k == idx).map_or(0.0, |(_, &w)| w);
+            let d = v - w;
             sum += d * d;
         }
-        for (idx, v) in other.iter() {
-            if !self.data.contains_key(idx) {
+        let mut mine = self.data.keys().peekable();
+        for (idx, v) in &other.data {
+            while mine.next_if(|k| *k < idx).is_some() {}
+            if mine.peek() != Some(&idx) {
                 sum += v * v;
             }
         }
@@ -147,6 +156,31 @@ mod tests {
         // Symmetric, including entries only in `other`.
         assert!((b.frobenius_distance(&a) - 4.0).abs() < 1e-12);
         assert_eq!(a.frobenius_distance(&a), 0.0);
+    }
+
+    /// The merge walk sums the same terms in the same order as looking
+    /// each cell up, so the distance matches bit for bit.
+    #[test]
+    fn merged_distance_matches_cell_lookups_bit_for_bit() {
+        let mut rng = hive_rng::Rng::seed_from_u64(3);
+        let mut a = SparseTensor::new(vec![6, 6, 2]);
+        let mut b = a.clone();
+        for _ in 0..40 {
+            let idx = [rng.gen_range(0..6usize), rng.gen_range(0..6), rng.gen_range(0..2)];
+            let t = if rng.gen_bool(0.5) { &mut a } else { &mut b };
+            t.set(&idx, rng.gen_range(-1.0..1.0));
+        }
+        let mut sum = 0.0;
+        for (idx, v) in a.iter() {
+            let d = v - b.get(idx);
+            sum += d * d;
+        }
+        for (idx, v) in b.iter() {
+            if a.get(idx) == 0.0 {
+                sum += v * v;
+            }
+        }
+        assert_eq!(a.frobenius_distance(&b).to_bits(), sum.sqrt().to_bits());
     }
 
     #[test]

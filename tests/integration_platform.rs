@@ -195,9 +195,8 @@ fn platform_snapshot_survives_service_usage() {
 /// input. No probe may panic. A probe that asks for nothing (a count of
 /// 0, an empty window, an unknown entity) must get an empty result or a
 /// typed error; the others only have to answer. An empty query and an
-/// empty actor list mean "no filter", a history `limit` of 0 means "no
-/// limit", and an unknown user's recommenders start from the uniform
-/// restart, so those answers may be non-empty. Returns the labels of
+/// empty actor list mean "no filter" and a history `limit` of 0 means
+/// "no limit", so those answers may be non-empty. Returns the labels of
 /// the probes that failed, and the number of probes run.
 fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
     let ghost = UserId(1 << 20);
@@ -227,8 +226,16 @@ fn degenerate_probe_failures(hive: &Hive) -> (Vec<String>, usize) {
             hive.recommend_peers(u, PeerRecConfig { common: zero_k, ..PeerRecConfig::default() })
                 .is_empty()
         });
+        probe(format!("recommend_peers({u})"), &|| {
+            known || hive.recommend_peers(u, PeerRecConfig::default()).is_empty()
+        });
         probe(format!("recommend_peers({u}, candidate_pool 0)"), &|| {
-            hive.recommend_peers(u, no_pool).len() <= no_pool.common.top_k
+            let recs = hive.recommend_peers(u, no_pool);
+            if known {
+                recs.len() <= no_pool.common.top_k
+            } else {
+                recs.is_empty()
+            }
         });
         probe(format!("similar_peers({u}, 0)"), &|| hive.similar_peers(u, 0).is_empty());
         probe(format!("similar_peers({u}, 5)"), &|| known || hive.similar_peers(u, 5).is_empty());

@@ -11,7 +11,7 @@
 //!   checksum reach a re-syncing follower's snapshot decoder, which
 //!   answers each with a typed error or a clean install.
 
-use hive_bench::prop::{check, DEFAULT_CASES};
+use hive_bench::prop::{check, mutate, other_char, replace_char, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_obs::Level;
@@ -71,26 +71,6 @@ fn random_string(rng: &mut Rng, max_len: usize) -> String {
     (0..len).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]).collect()
 }
 
-/// `wire` with the char at byte offset `at` replaced by `with`.
-fn replace_char(wire: &str, at: usize, with: char) -> String {
-    let old = wire[at..].chars().next().expect("a char at a boundary");
-    let mut out = String::with_capacity(wire.len() + 4);
-    out.push_str(&wire[..at]);
-    out.push(with);
-    out.push_str(&wire[at + old.len_utf8()..]);
-    out
-}
-
-/// A char other than `old` from the alphabet.
-fn other_char(rng: &mut Rng, old: char) -> char {
-    loop {
-        let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
-        if c != old {
-            return c;
-        }
-    }
-}
-
 /// Re-seals a wire body (everything after the checksum) with a valid
 /// checksum.
 fn seal(body: &str) -> String {
@@ -145,7 +125,7 @@ fn every_single_byte_mutation_is_corrupt() {
     let mut rng = Rng::seed_from_u64(11);
     for wire in [&checkpoint, &ops] {
         for (at, old) in wire.char_indices() {
-            let mutated = replace_char(wire, at, other_char(&mut rng, old));
+            let mutated = replace_char(wire, at, other_char(&mut rng, ALPHABET, old));
             assert!(
                 matches!(frame::decode(&mutated), Err(ReplicaError::Corrupt(_))),
                 "mutation at {at} of {} must be corrupt",
@@ -172,7 +152,7 @@ fn refused_wires_never_publish() {
                 at -= 1;
             }
             let old = wire[at..].chars().next().unwrap_or(' ');
-            replace_char(wire, at, other_char(rng, old))
+            replace_char(wire, at, other_char(rng, ALPHABET, old))
         };
         // A streaming follower refuses, falls back to re-sync and keeps
         // serving the epoch it had.
@@ -192,51 +172,6 @@ fn refused_wires_never_publish() {
     });
 }
 
-/// One payload mutation: a char replaced, a digit changed (the JSON
-/// still parses), a span deleted or a span repeated.
-fn mutate_payload(rng: &mut Rng, payload: &str) -> String {
-    let boundary = |rng: &mut Rng| {
-        let mut at = rng.gen_range(0..payload.len());
-        while !payload.is_char_boundary(at) {
-            at -= 1;
-        }
-        at
-    };
-    match rng.gen_range(0..4u32) {
-        0 => {
-            let at = boundary(rng);
-            let old = payload[at..].chars().next().unwrap_or(' ');
-            replace_char(payload, at, other_char(rng, old))
-        }
-        1 => {
-            let digits: Vec<usize> = payload
-                .char_indices()
-                .filter(|(_, c)| c.is_ascii_digit())
-                .map(|(i, _)| i)
-                .collect();
-            let at = digits[rng.gen_range(0..digits.len())];
-            let old = payload.as_bytes()[at];
-            let new = loop {
-                let d = b'0' + rng.gen_range(0..10u8);
-                if d != old {
-                    break d as char;
-                }
-            };
-            replace_char(payload, at, new)
-        }
-        2 => {
-            let (a, b) = (boundary(rng), boundary(rng));
-            let (a, b) = (a.min(b), a.max(b));
-            format!("{}{}", &payload[..a], &payload[b..])
-        }
-        _ => {
-            let (a, b) = (boundary(rng), boundary(rng));
-            let (a, b) = (a.min(b), a.max(b));
-            format!("{}{}", &payload[..b], &payload[a..])
-        }
-    }
-}
-
 #[test]
 fn resealed_checkpoint_mutations_reach_the_snapshot_decoder() {
     let (checkpoint, _) = wires();
@@ -245,7 +180,7 @@ fn resealed_checkpoint_mutations_reach_the_snapshot_decoder() {
     let (mut installed, mut refused_parse, mut refused_restore, mut diverged) = (0, 0, 0, 0);
     hive_obs::with_level(Level::Counts, || {
         check("frame-resealed-checkpoints", 256, |rng| {
-            let mutated = mutate_payload(rng, payload);
+            let mutated = mutate(rng, payload, ALPHABET);
             let wire = seal(&format!("{header}\n{mutated}"));
             hive_obs::reset();
             let mut follower = Follower::blank(0);

@@ -2,12 +2,20 @@
 //! layers): float weights survive bit-exactly, empty collections and
 //! unicode text round-trip, and a re-render of a restored snapshot is
 //! byte-identical to the original (canonical field order).
+//!
+//! The decoders that read outside input are fuzzed too: random strings
+//! through the JSON parser, and mutated exports through the platform
+//! snapshot decoder and the collection import. Each answers with a
+//! value or a typed error and never panics, and a refused import leaves
+//! no trace in the database.
 
-use hive_bench::prop::{check, DEFAULT_CASES};
+use hive_bench::prop::{check, mutate, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
-use hive_core::model::User;
+use hive_core::model::{User, WorkpadItem};
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::HiveDb;
+use hive_core::{Hive, HiveDb};
+use hive_json::Json;
+use hive_rng::Rng;
 use hive_store::snapshot::SNAPSHOT_VERSION;
 use hive_store::{Term, TripleStore};
 
@@ -114,4 +122,103 @@ fn bumped_versions_always_rejected_with_found_and_expected() {
             other => Err(format!("expected SnapshotVersion error, got {other:?}")),
         }
     });
+}
+
+/// Characters the generators draw from: JSON punctuation, digits, the
+/// letters of `true`, `false` and `null`, whitespace and multi-byte
+/// text.
+const ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', '-', '+', '.', '0', '1', '9', 'e', 'E', 't', 'r',
+    'u', 'f', 'a', 'l', 's', 'n', ' ', '\n', 'é', '🐝',
+];
+
+fn random_char(rng: &mut Rng) -> char {
+    ALPHABET[rng.gen_range(0..ALPHABET.len())]
+}
+
+/// Random strings, bare and behind an open array or object, parse to a
+/// value or a typed error.
+#[test]
+fn json_parser_survives_random_strings() {
+    let (mut parsed, mut refused) = (0, 0);
+    check("json-random-strings", 2_000, |rng| {
+        let len = rng.gen_range(0..48usize);
+        let text: String = (0..len).map(|_| random_char(rng)).collect();
+        for doc in [format!("[{text}"), format!("{{\"k\":{text}"), text] {
+            match Json::parse(&doc) {
+                Ok(_) => parsed += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        Ok(())
+    });
+    assert!(parsed > 0 && refused > 0, "{parsed} parsed, {refused} refused");
+}
+
+/// Mutated small-world snapshots load or are refused with a typed
+/// error; a loaded one renders again.
+#[test]
+fn platform_snapshot_decoder_survives_mutations() {
+    let json = WorldBuilder::new(SimConfig::small()).build().db.to_json().expect("serializes");
+    let (mut loaded, mut refused) = (0, 0);
+    check("platform-snapshot-mutations", 128, |rng| {
+        match HiveDb::from_json(&mutate(rng, &json, ALPHABET)) {
+            Ok(db) => {
+                db.to_json().map_err(|e| format!("a loaded snapshot must render: {e}"))?;
+                loaded += 1;
+            }
+            Err(_) => refused += 1,
+        }
+        Ok(())
+    });
+    assert!(loaded > 0 && refused > 0, "{loaded} loaded, {refused} refused");
+}
+
+/// Mutated collection exports import or are refused with a typed error,
+/// and a refused import leaves the database JSON unchanged.
+#[test]
+fn collection_import_survives_mutations_and_refusals_leave_no_trace() {
+    let db = WorldBuilder::new(SimConfig {
+        seed: 5,
+        users: 4,
+        topics: 2,
+        conferences: 1,
+        sessions_per_conf: 2,
+        papers_per_conf: 3,
+        ..SimConfig::small()
+    })
+    .build()
+    .db;
+    let mut hive = Hive::new(db);
+    let users = hive.db().user_ids();
+    let (owner, importer) = (users[0], users[1]);
+    let pad = hive.create_workpad(owner, "reading list").expect("a known owner");
+    let items = [
+        WorkpadItem::Paper(hive.db().paper_ids()[0]),
+        WorkpadItem::Session(hive.db().session_ids()[0]),
+        WorkpadItem::UserAvatar(users[2]),
+    ];
+    for item in items {
+        hive.workpad_add(owner, pad, item).expect("a known item");
+    }
+    hive.workpad_note(owner, pad, "read before the session").expect("a note");
+    let col = hive.export_workpad(owner, pad).expect("an owned pad");
+    let export = hive.export_collection_json(col).expect("a known collection");
+    let mut before = hive.db().to_json().expect("serializes");
+    let (mut imported, mut refused) = (0, 0);
+    check("collection-import-mutations", 1_000, |rng| {
+        match hive.import_collection_json(importer, &mutate(rng, &export, ALPHABET)) {
+            Ok(_) => {
+                imported += 1;
+                before = hive.db().to_json().map_err(|e| e.to_string())?;
+            }
+            Err(_) => {
+                refused += 1;
+                let after = hive.db().to_json().map_err(|e| e.to_string())?;
+                prop_ensure!(after == before, "a refused import changed the database");
+            }
+        }
+        Ok(())
+    });
+    assert!(imported > 0 && refused > 0, "{imported} imported, {refused} refused");
 }

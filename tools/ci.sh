@@ -23,6 +23,9 @@ cargo run -p hive-lint --offline -- --json target/lint-report.json
 # every caught-up follower bit-identical to the leader).
 ./target/release/hive-sim-harness --seed 42 --steps 60 --crashes 2 --serve-readers 2 \
   --followers 2 --faults all
+# Figure 1 prints only seeded world data (session traffic, activity
+# counts, the ticker), so it regenerates byte for byte.
+./target/release/fig1_platform | diff - results/fig1_platform.txt
 # Figure 3 regenerates byte for byte: the concept-map layers are built
 # on demand, off the serving knowledge tier, and this keeps them checked.
 ./target/release/fig3_layers | diff - results/fig3_layers.txt
