@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod answers;
 pub mod fault;
 pub mod harness;
 pub mod oracle;

@@ -26,7 +26,7 @@
 //! reads and publishes must satisfy both layers, so a violation is a
 //! real serving-layer bug, not flakiness.
 
-use crate::oracle::bits;
+use crate::answers::{probe_users, Fingerprint};
 use crate::workload::{self, WorkloadStats};
 use hive_core::clock::Timestamp;
 use hive_core::discover::DiscoverConfig;
@@ -113,7 +113,7 @@ impl ServeReport {
 
 /// One epoch observation: the epoch a reader (or the writer) held and
 /// the battery it computed against it.
-type Sample = (Arc<Epoch>, String);
+type Sample = (Arc<Epoch>, Fingerprint);
 
 enum TaskOut {
     Writer { epochs: Vec<Arc<Epoch>>, stats: WorkloadStats },
@@ -121,67 +121,24 @@ enum TaskOut {
     Empty,
 }
 
-/// A fixed, deterministic query battery over one epoch. Floats are
-/// rendered via [`bits`], so comparison is bit-exact; everything the
-/// battery touches (search, similarity, feeds, trends) goes through
-/// the epoch's frozen knowledge network and database snapshot.
-fn epoch_battery(epoch: &Epoch) -> String {
+/// A fixed, deterministic battery of four cheap reads over one epoch,
+/// digested through [`crate::answers`] so comparison is bit-exact;
+/// everything it touches (search, similarity, feeds, trends) goes
+/// through the epoch's frozen knowledge network and database snapshot.
+fn epoch_battery(epoch: &Epoch) -> Fingerprint {
     let db = epoch.db();
-    let users = db.user_ids();
-    let mut out = format!(
-        "gen={} users={} papers={} log={} now={}",
-        epoch.generation(),
-        users.len(),
-        db.paper_ids().len(),
-        db.activity_log().len(),
-        db.now().0,
-    );
-    let mut probes = Vec::new();
-    for idx in [0, users.len() / 2, users.len().saturating_sub(1)] {
-        if let Some(&u) = users.get(idx) {
-            if !probes.contains(&u) {
-                probes.push(u);
-            }
-        }
+    let mut fp = Fingerprint::default();
+    let counts = [db.user_ids().len(), db.paper_ids().len(), db.activity_log().len()];
+    fp.push("counts", &((epoch.generation(), db.now()), &counts[..]));
+    for u in probe_users(db) {
+        let iri = u.iri();
+        fp.push(format!("similar:{iri}"), &epoch.similar_peers(u, 5));
+        let query = "tensor stream community detection";
+        fp.push(format!("search:{iri}"), &epoch.search(u, query, DiscoverConfig::default()));
+        fp.push(format!("digest:{iri}"), &epoch.digest(u, Timestamp(0)));
     }
-    for u in probes {
-        let similar: Vec<String> = epoch
-            .similar_peers(u, 5)
-            .into_iter()
-            .map(|(v, s)| format!("{}={}", v.iri(), bits(s)))
-            .collect();
-        out.push_str(&format!("\nsimilar:{}={}", u.iri(), similar.join("|")));
-        let hits: Vec<String> = epoch
-            .search(u, "tensor stream community detection", DiscoverConfig::default())
-            .into_iter()
-            .map(|h| {
-                let (preview, concepts) = (&h.preview, h.key_concepts.join(","));
-                format!("{}:{}:{preview:?}:{concepts}", bits(h.score), h.title)
-            })
-            .collect();
-        out.push_str(&format!("\nsearch:{}={}", u.iri(), hits.join("|")));
-        let digest = epoch.digest(u, Timestamp(0));
-        let mut counts: Vec<String> = digest
-            .counts
-            // lint:allow(determinism-taint) -- rendered lines are sorted below
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        counts.sort();
-        out.push_str(&format!(
-            "\ndigest:{}=updates={} {}",
-            u.iri(),
-            digest.updates.len(),
-            counts.join(",")
-        ));
-    }
-    let trending: Vec<String> = epoch
-        .trending_sessions(Timestamp(0), db.now(), 5)
-        .into_iter()
-        .map(|(s, w)| format!("{}={}", s.iri(), bits(w)))
-        .collect();
-    out.push_str(&format!("\ntrending={}", trending.join("|")));
-    out
+    fp.push("trending", &epoch.trending_sessions(Timestamp(0), db.now(), 5));
+    fp
 }
 
 fn unpoison_take<T>(slot: &Mutex<Option<T>>) -> Option<T> {
@@ -271,15 +228,15 @@ pub fn serve_soak(cfg: ServeConfig) -> ServeReport {
     // ---- serial verification ------------------------------------------
     // Cold replay per distinct publish seq, computed once and compared
     // against every observation of that epoch.
-    let mut expected: BTreeMap<u64, String> = BTreeMap::new();
-    let mut check = |epoch: &Arc<Epoch>, battery: &str, who: &str, report: &mut ServeReport| {
+    let mut expected: BTreeMap<u64, Fingerprint> = BTreeMap::new();
+    let mut check = |epoch: &Arc<Epoch>, got: &Fingerprint, who: &str, report: &mut ServeReport| {
         let want = expected.entry(epoch.seq()).or_insert_with(|| {
             report.epochs_checked += 1;
             epoch_battery(&Epoch::rebuild(Arc::new(epoch.db().clone())))
         });
-        if want != battery {
+        for d in want.diff(got) {
             report.violations.push(format!(
-                "{who}: epoch seq={} gen={} diverges from serial replay",
+                "{who}: epoch seq={} gen={} diverges from serial replay: {d}",
                 epoch.seq(),
                 epoch.generation()
             ));

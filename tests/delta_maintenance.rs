@@ -11,15 +11,15 @@
 //!    `to_bits`).
 //! 2. **Facade** — a live [`Hive`] whose kn/rel snapshots are patched
 //!    forward across interleaved mutations and queries must answer the
-//!    battery exactly like a cold platform built from a clone of the
-//!    same database.
+//!    soak fingerprint's battery exactly like a cold platform built from
+//!    a clone of the same database.
 
 use hive_bench::prop::{check, DEFAULT_CASES};
-use hive_bench::{prop_ensure, prop_ensure_eq};
-use hive_core::peers::PeerRecConfig;
+use hive_bench::prop_ensure;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::Hive;
 use hive_rng::Rng;
+use hive_sim_harness::oracle::fingerprint;
 use hive_store::{GraphView, Term, TripleStore};
 
 // ---- layer 1: GraphView::apply_delta vs GraphView::build ---------------
@@ -139,44 +139,6 @@ fn apply_delta_refuses_foreign_generations() {
 
 // ---- layer 2: delta-patched facade vs cold platform --------------------
 
-/// Bit-exact rendering of the facade answers the oracle compares.
-fn facade_battery(hive: &Hive) -> Vec<String> {
-    let mut out = Vec::new();
-    let users = hive.db().user_ids();
-    let kn = hive.knowledge();
-    for &u in users.iter().take(3) {
-        let sims: Vec<String> = hive
-            .similar_peers(u, 5)
-            .iter()
-            .map(|(v, s)| format!("{}={:016x}", v.iri(), s.to_bits()))
-            .collect();
-        out.push(format!("similar:{}:{}", u.iri(), sims.join("|")));
-        let peers: Vec<String> = hive
-            .recommend_peers(u, PeerRecConfig::default())
-            .iter()
-            .map(|r| format!("{}={:016x}", r.user.iri(), r.score.to_bits()))
-            .collect();
-        out.push(format!("peers:{}:{}", u.iri(), peers.join("|")));
-    }
-    if users.len() >= 2 {
-        let (a, b) = (users[0], users[1]);
-        out.push(format!("kn-sim:{:016x}", kn.user_similarity(a, b).to_bits()));
-        let exp = hive.explain_relationship(a, b);
-        let items: Vec<String> = exp
-            .items
-            .iter()
-            .map(|i| format!("{:?}={:016x}:{}", i.kind, i.score.to_bits(), i.explanation))
-            .collect();
-        out.push(format!(
-            "explain:{:016x}:[{}]:[{}]",
-            exp.combined.to_bits(),
-            items.join("|"),
-            exp.paths.join("|")
-        ));
-    }
-    out
-}
-
 /// One random patchable-or-structural facade mutation. Most choices
 /// append patchable events (Follow / Connect / CheckIn / Attend /
 /// ViewPaper); a rare structural one forces the rebuild path so both
@@ -241,26 +203,17 @@ fn delta_patched_facade_matches_cold_platform_body() {
         let world = WorldBuilder::new(sim).build();
         let mut hive = Hive::new(world.db);
         // Warm the snapshots so subsequent mutations patch, not rebuild.
-        let _ = facade_battery(&hive);
+        let _ = fingerprint(&hive);
         for _ in 0..rng.gen_range(2..5usize) {
             for _ in 0..rng.gen_range(1..6usize) {
                 facade_mutate(&mut hive, rng);
             }
-            let live = facade_battery(&hive);
             let cold = Hive::new(hive.db().clone());
-            let fresh = facade_battery(&cold);
-            prop_ensure_eq!(
-                live.len(),
-                fresh.len(),
-                "battery shapes must match between live and cold platforms"
+            let diff = fingerprint(&hive).diff(&fingerprint(&cold));
+            prop_ensure!(
+                diff.is_empty(),
+                "delta-patched facade diverged from cold platform: {diff:?}"
             );
-            for (l, f) in live.iter().zip(&fresh) {
-                if l != f {
-                    return Err(format!(
-                        "delta-patched facade diverged from cold platform:\n  live: {l}\n  cold: {f}"
-                    ));
-                }
-            }
         }
         Ok(())
     });

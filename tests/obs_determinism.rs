@@ -7,14 +7,15 @@
 //!    and JSON), crash/restore cycles and differential oracles included.
 //! 2. **No observer effect** — running with observability `Off` versus
 //!    `Full` yields bit-identical platform state, per the recovery
-//!    fingerprint's `f64::to_bits` battery. Recording must never branch
-//!    program logic.
+//!    fingerprint's answer digests. Recording must never branch program
+//!    logic.
 
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::Hive;
 use hive_obs::Level;
 use hive_rng::Rng;
-use hive_sim_harness::oracle::{self, Fingerprint};
+use hive_sim_harness::answers::Fingerprint;
+use hive_sim_harness::oracle;
 use hive_sim_harness::workload::{self, WorkloadStats};
 use hive_sim_harness::{HarnessConfig, SimHarness};
 

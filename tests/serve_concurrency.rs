@@ -4,11 +4,11 @@
 //! correctly after many writes, and the N-reader × 1-writer soak holds
 //! the snapshot-consistency oracle across seeds.
 
-use hive_core::discover::DiscoverConfig;
 use hive_core::serve::{Epoch, HiveServer};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_replica::{Cluster, ClusterConfig, FaultPlan};
 use hive_rng::Rng;
+use hive_sim_harness::oracle::fingerprint;
 use hive_sim_harness::{serve_soak, ServeConfig};
 use std::sync::Arc;
 
@@ -16,33 +16,11 @@ fn server() -> HiveServer {
     HiveServer::new(WorldBuilder::new(SimConfig::small()).build().db)
 }
 
-fn battery(epoch: &Epoch) -> String {
-    let users = epoch.db().user_ids();
-    let u = users[0];
-    let similar: Vec<String> = epoch
-        .similar_peers(u, 5)
-        .into_iter()
-        .map(|(v, s)| format!("{}={:016x}", v.iri(), s.to_bits()))
-        .collect();
-    let hits: Vec<String> = epoch
-        .search(u, "tensor stream sketch", DiscoverConfig::default())
-        .into_iter()
-        .map(|h| format!("{:016x}:{}", h.score.to_bits(), h.title))
-        .collect();
-    format!(
-        "gen={} log={} similar={} search={}",
-        epoch.generation(),
-        epoch.db().activity_log().len(),
-        similar.join("|"),
-        hits.join("|")
-    )
-}
-
 #[test]
 fn pinned_epoch_sees_no_torn_state_across_repeated_calls() {
     let mut s = server();
     let pinned = s.current();
-    let before = battery(&pinned);
+    let before = fingerprint(&pinned);
     // Interleave heavy writes (unpublished and published) with repeated
     // reads of the pinned epoch: every call must answer identically.
     let users = s.hive().db().user_ids();
@@ -52,7 +30,7 @@ fn pinned_epoch_sees_no_torn_state_across_repeated_calls() {
         if i % 3 == 2 {
             s.publish();
         }
-        assert_eq!(battery(&pinned), before, "pinned epoch tore at write {i}");
+        assert_eq!(fingerprint(&pinned), before, "pinned epoch tore at write {i}");
     }
 }
 
@@ -82,7 +60,7 @@ fn long_lived_reader_on_old_epoch_answers_like_a_serial_replay() {
     let mut s = server();
     let reader = s.reader();
     let old = reader.epoch();
-    let old_battery = battery(&old);
+    let old_battery = fingerprint(&old);
     let users = s.hive().db().user_ids();
     let sessions = s.hive().db().session_ids();
     for i in 0..60 {
@@ -108,10 +86,10 @@ fn long_lived_reader_on_old_epoch_answers_like_a_serial_replay() {
         "the slot moved on while the old epoch stayed pinned"
     );
     // The old epoch answers exactly as it did before the writes...
-    assert_eq!(battery(&old), old_battery);
+    assert_eq!(fingerprint(&old), old_battery);
     // ...and exactly as a cold platform rebuilt from its own snapshot.
     let cold = Epoch::rebuild(Arc::new(old.db().clone()));
-    assert_eq!(battery(&old), battery(&cold));
+    assert_eq!(fingerprint(&old), fingerprint(&cold));
     // The live epoch has genuinely diverged from the pinned one.
     let fresh = reader.epoch();
     assert!(fresh.generation() > old.generation());
@@ -137,7 +115,7 @@ fn reader_pinned_across_failover_stays_replay_consistent() {
     );
     let reader = cluster.follower_reader(0).expect("bootstrapped follower serves");
     let pinned = reader.epoch();
-    let before = battery(&pinned);
+    let before = fingerprint(&pinned);
     let pinned_gen = reader.current_generation();
 
     let mut rng = Rng::seed_from_u64(77);
@@ -153,7 +131,7 @@ fn reader_pinned_across_failover_stays_replay_consistent() {
     // Replicated writes land on the follower the handle points at...
     drive(&mut cluster, 0..25);
     assert!(cluster.heal(8));
-    assert_eq!(battery(&pinned), before, "pinned epoch tore while following");
+    assert_eq!(fingerprint(&pinned), before, "pinned epoch tore while following");
     assert!(
         reader.current_generation() > pinned_gen,
         "the follower must have published fresher epochs meanwhile"
@@ -170,9 +148,9 @@ fn reader_pinned_across_failover_stays_replay_consistent() {
         reader.current_generation() > gen_at_promotion,
         "the handle must see epochs published after promotion"
     );
-    assert_eq!(battery(&pinned), before, "pinned epoch tore across failover");
+    assert_eq!(fingerprint(&pinned), before, "pinned epoch tore across failover");
     let cold = Epoch::rebuild(Arc::new(pinned.db().clone()));
-    assert_eq!(battery(&pinned), battery(&cold), "pinned epoch must equal a cold replay");
+    assert_eq!(fingerprint(&pinned), fingerprint(&cold), "pinned epoch must equal a cold replay");
     assert_eq!(
         reader.epoch().generation(),
         cluster.leader().generation(),
