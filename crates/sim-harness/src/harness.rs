@@ -276,86 +276,52 @@ impl SimHarness {
         report: &mut SoakReport,
     ) {
         for kind in FaultKind::ALL {
-            match fault::corrupt(platform_json, kind, rng) {
-                Some(bad) => {
-                    report.faults_injected += 1;
-                    match fault::load_platform(&bad) {
-                        LoadOutcome::Rejected(HiveError::SnapshotVersion { .. }) => {
-                            report.fault_errors += 1;
-                        }
-                        LoadOutcome::Rejected(e) if kind.wants_version_error() => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!(
-                                    "platform {}: expected a snapshot-version error, got: {e}",
-                                    kind.label()
-                                ),
-                            });
-                        }
-                        LoadOutcome::Rejected(_) => report.fault_errors += 1,
-                        LoadOutcome::Loaded(_) => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!(
-                                    "platform {}: corrupted snapshot loaded without error",
-                                    kind.label()
-                                ),
-                            });
-                        }
-                        LoadOutcome::Panicked(msg) => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!("platform {}: loader panicked: {msg}", kind.label()),
-                            });
-                        }
-                    }
+            let platform = attack(report, platform_json, kind, rng, fault::load_platform, |e| {
+                matches!(e, HiveError::SnapshotVersion { .. })
+            });
+            let store = store_json.and_then(|json| {
+                attack(report, json, kind, rng, fault::load_store, |e| {
+                    matches!(e, StoreError::SnapshotVersion { .. })
+                })
+            });
+            for (layer, problem) in [("platform", platform), ("store", store)] {
+                if let Some(problem) = problem {
+                    report.violations.push(Violation {
+                        step,
+                        checker: CheckerKind::Fault,
+                        detail: format!("{layer} {}: {problem}", kind.label()),
+                    });
                 }
-                None => report.faults_skipped += 1,
-            }
-            let Some(sjson) = store_json else { continue };
-            match fault::corrupt(sjson, kind, rng) {
-                Some(bad) => {
-                    report.faults_injected += 1;
-                    match fault::load_store(&bad) {
-                        LoadOutcome::Rejected(StoreError::SnapshotVersion { .. }) => {
-                            report.fault_errors += 1;
-                        }
-                        LoadOutcome::Rejected(e) if kind.wants_version_error() => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!(
-                                    "store {}: expected a snapshot-version error, got: {e}",
-                                    kind.label()
-                                ),
-                            });
-                        }
-                        LoadOutcome::Rejected(_) => report.fault_errors += 1,
-                        LoadOutcome::Loaded(_) => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!(
-                                    "store {}: corrupted snapshot loaded without error",
-                                    kind.label()
-                                ),
-                            });
-                        }
-                        LoadOutcome::Panicked(msg) => {
-                            report.violations.push(Violation {
-                                step,
-                                checker: CheckerKind::Fault,
-                                detail: format!("store {}: loader panicked: {msg}", kind.label()),
-                            });
-                        }
-                    }
-                }
-                None => report.faults_skipped += 1,
             }
         }
+    }
+}
+
+/// Corrupts one snapshot layer's `json` with `kind` and loads it,
+/// counting the attempt in `report`. Returns what the loader got wrong:
+/// every corruption must come back as a typed error, and a version bump
+/// as one that `is_version_error` recognizes.
+fn attack<T, E: fmt::Display>(
+    report: &mut SoakReport,
+    json: &str,
+    kind: FaultKind,
+    rng: &mut Rng,
+    load: fn(&str) -> LoadOutcome<T, E>,
+    is_version_error: fn(&E) -> bool,
+) -> Option<String> {
+    let Some(bad) = fault::corrupt(json, kind, rng) else {
+        report.faults_skipped += 1;
+        return None;
+    };
+    report.faults_injected += 1;
+    match load(&bad) {
+        LoadOutcome::Rejected(e) if is_version_error(&e) || !kind.wants_version_error() => {
+            report.fault_errors += 1;
+            None
+        }
+        LoadOutcome::Rejected(e) => Some(format!("expected a snapshot-version error, got: {e}")),
+        LoadOutcome::Loaded(_) => Some("corrupted snapshot loaded without error".to_string()),
+        LoadOutcome::Panicked(msg) => Some(format!("loader panicked: {msg}")),
     }
 }
 
