@@ -1,20 +1,23 @@
 //! Seed-driven multi-user workload against the [`Hive`] facade.
 //!
-//! Every step advances the logical clock and applies one operation
-//! drawn from a fixed distribution over the platform API: social
-//! mutations (register / follow / connect), conference activity
-//! (check-in / attend / upload / ask / answer / comment / tweet),
-//! workpad edits, and read-only service queries. Operations that the
-//! platform legitimately rejects (duplicate follow, answering an
-//! unanswerable question, ...) count as *rejected*, not as failures —
-//! the harness only requires that rejections are typed errors, which
-//! the facade's `Result` signatures already guarantee at compile time.
+//! Every step applies the replication op stream's next step
+//! ([`hive_replica::synth::step_ops`]: a clock advance and one mutation
+//! drawn from a fixed distribution over the platform API) through
+//! [`hive_replica::ops::apply`], so the recovery and serve soaks write
+//! exactly what the replication soak ships. On 16 steps in 100 a
+//! read-only service query follows. Operations that the platform
+//! legitimately rejects (duplicate follow, answering an unanswerable
+//! question, ...) count as *rejected*, not as failures — the harness
+//! only requires that rejections are typed errors, which the facade's
+//! `Result` signatures already guarantee at compile time.
 
-use hive_core::ids::{ConferenceId, UserId};
-use hive_core::model::{Paper, QaTarget, User, WorkpadItem};
-use hive_core::sim::{topic_abstract, topic_phrase, topic_question, topic_title};
+use hive_core::clock::Timestamp;
+use hive_core::discover::DiscoverConfig;
+use hive_core::peers::PeerRecConfig;
+use hive_core::sim::topic_phrase;
 use hive_core::Hive;
-use hive_rng::{Rng, SliceRandom};
+use hive_replica::{ops, synth};
+use hive_rng::Rng;
 
 /// Running tallies of what the generator did.
 #[derive(Clone, Copy, Debug, Default)]
@@ -25,238 +28,44 @@ pub struct WorkloadStats {
     pub rejected: usize,
 }
 
-impl WorkloadStats {
-    fn tally<T, E>(&mut self, res: Result<T, E>) {
-        match res {
-            Ok(_) => self.applied += 1,
-            Err(_) => self.rejected += 1,
+/// Applies one step's ops, then on 16 rolls in 100 one read-only query.
+pub fn step(hive: &mut Hive, rng: &mut Rng, step_no: usize, stats: &mut WorkloadStats) {
+    for op in synth::step_ops(hive, step_no, rng) {
+        match ops::apply(&op, hive) {
+            Ok(()) => stats.applied += 1,
+            Err(_) => stats.rejected += 1,
         }
     }
-
-    fn skip(&mut self) {
-        self.rejected += 1;
+    if rng.gen_range(0..100u32) >= 16 {
+        return;
     }
-}
-
-fn pick_user(hive: &Hive, rng: &mut Rng) -> Option<UserId> {
-    hive.db().user_ids().choose(rng).copied()
-}
-
-fn pick_pair(hive: &Hive, rng: &mut Rng) -> Option<(UserId, UserId)> {
+    // Read-only service traffic interleaved with the mutations; results
+    // are discarded here (the oracles assert on them at crash points),
+    // but the calls must not error or panic.
     let users = hive.db().user_ids();
     if users.len() < 2 {
-        return None;
+        return;
     }
-    let a = rng.gen_range(0..users.len());
-    let mut b = rng.gen_range(0..users.len() - 1);
-    if b >= a {
-        b += 1;
-    }
-    Some((users[a], users[b]))
-}
-
-fn topic(rng: &mut Rng) -> usize {
-    rng.gen_range(0..4)
-}
-
-/// Applies one generated operation; returns a label for diagnostics.
-pub fn step(hive: &mut Hive, rng: &mut Rng, step_no: usize, stats: &mut WorkloadStats) -> &'static str {
-    // Time always moves between operations so feeds, reports, and
-    // trending windows see a spread-out history.
-    let dt = rng.gen_range(1..4u64);
-    hive.advance_clock(dt);
-    let roll = rng.gen_range(0..100u32);
-    match roll {
-        0..=4 => {
-            let t = topic(rng);
-            let name = format!("Sim Researcher {step_no}");
-            let user = User::new(name, "Simulated Institute")
-                .with_interests(vec![topic_phrase(t, rng)]);
-            hive.add_user(user);
-            stats.applied += 1;
-            "register"
+    let i = rng.gen_range(0..users.len());
+    let u = users[i];
+    match rng.gen_range(0..5u32) {
+        0 => {
+            let q = topic_phrase(rng.gen_range(0..4), rng);
+            let _ = hive.search(u, &q, DiscoverConfig::default());
         }
-        5..=16 => {
-            match pick_pair(hive, rng) {
-                Some((a, b)) => stats.tally(hive.follow(a, b)),
-                None => stats.skip(),
-            }
-            "follow"
+        1 => {
+            let _ = hive.recommend_peers(u, PeerRecConfig::default());
         }
-        17..=26 => {
-            match pick_pair(hive, rng) {
-                Some((a, b)) => {
-                    // Half the rolls respond to a pending request (if
-                    // any), the rest originate a new one.
-                    let pending = hive.db().pending_requests_for(a);
-                    match pending.choose(rng).copied() {
-                        Some(from) if rng.gen_bool(0.5) => {
-                            stats.tally(hive.respond_connection(a, from, rng.gen_bool(0.8)))
-                        }
-                        _ => stats.tally(hive.request_connection(a, b)),
-                    }
-                }
-                None => stats.skip(),
-            }
-            "connect"
+        2 => {
+            // Any user other than `u`.
+            let v = users[(i + rng.gen_range(1..users.len())) % users.len()];
+            let _ = hive.explain_relationship(u, v);
         }
-        27..=38 => {
-            let sessions = hive.db().session_ids();
-            match (pick_user(hive, rng), sessions.choose(rng).copied()) {
-                (Some(u), Some(s)) => stats.tally(hive.check_in(u, s)),
-                _ => stats.skip(),
-            }
-            "check-in"
-        }
-        39..=43 => {
-            let users = hive.db().user_ids();
-            let n_authors = rng.gen_range(1..=3usize).min(users.len());
-            let authors: Vec<UserId> =
-                users.choose_multiple(rng, n_authors).into_iter().copied().collect();
-            if authors.is_empty() {
-                stats.skip();
-                return "upload-paper";
-            }
-            let t = topic(rng);
-            let n_cites = rng.gen_range(0..3usize);
-            let cites: Vec<_> = hive
-                .db()
-                .paper_ids()
-                .choose_multiple(rng, n_cites)
-                .into_iter()
-                .copied()
-                .collect();
-            let venue = hive.db().conference_ids().choose(rng).copied();
-            let mut paper = Paper::new(topic_title(t, rng), authors)
-                .with_abstract(topic_abstract(t, rng))
-                .citing(cites);
-            if let Some(v) = venue {
-                paper = paper.at_venue(v);
-            }
-            stats.tally(hive.add_paper(paper));
-            "upload-paper"
-        }
-        44..=53 => {
-            let target = if rng.gen_bool(0.5) {
-                hive.db().presentation_ids().choose(rng).map(|&p| QaTarget::Presentation(p))
-            } else {
-                hive.db().session_ids().choose(rng).map(|&s| QaTarget::Session(s))
-            };
-            match (pick_user(hive, rng), target) {
-                (Some(u), Some(t)) => {
-                    let q = topic_question(topic(rng), rng);
-                    stats.tally(hive.ask_question(u, t, &q, rng.gen_bool(0.3)))
-                }
-                _ => stats.skip(),
-            }
-            "ask"
-        }
-        54..=61 => {
-            match (pick_user(hive, rng), hive.db().question_ids().choose(rng).copied()) {
-                (Some(u), Some(q)) => {
-                    let text = topic_phrase(topic(rng), rng);
-                    stats.tally(hive.answer_question(u, q, &text))
-                }
-                _ => stats.skip(),
-            }
-            "answer"
-        }
-        62..=71 => {
-            let Some(u) = pick_user(hive, rng) else {
-                stats.skip();
-                return "workpad";
-            };
-            match hive.db().active_workpad_of(u) {
-                Some(pad) if rng.gen_bool(0.7) => {
-                    let item = if rng.gen_bool(0.5) {
-                        hive.db().paper_ids().choose(rng).map(|&p| WorkpadItem::Paper(p))
-                    } else {
-                        hive.db().session_ids().choose(rng).map(|&s| WorkpadItem::Session(s))
-                    };
-                    match item {
-                        Some(item) => stats.tally(hive.workpad_add(u, pad, item)),
-                        None => stats.skip(),
-                    }
-                }
-                Some(pad) => {
-                    let note = topic_phrase(topic(rng), rng);
-                    stats.tally(hive.workpad_note(u, pad, note))
-                }
-                None => {
-                    stats.tally(hive.create_workpad(u, format!("pad {step_no}").as_str()))
-                }
-            }
-            "workpad"
-        }
-        72..=77 => {
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let target =
-                        hive.db().session_ids().choose(rng).map(|&s| QaTarget::Session(s));
-                    match (pick_user(hive, rng), target) {
-                        (Some(u), Some(t)) => {
-                            let text = topic_phrase(topic(rng), rng);
-                            stats.tally(hive.comment(u, t, text))
-                        }
-                        _ => stats.skip(),
-                    }
-                }
-                1 => {
-                    match (pick_user(hive, rng), hive.db().session_ids().choose(rng).copied()) {
-                        (Some(u), Some(s)) => {
-                            let text = topic_phrase(topic(rng), rng);
-                            stats.tally(hive.post_tweet(Some(u), "@sim", text, s))
-                        }
-                        _ => stats.skip(),
-                    }
-                }
-                _ => {
-                    match (pick_user(hive, rng), hive.db().paper_ids().choose(rng).copied()) {
-                        (Some(u), Some(p)) => stats.tally(hive.view_paper(u, p)),
-                        _ => stats.skip(),
-                    }
-                }
-            }
-            "engage"
-        }
-        78..=83 => {
-            let confs: Vec<ConferenceId> = hive.db().conference_ids();
-            match (pick_user(hive, rng), confs.choose(rng).copied()) {
-                (Some(u), Some(c)) => stats.tally(hive.attend(u, c)),
-                _ => stats.skip(),
-            }
-            "attend"
+        3 => {
+            let _ = hive.digest(u, Timestamp(0));
         }
         _ => {
-            // Read-only service traffic interleaved with the mutations;
-            // results are discarded here (the oracles assert on them at
-            // crash points), but the calls must not error or panic.
-            let Some(u) = pick_user(hive, rng) else {
-                stats.skip();
-                return "read";
-            };
-            match rng.gen_range(0..5u32) {
-                0 => {
-                    let q = topic_phrase(topic(rng), rng);
-                    let _ = hive.search(u, &q, hive_core::discover::DiscoverConfig::default());
-                }
-                1 => {
-                    let _ = hive.recommend_peers(u, hive_core::peers::PeerRecConfig::default());
-                }
-                2 => {
-                    if let Some((a, b)) = pick_pair(hive, rng) {
-                        let _ = hive.explain_relationship(a, b);
-                    }
-                }
-                3 => {
-                    let _ = hive.digest(u, hive_core::clock::Timestamp(0));
-                }
-                _ => {
-                    let _ = hive.similar_peers(u, 5);
-                }
-            }
-            stats.applied += 1;
-            "read"
+            let _ = hive.similar_peers(u, 5);
         }
     }
 }
