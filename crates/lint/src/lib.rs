@@ -391,9 +391,7 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
             continue;
         }
         if dotted_dep_header.is_some() {
-            let key = line.split('=').next().unwrap_or("").trim();
-            let value = line.split_once('=').map(|(_, v)| v.trim()).unwrap_or("");
-            if key == "path" || (key == "workspace" && value == "true") {
+            if line.split_once('=').is_some_and(|(k, v)| hermetic_pair(k, v)) {
                 dotted_dep_hermetic = true;
             }
             continue;
@@ -404,10 +402,8 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
         let Some((key, value)) = line.split_once('=') else { continue };
         let key = key.trim();
         let value = value.trim();
-        let hermetic = value.contains("path")
-            || value.contains("workspace = true")
-            || value.contains("workspace=true")
-            || key.ends_with(".workspace");
+        let hermetic = (key.ends_with(".workspace") && value == "true")
+            || inline_pairs(value).into_iter().any(|(k, v)| hermetic_pair(k, v));
         if !hermetic && !allows.allows(file, rules::HERMETIC_DEPS, lineno) {
             out.push(Diagnostic::new(
                 rules::HERMETIC_DEPS,
@@ -420,6 +416,40 @@ pub fn check_manifest(file: &str, contents: &str) -> Vec<Diagnostic> {
     }
     flush_dotted(&mut dotted_dep_header, &mut dotted_dep_hermetic, &mut out);
     out
+}
+
+/// R1's key test for one `key = value` pair of a dependency's table,
+/// inline or dotted: a `path` key, or `workspace = true`.
+fn hermetic_pair(key: &str, value: &str) -> bool {
+    let key = key.trim().trim_matches('"');
+    key == "path" || (key == "workspace" && value.trim() == "true")
+}
+
+/// The `key = value` pairs of an inline table `{ ... }`, split at the
+/// commas that sit outside quotes and brackets; empty for any other
+/// value.
+fn inline_pairs(value: &str) -> Vec<(&str, &str)> {
+    let Some(body) = value.strip_prefix('{').and_then(|v| v.strip_suffix('}')) else {
+        return Vec::new();
+    };
+    let mut entries = Vec::new();
+    let (mut quote, mut depth, mut start) = (None, 0usize, 0);
+    for (i, c) in body.char_indices() {
+        match (quote, c) {
+            (Some(q), _) if c == q => quote = None,
+            (Some(_), _) => {}
+            (None, '"' | '\'') => quote = Some(c),
+            (None, '[' | '{') => depth += 1,
+            (None, ']' | '}') => depth = depth.saturating_sub(1),
+            (None, ',') if depth == 0 => {
+                entries.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    entries.push(&body[start..]);
+    entries.into_iter().filter_map(|e| e.split_once('=')).collect()
 }
 
 /// Scan size counters, reported alongside the diagnostics.

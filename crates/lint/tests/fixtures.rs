@@ -43,11 +43,14 @@ fn facade(file: &str) -> WorkspaceConfig {
 fn r1_hermetic_deps_fires_on_registry_dep() {
     let toml = include_str!("fixtures/r1_registry_dep.toml");
     let diags = check_manifest("fixtures/r1_registry_dep.toml", toml);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, rules::HERMETIC_DEPS);
-    assert_eq!(diags[0].file, "fixtures/r1_registry_dep.toml");
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert!(diags.iter().all(|d| d.rule == rules::HERMETIC_DEPS));
+    assert!(diags.iter().all(|d| d.file == "fixtures/r1_registry_dep.toml"));
     assert_eq!(diags[0].line, 4);
     assert!(diags[0].message.contains("serde"));
+    // A registry entry whose text merely contains `path` is still one.
+    assert_eq!(diags[1].line, 6);
+    assert!(diags[1].message.contains("xregistry"));
 }
 
 #[test]
