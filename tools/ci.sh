@@ -38,6 +38,13 @@ cargo run -p hive-lint --offline -- --json target/lint-report.json
 # the served ranking bits end to end.
 ./target/release/exp_peer_rec | diff - results/exp_peer_rec.txt
 ./target/release/fig4_workpads | diff - results/fig4_workpads.txt
+# E1-E3, E5 and Table 1 print wall-clock timings next to their seeded
+# numbers: they regenerate with durations and speedup ratios masked on
+# both sides, so every seeded number is still diffed.
+mask() { sed -E 's/[0-9]+(\.[0-9]+)?(ns|us|ms|s|x)( |$)/~\3/g; s/ +/ /g'; }
+for exp in exp_alphasum exp_ini exp_scent exp_communities table1_services; do
+  ./target/release/"$exp" | mask | diff - <(mask < results/"$exp".txt)
+done
 # Bench regression gate over the checked-in BENCH_hive.json: no
 # *_speedup metric may sit below 1.0 (see tools/bench_allowlist.txt).
 cargo run -q --release -p hive-bench --offline --bin bench_gate -- \
