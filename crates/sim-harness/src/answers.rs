@@ -23,7 +23,7 @@ use hive_json::ToJson;
 use std::collections::HashMap;
 
 /// A 64-bit FNV-1a hash over a stream of answers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub struct Digest(u64);
 
 impl Default for Digest {

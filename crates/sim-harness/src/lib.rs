@@ -1,14 +1,18 @@
 //! Deterministic simulation harness for the Hive platform.
 //!
-//! Drives the full [`hive_core::Hive`] facade with a seed-generated
-//! multi-user workload, periodically "crashes" the deployment by
-//! serializing it to a JSON snapshot and reloading, and checks three
-//! independent oracle families along the way:
+//! Drives the full [`hive_core::Hive`] facade with the replication op
+//! stream ([`hive_replica::synth::step_ops`]) plus interleaved reads
+//! ([`workload`]), periodically "crashes" the deployment by serializing
+//! it to a JSON snapshot and reloading, and checks these oracle
+//! families along the way. Every one of them compares served answers
+//! through [`answers`]: one digest per served type, so two answers
+//! match only when every field a user sees agrees bit for bit.
 //!
 //! 1. **Recovery equivalence** ([`oracle`]): after snapshot + reload, a
 //!    fixed battery of queries (PPR top-k, peer recommendations,
-//!    relationship explanations, ranked path queries, feeds, reports,
-//!    history) must answer bit-identically to the pre-crash instance.
+//!    relationship explanations, ranked path queries, search, feeds,
+//!    reports, history) must answer bit-identically to the pre-crash
+//!    instance.
 //! 2. **Fault injection** ([`fault`]): truncated, bit-flipped,
 //!    version-bumped, and field-dropped snapshot JSON must surface a
 //!    typed error — never a panic, never a silently half-loaded

@@ -65,7 +65,8 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
         db.question_ids().len(),
         db.activity_log().len(),
     ];
-    fp.push("counts", &(&counts[..], db.now()));
+    fp.push("counts", &counts[..]);
+    fp.push("now", &db.now());
     let probes = probe_users(db);
     let kn = hive.knowledge();
     let ppr = hive.ppr();

@@ -128,8 +128,9 @@ enum TaskOut {
 fn epoch_battery(epoch: &Epoch) -> Fingerprint {
     let db = epoch.db();
     let mut fp = Fingerprint::default();
-    let counts = [db.user_ids().len(), db.paper_ids().len(), db.activity_log().len()];
-    fp.push("counts", &((epoch.generation(), db.now()), &counts[..]));
+    fp.push("generation", &epoch.generation());
+    fp.push("counts", &[db.user_ids().len(), db.paper_ids().len(), db.activity_log().len()][..]);
+    fp.push("now", &db.now());
     for u in probe_users(db) {
         let iri = u.iri();
         fp.push(format!("similar:{iri}"), &epoch.similar_peers(u, 5));
