@@ -312,10 +312,6 @@ mod tests {
         assert_eq!(hashes.map(|d| d.finish()), GOLDEN, "served read bits moved");
     }
 
-    fn ulp(x: f64) -> f64 {
-        f64::from_bits(x.to_bits() + 1)
-    }
-
     fn last_char(s: &mut String) {
         if let Some(c) = s.pop() {
             s.push(if c == 'x' { 'y' } else { 'x' });
@@ -347,7 +343,7 @@ mod tests {
             &hit,
             &[
                 ("resource", |h| h.resource = Resource::Paper(PaperId(4))),
-                ("score", |h| h.score = ulp(h.score)),
+                ("score", |h| h.score = h.score.next_up()),
                 ("title", |h| last_char(&mut h.title)),
                 ("preview text", |h| h.preview.iter_mut().for_each(last_char)),
                 ("preview presence", |h| h.preview = None),
@@ -363,7 +359,7 @@ mod tests {
             &item,
             &[
                 ("kind", |e| e.kind = EvidenceKind::Following),
-                ("score", |e| e.score = ulp(e.score)),
+                ("score", |e| e.score = e.score.next_up()),
                 ("explanation", |e| last_char(&mut e.explanation)),
             ],
         );
@@ -377,12 +373,12 @@ mod tests {
             &rec,
             &[
                 ("user", |r| r.user = UserId(9)),
-                ("score", |r| r.score = ulp(r.score)),
+                ("score", |r| r.score = r.score.next_up()),
                 ("reason text", |r| {
                     r.reasons.iter_mut().for_each(|e| last_char(&mut e.explanation))
                 }),
                 ("session", |r| r.likely_sessions[0].0 = SessionId(3)),
-                ("session score", |r| r.likely_sessions[0].1 = ulp(r.likely_sessions[0].1)),
+                ("session score", |r| r.likely_sessions[0].1 = r.likely_sessions[0].1.next_up()),
             ],
         );
         let exp = RelationshipExplanation {
@@ -396,18 +392,18 @@ mod tests {
             &exp,
             &[
                 ("item text", |x| x.items.iter_mut().for_each(|e| last_char(&mut e.explanation))),
-                ("combined", |x| x.combined = ulp(x.combined)),
+                ("combined", |x| x.combined = x.combined.next_up()),
                 ("path", |x| x.paths.iter_mut().for_each(last_char)),
                 ("path count", |x| x.paths.push(String::new())),
             ],
         );
         each_edit_moves(
             &(UserId(1), 0.5),
-            &[("user", |p| p.0 = UserId(2)), ("score", |p| p.1 = ulp(p.1))],
+            &[("user", |p| p.0 = UserId(2)), ("score", |p| p.1 = p.1.next_up())],
         );
         each_edit_moves(
             &(SessionId(1), 0.5),
-            &[("session", |p| p.0 = SessionId(2)), ("score", |p| p.1 = ulp(p.1))],
+            &[("session", |p| p.0 = SessionId(2)), ("score", |p| p.1 = p.1.next_up())],
         );
         let update = Update {
             actor: UserId(1),
@@ -456,12 +452,12 @@ mod tests {
                 ("record user", |h| h.record.user = UserId(2)),
                 ("record event", |h| h.record.event = ActivityEvent::CheckIn(SessionId(3))),
                 ("record time", |h| h.record.at = Timestamp(6)),
-                ("relevance", |h| h.relevance = ulp(h.relevance)),
+                ("relevance", |h| h.relevance = h.relevance.next_up()),
                 ("text", |h| last_char(&mut h.text)),
             ],
         );
         each_edit_moves(&"title".to_string(), &[("last char", last_char)]);
-        each_edit_moves(&0.5f64, &[("one ulp", |x| *x = ulp(*x))]);
+        each_edit_moves(&0.5f64, &[("one ulp", |x| *x = x.next_up())]);
         each_edit_moves(&vec![1.0f64], &[("appended", |v| v.push(1.0))]);
         // Sequences digest apart however their elements split.
         assert_ne!(Digest::of(&["ab", "c"][..]), Digest::of(&["a", "bc"][..]));
