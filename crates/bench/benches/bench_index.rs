@@ -1,44 +1,45 @@
 //! Secondary-index benchmarks: the declarative query planner against
-//! the full-scan reference path it replaced, plus the cost of keeping
-//! the index warm through the delta log.
+//! the full-scan reference path it replaced.
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_index`
 //!
-//! Three claims are measured at the medium world:
+//! Two claims are measured at the medium world:
 //!
 //! * a history-shaped query (one actor, bounded window) answered from
 //!   the actor postings beats the full activity-log scan
 //!   (`idx_vs_scan_speedup`, floor-gated at 5.0 in the allowlist);
 //! * a topic-scoped resource query answered from the topic postings
-//!   beats walking every arena (`topic_vs_scan_speedup`);
-//! * patching the index forward through `deltas_since` costs O(delta),
-//!   not O(world) (`patch_vs_rebuild_speedup`).
+//!   beats walking every arena (`topic_vs_scan_speedup`).
+//!
+//! `index/build_us` times the index replay a cold [`Epoch::rebuild`]
+//! runs over the arenas and the log.
 
 use hive_bench::{
     header, iters, mean, metric, report, report_header, time_n, time_once, write_json_fragment,
 };
 use hive_core::clock::Timestamp;
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::{ActivityCategory, ActivityQuery, DbIndexes, HiveDb, ResourceQuery, TickRange};
+use hive_core::{ActivityCategory, ActivityQuery, Epoch, HiveDb, ResourceQuery, TickRange};
+use std::sync::Arc;
 
 /// The actor with the longest posting list — the worst indexed case,
 /// so the speedup is not flattered by a near-empty result.
-fn busiest_actor(db: &HiveDb, idx: &DbIndexes) -> hive_core::ids::UserId {
+fn busiest_actor(db: &HiveDb) -> hive_core::ids::UserId {
     db.user_ids()
         .into_iter()
-        .max_by_key(|&u| idx.actor_postings(u).len())
+        .max_by_key(|&u| db.indexes().actor_postings(u).len())
         .expect("medium world has users")
 }
 
 /// Indexed run vs reference scan for one query shape; asserts the two
 /// paths agree before trusting the timings.
-fn run_vs_scan(db: &HiveDb, idx: &DbIndexes, label: &str, query: &ActivityQuery) -> f64 {
-    assert_eq!(query.run(db, idx), query.scan(db), "planner must match the scan for {label}");
+fn run_vs_scan(db: &HiveDb, label: &str, query: &ActivityQuery) -> f64 {
+    assert_eq!(query.run(db), query.scan(db), "planner must match the scan for {label}");
     // Both paths are microseconds; a deep sample keeps the ratio out
     // of allocator-warmup noise even in smoke mode.
     let n = iters(600, 150);
     let run = time_n(n, || {
-        std::hint::black_box(query.run(db, idx));
+        std::hint::black_box(query.run(db));
     });
     let scan = time_n(n, || {
         std::hint::black_box(query.scan(db));
@@ -51,17 +52,18 @@ fn run_vs_scan(db: &HiveDb, idx: &DbIndexes, label: &str, query: &ActivityQuery)
 fn bench_queries() {
     header("index");
     report_header();
-    let db = WorldBuilder::new(SimConfig::medium()).build().db;
-    let (idx, build_us) = time_once(|| DbIndexes::build(&db));
+    let db = Arc::new(WorldBuilder::new(SimConfig::medium()).build().db);
+    let (epoch, build_us) = time_once(|| Epoch::rebuild(db));
     metric("build_us", build_us);
-    let zach = busiest_actor(&db, &idx);
+    let db = epoch.db();
+    let zach = busiest_actor(db);
     let mid = Timestamp(db.now().ticks() / 2);
 
     // The `search_history` shape: one actor, the later half of the log.
     let history = ActivityQuery::new()
         .with_actors(vec![zach])
         .within(TickRange::since(mid));
-    let speedup = run_vs_scan(&db, &idx, "history_actor_window", &history);
+    let speedup = run_vs_scan(db, "history_actor_window", &history);
     metric("idx_vs_scan_speedup", speedup);
 
     // The AlphaSum report shape: a category slice over a window — the
@@ -69,7 +71,7 @@ fn bench_queries() {
     let category = ActivityQuery::new()
         .with_categories(vec![ActivityCategory::Discuss, ActivityCategory::Content])
         .within(TickRange::since(mid));
-    let speedup = run_vs_scan(&db, &idx, "report_category_window", &category);
+    let speedup = run_vs_scan(db, "report_category_window", &category);
     metric("category_vs_scan_speedup", speedup);
 }
 
@@ -77,7 +79,6 @@ fn bench_resources() {
     header("index_discover");
     report_header();
     let db = WorldBuilder::new(SimConfig::medium()).build().db;
-    let idx = DbIndexes::build(&db);
     // A token guaranteed to hit: the first indexed paper topic.
     let paper = db.paper_ids()[0];
     let token = hive_core::db::index::topic_tokens(&db.get_paper(paper).unwrap().text())
@@ -85,10 +86,10 @@ fn bench_resources() {
         .next()
         .expect("papers carry text");
     let query = ResourceQuery::new().on_topic(&token);
-    assert_eq!(query.run(&db, &idx), query.scan(&db), "resource planner must match the scan");
+    assert_eq!(query.run(&db), query.scan(&db), "resource planner must match the scan");
     let n = iters(40, 8);
     let run = time_n(n, || {
-        std::hint::black_box(query.run(&db, &idx));
+        std::hint::black_box(query.run(&db));
     });
     let scan = time_n(n, || {
         std::hint::black_box(query.scan(&db));
@@ -98,39 +99,9 @@ fn bench_resources() {
     metric("topic_vs_scan_speedup", mean(&scan) / mean(&run));
 }
 
-/// O(delta) maintenance: after a handful of writes, `patch` must cost
-/// a sliver of a cold `build`.
-fn bench_maintenance() {
-    header("index_patch");
-    report_header();
-    let mut db = WorldBuilder::new(SimConfig::medium()).build().db;
-    let mut idx = DbIndexes::build(&db);
-    let users = db.user_ids();
-    let papers = db.paper_ids();
-    let rounds = iters(30, 5);
-    let mut patch_us = Vec::with_capacity(rounds);
-    for i in 0..rounds {
-        db.advance_clock(1);
-        db.view_paper(users[i % users.len()], papers[i % papers.len()]).unwrap();
-        let ((), us) = time_once(|| {
-            assert!(idx.patch(&db), "delta log must still cover the gap");
-        });
-        patch_us.push(us);
-    }
-    report("patch_per_delta", &patch_us);
-    let n = iters(10, 3);
-    let rebuild_us = time_n(n, || {
-        std::hint::black_box(DbIndexes::build(&db));
-    });
-    report("rebuild_cold", &rebuild_us);
-    metric("patch_vs_rebuild_speedup", mean(&rebuild_us) / mean(&patch_us));
-    metric("host_threads", std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64));
-}
-
 fn main() {
-    println!("bench_index — typed secondary indexes: planner vs scan, patch vs rebuild");
+    println!("bench_index — typed secondary indexes: planner vs scan");
     bench_queries();
     bench_resources();
-    bench_maintenance();
     write_json_fragment("bench_index");
 }

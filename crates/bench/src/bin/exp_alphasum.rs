@@ -15,7 +15,6 @@ use hive_bench::{fmt_us, header, row, time_once};
 use hive_core::clock::Timestamp;
 use hive_core::reports::{activity_table, ReportScope};
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::DbIndexes;
 use hive_rng::Rng;
 use hive_text::summarize::{summarize_table, Strategy, SummaryConfig, Table};
 
@@ -37,10 +36,8 @@ fn sample_rows(table: &Table, n: usize, seed: u64) -> Table {
 fn main() {
     println!("E3 — AlphaSum: information retained vs summary size");
     let world = WorldBuilder::new(SimConfig::medium()).build();
-    let idx = DbIndexes::build(&world.db);
     let full = activity_table(
         &world.db,
-        &idx,
         &ReportScope::Platform,
         Timestamp(0),
         Timestamp(u64::MAX),

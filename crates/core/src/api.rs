@@ -8,12 +8,13 @@
 //! | Discovery / recommendation / preview | [`Hive::search`], [`Hive::recommend_resources`], [`Hive::explain_relationship`], [`Hive::discover_communities`], [`Hive::collaborative_recommendations`], [`Hive::update_report`] |
 //! | Personal activity history | [`Hive::search_history`], [`Hive::timeline`] |
 //!
-//! The facade owns the [`HiveDb`] and four structures derived from it
-//! (the [`KnowledgeNetwork`], the relationship-graph snapshot, the
-//! [`DbIndexes`] and the [`PprCache`]), each in a generation-stamped
-//! tier that one protocol keeps current on read (`tier.rs`): a hit, a
-//! re-stamp when no journaled delta affects the tier, an in-place patch,
-//! or a rebuild. Mutations therefore need no explicit invalidation.
+//! The facade owns the [`HiveDb`], whose mutators keep its
+//! [`DbIndexes`] current at every write, and three structures derived
+//! from it (the [`KnowledgeNetwork`], the relationship-graph snapshot
+//! and the [`PprCache`]), each in a generation-stamped tier that one
+//! protocol keeps current on read (`tier.rs`): a hit, a re-stamp when
+//! no journaled delta affects the tier, an in-place patch, or a
+//! rebuild. Mutations therefore need no explicit invalidation.
 //!
 //! Each read service is written once, here. A published
 //! [`crate::serve::Epoch`] is a pinned copy of this facade — the
@@ -57,14 +58,13 @@ pub struct Hive {
     db: HiveDb,
     kn: Tier<KnowledgeNetwork>,
     rel: Tier<RelSnapshot>,
-    idx: Tier<DbIndexes>,
     ppr: Tier<PprCache>,
 }
 
 impl Hive {
     /// Wraps a (possibly pre-populated) platform database.
     pub fn new(db: HiveDb) -> Self {
-        Hive { db, kn: Tier::new(), rel: Tier::new(), idx: Tier::new(), ppr: Tier::new() }
+        Hive { db, kn: Tier::new(), rel: Tier::new(), ppr: Tier::new() }
     }
 
     /// Read access to the platform database.
@@ -120,9 +120,9 @@ impl Hive {
         self.rel.get(&self.db, || RelSnapshot::build(&self.db, kn))
     }
 
-    /// The current secondary-index set (`core.idx.*` tier).
-    pub fn indexes(&self) -> Arc<DbIndexes> {
-        self.idx.get(&self.db, || DbIndexes::build(&self.db))
+    /// The database's secondary indexes, current at every write.
+    pub fn indexes(&self) -> &DbIndexes {
+        self.db.indexes()
     }
 
     /// The current PPR memo (`core.ppr.*` tier), through which every
@@ -139,7 +139,6 @@ impl Hive {
             db: self.db.clone(),
             kn: self.kn.pinned(),
             rel: self.rel.pinned(),
-            idx: self.idx.pinned(),
             ppr: self.ppr.pinned(),
         }
     }
@@ -243,7 +242,7 @@ impl Hive {
         self.service(ServiceKind::Search, |h| {
             let kn = h.knowledge();
             let ctx = build_context(&h.db, &kn, user, cfg.common.context);
-            discover::search(&h.db, &kn, &h.indexes(), &h.ppr(), &ctx, query, cfg)
+            discover::search(&h.db, &kn, &h.ppr(), &ctx, query, cfg)
         })
     }
 
@@ -252,7 +251,7 @@ impl Hive {
         self.service(ServiceKind::ResourceRecommendation, |h| {
             let kn = h.knowledge();
             let ctx = build_context(&h.db, &kn, user, cfg.common.context);
-            discover::recommend_resources(&h.db, &kn, &h.indexes(), &h.ppr(), &ctx, cfg)
+            discover::recommend_resources(&h.db, &kn, &h.ppr(), &ctx, cfg)
         })
     }
 
@@ -318,7 +317,7 @@ impl Hive {
         max_rows: usize,
     ) -> UpdateReport {
         self.service(ServiceKind::UpdateReport, |h| {
-            reports::update_report(&h.db, &h.indexes(), scope, from, to, max_rows)
+            reports::update_report(&h.db, scope, from, to, max_rows)
         })
     }
 
@@ -354,7 +353,7 @@ impl Hive {
 
     /// Real-time updates for a user since a timestamp.
     pub fn updates_for(&self, user: UserId, since: Timestamp) -> Vec<Update> {
-        self.service(ServiceKind::Feed, |h| feed::updates_for(&h.db, &h.indexes(), user, since))
+        self.service(ServiceKind::Feed, |h| feed::updates_for(&h.db, user, since))
     }
 
     /// Context-ranked highlights over the update stream.
@@ -362,13 +361,13 @@ impl Hive {
         self.service(ServiceKind::Feed, |h| {
             let kn = h.knowledge();
             let ctx = build_context(&h.db, &kn, user, ContextConfig::default());
-            feed::highlights(&h.db, &kn, &h.indexes(), &ctx, user, since, k)
+            feed::highlights(&h.db, &kn, &ctx, user, since, k)
         })
     }
 
     /// Digest (updates + per-category counts).
     pub fn digest(&self, user: UserId, since: Timestamp) -> FeedDigest {
-        self.service(ServiceKind::Feed, |h| feed::digest(&h.db, &h.indexes(), user, since))
+        self.service(ServiceKind::Feed, |h| feed::digest(&h.db, user, since))
     }
 
     /// The merged Hive/Twitter timeline of a session.
@@ -383,7 +382,7 @@ impl Hive {
         self.service(ServiceKind::HistorySearch, |h| {
             let kn = h.knowledge();
             let ctx = contextual_for.map(|u| build_context(&h.db, &kn, u, ContextConfig::default()));
-            history::search_history(&h.db, &kn, &h.indexes(), query, ctx.as_ref())
+            history::search_history(&h.db, &kn, query, ctx.as_ref())
         })
     }
 
@@ -393,7 +392,7 @@ impl Hive {
         actors: &[UserId],
         bucket_width: u64,
     ) -> Vec<(Timestamp, HashMap<&'static str, usize>)> {
-        self.service(ServiceKind::Timeline, |h| history::timeline(&h.db, &h.indexes(), actors, bucket_width))
+        self.service(ServiceKind::Timeline, |h| history::timeline(&h.db, actors, bucket_width))
     }
 
     // ---- content & workpad conveniences ------------------------------------------

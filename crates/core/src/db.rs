@@ -2,13 +2,15 @@
 //!
 //! `HiveDb` replaces the paper's Joomla/MySQL stack: arena storage per
 //! entity type, secondary indexes for every access path the services
-//! need, an append-only activity log, and a logical clock. All mutating
+//! need ([`index::DbIndexes`], kept current by one hook per row kind),
+//! an append-only activity log, and a logical clock. All mutating
 //! operations validate referential integrity and record activity.
 
 use crate::clock::{Clock, Timestamp};
 use crate::error::{HiveError, Result};
 use crate::ids::*;
 use crate::model::*;
+use index::DbIndexes;
 use std::collections::{HashMap, HashSet};
 
 pub mod index;
@@ -137,22 +139,17 @@ pub struct HiveDb {
     tweets: Vec<Tweet>,
     // Social state.
     follows: Vec<Follow>,
-    follow_index: HashSet<(UserId, UserId)>,
     /// Per-follow category filter: when present, only events whose
     /// category is listed reach the follower's feed ("Zach highlights the
     /// set of researchers whose (session check-in, question, comment,
     /// answer) activities he would like to follow").
     follow_filters: HashMap<(UserId, UserId), Vec<String>>,
     connections: Vec<Connection>,
-    connection_index: HashMap<(UserId, UserId), usize>,
     checkins: Vec<CheckIn>,
-    checkin_by_user: HashMap<UserId, Vec<usize>>,
-    checkin_by_session: HashMap<SessionId, Vec<usize>>,
     attendance: HashSet<(UserId, ConferenceId)>,
     active_workpad: HashMap<UserId, WorkpadId>,
     // Activity log.
     log: Vec<ActivityRecord>,
-    log_by_user: HashMap<UserId, Vec<usize>>,
     /// Monotone mutation counter. Bumped by every content mutation (but
     /// not by clock advancement), so derived caches — the knowledge
     /// network, the relationship [`hive_store::GraphView`] — can detect
@@ -165,18 +162,9 @@ pub struct HiveDb {
     /// `delta_base` tracks how many entries have been compacted away.
     deltas: Vec<DbDelta>,
     delta_base: u64,
-    // Secondary indexes.
-    sessions_by_conf: HashMap<ConferenceId, Vec<SessionId>>,
-    papers_by_author: HashMap<UserId, Vec<PaperId>>,
-    papers_by_venue: HashMap<ConferenceId, Vec<PaperId>>,
-    cited_by: HashMap<PaperId, Vec<PaperId>>,
-    presentations_by_session: HashMap<SessionId, Vec<PresentationId>>,
-    presentations_by_paper: HashMap<PaperId, Vec<PresentationId>>,
-    questions_by_target: HashMap<QaTarget, Vec<QuestionId>>,
-    answers_by_question: HashMap<QuestionId, Vec<AnswerId>>,
-    comments_by_target: HashMap<QaTarget, Vec<CommentId>>,
-    workpads_by_user: HashMap<UserId, Vec<WorkpadId>>,
-    tweets_by_session: HashMap<SessionId, Vec<TweetId>>,
+    /// Every secondary index. Each mutator calls its row kind's hook
+    /// right after the append, and restore replays the hooks.
+    indexes: DbIndexes,
 }
 
 macro_rules! getter {
@@ -253,7 +241,7 @@ impl HiveDb {
         let at = self.clock.now();
         let idx = self.log.len();
         self.log.push(ActivityRecord { user, event, at });
-        self.log_by_user.entry(user).or_default().push(idx);
+        self.indexes.on_record(idx, &self.log[idx]);
     }
 
     /// Classifies an activity record exactly as [`Self::record`] journals
@@ -306,6 +294,7 @@ impl HiveDb {
     pub fn add_user(&mut self, user: User) -> UserId {
         let id = UserId(self.users.len() as u32);
         self.users.push(user);
+        self.indexes.on_user(id, &self.users[id.index()]);
         self.bump(DbDelta::Structural);
         id
     }
@@ -326,11 +315,8 @@ impl HiveDb {
             self.get_user(chair)?;
         }
         let id = SessionId(self.sessions.len() as u32);
-        self.sessions_by_conf
-            .entry(session.conference)
-            .or_default()
-            .push(id);
         self.sessions.push(session);
+        self.indexes.on_session(id, &self.sessions[id.index()]);
         self.bump(DbDelta::Structural);
         Ok(id)
     }
@@ -350,16 +336,8 @@ impl HiveDb {
             self.get_paper(c)?;
         }
         let id = PaperId(self.papers.len() as u32);
-        for &a in &paper.authors {
-            self.papers_by_author.entry(a).or_default().push(id);
-        }
-        if let Some(v) = paper.venue {
-            self.papers_by_venue.entry(v).or_default().push(id);
-        }
-        for &c in &paper.citations {
-            self.cited_by.entry(c).or_default().push(id);
-        }
         self.papers.push(paper);
+        self.indexes.on_paper(id, &self.papers[id.index()]);
         self.bump(DbDelta::Structural);
         Ok(id)
     }
@@ -376,16 +354,9 @@ impl HiveDb {
         }
         self.get_session(pres.session)?;
         let id = PresentationId(self.presentations.len() as u32);
-        self.presentations_by_session
-            .entry(pres.session)
-            .or_default()
-            .push(id);
-        self.presentations_by_paper
-            .entry(pres.paper)
-            .or_default()
-            .push(id);
         let presenter = pres.presenter;
         self.presentations.push(pres);
+        self.indexes.on_presentation(id, &self.presentations[id.index()]);
         self.record(presenter, ActivityEvent::UploadPresentation(id), DbDelta::Structural);
         Ok(id)
     }
@@ -440,27 +411,28 @@ impl HiveDb {
 
     /// Sessions of a conference.
     pub fn sessions_of(&self, conf: ConferenceId) -> &[SessionId] {
-        self.sessions_by_conf.get(&conf).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.sessions_by_conf.get(&conf).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Papers authored by a user.
     pub fn papers_of(&self, user: UserId) -> &[PaperId] {
-        self.papers_by_author.get(&user).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.papers_by_author.get(&user).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Papers published at a venue edition.
     pub fn papers_at(&self, conf: ConferenceId) -> &[PaperId] {
-        self.papers_by_venue.get(&conf).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.papers_by_venue.get(&conf).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Papers citing `p`.
     pub fn citing(&self, p: PaperId) -> &[PaperId] {
-        self.cited_by.get(&p).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.cited_by.get(&p).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Presentations in a session.
     pub fn presentations_in(&self, s: SessionId) -> &[PresentationId] {
-        self.presentations_by_session
+        self.indexes
+            .presentations_by_session
             .get(&s)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -468,7 +440,8 @@ impl HiveDb {
 
     /// Presentations of a paper.
     pub fn presentations_of_paper(&self, p: PaperId) -> &[PresentationId] {
-        self.presentations_by_paper
+        self.indexes
+            .presentations_by_paper
             .get(&p)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -476,27 +449,27 @@ impl HiveDb {
 
     /// Questions on a target.
     pub fn questions_on(&self, t: QaTarget) -> &[QuestionId] {
-        self.questions_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.questions_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Answers to a question.
     pub fn answers_to(&self, q: QuestionId) -> &[AnswerId] {
-        self.answers_by_question.get(&q).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.answers_by_question.get(&q).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Comments on a target.
     pub fn comments_on(&self, t: QaTarget) -> &[CommentId] {
-        self.comments_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.comments_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Workpads of a user.
     pub fn workpads_of(&self, u: UserId) -> &[WorkpadId] {
-        self.workpads_by_user.get(&u).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.workpads_by_user.get(&u).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Tweets on a session hashtag.
     pub fn tweets_in(&self, s: SessionId) -> &[TweetId] {
-        self.tweets_by_session.get(&s).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.tweets_by_session.get(&s).map(Vec::as_slice).unwrap_or(&[])
     }
 
     // ---- conference participation ---------------------------------------
@@ -548,15 +521,15 @@ impl HiveDb {
         let at = self.clock.now();
         let idx = self.checkins.len();
         self.checkins.push(CheckIn { user, session, at });
-        self.checkin_by_user.entry(user).or_default().push(idx);
-        self.checkin_by_session.entry(session).or_default().push(idx);
+        self.indexes.on_checkin(idx, &self.checkins[idx]);
         self.record(user, ActivityEvent::CheckIn(session), DbDelta::CheckIn { user, session });
         Ok(())
     }
 
     /// Check-ins of a user, in order.
     pub fn checkins_of(&self, user: UserId) -> Vec<&CheckIn> {
-        self.checkin_by_user
+        self.indexes
+            .checkin_by_user
             .get(&user)
             .map(|v| v.iter().map(|&i| &self.checkins[i]).collect())
             .unwrap_or_default()
@@ -564,7 +537,8 @@ impl HiveDb {
 
     /// Check-ins into a session.
     pub fn checkins_in(&self, session: SessionId) -> Vec<&CheckIn> {
-        self.checkin_by_session
+        self.indexes
+            .checkin_by_session
             .get(&session)
             .map(|v| v.iter().map(|&i| &self.checkins[i]).collect())
             .unwrap_or_default()
@@ -579,18 +553,19 @@ impl HiveDb {
         if follower == followee {
             return Err(HiveError::Invalid("cannot follow yourself".into()));
         }
-        if !self.follow_index.insert((follower, followee)) {
+        if self.is_following(follower, followee) {
             return Err(HiveError::Conflict("already following".into()));
         }
-        let since = self.clock.now();
-        self.follows.push(Follow { follower, followee, since });
+        let follow = Follow { follower, followee, since: self.clock.now() };
+        self.follows.push(follow);
+        self.indexes.on_follow(&follow);
         self.record(follower, ActivityEvent::Follow(followee), DbDelta::Follow { follower, followee });
         Ok(())
     }
 
     /// True if `a` follows `b`.
     pub fn is_following(&self, a: UserId, b: UserId) -> bool {
-        self.follow_index.contains(&(a, b))
+        self.indexes.follow_index.contains(&(a, b))
     }
 
     /// Restricts which activity categories of `followee` reach
@@ -626,6 +601,7 @@ impl HiveDb {
     /// Users that `u` follows.
     pub fn following(&self, u: UserId) -> Vec<UserId> {
         let mut out: Vec<UserId> = self
+            .indexes
             .follow_index
             // lint:allow(determinism-taint) -- sorted before returning
             .iter()
@@ -639,6 +615,7 @@ impl HiveDb {
     /// Users following `u`.
     pub fn followers(&self, u: UserId) -> Vec<UserId> {
         let mut out: Vec<UserId> = self
+            .indexes
             .follow_index
             .iter()
             .filter(|(_, b)| *b == u)
@@ -664,7 +641,7 @@ impl HiveDb {
             return Err(HiveError::Invalid("cannot connect to yourself".into()));
         }
         let key = Self::pair_key(from, to);
-        if let Some(&idx) = self.connection_index.get(&key) {
+        if let Some(&idx) = self.indexes.connection_index.get(&key) {
             match self.connections[idx].state {
                 ConnectionState::Declined => {
                     // A declined request may be retried.
@@ -689,7 +666,7 @@ impl HiveDb {
             requested_at: self.clock.now(),
             resolved_at: None,
         });
-        self.connection_index.insert(key, idx);
+        self.indexes.on_connection(idx, &self.connections[idx]);
         self.record(from, ActivityEvent::ConnectRequest(to), DbDelta::Neutral);
         Ok(())
     }
@@ -698,6 +675,7 @@ impl HiveDb {
     pub fn respond_connection(&mut self, to: UserId, from: UserId, accept: bool) -> Result<()> {
         let key = Self::pair_key(from, to);
         let idx = *self
+            .indexes
             .connection_index
             .get(&key)
             .ok_or_else(|| HiveError::not_found("connection", format!("{from}-{to}")))?;
@@ -729,7 +707,8 @@ impl HiveDb {
 
     /// True if `a` and `b` have an accepted connection.
     pub fn are_connected(&self, a: UserId, b: UserId) -> bool {
-        self.connection_index
+        self.indexes
+            .connection_index
             .get(&Self::pair_key(a, b))
             .map(|&i| self.connections[i].state == ConnectionState::Accepted)
             .unwrap_or(false)
@@ -790,7 +769,7 @@ impl HiveDb {
             asked_at: self.clock.now(),
             broadcast,
         });
-        self.questions_by_target.entry(target).or_default().push(id);
+        self.indexes.on_question(id, &self.questions[id.index()]);
         let paper = match target {
             QaTarget::Presentation(p) => Some(self.get_presentation(p)?.paper),
             QaTarget::Session(_) => None,
@@ -823,7 +802,7 @@ impl HiveDb {
             text,
             answered_at: self.clock.now(),
         });
-        self.answers_by_question.entry(question).or_default().push(id);
+        self.indexes.on_answer(id, &self.answers[id.index()]);
         self.record(author, ActivityEvent::AnswerQuestion(id), DbDelta::Neutral);
         Ok(id)
     }
@@ -848,7 +827,7 @@ impl HiveDb {
             text,
             commented_at: self.clock.now(),
         });
-        self.comments_by_target.entry(target).or_default().push(id);
+        self.indexes.on_comment(id, &self.comments[id.index()]);
         self.record(author, ActivityEvent::Comment(id), DbDelta::Neutral);
         Ok(id)
     }
@@ -870,7 +849,7 @@ impl HiveDb {
             session,
             at: self.clock.now(),
         });
-        self.tweets_by_session.entry(session).or_default().push(id);
+        self.indexes.on_tweet(id, &self.tweets[id.index()]);
         self.bump(DbDelta::Neutral);
         Ok(id)
     }
@@ -916,7 +895,7 @@ impl HiveDb {
         self.get_user(owner)?;
         let id = WorkpadId(self.workpads.len() as u32);
         self.workpads.push(Workpad::new(owner, name));
-        self.workpads_by_user.entry(owner).or_default().push(id);
+        self.indexes.on_workpad(id, &self.workpads[id.index()]);
         self.bump(DbDelta::Neutral);
         if let std::collections::hash_map::Entry::Vacant(e) = self.active_workpad.entry(owner) {
             e.insert(id);
@@ -1049,7 +1028,7 @@ impl HiveDb {
         pad.items = c.items;
         pad.notes = c.notes;
         self.workpads.push(pad);
-        self.workpads_by_user.entry(user).or_default().push(id);
+        self.indexes.on_workpad(id, &self.workpads[id.index()]);
         self.active_workpad.insert(user, id);
         self.record(user, ActivityEvent::ActivateWorkpad(id), DbDelta::Neutral);
         Ok(id)
@@ -1121,7 +1100,8 @@ impl HiveDb {
         db.attendance = snap.attendance.iter().copied().collect();
         db.active_workpad = snap.active_workpads.iter().copied().collect();
         db.log = snap.log.clone();
-        db.rebuild_indexes()?;
+        db.replay_indexes();
+        db.check_references()?;
         // The restored platform starts a fresh delta journal: caches
         // stamped against the pre-restore instance see `deltas_since`
         // return `None` and rebuild from the restored state.
@@ -1145,149 +1125,164 @@ impl HiveDb {
         self.deltas.clear();
     }
 
-    /// Rebuilds every secondary index from the primary arenas, validating
-    /// referential integrity along the way. Used only on restore, so a
-    /// snapshot can never freeze a stale index.
-    fn rebuild_indexes(&mut self) -> Result<()> {
-        self.follow_index = self
-            .follows
-            .iter()
-            .map(|f| (f.follower, f.followee))
-            .collect();
-        self.connection_index = self
-            .connections
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (Self::pair_key(c.from, c.to), i))
-            .collect();
-        self.checkin_by_user.clear();
-        self.checkin_by_session.clear();
-        for (i, ci) in self.checkins.iter().enumerate() {
-            if ci.user.index() >= self.users.len() || ci.session.index() >= self.sessions.len() {
-                return Err(HiveError::Invalid("dangling check-in in snapshot".into()));
-            }
-            self.checkin_by_user.entry(ci.user).or_default().push(i);
-            self.checkin_by_session.entry(ci.session).or_default().push(i);
+    /// Re-derives every secondary index from the primary state: the
+    /// index is reset, then each row kind's hook runs over its arena in
+    /// id order and the record hook over the log in order, exactly as
+    /// the live appends called them. Restore runs it, so a snapshot can
+    /// never freeze a stale index, and so does a cold
+    /// [`crate::serve::Epoch::rebuild`].
+    pub(crate) fn replay_indexes(&mut self) {
+        let idx = &mut self.indexes;
+        *idx = DbIndexes::default();
+        for (i, user) in self.users.iter().enumerate() {
+            idx.on_user(UserId(i as u32), user);
         }
-        self.log_by_user.clear();
-        for (i, rec) in self.log.iter().enumerate() {
-            self.log_by_user.entry(rec.user).or_default().push(i);
+        for (i, session) in self.sessions.iter().enumerate() {
+            idx.on_session(SessionId(i as u32), session);
         }
-        self.sessions_by_conf.clear();
-        for (i, sess) in self.sessions.iter().enumerate() {
-            if sess.conference.index() >= self.conferences.len() {
-                return Err(HiveError::Invalid("dangling session in snapshot".into()));
-            }
-            self.sessions_by_conf
-                .entry(sess.conference)
-                .or_default()
-                .push(SessionId(i as u32));
-        }
-        self.papers_by_author.clear();
-        self.papers_by_venue.clear();
-        self.cited_by.clear();
         for (i, paper) in self.papers.iter().enumerate() {
-            let pid = PaperId(i as u32);
-            for &a in &paper.authors {
-                if a.index() >= self.users.len() {
-                    return Err(HiveError::Invalid("dangling author in snapshot".into()));
-                }
-                self.papers_by_author.entry(a).or_default().push(pid);
-            }
-            if let Some(v) = paper.venue {
-                self.papers_by_venue.entry(v).or_default().push(pid);
-            }
-            for &c in &paper.citations {
-                if c.index() >= self.papers.len() {
-                    return Err(HiveError::Invalid("dangling citation in snapshot".into()));
-                }
-                self.cited_by.entry(c).or_default().push(pid);
-            }
+            idx.on_paper(PaperId(i as u32), paper);
         }
-        self.presentations_by_session.clear();
-        self.presentations_by_paper.clear();
         for (i, pres) in self.presentations.iter().enumerate() {
-            let id = PresentationId(i as u32);
-            self.presentations_by_session
-                .entry(pres.session)
-                .or_default()
-                .push(id);
-            self.presentations_by_paper
-                .entry(pres.paper)
-                .or_default()
-                .push(id);
+            idx.on_presentation(PresentationId(i as u32), pres);
         }
-        self.questions_by_target.clear();
-        for (i, q) in self.questions.iter().enumerate() {
-            self.questions_by_target
-                .entry(q.target)
-                .or_default()
-                .push(QuestionId(i as u32));
+        for (i, question) in self.questions.iter().enumerate() {
+            idx.on_question(QuestionId(i as u32), question);
         }
-        self.answers_by_question.clear();
-        for (i, a) in self.answers.iter().enumerate() {
-            self.answers_by_question
-                .entry(a.question)
-                .or_default()
-                .push(AnswerId(i as u32));
+        for (i, answer) in self.answers.iter().enumerate() {
+            idx.on_answer(AnswerId(i as u32), answer);
         }
-        self.comments_by_target.clear();
-        for (i, c) in self.comments.iter().enumerate() {
-            self.comments_by_target
-                .entry(c.target)
-                .or_default()
-                .push(CommentId(i as u32));
+        for (i, comment) in self.comments.iter().enumerate() {
+            idx.on_comment(CommentId(i as u32), comment);
         }
-        self.workpads_by_user.clear();
         for (i, pad) in self.workpads.iter().enumerate() {
-            self.workpads_by_user
-                .entry(pad.owner)
-                .or_default()
-                .push(WorkpadId(i as u32));
+            idx.on_workpad(WorkpadId(i as u32), pad);
         }
-        self.tweets_by_session.clear();
-        for (i, t) in self.tweets.iter().enumerate() {
-            self.tweets_by_session
-                .entry(t.session)
-                .or_default()
-                .push(TweetId(i as u32));
+        for (i, tweet) in self.tweets.iter().enumerate() {
+            idx.on_tweet(TweetId(i as u32), tweet);
+        }
+        for (pos, checkin) in self.checkins.iter().enumerate() {
+            idx.on_checkin(pos, checkin);
+        }
+        for follow in &self.follows {
+            idx.on_follow(follow);
+        }
+        for (pos, conn) in self.connections.iter().enumerate() {
+            idx.on_connection(pos, conn);
+        }
+        for (pos, rec) in self.log.iter().enumerate() {
+            idx.on_record(pos, rec);
+        }
+    }
+
+    /// Refuses restored state that names a missing row: every id a live
+    /// mutator checks before it appends a row (or records attendance,
+    /// an active workpad or a follow filter), plus each log record's
+    /// user and event target.
+    fn check_references(&self) -> Result<()> {
+        fn need(found: bool, what: &str) -> Result<()> {
+            if found {
+                Ok(())
+            } else {
+                Err(HiveError::Invalid(format!("dangling {what} in snapshot")))
+            }
+        }
+        let user = |u: UserId| self.get_user(u).is_ok();
+        let session = |s: SessionId| self.get_session(s).is_ok();
+        let target = |t: QaTarget| self.validate_target(t).is_ok();
+        for s in &self.sessions {
+            need(self.get_conference(s.conference).is_ok() && s.chair.is_none_or(user), "session")?;
+        }
+        for p in &self.papers {
+            let authors = !p.authors.is_empty() && p.authors.iter().all(|&a| user(a));
+            let venue = p.venue.is_none_or(|v| self.get_conference(v).is_ok());
+            let citations = p.citations.iter().all(|&c| self.get_paper(c).is_ok());
+            need(authors && venue && citations, "paper")?;
+        }
+        for p in &self.presentations {
+            let paper = self.get_paper(p.paper).is_ok_and(|x| x.has_author(p.presenter));
+            need(paper && session(p.session), "presentation")?;
+        }
+        for q in &self.questions {
+            need(user(q.author) && target(q.target), "question")?;
+        }
+        for a in &self.answers {
+            need(user(a.author) && self.get_question(a.question).is_ok(), "answer")?;
+        }
+        for c in &self.comments {
+            need(user(c.author) && target(c.target), "comment")?;
+        }
+        for pad in &self.workpads {
+            need(user(pad.owner), "workpad")?;
+        }
+        for t in &self.tweets {
+            need(session(t.session), "tweet")?;
+        }
+        for c in &self.checkins {
+            need(user(c.user) && session(c.session), "check-in")?;
+        }
+        for f in &self.follows {
+            need(user(f.follower) && user(f.followee), "follow")?;
+        }
+        for c in &self.connections {
+            need(user(c.from) && user(c.to), "connection")?;
+        }
+        for &(u, c) in &self.attendance {
+            need(user(u) && self.get_conference(c).is_ok(), "attendance")?;
+        }
+        for (&u, &pad) in &self.active_workpad {
+            need(self.get_workpad(pad).is_ok_and(|p| p.owner == u), "active workpad")?;
+        }
+        for &(a, b) in self.follow_filters.keys() {
+            need(self.is_following(a, b), "follow filter")?;
+        }
+        for rec in &self.log {
+            need(user(rec.user) && self.event_target_exists(&rec.event), "log record")?;
         }
         Ok(())
+    }
+
+    /// Whether the row an activity event names exists.
+    fn event_target_exists(&self, event: &ActivityEvent) -> bool {
+        match *event {
+            ActivityEvent::AttendConference(c) => self.get_conference(c).is_ok(),
+            ActivityEvent::CheckIn(s) => self.get_session(s).is_ok(),
+            ActivityEvent::UploadPresentation(p)
+            | ActivityEvent::ReviseSlides(p)
+            | ActivityEvent::ViewPresentation(p) => self.get_presentation(p).is_ok(),
+            ActivityEvent::ViewPaper(p) => self.get_paper(p).is_ok(),
+            ActivityEvent::AskQuestion(q) => self.get_question(q).is_ok(),
+            ActivityEvent::AnswerQuestion(a) => self.get_answer(a).is_ok(),
+            ActivityEvent::Comment(c) => self.get_comment(c).is_ok(),
+            ActivityEvent::Follow(u)
+            | ActivityEvent::ConnectRequest(u)
+            | ActivityEvent::ConnectAccept(u) => self.get_user(u).is_ok(),
+            ActivityEvent::ActivateWorkpad(w) | ActivityEvent::WorkpadAdd(w) => {
+                self.get_workpad(w).is_ok()
+            }
+        }
     }
 
     /// Test-support hook: deliberately corrupts the secondary indexes
     /// without touching the primary arenas, the log, the clock, or the
     /// generation counter. Snapshots store only primary data, so a
     /// corrupted index must never survive a dump/reload cycle — the
-    /// persist tests and the sim-harness recovery checkers use this to
-    /// exercise the "index bug can't be frozen" invariant documented in
-    /// `persist.rs`.
+    /// persist tests use this to exercise the "index bug can't be
+    /// frozen" invariant documented in `persist.rs`.
     #[doc(hidden)]
     pub fn debug_scramble_indexes(&mut self) {
-        self.follow_index.clear();
-        self.connection_index.clear();
-        self.checkin_by_user.clear();
-        self.checkin_by_session.clear();
-        self.sessions_by_conf.clear();
-        self.papers_by_author.clear();
-        self.papers_by_venue.clear();
-        self.cited_by.clear();
-        self.presentations_by_session.clear();
-        self.presentations_by_paper.clear();
-        self.questions_by_target.clear();
-        self.answers_by_question.clear();
-        self.comments_by_target.clear();
-        self.workpads_by_user.clear();
-        self.tweets_by_session.clear();
-        self.log_by_user.clear();
+        self.indexes = DbIndexes::default();
         // Plant wrong entries so "cleared" is not mistaken for "absent".
         if self.users.len() >= 2 {
-            self.follow_index.insert((UserId(0), UserId(1)));
-            self.papers_by_author
-                .entry(UserId(0))
-                .or_default()
-                .push(PaperId(u32::MAX));
+            let since = self.clock.now();
+            self.indexes.on_follow(&Follow { follower: UserId(0), followee: UserId(1), since });
+            self.indexes.on_paper(PaperId(u32::MAX), &Paper::new("", vec![UserId(0)]));
         }
+    }
+
+    /// Every secondary index, current at this generation.
+    pub fn indexes(&self) -> &DbIndexes {
+        &self.indexes
     }
 
     // ---- activity log -------------------------------------------------------
@@ -1299,10 +1294,11 @@ impl HiveDb {
 
     /// A user's activity records, in order.
     pub fn activities_of(&self, user: UserId) -> Vec<&ActivityRecord> {
-        self.log_by_user
-            .get(&user)
-            .map(|v| v.iter().map(|&i| &self.log[i]).collect())
-            .unwrap_or_default()
+        self.indexes
+            .actor_postings(user)
+            .iter()
+            .map(|&pos| &self.log[pos as usize])
+            .collect()
     }
 
     /// Activity records in a time window `[from, to)`.

@@ -1,4 +1,5 @@
-//! Typed secondary indexes and the declarative query planner.
+//! Every secondary index of the platform database, and the declarative
+//! query planner over them.
 //!
 //! Services used to answer "papers about X in venue Y since tick T" by
 //! iterating a full arena or the whole activity log and filtering
@@ -6,20 +7,22 @@
 //! by **activity category**, **actor**, **time range**, **topic**,
 //! **venue**, and **author** — and [`ActivityQuery`] / [`ResourceQuery`]
 //! plan against them, falling back to a scan only when no index
-//! applies.
+//! applies. The same struct holds the row lookups [`HiveDb`] answers
+//! from (follow edges, connections, check-ins, sessions per conference,
+//! papers per author, ...).
 //!
-//! # Maintenance is O(delta)
+//! # One hook per row kind
 //!
-//! Every arena in [`HiveDb`] is append-only and the activity log is
-//! clock-ordered, so forward maintenance is a *suffix scan from
-//! recorded watermarks*: [`DbIndexes::patch`] ingests exactly the rows
-//! appended since the index's stamped generation. The patch is gated on
-//! the same [`HiveDb::deltas_since`] journal window the PR-5 cache
-//! tiers use — a restored or checkpoint-adopted database resets its
-//! journal, the window check fails, and the caller falls back to
-//! [`DbIndexes::build`]. The `idx.patch` / `idx.rebuild` counters prove
-//! which maintenance path ran; `idx.hit` / `idx.scan_fallback` prove
-//! which query path did.
+//! [`HiveDb`] owns one [`DbIndexes`] and keeps it current at every
+//! write: a mutator appends its row, then calls that row kind's hook
+//! (`on_user`, `on_paper`, ..., `on_record` for the activity log).
+//! Restore replays the same hooks over the arenas in id order and over
+//! the log in order, so a restored or cold-rebuilt index is the one the
+//! live writes built. Arenas are append-only and a row's indexed fields
+//! never change after its append (slide revisions touch only the
+//! un-indexed `slides_text`), so no hook ever retracts a posting. No
+//! other code writes an index. The `idx.hit` / `idx.scan_fallback`
+//! counters prove which query path ran.
 //!
 //! # Equivalence by construction
 //!
@@ -29,17 +32,15 @@
 //! activities; papers → presentations → sessions → users, each
 //! ascending, for resources). A query therefore returns bit-identical
 //! results through either path — `tests/index_equivalence.rs` pins
-//! this across randomized query mixes and delta interleavings. Postings
-//! live in `BTreeMap`s so digesting the index for the fingerprint
-//! oracle needs no sorting pass.
+//! this across randomized query mixes.
 
 use super::HiveDb;
 use crate::clock::Timestamp;
 use crate::discover::Resource;
-use crate::ids::{ConferenceId, PaperId, SessionId, UserId};
-use crate::model::{ActivityCategory, ActivityRecord};
+use crate::ids::*;
+use crate::model::*;
 use hive_text::tokenize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Half-open logical-time window `[start, end)` in clock ticks.
 ///
@@ -102,7 +103,7 @@ impl Default for TickRange {
 }
 
 /// Tokens of a content text, deduplicated — the normal form both the
-/// index build and the topic predicate use, so they cannot disagree.
+/// index hooks and the topic predicate use, so they cannot disagree.
 /// Public so callers can turn free text into index-shaped topic keys.
 pub fn topic_tokens(text: &str) -> Vec<String> {
     let mut toks = tokenize(text);
@@ -127,24 +128,106 @@ impl Fnv {
     fn eat_u64(&mut self, v: u64) {
         self.eat_bytes(&v.to_le_bytes());
     }
+
+    /// One map in key order: its length, then each key and its value.
+    /// Hash maps are sorted first, so equal contents digest equal
+    /// whatever their iteration order.
+    fn eat_map<'a, K, V, M>(&mut self, map: M)
+    where
+        K: Entry + Ord + 'a,
+        V: Entry + 'a,
+        M: IntoIterator<Item = (&'a K, &'a V)>,
+    {
+        let mut entries: Vec<(&K, &V)> = map.into_iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        self.eat_u64(entries.len() as u64);
+        for (k, v) in entries {
+            k.eat(self);
+            v.eat(self);
+        }
+    }
 }
 
-/// The typed secondary-index set over one [`HiveDb`], stamped with the
-/// generation it reflects.
+/// A key or a posting the index digest feeds to its hash. Strings and
+/// lists enter with their length, so no two distinct indexes render
+/// the same stream.
+trait Entry {
+    fn eat(&self, h: &mut Fnv);
+}
+
+macro_rules! id_entries {
+    ($($t:ty),*) => {$(
+        impl Entry for $t {
+            fn eat(&self, h: &mut Fnv) {
+                h.eat_u64(u64::from(self.0));
+            }
+        }
+    )*};
+}
+
+id_entries!(
+    UserId, ConferenceId, SessionId, PaperId, PresentationId, QuestionId, AnswerId, CommentId,
+    WorkpadId, TweetId
+);
+
+impl Entry for u32 {
+    fn eat(&self, h: &mut Fnv) {
+        h.eat_u64(u64::from(*self));
+    }
+}
+
+impl Entry for usize {
+    fn eat(&self, h: &mut Fnv) {
+        h.eat_u64(*self as u64);
+    }
+}
+
+impl Entry for String {
+    fn eat(&self, h: &mut Fnv) {
+        h.eat_u64(self.len() as u64);
+        h.eat_bytes(self.as_bytes());
+    }
+}
+
+impl Entry for QaTarget {
+    fn eat(&self, h: &mut Fnv) {
+        match self {
+            QaTarget::Presentation(p) => {
+                h.eat_u64(0);
+                p.eat(h);
+            }
+            QaTarget::Session(s) => {
+                h.eat_u64(1);
+                s.eat(h);
+            }
+        }
+    }
+}
+
+impl<A: Entry, B: Entry> Entry for (A, B) {
+    fn eat(&self, h: &mut Fnv) {
+        self.0.eat(h);
+        self.1.eat(h);
+    }
+}
+
+impl<T: Entry> Entry for Vec<T> {
+    fn eat(&self, h: &mut Fnv) {
+        h.eat_u64(self.len() as u64);
+        for x in self {
+            x.eat(h);
+        }
+    }
+}
+
+/// Every secondary index over one [`HiveDb`]: the planner's postings
+/// and the row lookups the database answers from. The database keeps it
+/// current through one hook per row kind (see the module docs).
 ///
-/// Cloning is what the facade's `Arc::make_mut` tier relies on; equality
-/// is structural (the property tests compare a delta-patched index to a
-/// cold [`DbIndexes::build`] with `==`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Equality is structural: `tests/index_equivalence.rs` compares the
+/// index kept at each write with a replay from a snapshot with `==`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DbIndexes {
-    /// Database generation these contents reflect.
-    generation: u64,
-    /// Activity-log watermark: positions `< log_len` are indexed.
-    log_len: usize,
-    /// Arena watermarks: rows `< *_len` have topic postings.
-    users_len: usize,
-    sessions_len: usize,
-    papers_len: usize,
     /// Log positions per actor, ascending.
     by_actor: BTreeMap<UserId, Vec<u32>>,
     /// Log positions per activity category, ascending (slot order of
@@ -156,107 +239,103 @@ pub struct DbIndexes {
     topic_sessions: BTreeMap<String, Vec<SessionId>>,
     /// Token → users whose profile contains it, ascending.
     topic_users: BTreeMap<String, Vec<UserId>>,
+    /// `(follower, followee)` edges.
+    pub(super) follow_index: HashSet<(UserId, UserId)>,
+    /// Connection position per user pair, smaller id first.
+    pub(super) connection_index: HashMap<(UserId, UserId), usize>,
+    /// Check-in positions per user, ascending.
+    pub(super) checkin_by_user: HashMap<UserId, Vec<usize>>,
+    /// Check-in positions per session, ascending.
+    pub(super) checkin_by_session: HashMap<SessionId, Vec<usize>>,
+    pub(super) sessions_by_conf: HashMap<ConferenceId, Vec<SessionId>>,
+    pub(super) papers_by_author: HashMap<UserId, Vec<PaperId>>,
+    pub(super) papers_by_venue: HashMap<ConferenceId, Vec<PaperId>>,
+    /// Cited paper → the papers citing it.
+    pub(super) cited_by: HashMap<PaperId, Vec<PaperId>>,
+    pub(super) presentations_by_session: HashMap<SessionId, Vec<PresentationId>>,
+    pub(super) presentations_by_paper: HashMap<PaperId, Vec<PresentationId>>,
+    pub(super) questions_by_target: HashMap<QaTarget, Vec<QuestionId>>,
+    pub(super) answers_by_question: HashMap<QuestionId, Vec<AnswerId>>,
+    pub(super) comments_by_target: HashMap<QaTarget, Vec<CommentId>>,
+    pub(super) workpads_by_user: HashMap<UserId, Vec<WorkpadId>>,
+    pub(super) tweets_by_session: HashMap<SessionId, Vec<TweetId>>,
 }
 
 impl DbIndexes {
-    /// Builds the full index set from scratch (the cold path, counted
-    /// as `idx.rebuild`).
-    pub fn build(db: &HiveDb) -> Self {
-        hive_obs::count("idx.rebuild", 1);
-        let mut idx = DbIndexes {
-            generation: db.generation(),
-            log_len: 0,
-            users_len: 0,
-            sessions_len: 0,
-            papers_len: 0,
-            by_actor: BTreeMap::new(),
-            by_category: Default::default(),
-            topic_papers: BTreeMap::new(),
-            topic_sessions: BTreeMap::new(),
-            topic_users: BTreeMap::new(),
-        };
-        idx.ingest_suffixes(db);
-        idx
+    // ---- the hooks: one per row kind, called after the row's append ----
+
+    pub(super) fn on_user(&mut self, id: UserId, user: &User) {
+        for tok in topic_tokens(&user.profile_text()) {
+            self.topic_users.entry(tok).or_default().push(id);
+        }
     }
 
-    /// The generation this index reflects.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    pub(super) fn on_session(&mut self, id: SessionId, session: &Session) {
+        self.sessions_by_conf.entry(session.conference).or_default().push(id);
+        for tok in topic_tokens(&session.text()) {
+            self.topic_sessions.entry(tok).or_default().push(id);
+        }
     }
 
-    /// Ingests everything appended past the watermarks. Arenas are
-    /// append-only and rows are immutable once created (slide revisions
-    /// touch only the un-indexed `slides_text`), so a suffix scan
-    /// brings every posting exactly up to date.
-    fn ingest_suffixes(&mut self, db: &HiveDb) {
-        let log = db.activity_log();
-        for pos in self.log_len..log.len() {
-            let rec = &log[pos];
-            self.by_actor.entry(rec.user).or_default().push(pos as u32);
-            self.by_category[ActivityCategory::of(&rec.event).slot()].push(pos as u32);
+    pub(super) fn on_paper(&mut self, id: PaperId, paper: &Paper) {
+        for &a in &paper.authors {
+            self.papers_by_author.entry(a).or_default().push(id);
         }
-        self.log_len = log.len();
-
-        let users = db.user_ids();
-        for &u in &users[self.users_len..] {
-            if let Ok(user) = db.get_user(u) {
-                for tok in topic_tokens(&user.profile_text()) {
-                    self.topic_users.entry(tok).or_default().push(u);
-                }
-            }
+        if let Some(v) = paper.venue {
+            self.papers_by_venue.entry(v).or_default().push(id);
         }
-        self.users_len = users.len();
-
-        let sessions = db.session_ids();
-        for &s in &sessions[self.sessions_len..] {
-            if let Ok(session) = db.get_session(s) {
-                for tok in topic_tokens(&session.text()) {
-                    self.topic_sessions.entry(tok).or_default().push(s);
-                }
-            }
+        for &c in &paper.citations {
+            self.cited_by.entry(c).or_default().push(id);
         }
-        self.sessions_len = sessions.len();
-
-        let papers = db.paper_ids();
-        for &p in &papers[self.papers_len..] {
-            if let Ok(paper) = db.get_paper(p) {
-                for tok in topic_tokens(&paper.text()) {
-                    self.topic_papers.entry(tok).or_default().push(p);
-                }
-            }
+        for tok in topic_tokens(&paper.text()) {
+            self.topic_papers.entry(tok).or_default().push(id);
         }
-        self.papers_len = papers.len();
     }
 
-    /// O(delta) forward maintenance: ingests the suffix appended since
-    /// this index's stamped generation (counted as `idx.patch`).
-    ///
-    /// Returns `false` — without touching `self` — when `db`'s delta
-    /// journal no longer covers the stamp (the ring compacted past it,
-    /// or `db` is a restored/checkpoint-adopted instance whose journal
-    /// restarted); the caller must fall back to [`DbIndexes::build`].
-    /// The journal window is the proof the watermarks still describe a
-    /// prefix of *this* database.
-    pub fn patch(&mut self, db: &HiveDb) -> bool {
-        if db.deltas_since(self.generation).is_none() {
-            return false;
-        }
-        // Watermarks must describe a prefix; a shrunken arena means the
-        // generations matched across different database lineages.
-        if self.log_len > db.activity_log().len()
-            || self.users_len > db.user_ids().len()
-            || self.sessions_len > db.session_ids().len()
-            || self.papers_len > db.paper_ids().len()
-        {
-            return false;
-        }
-        if self.generation != db.generation() {
-            self.ingest_suffixes(db);
-            self.generation = db.generation();
-            hive_obs::count("idx.patch", 1);
-        }
-        true
+    pub(super) fn on_presentation(&mut self, id: PresentationId, pres: &Presentation) {
+        self.presentations_by_session.entry(pres.session).or_default().push(id);
+        self.presentations_by_paper.entry(pres.paper).or_default().push(id);
     }
+
+    pub(super) fn on_question(&mut self, id: QuestionId, question: &Question) {
+        self.questions_by_target.entry(question.target).or_default().push(id);
+    }
+
+    pub(super) fn on_answer(&mut self, id: AnswerId, answer: &Answer) {
+        self.answers_by_question.entry(answer.question).or_default().push(id);
+    }
+
+    pub(super) fn on_comment(&mut self, id: CommentId, comment: &Comment) {
+        self.comments_by_target.entry(comment.target).or_default().push(id);
+    }
+
+    pub(super) fn on_workpad(&mut self, id: WorkpadId, pad: &Workpad) {
+        self.workpads_by_user.entry(pad.owner).or_default().push(id);
+    }
+
+    pub(super) fn on_tweet(&mut self, id: TweetId, tweet: &Tweet) {
+        self.tweets_by_session.entry(tweet.session).or_default().push(id);
+    }
+
+    pub(super) fn on_checkin(&mut self, pos: usize, checkin: &CheckIn) {
+        self.checkin_by_user.entry(checkin.user).or_default().push(pos);
+        self.checkin_by_session.entry(checkin.session).or_default().push(pos);
+    }
+
+    pub(super) fn on_follow(&mut self, follow: &Follow) {
+        self.follow_index.insert((follow.follower, follow.followee));
+    }
+
+    pub(super) fn on_connection(&mut self, pos: usize, conn: &Connection) {
+        self.connection_index.insert(HiveDb::pair_key(conn.from, conn.to), pos);
+    }
+
+    pub(super) fn on_record(&mut self, pos: usize, rec: &ActivityRecord) {
+        self.by_actor.entry(rec.user).or_default().push(pos as u32);
+        self.by_category[ActivityCategory::of(&rec.event).slot()].push(pos as u32);
+    }
+
+    // ---- planner postings ----------------------------------------------
 
     /// Ascending log positions of `actor`'s records.
     pub fn actor_postings(&self, actor: UserId) -> &[u32] {
@@ -283,73 +362,48 @@ impl DbIndexes {
         self.topic_users.get(token).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Deterministic digest of the full index contents (FNV-1a over a
-    /// canonical rendering; postings iterate in `BTreeMap` key order,
-    /// so no sort pass is needed). The sim-harness fingerprint oracle
-    /// uses this to prove a delta-patched index, a cold rebuild, and a
-    /// replication follower's replayed index are bit-identical. The
-    /// generation stamp is deliberately excluded: a checkpoint-restored
-    /// follower renumbers generations but must index the same contents.
-    pub fn digest(&self) -> String {
+    /// Deterministic digest of every map in the index (FNV-1a over each
+    /// map in key order, every key and posting list with its length).
+    /// The sim-harness fingerprint oracle uses this to prove that the
+    /// index kept at each write, a cold replay and a replication
+    /// follower's index are bit-identical.
+    pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.eat_u64(self.log_len as u64);
-        for (u, posting) in &self.by_actor {
-            h.eat_u64(u.0 as u64);
-            for &p in posting {
-                h.eat_u64(p as u64);
-            }
-        }
+        h.eat_map(&self.by_actor);
         for posting in &self.by_category {
-            h.eat_u64(posting.len() as u64);
-            for &p in posting {
-                h.eat_u64(p as u64);
-            }
+            posting.eat(&mut h);
         }
-        let mut entries = 0usize;
-        for (tok, posting) in &self.topic_papers {
-            h.eat_bytes(tok.as_bytes());
-            for &p in posting {
-                h.eat_u64(p.0 as u64);
-            }
-            entries += posting.len();
-        }
-        for (tok, posting) in &self.topic_sessions {
-            h.eat_bytes(tok.as_bytes());
-            for &s in posting {
-                h.eat_u64(s.0 as u64);
-            }
-            entries += posting.len();
-        }
-        for (tok, posting) in &self.topic_users {
-            h.eat_bytes(tok.as_bytes());
-            for &u in posting {
-                h.eat_u64(u.0 as u64);
-            }
-            entries += posting.len();
-        }
-        format!(
-            "fnv={:016x} log={} actors={} topic_entries={}",
-            h.0,
-            self.log_len,
-            self.by_actor.len(),
-            entries
-        )
+        h.eat_map(&self.topic_papers);
+        h.eat_map(&self.topic_sessions);
+        h.eat_map(&self.topic_users);
+        // lint:allow(determinism-taint) -- sorted before hashing
+        let mut follows: Vec<(UserId, UserId)> = self.follow_index.iter().copied().collect();
+        follows.sort_unstable();
+        follows.eat(&mut h);
+        h.eat_map(&self.connection_index);
+        h.eat_map(&self.checkin_by_user);
+        h.eat_map(&self.checkin_by_session);
+        h.eat_map(&self.sessions_by_conf);
+        h.eat_map(&self.papers_by_author);
+        h.eat_map(&self.papers_by_venue);
+        h.eat_map(&self.cited_by);
+        h.eat_map(&self.presentations_by_session);
+        h.eat_map(&self.presentations_by_paper);
+        h.eat_map(&self.questions_by_target);
+        h.eat_map(&self.answers_by_question);
+        h.eat_map(&self.comments_by_target);
+        h.eat_map(&self.workpads_by_user);
+        h.eat_map(&self.tweets_by_session);
+        h.0
     }
 }
 
-/// Clips an ascending posting list to positions `< prefix` whose record
-/// falls inside `range`. Positions ascend and the log is clock-ordered,
-/// so both clips are binary searches over the posting itself. An
-/// inverted window (start after end) clips to nothing, as the scan's
-/// `contains` test does.
-fn clip_posting<'a>(
-    posting: &'a [u32],
-    log: &[ActivityRecord],
-    range: &TickRange,
-    prefix: usize,
-) -> &'a [u32] {
-    let end = posting.partition_point(|&p| (p as usize) < prefix);
-    let posting = &posting[..end];
+/// Clips an ascending posting list to the positions whose record falls
+/// inside `range`. Positions ascend and the log is clock-ordered, so
+/// both clips are binary searches over the posting itself. An inverted
+/// window (start after end) clips to nothing, as the scan's `contains`
+/// test does.
+fn clip_posting<'a>(posting: &'a [u32], log: &[ActivityRecord], range: &TickRange) -> &'a [u32] {
     if range.is_all() {
         return posting;
     }
@@ -439,13 +493,9 @@ impl ActivityQuery {
     /// (each counted as `idx.hit`), else the full scan (counted as
     /// `idx.scan_fallback`). Records come back in log order either way,
     /// so downstream stable sorts are bit-identical across paths.
-    ///
-    /// `idx` may trail `db` (an epoch-pinned snapshot while the writer
-    /// moves on): positions past the index watermark are covered by a
-    /// scan of just that suffix, keeping the result exact.
-    pub fn run<'a>(&self, db: &'a HiveDb, idx: &DbIndexes) -> Vec<&'a ActivityRecord> {
+    pub fn run<'a>(&self, db: &'a HiveDb) -> Vec<&'a ActivityRecord> {
+        let idx = db.indexes();
         let log = db.activity_log();
-        let prefix = idx.log_len.min(log.len());
         let mut positions: Vec<u32>;
         if !self.actors.is_empty() {
             hive_obs::count("idx.hit", 1);
@@ -454,12 +504,7 @@ impl ActivityQuery {
             actors.sort_unstable();
             actors.dedup();
             for a in actors {
-                positions.extend_from_slice(clip_posting(
-                    idx.actor_postings(a),
-                    log,
-                    &self.range,
-                    prefix,
-                ));
+                positions.extend_from_slice(clip_posting(idx.actor_postings(a), log, &self.range));
             }
             // Distinct actors own distinct records: merge is a sort.
             positions.sort_unstable();
@@ -470,32 +515,23 @@ impl ActivityQuery {
             cats.sort_unstable();
             cats.dedup();
             for c in cats {
-                positions.extend_from_slice(clip_posting(
-                    idx.category_postings(c),
-                    log,
-                    &self.range,
-                    prefix,
-                ));
+                positions.extend_from_slice(clip_posting(idx.category_postings(c), log, &self.range));
             }
             positions.sort_unstable();
         } else if !self.range.is_all() {
             hive_obs::count("idx.hit", 1);
-            let indexed = &log[..prefix];
-            let lo = indexed.partition_point(|r| r.at < self.range.start());
-            let hi = indexed.partition_point(|r| r.at < self.range.end());
+            let lo = log.partition_point(|r| r.at < self.range.start());
+            let hi = log.partition_point(|r| r.at < self.range.end());
             positions = (lo..hi).map(|p| p as u32).collect();
         } else {
             hive_obs::count("idx.scan_fallback", 1);
             return self.scan(db);
         }
-        let mut out: Vec<&ActivityRecord> = positions
+        positions
             .into_iter()
             .map(|p| &log[p as usize])
             .filter(|r| self.matches(r))
-            .collect();
-        // Un-indexed tail, if the index snapshot trails the database.
-        out.extend(log[prefix..].iter().filter(|r| self.matches(r)));
-        out
+            .collect()
     }
 }
 
@@ -714,7 +750,8 @@ impl ResourceQuery {
     /// residual-filters them (counted as `idx.hit`); unscoped queries
     /// are the full enumeration (counted as `idx.scan_fallback`).
     /// Results are bit-identical to [`ResourceQuery::scan`].
-    pub fn run(&self, db: &HiveDb, idx: &DbIndexes) -> Vec<Resource> {
+    pub fn run(&self, db: &HiveDb) -> Vec<Resource> {
+        let idx = db.indexes();
         let needles = self.topic_needles();
         if self.venue.is_none() && self.author.is_none() && needles.is_empty() {
             hive_obs::count("idx.scan_fallback", 1);
@@ -729,8 +766,6 @@ impl ResourceQuery {
                     needles.iter().map(|n| idx.papers_on_topic(n)),
                     sink,
                 );
-                // Arena tail past the index watermark: scan it.
-                sink.extend(db.paper_ids().into_iter().skip(idx.papers_len));
             } else if let Some(v) = self.venue {
                 sink.extend_from_slice(db.papers_at(v));
             } else if let Some(a) = self.author {
@@ -749,7 +784,7 @@ impl ResourceQuery {
             );
         }
         if self.presentations {
-            let mut cands: Vec<crate::ids::PresentationId> = Vec::new();
+            let mut cands: Vec<PresentationId> = Vec::new();
             if !needles.is_empty() || self.author.is_some() {
                 // Presentations inherit topic and authorship from their
                 // paper: candidate presentations of candidate papers.
@@ -785,7 +820,6 @@ impl ResourceQuery {
                     needles.iter().map(|n| idx.sessions_on_topic(n)),
                     &mut cands,
                 );
-                cands.extend(db.session_ids().into_iter().skip(idx.sessions_len));
             } else if let Some(v) = self.venue {
                 cands.extend_from_slice(db.sessions_of(v));
             } else {
@@ -807,7 +841,6 @@ impl ResourceQuery {
                     needles.iter().map(|n| idx.users_on_topic(n)),
                     &mut cands,
                 );
-                cands.extend(db.user_ids().into_iter().skip(idx.users_len));
             } else if let Some(v) = self.venue {
                 cands.extend(db.attendees(v));
             }
@@ -871,27 +904,89 @@ mod tests {
         assert!(!TickRange::until(Timestamp(5)).contains(Timestamp(5)));
     }
 
+    /// The index the writes built equals the one a restore replays.
     #[test]
     fn build_then_patch_equals_rebuild() {
         let (mut db, users, _, sessions, papers, _) = tiny_world();
-        let mut idx = DbIndexes::build(&db);
         db.advance_clock(3);
         db.check_in(users[1], sessions[0]).unwrap();
         db.view_paper(users[2], papers[0]).unwrap();
-        assert!(idx.patch(&db), "journal covers the suffix");
-        assert_eq!(idx, DbIndexes::build(&db), "patched == cold rebuild");
-        assert_eq!(idx.digest(), DbIndexes::build(&db).digest());
+        let replayed = HiveDb::from_snapshot(&db.snapshot()).unwrap();
+        assert_eq!(db.indexes(), replayed.indexes(), "live index == replay");
+        assert_eq!(db.indexes().digest(), replayed.indexes().digest());
     }
 
     #[test]
-    fn patch_refuses_foreign_or_restored_databases() {
-        let (db, ..) = tiny_world();
-        let mut idx = DbIndexes::build(&db);
-        // A restored platform restarts its journal at generation 1; an
-        // index stamped with the old (higher) generation must refuse.
-        let restored = HiveDb::from_snapshot(&db.snapshot()).unwrap();
-        assert!(idx.generation() > restored.generation());
-        assert!(!idx.patch(&restored));
+    fn digest_tells_postings_apart() {
+        // by_actor {u0: [1, 2], u2: [3]} against {u0: [1], u2: [2, 3]},
+        // with the same category postings: without lengths both render
+        // the stream 0 1 2 2 3.
+        let rec = |u: u32| ActivityRecord {
+            user: UserId(u),
+            event: ActivityEvent::ViewPaper(PaperId(0)),
+            at: Timestamp(0),
+        };
+        let (mut a, mut b) = (DbIndexes::default(), DbIndexes::default());
+        for (pos, ua, ub) in [(1, 0, 0), (2, 0, 2), (3, 2, 2)] {
+            a.on_record(pos, &rec(ua));
+            b.on_record(pos, &rec(ub));
+        }
+        assert_eq!(a.category_postings(Cat::Browse), b.category_postings(Cat::Browse));
+        assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn one_edit_to_any_map_moves_the_digest() {
+        let (mut db, users, _, sessions, _, pres) = tiny_world();
+        db.follow(users[0], users[1]).unwrap();
+        db.request_connection(users[0], users[2]).unwrap();
+        db.check_in(users[1], sessions[0]).unwrap();
+        let q = db.ask_question(users[1], QaTarget::Presentation(pres), "why?", true).unwrap();
+        db.answer_question(users[0], q, "because").unwrap();
+        db.comment(users[2], QaTarget::Session(sessions[0]), "nice").unwrap();
+        db.create_workpad(users[0], "pad").unwrap();
+        let base = db.indexes().clone();
+        type Edit = fn(&mut DbIndexes);
+        let edits: [(&str, Edit); 20] = [
+            ("by_actor", |x| x.by_actor.entry(UserId(9)).or_default().push(0)),
+            ("by_category", |x| x.by_category[6].push(0)),
+            ("topic_papers", |x| x.topic_papers.entry("zz".into()).or_default().push(PaperId(0))),
+            ("topic_sessions", |x| x.topic_sessions.entry("zz".into()).or_default().push(SessionId(0))),
+            ("topic_users", |x| x.topic_users.entry("zz".into()).or_default().push(UserId(0))),
+            ("follow_index", |x| {
+                x.follow_index.insert((UserId(2), UserId(0)));
+            }),
+            ("connection_index", |x| {
+                x.connection_index.insert((UserId(1), UserId(2)), 0);
+            }),
+            ("checkin_by_user", |x| x.checkin_by_user.entry(UserId(0)).or_default().push(0)),
+            ("checkin_by_session", |x| x.checkin_by_session.entry(SessionId(1)).or_default().push(0)),
+            ("sessions_by_conf", |x| x.sessions_by_conf.entry(ConferenceId(1)).or_default().push(SessionId(0))),
+            ("papers_by_author", |x| x.papers_by_author.entry(UserId(0)).or_default().push(PaperId(1))),
+            ("papers_by_venue", |x| x.papers_by_venue.entry(ConferenceId(1)).or_default().push(PaperId(0))),
+            ("cited_by", |x| x.cited_by.entry(PaperId(1)).or_default().push(PaperId(0))),
+            ("presentations_by_session", |x| {
+                x.presentations_by_session.entry(SessionId(0)).or_default().push(PresentationId(0))
+            }),
+            ("presentations_by_paper", |x| {
+                x.presentations_by_paper.entry(PaperId(1)).or_default().push(PresentationId(0))
+            }),
+            ("questions_by_target", |x| {
+                x.questions_by_target.entry(QaTarget::Session(SessionId(0))).or_default().push(QuestionId(0))
+            }),
+            ("answers_by_question", |x| x.answers_by_question.entry(QuestionId(0)).or_default().push(AnswerId(1))),
+            ("comments_by_target", |x| {
+                x.comments_by_target.entry(QaTarget::Session(SessionId(1))).or_default().push(CommentId(0))
+            }),
+            ("workpads_by_user", |x| x.workpads_by_user.entry(UserId(1)).or_default().push(WorkpadId(0))),
+            ("tweets_by_session", |x| x.tweets_by_session.entry(SessionId(0)).or_default().push(TweetId(0))),
+        ];
+        for (map, edit) in edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(edited, base, "{map}: the edit must change the index");
+            assert_ne!(edited.digest(), base.digest(), "{map}: the digest must move");
+        }
     }
 
     #[test]
@@ -900,7 +995,6 @@ mod tests {
         db.advance_clock(7);
         db.check_in(users[0], sessions[1]).unwrap();
         db.view_paper(users[1], papers[1]).unwrap();
-        let idx = DbIndexes::build(&db);
         let queries = vec![
             ActivityQuery::new(),
             ActivityQuery::new().with_actors(vec![users[0]]),
@@ -917,30 +1011,15 @@ mod tests {
             ActivityQuery::new().within(TickRange::between(Timestamp(100), Timestamp(1))),
         ];
         for q in queries {
-            let fast: Vec<ActivityRecord> = q.run(&db, &idx).into_iter().copied().collect();
+            let fast: Vec<ActivityRecord> = q.run(&db).into_iter().copied().collect();
             let slow: Vec<ActivityRecord> = q.scan(&db).into_iter().copied().collect();
             assert_eq!(fast, slow, "query {q:?}");
         }
     }
 
     #[test]
-    fn stale_index_tail_is_served_exactly() {
-        let (mut db, users, _, sessions, _, _) = tiny_world();
-        let idx = DbIndexes::build(&db);
-        db.advance_clock(2);
-        db.check_in(users[2], sessions[0]).unwrap();
-        // idx not patched: the new record sits past the watermark.
-        let q = ActivityQuery::new().with_actors(vec![users[2]]);
-        let fast: Vec<ActivityRecord> = q.run(&db, &idx).into_iter().copied().collect();
-        let slow: Vec<ActivityRecord> = q.scan(&db).into_iter().copied().collect();
-        assert_eq!(fast, slow);
-        assert!(fast.iter().any(|r| r.at == db.now()), "tail record found");
-    }
-
-    #[test]
     fn resource_query_matches_scan_and_prunes() {
         let (db, users, conf, ..) = tiny_world();
-        let idx = DbIndexes::build(&db);
         let queries = vec![
             ResourceQuery::new(),
             ResourceQuery::new().at_venue(conf),
@@ -950,20 +1029,19 @@ mod tests {
             ResourceQuery::new().at_venue(conf).on_topic("no such phrase anywhere"),
         ];
         for q in queries {
-            assert_eq!(q.run(&db, &idx), q.scan(&db), "query {q:?}");
+            assert_eq!(q.run(&db), q.scan(&db), "query {q:?}");
         }
     }
 
     #[test]
     fn planner_counts_hits_and_fallbacks() {
         let (db, users, ..) = tiny_world();
-        let idx = DbIndexes::build(&db);
         hive_obs::reset();
         hive_obs::with_level(hive_obs::Level::Counts, || {
-            let _ = ActivityQuery::new().with_actors(vec![users[0]]).run(&db, &idx);
-            let _ = ActivityQuery::new().run(&db, &idx);
-            let _ = ResourceQuery::new().on_topic("tensor").run(&db, &idx);
-            let _ = ResourceQuery::new().run(&db, &idx);
+            let _ = ActivityQuery::new().with_actors(vec![users[0]]).run(&db);
+            let _ = ActivityQuery::new().run(&db);
+            let _ = ResourceQuery::new().on_topic("tensor").run(&db);
+            let _ = ResourceQuery::new().run(&db);
         });
         let snap = hive_obs::snapshot();
         assert_eq!(snap.counter("idx.hit"), 2);

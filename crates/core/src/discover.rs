@@ -13,7 +13,7 @@
 //! context seeds over the unified knowledge network.
 
 use crate::context::ActivityContext;
-use crate::db::index::{DbIndexes, ResourceQuery};
+use crate::db::index::ResourceQuery;
 use crate::db::HiveDb;
 use crate::ids::{ConferenceId, PaperId, PresentationId, SessionId, UserId};
 use crate::knowledge::{ContentVector, KnowledgeNetwork};
@@ -262,7 +262,6 @@ fn graph_activation(
 pub fn search(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
-    idx: &DbIndexes,
     ppr_cache: &PprCache,
     ctx: &ActivityContext,
     query: &str,
@@ -291,7 +290,7 @@ pub fn search(
         candidates = candidates.by_author(a);
     }
     let mut scored: Vec<(Resource, f64)> = candidates
-        .run(db, idx)
+        .run(db)
         .into_iter()
         .filter_map(|r| {
             let (q, c) = match resource_vector(kn, r) {
@@ -343,7 +342,6 @@ pub fn search(
 pub fn recommend_resources(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
-    idx: &DbIndexes,
     ppr_cache: &PprCache,
     ctx: &ActivityContext,
     cfg: DiscoverConfig,
@@ -354,7 +352,7 @@ pub fn recommend_resources(
         context_weight: cfg.context_weight + cfg.query_weight,
         ..cfg
     };
-    search(db, kn, idx, ppr_cache, ctx, "", cfg)
+    search(db, kn, ppr_cache, ctx, "", cfg)
 }
 
 #[cfg(test)]
@@ -410,8 +408,7 @@ mod tests {
         let (db, users, _, papers) = world();
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
-        let idx = DbIndexes::build(&db);
-        let hits = search(&db, &kn, &idx, &PprCache::new(), &ctx, "tensor stream sketches", DiscoverConfig::default());
+        let hits = search(&db, &kn, &PprCache::new(), &ctx, "tensor stream sketches", DiscoverConfig::default());
         assert!(!hits.is_empty());
         let tensor_pos = hits
             .iter()
@@ -428,8 +425,7 @@ mod tests {
         let (db, users, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
-        let idx = DbIndexes::build(&db);
-        let hits = search(&db, &kn, &idx, &PprCache::new(), &ctx, "compressed sensing", DiscoverConfig::default());
+        let hits = search(&db, &kn, &PprCache::new(), &ctx, "compressed sensing", DiscoverConfig::default());
         let paper_hit = hits
             .iter()
             .find(|h| matches!(h.resource, Resource::Paper(_)))
@@ -457,8 +453,7 @@ mod tests {
         db.workpad_add(users[0], pad, WorkpadItem::Paper(papers[1])).unwrap();
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
-        let idx = DbIndexes::build(&db);
-        let hits = recommend_resources(&db, &kn, &idx, &PprCache::new(), &ctx, DiscoverConfig::default());
+        let hits = recommend_resources(&db, &kn, &PprCache::new(), &ctx, DiscoverConfig::default());
         let txn = hits
             .iter()
             .position(|h| h.resource == Resource::Session(sessions[1]))
@@ -474,12 +469,10 @@ mod tests {
         let (db, users, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
-        let idx = DbIndexes::build(&db);
-        let with = search(&db, &kn, &idx, &PprCache::new(), &ctx, "tensor", DiscoverConfig::default());
+        let with = search(&db, &kn, &PprCache::new(), &ctx, "tensor", DiscoverConfig::default());
         let without = search(
             &db,
             &kn,
-            &idx,
             &PprCache::new(),
             &ctx,
             "tensor",
@@ -494,11 +487,9 @@ mod tests {
         let (db, users, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
-        let idx = DbIndexes::build(&db);
         let hits = search(
             &db,
             &kn,
-            &idx,
             &PprCache::new(),
             &ctx,
             "tensor",

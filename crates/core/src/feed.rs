@@ -13,7 +13,7 @@
 //!   of one session's hashtag.
 
 use crate::clock::Timestamp;
-use crate::db::index::{ActivityQuery, DbIndexes, TickRange};
+use crate::db::index::{ActivityQuery, TickRange};
 use crate::db::HiveDb;
 use crate::ids::{SessionId, UserId};
 use crate::model::{ActivityEvent, QaTarget};
@@ -95,7 +95,7 @@ fn is_followable(event: &ActivityEvent) -> bool {
 }
 
 /// All updates for `user` since `since` (exclusive of their own actions).
-pub fn updates_for(db: &HiveDb, idx: &DbIndexes, user: UserId, since: Timestamp) -> Vec<Update> {
+pub fn updates_for(db: &HiveDb, user: UserId, since: Timestamp) -> Vec<Update> {
     let mut followees = db.following(user);
     followees.sort_unstable();
     followees.dedup();
@@ -107,7 +107,7 @@ pub fn updates_for(db: &HiveDb, idx: &DbIndexes, user: UserId, since: Timestamp)
         let query = ActivityQuery::new()
             .with_actors(followees)
             .within(TickRange::since(since));
-        for rec in query.run(db, idx) {
+        for rec in query.run(db) {
             let filter_ok = db
                 .follow_filter(user, rec.user)
                 .is_none_or(|cats| cats.iter().any(|c| c == rec.event.category()));
@@ -216,13 +216,12 @@ pub fn session_ticker(db: &HiveDb, session: SessionId, since: Timestamp) -> Vec<
 pub fn highlights(
     db: &HiveDb,
     kn: &crate::knowledge::KnowledgeNetwork,
-    idx: &DbIndexes,
     ctx: &crate::context::ActivityContext,
     user: UserId,
     since: Timestamp,
     k: usize,
 ) -> Vec<(Update, f64)> {
-    let mut scored: Vec<(Update, f64)> = updates_for(db, idx, user, since)
+    let mut scored: Vec<(Update, f64)> = updates_for(db, user, since)
         .into_iter()
         .map(|u| {
             let v = kn.corpus.vectorize_known(&u.text);
@@ -239,8 +238,8 @@ pub fn highlights(
 }
 
 /// Builds the digest for `user` since `since`.
-pub fn digest(db: &HiveDb, idx: &DbIndexes, user: UserId, since: Timestamp) -> FeedDigest {
-    let updates = updates_for(db, idx, user, since);
+pub fn digest(db: &HiveDb, user: UserId, since: Timestamp) -> FeedDigest {
+    let updates = updates_for(db, user, since);
     let mut counts: HashMap<&'static str, usize> = HashMap::new();
     for u in &updates {
         *counts.entry(u.category).or_insert(0) += 1;
@@ -280,7 +279,7 @@ mod tests {
         db.advance_clock(5);
         db.check_in(users[1], s).unwrap();
         db.check_in(users[2], s).unwrap(); // not followed
-        let ups = updates_for(&db, &DbIndexes::build(&db), users[0], since);
+        let ups = updates_for(&db, users[0], since);
         assert_eq!(ups.len(), 1);
         assert_eq!(ups[0].actor, users[1]);
         assert!(ups[0].text.contains("checked into"));
@@ -298,7 +297,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let ups = updates_for(&db, &DbIndexes::build(&db), users[0], since);
+        let ups = updates_for(&db, users[0], since);
         assert_eq!(ups.len(), 1);
         assert!(ups[0].text.contains("your presentation"));
         assert_eq!(ups[0].actor, users[1]);
@@ -314,7 +313,7 @@ mod tests {
             .unwrap();
         db.advance_clock(1);
         db.answer_question(users[2], q, "linearly").unwrap();
-        let ups = updates_for(&db, &DbIndexes::build(&db), users[0], since);
+        let ups = updates_for(&db, users[0], since);
         assert_eq!(ups.len(), 1);
         assert!(ups[0].text.contains("answered"));
     }
@@ -327,11 +326,11 @@ mod tests {
         db.check_in(users[1], s).unwrap();
         let since = db.advance_clock(1);
         // Past activity excluded.
-        assert!(updates_for(&db, &DbIndexes::build(&db), users[0], since).is_empty());
+        assert!(updates_for(&db, users[0], since).is_empty());
         // Own activity never appears.
         db.advance_clock(1);
         db.check_in(users[0], s).unwrap();
-        assert!(updates_for(&db, &DbIndexes::build(&db), users[0], since).is_empty());
+        assert!(updates_for(&db, users[0], since).is_empty());
     }
 
     #[test]
@@ -343,12 +342,12 @@ mod tests {
         db.advance_clock(1);
         db.check_in(users[1], s).unwrap(); // checkin: filtered out
         db.ask_question(users[1], QaTarget::Session(s), "q?", false).unwrap();
-        let ups = updates_for(&db, &DbIndexes::build(&db), users[0], since);
+        let ups = updates_for(&db, users[0], since);
         assert_eq!(ups.len(), 1, "{ups:?}");
         assert_eq!(ups[0].category, "discuss");
         // Clearing the filter restores everything.
         db.set_follow_filter(users[0], users[1], vec![]).unwrap();
-        let ups = updates_for(&db, &DbIndexes::build(&db), users[0], since);
+        let ups = updates_for(&db, users[0], since);
         assert_eq!(ups.len(), 2);
         // Filter requires an existing follow.
         assert!(db
@@ -403,7 +402,7 @@ mod tests {
         let _ = q;
         let kn = KnowledgeNetwork::build(&db);
         let ctx = build_context(&db, &kn, me, ContextConfig::default());
-        let top = highlights(&db, &kn, &DbIndexes::build(&db), &ctx, me, since, 2);
+        let top = highlights(&db, &kn, &ctx, me, since, 2);
         assert_eq!(top.len(), 2);
         assert!(
             top[0].0.text.contains("Tensor") || top[0].0.text.contains("tensor"),
@@ -420,7 +419,7 @@ mod tests {
         db.advance_clock(1);
         db.check_in(users[1], s).unwrap();
         db.ask_question(users[1], QaTarget::Session(s), "q1", false).unwrap();
-        let d = digest(&db, &DbIndexes::build(&db), users[0], since);
+        let d = digest(&db, users[0], since);
         assert_eq!(d.updates.len(), 2);
         assert_eq!(d.counts["checkin"], 1);
         assert_eq!(d.counts["discuss"], 1);

@@ -9,12 +9,12 @@
 //! relevance instead of pure recency.
 //!
 //! Log filtering is expressed as a [`ActivityQuery`] and planned
-//! against the [`DbIndexes`] — actor/category postings or the
+//! against the database's indexes — actor/category postings or the
 //! clock-ordered binary search — instead of sweeping the full log.
 
 use crate::clock::Timestamp;
 use crate::context::ActivityContext;
-use crate::db::index::{ActivityQuery, DbIndexes, TickRange};
+use crate::db::index::{ActivityQuery, TickRange};
 use crate::db::HiveDb;
 use crate::ids::UserId;
 use crate::knowledge::KnowledgeNetwork;
@@ -116,7 +116,6 @@ fn resource_text(db: &HiveDb, event: &ActivityEvent) -> String {
 pub fn search_history(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
-    idx: &DbIndexes,
     query: &HistoryQuery,
     ctx: Option<&ActivityContext>,
 ) -> Vec<HistoryHit> {
@@ -124,7 +123,7 @@ pub fn search_history(
     let needle = query.text.as_ref().map(|t| t.to_lowercase());
     let mut hits: Vec<HistoryHit> = query
         .activity
-        .run(db, idx)
+        .run(db)
         .into_iter()
         .filter_map(|r| {
             let rtext = resource_text(db, &r.event);
@@ -167,14 +166,13 @@ pub fn search_history(
 /// so the timeline is empty.
 pub fn timeline(
     db: &HiveDb,
-    idx: &DbIndexes,
     actors: &[UserId],
     bucket_width: u64,
 ) -> Vec<(Timestamp, HashMap<&'static str, usize>)> {
     if bucket_width == 0 {
         return Vec::new();
     }
-    let records = ActivityQuery::new().with_actors(actors.to_vec()).run(db, idx);
+    let records = ActivityQuery::new().with_actors(actors.to_vec()).run(db);
     let mut buckets: HashMap<u64, HashMap<&'static str, usize>> = HashMap::new();
     for r in records {
         let b = r.at.ticks() / bucket_width;
@@ -228,11 +226,10 @@ mod tests {
     fn actor_and_category_filters() {
         let (db, users, _) = world();
         let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
         let q = HistoryQuery::new()
             .with_actors(vec![users[0]])
             .with_categories(vec![ActivityCategory::CheckIn]);
-        let hits = search_history(&db, &kn, &idx, &q, None);
+        let hits = search_history(&db, &kn, &q, None);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|h| h.record.user == users[0]));
         // Recency ordering: later check-in first.
@@ -243,9 +240,8 @@ mod tests {
     fn window_filter() {
         let (db, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
         let q = HistoryQuery::new().within(TickRange::between(Timestamp(15), Timestamp(25)));
-        let hits = search_history(&db, &kn, &idx, &q, None);
+        let hits = search_history(&db, &kn, &q, None);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].record.at, Timestamp(20));
     }
@@ -254,9 +250,8 @@ mod tests {
     fn text_filter_matches_resource() {
         let (db, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
         let q = HistoryQuery::new().matching("tensor");
-        let hits = search_history(&db, &kn, &idx, &q, None);
+        let hits = search_history(&db, &kn, &q, None);
         assert_eq!(hits.len(), 2, "both tensor-session check-ins match");
     }
 
@@ -264,12 +259,11 @@ mod tests {
     fn context_reranks_over_recency() {
         let (db, users, _) = world();
         let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
         // Zach's profile context is tensor-flavored; his *older* tensor
         // check-in should outrank the newer transactions one.
         let ctx = build_context(&db, &kn, users[0], ContextConfig::default());
         let q = HistoryQuery::new().with_actors(vec![users[0]]);
-        let hits = search_history(&db, &kn, &idx, &q, Some(&ctx));
+        let hits = search_history(&db, &kn, &q, Some(&ctx));
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].record.at, Timestamp(10), "tensor check-in first");
     }
@@ -278,23 +272,21 @@ mod tests {
     fn limit_respected() {
         let (db, ..) = world();
         let kn = KnowledgeNetwork::build(&db);
-        let idx = DbIndexes::build(&db);
         let q = HistoryQuery::new().limit(1);
-        assert_eq!(search_history(&db, &kn, &idx, &q, None).len(), 1);
+        assert_eq!(search_history(&db, &kn, &q, None).len(), 1);
     }
 
     #[test]
     fn timeline_buckets() {
         let (db, users, _) = world();
-        let idx = DbIndexes::build(&db);
-        let tl = timeline(&db, &idx, &[users[0]], 15);
+        let tl = timeline(&db, &[users[0]], 15);
         // Events at t=10 (bucket 0) and t=20 (bucket 1).
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].0, Timestamp(0));
         assert_eq!(tl[0].1["checkin"], 1);
         assert_eq!(tl[1].0, Timestamp(15));
         // Group timeline covers both users.
-        let tl_all = timeline(&db, &idx, &[], 100);
+        let tl_all = timeline(&db, &[], 100);
         let total: usize = tl_all.iter().map(|(_, c)| c.values().sum::<usize>()).sum();
         assert_eq!(total, 3);
     }

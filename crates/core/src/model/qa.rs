@@ -6,7 +6,7 @@ use crate::clock::Timestamp;
 use crate::ids::{PresentationId, QuestionId, SessionId, UserId};
 
 /// What a question or comment is attached to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum QaTarget {
     /// A specific presentation.
     Presentation(PresentationId),

@@ -4,8 +4,10 @@
 //! relationship evidence), so a deployment's state must survive between
 //! editions. The snapshot stores only primary data — entities, social
 //! state, the activity log, the clock — and every secondary index is
-//! rebuilt on load by replaying the same insertion paths the live system
-//! uses, so an index bug can't be frozen into a snapshot.
+//! rebuilt on load by replaying the same per-row index hooks the live
+//! mutators call, so an index bug can't be frozen into a snapshot. A
+//! load refuses a snapshot that names a missing row
+//! ([`HiveError::Invalid`]).
 
 use crate::clock::Timestamp;
 use crate::db::{DbDelta, HiveDb};
@@ -252,7 +254,8 @@ impl HiveDb {
     }
 
     /// Restores a platform from a snapshot, rebuilding every secondary
-    /// index through the live insertion paths.
+    /// index through the live per-row hooks. A snapshot that names a
+    /// missing row is refused with [`HiveError::Invalid`].
     pub fn from_snapshot(snap: &PlatformSnapshot) -> Result<Self> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(HiveError::SnapshotVersion {
@@ -421,6 +424,87 @@ mod tests {
             })
         );
         assert!(HiveDb::from_json("{").is_err());
+    }
+
+    /// Points the first log event `edit` accepts at a missing row.
+    fn retarget(snap: &mut PlatformSnapshot, edit: fn(&mut ActivityEvent) -> bool) {
+        assert!(snap.log.iter_mut().any(|r| edit(&mut r.event)), "the small world logs the event");
+    }
+
+    #[test]
+    fn snapshots_naming_missing_rows_are_refused() {
+        const GONE: u32 = 999_999;
+        let clean = WorldBuilder::new(SimConfig::small()).build().db.snapshot();
+        assert!(HiveDb::from_snapshot(&clean).is_ok());
+        type Edit = fn(&mut PlatformSnapshot);
+        let edits: [(&str, Edit); 25] = [
+            ("log record's user", |s| s.log[0].user = UserId(GONE)),
+            ("check-in event's session", |s| {
+                retarget(s, |e| match e {
+                    ActivityEvent::CheckIn(x) => {
+                        *x = SessionId(GONE);
+                        true
+                    }
+                    _ => false,
+                })
+            }),
+            ("follow event's followee", |s| {
+                retarget(s, |e| match e {
+                    ActivityEvent::Follow(x) => {
+                        *x = UserId(GONE);
+                        true
+                    }
+                    _ => false,
+                })
+            }),
+            ("view-paper event's paper", |s| {
+                retarget(s, |e| match e {
+                    ActivityEvent::ViewPaper(x) => {
+                        *x = PaperId(GONE);
+                        true
+                    }
+                    _ => false,
+                })
+            }),
+            ("follow edge", |s| s.follows[0].followee = UserId(GONE)),
+            ("connection", |s| s.connections[0].to = UserId(GONE)),
+            ("presentation's paper", |s| s.presentations[0].paper = PaperId(GONE)),
+            ("presentation's session", |s| s.presentations[0].session = SessionId(GONE)),
+            ("presentation's presenter", |s| s.presentations[0].presenter = UserId(GONE)),
+            ("question's target", |s| s.questions[0].target = QaTarget::Session(SessionId(GONE))),
+            ("question's author", |s| s.questions[0].author = UserId(GONE)),
+            ("answer's question", |s| s.answers[0].question = QuestionId(GONE)),
+            ("attendance pair", |s| s.attendance[0].1 = ConferenceId(GONE)),
+            ("session's chair", |s| s.sessions[0].chair = Some(UserId(GONE))),
+            ("session's conference", |s| s.sessions[0].conference = ConferenceId(GONE)),
+            ("active workpad", |s| s.active_workpads.push((UserId(0), WorkpadId(GONE)))),
+            ("tweet's session", |s| s.tweets[0].session = SessionId(GONE)),
+            ("check-in's user", |s| s.checkins[0].user = UserId(GONE)),
+            ("paper's author", |s| s.papers[0].authors[0] = UserId(GONE)),
+            ("paper without authors", |s| s.papers[0].authors.clear()),
+            ("paper's venue", |s| s.papers[0].venue = Some(ConferenceId(GONE))),
+            ("paper's citation", |s| s.papers[0].citations.push(PaperId(GONE))),
+            ("comment's target", |s| {
+                s.comments.push(Comment {
+                    author: UserId(0),
+                    target: QaTarget::Presentation(PresentationId(GONE)),
+                    text: "dangling".into(),
+                    commented_at: Timestamp(0),
+                })
+            }),
+            ("workpad's owner", |s| s.workpads.push(Workpad::new(UserId(GONE), "pad"))),
+            ("follow filter without a follow", |s| {
+                s.follow_filters.push((UserId(0), UserId(0), vec!["discuss".into()]))
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut snap = clean.clone();
+            edit(&mut snap);
+            match HiveDb::from_snapshot(&snap) {
+                Err(HiveError::Invalid(_)) => {}
+                other => panic!("{what}: expected a refusal, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `hive-text`'s AlphaSum implementation.
 
 use crate::clock::Timestamp;
-use crate::db::index::{ActivityQuery, DbIndexes, TickRange};
+use crate::db::index::{ActivityQuery, TickRange};
 use crate::db::HiveDb;
 use crate::ids::UserId;
 use crate::model::{ActivityEvent, QaTarget};
@@ -103,7 +103,6 @@ fn event_location(db: &HiveDb, event: &ActivityEvent) -> String {
 /// clock-ordered log for the window.
 pub fn activity_table(
     db: &HiveDb,
-    idx: &DbIndexes,
     scope: &ReportScope,
     from: Timestamp,
     to: Timestamp,
@@ -166,7 +165,7 @@ pub fn activity_table(
     let query = ActivityQuery::new()
         .with_actors(actors.unwrap_or_default())
         .within(TickRange::between(from, to));
-    for rec in query.run(db, idx) {
+    for rec in query.run(db) {
         let name = db
             .get_user(rec.user)
             .map(|u| u.name.clone())
@@ -183,13 +182,12 @@ pub fn activity_table(
 /// Generates a size-constrained update report.
 pub fn update_report(
     db: &HiveDb,
-    idx: &DbIndexes,
     scope: &ReportScope,
     from: Timestamp,
     to: Timestamp,
     max_rows: usize,
 ) -> UpdateReport {
-    let table = activity_table(db, idx, scope, from, to);
+    let table = activity_table(db, scope, from, to);
     let total_events = table.rows.len();
     let summary = summarize_table(
         &table,
@@ -234,7 +232,6 @@ mod tests {
         let (db, ..) = busy_world();
         let report = update_report(
             &db,
-            &DbIndexes::build(&db),
             &ReportScope::Platform,
             Timestamp(0),
             Timestamp(u64::MAX),
@@ -251,7 +248,6 @@ mod tests {
         let (db, ..) = busy_world();
         let report = update_report(
             &db,
-            &DbIndexes::build(&db),
             &ReportScope::Platform,
             Timestamp(0),
             Timestamp(u64::MAX),
@@ -280,7 +276,6 @@ mod tests {
         db.check_in(users[2], sessions[0]).unwrap();
         let report = update_report(
             &db,
-            &DbIndexes::build(&db),
             &ReportScope::Network(users[0]),
             Timestamp(0),
             Timestamp(u64::MAX),
@@ -298,7 +293,6 @@ mod tests {
         let (db, users, _) = busy_world();
         let report = update_report(
             &db,
-            &DbIndexes::build(&db),
             &ReportScope::Group(vec![users[2]]),
             Timestamp(0),
             Timestamp(u64::MAX),
@@ -315,7 +309,6 @@ mod tests {
         let (db, ..) = busy_world();
         let report = update_report(
             &db,
-            &DbIndexes::build(&db),
             &ReportScope::Platform,
             Timestamp(u64::MAX - 1),
             Timestamp(u64::MAX),

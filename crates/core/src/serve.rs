@@ -1,8 +1,9 @@
 //! Epoch-snapshot serving: one writer, many readers over published
 //! epochs.
 //!
-//! The facade ([`Hive`]) answers every Table-1 read from its database
-//! and its four generation-stamped derived tiers (`tier.rs`). This
+//! The facade ([`Hive`]) answers every Table-1 read from its database,
+//! whose indexes are current at every write, and its three
+//! generation-stamped derived tiers (`tier.rs`). This
 //! module splits the platform into the two roles the paper's
 //! read-dominated service mix actually has:
 //!
@@ -19,17 +20,17 @@
 //!   stamp compare and one `Arc` clone, never shared with the writer
 //!   and never held across a build.
 //!
-//! [`HiveServer::publish`] brings the facade's four tiers to the
+//! [`HiveServer::publish`] brings the facade's three tiers to the
 //! current generation and pins a copy of the facade: the database
-//! cloned, each tier slot holding the writer's stamp and `Arc`. A tier
-//! the journaled [`crate::db::DbDelta`] window leaves unchanged hands
-//! the retiring epoch's `Arc` on under the new stamp; one the window
-//! changes is patched under `Arc::make_mut`, which copies because the
-//! retiring epoch still pins the old value, so that epoch keeps
-//! answering out of its own frozen structures. The one value an epoch
-//! shares mutably is the PPR memo: PPR-backed reads fill the memo the
-//! epoch shares with the writer's tier, and since each entry is an
-//! exact solve, a fill never changes an answer.
+//! cloned with its indexes, each tier slot holding the writer's stamp
+//! and `Arc`. A tier the journaled [`crate::db::DbDelta`] window
+//! leaves unchanged hands the retiring epoch's `Arc` on under the new
+//! stamp; one the window changes is patched under `Arc::make_mut`,
+//! which copies because the retiring epoch still pins the old value,
+//! so that epoch keeps answering out of its own frozen structures.
+//! The one value an epoch shares mutably is the PPR memo: PPR-backed
+//! reads fill the memo the epoch shares with the writer's tier, and
+//! since each entry is an exact solve, a fill never changes an answer.
 //!
 //! The sim-harness snapshot-consistency oracle checks that any epoch
 //! read is bit-identical to a serial replay at that epoch's generation.
@@ -44,7 +45,7 @@ use std::sync::{Arc, RwLock};
 // ---- the epoch ------------------------------------------------------------
 
 /// A pinned copy of the facade at one database generation: the database
-/// snapshot plus the four tier slots it was published with. Derefs to
+/// snapshot plus the three tier slots it was published with. Derefs to
 /// [`Hive`], so every Table-1 read service is available with the
 /// facade's own body and observability; nothing can mutate an epoch, so
 /// its answers never change.
@@ -62,12 +63,15 @@ impl Deref for Epoch {
 }
 
 impl Epoch {
-    /// Cold-builds an epoch from a database snapshot: every tier is
-    /// built from scratch on first use, with no delta patching. This is
-    /// the serving-layer analogue of the oracle's "cold platform" — the
+    /// Cold-builds an epoch from a database snapshot: the indexes are
+    /// replayed from the arenas and the log, and every tier is built
+    /// from scratch on first use, with no delta patching. This is the
+    /// serving-layer analogue of the oracle's "cold platform" — the
     /// reference answer a published epoch must match bit-for-bit.
     pub fn rebuild(db: Arc<HiveDb>) -> Epoch {
-        Epoch { seq: 0, hive: Hive::new(Arc::unwrap_or_clone(db)) }
+        let mut db = Arc::unwrap_or_clone(db);
+        db.replay_indexes();
+        Epoch { seq: 0, hive: Hive::new(db) }
     }
 
     /// The database generation this epoch freezes.
@@ -151,14 +155,13 @@ impl HiveServer {
         HiveServer { hive, slot: Arc::new(Slot { current: RwLock::new(boot) }) }
     }
 
-    /// Pins the facade's current generation as an epoch: the four tiers
+    /// Pins the facade's current generation as an epoch: the three tiers
     /// are brought to it (re-stamped, patched or rebuilt there), then
     /// the database is copied and each tier slot's stamp and `Arc`
     /// pinned, so every read on the epoch is a tier hit.
     fn snapshot_epoch(hive: &Hive, seq: u64) -> Epoch {
         let kn = hive.knowledge();
         hive.relationship_graph(&kn);
-        hive.indexes();
         hive.ppr();
         Epoch { seq, hive: hive.pinned() }
     }
@@ -314,7 +317,7 @@ mod tests {
             let session = s.hive().db().session_ids()[0];
             let u = users[2];
             // Answers that read every tier: kn (similar peers), rel
-            // (explanation), and idx + ppr (search, peer recommendation).
+            // (explanation), and ppr (search, peer recommendation).
             let answers = |e: &Epoch| -> Vec<(String, u64)> {
                 let peers = e.similar_peers(u, 5).into_iter().map(|(v, x)| (format!("{v:?}"), x));
                 let explained = ("explain".to_string(), e.explain_relationship(u, users[3]).combined);
@@ -331,7 +334,7 @@ mod tests {
             // Every tier's patch and build counters, plus the kn hits.
             let probes = || {
                 let snap = hive_obs::snapshot();
-                let moved: Vec<u64> = ["kn", "rel", "idx", "ppr"]
+                let moved: Vec<u64> = ["kn", "rel", "ppr"]
                     .iter()
                     .flat_map(|t| ["delta", "miss"].map(|c| snap.counter(&format!("core.{t}.{c}"))))
                     .collect();

@@ -1,13 +1,13 @@
-//! One maintenance protocol for the facade's four derived tiers: the
-//! [`KnowledgeNetwork`], the [`RelSnapshot`], the [`DbIndexes`] and the
-//! [`PprCache`]. Each implements [`Derived`]; one [`Tier`] per structure
+//! One maintenance protocol for the facade's three derived tiers: the
+//! [`KnowledgeNetwork`], the [`RelSnapshot`] and the [`PprCache`]. Each
+//! implements [`Derived`]; one [`Tier`] per structure
 //! stamps it with the database generation it reflects and, on a stale
 //! stamp, classifies the journal window it borrows from
 //! [`HiveDb::deltas_since`] *before* it touches the value:
 //!
-//! * no window, or a delta the tier cannot patch → cold build with no
-//!   copy first (`core.<t>.miss`);
-//! * no delta that affects the tier → the same `Arc` under the new stamp
+//! * no window, or a structural delta → cold build with no copy first
+//!   (`core.<t>.miss`);
+//! * no graph edge in the window → the same `Arc` under the new stamp
 //!   (`core.<t>.delta`);
 //! * otherwise → `Arc::make_mut` plus [`Derived::patch`]
 //!   (`core.<t>.delta`). `make_mut` copies exactly when a published epoch
@@ -20,7 +20,6 @@
 //! have produced, and a patch is bit-identical to a cold build (the
 //! replay-order argument, DESIGN.md §11).
 
-use crate::db::index::DbIndexes;
 use crate::db::{DbDelta, HiveDb};
 use crate::knowledge::{apply_rel_delta, FusionWeights, KnowledgeNetwork};
 use crate::ppr::PprCache;
@@ -50,24 +49,9 @@ pub(crate) trait Derived: Clone {
     /// Span opened around a cold build (`None` when the build is trivial).
     const BUILD_SPAN: Option<&'static str>;
 
-    /// Whether `d` changes this structure at all. The default suits the
-    /// graph-derived tiers: only graph edges change them.
-    fn affected_by(d: &DbDelta) -> bool {
-        d.touches_graph()
-    }
-
-    /// Whether `d` can be patched in; one refusal forces a cold build.
-    /// The default suits the graph-derived tiers.
-    fn patchable(d: &DbDelta) -> bool {
-        !d.is_structural()
-    }
-
-    /// Applies `window` (every delta patchable, at least one affecting)
-    /// in place. Returns `false` only when `db` is not the database this
-    /// value was derived from (a foreign lineage that happens to cover
-    /// the stamp, which the facade never produces); the tier then builds
-    /// cold.
-    fn patch(&mut self, db: &HiveDb, window: &[DbDelta]) -> bool;
+    /// Applies `window` (no delta structural, at least one touching the
+    /// graph) in place.
+    fn patch(&mut self, window: &[DbDelta]);
 }
 
 /// A generation-stamped cache slot for one [`Derived`] structure. Only
@@ -106,16 +90,13 @@ impl<T: Derived> Tier<T> {
         };
         let forward = stale.and_then(|(stamp, mut value)| {
             let window = db.deltas_since(stamp)?;
-            if !window.iter().all(T::patchable) {
+            if window.iter().any(DbDelta::is_structural) {
                 return None;
             }
-            if window.iter().any(T::affected_by) {
+            if window.iter().any(DbDelta::touches_graph) {
                 let span = hive_obs::span_enter(T::PATCH_SPAN, db.now().ticks());
-                let patched = Arc::make_mut(&mut value).patch(db, window);
+                Arc::make_mut(&mut value).patch(window);
                 hive_obs::span_exit(span, db.now().ticks());
-                if !patched {
-                    return None;
-                }
             }
             hive_obs::count(T::DELTA, 1);
             Some(value)
@@ -141,13 +122,12 @@ impl Derived for KnowledgeNetwork {
     const PATCH_SPAN: &'static str = "kn-delta";
     const BUILD_SPAN: Option<&'static str> = Some("kn-build");
 
-    fn patch(&mut self, _db: &HiveDb, window: &[DbDelta]) -> bool {
+    fn patch(&mut self, window: &[DbDelta]) {
         let w = FusionWeights::default();
         for d in window {
             self.apply_delta(d, &w);
         }
         self.refresh_unified_csr();
-        true
     }
 }
 
@@ -178,37 +158,13 @@ impl Derived for RelSnapshot {
 
     /// Extends the triple export with the window's events, then lets the
     /// CSR view consume the store's own delta log.
-    fn patch(&mut self, _db: &HiveDb, window: &[DbDelta]) -> bool {
+    fn patch(&mut self, window: &[DbDelta]) {
         for d in window {
             apply_rel_delta(&mut self.store, d);
         }
         if !self.view.apply_delta(&self.store) {
             self.view = GraphView::build(&self.store);
         }
-        true
-    }
-}
-
-impl Derived for DbIndexes {
-    const HIT: &'static str = "core.idx.hit";
-    const DELTA: &'static str = "core.idx.delta";
-    const MISS: &'static str = "core.idx.miss";
-    const PATCH_SPAN: &'static str = "idx-delta";
-    const BUILD_SPAN: Option<&'static str> = Some("idx-build");
-
-    /// Every delta moves the generation the index is stamped with.
-    fn affected_by(_: &DbDelta) -> bool {
-        true
-    }
-
-    /// Arenas are append-only, so every journal-covered lag is a suffix
-    /// scan, structural or not.
-    fn patchable(_: &DbDelta) -> bool {
-        true
-    }
-
-    fn patch(&mut self, db: &HiveDb, _window: &[DbDelta]) -> bool {
-        DbIndexes::patch(self, db)
     }
 }
 
@@ -221,8 +177,7 @@ impl Derived for PprCache {
 
     /// Memo entries are exact solves against one graph, so a graph
     /// change drops them all.
-    fn patch(&mut self, _db: &HiveDb, _window: &[DbDelta]) -> bool {
+    fn patch(&mut self, _window: &[DbDelta]) {
         self.clear();
-        true
     }
 }

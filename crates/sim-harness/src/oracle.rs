@@ -13,10 +13,11 @@ use hive_core::ids::UserId;
 use hive_core::knowledge::KnowledgeNetwork;
 use hive_core::peers::PeerRecConfig;
 use hive_core::reports::ReportScope;
-use hive_core::{Hive, PprCache};
+use hive_core::{Epoch, Hive, PprCache};
 use hive_graph::PprConfig;
 use hive_store::{GraphView, PathQuery, Term};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The first co-author pair, else the first two users: the pair the
 /// explanation and path reads are asked for.
@@ -105,9 +106,8 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
     let history = HistoryQuery::new().limit(8);
     fp.push("history", &hive.search_history(&history, probes.first().copied()));
     fp.push("trending", &hive.trending_sessions(Timestamp(0), db.now(), 5));
-    // Secondary-index contents: a delta-patched index on the leader and
-    // a replay-built index on a follower must digest identically (the
-    // digest iterates BTreeMap postings, no hash order involved).
+    // Secondary-index contents: the index kept at each write on the
+    // leader, a follower's and a cold replay must digest identically.
     fp.push("index", &hive.indexes().digest());
     fp
 }
@@ -120,7 +120,7 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
 ///   [`GraphView::build`].
 /// * **delta vs rebuild** — the live facade, whose kn/rel snapshots
 ///   have been delta-patched in place across the whole workload so
-///   far, against a cold platform built from a clone of the same
+///   far, against a cold [`Epoch::rebuild`] of a clone of the same
 ///   database; the full fingerprint battery must match bit-for-bit.
 // lint:root(determinism)
 pub fn differential_check(hive: &Hive, pair: (UserId, UserId)) -> Vec<String> {
@@ -142,9 +142,10 @@ pub fn differential_check(hive: &Hive, pair: (UserId, UserId)) -> Vec<String> {
     }
     // Delta-vs-rebuild: the live facade has been answering out of
     // snapshots patched forward by the delta log; a cold platform over
-    // the same database rebuilds everything from scratch. The two must
-    // be indistinguishable across the entire query battery.
-    let cold = Hive::new(db.clone());
+    // the same database replays its indexes and rebuilds every tier
+    // from scratch. The two must be indistinguishable across the
+    // entire query battery.
+    let cold = Epoch::rebuild(Arc::new(db.clone()));
     for d in fingerprint(hive).diff(&fingerprint(&cold)) {
         out.push(format!("delta-maintained facade vs cold rebuild: {d}"));
     }

@@ -11,16 +11,17 @@
 //!    `to_bits`).
 //! 2. **Facade** — a live [`Hive`] whose kn/rel snapshots are patched
 //!    forward across interleaved mutations and queries must answer the
-//!    soak fingerprint's battery exactly like a cold platform built from
-//!    a clone of the same database.
+//!    soak fingerprint's battery exactly like a cold
+//!    [`hive_core::Epoch::rebuild`] of a clone of the same database.
 
 use hive_bench::prop::{check, DEFAULT_CASES};
 use hive_bench::prop_ensure;
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::Hive;
+use hive_core::{Epoch, Hive};
 use hive_rng::Rng;
 use hive_sim_harness::oracle::fingerprint;
 use hive_store::{GraphView, Term, TripleStore};
+use std::sync::Arc;
 
 // ---- layer 1: GraphView::apply_delta vs GraphView::build ---------------
 
@@ -208,7 +209,7 @@ fn delta_patched_facade_matches_cold_platform_body() {
             for _ in 0..rng.gen_range(1..6usize) {
                 facade_mutate(&mut hive, rng);
             }
-            let cold = Hive::new(hive.db().clone());
+            let cold = Epoch::rebuild(Arc::new(hive.db().clone()));
             let diff = fingerprint(&hive).diff(&fingerprint(&cold));
             prop_ensure!(
                 diff.is_empty(),

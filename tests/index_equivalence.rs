@@ -1,66 +1,77 @@
 //! Index-equivalence property tests: the declarative query planner must
-//! be *bit-identical* to the full-scan reference path, and a
-//! delta-maintained index must be bit-identical to a cold build.
+//! be *bit-identical* to the full-scan reference path, and the index
+//! kept at each write must be bit-identical to a replay.
 //!
-//! Three layers, all driven by the in-tree seeded runner
+//! Two layers, both driven by the in-tree seeded runner
 //! (`hive_bench::prop`):
 //!
-//! 1. **Maintenance** — after any randomized mutation burst sequence, a
-//!    [`DbIndexes`] patched forward through `deltas_since` equals a
-//!    cold [`DbIndexes::build`] structurally (`PartialEq`) and under
-//!    [`DbIndexes::digest`].
+//! 1. **Maintenance** — after any randomized mutation burst sequence,
+//!    the [`hive_core::DbIndexes`] the mutators' hooks kept current
+//!    equals the index [`HiveDb::from_snapshot`] replays, structurally
+//!    (`PartialEq`) and under its digest. The bursts append
+//!    every row kind that has a hook.
 //! 2. **Planner** — randomized [`ActivityQuery`] / [`ResourceQuery`]
 //!    mixes answer identically through `run` (index-planned) and
-//!    `scan` (the reference path), including against a *stale* index
-//!    whose watermarks trail the database.
-//! 3. **Facade** — a driven [`Hive`] keeps its cached index warm
-//!    through the O(delta) patch tier: `idx.patch` fires per write
-//!    burst while `idx.rebuild` stays at the initial build.
+//!    `scan` (the reference path).
 
 use hive_bench::prop::{check, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
 use hive_core::clock::Timestamp;
 use hive_core::db::index::topic_tokens;
-use hive_core::model::{Paper, QaTarget, Session, User};
+use hive_core::model::{Paper, Presentation, QaTarget, Session, User};
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::{ActivityCategory, ActivityQuery, DbIndexes, Hive, HiveDb, ResourceQuery, TickRange};
+use hive_core::{ActivityCategory, ActivityQuery, HiveDb, ResourceQuery, TickRange};
 use hive_rng::Rng;
 
+fn pick<T: Copy>(items: &[T], rng: &mut Rng) -> Option<T> {
+    (!items.is_empty()).then(|| items[rng.gen_range(0..items.len())])
+}
+
 /// One random platform mutation. Most arms append activity (actor and
-/// category postings, time-range growth); the rarer arms add arena rows
-/// so the topic maps and watermarks move too.
+/// category postings, time-range growth); the others append a row of
+/// every other kind that has an index hook. Refused mutations are fine:
+/// they must leave the index untouched.
 fn mutate(db: &mut HiveDb, rng: &mut Rng) {
     let users = db.user_ids();
     let sessions = db.session_ids();
     let papers = db.paper_ids();
     let confs = db.conference_ids();
-    let u = users[rng.gen_range(0..users.len())];
-    let v = users[rng.gen_range(0..users.len())];
+    let presentations = db.presentation_ids();
+    let questions = db.question_ids();
+    let (Some(u), Some(v), Some(s), Some(p), Some(c)) = (
+        pick(&users, rng),
+        pick(&users, rng),
+        pick(&sessions, rng),
+        pick(&papers, rng),
+        pick(&confs, rng),
+    ) else {
+        return;
+    };
     if rng.gen_range(0..3u32) == 0 {
         db.advance_clock(rng.gen_range(1..5u64));
     }
-    match rng.gen_range(0..12u32) {
+    match rng.gen_range(0..21u32) {
         0 | 1 => {
             let _ = db.follow(u, v);
         }
         2 | 3 => {
-            let s = sessions[rng.gen_range(0..sessions.len())];
             let _ = db.check_in(u, s);
         }
         4 | 5 => {
-            let p = papers[rng.gen_range(0..papers.len())];
             let _ = db.view_paper(u, p);
         }
         6 => {
-            let c = confs[rng.gen_range(0..confs.len())];
             let _ = db.attend(u, c);
         }
         7 => {
-            let s = sessions[rng.gen_range(0..sessions.len())];
-            let _ = db.ask_question(u, QaTarget::Session(s), "why does the sketch converge", false);
+            let target = match pick(&presentations, rng) {
+                Some(pres) if rng.gen_range(0..2u32) == 0 => QaTarget::Presentation(pres),
+                _ => QaTarget::Session(s),
+            };
+            let broadcast = rng.gen_range(0..2u32) == 0;
+            let _ = db.ask_question(u, target, "why does the sketch converge", broadcast);
         }
         8 => {
-            let s = sessions[rng.gen_range(0..sessions.len())];
             let _ = db.post_tweet(Some(u), "@zach", "tensor streams drifting again", s);
         }
         9 => {
@@ -70,18 +81,66 @@ fn mutate(db: &mut HiveDb, rng: &mut Rng) {
             ));
         }
         10 => {
-            let c = confs[rng.gen_range(0..confs.len())];
             let _ = db.add_session(Session::new(
                 c,
                 format!("Hot topic {}", rng.gen_range(0..100u32)),
                 "R9",
             ));
         }
-        _ => {
+        11 => {
             let _ = db.add_paper(
                 Paper::new(format!("Sketching study {}", rng.gen_range(0..100u32)), vec![u])
                     .with_abstract("streaming tensor decomposition sketches"),
             );
+        }
+        12 => {
+            if let Some(&presenter) = db.get_paper(p).ok().and_then(|x| x.authors.first()) {
+                let _ = db.add_presentation(
+                    Presentation::new(p, presenter, s).with_slides("sketch slides"),
+                );
+            }
+        }
+        13 => {
+            if let Some(q) = pick(&questions, rng) {
+                let _ = db.answer_question(u, q, "the error bound shrinks");
+            }
+        }
+        14 => {
+            let target = match pick(&presentations, rng) {
+                Some(pres) => QaTarget::Presentation(pres),
+                None => QaTarget::Session(s),
+            };
+            let _ = db.comment(u, target, "nice result");
+        }
+        15 => {
+            let _ = db.create_workpad(u, "to investigate later");
+        }
+        16 => {
+            if let Some(pad) = pick(db.workpads_of(u), rng) {
+                let _ = db.workpad_note(u, pad, "look into INI");
+            }
+        }
+        17 => {
+            if let Some(pad) = pick(db.workpads_of(u), rng) {
+                if let Ok(col) = db.export_workpad(u, pad) {
+                    let _ = db.import_collection(v, col);
+                }
+            }
+        }
+        18 => {
+            let _ = db.request_connection(u, v);
+        }
+        19 => {
+            if let Some(from) = pick(&db.pending_requests_for(u), rng) {
+                let _ = db.respond_connection(u, from, rng.gen_range(0..2u32) == 0);
+            }
+        }
+        _ => {
+            if let Some(pres) = pick(&presentations, rng) {
+                if let Ok(presenter) = db.get_presentation(pres).map(|x| x.presenter) {
+                    let _ = db.revise_slides(presenter, pres, "revised sketch slides");
+                }
+            }
         }
     }
 }
@@ -91,23 +150,25 @@ fn small_world(rng: &mut Rng) -> HiveDb {
     WorldBuilder::new(sim).build().db
 }
 
-// ---- layer 1: patch vs cold build --------------------------------------
+// ---- layer 1: index kept at each write vs replay ---------------------
 
 #[test]
 fn patched_index_is_bitwise_identical_to_cold_build() {
-    check("index::patch_equals_build", DEFAULT_CASES / 2, |rng| {
+    check("index::live_equals_replay", DEFAULT_CASES / 2, |rng| {
         let mut db = small_world(rng);
-        let mut idx = DbIndexes::build(&db);
-        // Several bursts against the same live index: the patched state
-        // of burst k seeds burst k+1, so drift would compound.
+        // Several bursts against the same live index: the state after
+        // burst k is the start of burst k+1, so drift would compound.
         for _ in 0..rng.gen_range(1..4usize) {
-            for _ in 0..rng.gen_range(0..10usize) {
+            for _ in 0..rng.gen_range(0..20usize) {
                 mutate(&mut db, rng);
             }
-            prop_ensure!(idx.patch(&db), "the delta log must cover a short burst");
-            let cold = DbIndexes::build(&db);
-            prop_ensure!(idx == cold, "patched index diverged structurally from cold build");
-            prop_ensure_eq!(idx.digest(), cold.digest(), "digest must agree with cold build");
+            let replayed = HiveDb::from_snapshot(&db.snapshot()).map_err(|e| e.to_string())?;
+            prop_ensure!(db.indexes() == replayed.indexes(), "live index diverged from its replay");
+            prop_ensure_eq!(
+                db.indexes().digest(),
+                replayed.indexes().digest(),
+                "digest must agree with the replay"
+            );
         }
         Ok(())
     });
@@ -172,50 +233,15 @@ fn gen_resource_query(db: &HiveDb, rng: &mut Rng) -> ResourceQuery {
 fn planner_matches_scan_over_random_query_mixes() {
     check("index::run_equals_scan", DEFAULT_CASES / 2, |rng| {
         let mut db = small_world(rng);
-        let stale = DbIndexes::build(&db);
         for _ in 0..rng.gen_range(0..12usize) {
             mutate(&mut db, rng);
         }
-        let mut fresh = stale.clone();
-        prop_ensure!(fresh.patch(&db), "the delta log must cover a short burst");
         for _ in 0..rng.gen_range(1..6usize) {
             let q = gen_activity_query(&db, rng);
-            let scanned = q.scan(&db);
-            prop_ensure_eq!(q.run(&db, &fresh), scanned, "activity planner vs scan ({q:?})");
-            // A stale index only prunes up to its watermarks; the
-            // suffix scan must make the answer exact anyway.
-            prop_ensure_eq!(q.run(&db, &stale), scanned, "stale-index activity run ({q:?})");
+            prop_ensure_eq!(q.run(&db), q.scan(&db), "activity planner vs scan ({q:?})");
             let r = gen_resource_query(&db, rng);
-            let scanned = r.scan(&db);
-            prop_ensure_eq!(r.run(&db, &fresh), scanned, "resource planner vs scan ({r:?})");
-            prop_ensure_eq!(r.run(&db, &stale), scanned, "stale-index resource run ({r:?})");
+            prop_ensure_eq!(r.run(&db), r.scan(&db), "resource planner vs scan ({r:?})");
         }
         Ok(())
-    });
-}
-
-// ---- layer 3: the facade keeps its index warm in O(delta) --------------
-
-#[test]
-fn facade_maintains_the_index_by_patching_not_rebuilding() {
-    hive_obs::with_level(hive_obs::Level::Counts, || {
-        hive_obs::reset();
-        let world = WorldBuilder::new(SimConfig::small()).build();
-        let mut hive = Hive::new(world.db);
-        let users = hive.db().user_ids();
-        let papers = hive.db().paper_ids();
-        let first = hive.indexes();
-        for i in 0..6usize {
-            hive.advance_clock(1);
-            hive.view_paper(users[i % users.len()], papers[i % papers.len()]).unwrap();
-            let idx = hive.indexes();
-            assert_eq!(idx.generation(), hive.db().generation(), "cache must be current");
-        }
-        assert!(first.generation() < hive.db().generation());
-        let snap = hive_obs::snapshot();
-        assert_eq!(snap.counter("idx.rebuild"), 1, "only the initial cold build may rebuild");
-        assert_eq!(snap.counter("idx.patch"), 6, "every write burst must patch in O(delta)");
-        assert_eq!(snap.counter("core.idx.miss"), 1);
-        assert_eq!(snap.counter("core.idx.delta"), 6);
     });
 }
