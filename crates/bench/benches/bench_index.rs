@@ -1,15 +1,12 @@
-//! Secondary-index benchmarks: the declarative query planner against
+//! Secondary-index benchmarks: the activity-log query planner against
 //! the full-scan reference path it replaced.
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_index`
 //!
-//! Two claims are measured at the medium world:
-//!
-//! * a history-shaped query (one actor, bounded window) answered from
-//!   the actor postings beats the full activity-log scan
-//!   (`idx_vs_scan_speedup`, floor-gated at 5.0 in the allowlist);
-//! * a topic-scoped resource query answered from the topic postings
-//!   beats walking every arena (`topic_vs_scan_speedup`).
+//! One claim is measured at the medium world: a history-shaped query
+//! (one actor, bounded window) answered from the actor postings beats
+//! the full activity-log scan (`idx_vs_scan_speedup`, floor-gated at
+//! 5.0 in the allowlist).
 //!
 //! `index/build_us` times the index replay a cold [`Epoch::rebuild`]
 //! runs over the arenas and the log.
@@ -19,7 +16,7 @@ use hive_bench::{
 };
 use hive_core::clock::Timestamp;
 use hive_core::sim::{SimConfig, WorldBuilder};
-use hive_core::{ActivityCategory, ActivityQuery, Epoch, HiveDb, ResourceQuery, TickRange};
+use hive_core::{ActivityQuery, Epoch, HiveDb, TickRange};
 use std::sync::Arc;
 
 /// The actor with the longest posting list — the worst indexed case,
@@ -65,43 +62,10 @@ fn bench_queries() {
         .within(TickRange::since(mid));
     let speedup = run_vs_scan(db, "history_actor_window", &history);
     metric("idx_vs_scan_speedup", speedup);
-
-    // The AlphaSum report shape: a category slice over a window — the
-    // candidate pull that used to walk `activities_between`.
-    let category = ActivityQuery::new()
-        .with_categories(vec![ActivityCategory::Discuss, ActivityCategory::Content])
-        .within(TickRange::since(mid));
-    let speedup = run_vs_scan(db, "report_category_window", &category);
-    metric("category_vs_scan_speedup", speedup);
-}
-
-fn bench_resources() {
-    header("index_discover");
-    report_header();
-    let db = WorldBuilder::new(SimConfig::medium()).build().db;
-    // A token guaranteed to hit: the first indexed paper topic.
-    let paper = db.paper_ids()[0];
-    let token = hive_core::db::index::topic_tokens(&db.get_paper(paper).unwrap().text())
-        .into_iter()
-        .next()
-        .expect("papers carry text");
-    let query = ResourceQuery::new().on_topic(&token);
-    assert_eq!(query.run(&db), query.scan(&db), "resource planner must match the scan");
-    let n = iters(40, 8);
-    let run = time_n(n, || {
-        std::hint::black_box(query.run(&db));
-    });
-    let scan = time_n(n, || {
-        std::hint::black_box(query.scan(&db));
-    });
-    report("discover_topic_indexed", &run);
-    report("discover_topic_scan", &scan);
-    metric("topic_vs_scan_speedup", mean(&scan) / mean(&run));
 }
 
 fn main() {
     println!("bench_index — typed secondary indexes: planner vs scan");
     bench_queries();
-    bench_resources();
     write_json_fragment("bench_index");
 }

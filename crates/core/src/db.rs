@@ -236,46 +236,55 @@ impl HiveDb {
         Some(&self.deltas[(generation - self.delta_base) as usize..])
     }
 
-    fn record(&mut self, user: UserId, event: ActivityEvent, delta: DbDelta) {
-        self.bump(delta);
-        let at = self.clock.now();
+    /// Logs `event` at the current time and journals its
+    /// [`Self::delta_of`].
+    fn record(&mut self, user: UserId, event: ActivityEvent) {
+        let rec = ActivityRecord { user, event, at: self.clock.now() };
+        self.bump(self.delta_of(&rec));
         let idx = self.log.len();
-        self.log.push(ActivityRecord { user, event, at });
+        self.log.push(rec);
         self.indexes.on_record(idx, &self.log[idx]);
     }
 
-    /// Classifies an activity record exactly as [`Self::record`] journals
-    /// it, resolving question targets through the current indexes.
-    fn classify(&self, rec: &ActivityRecord) -> Option<DbDelta> {
+    /// The delta a logged event journals, read by both [`Self::record`]
+    /// and [`Self::replay_deltas`]. A question resolves to its session
+    /// and presented paper through the arenas. Exhaustive on purpose: a
+    /// new event kind must decide what it does to the derived caches.
+    fn delta_of(&self, rec: &ActivityRecord) -> DbDelta {
+        let user = rec.user;
         match rec.event {
-            ActivityEvent::Follow(followee) => {
-                Some(DbDelta::Follow { follower: rec.user, followee })
-            }
+            ActivityEvent::AttendConference(conf) => DbDelta::Attend { user, conf },
+            ActivityEvent::CheckIn(session) => DbDelta::CheckIn { user, session },
+            ActivityEvent::ViewPaper(paper) => DbDelta::ViewPaper { user, paper },
+            ActivityEvent::Follow(followee) => DbDelta::Follow { follower: user, followee },
             ActivityEvent::ConnectAccept(from) => {
-                let (a, b) = Self::pair_key(rec.user, from);
-                Some(DbDelta::Connect { a, b })
-            }
-            ActivityEvent::CheckIn(session) => {
-                Some(DbDelta::CheckIn { user: rec.user, session })
-            }
-            ActivityEvent::AttendConference(conf) => {
-                Some(DbDelta::Attend { user: rec.user, conf })
+                let (a, b) = Self::pair_key(user, from);
+                DbDelta::Connect { a, b }
             }
             ActivityEvent::AskQuestion(q) => {
-                let question = self.get_question(q).ok()?;
-                let (session, paper) = match question.target {
-                    QaTarget::Presentation(p) => {
-                        let pres = self.get_presentation(p).ok()?;
-                        (pres.session, Some(pres.paper))
-                    }
-                    QaTarget::Session(s) => (s, None),
+                let discuss = || -> Option<DbDelta> {
+                    let (session, paper) = match self.get_question(q).ok()?.target {
+                        QaTarget::Presentation(p) => {
+                            let pres = self.get_presentation(p).ok()?;
+                            (pres.session, Some(pres.paper))
+                        }
+                        QaTarget::Session(s) => (s, None),
+                    };
+                    Some(DbDelta::Discuss { author: user, session, paper })
                 };
-                Some(DbDelta::Discuss { author: rec.user, session, paper })
+                // A question naming no row (restore refuses those) adds
+                // no edge.
+                discuss().unwrap_or(DbDelta::Neutral)
             }
-            ActivityEvent::ViewPaper(paper) => {
-                Some(DbDelta::ViewPaper { user: rec.user, paper })
+            ActivityEvent::UploadPresentation(_) | ActivityEvent::ReviseSlides(_) => {
+                DbDelta::Structural
             }
-            _ => None,
+            ActivityEvent::ViewPresentation(_)
+            | ActivityEvent::AnswerQuestion(_)
+            | ActivityEvent::Comment(_)
+            | ActivityEvent::ConnectRequest(_)
+            | ActivityEvent::ActivateWorkpad(_)
+            | ActivityEvent::WorkpadAdd(_) => DbDelta::Neutral,
         }
     }
 
@@ -285,7 +294,11 @@ impl HiveDb {
     /// converges on the same node interning, adjacency order, and float
     /// accumulation order as a cold rebuild — bit for bit.
     pub fn replay_deltas(&self) -> Vec<DbDelta> {
-        self.log.iter().filter_map(|rec| self.classify(rec)).collect()
+        self.log
+            .iter()
+            .map(|rec| self.delta_of(rec))
+            .filter(|d| d.touches_graph() && !d.is_structural())
+            .collect()
     }
 
     // ---- entity creation ---------------------------------------------
@@ -294,7 +307,6 @@ impl HiveDb {
     pub fn add_user(&mut self, user: User) -> UserId {
         let id = UserId(self.users.len() as u32);
         self.users.push(user);
-        self.indexes.on_user(id, &self.users[id.index()]);
         self.bump(DbDelta::Structural);
         id
     }
@@ -357,7 +369,7 @@ impl HiveDb {
         let presenter = pres.presenter;
         self.presentations.push(pres);
         self.indexes.on_presentation(id, &self.presentations[id.index()]);
-        self.record(presenter, ActivityEvent::UploadPresentation(id), DbDelta::Structural);
+        self.record(presenter, ActivityEvent::UploadPresentation(id));
         Ok(id)
     }
 
@@ -424,25 +436,11 @@ impl HiveDb {
         self.indexes.papers_by_venue.get(&conf).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Papers citing `p`.
-    pub fn citing(&self, p: PaperId) -> &[PaperId] {
-        self.indexes.cited_by.get(&p).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Presentations in a session.
     pub fn presentations_in(&self, s: SessionId) -> &[PresentationId] {
         self.indexes
             .presentations_by_session
             .get(&s)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Presentations of a paper.
-    pub fn presentations_of_paper(&self, p: PaperId) -> &[PresentationId] {
-        self.indexes
-            .presentations_by_paper
-            .get(&p)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -479,7 +477,7 @@ impl HiveDb {
         self.get_user(user)?;
         self.get_conference(conf)?;
         if self.attendance.insert((user, conf)) {
-            self.record(user, ActivityEvent::AttendConference(conf), DbDelta::Attend { user, conf });
+            self.record(user, ActivityEvent::AttendConference(conf));
         }
         Ok(())
     }
@@ -522,7 +520,7 @@ impl HiveDb {
         let idx = self.checkins.len();
         self.checkins.push(CheckIn { user, session, at });
         self.indexes.on_checkin(idx, &self.checkins[idx]);
-        self.record(user, ActivityEvent::CheckIn(session), DbDelta::CheckIn { user, session });
+        self.record(user, ActivityEvent::CheckIn(session));
         Ok(())
     }
 
@@ -559,7 +557,7 @@ impl HiveDb {
         let follow = Follow { follower, followee, since: self.clock.now() };
         self.follows.push(follow);
         self.indexes.on_follow(&follow);
-        self.record(follower, ActivityEvent::Follow(followee), DbDelta::Follow { follower, followee });
+        self.record(follower, ActivityEvent::Follow(followee));
         Ok(())
     }
 
@@ -652,7 +650,7 @@ impl HiveDb {
                         requested_at: self.clock.now(),
                         resolved_at: None,
                     };
-                    self.record(from, ActivityEvent::ConnectRequest(to), DbDelta::Neutral);
+                    self.record(from, ActivityEvent::ConnectRequest(to));
                     return Ok(());
                 }
                 _ => return Err(HiveError::Conflict("connection already exists".into())),
@@ -667,7 +665,7 @@ impl HiveDb {
             resolved_at: None,
         });
         self.indexes.on_connection(idx, &self.connections[idx]);
-        self.record(from, ActivityEvent::ConnectRequest(to), DbDelta::Neutral);
+        self.record(from, ActivityEvent::ConnectRequest(to));
         Ok(())
     }
 
@@ -696,8 +694,7 @@ impl HiveDb {
             conn.resolved_at = Some(now);
         }
         if accept {
-            let (a, b) = Self::pair_key(from, to);
-            self.record(to, ActivityEvent::ConnectAccept(from), DbDelta::Connect { a, b });
+            self.record(to, ActivityEvent::ConnectAccept(from));
         } else {
             // Declines don't log activity but still change state.
             self.bump(DbDelta::Neutral);
@@ -770,11 +767,7 @@ impl HiveDb {
             broadcast,
         });
         self.indexes.on_question(id, &self.questions[id.index()]);
-        let paper = match target {
-            QaTarget::Presentation(p) => Some(self.get_presentation(p)?.paper),
-            QaTarget::Session(_) => None,
-        };
-        self.record(author, ActivityEvent::AskQuestion(id), DbDelta::Discuss { author, session, paper });
+        self.record(author, ActivityEvent::AskQuestion(id));
         if broadcast {
             let handle = format!("@{}", self.get_user(author)?.name.to_lowercase().replace(' ', "_"));
             self.post_tweet(Some(author), handle, text, session)?;
@@ -803,7 +796,7 @@ impl HiveDb {
             answered_at: self.clock.now(),
         });
         self.indexes.on_answer(id, &self.answers[id.index()]);
-        self.record(author, ActivityEvent::AnswerQuestion(id), DbDelta::Neutral);
+        self.record(author, ActivityEvent::AnswerQuestion(id));
         Ok(id)
     }
 
@@ -828,7 +821,7 @@ impl HiveDb {
             commented_at: self.clock.now(),
         });
         self.indexes.on_comment(id, &self.comments[id.index()]);
-        self.record(author, ActivityEvent::Comment(id), DbDelta::Neutral);
+        self.record(author, ActivityEvent::Comment(id));
         Ok(id)
     }
 
@@ -860,7 +853,7 @@ impl HiveDb {
     pub fn view_paper(&mut self, user: UserId, paper: PaperId) -> Result<()> {
         self.get_user(user)?;
         self.get_paper(paper)?;
-        self.record(user, ActivityEvent::ViewPaper(paper), DbDelta::ViewPaper { user, paper });
+        self.record(user, ActivityEvent::ViewPaper(paper));
         Ok(())
     }
 
@@ -868,7 +861,7 @@ impl HiveDb {
     pub fn view_presentation(&mut self, user: UserId, pres: PresentationId) -> Result<()> {
         self.get_user(user)?;
         self.get_presentation(pres)?;
-        self.record(user, ActivityEvent::ViewPresentation(pres), DbDelta::Neutral);
+        self.record(user, ActivityEvent::ViewPresentation(pres));
         Ok(())
     }
 
@@ -884,7 +877,7 @@ impl HiveDb {
             return Err(HiveError::Conflict("only the presenter can revise slides".into()));
         }
         self.presentations[pres.index()].revise(text);
-        self.record(user, ActivityEvent::ReviseSlides(pres), DbDelta::Structural);
+        self.record(user, ActivityEvent::ReviseSlides(pres));
         Ok(())
     }
 
@@ -899,7 +892,7 @@ impl HiveDb {
         self.bump(DbDelta::Neutral);
         if let std::collections::hash_map::Entry::Vacant(e) = self.active_workpad.entry(owner) {
             e.insert(id);
-            self.record(owner, ActivityEvent::ActivateWorkpad(id), DbDelta::Neutral);
+            self.record(owner, ActivityEvent::ActivateWorkpad(id));
         }
         Ok(id)
     }
@@ -933,7 +926,7 @@ impl HiveDb {
         if !self.workpads[pad.index()].add(item) {
             return Err(HiveError::Conflict("item already on workpad".into()));
         }
-        self.record(user, ActivityEvent::WorkpadAdd(pad), DbDelta::Neutral);
+        self.record(user, ActivityEvent::WorkpadAdd(pad));
         Ok(())
     }
 
@@ -949,7 +942,7 @@ impl HiveDb {
             return Err(HiveError::Conflict("not your workpad".into()));
         }
         let item = self.workpads[pad.index()].add_note(text);
-        self.record(user, ActivityEvent::WorkpadAdd(pad), DbDelta::Neutral);
+        self.record(user, ActivityEvent::WorkpadAdd(pad));
         Ok(item)
     }
 
@@ -980,7 +973,7 @@ impl HiveDb {
             return Err(HiveError::Conflict("not your workpad".into()));
         }
         self.active_workpad.insert(user, pad);
-        self.record(user, ActivityEvent::ActivateWorkpad(pad), DbDelta::Neutral);
+        self.record(user, ActivityEvent::ActivateWorkpad(pad));
         Ok(())
     }
 
@@ -1030,7 +1023,7 @@ impl HiveDb {
         self.workpads.push(pad);
         self.indexes.on_workpad(id, &self.workpads[id.index()]);
         self.active_workpad.insert(user, id);
-        self.record(user, ActivityEvent::ActivateWorkpad(id), DbDelta::Neutral);
+        self.record(user, ActivityEvent::ActivateWorkpad(id));
         Ok(id)
     }
 
@@ -1102,6 +1095,7 @@ impl HiveDb {
         db.log = snap.log.clone();
         db.replay_indexes();
         db.check_references()?;
+        db.check_clock_order()?;
         // The restored platform starts a fresh delta journal: caches
         // stamped against the pre-restore instance see `deltas_since`
         // return `None` and rebuild from the restored state.
@@ -1134,9 +1128,6 @@ impl HiveDb {
     pub(crate) fn replay_indexes(&mut self) {
         let idx = &mut self.indexes;
         *idx = DbIndexes::default();
-        for (i, user) in self.users.iter().enumerate() {
-            idx.on_user(UserId(i as u32), user);
-        }
         for (i, session) in self.sessions.iter().enumerate() {
             idx.on_session(SessionId(i as u32), session);
         }
@@ -1238,6 +1229,22 @@ impl HiveDb {
         }
         for rec in &self.log {
             need(user(rec.user) && self.event_target_exists(&rec.event), "log record")?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a restored log whose `at` ever decreases, or a clock
+    /// behind the last record. Live writes stamp each record with the
+    /// current time and the clock never runs back, and
+    /// [`index::ActivityQuery::run`] clips postings and the log by
+    /// binary search on `at`, so either edit would make windowed queries
+    /// answer differently from the scan.
+    fn check_clock_order(&self) -> Result<()> {
+        if self.log.windows(2).any(|w| w[1].at < w[0].at) {
+            return Err(HiveError::Invalid("activity log out of clock order in snapshot".into()));
+        }
+        if self.log.last().is_some_and(|r| self.clock.now() < r.at) {
+            return Err(HiveError::Invalid("clock behind the activity log in snapshot".into()));
         }
         Ok(())
     }
@@ -1381,7 +1388,6 @@ mod tests {
     #[test]
     fn citation_indexes() {
         let (db, _, conf, _, papers, _) = tiny_world();
-        assert_eq!(db.citing(papers[0]), &[papers[1]]);
         assert_eq!(db.papers_at(conf).len(), 2);
         assert_eq!(db.get_paper(papers[1]).unwrap().citations, vec![papers[0]]);
     }
@@ -1572,13 +1578,27 @@ mod tests {
         assert_eq!(db.deltas_since(g0), Some(&[][..]));
         // Every tiny_world mutation was journaled from generation 0.
         assert_eq!(db.deltas_since(0).unwrap().len() as u64, g0);
+        let log0 = db.activity_log().len();
         db.follow(users[0], users[1]).unwrap();
         db.attend(users[2], conf).unwrap();
         db.check_in(users[0], sessions[0]).unwrap();
         db.view_paper(users[1], papers[0]).unwrap();
-        db.ask_question(users[1], QaTarget::Presentation(pres), "why?", false).unwrap();
+        let q = db.ask_question(users[1], QaTarget::Presentation(pres), "why?", false).unwrap();
+        db.ask_question(users[2], QaTarget::Session(sessions[0]), "scale?", false).unwrap();
         db.request_connection(users[0], users[2]).unwrap();
         db.respond_connection(users[2], users[0], true).unwrap();
+        let pres2 = db.add_presentation(Presentation::new(papers[1], users[1], sessions[0])).unwrap();
+        db.revise_slides(users[1], pres2, "new slides").unwrap();
+        db.view_presentation(users[2], pres).unwrap();
+        db.answer_question(users[0], q, "because").unwrap();
+        db.comment(users[2], QaTarget::Session(sessions[1]), "nice").unwrap();
+        let pad = db.create_workpad(users[0], "pad").unwrap();
+        db.workpad_add(users[0], pad, WorkpadItem::Paper(papers[1])).unwrap();
+        db.activate_workpad(users[0], pad).unwrap();
+        // One logged mutator per event kind: all 14 are covered.
+        let kinds: HashSet<_> =
+            db.activity_log()[log0..].iter().map(|r| std::mem::discriminant(&r.event)).collect();
+        assert_eq!(kinds.len(), 14);
         let suffix = db.deltas_since(g0).unwrap().to_vec();
         assert_eq!(
             suffix,
@@ -1592,8 +1612,18 @@ mod tests {
                     session: sessions[1],
                     paper: Some(papers[0])
                 },
+                DbDelta::Discuss { author: users[2], session: sessions[0], paper: None },
                 DbDelta::Neutral, // connection request
                 DbDelta::Connect { a: users[0], b: users[2] },
+                DbDelta::Structural, // presentation upload
+                DbDelta::Structural, // slide revision
+                DbDelta::Neutral,    // presentation view
+                DbDelta::Neutral,    // answer
+                DbDelta::Neutral,    // comment
+                DbDelta::Neutral,    // workpad creation (unlogged bump)
+                DbDelta::Neutral,    // its first activation
+                DbDelta::Neutral,    // workpad add
+                DbDelta::Neutral,    // workpad activation
             ]
         );
         // Duplicate attendance neither bumps nor journals.
@@ -1602,9 +1632,7 @@ mod tests {
         assert_eq!(db.generation(), g1);
         // A future generation is unanswerable.
         assert_eq!(db.deltas_since(g1 + 1), None);
-        // The replay view of the log agrees with the journal's patchable
-        // suffix (Neutral entries aside).
-        let replay = db.replay_deltas();
+        // The replay view of the log is the journal's patchable entries.
         let patchable: Vec<DbDelta> = db
             .deltas_since(0)
             .unwrap()
@@ -1612,12 +1640,7 @@ mod tests {
             .copied()
             .filter(|d| !matches!(d, DbDelta::Neutral | DbDelta::Structural))
             .collect();
-        let replay_dynamic: Vec<DbDelta> = replay
-            .iter()
-            .copied()
-            .filter(|d| !matches!(d, DbDelta::Neutral | DbDelta::Structural))
-            .collect();
-        assert_eq!(replay_dynamic, patchable);
+        assert_eq!(db.replay_deltas(), patchable);
     }
 
     #[test]

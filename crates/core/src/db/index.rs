@@ -1,45 +1,37 @@
-//! Every secondary index of the platform database, and the declarative
+//! Every secondary index of the platform database, and the activity-log
 //! query planner over them.
 //!
-//! Services used to answer "papers about X in venue Y since tick T" by
-//! iterating a full arena or the whole activity log and filtering
-//! inline. [`DbIndexes`] replaces that with declarative typed indexes —
-//! by **activity category**, **actor**, **time range**, **topic**,
-//! **venue**, and **author** — and [`ActivityQuery`] / [`ResourceQuery`]
-//! plan against them, falling back to a scan only when no index
-//! applies. The same struct holds the row lookups [`HiveDb`] answers
-//! from (follow edges, connections, check-ins, sessions per conference,
-//! papers per author, ...).
+//! [`DbIndexes`] holds the activity log's postings per **actor** and
+//! the row lookups [`HiveDb`] answers from (follow edges, connections,
+//! check-ins, sessions per conference, papers per author, ...).
+//! [`ActivityQuery`] plans a log query against the actor postings or a
+//! binary-searched **time range**, falling back to a scan only when the
+//! query names neither.
 //!
 //! # One hook per row kind
 //!
 //! [`HiveDb`] owns one [`DbIndexes`] and keeps it current at every
 //! write: a mutator appends its row, then calls that row kind's hook
-//! (`on_user`, `on_paper`, ..., `on_record` for the activity log).
+//! (`on_session`, `on_paper`, ..., `on_record` for the activity log).
 //! Restore replays the same hooks over the arenas in id order and over
 //! the log in order, so a restored or cold-rebuilt index is the one the
 //! live writes built. Arenas are append-only and a row's indexed fields
-//! never change after its append (slide revisions touch only the
-//! un-indexed `slides_text`), so no hook ever retracts a posting. No
-//! other code writes an index. The `idx.hit` / `idx.scan_fallback`
+//! never change after its append, so no hook ever retracts a posting.
+//! No other code writes an index. The `idx.hit` / `idx.scan_fallback`
 //! counters prove which query path ran.
 //!
 //! # Equivalence by construction
 //!
 //! Index postings only ever *prune candidates*; the final say on every
 //! candidate is the same `matches` predicate the scan fallback uses,
-//! and candidates are emitted in the scan's order (log order for
-//! activities; papers → presentations → sessions → users, each
-//! ascending, for resources). A query therefore returns bit-identical
-//! results through either path — `tests/index_equivalence.rs` pins
-//! this across randomized query mixes.
+//! and candidates are emitted in log order. A query therefore returns
+//! bit-identical results through either path —
+//! `tests/index_equivalence.rs` pins this across randomized query mixes.
 
 use super::HiveDb;
 use crate::clock::Timestamp;
-use crate::discover::Resource;
 use crate::ids::*;
 use crate::model::*;
-use hive_text::tokenize;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Half-open logical-time window `[start, end)` in clock ticks.
@@ -102,16 +94,6 @@ impl Default for TickRange {
     }
 }
 
-/// Tokens of a content text, deduplicated — the normal form both the
-/// index hooks and the topic predicate use, so they cannot disagree.
-/// Public so callers can turn free text into index-shaped topic keys.
-pub fn topic_tokens(text: &str) -> Vec<String> {
-    let mut toks = tokenize(text);
-    toks.sort_unstable();
-    toks.dedup();
-    toks
-}
-
 /// Incremental FNV-1a over the canonical rendering of index contents.
 struct Fnv(u64);
 
@@ -148,9 +130,9 @@ impl Fnv {
     }
 }
 
-/// A key or a posting the index digest feeds to its hash. Strings and
-/// lists enter with their length, so no two distinct indexes render
-/// the same stream.
+/// A key or a posting the index digest feeds to its hash. Lists enter
+/// with their length, so no two distinct indexes render the same
+/// stream.
 trait Entry {
     fn eat(&self, h: &mut Fnv);
 }
@@ -179,13 +161,6 @@ impl Entry for u32 {
 impl Entry for usize {
     fn eat(&self, h: &mut Fnv) {
         h.eat_u64(*self as u64);
-    }
-}
-
-impl Entry for String {
-    fn eat(&self, h: &mut Fnv) {
-        h.eat_u64(self.len() as u64);
-        h.eat_bytes(self.as_bytes());
     }
 }
 
@@ -220,9 +195,9 @@ impl<T: Entry> Entry for Vec<T> {
     }
 }
 
-/// Every secondary index over one [`HiveDb`]: the planner's postings
-/// and the row lookups the database answers from. The database keeps it
-/// current through one hook per row kind (see the module docs).
+/// Every secondary index over one [`HiveDb`]: the planner's actor
+/// postings and the row lookups the database answers from. The database
+/// keeps it current through one hook per row kind (see the module docs).
 ///
 /// Equality is structural: `tests/index_equivalence.rs` compares the
 /// index kept at each write with a replay from a snapshot with `==`.
@@ -230,15 +205,6 @@ impl<T: Entry> Entry for Vec<T> {
 pub struct DbIndexes {
     /// Log positions per actor, ascending.
     by_actor: BTreeMap<UserId, Vec<u32>>,
-    /// Log positions per activity category, ascending (slot order of
-    /// [`ActivityCategory::ALL`]).
-    by_category: [Vec<u32>; 7],
-    /// Token → papers whose text contains it, ascending.
-    topic_papers: BTreeMap<String, Vec<PaperId>>,
-    /// Token → sessions whose text contains it, ascending.
-    topic_sessions: BTreeMap<String, Vec<SessionId>>,
-    /// Token → users whose profile contains it, ascending.
-    topic_users: BTreeMap<String, Vec<UserId>>,
     /// `(follower, followee)` edges.
     pub(super) follow_index: HashSet<(UserId, UserId)>,
     /// Connection position per user pair, smaller id first.
@@ -250,10 +216,7 @@ pub struct DbIndexes {
     pub(super) sessions_by_conf: HashMap<ConferenceId, Vec<SessionId>>,
     pub(super) papers_by_author: HashMap<UserId, Vec<PaperId>>,
     pub(super) papers_by_venue: HashMap<ConferenceId, Vec<PaperId>>,
-    /// Cited paper → the papers citing it.
-    pub(super) cited_by: HashMap<PaperId, Vec<PaperId>>,
     pub(super) presentations_by_session: HashMap<SessionId, Vec<PresentationId>>,
-    pub(super) presentations_by_paper: HashMap<PaperId, Vec<PresentationId>>,
     pub(super) questions_by_target: HashMap<QaTarget, Vec<QuestionId>>,
     pub(super) answers_by_question: HashMap<QuestionId, Vec<AnswerId>>,
     pub(super) comments_by_target: HashMap<QaTarget, Vec<CommentId>>,
@@ -264,17 +227,8 @@ pub struct DbIndexes {
 impl DbIndexes {
     // ---- the hooks: one per row kind, called after the row's append ----
 
-    pub(super) fn on_user(&mut self, id: UserId, user: &User) {
-        for tok in topic_tokens(&user.profile_text()) {
-            self.topic_users.entry(tok).or_default().push(id);
-        }
-    }
-
     pub(super) fn on_session(&mut self, id: SessionId, session: &Session) {
         self.sessions_by_conf.entry(session.conference).or_default().push(id);
-        for tok in topic_tokens(&session.text()) {
-            self.topic_sessions.entry(tok).or_default().push(id);
-        }
     }
 
     pub(super) fn on_paper(&mut self, id: PaperId, paper: &Paper) {
@@ -284,17 +238,10 @@ impl DbIndexes {
         if let Some(v) = paper.venue {
             self.papers_by_venue.entry(v).or_default().push(id);
         }
-        for &c in &paper.citations {
-            self.cited_by.entry(c).or_default().push(id);
-        }
-        for tok in topic_tokens(&paper.text()) {
-            self.topic_papers.entry(tok).or_default().push(id);
-        }
     }
 
     pub(super) fn on_presentation(&mut self, id: PresentationId, pres: &Presentation) {
         self.presentations_by_session.entry(pres.session).or_default().push(id);
-        self.presentations_by_paper.entry(pres.paper).or_default().push(id);
     }
 
     pub(super) fn on_question(&mut self, id: QuestionId, question: &Question) {
@@ -332,34 +279,11 @@ impl DbIndexes {
 
     pub(super) fn on_record(&mut self, pos: usize, rec: &ActivityRecord) {
         self.by_actor.entry(rec.user).or_default().push(pos as u32);
-        self.by_category[ActivityCategory::of(&rec.event).slot()].push(pos as u32);
     }
-
-    // ---- planner postings ----------------------------------------------
 
     /// Ascending log positions of `actor`'s records.
     pub fn actor_postings(&self, actor: UserId) -> &[u32] {
         self.by_actor.get(&actor).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Ascending log positions of records in `category`.
-    pub fn category_postings(&self, category: ActivityCategory) -> &[u32] {
-        &self.by_category[category.slot()]
-    }
-
-    /// Ascending papers whose text contains `token` (normalized form).
-    pub fn papers_on_topic(&self, token: &str) -> &[PaperId] {
-        self.topic_papers.get(token).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Ascending sessions whose text contains `token`.
-    pub fn sessions_on_topic(&self, token: &str) -> &[SessionId] {
-        self.topic_sessions.get(token).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Ascending users whose profile contains `token`.
-    pub fn users_on_topic(&self, token: &str) -> &[UserId] {
-        self.topic_users.get(token).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Deterministic digest of every map in the index (FNV-1a over each
@@ -370,12 +294,6 @@ impl DbIndexes {
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.eat_map(&self.by_actor);
-        for posting in &self.by_category {
-            posting.eat(&mut h);
-        }
-        h.eat_map(&self.topic_papers);
-        h.eat_map(&self.topic_sessions);
-        h.eat_map(&self.topic_users);
         // lint:allow(determinism-taint) -- sorted before hashing
         let mut follows: Vec<(UserId, UserId)> = self.follow_index.iter().copied().collect();
         follows.sort_unstable();
@@ -386,9 +304,7 @@ impl DbIndexes {
         h.eat_map(&self.sessions_by_conf);
         h.eat_map(&self.papers_by_author);
         h.eat_map(&self.papers_by_venue);
-        h.eat_map(&self.cited_by);
         h.eat_map(&self.presentations_by_session);
-        h.eat_map(&self.presentations_by_paper);
         h.eat_map(&self.questions_by_target);
         h.eat_map(&self.answers_by_question);
         h.eat_map(&self.comments_by_target);
@@ -488,11 +404,12 @@ impl ActivityQuery {
     }
 
     /// Plans the query against the indexes and runs it. Candidate
-    /// sources, in priority order: actor postings, category postings, a
-    /// binary search on the clock-ordered log for a bounded window
-    /// (each counted as `idx.hit`), else the full scan (counted as
-    /// `idx.scan_fallback`). Records come back in log order either way,
-    /// so downstream stable sorts are bit-identical across paths.
+    /// sources, in priority order: actor postings, a binary search on
+    /// the clock-ordered log for a bounded window (each counted as
+    /// `idx.hit`), else the full scan (counted as `idx.scan_fallback`).
+    /// `matches` applies the categories to every candidate. Records come
+    /// back in log order either way, so downstream stable sorts are
+    /// bit-identical across paths.
     pub fn run<'a>(&self, db: &'a HiveDb) -> Vec<&'a ActivityRecord> {
         let idx = db.indexes();
         let log = db.activity_log();
@@ -507,16 +424,6 @@ impl ActivityQuery {
                 positions.extend_from_slice(clip_posting(idx.actor_postings(a), log, &self.range));
             }
             // Distinct actors own distinct records: merge is a sort.
-            positions.sort_unstable();
-        } else if !self.categories.is_empty() {
-            hive_obs::count("idx.hit", 1);
-            positions = Vec::new();
-            let mut cats = self.categories.clone();
-            cats.sort_unstable();
-            cats.dedup();
-            for c in cats {
-                positions.extend_from_slice(clip_posting(idx.category_postings(c), log, &self.range));
-            }
             positions.sort_unstable();
         } else if !self.range.is_all() {
             hive_obs::count("idx.hit", 1);
@@ -533,357 +440,6 @@ impl ActivityQuery {
             .filter(|r| self.matches(r))
             .collect()
     }
-}
-
-/// A declarative resource query over the content arenas: which resource
-/// kinds to return, optionally scoped by venue, author, and topic.
-/// Build with [`ResourceQuery::new`] and the chainable setters.
-///
-/// Scoping semantics (shared verbatim by the scan predicate and the
-/// planner's residual filter):
-///
-/// * **venue** — papers published at the edition, presentations in its
-///   sessions, its sessions, and its attendees;
-/// * **author** — papers the user authored and their presentations;
-///   sessions match only when the user chairs them; user profiles never
-///   match an author scope (it selects *content*);
-/// * **topic** — every token of the phrase appears in the resource's
-///   indexed text (paper text, for a presentation: its paper's text —
-///   slide text is mutable and deliberately un-indexed; session text;
-///   user profile).
-#[derive(Clone, Debug)]
-pub struct ResourceQuery {
-    papers: bool,
-    presentations: bool,
-    sessions: bool,
-    users: bool,
-    venue: Option<ConferenceId>,
-    author: Option<UserId>,
-    topic: Option<String>,
-}
-
-impl Default for ResourceQuery {
-    fn default() -> Self {
-        ResourceQuery {
-            papers: true,
-            presentations: true,
-            sessions: true,
-            users: true,
-            venue: None,
-            author: None,
-            topic: None,
-        }
-    }
-}
-
-impl ResourceQuery {
-    /// All resource kinds, unscoped.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Includes or excludes papers.
-    pub fn with_papers(mut self, yes: bool) -> Self {
-        self.papers = yes;
-        self
-    }
-
-    /// Includes or excludes presentations.
-    pub fn with_presentations(mut self, yes: bool) -> Self {
-        self.presentations = yes;
-        self
-    }
-
-    /// Includes or excludes sessions.
-    pub fn with_sessions(mut self, yes: bool) -> Self {
-        self.sessions = yes;
-        self
-    }
-
-    /// Includes or excludes user profiles.
-    pub fn with_users(mut self, yes: bool) -> Self {
-        self.users = yes;
-        self
-    }
-
-    /// Scopes to one conference edition.
-    pub fn at_venue(mut self, venue: ConferenceId) -> Self {
-        self.venue = Some(venue);
-        self
-    }
-
-    /// Scopes to content authored (or chaired) by one user.
-    pub fn by_author(mut self, author: UserId) -> Self {
-        self.author = Some(author);
-        self
-    }
-
-    /// Scopes to resources whose text contains every token of `topic`.
-    pub fn on_topic(mut self, topic: impl Into<String>) -> Self {
-        self.topic = Some(topic.into());
-        self
-    }
-
-    /// The topic phrase in token normal form (empty = no topic scope).
-    fn topic_needles(&self) -> Vec<String> {
-        self.topic.as_deref().map(topic_tokens).unwrap_or_default()
-    }
-
-    fn text_on_topic(text: &str, needles: &[String]) -> bool {
-        let toks = topic_tokens(text);
-        needles.iter().all(|n| toks.binary_search(n).is_ok())
-    }
-
-    /// The shared predicate (see the type docs for scoping semantics).
-    pub fn matches(&self, db: &HiveDb, r: Resource) -> bool {
-        let needles = self.topic_needles();
-        self.matches_with(db, r, &needles)
-    }
-
-    fn matches_with(&self, db: &HiveDb, r: Resource, needles: &[String]) -> bool {
-        match r {
-            Resource::Paper(p) => {
-                self.papers
-                    && db
-                        .get_paper(p)
-                        .map(|x| {
-                            self.venue.is_none_or(|v| x.venue == Some(v))
-                                && self.author.is_none_or(|a| x.authors.contains(&a))
-                                && (needles.is_empty()
-                                    || Self::text_on_topic(&x.text(), needles))
-                        })
-                        .unwrap_or(false)
-            }
-            Resource::Presentation(p) => {
-                self.presentations
-                    && db
-                        .get_presentation(p)
-                        .map(|x| {
-                            let venue_ok = self.venue.is_none_or(|v| {
-                                db.get_session(x.session)
-                                    .map(|s| s.conference == v)
-                                    .unwrap_or(false)
-                            });
-                            let paper = db.get_paper(x.paper).ok();
-                            let author_ok = self.author.is_none_or(|a| {
-                                paper.map(|pp| pp.authors.contains(&a)).unwrap_or(false)
-                            });
-                            let topic_ok = needles.is_empty()
-                                || paper
-                                    .map(|pp| Self::text_on_topic(&pp.text(), needles))
-                                    .unwrap_or(false);
-                            venue_ok && author_ok && topic_ok
-                        })
-                        .unwrap_or(false)
-            }
-            Resource::Session(s) => {
-                self.sessions
-                    && db
-                        .get_session(s)
-                        .map(|x| {
-                            self.venue.is_none_or(|v| x.conference == v)
-                                && self.author.is_none_or(|a| x.chair == Some(a))
-                                && (needles.is_empty()
-                                    || Self::text_on_topic(&x.text(), needles))
-                        })
-                        .unwrap_or(false)
-            }
-            Resource::User(u) => {
-                self.users
-                    && self.author.is_none()
-                    && db
-                        .get_user(u)
-                        .map(|x| {
-                            self.venue.is_none_or(|v| db.attends(u, v))
-                                && (needles.is_empty()
-                                    || Self::text_on_topic(&x.profile_text(), needles))
-                        })
-                        .unwrap_or(false)
-            }
-        }
-    }
-
-    /// Reference full-arena scan (the planner's fallback and the
-    /// equivalence oracle): papers, presentations, sessions, users,
-    /// each ascending — the kind order the legacy discover sweep used.
-    pub fn scan(&self, db: &HiveDb) -> Vec<Resource> {
-        let needles = self.topic_needles();
-        let mut out = Vec::new();
-        if self.papers {
-            out.extend(
-                db.paper_ids()
-                    .into_iter()
-                    .map(Resource::Paper)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.presentations {
-            out.extend(
-                db.presentation_ids()
-                    .into_iter()
-                    .map(Resource::Presentation)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.sessions {
-            out.extend(
-                db.session_ids()
-                    .into_iter()
-                    .map(Resource::Session)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.users {
-            out.extend(
-                db.user_ids()
-                    .into_iter()
-                    .map(Resource::User)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        out
-    }
-
-    /// Plans the query: with any scope present, candidates come from
-    /// the most selective applicable index per kind (topic postings,
-    /// then the db-side venue/author indexes) and the shared predicate
-    /// residual-filters them (counted as `idx.hit`); unscoped queries
-    /// are the full enumeration (counted as `idx.scan_fallback`).
-    /// Results are bit-identical to [`ResourceQuery::scan`].
-    pub fn run(&self, db: &HiveDb) -> Vec<Resource> {
-        let idx = db.indexes();
-        let needles = self.topic_needles();
-        if self.venue.is_none() && self.author.is_none() && needles.is_empty() {
-            hive_obs::count("idx.scan_fallback", 1);
-            return self.scan(db);
-        }
-        hive_obs::count("idx.hit", 1);
-        let mut out = Vec::new();
-
-        let paper_candidates = |sink: &mut Vec<PaperId>| {
-            if !needles.is_empty() {
-                intersect_postings(
-                    needles.iter().map(|n| idx.papers_on_topic(n)),
-                    sink,
-                );
-            } else if let Some(v) = self.venue {
-                sink.extend_from_slice(db.papers_at(v));
-            } else if let Some(a) = self.author {
-                sink.extend_from_slice(db.papers_of(a));
-            }
-        };
-
-        if self.papers {
-            let mut cands: Vec<PaperId> = Vec::new();
-            paper_candidates(&mut cands);
-            out.extend(
-                cands
-                    .into_iter()
-                    .map(Resource::Paper)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.presentations {
-            let mut cands: Vec<PresentationId> = Vec::new();
-            if !needles.is_empty() || self.author.is_some() {
-                // Presentations inherit topic and authorship from their
-                // paper: candidate presentations of candidate papers.
-                let mut papers: Vec<PaperId> = Vec::new();
-                paper_candidates(&mut papers);
-                if needles.is_empty() {
-                    if let Some(a) = self.author {
-                        papers.clear();
-                        papers.extend_from_slice(db.papers_of(a));
-                    }
-                }
-                for p in papers {
-                    cands.extend_from_slice(db.presentations_of_paper(p));
-                }
-            } else if let Some(v) = self.venue {
-                for &s in db.sessions_of(v) {
-                    cands.extend_from_slice(db.presentations_in(s));
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            out.extend(
-                cands
-                    .into_iter()
-                    .map(Resource::Presentation)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.sessions {
-            let mut cands: Vec<SessionId> = Vec::new();
-            if !needles.is_empty() {
-                intersect_postings(
-                    needles.iter().map(|n| idx.sessions_on_topic(n)),
-                    &mut cands,
-                );
-            } else if let Some(v) = self.venue {
-                cands.extend_from_slice(db.sessions_of(v));
-            } else {
-                // Author-only: no chair index — the arena is small, the
-                // predicate decides.
-                cands.extend(db.session_ids());
-            }
-            out.extend(
-                cands
-                    .into_iter()
-                    .map(Resource::Session)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        if self.users && self.author.is_none() {
-            let mut cands: Vec<UserId> = Vec::new();
-            if !needles.is_empty() {
-                intersect_postings(
-                    needles.iter().map(|n| idx.users_on_topic(n)),
-                    &mut cands,
-                );
-            } else if let Some(v) = self.venue {
-                cands.extend(db.attendees(v));
-            }
-            out.extend(
-                cands
-                    .into_iter()
-                    .map(Resource::User)
-                    .filter(|&r| self.matches_with(db, r, &needles)),
-            );
-        }
-        out
-    }
-}
-
-/// Intersects ascending postings lists into `sink` (ascending). With a
-/// single list this is a copy; an empty iterator yields nothing.
-fn intersect_postings<'a, T, I>(mut lists: I, sink: &mut Vec<T>)
-where
-    T: Copy + Ord + 'a,
-    I: Iterator<Item = &'a [T]>,
-{
-    let Some(first) = lists.next() else { return };
-    let mut acc: Vec<T> = first.to_vec();
-    for list in lists {
-        let mut next = Vec::with_capacity(acc.len().min(list.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < acc.len() && j < list.len() {
-            match acc[i].cmp(&list[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    next.push(acc[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc = next;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    sink.extend(acc);
 }
 
 #[cfg(test)]
@@ -918,9 +474,8 @@ mod tests {
 
     #[test]
     fn digest_tells_postings_apart() {
-        // by_actor {u0: [1, 2], u2: [3]} against {u0: [1], u2: [2, 3]},
-        // with the same category postings: without lengths both render
-        // the stream 0 1 2 2 3.
+        // by_actor {u0: [1, 2], u2: [3]} against {u0: [1], u2: [2, 3]}:
+        // without lengths both render the stream 0 1 2 2 3.
         let rec = |u: u32| ActivityRecord {
             user: UserId(u),
             event: ActivityEvent::ViewPaper(PaperId(0)),
@@ -931,7 +486,6 @@ mod tests {
             a.on_record(pos, &rec(ua));
             b.on_record(pos, &rec(ub));
         }
-        assert_eq!(a.category_postings(Cat::Browse), b.category_postings(Cat::Browse));
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -947,12 +501,8 @@ mod tests {
         db.create_workpad(users[0], "pad").unwrap();
         let base = db.indexes().clone();
         type Edit = fn(&mut DbIndexes);
-        let edits: [(&str, Edit); 20] = [
+        let edits: [(&str, Edit); 14] = [
             ("by_actor", |x| x.by_actor.entry(UserId(9)).or_default().push(0)),
-            ("by_category", |x| x.by_category[6].push(0)),
-            ("topic_papers", |x| x.topic_papers.entry("zz".into()).or_default().push(PaperId(0))),
-            ("topic_sessions", |x| x.topic_sessions.entry("zz".into()).or_default().push(SessionId(0))),
-            ("topic_users", |x| x.topic_users.entry("zz".into()).or_default().push(UserId(0))),
             ("follow_index", |x| {
                 x.follow_index.insert((UserId(2), UserId(0)));
             }),
@@ -964,12 +514,8 @@ mod tests {
             ("sessions_by_conf", |x| x.sessions_by_conf.entry(ConferenceId(1)).or_default().push(SessionId(0))),
             ("papers_by_author", |x| x.papers_by_author.entry(UserId(0)).or_default().push(PaperId(1))),
             ("papers_by_venue", |x| x.papers_by_venue.entry(ConferenceId(1)).or_default().push(PaperId(0))),
-            ("cited_by", |x| x.cited_by.entry(PaperId(1)).or_default().push(PaperId(0))),
             ("presentations_by_session", |x| {
                 x.presentations_by_session.entry(SessionId(0)).or_default().push(PresentationId(0))
-            }),
-            ("presentations_by_paper", |x| {
-                x.presentations_by_paper.entry(PaperId(1)).or_default().push(PresentationId(0))
             }),
             ("questions_by_target", |x| {
                 x.questions_by_target.entry(QaTarget::Session(SessionId(0))).or_default().push(QuestionId(0))
@@ -1018,34 +564,16 @@ mod tests {
     }
 
     #[test]
-    fn resource_query_matches_scan_and_prunes() {
-        let (db, users, conf, ..) = tiny_world();
-        let queries = vec![
-            ResourceQuery::new(),
-            ResourceQuery::new().at_venue(conf),
-            ResourceQuery::new().by_author(users[0]),
-            ResourceQuery::new().on_topic("tensor"),
-            ResourceQuery::new().on_topic("tensor streams").with_users(false),
-            ResourceQuery::new().at_venue(conf).on_topic("no such phrase anywhere"),
-        ];
-        for q in queries {
-            assert_eq!(q.run(&db), q.scan(&db), "query {q:?}");
-        }
-    }
-
-    #[test]
     fn planner_counts_hits_and_fallbacks() {
         let (db, users, ..) = tiny_world();
         hive_obs::reset();
         hive_obs::with_level(hive_obs::Level::Counts, || {
             let _ = ActivityQuery::new().with_actors(vec![users[0]]).run(&db);
             let _ = ActivityQuery::new().run(&db);
-            let _ = ResourceQuery::new().on_topic("tensor").run(&db);
-            let _ = ResourceQuery::new().run(&db);
         });
         let snap = hive_obs::snapshot();
-        assert_eq!(snap.counter("idx.hit"), 2);
-        assert_eq!(snap.counter("idx.scan_fallback"), 2);
+        assert_eq!(snap.counter("idx.hit"), 1);
+        assert_eq!(snap.counter("idx.scan_fallback"), 1);
         hive_obs::reset();
     }
 }

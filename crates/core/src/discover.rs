@@ -8,14 +8,14 @@
 //! (b) key concept extraction for automated annotations, and (c) content
 //! summarization."
 //!
-//! A search blends three signals: query-text match, similarity to the
-//! active context vector, and graph activation propagated from the
-//! context seeds over the unified knowledge network.
+//! A search scores every resource (papers, presentations, sessions and,
+//! unless excluded, user profiles) by blending three signals: query-text
+//! match, similarity to the active context vector, and graph activation
+//! propagated from the context seeds over the unified knowledge network.
 
 use crate::context::ActivityContext;
-use crate::db::index::ResourceQuery;
 use crate::db::HiveDb;
-use crate::ids::{ConferenceId, PaperId, PresentationId, SessionId, UserId};
+use crate::ids::{PaperId, PresentationId, SessionId, UserId};
 use crate::knowledge::{ContentVector, KnowledgeNetwork};
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
@@ -103,10 +103,6 @@ pub struct DiscoverConfig {
     pub include_users: bool,
     /// Key concepts per preview.
     pub concepts_per_hit: usize,
-    /// Restrict hits to one conference edition.
-    pub venue: Option<ConferenceId>,
-    /// Restrict hits to content authored (or chaired) by one user.
-    pub author: Option<UserId>,
 }
 
 impl DiscoverConfig {
@@ -121,8 +117,6 @@ impl DiscoverConfig {
             graph_weight: 0.2,
             include_users: true,
             concepts_per_hit: 3,
-            venue: None,
-            author: None,
         }
     }
 
@@ -165,19 +159,6 @@ impl DiscoverConfig {
     /// Sets the number of key concepts extracted per preview.
     pub fn with_concepts_per_hit(mut self, n: usize) -> Self {
         self.concepts_per_hit = n;
-        self
-    }
-
-    /// Restricts hits to one conference edition (papers published
-    /// there, its sessions and their presentations, its attendees).
-    pub fn with_venue(mut self, venue: ConferenceId) -> Self {
-        self.venue = Some(venue);
-        self
-    }
-
-    /// Restricts hits to content authored (or chaired) by one user.
-    pub fn with_author(mut self, author: UserId) -> Self {
-        self.author = Some(author);
         self
     }
 }
@@ -252,13 +233,11 @@ fn graph_activation(
 /// purely contextual (the recommendation mode of Table 1: "request
 /// resource recommendations based on context").
 ///
-/// Candidate resources come from the [`ResourceQuery`] planner: a
-/// venue- or author-scoped config walks index postings (`idx.hit`), an
-/// unscoped one enumerates the arenas (`idx.scan_fallback`), so
-/// unscoped results are unchanged from the retired inline sweep.
-///
-/// Every candidate is scored as a number; titles, previews and key
-/// concepts are built only for the `top_k` hits returned.
+/// Every resource is a candidate, enumerated from the arenas: papers,
+/// presentations, sessions, then users when `include_users` is set,
+/// each in id order. Every candidate is scored as a number; titles,
+/// previews and key concepts are built only for the `top_k` hits
+/// returned.
 pub fn search(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
@@ -282,16 +261,14 @@ pub fn search(
             _ => 0.0,
         }
     };
-    let mut candidates = ResourceQuery::new().with_users(cfg.include_users);
-    if let Some(v) = cfg.venue {
-        candidates = candidates.at_venue(v);
-    }
-    if let Some(a) = cfg.author {
-        candidates = candidates.by_author(a);
-    }
-    let mut scored: Vec<(Resource, f64)> = candidates
-        .run(db)
+    let users = if cfg.include_users { db.user_ids() } else { Vec::new() };
+    let mut scored: Vec<(Resource, f64)> = db
+        .paper_ids()
         .into_iter()
+        .map(Resource::Paper)
+        .chain(db.presentation_ids().into_iter().map(Resource::Presentation))
+        .chain(db.session_ids().into_iter().map(Resource::Session))
+        .chain(users.into_iter().map(Resource::User))
         .filter_map(|r| {
             let (q, c) = match resource_vector(kn, r) {
                 Some(v) => (

@@ -9,8 +9,8 @@
 //! relevance instead of pure recency.
 //!
 //! Log filtering is expressed as a [`ActivityQuery`] and planned
-//! against the database's indexes — actor/category postings or the
-//! clock-ordered binary search — instead of sweeping the full log.
+//! against the database's indexes — actor postings or the clock-ordered
+//! binary search — instead of sweeping the full log.
 
 use crate::clock::Timestamp;
 use crate::context::ActivityContext;
@@ -112,7 +112,7 @@ fn resource_text(db: &HiveDb, event: &ActivityEvent) -> String {
 /// Runs a history search. With a context, hits are ranked by the cosine
 /// between the context vector and the touched resource's text; without
 /// one, by recency. Candidate records come from the index planner
-/// (`idx.hit`) when the query names actors, categories, or a window.
+/// (`idx.hit`) when the query names actors or a window.
 pub fn search_history(
     db: &HiveDb,
     kn: &KnowledgeNetwork,

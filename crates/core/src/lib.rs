@@ -67,7 +67,7 @@ mod tier;
 pub mod trends;
 
 pub use api::Hive;
-pub use db::index::{ActivityQuery, DbIndexes, ResourceQuery, TickRange};
+pub use db::index::{ActivityQuery, DbIndexes, TickRange};
 pub use db::{DbDelta, HiveDb, DB_DELTA_LOG_CAP};
 pub use error::HiveError;
 pub use model::ActivityCategory;

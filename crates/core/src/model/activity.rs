@@ -96,7 +96,7 @@ pub enum ActivityCategory {
 }
 
 impl ActivityCategory {
-    /// Every category, in stable posting-slot order.
+    /// Every category, in declaration order.
     pub const ALL: [ActivityCategory; 7] = [
         ActivityCategory::Attend,
         ActivityCategory::CheckIn,
@@ -147,11 +147,6 @@ impl ActivityCategory {
     pub fn parse(label: &str) -> Option<Self> {
         ActivityCategory::ALL.into_iter().find(|c| c.label() == label)
     }
-
-    /// Dense posting-array slot of this category.
-    pub(crate) fn slot(self) -> usize {
-        self as usize
-    }
 }
 
 /// A timestamped log record.
@@ -197,8 +192,5 @@ mod tests {
             assert_eq!(ActivityCategory::parse(c.label()), Some(c));
         }
         assert_eq!(ActivityCategory::parse("no-such-category"), None);
-        // Slots are dense and unique: they address the posting arrays.
-        let slots: Vec<usize> = ActivityCategory::ALL.iter().map(|c| c.slot()).collect();
-        assert_eq!(slots, (0..ActivityCategory::ALL.len()).collect::<Vec<_>>());
     }
 }

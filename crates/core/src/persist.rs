@@ -6,8 +6,8 @@
 //! state, the activity log, the clock — and every secondary index is
 //! rebuilt on load by replaying the same per-row index hooks the live
 //! mutators call, so an index bug can't be frozen into a snapshot. A
-//! load refuses a snapshot that names a missing row
-//! ([`HiveError::Invalid`]).
+//! load refuses a snapshot that names a missing row, or whose log is
+//! out of clock order or later than its clock ([`HiveError::Invalid`]).
 
 use crate::clock::Timestamp;
 use crate::db::{DbDelta, HiveDb};
@@ -255,7 +255,8 @@ impl HiveDb {
 
     /// Restores a platform from a snapshot, rebuilding every secondary
     /// index through the live per-row hooks. A snapshot that names a
-    /// missing row is refused with [`HiveError::Invalid`].
+    /// missing row, or whose log is out of clock order or later than its
+    /// clock, is refused with [`HiveError::Invalid`].
     pub fn from_snapshot(snap: &PlatformSnapshot) -> Result<Self> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(HiveError::SnapshotVersion {
@@ -306,9 +307,6 @@ mod tests {
                 db.checkins_of(u).len()
             );
             assert_eq!(restored.active_workpad_of(u), db.active_workpad_of(u));
-        }
-        for p in db.paper_ids() {
-            assert_eq!(restored.citing(p), db.citing(p));
         }
         for s in db.session_ids() {
             assert_eq!(restored.presentations_in(s), db.presentations_in(s));
@@ -389,9 +387,6 @@ mod tests {
             assert_eq!(reloaded.workpads_of(u), clean.workpads_of(u));
             assert_eq!(reloaded.activities_of(u).len(), clean.activities_of(u).len());
         }
-        for p in clean.paper_ids() {
-            assert_eq!(reloaded.citing(p), clean.citing(p));
-        }
         for s in clean.session_ids() {
             assert_eq!(reloaded.presentations_in(s), clean.presentations_in(s));
             assert_eq!(reloaded.checkins_in(s).len(), clean.checkins_in(s).len());
@@ -437,7 +432,7 @@ mod tests {
         let clean = WorldBuilder::new(SimConfig::small()).build().db.snapshot();
         assert!(HiveDb::from_snapshot(&clean).is_ok());
         type Edit = fn(&mut PlatformSnapshot);
-        let edits: [(&str, Edit); 25] = [
+        let edits: [(&str, Edit); 27] = [
             ("log record's user", |s| s.log[0].user = UserId(GONE)),
             ("check-in event's session", |s| {
                 retarget(s, |e| match e {
@@ -495,6 +490,15 @@ mod tests {
             ("workpad's owner", |s| s.workpads.push(Workpad::new(UserId(GONE), "pad"))),
             ("follow filter without a follow", |s| {
                 s.follow_filters.push((UserId(0), UserId(0), vec!["discuss".into()]))
+            }),
+            ("log out of clock order", |s| {
+                let i = s.log.windows(2).position(|w| w[0].at < w[1].at).expect("the log spans ticks");
+                let (a, b) = (s.log[i].at, s.log[i + 1].at);
+                (s.log[i].at, s.log[i + 1].at) = (b, a);
+            }),
+            ("clock behind the log", |s| {
+                let last = s.log[s.log.len() - 1].at.ticks();
+                s.now = Timestamp(last - 1);
             }),
         ];
         for (what, edit) in edits {
