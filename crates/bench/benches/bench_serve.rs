@@ -1,7 +1,7 @@
 //! Epoch-snapshot serving benchmarks: reads/sec with 1/2/4 concurrent
 //! reader tasks sharing one `ReadHandle`, and the writer's
-//! epoch-publish latency for activity-only (delta-patch) and
-//! graph-touching publishes.
+//! epoch-publish latency after three kinds of write: a neutral comment,
+//! a paper view and a follow.
 //!
 //! Run: `cargo bench -p hive-bench --bench bench_serve`
 //!
@@ -14,8 +14,10 @@ use hive_bench::{
     header, iters, mean, metric, report, report_header, time_once, write_json_fragment,
 };
 use hive_core::discover::DiscoverConfig;
+use hive_core::model::QaTarget;
 use hive_core::serve::{Epoch, HiveServer};
 use hive_core::sim::{SimConfig, WorldBuilder};
+use hive_core::Hive;
 
 fn server() -> HiveServer {
     HiveServer::new(WorldBuilder::new(SimConfig::medium()).build().db)
@@ -72,35 +74,46 @@ fn bench_reads() {
     metric("host_threads", std::thread::available_parallelism().map_or(1.0, |p| p.get() as f64));
 }
 
-/// Writer-side publish latency: activity-only mutations patch the
-/// knowledge network forward through the delta log, graph-touching
-/// mutations additionally refresh the relationship snapshot.
+/// Times `n` publishes, each after one write by `write(hive, i)`.
+fn publish_after(s: &mut HiveServer, n: usize, write: impl Fn(&mut Hive, usize)) -> Vec<f64> {
+    let mut samples = Vec::with_capacity(n);
+    for i in 0..n {
+        s.writer().advance_clock(1);
+        write(s.writer(), i);
+        let ((), us) = time_once(|| {
+            std::hint::black_box(s.publish());
+        });
+        samples.push(us);
+    }
+    samples
+}
+
+/// Writer-side publish latency, one leg per kind of write:
+/// - `publish_neutral`: a comment journals a neutral delta, so every
+///   tier re-stamps and the publish is the database clone alone;
+/// - `publish_activity`: a paper view adds a knowledge-network edge, so
+///   the kn tier is patched and the PPR memo cleared, while the
+///   relationship snapshot, which has no view triples, re-stamps;
+/// - `publish_graph_touch`: a follow patches all three tiers.
 fn bench_publish() {
     header("serve_publish");
     report_header();
     let mut s = server();
     let users = s.hive().db().user_ids();
     let papers = s.hive().db().paper_ids();
+    let session = s.hive().db().session_ids()[0];
     let n = iters(20, 3);
-    let mut activity = Vec::with_capacity(n);
-    for i in 0..n {
-        s.writer().advance_clock(1);
-        s.writer().view_paper(users[i % users.len()], papers[i % papers.len()]).ok();
-        let ((), us) = time_once(|| {
-            std::hint::black_box(s.publish());
-        });
-        activity.push(us);
-    }
+    let neutral = publish_after(&mut s, n, |h, i| {
+        h.comment(users[i % users.len()], QaTarget::Session(session), "a neutral comment").ok();
+    });
+    report("publish_neutral", &neutral);
+    let activity = publish_after(&mut s, n, |h, i| {
+        h.view_paper(users[i % users.len()], papers[i % papers.len()]).ok();
+    });
     report("publish_activity", &activity);
-    let mut graph = Vec::with_capacity(n);
-    for i in 0..n {
-        s.writer().advance_clock(1);
-        s.writer().follow(users[i % users.len()], users[(i + 7) % users.len()]).ok();
-        let ((), us) = time_once(|| {
-            std::hint::black_box(s.publish());
-        });
-        graph.push(us);
-    }
+    let graph = publish_after(&mut s, n, |h, i| {
+        h.follow(users[i % users.len()], users[(i + 7) % users.len()]).ok();
+    });
     report("publish_graph_touch", &graph);
 }
 

@@ -132,8 +132,10 @@ impl Hive {
     }
 
     /// A copy of the facade as it stands: the database cloned and each
-    /// tier slot holding this one's stamp and `Arc`. A published epoch
-    /// is one (`serve.rs`), so it answers with these same methods.
+    /// tier slot holding this one's stamp and `Arc`. The clone shares
+    /// every arena chunk with this facade and copies the indexes, the
+    /// log and the delta journal. A published epoch is one
+    /// (`serve.rs`), so it answers with these same methods.
     pub(crate) fn pinned(&self) -> Hive {
         Hive {
             db: self.db.clone(),

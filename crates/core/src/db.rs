@@ -5,14 +5,24 @@
 //! need ([`index::DbIndexes`], kept current by one hook per row kind),
 //! an append-only activity log, and a logical clock. All mutating
 //! operations validate referential integrity and record activity.
+//!
+//! Each arena is a `ChunkVec` (`db/chunk.rs`): rows in copy-on-write
+//! chunks of 64, so the clone a publish makes shares every row, and
+//! the writer's first append or in-place write into a chunk a published
+//! epoch still shares copies that chunk alone. The indexes, the log and
+//! the delta journal are copied whole. A mutator decides through `&self`
+//! whether to refuse and takes `&mut` to a row only once it accepts, so
+//! a refused op copies no chunk.
 
 use crate::clock::{Clock, Timestamp};
 use crate::error::{HiveError, Result};
 use crate::ids::*;
 use crate::model::*;
+use chunk::ChunkVec;
 use index::DbIndexes;
 use std::collections::{HashMap, HashSet};
 
+mod chunk;
 pub mod index;
 
 /// Window of the mutation delta journal: [`HiveDb::deltas_since`]
@@ -125,27 +135,27 @@ impl DbDelta {
 #[derive(Clone, Debug, Default)]
 pub struct HiveDb {
     clock: Clock,
-    // Arenas.
-    users: Vec<User>,
-    conferences: Vec<Conference>,
-    sessions: Vec<Session>,
-    papers: Vec<Paper>,
-    presentations: Vec<Presentation>,
-    questions: Vec<Question>,
-    answers: Vec<Answer>,
-    comments: Vec<Comment>,
-    workpads: Vec<Workpad>,
-    collections: Vec<Collection>,
-    tweets: Vec<Tweet>,
+    // Arenas: a clone shares their chunks.
+    users: ChunkVec<User>,
+    conferences: ChunkVec<Conference>,
+    sessions: ChunkVec<Session>,
+    papers: ChunkVec<Paper>,
+    presentations: ChunkVec<Presentation>,
+    questions: ChunkVec<Question>,
+    answers: ChunkVec<Answer>,
+    comments: ChunkVec<Comment>,
+    workpads: ChunkVec<Workpad>,
+    collections: ChunkVec<Collection>,
+    tweets: ChunkVec<Tweet>,
     // Social state.
-    follows: Vec<Follow>,
+    follows: ChunkVec<Follow>,
     /// Per-follow category filter: when present, only events whose
     /// category is listed reach the follower's feed ("Zach highlights the
     /// set of researchers whose (session check-in, question, comment,
     /// answer) activities he would like to follow").
     follow_filters: HashMap<(UserId, UserId), Vec<String>>,
-    connections: Vec<Connection>,
-    checkins: Vec<CheckIn>,
+    connections: ChunkVec<Connection>,
+    checkins: ChunkVec<CheckIn>,
     attendance: HashSet<(UserId, ConferenceId)>,
     active_workpad: HashMap<UserId, WorkpadId>,
     // Activity log.
@@ -677,22 +687,21 @@ impl HiveDb {
             .connection_index
             .get(&key)
             .ok_or_else(|| HiveError::not_found("connection", format!("{from}-{to}")))?;
-        let now = self.clock.now();
-        {
-            let conn = &mut self.connections[idx];
-            if conn.state != ConnectionState::Pending {
-                return Err(HiveError::Conflict("connection not pending".into()));
-            }
-            if conn.to != to || conn.from != from {
-                return Err(HiveError::Conflict("only the recipient can respond".into()));
-            }
-            conn.state = if accept {
-                ConnectionState::Accepted
-            } else {
-                ConnectionState::Declined
-            };
-            conn.resolved_at = Some(now);
+        let conn = &self.connections[idx];
+        if conn.state != ConnectionState::Pending {
+            return Err(HiveError::Conflict("connection not pending".into()));
         }
+        if conn.to != to || conn.from != from {
+            return Err(HiveError::Conflict("only the recipient can respond".into()));
+        }
+        let now = self.clock.now();
+        let conn = &mut self.connections[idx];
+        conn.state = if accept {
+            ConnectionState::Accepted
+        } else {
+            ConnectionState::Declined
+        };
+        conn.resolved_at = Some(now);
         if accept {
             self.record(to, ActivityEvent::ConnectAccept(from));
         } else {
@@ -923,9 +932,10 @@ impl HiveDb {
             return Err(HiveError::Conflict("not your workpad".into()));
         }
         self.validate_item(&item, p)?;
-        if !self.workpads[pad.index()].add(item) {
+        if p.contains(&item) {
             return Err(HiveError::Conflict("item already on workpad".into()));
         }
+        self.workpads[pad.index()].add(item);
         self.record(user, ActivityEvent::WorkpadAdd(pad));
         Ok(())
     }
@@ -957,9 +967,10 @@ impl HiveDb {
         if p.owner != user {
             return Err(HiveError::Conflict("not your workpad".into()));
         }
-        if !self.workpads[pad.index()].remove(item) {
+        if !p.contains(item) {
             return Err(HiveError::not_found("workpad item", format!("{item:?}")));
         }
+        self.workpads[pad.index()].remove(item);
         self.bump(DbDelta::Neutral);
         Ok(())
     }
@@ -1045,21 +1056,21 @@ impl HiveDb {
         crate::persist::PlatformSnapshot {
             version: crate::persist::SNAPSHOT_VERSION,
             now: self.clock.now(),
-            users: self.users.clone(),
-            conferences: self.conferences.clone(),
-            sessions: self.sessions.clone(),
-            papers: self.papers.clone(),
-            presentations: self.presentations.clone(),
-            questions: self.questions.clone(),
-            answers: self.answers.clone(),
-            comments: self.comments.clone(),
-            workpads: self.workpads.clone(),
-            collections: self.collections.clone(),
-            tweets: self.tweets.clone(),
-            follows: self.follows.clone(),
+            users: self.users.to_vec(),
+            conferences: self.conferences.to_vec(),
+            sessions: self.sessions.to_vec(),
+            papers: self.papers.to_vec(),
+            presentations: self.presentations.to_vec(),
+            questions: self.questions.to_vec(),
+            answers: self.answers.to_vec(),
+            comments: self.comments.to_vec(),
+            workpads: self.workpads.to_vec(),
+            collections: self.collections.to_vec(),
+            tweets: self.tweets.to_vec(),
+            follows: self.follows.to_vec(),
             follow_filters,
-            connections: self.connections.clone(),
-            checkins: self.checkins.clone(),
+            connections: self.connections.to_vec(),
+            checkins: self.checkins.to_vec(),
             attendance,
             active_workpads,
             log: self.log.clone(),
@@ -1071,25 +1082,25 @@ impl HiveDb {
     ) -> Result<Self> {
         let mut db = HiveDb::default();
         db.clock.advance_to(snap.now);
-        db.users = snap.users.clone();
-        db.conferences = snap.conferences.clone();
-        db.sessions = snap.sessions.clone();
-        db.papers = snap.papers.clone();
-        db.presentations = snap.presentations.clone();
-        db.questions = snap.questions.clone();
-        db.answers = snap.answers.clone();
-        db.comments = snap.comments.clone();
-        db.workpads = snap.workpads.clone();
-        db.collections = snap.collections.clone();
-        db.tweets = snap.tweets.clone();
-        db.follows = snap.follows.clone();
+        db.users = snap.users.clone().into();
+        db.conferences = snap.conferences.clone().into();
+        db.sessions = snap.sessions.clone().into();
+        db.papers = snap.papers.clone().into();
+        db.presentations = snap.presentations.clone().into();
+        db.questions = snap.questions.clone().into();
+        db.answers = snap.answers.clone().into();
+        db.comments = snap.comments.clone().into();
+        db.workpads = snap.workpads.clone().into();
+        db.collections = snap.collections.clone().into();
+        db.tweets = snap.tweets.clone().into();
+        db.follows = snap.follows.clone().into();
         db.follow_filters = snap
             .follow_filters
             .iter()
             .map(|(a, b, cats)| ((*a, *b), cats.clone()))
             .collect();
-        db.connections = snap.connections.clone();
-        db.checkins = snap.checkins.clone();
+        db.connections = snap.connections.clone().into();
+        db.checkins = snap.checkins.clone().into();
         db.attendance = snap.attendance.iter().copied().collect();
         db.active_workpad = snap.active_workpads.iter().copied().collect();
         db.log = snap.log.clone();

@@ -21,13 +21,16 @@
 //!   and never held across a build.
 //!
 //! [`HiveServer::publish`] brings the facade's three tiers to the
-//! current generation and pins a copy of the facade: the database
-//! cloned with its indexes, each tier slot holding the writer's stamp
-//! and `Arc`. A tier the journaled [`crate::db::DbDelta`] window
-//! leaves unchanged hands the retiring epoch's `Arc` on under the new
-//! stamp; one the window changes is patched under `Arc::make_mut`,
-//! which copies because the retiring epoch still pins the old value,
-//! so that epoch keeps answering out of its own frozen structures.
+//! current generation and pins a copy of the facade: a database clone
+//! that shares the writer's arena chunks and copies its indexes, log
+//! and delta journal, and each tier slot holding the writer's stamp
+//! and `Arc`. The writer's first write into a chunk after a publish
+//! copies that chunk (`db/chunk.rs`), so the epoch keeps its rows. A
+//! tier the journaled [`crate::db::DbDelta`] window leaves unchanged
+//! hands the retiring epoch's `Arc` on under the new stamp; one the
+//! window changes is patched under `Arc::make_mut`, which copies
+//! because the retiring epoch still pins the old value, so that epoch
+//! keeps answering out of its own frozen structures.
 //! The one value an epoch shares mutably is the PPR memo: PPR-backed
 //! reads fill the memo the epoch shares with the writer's tier, and
 //! since each entry is an exact solve, a fill never changes an answer.
@@ -157,7 +160,7 @@ impl HiveServer {
 
     /// Pins the facade's current generation as an epoch: the three tiers
     /// are brought to it (re-stamped, patched or rebuilt there), then
-    /// the database is copied and each tier slot's stamp and `Arc`
+    /// the database is cloned and each tier slot's stamp and `Arc`
     /// pinned, so every read on the epoch is a tier hit.
     fn snapshot_epoch(hive: &Hive, seq: u64) -> Epoch {
         let kn = hive.knowledge();
@@ -248,7 +251,7 @@ mod tests {
     use super::*;
     use crate::discover::DiscoverConfig;
     use crate::ids::UserId;
-    use crate::model::QaTarget;
+    use crate::model::{QaTarget, User, WorkpadItem};
     use crate::peers::PeerRecConfig;
     use crate::sim::{SimConfig, WorldBuilder};
 
@@ -363,7 +366,67 @@ mod tests {
                 answers(&cold(&restamped)),
                 "re-stamped epoch must equal cold rebuild"
             );
+            // A window of paper views patches kn but writes no `rel:*`
+            // triple, so the relationship snapshot is re-stamped.
+            let paper = s.hive().db().paper_ids()[0];
+            s.writer().view_paper(u, paper).unwrap();
+            let viewed = s.publish();
+            assert!(!Arc::ptr_eq(&viewed.knowledge(), &restamped.knowledge()), "kn is patched");
+            let rel = |e: &Epoch| e.relationship_graph(&e.knowledge());
+            assert!(Arc::ptr_eq(&rel(&viewed), &rel(&restamped)), "rel is re-stamped, not copied");
+            assert_eq!(answers(&viewed), answers(&cold(&viewed)), "and equals a cold rebuild");
         });
+    }
+
+    /// An edit that rewrites a row in place.
+    type Edit = Box<dyn Fn(&mut Hive) -> Result<()>>;
+
+    #[test]
+    fn in_place_writes_leave_the_published_rows_alone() {
+        let mut s = server();
+        let w = s.writer();
+        let [a, b, c, d] = ["Ada", "Bo", "Cy", "Di"].map(|n| w.add_user(User::new(n, "Genoa")));
+        w.request_connection(a, b).unwrap();
+        w.request_connection(a, c).unwrap();
+        w.request_connection(a, d).unwrap();
+        w.respond_connection(d, a, false).unwrap();
+        let pres = w.db().presentation_ids()[0];
+        let presenter = w.db().get_presentation(pres).unwrap().presenter;
+        let pad = w.create_workpad(a, "pad").unwrap();
+        w.workpad_add(a, pad, WorkpadItem::UserAvatar(b)).unwrap();
+        let edits: Vec<(&str, Edit)> = vec![
+            ("accept", Box::new(move |h| h.respond_connection(b, a, true))),
+            ("decline", Box::new(move |h| h.respond_connection(c, a, false))),
+            ("retry a declined request", Box::new(move |h| h.request_connection(a, d))),
+            ("revise slides", Box::new(move |h| h.revise_slides(presenter, pres, "v2"))),
+            ("workpad add", Box::new(move |h| h.workpad_add(a, pad, WorkpadItem::UserAvatar(c)))),
+            ("workpad note", Box::new(move |h| h.workpad_note(a, pad, "note").map(|_| ()))),
+            (
+                "workpad remove",
+                Box::new(move |h| h.workpad_remove(a, pad, &WorkpadItem::UserAvatar(b))),
+            ),
+        ];
+        // The arenas these edits rewrite, and their sizes.
+        let rows = |db: &HiveDb| {
+            let snap = db.snapshot();
+            let sizes = (snap.connections.len(), snap.presentations.len(), snap.workpads.len());
+            (sizes, format!("{:?}", (snap.connections, snap.presentations, snap.workpads)))
+        };
+        for (name, edit) in edits {
+            let epoch = s.publish();
+            let frozen = epoch.db().to_json().unwrap();
+            let before = rows(s.hive().db());
+            let copied = hive_obs::with_level(hive_obs::Level::Counts, || {
+                hive_obs::reset();
+                edit(s.writer()).unwrap();
+                hive_obs::snapshot().counter("core.db.cow_rows")
+            });
+            let after = rows(s.hive().db());
+            assert_eq!(after.0, before.0, "{name}: the edit is in place");
+            assert_ne!(after.1, before.1, "{name}: the writer's row changed");
+            assert!(copied > 0, "{name}: the edit copied the chunk it shares with the epoch");
+            assert_eq!(epoch.db().to_json().unwrap(), frozen, "{name}: the epoch kept its rows");
+        }
     }
 
     #[test]

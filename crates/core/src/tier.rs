@@ -7,18 +7,19 @@
 //!
 //! * no window, or a structural delta → cold build with no copy first
 //!   (`core.<t>.miss`);
-//! * no graph edge in the window → the same `Arc` under the new stamp
-//!   (`core.<t>.delta`);
+//! * no delta in the window the tier is [`Derived::affected_by`] → the
+//!   same `Arc` under the new stamp (`core.<t>.delta`);
 //! * otherwise → `Arc::make_mut` plus [`Derived::patch`]
 //!   (`core.<t>.delta`). `make_mut` copies exactly when a published epoch
 //!   still pins the old value, so that epoch stays frozen.
 //!
 //! Re-stamping is exact: a delta that does not affect a tier is one its
-//! patch applies as a no-op ([`KnowledgeNetwork::apply_delta`] and
-//! [`crate::knowledge::apply_rel_delta`] ignore `Neutral`; the memo only
-//! clears on graph edges), so the re-stamped value is what a patch would
-//! have produced, and a patch is bit-identical to a cold build (the
-//! replay-order argument, DESIGN.md §11).
+//! patch applies as a no-op ([`KnowledgeNetwork::apply_delta`] ignores
+//! `Neutral`, [`crate::knowledge::apply_rel_delta`] also ignores
+//! `ViewPaper`, and the memo only clears on graph edges), so the
+//! re-stamped value is what a patch would have produced, and a patch is
+//! bit-identical to a cold build (the replay-order argument, DESIGN.md
+//! §11).
 
 use crate::db::{DbDelta, HiveDb};
 use crate::knowledge::{apply_rel_delta, FusionWeights, KnowledgeNetwork};
@@ -49,8 +50,14 @@ pub(crate) trait Derived: Clone {
     /// Span opened around a cold build (`None` when the build is trivial).
     const BUILD_SPAN: Option<&'static str>;
 
-    /// Applies `window` (no delta structural, at least one touching the
-    /// graph) in place.
+    /// Whether [`Derived::patch`] changes the value for `d`. The default
+    /// suits the kn tier and the memo: every graph edge changes them.
+    fn affected_by(d: &DbDelta) -> bool {
+        d.touches_graph()
+    }
+
+    /// Applies `window` (no delta structural, at least one the value is
+    /// affected by) in place.
     fn patch(&mut self, window: &[DbDelta]);
 }
 
@@ -93,7 +100,7 @@ impl<T: Derived> Tier<T> {
             if window.iter().any(DbDelta::is_structural) {
                 return None;
             }
-            if window.iter().any(DbDelta::touches_graph) {
+            if window.iter().any(T::affected_by) {
                 let span = hive_obs::span_enter(T::PATCH_SPAN, db.now().ticks());
                 Arc::make_mut(&mut value).patch(window);
                 hive_obs::span_exit(span, db.now().ticks());
@@ -156,6 +163,20 @@ impl Derived for RelSnapshot {
     const PATCH_SPAN: &'static str = "rel-delta";
     const BUILD_SPAN: Option<&'static str> = Some("rel-snapshot-build");
 
+    /// Exactly the deltas [`apply_rel_delta`] writes a triple for, so a
+    /// window of paper views re-stamps the snapshot instead of copying
+    /// it. Exhaustive on purpose (lint R10).
+    fn affected_by(d: &DbDelta) -> bool {
+        match d {
+            DbDelta::Connect { .. }
+            | DbDelta::Follow { .. }
+            | DbDelta::CheckIn { .. }
+            | DbDelta::Discuss { .. }
+            | DbDelta::Attend { .. } => true,
+            DbDelta::ViewPaper { .. } | DbDelta::Neutral | DbDelta::Structural => false,
+        }
+    }
+
     /// Extends the triple export with the window's events, then lets the
     /// CSR view consume the store's own delta log.
     fn patch(&mut self, window: &[DbDelta]) {
@@ -179,5 +200,37 @@ impl Derived for PprCache {
     /// change drops them all.
     fn patch(&mut self, _window: &[DbDelta]) {
         self.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::{SimConfig, WorldBuilder};
+
+    /// The rel tier re-stamps exactly when a patch would write nothing.
+    #[test]
+    fn rel_affected_by_matches_what_the_patch_writes() {
+        let world = WorldBuilder::new(SimConfig::small()).build();
+        let u = world.db.user_ids();
+        let s = world.db.session_ids()[0];
+        let c = world.db.conference_ids()[0];
+        let p = world.db.paper_ids()[0];
+        let variants = [
+            DbDelta::Neutral,
+            DbDelta::Structural,
+            DbDelta::Follow { follower: u[0], followee: u[1] },
+            DbDelta::Connect { a: u[2], b: u[3] },
+            DbDelta::CheckIn { user: u[0], session: s },
+            DbDelta::Attend { user: u[1], conf: c },
+            DbDelta::Discuss { author: u[2], session: s, paper: Some(p) },
+            DbDelta::Discuss { author: u[2], session: s, paper: None },
+            DbDelta::ViewPaper { user: u[3], paper: p },
+        ];
+        for d in variants {
+            let mut store = TripleStore::new();
+            apply_rel_delta(&mut store, &d);
+            assert_eq!(RelSnapshot::affected_by(&d), !store.is_empty(), "{d:?}");
+        }
     }
 }

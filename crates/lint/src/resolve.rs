@@ -211,8 +211,8 @@ const ITER_METHODS: &[&str] = &[
     "into_values", "retain", "intersection", "union", "difference", "symmetric_difference",
 ];
 
-/// Strips references and transparent wrappers (`Arc`/`Rc`/`Box`) from
-/// a type text, returning the remaining text (`Option<..>`, `HashMap<..>`
+/// Strips references and transparent wrappers (`Arc`/`Rc`/`Box`, bare
+/// or path-qualified) from a type text, returning the remaining text (`Option<..>`, `HashMap<..>`
 /// and the like stay intact — their name is the interesting part).
 pub fn peel_type(ty: &str) -> String {
     let mut t = ty.trim();
@@ -228,17 +228,14 @@ pub fn peel_type(ty: &str) -> String {
                 };
             }
         }
-        let mut peeled = false;
-        for w in ["Arc", "Rc", "Box"] {
-            if let Some(rest) = t.strip_prefix(w) {
-                if let Some(inner) = rest.strip_prefix('<') {
-                    t = inner.strip_suffix('>').unwrap_or(inner);
-                    peeled = true;
-                }
-            }
-        }
-        if !peeled {
-            return t.trim().to_string();
+        // The wrapper may be path-qualified (`std::sync::Arc<..>`).
+        let wrapper = t.split_once('<').filter(|(head, _)| {
+            let path_only = head.chars().all(|c| c.is_alphanumeric() || c == '_' || c == ':');
+            path_only && matches!(head.rsplit("::").next(), Some("Arc" | "Rc" | "Box"))
+        });
+        match wrapper {
+            Some((_, inner)) => t = inner.strip_suffix('>').unwrap_or(inner),
+            None => return t.trim().to_string(),
         }
     }
 }
@@ -1247,5 +1244,23 @@ fn classify_pat(
         Pat::Path { segs, .. } => arm_paths.push(segs.clone()),
         Pat::Ref(inner) => classify_pat(inner, arm_paths, has_wild, has_binding),
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wrappers_peel_bare_or_path_qualified() {
+        assert_eq!(peel_type("Arc<HashMap<K, V>>"), "HashMap<K, V>");
+        assert_eq!(peel_type("std::sync::Arc<HashMap<K, V>>"), "HashMap<K, V>");
+        assert_eq!(type_head("std::sync::Arc<HashMap<K, V>>"), "HashMap");
+        assert_eq!(type_head("std::rc::Rc<HashSet<u32>>"), "HashSet");
+        assert_eq!(type_head("&std::boxed::Box<HashMap<K, V>>"), "HashMap");
+        assert_eq!(type_head("&mut ::std::sync::Arc<Box<HashMap<K, V>>>"), "HashMap");
+        // Only a wrapper at the head peels.
+        assert_eq!(type_head("HashMap<u32, std::sync::Arc<T>>"), "HashMap");
+        assert_eq!(type_head("my::Boxed<HashMap<K, V>>"), "Boxed");
     }
 }

@@ -345,6 +345,31 @@ pub fn tally(m: &HashMap<String, u64>) -> u64 {
 }
 
 #[test]
+fn r12_sees_a_hashmap_behind_a_path_qualified_arc() {
+    let cfg = WorkspaceConfig::default();
+    let src = "\
+pub struct Tally {
+    counts: std::sync::Arc<HashMap<String, u64>>,
+}
+
+impl Tally {
+    // lint:root(determinism)
+    pub fn fingerprint(&self) -> u64 {
+        let mut t = 0;
+        for v in self.counts.values() {
+            t += v;
+        }
+        t
+    }
+}
+";
+    let diags = analyze(&cfg, &[("a/lib.rs", "a", src)]);
+    let taints = only(&diags, rules::DETERMINISM_TAINT);
+    assert_eq!(taints.len(), 1, "{diags:?}");
+    assert_eq!(taints[0].line, 9, "the .values() iteration");
+}
+
+#[test]
 fn r12_fires_on_hashset_set_operation_reachable_from_a_root() {
     let cfg = WorkspaceConfig::default();
     // The first element of an intersection is an arbitrary member of a

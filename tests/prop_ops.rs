@@ -7,10 +7,17 @@
 //! small world with the replication workload (`synth::step_ops`)
 //! interleaved with ops built to be refused: ids past the end of every
 //! arena, empty texts, self-follows and self-connections, workpad edits
-//! by a non-owner, presentations by a non-author and slide revisions by
-//! a non-presenter. Whenever `apply` returns `Err`, the generation, the
-//! delta journal, the activity log length and the bytes of
-//! `HiveDb::to_json()` must equal what they were before the op.
+//! by a non-owner, presentations by a non-author, slide revisions by a
+//! non-presenter, and refusals decided at an existing row: a response
+//! to a request that is settled or not the responder's, a duplicate
+//! workpad item and the removal of an item not on the pad. Whenever
+//! `apply` returns `Err`, the generation, the delta journal, the
+//! activity log length and the bytes of `HiveDb::to_json()` must equal
+//! what they were before the op.
+//!
+//! Each op runs while a clone of the database shares its row chunks, as
+//! a published epoch does, and a refused op must copy none of them: the
+//! `core.db.cow_rows` counter stays where it was.
 
 use hive_bench::prop::check;
 use hive_bench::prop_ensure;
@@ -65,8 +72,10 @@ fn far(rng: &mut Rng) -> u32 {
     (1 << 20) + rng.gen_range(0..3u32)
 }
 
-/// An op the platform should refuse, drawn against the current state.
-fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
+/// Ops the platform should refuse, drawn against the current state: one
+/// op, or an item dropped twice onto its owner's pad, where the second
+/// copy is refused.
+fn refused_ops(hive: &Hive, rng: &mut Rng) -> Vec<ReplOp> {
     let db = hive.db();
     let users = db.user_ids();
     let u = users[rng.gen_range(0..users.len())];
@@ -74,7 +83,7 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
     let session = SessionId(rng.gen_range(0..db.session_ids().len() as u32));
     let ghost_user = UserId(past(users.len(), rng));
     let empty = String::new();
-    match rng.gen_range(0..18u32) {
+    let op = match rng.gen_range(0..21u32) {
         0 => ReplOp::Follow(FollowOp { follower: u, followee: u }),
         1 => ReplOp::RequestConnection(RequestConnectionOp { from: u, to: u }),
         2 => ReplOp::Follow(FollowOp { follower: u, followee: ghost_user }),
@@ -173,6 +182,34 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
                 _ => ReplOp::ExportWorkpad(ExportWorkpadOp { user, pad }),
             }
         }
+        17 => {
+            // A response refused at the request's row: the requester
+            // answering its own pending request, or anyone answering a
+            // settled one.
+            let pending = users.iter().find_map(|&recipient| {
+                db.pending_requests_for(recipient).first().map(|&requester| (requester, recipient))
+            });
+            let settled = users.iter().find_map(|&x| db.connections_of(x).first().map(|&y| (x, y)));
+            let pick =
+                if rng.gen_range(0..2u32) == 0 { pending.or(settled) } else { settled.or(pending) };
+            let (to, from) = pick.unwrap_or((u, ghost_user));
+            ReplOp::RespondConnection(RespondConnectionOp { to, from, accept: rng.gen_bool(0.5) })
+        }
+        18 => {
+            // An owner dropping the same item twice.
+            let (user, pad) = owned_pad(db, &users).unwrap_or((u, WorkpadId(far(rng))));
+            let add = ReplOp::WorkpadAdd(WorkpadAddOp {
+                user,
+                pad,
+                item: WorkpadItem::Session(session),
+            });
+            return vec![add.clone(), add];
+        }
+        19 => {
+            // An owner removing an item that is not on the pad.
+            let (user, pad) = owned_pad(db, &users).unwrap_or((u, WorkpadId(far(rng))));
+            ReplOp::WorkpadRemove(WorkpadRemoveOp { user, pad, item: WorkpadItem::Note(far(rng)) })
+        }
         _ => {
             // An owner's own pad, with an item whose id overruns its arena.
             let pad = db.workpads_of(u).first().copied().unwrap_or(WorkpadId(far(rng)));
@@ -184,13 +221,29 @@ fn refused_op(hive: &Hive, rng: &mut Rng) -> ReplOp {
             };
             ReplOp::WorkpadAdd(WorkpadAddOp { user: u, pad, item })
         }
-    }
+    };
+    vec![op]
+}
+
+/// Some user's first workpad, with its owner.
+fn owned_pad(db: &HiveDb, users: &[UserId]) -> Option<(UserId, WorkpadId)> {
+    users.iter().find_map(|&owner| Some((owner, *db.workpads_of(owner).first()?)))
+}
+
+/// Rows copied on write so far on this thread.
+fn cow_rows() -> u64 {
+    hive_obs::snapshot().counter("core.db.cow_rows")
 }
 
 #[test]
 fn rejected_ops_leave_no_trace() {
+    hive_obs::with_level(hive_obs::Level::Counts, rejected_ops_leave_no_trace_counted);
+}
+
+fn rejected_ops_leave_no_trace_counted() {
     let mut rejected = 0usize;
     let mut applied = 0usize;
+    let mut copied_by_applied = 0u64;
     check("ops::rejected_ops_leave_no_trace", CASES, |rng| {
         let world = WorldBuilder::new(SimConfig {
             seed: rng.gen_range(0..1u64 << 32),
@@ -200,14 +253,25 @@ fn rejected_ops_leave_no_trace() {
         let mut hive = Hive::new(world.db);
         for step in 0..STEPS {
             let mut batch = synth::step_ops(&hive, step, rng);
-            batch.push(refused_op(&hive, rng));
+            batch.extend(refused_ops(&hive, rng));
             for op in &batch {
                 let before = trace(hive.db())?;
-                if ops::apply(op, &mut hive).is_ok() {
+                let pinned = hive.db().clone();
+                let cow_before = cow_rows();
+                let outcome = ops::apply(op, &mut hive);
+                let copied = cow_rows() - cow_before;
+                drop(pinned);
+                if outcome.is_ok() {
                     applied += 1;
+                    copied_by_applied += copied;
                     continue;
                 }
                 rejected += 1;
+                prop_ensure!(
+                    copied == 0,
+                    "step {step}: rejected {} copied {copied} shared rows",
+                    op.label()
+                );
                 let after = trace(hive.db())?;
                 prop_ensure!(
                     after == before,
@@ -229,4 +293,6 @@ fn rejected_ops_leave_no_trace() {
     // Both outcomes were exercised, so the property is not vacuous.
     assert!(rejected >= CASES * STEPS / 2, "only {rejected} ops were rejected");
     assert!(applied >= CASES * STEPS, "only {applied} ops were applied");
+    // Applied ops do copy shared chunks, so the counter is live.
+    assert!(copied_by_applied > 0, "no applied op copied a shared chunk");
 }
