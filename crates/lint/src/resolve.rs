@@ -212,8 +212,9 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// Strips references and transparent wrappers (`Arc`/`Rc`/`Box`, bare
-/// or path-qualified) from a type text, returning the remaining text (`Option<..>`, `HashMap<..>`
-/// and the like stay intact — their name is the interesting part).
+/// or path-qualified) from a type text, returning the remaining text
+/// (`Option<..>`, `HashMap<..>` and the like stay intact — their name is
+/// the interesting part).
 pub fn peel_type(ty: &str) -> String {
     let mut t = ty.trim();
     loop {
