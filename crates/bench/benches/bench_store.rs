@@ -116,14 +116,14 @@ fn bench_paths() {
         let mut cold = Vec::with_capacity(runs);
         let mut warm = Vec::with_capacity(runs);
         std::hint::black_box(q.run(&st).ok());
-        std::hint::black_box(q.run_on(&st, &view).ok());
+        std::hint::black_box(q.run_on(st.dict(), &view).ok());
         for _ in 0..runs {
             let ((), c) = time_once(|| {
                 std::hint::black_box(q.run(&st).ok());
             });
             cold.push(c);
             let ((), w) = time_once(|| {
-                std::hint::black_box(q.run_on(&st, &view).ok());
+                std::hint::black_box(q.run_on(st.dict(), &view).ok());
             });
             warm.push(w);
         }

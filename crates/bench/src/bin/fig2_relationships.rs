@@ -87,7 +87,7 @@ fn main() {
             let _ = query.run(&store);
         });
         let shared = time_n(10, || {
-            let _ = query.run_on(&store, &view);
+            let _ = query.run_on(store.dict(), &view);
         });
         for (how, samples) in [("view built per query", built), ("over one view", shared)] {
             eprintln!(

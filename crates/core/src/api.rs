@@ -266,14 +266,14 @@ impl Hive {
     }
 
     /// Figure 2: relationship discovery and explanation between peers.
-    /// The underlying `rel:*` store and its CSR view are cached per
-    /// database generation, so repeated explanations only pay for the
-    /// path search itself.
+    /// The `rel:*` export's term dictionary and its CSR view are cached
+    /// per database generation, so repeated explanations only pay for
+    /// the path search itself.
     pub fn explain_relationship(&self, a: UserId, b: UserId) -> RelationshipExplanation {
         self.service(ServiceKind::RelationshipExplanation, |h| {
             let kn = h.knowledge();
             let rel = h.relationship_graph(&kn);
-            evidence::explain_relationship_with_view(&h.db, &kn, &rel.store, &rel.view, a, b, 3)
+            evidence::explain_relationship_with_view(&h.db, &kn, &rel.dict, &rel.view, a, b, 3)
         })
     }
 
@@ -592,22 +592,32 @@ mod tests {
             let r1 = h.relationship_graph(&kn);
             let r2 = h.relationship_graph(&kn);
             assert!(Arc::ptr_eq(&r1, &r2), "warm snapshot reused");
-            let deltas = || {
+            let moved = || {
                 let snap = hive_obs::snapshot();
-                (snap.counter("core.kn.delta"), snap.counter("core.rel.delta"))
+                ["core.kn.delta", "core.kn.patch", "core.rel.delta", "core.rel.patch"]
+                    .map(|c| snap.counter(c))
             };
-            let (kn0, rel0) = deltas();
+            let [kn_delta, kn_patch, rel_delta, rel_patch] = moved();
             let session = QaTarget::Session(h.db().session_ids()[0]);
             h.comment(users[0], session, "a neutral write").unwrap();
             let kn2 = h.knowledge();
             assert!(Arc::ptr_eq(&kn, &kn2), "a neutral window re-stamps the network");
             assert!(Arc::ptr_eq(&r1, &h.relationship_graph(&kn2)), "and the rel snapshot");
-            assert_eq!(deltas(), (kn0 + 1, rel0 + 1), "a re-stamp counts as a delta");
+            assert_eq!(
+                moved(),
+                [kn_delta + 1, kn_patch, rel_delta + 1, rel_patch],
+                "a re-stamp counts as a delta and not as a patch"
+            );
             let gen_before = h.db().generation();
             h.follow(users[1], users[2]).unwrap();
             assert!(h.db().generation() > gen_before, "mutation bumps generation");
             let kn3 = h.knowledge();
             let r3 = h.relationship_graph(&kn3);
+            assert_eq!(
+                moved(),
+                [kn_delta + 2, kn_patch + 1, rel_delta + 2, rel_patch + 1],
+                "a follow patches both tiers"
+            );
             assert!(!Arc::ptr_eq(&kn, &kn3), "a graph-touching window patches a copy");
             assert!(Arc::ptr_eq(&kn.corpus, &kn3.corpus), "the copy shares the corpus");
             assert!(Arc::ptr_eq(&kn.user_vectors, &kn3.user_vectors), "and the vectors");

@@ -21,7 +21,7 @@ use crate::discover::Resource;
 use crate::ids::{ConferenceId, PaperId, SessionId, UserId};
 use crate::knowledge::KnowledgeNetwork;
 use crate::model::{ActivityEvent, Paper, QaTarget, User};
-use hive_store::{GraphView, PathQuery, Term, TripleStore};
+use hive_store::{GraphView, PathQuery, Term, TermDict, TripleStore};
 use hive_text::tokenize::tokenize_filtered;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -580,16 +580,16 @@ pub fn explain_relationship(
     top_paths: usize,
 ) -> RelationshipExplanation {
     let view = GraphView::build(store);
-    explain_relationship_with_view(db, kn, store, &view, a, b, top_paths)
+    explain_relationship_with_view(db, kn, store.dict(), &view, a, b, top_paths)
 }
 
-/// [`explain_relationship`] over a pre-built [`GraphView`] snapshot of
-/// `store` — the cached fast path used by the `Hive` facade, which keys
-/// the view by database generation.
+/// [`explain_relationship`] over a pre-built [`GraphView`] and the term
+/// dictionary its ids come from — the cached fast path used by the
+/// `Hive` facade, which keys the two by database generation.
 pub fn explain_relationship_with_view(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
-    store: &TripleStore,
+    dict: &TermDict,
     view: &GraphView,
     a: UserId,
     b: UserId,
@@ -600,8 +600,8 @@ pub fn explain_relationship_with_view(
     let paths = PathQuery::new(Term::iri(a.iri()), Term::iri(b.iri()))
         .top_k(top_paths.max(1))
         .max_hops(4)
-        .run_on(store, view)
-        .map(|ps| ps.iter().map(|p| p.explain(store)).collect())
+        .run_on(dict, view)
+        .map(|ps| ps.iter().map(|p| p.explain(dict)).collect())
         .unwrap_or_default();
     RelationshipExplanation { a, b, items, combined, paths }
 }

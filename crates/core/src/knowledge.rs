@@ -24,11 +24,13 @@
 //! co-authorship and citation graphs, the corpus and the four vector
 //! maps) sit behind `Arc`s, and so does the social layer, which only
 //! follows and connections change: a patch of a network that a published
-//! epoch still pins copies the unified layer and its CSR, plus the social
-//! layer when the window holds a follow or connection, and shares the
-//! rest. The **concept-map layers** (paper abstracts and session topics,
-//! aligned and integrated via `hive-concept`) are built on demand by
-//! [`concept_layers`] and are not cached.
+//! epoch still pins copies the unified layer, plus the social layer when
+//! the window holds a follow or connection, and shares the rest. The CSR
+//! of the unified layer is an `Arc` too, which the patch replaces with a
+//! fresh derivation instead of copying. The **concept-map layers**
+//! (paper abstracts and session topics, aligned and integrated via
+//! `hive-concept`) are built on demand by [`concept_layers`] and are not
+//! cached.
 //!
 //! The content layer also memoizes each resource's key concepts (its
 //! full ranked TextRank phrase list), filled lazily by the searches that
@@ -127,9 +129,9 @@ impl ContentVector {
     }
 }
 
-/// The derived knowledge network. Cloning it copies the unified layer
-/// and its CSR; the `Arc` layers are shared until a patch writes one,
-/// and the key-concept memo is shared for good.
+/// The derived knowledge network. Cloning it copies the unified layer;
+/// the `Arc` layers are shared until a patch writes one, the CSR until a
+/// patch re-derives it, and the key-concept memo for good.
 #[derive(Clone, Debug)]
 pub struct KnowledgeNetwork {
     /// Social layer: connections (undirected, weight 1) and follows
@@ -143,8 +145,10 @@ pub struct KnowledgeNetwork {
     pub unified: Graph,
     /// CSR snapshot of [`Self::unified`], built once so every PPR run
     /// (peer recommendation, contextual search, session prediction)
-    /// skips the per-call adjacency flattening.
-    pub unified_csr: CsrView,
+    /// skips the per-call adjacency flattening. Behind an `Arc` because
+    /// a patch replaces it whole ([`Self::refresh_unified_csr`]), so a
+    /// copy of the network need not copy it first.
+    pub unified_csr: Arc<CsrView>,
     /// Content corpus over papers, presentations, sessions, and profiles.
     pub corpus: Arc<Corpus>,
     /// TF-IDF vectors per paper.
@@ -172,7 +176,7 @@ impl KnowledgeNetwork {
         let coauthor = build_coauthor(db, &w);
         let citation = build_citation(db, &w);
         let unified = build_unified(db, &w);
-        let unified_csr = CsrView::build(&unified);
+        let unified_csr = Arc::new(CsrView::build(&unified));
         let (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors) =
             build_content(db);
         KnowledgeNetwork {
@@ -231,10 +235,12 @@ impl KnowledgeNetwork {
     /// `rel:discussed_in`, `rel:attended`, `rel:session_of`.
     ///
     /// The export is **static entities first, then a chronological
-    /// replay of the activity log** ([`HiveDb::replay_deltas`]). That
-    /// exact insertion sequence is what [`apply_rel_delta`] continues,
-    /// so a cached store patched with [`HiveDb::deltas_since`] ends up
-    /// byte-identical (term-id assignment included) to a fresh export.
+    /// replay of the activity log** ([`HiveDb::replay_deltas`]), each
+    /// event's triple being `rel_triple`'s. The relationship tier keeps
+    /// this export's dictionary and view and continues that insertion
+    /// sequence through the journal window: it interns each window
+    /// triple's terms in the order [`TripleStore::insert`] does, so its
+    /// term ids, and the view they key, equal a fresh export's.
     pub fn to_store(&self, db: &HiveDb) -> TripleStore {
         let mut st = TripleStore::new();
         // Co-authorship with shared-paper counts.
@@ -259,24 +265,24 @@ impl KnowledgeNetwork {
         let mut coauth: Vec<_> = coauth.into_iter().collect();
         coauth.sort_by_key(|&(pair, _)| pair);
         for ((a, b), n) in coauth {
-            ins(&mut st, a.iri(), "rel:coauthor", b.iri(), (0.5 + 0.1 * n).min(1.0));
+            ins(&mut st, rel(a.iri(), "rel:coauthor", b.iri(), (0.5 + 0.1 * n).min(1.0)));
         }
         for p in db.paper_ids() {
             let Ok(paper) = db.get_paper(p) else { continue; };
             for &a in &paper.authors {
-                ins(&mut st, a.iri(), "rel:authored", p.iri(), 1.0);
+                ins(&mut st, rel(a.iri(), "rel:authored", p.iri(), 1.0));
             }
             for &c in &paper.citations {
-                ins(&mut st, p.iri(), "rel:cites", c.iri(), 0.7);
+                ins(&mut st, rel(p.iri(), "rel:cites", c.iri(), 0.7));
             }
         }
         for pres_id in db.presentation_ids() {
             let Ok(pres) = db.get_presentation(pres_id) else { continue; };
-            ins(&mut st, pres.paper.iri(), "rel:presented_in", pres.session.iri(), 0.9);
+            ins(&mut st, rel(pres.paper.iri(), "rel:presented_in", pres.session.iri(), 0.9));
         }
         for s in db.session_ids() {
             let Ok(sess) = db.get_session(s) else { continue; };
-            ins(&mut st, s.iri(), "rel:session_of", sess.conference.iri(), 0.8);
+            ins(&mut st, rel(s.iri(), "rel:session_of", sess.conference.iri(), 0.8));
         }
         for d in db.replay_deltas() {
             apply_rel_delta(&mut st, &d);
@@ -319,37 +325,54 @@ impl KnowledgeNetwork {
     /// Re-derives [`Self::unified_csr`] from [`Self::unified`]; call once
     /// after a batch of [`Self::apply_delta`].
     pub fn refresh_unified_csr(&mut self) {
-        self.unified_csr = CsrView::build(&self.unified);
+        self.unified_csr = Arc::new(CsrView::build(&self.unified));
     }
 }
 
+/// One `rel:*` triple of the export: subject, predicate, object and a
+/// weight clamped into `(0, 1]`.
+pub(crate) type RelTriple = (Term, Term, Term, f64);
+
+fn rel(s: String, p: &str, o: String, w: f64) -> RelTriple {
+    (Term::iri(s), Term::iri(p), Term::iri(o), w.clamp(f64::MIN_POSITIVE, 1.0))
+}
+
 // lint:mutator(TripleStore)
-fn ins(st: &mut TripleStore, s: String, p: &str, o: String, w: f64) {
-    let w = w.clamp(f64::MIN_POSITIVE, 1.0);
-    // Weight is clamped into (0, 1] above and both positions are
-    // IRIs, so this cannot fail; ignore rather than panic.
-    let _ = st.insert(Term::iri(s), Term::iri(p), Term::iri(o), w);
+fn ins(st: &mut TripleStore, (s, p, o, w): RelTriple) {
+    // The weight is clamped into (0, 1] and both positions are IRIs, so
+    // this cannot fail; ignore rather than panic.
+    let _ = st.insert(s, p, o, w);
+}
+
+/// The `rel:*` triple a patchable delta writes, if any: the one mapping
+/// both the cold export ([`apply_rel_delta`]) and the relationship
+/// tier's patch read. Neutral, structural and paper-view deltas write
+/// none.
+pub(crate) fn rel_triple(d: &DbDelta) -> Option<RelTriple> {
+    match *d {
+        DbDelta::Connect { a, b } => Some(rel(a.iri(), "rel:connected", b.iri(), 1.0)),
+        DbDelta::Follow { follower, followee } => {
+            Some(rel(follower.iri(), "rel:follows", followee.iri(), 0.5))
+        }
+        DbDelta::CheckIn { user, session } => {
+            Some(rel(user.iri(), "rel:checked_in", session.iri(), 0.9))
+        }
+        DbDelta::Discuss { author, session, .. } => {
+            Some(rel(author.iri(), "rel:discussed_in", session.iri(), 0.8))
+        }
+        DbDelta::Attend { user, conf } => Some(rel(user.iri(), "rel:attended", conf.iri(), 0.6)),
+        DbDelta::ViewPaper { .. } | DbDelta::Neutral | DbDelta::Structural => None,
+    }
 }
 
 /// Applies one patchable delta to a `rel:*` triple export, continuing
-/// the insertion sequence of [`KnowledgeNetwork::to_store`]. Neutral and
-/// structural deltas are no-ops (the latter must trigger a rebuild —
-/// see [`KnowledgeNetwork::apply_delta`]).
+/// the insertion sequence of [`KnowledgeNetwork::to_store`]. Deltas
+/// without a `rel:*` triple are no-ops (a structural one must trigger
+/// a rebuild — see [`KnowledgeNetwork::apply_delta`]).
 // lint:mutator(TripleStore)
 pub fn apply_rel_delta(st: &mut TripleStore, d: &DbDelta) {
-    match *d {
-        DbDelta::Connect { a, b } => ins(st, a.iri(), "rel:connected", b.iri(), 1.0),
-        DbDelta::Follow { follower, followee } => {
-            ins(st, follower.iri(), "rel:follows", followee.iri(), 0.5)
-        }
-        DbDelta::CheckIn { user, session } => {
-            ins(st, user.iri(), "rel:checked_in", session.iri(), 0.9)
-        }
-        DbDelta::Discuss { author, session, .. } => {
-            ins(st, author.iri(), "rel:discussed_in", session.iri(), 0.8)
-        }
-        DbDelta::Attend { user, conf } => ins(st, user.iri(), "rel:attended", conf.iri(), 0.6),
-        DbDelta::ViewPaper { .. } | DbDelta::Neutral | DbDelta::Structural => {}
+    if let Some(t) = rel_triple(d) {
+        ins(st, t);
     }
 }
 

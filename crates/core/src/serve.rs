@@ -369,8 +369,14 @@ mod tests {
             // A window of paper views patches kn but writes no `rel:*`
             // triple, so the relationship snapshot is re-stamped.
             let paper = s.hive().db().paper_ids()[0];
+            let patches = || {
+                let snap = hive_obs::snapshot();
+                (snap.counter("core.kn.patch"), snap.counter("core.rel.patch"))
+            };
+            let (kn_patches, rel_patches) = patches();
             s.writer().view_paper(u, paper).unwrap();
             let viewed = s.publish();
+            assert_eq!(patches(), (kn_patches + 1, rel_patches), "only kn counts a patch");
             assert!(!Arc::ptr_eq(&viewed.knowledge(), &restamped.knowledge()), "kn is patched");
             let rel = |e: &Epoch| e.relationship_graph(&e.knowledge());
             assert!(Arc::ptr_eq(&rel(&viewed), &rel(&restamped)), "rel is re-stamped, not copied");

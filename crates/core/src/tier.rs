@@ -10,21 +10,28 @@
 //! * no delta in the window the tier is [`Derived::affected_by`] → the
 //!   same `Arc` under the new stamp (`core.<t>.delta`);
 //! * otherwise → `Arc::make_mut` plus [`Derived::patch`]
-//!   (`core.<t>.delta`). `make_mut` copies exactly when a published epoch
-//!   still pins the old value, so that epoch stays frozen.
+//!   (`core.<t>.delta` and `core.<t>.patch`). `make_mut` copies exactly
+//!   when a published epoch still pins the old value, so that epoch stays
+//!   frozen.
 //!
 //! Re-stamping is exact: a delta that does not affect a tier is one its
 //! patch applies as a no-op ([`KnowledgeNetwork::apply_delta`] ignores
-//! `Neutral`, [`crate::knowledge::apply_rel_delta`] also ignores
-//! `ViewPaper`, and the memo only clears on graph edges), so the
-//! re-stamped value is what a patch would have produced, and a patch is
-//! bit-identical to a cold build (the replay-order argument, DESIGN.md
-//! §11).
+//! `Neutral`, the relationship patch writes only
+//! [`crate::knowledge::rel_triple`]s, which `ViewPaper` has none of, and
+//! the memo only clears on graph edges), so the re-stamped value is what
+//! a patch would have produced, and a patch is bit-identical to a cold
+//! build (the replay-order argument, DESIGN.md §11).
+//!
+//! The relationship tier holds only what an explanation reads: the term
+//! dictionary of the `rel:*` export and its [`GraphView`]. Its patch maps
+//! each window delta to its triple, interns the triple's terms (copying
+//! the shared dictionary only when a term is new), and splices the
+//! triples into the view with [`GraphView::apply_ops`].
 
 use crate::db::{DbDelta, HiveDb};
-use crate::knowledge::{apply_rel_delta, FusionWeights, KnowledgeNetwork};
+use crate::knowledge::{rel_triple, FusionWeights, KnowledgeNetwork};
 use crate::ppr::PprCache;
-use hive_store::{GraphView, TripleStore};
+use hive_store::{DeltaOp, GraphView, TermDict};
 use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 /// Recovers the guard from a possibly poisoned lock result. Tier slots,
@@ -43,6 +50,8 @@ pub(crate) trait Derived: Clone {
     const HIT: &'static str;
     /// Counter bumped when the value moves forward by re-stamp or patch.
     const DELTA: &'static str;
+    /// Counter bumped when the value moves forward by a patch.
+    const PATCH: &'static str;
     /// Counter bumped when the value is built cold.
     const MISS: &'static str;
     /// Span opened around a patch.
@@ -101,6 +110,7 @@ impl<T: Derived> Tier<T> {
                 return None;
             }
             if window.iter().any(T::affected_by) {
+                hive_obs::count(T::PATCH, 1);
                 let span = hive_obs::span_enter(T::PATCH_SPAN, db.now().ticks());
                 Arc::make_mut(&mut value).patch(window);
                 hive_obs::span_exit(span, db.now().ticks());
@@ -125,6 +135,7 @@ impl<T: Derived> Tier<T> {
 impl Derived for KnowledgeNetwork {
     const HIT: &'static str = "core.kn.hit";
     const DELTA: &'static str = "core.kn.delta";
+    const PATCH: &'static str = "core.kn.patch";
     const MISS: &'static str = "core.kn.miss";
     const PATCH_SPAN: &'static str = "kn-delta";
     const BUILD_SPAN: Option<&'static str> = Some("kn-build");
@@ -138,34 +149,59 @@ impl Derived for KnowledgeNetwork {
     }
 }
 
-/// The relationship-graph snapshot: the `rel:*` triple export of the
-/// knowledge network plus its [`GraphView`] CSR adjacency, so repeated
-/// explanation queries skip both the export and the store scan.
+/// The relationship-graph snapshot: the term dictionary of the `rel:*`
+/// triple export of the knowledge network plus its [`GraphView`] CSR
+/// adjacency, the two things an explanation reads, so repeated
+/// explanation queries skip both the export and the store scan. A copy
+/// shares the dictionary until a patch interns a new term.
 #[derive(Clone)]
 pub(crate) struct RelSnapshot {
-    pub(crate) store: TripleStore,
+    pub(crate) dict: Arc<TermDict>,
     pub(crate) view: GraphView,
 }
 
 impl RelSnapshot {
-    /// Cold export of `kn` over `db`, plus its CSR view.
+    /// Cold export of `kn` over `db`, flattened into its CSR view; the
+    /// export's dictionary is kept and the rest of the store dropped.
     pub(crate) fn build(db: &HiveDb, kn: &KnowledgeNetwork) -> Self {
         let store = kn.to_store(db);
         let view = GraphView::build(&store);
-        RelSnapshot { store, view }
+        RelSnapshot { dict: Arc::new(store.into_dict()), view }
+    }
+
+    /// The window's `rel:*` triples as view ops, in window order. A
+    /// triple whose terms are all interned reads their ids; one that
+    /// names a new term copies the dictionary if a copy of the snapshot
+    /// shares it, then interns subject, predicate and object in that
+    /// order, the order `TripleStore::insert` uses, so the ids equal
+    /// those of a cold export that replays the same deltas.
+    fn intern_window(&mut self, window: &[DbDelta]) -> Vec<DeltaOp> {
+        let mut ops = Vec::with_capacity(window.len());
+        for (s, p, o, weight) in window.iter().filter_map(rel_triple) {
+            let (s, p, o) = match (self.dict.get(&s), self.dict.get(&p), self.dict.get(&o)) {
+                (Some(s), Some(p), Some(o)) => (s, p, o),
+                _ => {
+                    let dict = Arc::make_mut(&mut self.dict);
+                    (dict.intern(s), dict.intern(p), dict.intern(o))
+                }
+            };
+            ops.push(DeltaOp::Upsert { s, p, o, weight });
+        }
+        ops
     }
 }
 
 impl Derived for RelSnapshot {
     const HIT: &'static str = "core.rel.hit";
     const DELTA: &'static str = "core.rel.delta";
+    const PATCH: &'static str = "core.rel.patch";
     const MISS: &'static str = "core.rel.miss";
     const PATCH_SPAN: &'static str = "rel-delta";
     const BUILD_SPAN: Option<&'static str> = Some("rel-snapshot-build");
 
-    /// Exactly the deltas [`apply_rel_delta`] writes a triple for, so a
-    /// window of paper views re-stamps the snapshot instead of copying
-    /// it. Exhaustive on purpose (lint R10).
+    /// Exactly the deltas with a [`rel_triple`], so a window of paper
+    /// views re-stamps the snapshot instead of copying it. Exhaustive on
+    /// purpose (lint R10).
     fn affected_by(d: &DbDelta) -> bool {
         match d {
             DbDelta::Connect { .. }
@@ -177,21 +213,18 @@ impl Derived for RelSnapshot {
         }
     }
 
-    /// Extends the triple export with the window's events, then lets the
-    /// CSR view consume the store's own delta log.
+    /// Interns the window's triples and splices them into the view (a
+    /// window past `REBUILD_FRACTION` of the view re-assembles it once).
     fn patch(&mut self, window: &[DbDelta]) {
-        for d in window {
-            apply_rel_delta(&mut self.store, d);
-        }
-        if !self.view.apply_delta(&self.store) {
-            self.view = GraphView::build(&self.store);
-        }
+        let ops = self.intern_window(window);
+        self.view.apply_ops(&self.dict, &ops);
     }
 }
 
 impl Derived for PprCache {
     const HIT: &'static str = "core.ppr.hit";
     const DELTA: &'static str = "core.ppr.delta";
+    const PATCH: &'static str = "core.ppr.patch";
     const MISS: &'static str = "core.ppr.miss";
     const PATCH_SPAN: &'static str = "ppr-delta";
     const BUILD_SPAN: Option<&'static str> = None;
@@ -206,7 +239,85 @@ impl Derived for PprCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::UserId;
+    use crate::model::User;
     use crate::sim::{SimConfig, WorldBuilder};
+    use hive_store::view::REBUILD_FRACTION;
+    use hive_store::Term;
+
+    /// `snap` equals a cold build over `db`, field for field: the same
+    /// dictionary (every id names the same term) and the same view,
+    /// stamp, nodes, offsets, row table and hops bit for bit.
+    fn assert_equals_cold_build(snap: &RelSnapshot, db: &HiveDb, window: &str) {
+        let cold = RelSnapshot::build(db, &KnowledgeNetwork::build(db));
+        assert_eq!(snap.dict.len(), cold.dict.len(), "{window}: dictionary length");
+        for (id, term) in cold.dict.iter() {
+            assert_eq!(snap.dict.resolve(id), Some(term), "{window}: {id:?}");
+        }
+        assert_eq!(snap.view.bitwise_diff(&cold.view), None, "{window}");
+    }
+
+    /// A patched relationship snapshot equals a cold build whether its
+    /// window interns a new term, names only known ones, or is past
+    /// `REBUILD_FRACTION` of the view. The previous snapshot stays held,
+    /// as a published epoch holds it, so every patch copies first.
+    #[test]
+    fn patched_rel_snapshot_equals_a_cold_build() {
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            let mut db = WorldBuilder::new(SimConfig::small()).build().db;
+            let loners = [User::new("Lone", "Nowhere"), User::new("Alone", "Elsewhere")]
+                .map(|u| db.add_user(u));
+            let sessions = db.session_ids();
+            let tier: Tier<RelSnapshot> = Tier::new();
+            let get =
+                |db: &HiveDb| tier.get(db, || RelSnapshot::build(db, &KnowledgeNetwork::build(db)));
+            let mut held = get(&db);
+            let term = |u: UserId| Term::iri(u.iri());
+            for u in loners {
+                assert!(held.dict.get(&term(u)).is_none(), "no `rel:*` triple names {u:?}");
+            }
+            let known: Vec<UserId> =
+                db.user_ids().into_iter().filter(|&u| held.dict.get(&term(u)).is_some()).collect();
+            assert!(known.len() > 10 && held.dict.get(&Term::iri("rel:checked_in")).is_some());
+
+            // (a) Follows by the new users, the first naming two new terms,
+            // whose ids follow the order subject, predicate, object: the
+            // dictionary grows, so it is copied.
+            db.follow(loners[0], loners[1]).unwrap();
+            db.follow(loners[1], known[0]).unwrap();
+            let next = get(&db);
+            assert!(!Arc::ptr_eq(&held.dict, &next.dict), "a new term copies the dictionary");
+            assert_eq!(next.dict.len(), held.dict.len() + 2);
+            assert_equals_cold_build(&next, &db, "new term");
+            held = next;
+
+            // (b) Check-ins by known users: the copy shares the dictionary.
+            for (i, &u) in known.iter().take(5).enumerate() {
+                db.check_in(u, sessions[i % sessions.len()]).unwrap();
+            }
+            let next = get(&db);
+            assert!(!Arc::ptr_eq(&held, &next), "the patch copied the held snapshot");
+            assert!(Arc::ptr_eq(&held.dict, &next.dict), "known terms copy no dictionary");
+            assert_equals_cold_build(&next, &db, "known terms");
+            held = next;
+
+            // (c) A window past REBUILD_FRACTION of the view, re-checking
+            // users in: the view is re-assembled, not spliced op by op.
+            let past = (held.view.edge_count() as f64 * REBUILD_FRACTION) as usize + 17;
+            for i in 0..past {
+                let session = sessions[(i / known.len()) % sessions.len()];
+                db.check_in(known[i % known.len()], session).unwrap();
+            }
+            hive_obs::reset();
+            let next = get(&db);
+            let counts = hive_obs::snapshot();
+            assert_eq!(counts.counter("store.view.rebuild_fallback"), 1, "re-assembled");
+            assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
+            assert!(Arc::ptr_eq(&held.dict, &next.dict));
+            assert_equals_cold_build(&next, &db, "past the fraction");
+            hive_obs::reset();
+        });
+    }
 
     /// The rel tier re-stamps exactly when a patch would write nothing.
     #[test]
@@ -228,9 +339,7 @@ mod tests {
             DbDelta::ViewPaper { user: u[3], paper: p },
         ];
         for d in variants {
-            let mut store = TripleStore::new();
-            apply_rel_delta(&mut store, &d);
-            assert_eq!(RelSnapshot::affected_by(&d), !store.is_empty(), "{d:?}");
+            assert_eq!(RelSnapshot::affected_by(&d), rel_triple(&d).is_some(), "{d:?}");
         }
     }
 }

@@ -91,10 +91,10 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
         let store = kn.to_store(db);
         let view = GraphView::build(&store);
         let query = PathQuery::new(Term::iri(a.iri()), Term::iri(b.iri())).max_hops(3).top_k(3);
-        match query.run_on(&store, &view) {
+        match query.run_on(store.dict(), &view) {
             Ok(paths) => {
                 let ranked: Vec<(f64, String)> =
-                    paths.iter().map(|p| (p.score, p.explain(&store))).collect();
+                    paths.iter().map(|p| (p.score, p.explain(store.dict()))).collect();
                 fp.push(format!("paths:{pair}"), &ranked);
             }
             Err(e) => fp.push(format!("paths:{pair}"), format!("error: {e}").as_str()),
@@ -132,7 +132,8 @@ pub fn differential_check(hive: &Hive, pair: (UserId, UserId)) -> Vec<String> {
     let kn = hive.knowledge();
     let store = kn.to_store(db);
     let view = GraphView::build(&store);
-    let fresh = evidence::explain_relationship_with_view(db, &kn, &store, &view, pair.0, pair.1, 3);
+    let fresh =
+        evidence::explain_relationship_with_view(db, &kn, store.dict(), &view, pair.0, pair.1, 3);
     if Digest::of(&cached) != Digest::of(&fresh) {
         out.push(format!(
             "cached relationship view diverges from fresh rebuild for {} and {}",

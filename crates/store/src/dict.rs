@@ -4,6 +4,7 @@
 //! per triple per index) and makes term comparisons O(1), the standard
 //! design in RDF stores.
 
+use crate::store::StoredTriple;
 use crate::term::Term;
 use std::collections::HashMap;
 
@@ -56,6 +57,17 @@ impl TermDict {
     /// Resolves an id back to its term. Returns `None` for unknown ids.
     pub fn resolve(&self, id: TermId) -> Option<&Term> {
         self.reverse.get(id.index())
+    }
+
+    /// Resolves a stored triple's ids back to terms.
+    ///
+    /// Ids unknown to the dictionary (impossible for triples obtained
+    /// from a store or view over this dictionary) resolve to blank nodes
+    /// rather than panicking.
+    pub fn resolve_triple(&self, t: &StoredTriple) -> (Term, Term, Term) {
+        let resolve =
+            |id: TermId| self.resolve(id).cloned().unwrap_or(Term::Blank(u64::from(id.0)));
+        (resolve(t.s), resolve(t.p), resolve(t.o))
     }
 
     /// Number of distinct interned terms.

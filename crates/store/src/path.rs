@@ -13,7 +13,8 @@
 //! Traversal runs over a [`GraphView`] CSR snapshot. [`PathQuery::run`]
 //! builds one on the fly (one full store scan); repeated queries should
 //! build the view once and call [`PathQuery::run_on`], which skips the
-//! scan entirely while the view stays current.
+//! scan entirely and reads only the view and the term dictionary, so a
+//! caller may keep those two current without the store.
 //!
 //! Relaxing an edge costs O(1) with no hashing: the neighbour's row is
 //! one read of the view's row table, Yen's few banned nodes and edges
@@ -22,7 +23,7 @@
 //! adds to the `store.path_query.searches` counter and its heap pops to
 //! `store.path_query.pops`.
 
-use crate::dict::TermId;
+use crate::dict::{TermDict, TermId};
 use crate::error::StoreError;
 use crate::store::{StoredTriple, TripleStore};
 use crate::term::Term;
@@ -48,10 +49,10 @@ impl RankedPath {
     }
 
     /// Renders the path as a human-readable chain using the dictionary.
-    pub fn explain(&self, store: &TripleStore) -> String {
+    pub fn explain(&self, dict: &TermDict) -> String {
         let mut out = String::new();
         for (i, t) in self.triples.iter().enumerate() {
-            let (s, p, o) = store.resolve_triple(t);
+            let (s, p, o) = dict.resolve_triple(t);
             if i > 0 {
                 out.push_str("  ->  ");
             }
@@ -119,36 +120,29 @@ impl PathQuery {
     /// build the view once and use [`Self::run_on`].
     pub fn run(&self, store: &TripleStore) -> Result<Vec<RankedPath>, StoreError> {
         let view = GraphView::build(store);
-        self.run_on(store, &view)
+        self.run_on(store.dict(), &view)
     }
 
     /// Runs the search over a pre-built [`GraphView`] — the cached-query
-    /// fast path. `store` is only consulted to resolve the query terms;
-    /// the caller is responsible for the view being current for that
-    /// store (see [`GraphView::is_current`]): a stale view answers from
-    /// its snapshot.
-    pub fn run_on(
-        &self,
-        store: &TripleStore,
-        view: &GraphView,
-    ) -> Result<Vec<RankedPath>, StoreError> {
+    /// fast path. `dict` (the dictionary the view's ids come from) is
+    /// only consulted to resolve the query terms; the caller is
+    /// responsible for the view being current: a stale view answers
+    /// from its snapshot.
+    pub fn run_on(&self, dict: &TermDict, view: &GraphView) -> Result<Vec<RankedPath>, StoreError> {
         hive_obs::count("store.path_query", 1);
         if self.source == self.target {
             return Err(StoreError::BadPathQuery("source equals target".into()));
         }
-        let src = store
-            .dict()
+        let src = dict
             .get(&self.source)
             .ok_or_else(|| StoreError::UnknownTerm(self.source.to_string()))?;
-        let dst = store
-            .dict()
+        let dst = dict
             .get(&self.target)
             .ok_or_else(|| StoreError::UnknownTerm(self.target.to_string()))?;
         let pred_ids: Option<Vec<TermId>> = if self.predicates.is_empty() {
             None
         } else {
-            let mut ids: Vec<TermId> =
-                self.predicates.iter().filter_map(|p| store.dict().get(p)).collect();
+            let mut ids: Vec<TermId> = self.predicates.iter().filter_map(|p| dict.get(p)).collect();
             ids.sort_unstable();
             Some(ids)
         };
@@ -482,7 +476,7 @@ mod tests {
     fn explanation_renders() {
         let st = diamond();
         let paths = PathQuery::new(Term::iri("a"), Term::iri("d")).run(&st).unwrap();
-        let text = paths[0].explain(&st);
+        let text = paths[0].explain(st.dict());
         assert!(text.contains("<a>"));
         assert!(text.contains("<d>"));
         assert!(text.contains("->"));
@@ -494,13 +488,13 @@ mod tests {
         let view = GraphView::build(&st);
         let q = PathQuery::new(Term::iri("a"), Term::iri("d")).top_k(3);
         let fresh = q.run(&st).unwrap();
-        let cached = q.run_on(&st, &view).unwrap();
+        let cached = q.run_on(st.dict(), &view).unwrap();
         assert_eq!(fresh, cached);
         // The same snapshot serves directed queries: every edge points
         // away from `a`, so nothing is reachable from `d`.
         let directed = PathQuery::new(Term::iri("d"), Term::iri("a"))
             .directed()
-            .run_on(&st, &view)
+            .run_on(st.dict(), &view)
             .unwrap();
         assert!(directed.is_empty());
     }
@@ -577,7 +571,7 @@ mod tests {
                     let only = rng.gen_range(0..=preds);
                     q = q.over_predicates(vec![Term::iri(format!("p{only}"))]);
                 }
-                match q.run_on(&st, &view) {
+                match q.run_on(st.dict(), &view) {
                     Ok(found) => {
                         h.word(found.len() as u64);
                         for p in &found {

@@ -166,6 +166,13 @@ impl TripleStore {
         &self.dict
     }
 
+    /// Consumes the store and keeps its term dictionary, for a caller
+    /// that needs only the ids' terms once the triples are flattened
+    /// elsewhere (a [`crate::GraphView`]).
+    pub fn into_dict(self) -> TermDict {
+        self.dict
+    }
+
     /// Mutation counter: any successful `insert` / `remove` /
     /// `set_weight` / `remove_matching` advances it. Snapshots stamped
     /// with an older generation are stale.
@@ -415,19 +422,10 @@ impl TripleStore {
         out.into_iter()
     }
 
-    /// Resolves a stored triple's ids back to terms.
-    ///
-    /// Ids unknown to the dictionary (impossible for triples obtained
-    /// from this store's own iterators) resolve to blank nodes rather
-    /// than panicking.
+    /// Resolves a stored triple's ids back to terms (see
+    /// [`TermDict::resolve_triple`]).
     pub fn resolve_triple(&self, t: &StoredTriple) -> (Term, Term, Term) {
-        let resolve = |id: TermId| {
-            self.dict
-                .resolve(id)
-                .cloned()
-                .unwrap_or(Term::Blank(u64::from(id.0)))
-        };
-        (resolve(t.s), resolve(t.p), resolve(t.o))
+        self.dict.resolve_triple(t)
     }
 
     /// Iterates every stored triple in SPO order.

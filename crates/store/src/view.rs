@@ -9,13 +9,21 @@
 //!
 //! The layout is **canonical**: nodes are sorted by term id and each
 //! row's hops are sorted by `(s, p, o, direction)`. Canonical order is
-//! what makes *delta maintenance* possible — [`GraphView::apply_delta`]
-//! replays the store's [`DeltaOp`] suffix into the CSR in place and the
+//! what makes *delta maintenance* possible — [`GraphView::apply_ops`]
+//! splices a window of [`DeltaOp`]s into the CSR in place and the
 //! result is bit-identical to a cold [`GraphView::build`], because both
-//! are pure functions of the current triple set. A stale view is
-//! detected via [`GraphView::is_current`]; callers then patch with
-//! `apply_delta` and only fall back to a rebuild when the delta window
-//! was compacted away or exceeds [`REBUILD_FRACTION`] of the view.
+//! are pure functions of the current triple set. The ops need only a
+//! [`TermDict`] to tell hops from attributes, so a view can be kept
+//! current with no store behind it: it carries every triple it
+//! traverses, and a window past [`REBUILD_FRACTION`] of the view is
+//! folded into those triples and the rows re-assembled once, instead
+//! of spliced op by op.
+//!
+//! A view that does track a store detects staleness via
+//! [`GraphView::is_current`] and patches with [`GraphView::apply_delta`],
+//! which hands `apply_ops` the store's own log suffix and refuses (so
+//! the caller rebuilds from the store) when that window was compacted
+//! away or is past the same fraction.
 //!
 //! Both edge directions are materialized (reverse hops carry
 //! `forward = false`), so one view serves directed and undirected
@@ -23,7 +31,7 @@
 //! term-id-to-row table, re-derived whenever the node array changes,
 //! makes [`GraphView::node_index`] one array read.
 
-use crate::dict::TermId;
+use crate::dict::{TermDict, TermId};
 use crate::store::{DeltaOp, StoredTriple, TripleStore};
 use crate::term::Term;
 use std::collections::BTreeMap;
@@ -31,10 +39,12 @@ use std::collections::BTreeMap;
 /// Tiny strictly-positive per-hop cost; see [`GraphView::build`].
 pub(crate) const HOP_EPSILON: f64 = 1e-9;
 
-/// `apply_delta` falls back to a rebuild when the op count exceeds this
-/// fraction of the current hop count (plus a small absolute floor, so
-/// tiny views always patch). Each op costs an `O(row + shift)` splice;
-/// past a quarter of the view a single `O(V + E)` rebuild is cheaper.
+/// A window of more ops than this fraction of the current hop count
+/// (plus a small absolute floor, so tiny views always patch) is not
+/// spliced: [`GraphView::apply_delta`] refuses it and
+/// [`GraphView::apply_ops`] re-assembles the rows instead. Each op costs
+/// an `O(row + shift)` splice; past a quarter of the view a single
+/// `O(V + E)` rebuild is cheaper.
 pub const REBUILD_FRACTION: f64 = 0.25;
 
 /// One traversable hop in a [`GraphView`]: neighbor node, the
@@ -59,6 +69,12 @@ fn edge_key(e: &ViewEdge) -> (u32, u32, u32, bool) {
 
 fn hop_cost(weight: f64) -> f64 {
     -weight.ln() + HOP_EPSILON
+}
+
+/// True when a triple with object `o` is a hop: literal objects are
+/// attributes, not edges.
+fn is_hop(dict: &TermDict, o: TermId) -> bool {
+    dict.resolve(o).map(Term::is_resource).unwrap_or(false)
 }
 
 /// Dictionary-encoded CSR adjacency snapshot of a [`TripleStore`],
@@ -87,13 +103,17 @@ impl GraphView {
     /// shortest-path search return zero-cost *walks* containing loops.
     pub fn build(store: &TripleStore) -> Self {
         hive_obs::count("store.view.build", 1);
+        let hops = store.iter().filter(|t| is_hop(store.dict(), t.o));
+        Self::assemble(store.generation(), hops)
+    }
+
+    /// The row assembly both builds share: `triples` (each a hop, each
+    /// `(s, p, o)` once, in any order) as canonical rows, both
+    /// directions, with the row table derived. Rows are sorted by a key
+    /// unique within a row, so the input order never shows.
+    fn assemble(generation: u64, triples: impl Iterator<Item = StoredTriple>) -> Self {
         let mut rows: BTreeMap<TermId, Vec<ViewEdge>> = BTreeMap::new();
-        for t in store.iter() {
-            let obj_is_resource =
-                store.dict().resolve(t.o).map(Term::is_resource).unwrap_or(false);
-            if !obj_is_resource {
-                continue;
-            }
+        for t in triples {
             let cost = hop_cost(t.weight);
             rows.entry(t.s)
                 .or_default()
@@ -112,8 +132,7 @@ impl GraphView {
             edges.extend(list);
             off.push(edges.len() as u32);
         }
-        let mut view =
-            GraphView { generation: store.generation(), nodes, off, edges, rows: Vec::new() };
+        let mut view = GraphView { generation, nodes, off, edges, rows: Vec::new() };
         view.index_rows();
         view
     }
@@ -126,6 +145,11 @@ impl GraphView {
         for (i, n) in self.nodes.iter().enumerate() {
             self.rows[n.0 as usize] = i as u32;
         }
+    }
+
+    /// True when `ops` ops are past [`REBUILD_FRACTION`] of this view.
+    fn splice_costs_more(&self, ops: usize) -> bool {
+        ops as f64 > (self.edges.len() as f64) * REBUILD_FRACTION + 16.0
     }
 
     /// Patches this view in place with the store's delta suffix since
@@ -143,9 +167,50 @@ impl GraphView {
             hive_obs::count("store.view.rebuild_fallback", 1);
             return false;
         };
-        if ops.len() as f64 > (self.edges.len() as f64) * REBUILD_FRACTION + 16.0 {
+        if self.splice_costs_more(ops.len()) {
             hive_obs::count("store.view.rebuild_fallback", 1);
             return false;
+        }
+        self.apply_ops(store.dict(), ops);
+        true
+    }
+
+    /// Applies `ops` (oldest first) to this view; `dict` resolves their
+    /// objects, so attribute triples are skipped exactly as
+    /// [`GraphView::build`] skips them, and an upsert of a present
+    /// triple replaces its hop. Up to [`REBUILD_FRACTION`] of the view
+    /// each op is spliced in place; past it the view re-assembles its
+    /// rows once from its own forward hops (one per triple) with the
+    /// window folded in (`store.view.rebuild_fallback`). Either way the
+    /// view is bit-identical to a cold build over the resulting triple
+    /// set. The stamp advances by one per op, as a store's generation
+    /// does for each op it logs.
+    pub fn apply_ops(&mut self, dict: &TermDict, ops: &[DeltaOp]) {
+        let generation = self.generation + ops.len() as u64;
+        if self.splice_costs_more(ops.len()) {
+            hive_obs::count("store.view.rebuild_fallback", 1);
+            let mut triples: BTreeMap<(TermId, TermId, TermId), f64> = self
+                .edges
+                .iter()
+                .filter(|e| e.forward)
+                .map(|e| ((e.triple.s, e.triple.p, e.triple.o), e.triple.weight))
+                .collect();
+            for &op in ops {
+                match op {
+                    DeltaOp::Upsert { s, p, o, weight } => {
+                        if is_hop(dict, o) {
+                            triples.insert((s, p, o), weight);
+                        }
+                    }
+                    DeltaOp::Remove { s, p, o } => {
+                        triples.remove(&(s, p, o));
+                    }
+                }
+            }
+            let triples =
+                triples.into_iter().map(|((s, p, o), weight)| StoredTriple { s, p, o, weight });
+            *self = Self::assemble(generation, triples);
+            return;
         }
         if self.off.is_empty() {
             self.off.push(0); // a Default view is an empty zero-generation view
@@ -153,7 +218,7 @@ impl GraphView {
         for &op in ops {
             match op {
                 DeltaOp::Upsert { s, p, o, weight } => {
-                    if !store.dict().resolve(o).map(Term::is_resource).unwrap_or(false) {
+                    if !is_hop(dict, o) {
                         continue; // attribute triple: never a hop
                     }
                     let triple = StoredTriple { s, p, o, weight };
@@ -168,9 +233,8 @@ impl GraphView {
             }
         }
         self.index_rows();
-        self.generation = store.generation();
+        self.generation = generation;
         hive_obs::count("store.view.delta", 1);
-        true
     }
 
     /// Inserts or replaces one hop in `row`'s sorted edge slice,
@@ -393,6 +457,35 @@ mod tests {
         st.insert(y.clone(), rel.clone(), w.clone(), 0.8).unwrap();
         patch(&mut view, &st);
         assert_eq!(view.node_count(), 3);
+    }
+
+    #[test]
+    fn apply_ops_past_the_fraction_reassembles_bit_identically() {
+        let mut st = small_store();
+        let mut view = GraphView::build(&st);
+        let g0 = st.generation();
+        // 40 new hops (two of them re-inserted at a new weight), a
+        // re-weight, an attribute and a removal: far past this tiny
+        // view's 16-op floor plus a quarter of its 4 hops.
+        for i in 0..40 {
+            st.insert(Term::iri(format!("m{i}")), Term::iri("rel"), Term::iri("b"), 0.5).unwrap();
+        }
+        st.set_weight(&Term::iri("a"), &Term::iri("rel"), &Term::iri("b"), 0.2).unwrap();
+        st.insert(Term::iri("m3"), Term::iri("name"), Term::str("Em"), 1.0).unwrap();
+        st.remove(&Term::iri("b"), &Term::iri("rel"), &Term::iri("c"));
+        st.insert(Term::iri("m7"), Term::iri("rel"), Term::iri("b"), 0.9).unwrap();
+        st.insert(Term::iri("m9"), Term::iri("rel"), Term::iri("b"), 0.6).unwrap();
+        let ops = st.deltas_since(g0).unwrap();
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            view.apply_ops(st.dict(), ops);
+            let counts = hive_obs::snapshot();
+            assert_eq!(counts.counter("store.view.rebuild_fallback"), 1, "re-assembled");
+            assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
+            hive_obs::reset();
+        });
+        // The stamp advanced by one per op, to the store's generation.
+        assert_eq!(view.bitwise_diff(&GraphView::build(&st)), None);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
     {
         Ok(paths) if !paths.is_empty() => {
             for (i, p) in paths.iter().enumerate() {
-                println!("  {}. [{:.3}] {}", i + 1, p.score, p.explain(&store));
+                println!("  {}. [{:.3}] {}", i + 1, p.score, p.explain(store.dict()));
             }
         }
         _ => println!("  no path within 4 hops"),

@@ -198,7 +198,7 @@ fn delta_patched_facade_matches_cold_platform() {
 }
 
 fn delta_patched_facade_matches_cold_platform_body() {
-    let before = hive_obs::snapshot().counter("core.kn.delta");
+    let before = hive_obs::snapshot().counter("core.kn.patch");
     check("delta::facade_patch_equals_cold_platform", 10, |rng| {
         let sim = SimConfig { seed: rng.next_u64(), users: 10, ..SimConfig::small() };
         let world = WorldBuilder::new(sim).build();
@@ -218,7 +218,7 @@ fn delta_patched_facade_matches_cold_platform_body() {
         }
         Ok(())
     });
-    let after = hive_obs::snapshot().counter("core.kn.delta");
+    let after = hive_obs::snapshot().counter("core.kn.patch");
     assert!(
         after > before,
         "the knowledge snapshot must have been delta-patched at least once \
