@@ -114,10 +114,9 @@ impl Hive {
         self.kn.get(&self.db, || KnowledgeNetwork::build(&self.db))
     }
 
-    /// The current relationship-graph snapshot (`core.rel.*` tier), built
-    /// cold from `kn` when the tier cannot move forward.
-    pub(crate) fn relationship_graph(&self, kn: &KnowledgeNetwork) -> Arc<RelSnapshot> {
-        self.rel.get(&self.db, || RelSnapshot::build(&self.db, kn))
+    /// The current relationship-graph snapshot (`core.rel.*` tier).
+    pub(crate) fn relationship_graph(&self) -> Arc<RelSnapshot> {
+        self.rel.get(&self.db, || RelSnapshot::build(&self.db))
     }
 
     /// The database's secondary indexes, current at every write.
@@ -272,7 +271,7 @@ impl Hive {
     pub fn explain_relationship(&self, a: UserId, b: UserId) -> RelationshipExplanation {
         self.service(ServiceKind::RelationshipExplanation, |h| {
             let kn = h.knowledge();
-            let rel = h.relationship_graph(&kn);
+            let rel = h.relationship_graph();
             evidence::explain_relationship_with_view(&h.db, &kn, &rel.dict, &rel.view, a, b, 3)
         })
     }
@@ -589,8 +588,8 @@ mod tests {
             // Held the way a published epoch holds them, so a patch would
             // have to copy.
             let kn = h.knowledge();
-            let r1 = h.relationship_graph(&kn);
-            let r2 = h.relationship_graph(&kn);
+            let r1 = h.relationship_graph();
+            let r2 = h.relationship_graph();
             assert!(Arc::ptr_eq(&r1, &r2), "warm snapshot reused");
             let moved = || {
                 let snap = hive_obs::snapshot();
@@ -602,7 +601,7 @@ mod tests {
             h.comment(users[0], session, "a neutral write").unwrap();
             let kn2 = h.knowledge();
             assert!(Arc::ptr_eq(&kn, &kn2), "a neutral window re-stamps the network");
-            assert!(Arc::ptr_eq(&r1, &h.relationship_graph(&kn2)), "and the rel snapshot");
+            assert!(Arc::ptr_eq(&r1, &h.relationship_graph()), "and the rel snapshot");
             assert_eq!(
                 moved(),
                 [kn_delta + 1, kn_patch, rel_delta + 1, rel_patch],
@@ -612,7 +611,7 @@ mod tests {
             h.follow(users[1], users[2]).unwrap();
             assert!(h.db().generation() > gen_before, "mutation bumps generation");
             let kn3 = h.knowledge();
-            let r3 = h.relationship_graph(&kn3);
+            let r3 = h.relationship_graph();
             assert_eq!(
                 moved(),
                 [kn_delta + 2, kn_patch + 1, rel_delta + 2, rel_patch + 1],

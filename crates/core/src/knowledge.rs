@@ -16,8 +16,9 @@
 //!   and sessions, with per-entity vectors,
 //! * a **unified weighted graph** over entity IRIs for PPR-style
 //!   propagation, and
-//! * a weighted-RDF export ([`KnowledgeNetwork::to_store`]) for ranked
-//!   path queries (relationship explanation, Figure 2).
+//! * a weighted-RDF export (`rel_export`, stored by
+//!   [`KnowledgeNetwork::to_store`]) for ranked path queries
+//!   (relationship explanation, Figure 2).
 //!
 //! The network is the serving knowledge tier, so it holds only layers a
 //! Table-1 read uses. The layers no patchable delta changes (the
@@ -228,64 +229,17 @@ impl KnowledgeNetwork {
         }
     }
 
-    /// Exports relationship triples for ranked path queries.
-    ///
-    /// Predicates: `rel:connected`, `rel:follows`, `rel:coauthor`,
-    /// `rel:cites`, `rel:authored`, `rel:presented_in`, `rel:checked_in`,
-    /// `rel:discussed_in`, `rel:attended`, `rel:session_of`.
-    ///
-    /// The export is **static entities first, then a chronological
-    /// replay of the activity log** ([`HiveDb::replay_deltas`]), each
-    /// event's triple being `rel_triple`'s. The relationship tier keeps
-    /// this export's dictionary and view and continues that insertion
-    /// sequence through the journal window: it interns each window
-    /// triple's terms in the order [`TripleStore::insert`] does, so its
-    /// term ids, and the view they key, equal a fresh export's.
+    /// The `rel:*` triple export of `db` (`rel_export`: static entities,
+    /// then a chronological replay of the activity log) as a weighted
+    /// RDF store, for ranked path and BGP queries over it.
+    // lint:mutator(TripleStore) -- the workspace's one declared mutator
+    // of the type, which is what keeps `TripleStore` under lint R9.
     pub fn to_store(&self, db: &HiveDb) -> TripleStore {
         let mut st = TripleStore::new();
-        // Co-authorship with shared-paper counts.
-        let mut coauth: HashMap<(UserId, UserId), f64> = HashMap::new();
-        for p in db.paper_ids() {
-            let Ok(paper) = db.get_paper(p) else { continue; };
-            let authors = &paper.authors;
-            for (i, &a) in authors.iter().enumerate() {
-                for &b in &authors[i + 1..] {
-                    let key = if a < b { (a, b) } else { (b, a) };
-                    *coauth.entry(key).or_insert(0.0) += 1.0;
-                }
-            }
-        }
-        // Sort by author pair: HashMap iteration order varies between
-        // instances, and store insertion order fixes term-id assignment,
-        // which downstream path ranking must not depend on. Keeping the
-        // export order canonical makes two equal databases produce
-        // byte-identical stores (the recovery-equivalence oracle relies
-        // on this).
-        // lint:allow(determinism-taint) -- sorted by author pair on the next line
-        let mut coauth: Vec<_> = coauth.into_iter().collect();
-        coauth.sort_by_key(|&(pair, _)| pair);
-        for ((a, b), n) in coauth {
-            ins(&mut st, rel(a.iri(), "rel:coauthor", b.iri(), (0.5 + 0.1 * n).min(1.0)));
-        }
-        for p in db.paper_ids() {
-            let Ok(paper) = db.get_paper(p) else { continue; };
-            for &a in &paper.authors {
-                ins(&mut st, rel(a.iri(), "rel:authored", p.iri(), 1.0));
-            }
-            for &c in &paper.citations {
-                ins(&mut st, rel(p.iri(), "rel:cites", c.iri(), 0.7));
-            }
-        }
-        for pres_id in db.presentation_ids() {
-            let Ok(pres) = db.get_presentation(pres_id) else { continue; };
-            ins(&mut st, rel(pres.paper.iri(), "rel:presented_in", pres.session.iri(), 0.9));
-        }
-        for s in db.session_ids() {
-            let Ok(sess) = db.get_session(s) else { continue; };
-            ins(&mut st, rel(s.iri(), "rel:session_of", sess.conference.iri(), 0.8));
-        }
-        for d in db.replay_deltas() {
-            apply_rel_delta(&mut st, &d);
+        for (s, p, o, w) in rel_export(db) {
+            // The weight is clamped into (0, 1] and both positions are
+            // IRIs, so this cannot fail; ignore rather than panic.
+            let _ = st.insert(s, p, o, w);
         }
         st
     }
@@ -337,16 +291,66 @@ fn rel(s: String, p: &str, o: String, w: f64) -> RelTriple {
     (Term::iri(s), Term::iri(p), Term::iri(o), w.clamp(f64::MIN_POSITIVE, 1.0))
 }
 
-// lint:mutator(TripleStore)
-fn ins(st: &mut TripleStore, (s, p, o, w): RelTriple) {
-    // The weight is clamped into (0, 1] and both positions are IRIs, so
-    // this cannot fail; ignore rather than panic.
-    let _ = st.insert(s, p, o, w);
+/// The relationship triples of `db`, in insertion order, for ranked
+/// path queries (relationship explanation, Figure 2).
+///
+/// Predicates: `rel:connected`, `rel:follows`, `rel:coauthor`,
+/// `rel:cites`, `rel:authored`, `rel:presented_in`, `rel:checked_in`,
+/// `rel:discussed_in`, `rel:attended`, `rel:session_of`.
+///
+/// The export is **static entities first, then a chronological replay
+/// of the activity log** ([`HiveDb::replay_deltas`]), each event's
+/// triple being [`rel_triple`]'s; a triple listed twice keeps its last
+/// weight. [`KnowledgeNetwork::to_store`] inserts the triples into a
+/// store. The relationship tier interns them, and then each journal
+/// window's triples, in the order [`TripleStore::insert`] does, so its
+/// term ids, and the view they key, equal the store's.
+pub(crate) fn rel_export(db: &HiveDb) -> impl Iterator<Item = RelTriple> + '_ {
+    // Co-authorship with shared-paper counts.
+    let mut coauth: HashMap<(UserId, UserId), f64> = HashMap::new();
+    for p in db.paper_ids() {
+        let Ok(paper) = db.get_paper(p) else { continue; };
+        let authors = &paper.authors;
+        for (i, &a) in authors.iter().enumerate() {
+            for &b in &authors[i + 1..] {
+                let key = if a < b { (a, b) } else { (b, a) };
+                *coauth.entry(key).or_insert(0.0) += 1.0;
+            }
+        }
+    }
+    // Sort by author pair: HashMap iteration order varies between
+    // instances, and insertion order fixes term-id assignment, which
+    // downstream path ranking must not depend on. Keeping the export
+    // order canonical makes two equal databases produce byte-identical
+    // stores (the recovery-equivalence oracle relies on this).
+    // lint:allow(determinism-taint) -- sorted by author pair on the next line
+    let mut coauth: Vec<_> = coauth.into_iter().collect();
+    coauth.sort_by_key(|&(pair, _)| pair);
+    let coauthors = coauth
+        .into_iter()
+        .map(|((a, b), n)| rel(a.iri(), "rel:coauthor", b.iri(), (0.5 + 0.1 * n).min(1.0)));
+    let papers = db.paper_ids().into_iter().filter_map(move |p| Some((p, db.get_paper(p).ok()?)));
+    let papers = papers.flat_map(|(p, paper)| {
+        let authored =
+            paper.authors.iter().map(move |a| rel(a.iri(), "rel:authored", p.iri(), 1.0));
+        let cites = paper.citations.iter().map(move |c| rel(p.iri(), "rel:cites", c.iri(), 0.7));
+        authored.chain(cites)
+    });
+    let presentations = db.presentation_ids().into_iter().filter_map(move |id| {
+        let pres = db.get_presentation(id).ok()?;
+        Some(rel(pres.paper.iri(), "rel:presented_in", pres.session.iri(), 0.9))
+    });
+    let sessions = db.session_ids().into_iter().filter_map(move |s| {
+        let sess = db.get_session(s).ok()?;
+        Some(rel(s.iri(), "rel:session_of", sess.conference.iri(), 0.8))
+    });
+    let activity = db.replay_deltas().into_iter().filter_map(|d| rel_triple(&d));
+    coauthors.chain(papers).chain(presentations).chain(sessions).chain(activity)
 }
 
 /// The `rel:*` triple a patchable delta writes, if any: the one mapping
-/// both the cold export ([`apply_rel_delta`]) and the relationship
-/// tier's patch read. Neutral, structural and paper-view deltas write
+/// both the cold export ([`rel_export`]) and the relationship tier's
+/// patch read. Neutral, structural and paper-view deltas write
 /// none.
 pub(crate) fn rel_triple(d: &DbDelta) -> Option<RelTriple> {
     match *d {
@@ -362,17 +366,6 @@ pub(crate) fn rel_triple(d: &DbDelta) -> Option<RelTriple> {
         }
         DbDelta::Attend { user, conf } => Some(rel(user.iri(), "rel:attended", conf.iri(), 0.6)),
         DbDelta::ViewPaper { .. } | DbDelta::Neutral | DbDelta::Structural => None,
-    }
-}
-
-/// Applies one patchable delta to a `rel:*` triple export, continuing
-/// the insertion sequence of [`KnowledgeNetwork::to_store`]. Deltas
-/// without a `rel:*` triple are no-ops (a structural one must trigger
-/// a rebuild — see [`KnowledgeNetwork::apply_delta`]).
-// lint:mutator(TripleStore)
-pub fn apply_rel_delta(st: &mut TripleStore, d: &DbDelta) {
-    if let Some(t) = rel_triple(d) {
-        ins(st, t);
     }
 }
 

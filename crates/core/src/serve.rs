@@ -163,8 +163,8 @@ impl HiveServer {
     /// the database is cloned and each tier slot's stamp and `Arc`
     /// pinned, so every read on the epoch is a tier hit.
     fn snapshot_epoch(hive: &Hive, seq: u64) -> Epoch {
-        let kn = hive.knowledge();
-        hive.relationship_graph(&kn);
+        hive.knowledge();
+        hive.relationship_graph();
         hive.ppr();
         Epoch { seq, hive: hive.pinned() }
     }
@@ -378,7 +378,7 @@ mod tests {
             let viewed = s.publish();
             assert_eq!(patches(), (kn_patches + 1, rel_patches), "only kn counts a patch");
             assert!(!Arc::ptr_eq(&viewed.knowledge(), &restamped.knowledge()), "kn is patched");
-            let rel = |e: &Epoch| e.relationship_graph(&e.knowledge());
+            let rel = |e: &Epoch| e.relationship_graph();
             assert!(Arc::ptr_eq(&rel(&viewed), &rel(&restamped)), "rel is re-stamped, not copied");
             assert_eq!(answers(&viewed), answers(&cold(&viewed)), "and equals a cold rebuild");
         });

@@ -23,15 +23,17 @@
 //! build (the replay-order argument, DESIGN.md §11).
 //!
 //! The relationship tier holds only what an explanation reads: the term
-//! dictionary of the `rel:*` export and its [`GraphView`]. Its patch maps
-//! each window delta to its triple, interns the triple's terms (copying
-//! the shared dictionary only when a term is new), and splices the
-//! triples into the view with [`GraphView::apply_ops`].
+//! dictionary of the `rel:*` export and its [`GraphView`]. One routine
+//! interns triples for both of its paths: a cold build interns the
+//! export (`knowledge::rel_export`) and folds it into a view with
+//! [`GraphView::from_upserts`]; a patch maps each window delta to its
+//! triple, interns it (copying the shared dictionary only when a term is
+//! new), and hands the window to [`GraphView::upsert`].
 
 use crate::db::{DbDelta, HiveDb};
-use crate::knowledge::{rel_triple, FusionWeights, KnowledgeNetwork};
+use crate::knowledge::{rel_export, rel_triple, FusionWeights, KnowledgeNetwork, RelTriple};
 use crate::ppr::PprCache;
-use hive_store::{DeltaOp, GraphView, TermDict};
+use hive_store::{GraphView, StoredTriple, TermDict};
 use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
 /// Recovers the guard from a possibly poisoned lock result. Tier slots,
@@ -150,10 +152,10 @@ impl Derived for KnowledgeNetwork {
 }
 
 /// The relationship-graph snapshot: the term dictionary of the `rel:*`
-/// triple export of the knowledge network plus its [`GraphView`] CSR
-/// adjacency, the two things an explanation reads, so repeated
-/// explanation queries skip both the export and the store scan. A copy
-/// shares the dictionary until a patch interns a new term.
+/// triple export of the database plus its [`GraphView`] CSR adjacency,
+/// the two things an explanation reads, so repeated explanation queries
+/// skip the export. A copy shares the dictionary until a patch interns
+/// a new term.
 #[derive(Clone)]
 pub(crate) struct RelSnapshot {
     pub(crate) dict: Arc<TermDict>,
@@ -161,33 +163,34 @@ pub(crate) struct RelSnapshot {
 }
 
 impl RelSnapshot {
-    /// Cold export of `kn` over `db`, flattened into its CSR view; the
-    /// export's dictionary is kept and the rest of the store dropped.
-    pub(crate) fn build(db: &HiveDb, kn: &KnowledgeNetwork) -> Self {
-        let store = kn.to_store(db);
-        let view = GraphView::build(&store);
-        RelSnapshot { dict: Arc::new(store.into_dict()), view }
+    /// Cold build over `db`: the `rel:*` export interned as a patch
+    /// interns a window, then folded into its view.
+    pub(crate) fn build(db: &HiveDb) -> Self {
+        let mut snap = RelSnapshot { dict: Arc::default(), view: GraphView::default() };
+        let upserts = snap.intern(rel_export(db));
+        snap.view = GraphView::from_upserts(&snap.dict, &upserts);
+        snap
     }
 
-    /// The window's `rel:*` triples as view ops, in window order. A
-    /// triple whose terms are all interned reads their ids; one that
-    /// names a new term copies the dictionary if a copy of the snapshot
-    /// shares it, then interns subject, predicate and object in that
-    /// order, the order `TripleStore::insert` uses, so the ids equal
-    /// those of a cold export that replays the same deltas.
-    fn intern_window(&mut self, window: &[DbDelta]) -> Vec<DeltaOp> {
-        let mut ops = Vec::with_capacity(window.len());
-        for (s, p, o, weight) in window.iter().filter_map(rel_triple) {
-            let (s, p, o) = match (self.dict.get(&s), self.dict.get(&p), self.dict.get(&o)) {
-                (Some(s), Some(p), Some(o)) => (s, p, o),
-                _ => {
-                    let dict = Arc::make_mut(&mut self.dict);
-                    (dict.intern(s), dict.intern(p), dict.intern(o))
-                }
-            };
-            ops.push(DeltaOp::Upsert { s, p, o, weight });
-        }
-        ops
+    /// `triples` as view upserts, in order. A triple whose terms are all
+    /// interned reads their ids; one that names a new term copies the
+    /// dictionary if a copy of the snapshot shares it, then interns
+    /// subject, predicate and object in that order, as a store's insert
+    /// does, so the ids equal those of a store given the export and then
+    /// the same window triples ([`KnowledgeNetwork::to_store`]).
+    fn intern(&mut self, triples: impl Iterator<Item = RelTriple>) -> Vec<StoredTriple> {
+        triples
+            .map(|(s, p, o, weight)| {
+                let (s, p, o) = match (self.dict.get(&s), self.dict.get(&p), self.dict.get(&o)) {
+                    (Some(s), Some(p), Some(o)) => (s, p, o),
+                    _ => {
+                        let dict = Arc::make_mut(&mut self.dict);
+                        (dict.intern(s), dict.intern(p), dict.intern(o))
+                    }
+                };
+                StoredTriple { s, p, o, weight }
+            })
+            .collect()
     }
 }
 
@@ -213,11 +216,11 @@ impl Derived for RelSnapshot {
         }
     }
 
-    /// Interns the window's triples and splices them into the view (a
+    /// Interns the window's triples and upserts them into the view (a
     /// window past `REBUILD_FRACTION` of the view re-assembles it once).
     fn patch(&mut self, window: &[DbDelta]) {
-        let ops = self.intern_window(window);
-        self.view.apply_ops(&self.dict, &ops);
+        let upserts = self.intern(window.iter().filter_map(rel_triple));
+        self.view.upsert(&self.dict, &upserts);
     }
 }
 
@@ -245,16 +248,24 @@ mod tests {
     use hive_store::view::REBUILD_FRACTION;
     use hive_store::Term;
 
-    /// `snap` equals a cold build over `db`, field for field: the same
-    /// dictionary (every id names the same term) and the same view,
-    /// stamp, nodes, offsets, row table and hops bit for bit.
+    /// `snap` equals a cold build over `db` and the store export that
+    /// [`GraphView::build`] flattens, field for field: the same dictionary
+    /// (every id names the same term) and the same view, nodes, offsets,
+    /// row table and hops bit for bit. The store export is the reference
+    /// a shared intern routine cannot be: the cold build and the patch
+    /// both go through [`RelSnapshot::intern`].
     fn assert_equals_cold_build(snap: &RelSnapshot, db: &HiveDb, window: &str) {
-        let cold = RelSnapshot::build(db, &KnowledgeNetwork::build(db));
-        assert_eq!(snap.dict.len(), cold.dict.len(), "{window}: dictionary length");
-        for (id, term) in cold.dict.iter() {
-            assert_eq!(snap.dict.resolve(id), Some(term), "{window}: {id:?}");
+        let store = KnowledgeNetwork::build(db).to_store(db);
+        let view = GraphView::build(&store);
+        let export = RelSnapshot { dict: Arc::new(store.dict().clone()), view };
+        let references = [(RelSnapshot::build(db), "cold build"), (export, "store export")];
+        for (reference, name) in references {
+            assert_eq!(snap.dict.len(), reference.dict.len(), "{window}: {name}: dictionary size");
+            for (id, term) in reference.dict.iter() {
+                assert_eq!(snap.dict.resolve(id), Some(term), "{window}: {name}: {id:?}");
+            }
+            assert_eq!(snap.view.bitwise_diff(&reference.view), None, "{window}: {name}");
         }
-        assert_eq!(snap.view.bitwise_diff(&cold.view), None, "{window}");
     }
 
     /// A patched relationship snapshot equals a cold build whether its
@@ -269,9 +280,9 @@ mod tests {
                 .map(|u| db.add_user(u));
             let sessions = db.session_ids();
             let tier: Tier<RelSnapshot> = Tier::new();
-            let get =
-                |db: &HiveDb| tier.get(db, || RelSnapshot::build(db, &KnowledgeNetwork::build(db)));
+            let get = |db: &HiveDb| tier.get(db, || RelSnapshot::build(db));
             let mut held = get(&db);
+            assert_equals_cold_build(&held, &db, "cold");
             let term = |u: UserId| Term::iri(u.iri());
             for u in loners {
                 assert!(held.dict.get(&term(u)).is_none(), "no `rel:*` triple names {u:?}");

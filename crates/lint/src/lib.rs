@@ -32,9 +32,9 @@
 //!   concurrency goes through the deterministic `hive-par` pool so
 //!   parallel output stays bit-identical to serial.
 //! * **R8 `delta-log`** — no direct `generation +=` bumps anywhere but
-//!   the delta-log APIs, in `src/`, benches, tests and examples alike.
-//!   A bump that skips the journal silently breaks incremental cache
-//!   maintenance.
+//!   the journal's one choke point (`HiveDb::bump`), in `src/`, benches,
+//!   tests and examples alike. A bump that skips the journal silently
+//!   breaks incremental cache maintenance.
 //! * **R13 `no-full-scan`** — no full activity-log iteration
 //!   (`activity_log().iter()`, `for .. in db.activity_log()`,
 //!   `.activities_between(`) in hive-core service code outside the
@@ -53,12 +53,13 @@
 //!   `Hive::service_mut(..)` choke point, so no Table-1 service can
 //!   silently bypass the hive-obs span/counter layer.
 //! * **R9 `snapshot-discipline`** — `&mut` access to a protected
-//!   snapshot type (`TripleStore`, `HiveDb`, ...) only through its home
-//!   crate, owners, or functions declared `lint:mutator(T)`.
-//! * **R10 `exhaustive-delta`** — every `match` on a delta enum
-//!   (`DeltaOp`, `DbDelta`) names all variants: no `_`, no catch-all
-//!   binding, no `matches!`, so a new delta kind fails to compile
-//!   instead of being silently dropped by a cache-patch path.
+//!   snapshot type (any type some function declares itself a
+//!   `lint:mutator(T)` for: `HiveDb`, `TripleStore`) only through its
+//!   home crate, owners, or functions declared `lint:mutator(T)`.
+//! * **R10 `exhaustive-delta`** — every `match` on a delta enum (any
+//!   declared `*Delta` enum, e.g. `DbDelta`) names all variants: no `_`,
+//!   no catch-all binding, no `matches!`, so a new delta kind fails to
+//!   compile instead of being silently dropped by a cache-patch path.
 //! * **R11 `lock-scope`** — no call that can reach a `hive-par` pool
 //!   entry, a facade service dispatch, or a snapshot rebuild while a
 //!   `Mutex` guard from `.lock()` is live (latent deadlock / stall).

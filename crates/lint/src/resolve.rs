@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::*;
+use crate::rules::is_delta_enum;
 
 /// Stable function identifier: `crate/Type::name` for methods,
 /// `crate/file.rs/name` for free functions.
@@ -804,15 +805,15 @@ impl<'a> FileCtx<'a> {
                 record_panic_site(e, &mut rec.panic_sites);
                 if name == "matches" {
                     // Any pattern path naming a *declared* delta enum
-                    // (`DeltaOp` or `*Delta`, resolved against the
-                    // workspace enum table — not a hardcoded list).
+                    // (`*Delta`, resolved against the workspace enum
+                    // table — not a hardcoded list).
                     let mut named: Option<String> = None;
                     for a in args {
                         a.walk(&mut |x| {
                             if let Expr::Path { segs, .. } = x {
                                 for s in segs {
                                     if named.is_none()
-                                        && (s == "DeltaOp" || s.ends_with("Delta"))
+                                        && is_delta_enum(s)
                                         && self.ws.enums.contains_key(s.as_str())
                                     {
                                         named = Some(s.clone());

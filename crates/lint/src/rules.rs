@@ -91,9 +91,10 @@ pub const FACADE_EXEMPT: &[&str] =
     &["new", "db", "db_mut", "indexes", "knowledge", "ppr", "service", "service_mut"];
 
 /// Enum names whose matches R10 forces to stay exhaustive: the delta
-/// vocabularies that grow as cache maintenance learns new operations.
-fn is_delta_enum(name: &str) -> bool {
-    name == "DeltaOp" || name.ends_with("Delta")
+/// vocabularies (`*Delta`) that grow as cache maintenance learns new
+/// operations.
+pub(crate) fn is_delta_enum(name: &str) -> bool {
+    name.ends_with("Delta")
 }
 
 /// Method names that rebuild a derived snapshot from base state (R11).
@@ -319,7 +320,7 @@ fn check_exhaustive_delta(ws: &Workspace, allows: &AllowIndex, out: &mut Vec<Dia
                         covered.insert(v.as_str());
                     }
                 } else if path.len() == 1 && declared.contains(path[0].as_str()) {
-                    // `use DeltaOp::*` style bare variant.
+                    // `use DbDelta::*` style bare variant.
                     covered.insert(path[0].as_str());
                 }
             }

@@ -116,8 +116,11 @@ pub fn fingerprint(hive: &Hive) -> Fingerprint {
 /// bit-for-bit.
 ///
 /// * **cached vs fresh** — the facade's generation-cached relationship
-///   store/view against a from-scratch export and
-///   [`GraphView::build`].
+///   dictionary and view, built by interning the `rel:*` export and
+///   patched forward through the journal, against a fresh store export
+///   ([`KnowledgeNetwork::to_store`]) flattened by
+///   [`GraphView::build`], which shares no code with the served build
+///   past the export's triple list.
 /// * **delta vs rebuild** — the live facade, whose kn/rel snapshots
 ///   have been delta-patched in place across the whole workload so
 ///   far, against a cold [`Epoch::rebuild`] of a clone of the same
@@ -127,7 +130,7 @@ pub fn differential_check(hive: &Hive, pair: (UserId, UserId)) -> Vec<String> {
     let mut out = Vec::new();
     let db = hive.db();
     // Cached path: facade rel-snapshot (reused across calls within a
-    // generation). Fresh path: explicit export + view build.
+    // generation). Fresh path: a store export and a view built from it.
     let cached = hive.explain_relationship(pair.0, pair.1);
     let kn = hive.knowledge();
     let store = kn.to_store(db);

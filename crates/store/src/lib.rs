@@ -12,7 +12,8 @@
 //!   and selectivity-ordered left-deep joins,
 //! * **ranked path queries**: cheapest and top-k weighted paths between two
 //!   terms (the primitive behind Hive's relationship discovery and
-//!   explanation, Figure 2 of the paper),
+//!   explanation, Figure 2 of the paper), over a CSR [`GraphView`] that
+//!   a store builds once or a caller keeps current by upserting triples,
 //! * snapshot persistence via the in-tree `hive-json` serializer.
 //!
 //! Weights are probabilities/strengths in `(0, 1]`; path cost composes
@@ -55,6 +56,6 @@ pub use path::{PathQuery, RankedPath};
 pub use pattern::{Binding, Pattern, PatternTerm};
 pub use query::{BgpQuery, Solution};
 pub use stats::StoreStats;
-pub use store::{DeltaOp, StoredTriple, TripleStore, DELTA_LOG_CAP};
+pub use store::{StoredTriple, TripleStore};
 pub use term::Term;
 pub use view::{GraphView, ViewEdge};

@@ -19,42 +19,6 @@ pub struct StoredTriple {
     pub weight: f64,
 }
 
-/// One logged mutation of the triple set, dictionary-encoded. The store
-/// appends one op per successful mutation (see [`TripleStore::log_op`]);
-/// derived snapshots replay the suffix since their stamped generation
-/// instead of rebuilding (see [`crate::GraphView::apply_delta`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DeltaOp {
-    /// A triple was inserted or re-weighted to `weight`.
-    Upsert {
-        /// Subject id.
-        s: TermId,
-        /// Predicate id.
-        p: TermId,
-        /// Object id.
-        o: TermId,
-        /// New weight in `(0, 1]`.
-        weight: f64,
-    },
-    /// A triple was removed.
-    Remove {
-        /// Subject id.
-        s: TermId,
-        /// Predicate id.
-        p: TermId,
-        /// Object id.
-        o: TermId,
-    },
-}
-
-/// Retained delta-log window: [`TripleStore::deltas_since`] answers the
-/// last `DELTA_LOG_CAP` ops and refuses older stamps, which fall back to
-/// a rebuild. Sized so that every realistic patch window (a facade cache
-/// lagging a burst of mutations) fits, while bounding memory to a few
-/// hundred KB. The log is compacted lazily (see [`TripleStore::log_op`]),
-/// so it holds at most twice this many entries.
-pub const DELTA_LOG_CAP: usize = 4096;
-
 /// One permutation index over `(a, b, c)` key tuples.
 ///
 /// The store keeps three of these (SPO, POS, OSP) so that any combination
@@ -123,7 +87,9 @@ impl PermIndex {
 ///
 /// Weights model relationship strength and must lie in `(0, 1]`; inserting
 /// an existing triple overwrites its weight. Literals may appear only in
-/// object position, as in RDF.
+/// object position, as in RDF. The store keeps no mutation log: a
+/// [`crate::GraphView`] taken from it with [`crate::GraphView::build`] is
+/// moved forward by its holder, with the triples it upserts.
 #[derive(Clone, Debug, Default)]
 pub struct TripleStore {
     pub(crate) dict: TermDict,
@@ -132,17 +98,6 @@ pub struct TripleStore {
     pos: PermIndex,
     osp: PermIndex,
     next_blank: u64,
-    /// Bumped on every mutation of the triple set or a weight; lets
-    /// derived snapshots (e.g. [`crate::GraphView`]) detect staleness.
-    /// Only [`Self::log_op`] may advance it (lint rule R8), so every
-    /// generation step has a corresponding [`DeltaOp`] in the log.
-    generation: u64,
-    /// Generation at which `delta_log` starts: `delta_log[i]` is the op
-    /// that produced generation `delta_base + i + 1`.
-    delta_base: u64,
-    /// A suffix of mutation ops, newest last, holding at least the last
-    /// [`DELTA_LOG_CAP`] and fewer than twice that many.
-    delta_log: Vec<DeltaOp>,
 }
 
 impl TripleStore {
@@ -164,50 +119,6 @@ impl TripleStore {
     /// Access to the term dictionary.
     pub fn dict(&self) -> &TermDict {
         &self.dict
-    }
-
-    /// Consumes the store and keeps its term dictionary, for a caller
-    /// that needs only the ids' terms once the triples are flattened
-    /// elsewhere (a [`crate::GraphView`]).
-    pub fn into_dict(self) -> TermDict {
-        self.dict
-    }
-
-    /// Mutation counter: any successful `insert` / `remove` /
-    /// `set_weight` / `remove_matching` advances it. Snapshots stamped
-    /// with an older generation are stale.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The single mutation choke point: records the op in the delta log
-    /// and advances the generation. Every mutating method routes through
-    /// here, so `generation - delta_base` always equals the log length
-    /// and [`Self::deltas_since`] can hand out exact patch suffixes.
-    /// Compaction is amortized: once the log reaches twice
-    /// [`DELTA_LOG_CAP`] it drains down to the last `DELTA_LOG_CAP`, so
-    /// each op moves at most one entry on average.
-    fn log_op(&mut self, op: DeltaOp) {
-        self.generation += 1; // lint:allow(delta-log) -- the one legal bump
-        self.delta_log.push(op);
-        if self.delta_log.len() >= 2 * DELTA_LOG_CAP {
-            let excess = self.delta_log.len() - DELTA_LOG_CAP;
-            self.delta_log.drain(..excess);
-            self.delta_base += excess as u64;
-        }
-    }
-
-    /// The ops applied since `generation` (oldest first), or `None` when
-    /// `generation` lies before the last [`DELTA_LOG_CAP`] ops (or is
-    /// from the future, i.e. a different store) — callers must rebuild
-    /// then. Entries kept past the window while compaction is pending
-    /// are never handed out.
-    pub fn deltas_since(&self, generation: u64) -> Option<&[DeltaOp]> {
-        let oldest = self.delta_base.max(self.generation.saturating_sub(DELTA_LOG_CAP as u64));
-        if generation > self.generation || generation < oldest {
-            return None;
-        }
-        Some(&self.delta_log[(generation - self.delta_base) as usize..])
     }
 
     /// Mints a fresh blank node unique within this store.
@@ -248,8 +159,6 @@ impl TripleStore {
             self.pos.insert((p.0, o.0, s.0));
             self.osp.insert((o.0, s.0, p.0));
         }
-        // Re-weighting an existing triple also mutates.
-        self.log_op(DeltaOp::Upsert { s, p, o, weight });
         fresh
     }
 
@@ -264,7 +173,6 @@ impl TripleStore {
             self.spo.remove(&(si.0, pi.0, oi.0));
             self.pos.remove(&(pi.0, oi.0, si.0));
             self.osp.remove(&(oi.0, si.0, pi.0));
-            self.log_op(DeltaOp::Remove { s: si, p: pi, o: oi });
             true
         } else {
             false
@@ -302,7 +210,6 @@ impl TripleStore {
         match self.weights.get_mut(&(si, pi, oi)) {
             Some(w) => {
                 *w = weight;
-                self.log_op(DeltaOp::Upsert { s: si, p: pi, o: oi, weight });
                 Ok(true)
             }
             None => Ok(false),
@@ -326,7 +233,6 @@ impl TripleStore {
             self.spo.remove(&(t.s.0, t.p.0, t.o.0));
             self.pos.remove(&(t.p.0, t.o.0, t.s.0));
             self.osp.remove(&(t.o.0, t.s.0, t.p.0));
-            self.log_op(DeltaOp::Remove { s: t.s, p: t.p, o: t.o });
         }
         victims.len()
     }
@@ -626,75 +532,6 @@ mod tests {
         }
         // Absent fully-bound triple counts zero.
         assert_eq!(st.count_ids(c, p, a), 0);
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation_kind() {
-        let mut st = TripleStore::new();
-        let g0 = st.generation();
-        st.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"), 0.5).unwrap();
-        let g1 = st.generation();
-        assert!(g1 > g0, "insert must bump");
-        st.set_weight(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"), 0.9).unwrap();
-        let g2 = st.generation();
-        assert!(g2 > g1, "set_weight must bump");
-        // A failed set_weight (absent triple) does not bump.
-        st.set_weight(&Term::iri("a"), &Term::iri("q"), &Term::iri("b"), 0.9).unwrap();
-        assert_eq!(st.generation(), g2);
-        st.remove(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
-        let g3 = st.generation();
-        assert!(g3 > g2, "remove must bump");
-        // Removing an absent triple does not bump.
-        st.remove(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
-        assert_eq!(st.generation(), g3);
-        st.insert(Term::iri("x"), Term::iri("p"), Term::iri("y"), 0.5).unwrap();
-        let g4 = st.generation();
-        assert!(st.remove_matching(None, None, None) > 0);
-        assert!(st.generation() > g4, "remove_matching must bump");
-        let g5 = st.generation();
-        assert_eq!(st.remove_matching(None, None, None), 0);
-        assert_eq!(st.generation(), g5, "no-op remove_matching must not bump");
-    }
-
-    #[test]
-    fn delta_log_mirrors_every_mutation() {
-        let mut st = TripleStore::new();
-        let g0 = st.generation();
-        st.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"), 0.5).unwrap();
-        st.set_weight(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"), 0.9).unwrap();
-        st.remove(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
-        let ops = st.deltas_since(g0).expect("window retained");
-        assert_eq!(ops.len(), 3);
-        assert!(matches!(ops[0], DeltaOp::Upsert { weight, .. } if weight == 0.5));
-        assert!(matches!(ops[1], DeltaOp::Upsert { weight, .. } if weight == 0.9));
-        assert!(matches!(ops[2], DeltaOp::Remove { .. }));
-        // The current generation has an empty suffix; the future has none.
-        assert_eq!(st.deltas_since(st.generation()).map(<[DeltaOp]>::len), Some(0));
-        assert!(st.deltas_since(st.generation() + 1).is_none());
-        // Failed mutations log nothing.
-        let g = st.generation();
-        assert!(st.insert(Term::str("lit"), Term::iri("p"), Term::iri("b"), 0.5).is_err());
-        assert!(!st.remove(&Term::iri("zzz"), &Term::iri("p"), &Term::iri("b")));
-        assert_eq!(st.generation(), g);
-    }
-
-    #[test]
-    fn delta_log_compacts_past_the_cap() {
-        let mut st = TripleStore::new();
-        let g0 = st.generation();
-        for i in 0..(DELTA_LOG_CAP + 10) {
-            st.insert(Term::iri(format!("n{i}")), Term::iri("p"), Term::iri("m"), 0.5).unwrap();
-        }
-        assert!(st.deltas_since(g0).is_none(), "compacted window must refuse");
-        let recent = st.generation() - 5;
-        assert_eq!(st.deltas_since(recent).map(<[DeltaOp]>::len), Some(5));
-        // Past several compactions the window is exactly the last CAP ops.
-        for i in 0..(3 * DELTA_LOG_CAP) {
-            st.insert(Term::iri(format!("k{i}")), Term::iri("p"), Term::iri("m"), 0.5).unwrap();
-        }
-        let oldest = st.generation() - DELTA_LOG_CAP as u64;
-        assert_eq!(st.deltas_since(oldest).map(<[DeltaOp]>::len), Some(DELTA_LOG_CAP));
-        assert!(st.deltas_since(oldest - 1).is_none(), "one past the window must refuse");
     }
 
     #[test]

@@ -1,29 +1,23 @@
-//! `GraphView` — a generation-stamped CSR snapshot of the triple graph.
+//! `GraphView` — a CSR snapshot of the triple graph.
 //!
 //! Path search and relationship explanation used to rebuild a transient
 //! adjacency map from a full store scan on **every query**. A
 //! [`GraphView`] does that scan once, flattening the resource-to-resource
 //! edges into a dictionary-encoded CSR layout (dense node index +
-//! offsets + flat edge array, as in RDF-3X-style in-memory RDF engines),
-//! and stamps itself with the store's mutation [`TripleStore::generation`].
+//! offsets + flat edge array, as in RDF-3X-style in-memory RDF engines).
 //!
 //! The layout is **canonical**: nodes are sorted by term id and each
-//! row's hops are sorted by `(s, p, o, direction)`. Canonical order is
-//! what makes *delta maintenance* possible — [`GraphView::apply_ops`]
-//! splices a window of [`DeltaOp`]s into the CSR in place and the
-//! result is bit-identical to a cold [`GraphView::build`], because both
-//! are pure functions of the current triple set. The ops need only a
-//! [`TermDict`] to tell hops from attributes, so a view can be kept
-//! current with no store behind it: it carries every triple it
-//! traverses, and a window past [`REBUILD_FRACTION`] of the view is
-//! folded into those triples and the rows re-assembled once, instead
-//! of spliced op by op.
-//!
-//! A view that does track a store detects staleness via
-//! [`GraphView::is_current`] and patches with [`GraphView::apply_delta`],
-//! which hands `apply_ops` the store's own log suffix and refuses (so
-//! the caller rebuilds from the store) when that window was compacted
-//! away or is past the same fraction.
+//! row's hops are sorted by `(s, p, o, direction)`, so a view is a pure
+//! function of its triple set. That is what lets a view move forward
+//! with no store behind it: [`GraphView::upsert`] takes a window of
+//! triples, each inserted or re-weighted, and needs only a [`TermDict`]
+//! to tell hops from attributes. Up to [`REBUILD_FRACTION`] of the view
+//! it splices each triple into the CSR in place; past it, the view
+//! folds the window into the triples it carries and re-assembles its
+//! rows once. [`GraphView::from_upserts`] runs the same fold from an
+//! empty view, for a caller that holds a triple list and no store.
+//! Either way the view is bit-identical to [`GraphView::build`] over a
+//! store given the same inserts.
 //!
 //! Both edge directions are materialized (reverse hops carry
 //! `forward = false`), so one view serves directed and undirected
@@ -32,19 +26,18 @@
 //! makes [`GraphView::node_index`] one array read.
 
 use crate::dict::{TermDict, TermId};
-use crate::store::{DeltaOp, StoredTriple, TripleStore};
+use crate::store::{StoredTriple, TripleStore};
 use crate::term::Term;
 use std::collections::BTreeMap;
 
 /// Tiny strictly-positive per-hop cost; see [`GraphView::build`].
 pub(crate) const HOP_EPSILON: f64 = 1e-9;
 
-/// A window of more ops than this fraction of the current hop count
+/// A window of more triples than this fraction of the current hop count
 /// (plus a small absolute floor, so tiny views always patch) is not
-/// spliced: [`GraphView::apply_delta`] refuses it and
-/// [`GraphView::apply_ops`] re-assembles the rows instead. Each op costs
-/// an `O(row + shift)` splice; past a quarter of the view a single
-/// `O(V + E)` rebuild is cheaper.
+/// spliced: [`GraphView::upsert`] re-assembles the rows instead. Each
+/// triple costs an `O(row + shift)` splice; past a quarter of the view a
+/// single `O(V + E)` rebuild is cheaper.
 pub const REBUILD_FRACTION: f64 = 0.25;
 
 /// One traversable hop in a [`GraphView`]: neighbor node, the
@@ -77,13 +70,11 @@ fn is_hop(dict: &TermDict, o: TermId) -> bool {
     dict.resolve(o).map(Term::is_resource).unwrap_or(false)
 }
 
-/// Dictionary-encoded CSR adjacency snapshot of a [`TripleStore`],
-/// stamped with the generation it reflects. Node lookup is one read of a
-/// dense term-id-to-row table (no hashing), derived from the sorted node
-/// array whenever that changes.
+/// Dictionary-encoded CSR adjacency snapshot of a triple set. Node
+/// lookup is one read of a dense term-id-to-row table (no hashing),
+/// derived from the sorted node array whenever that changes.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GraphView {
-    generation: u64,
     nodes: Vec<TermId>,
     off: Vec<u32>,
     edges: Vec<ViewEdge>,
@@ -103,15 +94,39 @@ impl GraphView {
     /// shortest-path search return zero-cost *walks* containing loops.
     pub fn build(store: &TripleStore) -> Self {
         hive_obs::count("store.view.build", 1);
-        let hops = store.iter().filter(|t| is_hop(store.dict(), t.o));
-        Self::assemble(store.generation(), hops)
+        Self::assemble(store.iter().filter(|t| is_hop(store.dict(), t.o)))
     }
 
-    /// The row assembly both builds share: `triples` (each a hop, each
+    /// The view of `upserts` (oldest first; `dict` resolves their
+    /// objects): what [`GraphView::build`] gives over a store that
+    /// inserted the same triples in the same order. Counted as a build.
+    pub fn from_upserts(dict: &TermDict, upserts: &[StoredTriple]) -> Self {
+        hive_obs::count("store.view.build", 1);
+        Self::fold(BTreeMap::new(), dict, upserts)
+    }
+
+    /// The fold [`GraphView::from_upserts`] and a window past
+    /// [`REBUILD_FRACTION`] share: the hops among `upserts` (attribute
+    /// triples skipped, as [`GraphView::build`] skips them) written over
+    /// `triples`, the last weight of a triple winning, then assembled.
+    fn fold(
+        mut triples: BTreeMap<(TermId, TermId, TermId), f64>,
+        dict: &TermDict,
+        upserts: &[StoredTriple],
+    ) -> Self {
+        for t in upserts.iter().filter(|t| is_hop(dict, t.o)) {
+            triples.insert((t.s, t.p, t.o), t.weight);
+        }
+        Self::assemble(
+            triples.into_iter().map(|((s, p, o), weight)| StoredTriple { s, p, o, weight }),
+        )
+    }
+
+    /// The row assembly every build shares: `triples` (each a hop, each
     /// `(s, p, o)` once, in any order) as canonical rows, both
     /// directions, with the row table derived. Rows are sorted by a key
     /// unique within a row, so the input order never shows.
-    fn assemble(generation: u64, triples: impl Iterator<Item = StoredTriple>) -> Self {
+    fn assemble(triples: impl Iterator<Item = StoredTriple>) -> Self {
         let mut rows: BTreeMap<TermId, Vec<ViewEdge>> = BTreeMap::new();
         for t in triples {
             let cost = hop_cost(t.weight);
@@ -132,7 +147,7 @@ impl GraphView {
             edges.extend(list);
             off.push(edges.len() as u32);
         }
-        let mut view = GraphView { generation, nodes, off, edges, rows: Vec::new() };
+        let mut view = GraphView { nodes, off, edges, rows: Vec::new() };
         view.index_rows();
         view
     }
@@ -147,93 +162,36 @@ impl GraphView {
         }
     }
 
-    /// True when `ops` ops are past [`REBUILD_FRACTION`] of this view.
-    fn splice_costs_more(&self, ops: usize) -> bool {
-        ops as f64 > (self.edges.len() as f64) * REBUILD_FRACTION + 16.0
-    }
-
-    /// Patches this view in place with the store's delta suffix since
-    /// the view's generation. Returns `false` — leaving the view
-    /// untouched — when the window was compacted away or the delta is
-    /// large enough that a rebuild is cheaper; the caller then calls
-    /// [`GraphView::build`]. On success the view is bit-identical to a
-    /// cold rebuild at the store's current generation (the canonical
-    /// layout is a pure function of the triple set).
-    pub fn apply_delta(&mut self, store: &TripleStore) -> bool {
-        if self.generation == store.generation() {
-            return true;
-        }
-        let Some(ops) = store.deltas_since(self.generation) else {
+    /// Inserts or re-weights `upserts` (oldest first) in this view;
+    /// `dict` resolves their objects, so attribute triples are skipped
+    /// exactly as [`GraphView::build`] skips them, and an upsert of a
+    /// present triple replaces its hop. Up to [`REBUILD_FRACTION`] of the
+    /// view each triple is spliced in place (`store.view.delta`); past
+    /// it the view folds the window into its own forward hops (one per
+    /// triple) and re-assembles its rows once
+    /// (`store.view.rebuild_fallback`). Either way the view is
+    /// bit-identical to a cold build over the resulting triple set.
+    pub fn upsert(&mut self, dict: &TermDict, upserts: &[StoredTriple]) {
+        if upserts.len() as f64 > (self.edges.len() as f64) * REBUILD_FRACTION + 16.0 {
             hive_obs::count("store.view.rebuild_fallback", 1);
-            return false;
-        };
-        if self.splice_costs_more(ops.len()) {
-            hive_obs::count("store.view.rebuild_fallback", 1);
-            return false;
-        }
-        self.apply_ops(store.dict(), ops);
-        true
-    }
-
-    /// Applies `ops` (oldest first) to this view; `dict` resolves their
-    /// objects, so attribute triples are skipped exactly as
-    /// [`GraphView::build`] skips them, and an upsert of a present
-    /// triple replaces its hop. Up to [`REBUILD_FRACTION`] of the view
-    /// each op is spliced in place; past it the view re-assembles its
-    /// rows once from its own forward hops (one per triple) with the
-    /// window folded in (`store.view.rebuild_fallback`). Either way the
-    /// view is bit-identical to a cold build over the resulting triple
-    /// set. The stamp advances by one per op, as a store's generation
-    /// does for each op it logs.
-    pub fn apply_ops(&mut self, dict: &TermDict, ops: &[DeltaOp]) {
-        let generation = self.generation + ops.len() as u64;
-        if self.splice_costs_more(ops.len()) {
-            hive_obs::count("store.view.rebuild_fallback", 1);
-            let mut triples: BTreeMap<(TermId, TermId, TermId), f64> = self
+            let own = self
                 .edges
                 .iter()
                 .filter(|e| e.forward)
                 .map(|e| ((e.triple.s, e.triple.p, e.triple.o), e.triple.weight))
                 .collect();
-            for &op in ops {
-                match op {
-                    DeltaOp::Upsert { s, p, o, weight } => {
-                        if is_hop(dict, o) {
-                            triples.insert((s, p, o), weight);
-                        }
-                    }
-                    DeltaOp::Remove { s, p, o } => {
-                        triples.remove(&(s, p, o));
-                    }
-                }
-            }
-            let triples =
-                triples.into_iter().map(|((s, p, o), weight)| StoredTriple { s, p, o, weight });
-            *self = Self::assemble(generation, triples);
+            *self = Self::fold(own, dict, upserts);
             return;
         }
         if self.off.is_empty() {
-            self.off.push(0); // a Default view is an empty zero-generation view
+            self.off.push(0); // a Default view is an empty view
         }
-        for &op in ops {
-            match op {
-                DeltaOp::Upsert { s, p, o, weight } => {
-                    if !is_hop(dict, o) {
-                        continue; // attribute triple: never a hop
-                    }
-                    let triple = StoredTriple { s, p, o, weight };
-                    let cost = hop_cost(weight);
-                    self.upsert_edge(s, ViewEdge { to: o, triple, cost, forward: true });
-                    self.upsert_edge(o, ViewEdge { to: s, triple, cost, forward: false });
-                }
-                DeltaOp::Remove { s, p, o } => {
-                    self.remove_edge(s, (s.0, p.0, o.0, false));
-                    self.remove_edge(o, (s.0, p.0, o.0, true));
-                }
-            }
+        for &triple in upserts.iter().filter(|t| is_hop(dict, t.o)) {
+            let cost = hop_cost(triple.weight);
+            self.upsert_edge(triple.s, ViewEdge { to: triple.o, triple, cost, forward: true });
+            self.upsert_edge(triple.o, ViewEdge { to: triple.s, triple, cost, forward: false });
         }
         self.index_rows();
-        self.generation = generation;
         hive_obs::count("store.view.delta", 1);
     }
 
@@ -260,40 +218,6 @@ impl GraphView {
                 }
             }
         }
-    }
-
-    /// Removes one hop from `row` (keyed by `(s, p, o, !forward)`),
-    /// dropping the row entirely when it becomes empty — `build` never
-    /// emits edge-less nodes, and a patched view must match it.
-    fn remove_edge(&mut self, row: TermId, key: (u32, u32, u32, bool)) {
-        let Ok(ri) = self.nodes.binary_search(&row) else {
-            return;
-        };
-        let (lo, hi) = (self.off[ri] as usize, self.off[ri + 1] as usize);
-        let Ok(j) = self.edges[lo..hi].binary_search_by(|x| edge_key(x).cmp(&key)) else {
-            return;
-        };
-        self.edges.remove(lo + j);
-        for o in &mut self.off[ri + 1..] {
-            *o -= 1;
-        }
-        if self.off[ri] == self.off[ri + 1] {
-            self.nodes.remove(ri);
-            self.off.remove(ri + 1);
-        }
-    }
-
-    /// The store generation this snapshot reflects.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// True while no mutation has touched `store` since this view was
-    /// built or last patched — the cache-validity check.
-    pub fn is_current(&self, store: &TripleStore) -> bool {
-        let current = self.generation == store.generation();
-        hive_obs::count(if current { "store.view.hit" } else { "store.view.miss" }, 1);
-        current
     }
 
     /// Number of graph nodes (resources that take part in at least one
@@ -340,9 +264,6 @@ impl GraphView {
     /// bits, not by `==`): the delta-vs-rebuild oracle used by property
     /// tests and the sim harness. Returns the first difference found.
     pub fn bitwise_diff(&self, other: &GraphView) -> Option<String> {
-        if self.generation != other.generation {
-            return Some(format!("generation {} != {}", self.generation, other.generation));
-        }
         if self.nodes != other.nodes {
             return Some(format!("node sets differ: {} vs {}", self.nodes.len(), other.nodes.len()));
         }
@@ -376,11 +297,36 @@ mod tests {
     use super::*;
     use crate::term::Term;
 
+    type Triple = (Term, Term, Term, f64);
+
+    fn iri(name: &str) -> Term {
+        Term::iri(name)
+    }
+
+    /// Inserts `triples` into `st` in order and returns them as a view
+    /// window, ids read from the store's dictionary.
+    fn insert(st: &mut TripleStore, triples: &[Triple]) -> Vec<StoredTriple> {
+        triples
+            .iter()
+            .map(|(s, p, o, weight)| {
+                st.insert(s.clone(), p.clone(), o.clone(), *weight).unwrap();
+                let id = |t: &Term| st.dict().get(t).unwrap();
+                StoredTriple { s: id(s), p: id(p), o: id(o), weight: *weight }
+            })
+            .collect()
+    }
+
+    fn small_triples() -> Vec<Triple> {
+        vec![
+            (iri("a"), iri("rel"), iri("b"), 0.9),
+            (iri("b"), iri("rel"), iri("c"), 0.5),
+            (iri("a"), iri("name"), Term::str("Ann"), 1.0),
+        ]
+    }
+
     fn small_store() -> TripleStore {
         let mut st = TripleStore::new();
-        st.insert(Term::iri("a"), Term::iri("rel"), Term::iri("b"), 0.9).unwrap();
-        st.insert(Term::iri("b"), Term::iri("rel"), Term::iri("c"), 0.5).unwrap();
-        st.insert(Term::iri("a"), Term::iri("name"), Term::str("Ann"), 1.0).unwrap();
+        insert(&mut st, &small_triples());
         st
     }
 
@@ -399,110 +345,88 @@ mod tests {
         assert!(unknown.is_empty());
     }
 
+    /// A window with a new hop between new nodes, a re-weight and an
+    /// attribute, upserted into a built view, equals a cold build; so
+    /// does `from_upserts` over the store's whole insert sequence.
     #[test]
-    fn view_staleness_tracks_store_generation() {
-        let mut st = small_store();
-        let view = GraphView::build(&st);
-        assert!(view.is_current(&st));
-        st.set_weight(&Term::iri("a"), &Term::iri("rel"), &Term::iri("b"), 0.1).unwrap();
-        assert!(!view.is_current(&st), "re-weighting must invalidate");
-        let rebuilt = GraphView::build(&st);
-        assert!(rebuilt.is_current(&st));
-        assert!(rebuilt.generation() > view.generation());
-    }
-
-    #[test]
-    fn apply_delta_matches_rebuild_for_each_mutation_kind() {
-        let mut st = small_store();
+    fn upsert_matches_rebuild_for_each_mutation_kind() {
+        let mut st = TripleStore::new();
+        let base = insert(&mut st, &small_triples());
         let mut view = GraphView::build(&st);
-        // Insert (new nodes), re-weight, attribute insert, remove.
-        st.insert(Term::iri("c"), Term::iri("rel"), Term::iri("d"), 0.7).unwrap();
-        st.set_weight(&Term::iri("a"), &Term::iri("rel"), &Term::iri("b"), 0.2).unwrap();
-        st.insert(Term::iri("d"), Term::iri("name"), Term::str("Dee"), 1.0).unwrap();
-        st.remove(&Term::iri("b"), &Term::iri("rel"), &Term::iri("c"));
-        assert!(view.apply_delta(&st), "small delta must patch in place");
-        assert!(view.is_current(&st));
-        let rebuilt = GraphView::build(&st);
-        assert_eq!(view.bitwise_diff(&rebuilt), None);
+        let window = insert(
+            &mut st,
+            &[
+                (iri("c"), iri("rel"), iri("d"), 0.7),
+                (iri("a"), iri("rel"), iri("b"), 0.2),
+                (iri("d"), iri("name"), Term::str("Dee"), 1.0),
+            ],
+        );
+        view.upsert(st.dict(), &window);
+        let cold = GraphView::build(&st);
+        assert_eq!(view.bitwise_diff(&cold), None);
+        let all = [base, window].concat();
+        assert_eq!(GraphView::from_upserts(st.dict(), &all).bitwise_diff(&cold), None);
     }
 
+    /// Self-loops, and rows appearing before and between the existing
+    /// ones: after each window the view, row table included, equals a
+    /// cold build, and every term's row lookup agrees with the node array.
     #[test]
-    fn apply_delta_handles_self_loops_and_row_removal() {
-        // Patches, then checks the view (row table included) against a
-        // cold build, and every term's row lookup against the node array.
-        fn patch(view: &mut GraphView, st: &TripleStore) {
-            assert!(view.apply_delta(st));
+    fn upsert_handles_self_loops_and_middle_rows() {
+        fn upsert(view: &mut GraphView, st: &mut TripleStore, triples: &[Triple]) {
+            let window = insert(st, triples);
+            view.upsert(st.dict(), &window);
             assert_eq!(view.bitwise_diff(&GraphView::build(st)), None);
             for t in (0..st.dict().len() as u32).map(TermId) {
                 assert_eq!(view.node_index(t), view.nodes.binary_search(&t).ok(), "{t:?}");
             }
         }
-        let (x, y, z, w) = (Term::iri("x"), Term::iri("y"), Term::iri("z"), Term::iri("w"));
-        let rel = Term::iri("rel");
+        let (x, y, z, w, rel) = (iri("x"), iri("y"), iri("z"), iri("w"), iri("rel"));
+        // x and y are interned by attributes only, so they have ids
+        // below z and w but no rows yet.
         let mut st = TripleStore::new();
-        st.insert(x.clone(), rel.clone(), y.clone(), 0.5).unwrap();
+        insert(
+            &mut st,
+            &[
+                (x.clone(), iri("name"), Term::str("X"), 1.0),
+                (y.clone(), iri("name"), Term::str("Y"), 1.0),
+                (z.clone(), rel.clone(), w.clone(), 0.6),
+            ],
+        );
         let mut view = GraphView::build(&st);
-        st.insert(x.clone(), rel.clone(), x.clone(), 0.4).unwrap();
-        st.remove(&x, &rel, &y);
-        patch(&mut view, &st);
-        assert_eq!(view.node_count(), 1, "y's row must vanish with its last hop");
-        // Rows x, z, w in id order; then z, the middle row, loses its hop.
-        st.insert(z.clone(), rel.clone(), w.clone(), 0.6).unwrap();
-        st.insert(x.clone(), rel.clone(), w.clone(), 0.7).unwrap();
-        patch(&mut view, &st);
-        st.remove(&z, &rel, &w);
-        patch(&mut view, &st);
-        assert_eq!(view.node_count(), 2, "z's middle row must vanish");
-        // y regains a hop, and with it a row between x and w.
-        st.insert(y.clone(), rel.clone(), w.clone(), 0.8).unwrap();
-        patch(&mut view, &st);
-        assert_eq!(view.node_count(), 3);
+        assert_eq!(view.node_count(), 2);
+        upsert(&mut view, &mut st, &[(x.clone(), rel.clone(), x.clone(), 0.4)]);
+        assert_eq!(view.node_count(), 3, "x's self-loop makes the first row");
+        upsert(&mut view, &mut st, &[(y.clone(), rel.clone(), w.clone(), 0.8)]);
+        assert_eq!(view.node_count(), 4, "y's row lands between x and z");
+        upsert(&mut view, &mut st, &[(x.clone(), rel.clone(), x, 0.9), (z.clone(), rel, z, 0.3)]);
+        assert_eq!(view.node_count(), 4, "a re-weight and a self-loop in present rows");
     }
 
+    /// A window past `REBUILD_FRACTION` of the view is folded into the
+    /// view's own hops and re-assembled once, equal to a cold build.
     #[test]
     fn apply_ops_past_the_fraction_reassembles_bit_identically() {
         let mut st = small_store();
         let mut view = GraphView::build(&st);
-        let g0 = st.generation();
         // 40 new hops (two of them re-inserted at a new weight), a
-        // re-weight, an attribute and a removal: far past this tiny
-        // view's 16-op floor plus a quarter of its 4 hops.
-        for i in 0..40 {
-            st.insert(Term::iri(format!("m{i}")), Term::iri("rel"), Term::iri("b"), 0.5).unwrap();
-        }
-        st.set_weight(&Term::iri("a"), &Term::iri("rel"), &Term::iri("b"), 0.2).unwrap();
-        st.insert(Term::iri("m3"), Term::iri("name"), Term::str("Em"), 1.0).unwrap();
-        st.remove(&Term::iri("b"), &Term::iri("rel"), &Term::iri("c"));
-        st.insert(Term::iri("m7"), Term::iri("rel"), Term::iri("b"), 0.9).unwrap();
-        st.insert(Term::iri("m9"), Term::iri("rel"), Term::iri("b"), 0.6).unwrap();
-        let ops = st.deltas_since(g0).unwrap();
+        // re-weight and an attribute: far past this tiny view's 16-triple
+        // floor plus a quarter of its 4 hops.
+        let mut triples: Vec<Triple> =
+            (0..40).map(|i| (iri(&format!("m{i}")), iri("rel"), iri("b"), 0.5)).collect();
+        triples.push((iri("a"), iri("rel"), iri("b"), 0.2));
+        triples.push((iri("m3"), iri("name"), Term::str("Em"), 1.0));
+        triples.push((iri("m7"), iri("rel"), iri("b"), 0.9));
+        triples.push((iri("m9"), iri("rel"), iri("b"), 0.6));
+        let window = insert(&mut st, &triples);
         hive_obs::with_level(hive_obs::Level::Counts, || {
             hive_obs::reset();
-            view.apply_ops(st.dict(), ops);
+            view.upsert(st.dict(), &window);
             let counts = hive_obs::snapshot();
             assert_eq!(counts.counter("store.view.rebuild_fallback"), 1, "re-assembled");
             assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
             hive_obs::reset();
         });
-        // The stamp advanced by one per op, to the store's generation.
         assert_eq!(view.bitwise_diff(&GraphView::build(&st)), None);
-    }
-
-    #[test]
-    fn apply_delta_refuses_compacted_or_oversized_windows() {
-        let mut st = small_store();
-        let mut view = GraphView::build(&st);
-        // An oversized delta (relative to this tiny view's floor) is
-        // simulated by exceeding the absolute floor of 16 + 25% of 4.
-        for i in 0..40 {
-            st.insert(Term::iri(format!("m{i}")), Term::iri("rel"), Term::iri("m0"), 0.5)
-                .unwrap();
-        }
-        assert!(!view.apply_delta(&st), "oversized delta must fall back");
-        // The untouched view still patches cleanly after a rebuild.
-        let mut fresh = GraphView::build(&st);
-        st.insert(Term::iri("z"), Term::iri("rel"), Term::iri("m0"), 0.3).unwrap();
-        assert!(fresh.apply_delta(&st));
-        assert_eq!(fresh.bitwise_diff(&GraphView::build(&st)), None);
     }
 }

@@ -1,52 +1,14 @@
-//! Generation counters and the CSR snapshot caches: mutations must bump
-//! the generation, stale views must be detected, the facade's cached
-//! relationship graph must never serve pre-mutation answers, and the
-//! facade's generation-keyed PPR tier emits its hit/delta/miss counters.
+//! The database generation and the facade's generation-keyed tiers:
+//! mutations must bump the generation, the facade's cached relationship
+//! view must never serve pre-mutation paths, and the PPR tier emits its
+//! hit/delta/miss counters.
 
 use hive_core::model::User;
 use hive_core::peers::PeerRecConfig;
+use hive_core::evidence;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::Hive;
-use hive_store::{GraphView, Term, TripleStore};
 use std::collections::HashMap;
-
-#[test]
-fn store_generation_bumps_on_mutation() {
-    let mut st = TripleStore::new();
-    let g0 = st.generation();
-    st.insert(Term::iri("user:a"), Term::iri("rel:follows"), Term::iri("user:b"), 1.0)
-        .unwrap();
-    let g1 = st.generation();
-    assert!(g1 > g0, "insert must bump the generation");
-    st.set_weight(&Term::iri("user:a"), &Term::iri("rel:follows"), &Term::iri("user:b"), 0.5)
-        .unwrap();
-    let g2 = st.generation();
-    assert!(g2 > g1, "set_weight must bump the generation");
-    assert!(st.remove(&Term::iri("user:a"), &Term::iri("rel:follows"), &Term::iri("user:b")));
-    assert!(st.generation() > g2, "remove must bump the generation");
-}
-
-#[test]
-fn graph_view_detects_staleness_after_each_mutation_kind() {
-    let mut st = TripleStore::new();
-    st.insert(Term::iri("user:a"), Term::iri("rel:follows"), Term::iri("user:b"), 1.0)
-        .unwrap();
-
-    let view = GraphView::build(&st);
-    assert!(view.is_current(&st));
-    st.insert(Term::iri("user:b"), Term::iri("rel:follows"), Term::iri("user:c"), 1.0)
-        .unwrap();
-    assert!(!view.is_current(&st), "insert must invalidate the view");
-
-    let view = GraphView::build(&st);
-    st.set_weight(&Term::iri("user:a"), &Term::iri("rel:follows"), &Term::iri("user:b"), 0.2)
-        .unwrap();
-    assert!(!view.is_current(&st), "set_weight must invalidate the view");
-
-    let view = GraphView::build(&st);
-    assert!(st.remove(&Term::iri("user:b"), &Term::iri("rel:follows"), &Term::iri("user:c")));
-    assert!(!view.is_current(&st), "remove must invalidate the view");
-}
 
 #[test]
 fn db_generation_bumps_on_content_mutations_only() {
@@ -63,35 +25,35 @@ fn db_generation_bumps_on_content_mutations_only() {
     assert!(hive.db().generation() > g1, "add_user must bump the generation");
 }
 
+/// A write that moves an explanation's paths reaches the served view.
+/// `users[0]` and `users[2]` are not connected in the small world, so
+/// connecting them turns their top path from a chain into the direct
+/// `rel:connected` hop. Before and after, the served paths equal an
+/// explanation over a fresh store export of the same database.
 #[test]
 fn explain_relationship_never_serves_a_stale_view() {
     let world = WorldBuilder::new(SimConfig::small()).build();
     let mut hive = Hive::new(world.db);
     let users = hive.db().user_ids();
-    let (a, b) = (users[0], users[1]);
-    // Warm the generation-keyed cache.
-    let before = hive.explain_relationship(a, b);
-    // Mutate: a now follows b (new edge + new evidence).
-    let followed = hive.follow(a, b).is_ok();
-    let after = hive.explain_relationship(a, b);
-    if followed {
-        assert!(
-            after.combined >= before.combined,
-            "new following evidence cannot lower the combined score: {} -> {}",
-            before.combined,
-            after.combined
-        );
-        assert!(
-            after.items.len() > before.items.len()
-                || after.combined > before.combined,
-            "the post-mutation explanation must reflect the new edge"
-        );
-    }
-    // Either way the cached snapshot must have been rebuilt for the new
-    // generation — re-asking at the same generation is stable.
-    let again = hive.explain_relationship(a, b);
-    assert_eq!(after.items.len(), again.items.len());
-    assert!(after.combined.to_bits() == again.combined.to_bits());
+    let (a, b) = (users[0], users[2]);
+    let fresh = |hive: &Hive| {
+        let kn = hive.knowledge();
+        let store = kn.to_store(hive.db());
+        evidence::explain_relationship(hive.db(), &kn, &store, a, b, 3).paths
+    };
+    // Warms the relationship tier.
+    let before = hive.explain_relationship(a, b).paths;
+    assert_eq!(before, fresh(&hive));
+    let hops = |path: &str| path.split("  ->  ").count();
+    assert_eq!(hops(&before[0]), 4, "the top path is a chain: {before:?}");
+    hive.request_connection(a, b).unwrap();
+    hive.respond_connection(b, a, true).unwrap();
+    let after = hive.explain_relationship(a, b).paths;
+    assert_eq!(after, fresh(&hive), "the served view must carry the new edge");
+    assert_eq!(hops(&after[0]), 1, "the direct hop ranks first: {after:?}");
+    assert!(after[0].contains("rel:connected"), "{after:?}");
+    // Re-asking at the same generation is stable.
+    assert_eq!(hive.explain_relationship(a, b).paths, after);
 }
 
 #[test]

@@ -4,11 +4,12 @@
 //! Two layers are pinned down, both driven by the in-tree seeded
 //! runner (`hive_bench::prop`):
 //!
-//! 1. **Store/view** — [`GraphView::apply_delta`] replays the triple
-//!    store's delta-log suffix into the CSR in place; after any
-//!    randomized mutation sequence the patched view must equal a cold
-//!    [`GraphView::build`] under [`GraphView::bitwise_diff`] (floats by
-//!    `to_bits`).
+//! 1. **View** — [`GraphView::upsert`] moves a CSR view forward by a
+//!    window of inserted or re-weighted triples; after any randomized
+//!    sequence of windows the view, and [`GraphView::from_upserts`] over
+//!    the whole sequence, must equal a cold [`GraphView::build`] of a
+//!    store given the same inserts under [`GraphView::bitwise_diff`]
+//!    (floats by `to_bits`).
 //! 2. **Facade** — a live [`Hive`] whose kn/rel snapshots are patched
 //!    forward across interleaved mutations and queries must answer the
 //!    soak fingerprint's battery exactly like a cold
@@ -20,13 +21,13 @@ use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::{Epoch, Hive};
 use hive_rng::Rng;
 use hive_sim_harness::oracle::fingerprint;
-use hive_store::{GraphView, Term, TripleStore};
+use hive_store::{GraphView, StoredTriple, Term, TripleStore};
 use std::sync::Arc;
 
-// ---- layer 1: GraphView::apply_delta vs GraphView::build ---------------
+// ---- layer 1: GraphView::upsert vs GraphView::build -------------------
 
-/// A small universe of terms so mutations collide: overwrites, removes
-/// of present and absent triples, rows appearing and vanishing.
+/// A small universe of terms so windows collide: re-weights of present
+/// triples, self-loops, rows appearing between existing ones.
 fn gen_entity(rng: &mut Rng) -> Term {
     Term::iri(format!("e{}", rng.gen_range(0..10u32)))
 }
@@ -39,103 +40,54 @@ fn gen_weight(rng: &mut Rng) -> f64 {
     rng.gen_range(1..=100u32) as f64 / 100.0
 }
 
-/// One random mutation; literal objects are mixed in so the patcher
-/// must keep skipping attribute triples exactly like the cold scan.
-fn mutate(st: &mut TripleStore, rng: &mut Rng) {
-    match rng.gen_range(0..5u32) {
-        0 | 1 => {
-            let _ = st.insert(gen_entity(rng), gen_pred(rng), gen_entity(rng), gen_weight(rng));
-        }
-        2 => {
-            let _ = st.insert(
-                gen_entity(rng),
-                gen_pred(rng),
-                Term::str(format!("label{}", rng.gen_range(0..4u32))),
-                1.0,
-            );
-        }
-        3 => {
-            st.remove(&gen_entity(rng), &gen_pred(rng), &gen_entity(rng));
-        }
-        _ => {
-            let (s, p, o) = (gen_entity(rng), gen_pred(rng), gen_entity(rng));
-            let w = gen_weight(rng);
-            let _ = st.set_weight(&s, &p, &o, w);
-        }
-    }
+/// Inserts one random triple into `st` and returns it as a view upsert,
+/// ids read from the store's dictionary. Literal objects are mixed in,
+/// so the view must keep skipping attribute triples exactly like the
+/// cold scan.
+fn upsert(st: &mut TripleStore, rng: &mut Rng) -> Result<StoredTriple, String> {
+    let (s, p) = (gen_entity(rng), gen_pred(rng));
+    let (o, weight) = match rng.gen_range(0..4u32) {
+        0 => (Term::str(format!("label{}", rng.gen_range(0..4u32))), 1.0),
+        _ => (gen_entity(rng), gen_weight(rng)),
+    };
+    st.insert(s.clone(), p.clone(), o.clone(), weight).map_err(|e| e.to_string())?;
+    let id = |t: &Term| st.dict().get(t).ok_or_else(|| format!("{t:?} not interned"));
+    Ok(StoredTriple { s: id(&s)?, p: id(&p)?, o: id(&o)?, weight })
 }
 
-/// After every mutation burst, a patched view equals a cold rebuild
-/// bit-for-bit (or honestly refuses and the caller rebuilds).
+/// After every window of upserts, the view moved forward with
+/// `GraphView::upsert` equals a cold `GraphView::build` over a store
+/// given the same inserts, bit for bit, and so does `from_upserts` over
+/// the whole insert sequence. Windows of 0 to 29 triples both splice
+/// and pass the 16-triple floor that re-assembles the view.
 #[test]
 fn apply_delta_is_bitwise_identical_to_cold_rebuild() {
     check("delta::view_patch_equals_rebuild", DEFAULT_CASES, |rng| {
         let mut st = TripleStore::new();
+        let mut all = Vec::new();
         for _ in 0..rng.gen_range(0..40usize) {
-            mutate(&mut st, rng);
+            all.push(upsert(&mut st, rng)?);
         }
         let mut view = GraphView::build(&st);
-        // Several bursts against the same live view: the patched state
-        // of burst k is the starting point of burst k+1, so errors
-        // would compound and surface.
+        // Several windows against the same live view: the state after
+        // window k is the starting point of window k+1, so errors would
+        // compound and surface.
         for _ in 0..rng.gen_range(1..4usize) {
-            for _ in 0..rng.gen_range(0..12usize) {
-                mutate(&mut st, rng);
-            }
-            if !view.apply_delta(&st) {
-                view = GraphView::build(&st);
-            }
+            let window = (0..rng.gen_range(0..30usize))
+                .map(|_| upsert(&mut st, rng))
+                .collect::<Result<Vec<_>, _>>()?;
+            view.upsert(st.dict(), &window);
+            all.extend(window);
             let cold = GraphView::build(&st);
             if let Some(diff) = view.bitwise_diff(&cold) {
-                return Err(format!("patched view diverged from cold rebuild: {diff}"));
+                return Err(format!("upserted view diverged from cold rebuild: {diff}"));
             }
-            prop_ensure!(view.is_current(&st), "patched view must carry the new generation");
+            if let Some(diff) = GraphView::from_upserts(st.dict(), &all).bitwise_diff(&cold) {
+                return Err(format!("from_upserts diverged from cold rebuild: {diff}"));
+            }
         }
         Ok(())
     });
-}
-
-/// When the delta window outgrows the view, `apply_delta` must refuse
-/// (leaving the view untouched) rather than patch slower than a build.
-#[test]
-fn apply_delta_refuses_oversized_windows() {
-    check("delta::view_patch_refuses_large_delta", DEFAULT_CASES / 4, |rng| {
-        let mut st = TripleStore::new();
-        st.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"), 0.5)
-            .map_err(|e| e.to_string())?;
-        let mut view = GraphView::build(&st);
-        let before = view.clone();
-        // Far past REBUILD_FRACTION of a 2-edge view (floor included).
-        for i in 0..rng.gen_range(60..120u32) {
-            st.insert(Term::iri(format!("n{i}")), Term::iri("p"), Term::iri("a"), 0.9)
-                .map_err(|e| e.to_string())?;
-        }
-        prop_ensure!(!view.apply_delta(&st), "oversized delta must fall back to rebuild");
-        prop_ensure!(
-            view.bitwise_diff(&before).is_none(),
-            "a refused patch must leave the view untouched"
-        );
-        let rebuilt = GraphView::build(&st);
-        prop_ensure!(rebuilt.is_current(&st));
-        Ok(())
-    });
-}
-
-/// A view stamped by a *different* store (future generation) must
-/// refuse to patch instead of splicing foreign deltas.
-#[test]
-fn apply_delta_refuses_foreign_generations() {
-    let mut big = TripleStore::new();
-    for i in 0..8 {
-        big.insert(Term::iri(format!("x{i}")), Term::iri("p"), Term::iri("x0"), 0.5).unwrap();
-    }
-    let mut view = GraphView::build(&big);
-    let mut other = TripleStore::new();
-    other.insert(Term::iri("a"), Term::iri("p"), Term::iri("b"), 0.5).unwrap();
-    assert!(
-        !view.apply_delta(&other),
-        "a future-generation stamp must force a rebuild, not a patch"
-    );
 }
 
 // ---- layer 2: delta-patched facade vs cold platform --------------------
