@@ -10,7 +10,6 @@
 
 use hive_bench::{fmt_us, header, row, time_once};
 use hive_core::communities::{discover, CommunityTracker, Method};
-use hive_core::knowledge::KnowledgeNetwork;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_graph::{nmi_of_partitions, Graph};
 use hive_scent::{DetectorBackend, SketchConfig};
@@ -31,9 +30,8 @@ fn main() {
         ("medium (150u/8t)", SimConfig::medium()),
     ] {
         let world = WorldBuilder::new(cfg).build();
-        let kn = KnowledgeNetwork::build(&world.db);
         for method in [Method::Louvain, Method::LabelPropagation(7)] {
-            let (comms, us) = time_once(|| discover(&kn, method));
+            let (comms, us) = time_once(|| discover(&world.db, method));
             let score = nmi_of_partitions(
                 &comms
                     .members

@@ -7,7 +7,9 @@
 
 use hive_bench::{header, row};
 use hive_concept::{bootstrap_concept_map, diff_maps, AlignConfig, BootstrapConfig};
-use hive_core::knowledge::{concept_layers, KnowledgeNetwork};
+use hive_core::knowledge::{
+    citation_graph, coauthor_graph, concept_layers, social_graph, KnowledgeNetwork,
+};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_store::StoreStats;
 
@@ -19,11 +21,11 @@ fn main() {
 
     header("Graph layers");
     row(&["layer".into(), "nodes".into(), "edges".into()]);
+    let db = &world.db;
     for (name, g) in [
-        ("social (connections+follows)", &*kn.social),
-        ("co-authorship", &*kn.coauthor),
-        ("citation", &*kn.citation),
-        ("unified (all layers fused)", &kn.unified),
+        ("social (connections+follows)", social_graph(db)),
+        ("co-authorship", coauthor_graph(db)),
+        ("citation", citation_graph(db)),
     ] {
         row(&[
             name.to_string(),
@@ -31,6 +33,11 @@ fn main() {
             g.edge_count().to_string(),
         ]);
     }
+    row(&[
+        "unified (all layers fused)".to_string(),
+        kn.csr.node_count().to_string(),
+        kn.csr.edge_count().to_string(),
+    ]);
 
     header("Concept-map layers (bootstrapped from content)");
     row(&["layer".into(), "concepts".into(), "relations".into(), "weight".into()]);

@@ -7,8 +7,9 @@
 //! by member overlap, and uses SCENT tensor-stream sketches to flag the
 //! epochs where the underlying structure shifted.
 
+use crate::db::HiveDb;
 use crate::ids::UserId;
-use crate::knowledge::KnowledgeNetwork;
+use crate::knowledge::{coauthor_graph, social_graph};
 use hive_graph::{core_numbers, label_propagation, louvain, modularity, CommunityAssignment, Graph};
 use hive_scent::{detect_changes, ChangeDetector, DetectorBackend, SparseTensor, TensorStream};
 use std::collections::HashSet;
@@ -76,10 +77,10 @@ fn parse_user(key: &str) -> Option<UserId> {
     key.strip_prefix("user:").and_then(|s| s.parse().ok().map(UserId))
 }
 
-/// The merged social + co-authorship user graph.
-pub fn user_graph(kn: &KnowledgeNetwork) -> Graph {
+/// The merged social + co-authorship user graph, built from `db`.
+pub fn user_graph(db: &HiveDb) -> Graph {
     let mut g = Graph::new();
-    for src in [&*kn.social, &*kn.coauthor] {
+    for src in [social_graph(db), coauthor_graph(db)] {
         for n in src.nodes() {
             g.add_node(src.key(n).to_string());
         }
@@ -116,9 +117,9 @@ pub fn discover_from_graph(g: &Graph, method: Method) -> Communities {
     Communities { members, labels, modularity: q }
 }
 
-/// One-shot discovery over the knowledge network's user layers.
-pub fn discover(kn: &KnowledgeNetwork, method: Method) -> Communities {
-    discover_from_graph(&user_graph(kn), method)
+/// One-shot discovery over the social and co-authorship layers of `db`.
+pub fn discover(db: &HiveDb, method: Method) -> Communities {
+    discover_from_graph(&user_graph(db), method)
 }
 
 /// Tracks community structure across epochs.

@@ -21,7 +21,7 @@ use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
 use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
 use std::collections::HashMap;
-use std::fmt::{self, Write};
+use std::fmt;
 use std::sync::Arc;
 
 /// A searchable resource.
@@ -213,18 +213,17 @@ fn graph_activation(
     ppr_cache: &PprCache,
     ctx: &ActivityContext,
 ) -> Option<(Arc<Vec<f64>>, f64)> {
-    let g = &kn.unified;
     let mut seeds: HashMap<NodeId, f64> = HashMap::new();
     // lint:allow(determinism-taint) -- distinct keys hit distinct nodes; PPR sorts seeds
     for (key, &mass) in &ctx.seeds {
-        if let Some(n) = g.node(key) {
+        if let Some(n) = kn.layout.node(key) {
             *seeds.entry(n).or_insert(0.0) += mass;
         }
     }
     if seeds.is_empty() {
         return None;
     }
-    let ppr = ppr_cache.scores(&kn.unified_csr, &seeds, PprConfig::default());
+    let ppr = ppr_cache.scores(kn.csr.view(), &seeds, PprConfig::default());
     let max = ppr.iter().cloned().fold(0.0f64, f64::max).max(f64::MIN_POSITIVE);
     Some((ppr, max))
 }
@@ -249,14 +248,11 @@ pub fn search(
     let qvec = kn.corpus.vectorize_known(query);
     let (qnorm, cnorm) = (qvec.norm(), ctx.vector.norm());
     // A resource's activation is its PPR score over the maximum, 0 off
-    // the graph; its node is found through one reused IRI buffer.
+    // the graph (a presentation has no node).
     let ppr = graph_activation(kn, ppr_cache, ctx);
-    let mut iri = String::new();
-    let mut activation = |r: Resource| -> f64 {
+    let activation = |r: Resource| -> f64 {
         let Some((ppr, max)) = &ppr else { return 0.0 };
-        iri.clear();
-        let _ = write!(iri, "{r}");
-        match kn.unified.node(&iri).map(|n| ppr[n.index()]) {
+        match kn.layout.resource(r).map(|n| ppr[n.index()]) {
             Some(p) if p > 0.0 => p / max,
             _ => 0.0,
         }

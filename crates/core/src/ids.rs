@@ -14,6 +14,9 @@ macro_rules! define_id {
         hive_json::impl_json_newtype!($name);
 
         impl $name {
+            /// The prefix of [`Self::iri`], e.g. `user`.
+            pub const PREFIX: &'static str = $prefix;
+
             /// The raw arena index.
             pub fn index(self) -> usize {
                 self.0 as usize

@@ -8,30 +8,31 @@
 //!
 //! [`KnowledgeNetwork::build`] derives, from a [`HiveDb`]:
 //!
-//! * the **social layer** (accepted connections + follows),
-//! * the **co-authorship layer**,
-//! * the **citation layer** (paper-level),
-//! * the **activity layer** (user ↔ resource bipartite edges),
+//! * the **unified layer**: every graph layer (connections, follows,
+//!   co-authorship, authorship, citations, presentations, session
+//!   containment and user activity) fused into one undirected weighted
+//!   graph for PPR-style propagation, held as an [`UndirectedCsr`];
 //! * the **content layer** — a TF-IDF corpus over papers, presentations
-//!   and sessions, with per-entity vectors,
-//! * a **unified weighted graph** over entity IRIs for PPR-style
-//!   propagation, and
-//! * a weighted-RDF export (`rel_export`, stored by
-//!   [`KnowledgeNetwork::to_store`]) for ranked path queries
-//!   (relationship explanation, Figure 2).
+//!   and sessions, with per-entity vectors.
 //!
-//! The network is the serving knowledge tier, so it holds only layers a
-//! Table-1 read uses. The layers no patchable delta changes (the
-//! co-authorship and citation graphs, the corpus and the four vector
-//! maps) sit behind `Arc`s, and so does the social layer, which only
-//! follows and connections change: a patch of a network that a published
-//! epoch still pins copies the unified layer, plus the social layer when
-//! the window holds a follow or connection, and shares the rest. The CSR
-//! of the unified layer is an `Arc` too, which the patch replaces with a
-//! fresh derivation instead of copying. The **concept-map layers**
-//! (paper abstracts and session topics, aligned and integrated via
-//! `hive-concept`) are built on demand by [`concept_layers`] and are not
-//! cached.
+//! The network is the serving knowledge tier, so it holds only what a
+//! Table-1 read uses, and its graph keys no node by a string. Its nodes
+//! are numbered by a [`NodeLayout`]: users, then sessions, papers and
+//! conferences, each kind in id order, so a reader maps an entity to its
+//! node by arithmetic. One mapping, `delta_edges`, gives the unified
+//! edges of a patchable delta; a cold build adds the static edges and
+//! then those of the replayed activity log, and a patch adds those of
+//! its journal window to the CSR in place. The content layer changes
+//! only under structural deltas, which rebuild the network, so it sits
+//! behind `Arc`s that a patched copy shares: a copy of a network that a
+//! published epoch still pins is the CSR's few flat arrays.
+//!
+//! The separate **social**, **co-authorship** and **citation** layers
+//! ([`social_graph`], [`coauthor_graph`], [`citation_graph`]), the
+//! **concept-map layers** (paper abstracts and session topics, aligned
+//! and integrated via `hive-concept`, [`concept_layers`]) and the
+//! weighted-RDF export ([`KnowledgeNetwork::to_store`]) are built on
+//! demand for the few readers they have, and are not cached.
 //!
 //! The content layer also memoizes each resource's key concepts (its
 //! full ranked TextRank phrase list), filled lazily by the searches that
@@ -44,10 +45,10 @@
 
 use crate::db::{DbDelta, HiveDb};
 use crate::discover::Resource;
-use crate::ids::{PaperId, PresentationId, SessionId, UserId};
+use crate::ids::{ConferenceId, PaperId, PresentationId, SessionId, UserId};
 use crate::tier::unpoison;
 use hive_concept::{bootstrap_concept_map, AlignConfig, BootstrapConfig, ContextNetwork};
-use hive_graph::{CsrView, Graph};
+use hive_graph::{Graph, NodeId, UndirectedCsr};
 use hive_store::{Term, TripleStore};
 use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
 use hive_text::tfidf::{Corpus, SparseVector};
@@ -130,26 +131,128 @@ impl ContentVector {
     }
 }
 
-/// The derived knowledge network. Cloning it copies the unified layer;
-/// the `Arc` layers are shared until a patch writes one, the CSR until a
-/// patch re-derives it, and the key-concept memo for good.
+/// The IRI prefix of each node kind, in node order.
+const KINDS: [&str; 4] = [UserId::PREFIX, SessionId::PREFIX, PaperId::PREFIX, ConferenceId::PREFIX];
+const USER: usize = 0;
+const SESSION: usize = 1;
+const PAPER: usize = 2;
+const CONFERENCE: usize = 3;
+
+/// The node numbering of the unified layer: users, then sessions,
+/// papers and conferences, each kind in id order, so a node is its
+/// kind's offset plus the entity's arena index. A presentation has no
+/// node. The order matters beyond naming: PPR sums the dangling mass
+/// and its stop test in node order.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeLayout {
+    /// Nodes of each kind, in [`KINDS`] order.
+    counts: [u32; 4],
+}
+
+impl NodeLayout {
+    /// The layout of `db`'s entities.
+    pub fn of(db: &HiveDb) -> Self {
+        let count = |n: usize| n as u32;
+        NodeLayout {
+            counts: [
+                count(db.user_ids().len()),
+                count(db.session_ids().len()),
+                count(db.paper_ids().len()),
+                count(db.conference_ids().len()),
+            ],
+        }
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.counts.iter().map(|&n| n as usize).sum()
+    }
+
+    /// Node `index` of `kind`, if in range.
+    fn at(&self, kind: usize, index: u32) -> Option<NodeId> {
+        let offset: u32 = self.counts[..kind].iter().sum();
+        (index < self.counts[kind]).then_some(NodeId(offset + index))
+    }
+
+    /// The node of user `u`.
+    pub fn user(&self, u: UserId) -> Option<NodeId> {
+        self.at(USER, u.0)
+    }
+
+    /// The node of session `s`.
+    pub(crate) fn session(&self, s: SessionId) -> Option<NodeId> {
+        self.at(SESSION, s.0)
+    }
+
+    /// The node of paper `p`.
+    pub(crate) fn paper(&self, p: PaperId) -> Option<NodeId> {
+        self.at(PAPER, p.0)
+    }
+
+    /// The node of conference `c`.
+    pub(crate) fn conference(&self, c: ConferenceId) -> Option<NodeId> {
+        self.at(CONFERENCE, c.0)
+    }
+
+    /// The node of a searchable resource; a presentation has none.
+    pub(crate) fn resource(&self, r: Resource) -> Option<NodeId> {
+        match r {
+            Resource::User(u) => self.user(u),
+            Resource::Session(s) => self.session(s),
+            Resource::Paper(p) => self.paper(p),
+            Resource::Presentation(_) => None,
+        }
+    }
+
+    /// Every user with its node, in id order: the first nodes.
+    pub(crate) fn users(&self) -> impl Iterator<Item = (UserId, NodeId)> {
+        (0..self.counts[USER]).map(|i| (UserId(i), NodeId(i)))
+    }
+
+    /// The node whose IRI is exactly `iri`: a kind's prefix, a colon and
+    /// an in-range index in canonical decimal. So `user:01`, `user:+1`
+    /// and `pres:3` name no node, as the string interner the unified
+    /// layer once had found none for them.
+    pub fn node(&self, iri: &str) -> Option<NodeId> {
+        let (prefix, index) = iri.split_once(':')?;
+        let kind = KINDS.iter().position(|&k| k == prefix)?;
+        let canonical = index.bytes().all(|b| b.is_ascii_digit())
+            && (index == "0" || !index.starts_with('0'));
+        if !canonical {
+            return None;
+        }
+        self.at(kind, index.parse().ok()?)
+    }
+
+    /// The IRI of node `n` (e.g. `session:3`), if in range: the
+    /// entity's `iri()`.
+    pub fn iri(&self, n: NodeId) -> Option<String> {
+        let mut index = n.0;
+        for (kind, &count) in self.counts.iter().enumerate() {
+            if index < count {
+                return Some(format!("{}:{index}", KINDS[kind]));
+            }
+            index -= count;
+        }
+        None
+    }
+}
+
+/// One unified-layer edge `(a, b, weight)`, added as
+/// [`Graph::add_undirected_edge`] adds it.
+pub(crate) type Edge = (NodeId, NodeId, f64);
+
+/// The derived knowledge network. Cloning it copies the unified layer's
+/// flat arrays; the content layer is shared until a rebuild, and the
+/// key-concept memo for good.
 #[derive(Clone, Debug)]
 pub struct KnowledgeNetwork {
-    /// Social layer: connections (undirected, weight 1) and follows
-    /// (directed, weight 0.5) between user IRIs.
-    pub social: Arc<Graph>,
-    /// Co-authorship layer: user IRIs, weight = number of shared papers.
-    pub coauthor: Arc<Graph>,
-    /// Citation layer: paper IRIs, directed citing -> cited.
-    pub citation: Arc<Graph>,
-    /// Unified multi-layer graph over all entity IRIs (undirected).
-    pub unified: Graph,
-    /// CSR snapshot of [`Self::unified`], built once so every PPR run
-    /// (peer recommendation, contextual search, session prediction)
-    /// skips the per-call adjacency flattening. Behind an `Arc` because
-    /// a patch replaces it whole ([`Self::refresh_unified_csr`]), so a
-    /// copy of the network need not copy it first.
-    pub unified_csr: Arc<CsrView>,
+    /// The node numbering of [`Self::csr`].
+    pub layout: NodeLayout,
+    /// The unified multi-layer graph (undirected) as the CSR every PPR
+    /// run reads (peer recommendation, contextual search), patched in
+    /// place by each journal window.
+    pub csr: UndirectedCsr,
     /// Content corpus over papers, presentations, sessions, and profiles.
     pub corpus: Arc<Corpus>,
     /// TF-IDF vectors per paper.
@@ -173,19 +276,13 @@ impl KnowledgeNetwork {
 
     /// Derives the network with explicit fusion weights.
     pub fn build_with(db: &HiveDb, w: FusionWeights) -> Self {
-        let social = build_social(db, &w);
-        let coauthor = build_coauthor(db, &w);
-        let citation = build_citation(db, &w);
-        let unified = build_unified(db, &w);
-        let unified_csr = Arc::new(CsrView::build(&unified));
+        let layout = NodeLayout::of(db);
+        let csr = UndirectedCsr::build(layout.node_count(), unified_edges(db, &layout, &w));
         let (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors) =
             build_content(db);
         KnowledgeNetwork {
-            social: Arc::new(social),
-            coauthor: Arc::new(coauthor),
-            citation: Arc::new(citation),
-            unified,
-            unified_csr,
+            layout,
+            csr,
             corpus: Arc::new(corpus),
             paper_vectors: Arc::new(paper_vectors),
             presentation_vectors: Arc::new(presentation_vectors),
@@ -244,42 +341,16 @@ impl KnowledgeNetwork {
         st
     }
 
-    /// Applies one patchable database delta to the dynamic layers in
-    /// place, with the same edge semantics (and insertion order) as a
-    /// fresh [`KnowledgeNetwork::build_with`] replay. Returns `false`
-    /// for [`DbDelta::Structural`] — the caller must rebuild. The static
-    /// layers (co-authorship, citation, content) never change under
-    /// patchable deltas, so they stay shared with every copy of the
-    /// network. Every patchable graph delta writes the unified layer;
-    /// only follows and connections write the social layer, copying it
-    /// first if a copy of the network still shares it.
-    ///
-    /// After a batch of applications, call
-    /// [`KnowledgeNetwork::refresh_unified_csr`] once to re-derive the
-    /// CSR snapshot.
-    pub fn apply_delta(&mut self, d: &DbDelta, w: &FusionWeights) -> bool {
-        match d {
-            DbDelta::Structural => false,
-            DbDelta::Neutral => true,
-            DbDelta::Follow { .. } | DbDelta::Connect { .. } => {
-                apply_social_delta(Arc::make_mut(&mut self.social), w, d);
-                apply_unified_delta(&mut self.unified, w, d);
-                true
-            }
-            DbDelta::CheckIn { .. }
-            | DbDelta::Attend { .. }
-            | DbDelta::Discuss { .. }
-            | DbDelta::ViewPaper { .. } => {
-                apply_unified_delta(&mut self.unified, w, d);
-                true
-            }
-        }
-    }
-
-    /// Re-derives [`Self::unified_csr`] from [`Self::unified`]; call once
-    /// after a batch of [`Self::apply_delta`].
-    pub fn refresh_unified_csr(&mut self) {
-        self.unified_csr = Arc::new(CsrView::build(&self.unified));
+    /// Moves the unified layer forward by a journal `window` of
+    /// patchable deltas: their [`delta_edges`], added to the CSR in
+    /// place, continue a cold build's edge list, so the result is
+    /// bit-identical to [`KnowledgeNetwork::build_with`] over the
+    /// database the window leads to. The caller rebuilds instead for a
+    /// window with a [`DbDelta::Structural`], which adds no edge here.
+    pub(crate) fn apply_window(&mut self, window: &[DbDelta], w: &FusionWeights) {
+        let edges: Vec<Edge> =
+            window.iter().flat_map(|d| delta_edges(&self.layout, w, d)).collect();
+        self.csr.patch(&edges);
     }
 }
 
@@ -369,46 +440,119 @@ pub(crate) fn rel_triple(d: &DbDelta) -> Option<RelTriple> {
     }
 }
 
-// The dynamic layers are built as *static entities + chronological
-// activity-log replay* rather than per-category sweeps: the replay
-// sequence is exactly what `apply_*_delta` continues when a cached
-// network is patched forward, so patched and fresh builds share node
-// interning order, adjacency order, and float accumulation order —
-// making them bit-identical (the delta-vs-rebuild oracles rely on it).
+/// The unified layer's edges in the order a cold build adds them:
+/// static edges (authorship and co-authorship per paper, citations,
+/// presentations, session containment), then a chronological replay of
+/// the activity log, each event's edges being [`delta_edges`]'. A patch
+/// continues the same sequence with its window's events, so a patched
+/// CSR and a cold one see the same rows in the same order with the same
+/// float accumulation (the delta-vs-rebuild oracles rely on it). Every
+/// entity an edge names is in the database, so every edge is kept.
+fn unified_edges(db: &HiveDb, layout: &NodeLayout, w: &FusionWeights) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    let mut und = |a: Option<NodeId>, b: Option<NodeId>, weight: f64| {
+        if let (Some(a), Some(b)) = (a, b) {
+            edges.push((a, b, weight));
+        }
+    };
+    for p in db.paper_ids() {
+        let Ok(paper) = db.get_paper(p) else { continue; };
+        for (i, &a) in paper.authors.iter().enumerate() {
+            und(layout.user(a), layout.paper(p), w.authorship);
+            for &b in &paper.authors[i + 1..] {
+                und(layout.user(a), layout.user(b), w.coauthor);
+            }
+        }
+        for &c in &paper.citations {
+            und(layout.paper(p), layout.paper(c), w.citation);
+        }
+    }
+    for pres_id in db.presentation_ids() {
+        let Ok(pres) = db.get_presentation(pres_id) else { continue; };
+        und(layout.paper(pres.paper), layout.session(pres.session), w.presentation);
+    }
+    for s in db.session_ids() {
+        let Ok(session) = db.get_session(s) else { continue; };
+        und(layout.session(s), layout.conference(session.conference), w.attendance);
+    }
+    // Dynamic edges (connections, follows, check-ins, attendance,
+    // discussions, browsing views) replay from the activity log.
+    for d in db.replay_deltas() {
+        edges.extend(delta_edges(layout, w, &d));
+    }
+    edges
+}
 
-fn build_social(db: &HiveDb, w: &FusionWeights) -> Graph {
+/// The unified-layer edges a patchable delta adds: the one mapping both
+/// the cold edge list ([`unified_edges`]) and the knowledge tier's patch
+/// read, as [`rel_triple`] is for the relationship tier. Neutral and
+/// structural deltas add none.
+pub(crate) fn delta_edges(
+    layout: &NodeLayout,
+    w: &FusionWeights,
+    d: &DbDelta,
+) -> impl Iterator<Item = Edge> {
+    let edge = |a: Option<NodeId>, b: Option<NodeId>, weight: f64| Some((a?, b?, weight));
+    let edges = match *d {
+        DbDelta::Connect { a, b } => [edge(layout.user(a), layout.user(b), w.connection), None],
+        DbDelta::Follow { follower, followee } => {
+            [edge(layout.user(follower), layout.user(followee), w.follow), None]
+        }
+        DbDelta::CheckIn { user, session } => {
+            [edge(layout.user(user), layout.session(session), w.checkin), None]
+        }
+        DbDelta::Attend { user, conf } => {
+            [edge(layout.user(user), layout.conference(conf), w.attendance), None]
+        }
+        DbDelta::Discuss { author, session, paper } => [
+            edge(layout.user(author), layout.session(session), w.discussion),
+            paper.and_then(|p| edge(layout.user(author), layout.paper(p), w.view)),
+        ],
+        DbDelta::ViewPaper { user, paper } => {
+            [edge(layout.user(user), layout.paper(paper), w.view), None]
+        }
+        DbDelta::Neutral | DbDelta::Structural => [None, None],
+    };
+    edges.into_iter().flatten()
+}
+
+/// The social layer: accepted connections (undirected) and follows
+/// (directed) between user IRIs, at the default fusion weights, in
+/// activity-log order. Built on demand: community discovery and
+/// Figure 3 are its only readers.
+pub fn social_graph(db: &HiveDb) -> Graph {
+    let w = FusionWeights::default();
     let mut g = Graph::new();
     for u in db.user_ids() {
         g.add_node(u.iri());
     }
     for d in db.replay_deltas() {
-        apply_social_delta(&mut g, w, &d);
+        match d {
+            DbDelta::Connect { a, b } => {
+                let (na, nb) = (g.add_node(a.iri()), g.add_node(b.iri()));
+                g.add_undirected_edge(na, nb, w.connection);
+            }
+            DbDelta::Follow { follower, followee } => {
+                let (na, nb) = (g.add_node(follower.iri()), g.add_node(followee.iri()));
+                g.add_edge(na, nb, w.follow);
+            }
+            // The social layer carries explicit peer relations only.
+            DbDelta::CheckIn { .. }
+            | DbDelta::Attend { .. }
+            | DbDelta::Discuss { .. }
+            | DbDelta::ViewPaper { .. }
+            | DbDelta::Neutral
+            | DbDelta::Structural => {}
+        }
     }
     g
 }
 
-fn apply_social_delta(g: &mut Graph, w: &FusionWeights, d: &DbDelta) {
-    match *d {
-        DbDelta::Connect { a, b } => {
-            let (na, nb) = (g.add_node(a.iri()), g.add_node(b.iri()));
-            g.add_undirected_edge(na, nb, w.connection);
-        }
-        DbDelta::Follow { follower, followee } => {
-            let (na, nb) = (g.add_node(follower.iri()), g.add_node(followee.iri()));
-            g.add_edge(na, nb, w.follow);
-        }
-        // The social layer carries explicit peer relations only; the
-        // remaining activity kinds contribute to the unified layer.
-        DbDelta::CheckIn { .. }
-        | DbDelta::Attend { .. }
-        | DbDelta::Discuss { .. }
-        | DbDelta::ViewPaper { .. }
-        | DbDelta::Neutral
-        | DbDelta::Structural => {}
-    }
-}
-
-fn build_coauthor(db: &HiveDb, w: &FusionWeights) -> Graph {
+/// The co-authorship layer: user IRIs, undirected, weighted by the
+/// default co-authorship weight per shared paper. Built on demand, like
+/// [`social_graph`].
+pub fn coauthor_graph(db: &HiveDb) -> Graph {
+    let w = FusionWeights::default();
     let mut g = Graph::new();
     for u in db.user_ids() {
         g.add_node(u.iri());
@@ -426,7 +570,9 @@ fn build_coauthor(db: &HiveDb, w: &FusionWeights) -> Graph {
     g
 }
 
-fn build_citation(db: &HiveDb, _w: &FusionWeights) -> Graph {
+/// The citation layer: paper IRIs, directed citing -> cited, weight 1.
+/// Built on demand: Figure 3 is its only reader.
+pub fn citation_graph(db: &HiveDb) -> Graph {
     let mut g = Graph::new();
     for p in db.paper_ids() {
         g.add_node(p.iri());
@@ -439,73 +585,6 @@ fn build_citation(db: &HiveDb, _w: &FusionWeights) -> Graph {
         }
     }
     g
-}
-
-fn und(g: &mut Graph, a: String, b: String, wt: f64) {
-    let (na, nb) = (g.add_node(a), g.add_node(b));
-    g.add_undirected_edge(na, nb, wt);
-}
-
-fn build_unified(db: &HiveDb, w: &FusionWeights) -> Graph {
-    let mut g = Graph::new();
-    for u in db.user_ids() {
-        g.add_node(u.iri());
-    }
-    for s in db.session_ids() {
-        g.add_node(s.iri());
-    }
-    for p in db.paper_ids() {
-        g.add_node(p.iri());
-    }
-    for c in db.conference_ids() {
-        g.add_node(c.iri());
-    }
-    for p in db.paper_ids() {
-        let Ok(paper) = db.get_paper(p) else { continue; };
-        for (i, &a) in paper.authors.iter().enumerate() {
-            und(&mut g, a.iri(), p.iri(), w.authorship);
-            for &b in &paper.authors[i + 1..] {
-                und(&mut g, a.iri(), b.iri(), w.coauthor);
-            }
-        }
-        for &c in &paper.citations {
-            und(&mut g, p.iri(), c.iri(), w.citation);
-        }
-    }
-    for pres_id in db.presentation_ids() {
-        let Ok(pres) = db.get_presentation(pres_id) else { continue; };
-        und(&mut g, pres.paper.iri(), pres.session.iri(), w.presentation);
-    }
-    for s in db.session_ids() {
-        let Ok(session) = db.get_session(s) else { continue; };
-            let conf = session.conference;
-        und(&mut g, s.iri(), conf.iri(), w.attendance);
-    }
-    // Dynamic edges (connections, follows, check-ins, attendance,
-    // discussions, browsing views) replay from the activity log.
-    for d in db.replay_deltas() {
-        apply_unified_delta(&mut g, w, &d);
-    }
-    g
-}
-
-fn apply_unified_delta(g: &mut Graph, w: &FusionWeights, d: &DbDelta) {
-    match *d {
-        DbDelta::Connect { a, b } => und(g, a.iri(), b.iri(), w.connection),
-        DbDelta::Follow { follower, followee } => {
-            und(g, follower.iri(), followee.iri(), w.follow)
-        }
-        DbDelta::CheckIn { user, session } => und(g, user.iri(), session.iri(), w.checkin),
-        DbDelta::Attend { user, conf } => und(g, user.iri(), conf.iri(), w.attendance),
-        DbDelta::Discuss { author, session, paper } => {
-            und(g, author.iri(), session.iri(), w.discussion);
-            if let Some(p) = paper {
-                und(g, author.iri(), p.iri(), w.view);
-            }
-        }
-        DbDelta::ViewPaper { user, paper } => und(g, user.iri(), paper.iri(), w.view),
-        DbDelta::Neutral | DbDelta::Structural => {}
-    }
 }
 
 type ContentIndexes = (
@@ -649,18 +728,25 @@ mod tests {
     #[test]
     fn layers_have_expected_edges() {
         let (db, users, _, papers) = world();
-        let kn = KnowledgeNetwork::build(&db);
         // Social: one connection (undirected = 2 directed) + one follow.
-        assert_eq!(kn.social.edge_count(), 3);
+        assert_eq!(social_graph(&db).edge_count(), 3);
         // Coauthor: p0 links u0-u1; p1 links u1-u2.
-        let a = kn.coauthor.node(&users[0].iri()).unwrap();
-        let b = kn.coauthor.node(&users[1].iri()).unwrap();
-        assert!(kn.coauthor.edge_weight(a, b).is_some());
+        let coauthor = coauthor_graph(&db);
+        let a = coauthor.node(&users[0].iri()).unwrap();
+        let b = coauthor.node(&users[1].iri()).unwrap();
+        assert!(coauthor.edge_weight(a, b).is_some());
         // Citation: p1 -> p0.
-        let c1 = kn.citation.node(&papers[1].iri()).unwrap();
-        let c0 = kn.citation.node(&papers[0].iri()).unwrap();
-        assert!(kn.citation.edge_weight(c1, c0).is_some());
-        assert!(kn.citation.edge_weight(c0, c1).is_none(), "citations are directed");
+        let citation = citation_graph(&db);
+        let c1 = citation.node(&papers[1].iri()).unwrap();
+        let c0 = citation.node(&papers[0].iri()).unwrap();
+        assert!(citation.edge_weight(c1, c0).is_some());
+        assert!(citation.edge_weight(c0, c1).is_none(), "citations are directed");
+    }
+
+    /// The raw weight of the unified edge `a`-`b`, if present.
+    fn unified_weight(kn: &KnowledgeNetwork, a: &str, b: &str) -> Option<f64> {
+        let (a, b) = (kn.layout.node(a)?, kn.layout.node(b)?);
+        kn.csr.in_edges(b).find(|e| e.neighbor == a).map(|e| e.weight)
     }
 
     #[test]
@@ -668,12 +754,36 @@ mod tests {
         let (db, users, sessions, papers) = world();
         let kn = KnowledgeNetwork::build(&db);
         for key in [users[0].iri(), sessions[0].iri(), papers[0].iri()] {
-            assert!(kn.unified.node(&key).is_some(), "missing {key}");
+            assert!(kn.layout.node(&key).is_some(), "missing {key}");
         }
         // Check-in edge present.
-        let u = kn.unified.node(&users[0].iri()).unwrap();
-        let s = kn.unified.node(&sessions[0].iri()).unwrap();
-        assert!(kn.unified.edge_weight(u, s).is_some());
+        assert!(unified_weight(&kn, &users[0].iri(), &sessions[0].iri()).is_some());
+    }
+
+    /// Every node's IRI maps back to it; a non-canonical, foreign or
+    /// out-of-range key maps to no node, as the string interner found
+    /// none for these either.
+    #[test]
+    fn node_iris_map_back_and_no_other_key_maps() {
+        let db = crate::sim::WorldBuilder::new(crate::sim::SimConfig::small()).build().db;
+        let layout = NodeLayout::of(&db);
+        let users = db.user_ids().len();
+        assert_eq!(
+            layout.node_count(),
+            users + db.session_ids().len() + db.paper_ids().len() + db.conference_ids().len()
+        );
+        for i in 0..layout.node_count() as u32 {
+            let iri = layout.iri(NodeId(i)).expect("in range");
+            assert_eq!(layout.node(&iri), Some(NodeId(i)), "{iri}");
+        }
+        let c = db.conference_ids()[0];
+        assert_eq!(layout.conference(c).and_then(|n| layout.iri(n)), Some(c.iri()));
+        assert_eq!(layout.iri(NodeId(layout.node_count() as u32)), None);
+        let foreign = ["user:01", "user:+1", "user:", "pres:0", "user:-0", "user1", ""];
+        for key in foreign.iter().map(|k| k.to_string()).chain([format!("user:{users}")]) {
+            assert_eq!(layout.node(&key), None, "{key}");
+        }
+        assert_eq!(layout.resource(Resource::Presentation(PresentationId(0))), None);
     }
 
     #[test]
@@ -794,14 +904,8 @@ mod tests {
         let kh = KnowledgeNetwork::build_with(&db, heavy);
         let kl = KnowledgeNetwork::build_with(&db, light);
         let (u, s) = (users[0].iri(), sessions[0].iri());
-        let wh = kh
-            .unified
-            .edge_weight(kh.unified.node(&u).unwrap(), kh.unified.node(&s).unwrap())
-            .unwrap();
-        let wl = kl
-            .unified
-            .edge_weight(kl.unified.node(&u).unwrap(), kl.unified.node(&s).unwrap())
-            .unwrap();
+        let wh = unified_weight(&kh, &u, &s).unwrap();
+        let wl = unified_weight(&kl, &u, &s).unwrap();
         assert!(wh > wl);
     }
 }

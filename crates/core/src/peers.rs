@@ -140,10 +140,6 @@ pub struct PeerRecommendation {
     pub likely_sessions: Vec<(SessionId, f64)>,
 }
 
-fn parse_user_iri(key: &str) -> Option<UserId> {
-    key.strip_prefix("user:").and_then(|s| s.parse().ok().map(UserId))
-}
-
 /// Recommends peers for `user` under their current activity context.
 ///
 /// Users already connected to `user` (and `user` themself) are excluded —
@@ -160,33 +156,33 @@ pub fn recommend_peers(
     if db.get_user(user).is_err() {
         return Vec::new();
     }
-    let g = &kn.unified;
     // Seed PPR from the context (fall back to the user node alone).
     let mut seeds: HashMap<NodeId, f64> = HashMap::new();
     // lint:allow(determinism-taint) -- distinct keys hit distinct nodes; PPR sorts seeds
     for (key, &mass) in &ctx.seeds {
-        if let Some(n) = g.node(key) {
+        if let Some(n) = kn.layout.node(key) {
             *seeds.entry(n).or_insert(0.0) += mass;
         }
     }
     if seeds.is_empty() {
-        if let Some(n) = g.node(&user.iri()) {
+        if let Some(n) = kn.layout.user(user) {
             seeds.insert(n, 1.0);
         }
     }
     // Memoized exact solve: repeated recommendations against one graph
     // generation (same workpad context) skip the power iteration.
     let ppr = ppr_cache.scores(
-        &kn.unified_csr,
+        kn.csr.view(),
         &seeds,
         PprConfig { damping: cfg.damping, ..Default::default() },
     );
     let connected: std::collections::HashSet<UserId> =
         db.connections_of(user).into_iter().collect();
-    // Candidate users ranked by PPR.
-    let mut candidates: Vec<(UserId, f64)> = g
-        .nodes()
-        .filter_map(|n| parse_user_iri(g.key(n)).map(|u| (u, ppr[n.index()])))
+    // Candidate users (the user node range) ranked by PPR.
+    let mut candidates: Vec<(UserId, f64)> = kn
+        .layout
+        .users()
+        .map(|(u, n)| (u, ppr[n.index()]))
         .filter(|(u, _)| *u != user && !connected.contains(u))
         .collect();
     candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));

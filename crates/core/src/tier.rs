@@ -15,12 +15,19 @@
 //!   frozen.
 //!
 //! Re-stamping is exact: a delta that does not affect a tier is one its
-//! patch applies as a no-op ([`KnowledgeNetwork::apply_delta`] ignores
-//! `Neutral`, the relationship patch writes only
+//! patch applies as a no-op (a `Neutral` delta has no
+//! [`crate::knowledge::delta_edges`], the relationship patch writes only
 //! [`crate::knowledge::rel_triple`]s, which `ViewPaper` has none of, and
 //! the memo only clears on graph edges), so the re-stamped value is what
 //! a patch would have produced, and a patch is bit-identical to a cold
 //! build (the replay-order argument, DESIGN.md §11).
+//!
+//! The knowledge tier keys no node by a string and holds no adjacency
+//! list: its unified layer is one flat [`hive_graph::UndirectedCsr`]
+//! whose nodes are numbered by arithmetic. A cold build folds the static edges and the
+//! replayed log's [`crate::knowledge::delta_edges`] into it; a patch
+//! adds the window's edges in place, so a copy for a pinned epoch is a
+//! few `memcpy`s.
 //!
 //! The relationship tier holds only what an explanation reads: the term
 //! dictionary of the `rel:*` export and its [`GraphView`]. One routine
@@ -142,12 +149,10 @@ impl Derived for KnowledgeNetwork {
     const PATCH_SPAN: &'static str = "kn-delta";
     const BUILD_SPAN: Option<&'static str> = Some("kn-build");
 
+    /// Adds the window's unified edges to the CSR in place (a window
+    /// past `REFLATTEN_FRACTION` of its edges re-folds the rows once).
     fn patch(&mut self, window: &[DbDelta]) {
-        let w = FusionWeights::default();
-        for d in window {
-            self.apply_delta(d, &w);
-        }
-        self.refresh_unified_csr();
+        self.apply_window(window, &FusionWeights::default());
     }
 }
 
@@ -243,8 +248,9 @@ impl Derived for PprCache {
 mod tests {
     use super::*;
     use crate::ids::UserId;
-    use crate::model::User;
+    use crate::model::{QaTarget, User};
     use crate::sim::{SimConfig, WorldBuilder};
+    use hive_graph::csr::REFLATTEN_FRACTION;
     use hive_store::view::REBUILD_FRACTION;
     use hive_store::Term;
 
@@ -326,6 +332,108 @@ mod tests {
             assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
             assert!(Arc::ptr_eq(&held.dict, &next.dict));
             assert_equals_cold_build(&next, &db, "past the fraction");
+            hive_obs::reset();
+        });
+    }
+
+    /// `kn` equals a cold build over `db`: the same layout, covering
+    /// every user, session, paper and conference, and the same CSR, raw
+    /// weights included, bit for bit.
+    fn assert_kn_equals_cold_build(kn: &KnowledgeNetwork, db: &HiveDb, window: &str) {
+        let cold = KnowledgeNetwork::build(db);
+        assert_eq!(kn.layout, cold.layout, "{window}: layout");
+        let entities = db.user_ids().len()
+            + db.session_ids().len()
+            + db.paper_ids().len()
+            + db.conference_ids().len();
+        assert_eq!(kn.layout.node_count(), entities, "{window}: node count");
+        assert_eq!(kn.csr.bitwise_diff(&cold.csr), None, "{window}");
+    }
+
+    /// A patched knowledge network equals a cold build after a window of
+    /// every patchable delta, and after one past `REFLATTEN_FRACTION` of
+    /// its edges. The previous network stays held, as a published epoch
+    /// holds it, so every patch copies first; the copy shares the
+    /// content layer.
+    #[test]
+    fn patched_kn_equals_a_cold_build() {
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            let mut db = WorldBuilder::new(SimConfig::small()).build().db;
+            // Two users with no edge yet, so windows also start rows.
+            let loners = [User::new("Lone", "Nowhere"), User::new("Alone", "Elsewhere")]
+                .map(|u| db.add_user(u));
+            let (users, sessions) = (db.user_ids(), db.session_ids());
+            let [u0, u1, u2, u3] = [0, 1, 2, 3].map(|i| users[i]);
+            let [s0, s1] = [sessions[0], sessions[1]];
+            let paper = db.paper_ids()[0];
+            let conf = db.conference_ids()[0];
+            let pres = db.presentation_ids()[0];
+            let tier: Tier<KnowledgeNetwork> = Tier::new();
+            let get = |db: &HiveDb| tier.get(db, || KnowledgeNetwork::build(db));
+            let mut held = get(&db);
+            assert_kn_equals_cold_build(&held, &db, "cold");
+            type Window = Box<dyn Fn(&mut HiveDb) -> crate::error::Result<()>>;
+            let windows: Vec<(&str, Window)> = vec![
+                ("follow", Box::new(move |db| db.follow(loners[1], u0))),
+                (
+                    "connect",
+                    Box::new(move |db| {
+                        db.request_connection(loners[0], loners[1])?;
+                        db.respond_connection(loners[1], loners[0], true)
+                    }),
+                ),
+                ("check-in", Box::new(move |db| db.check_in(u1, s0))),
+                ("attend", Box::new(move |db| db.attend(loners[0], conf))),
+                (
+                    "discuss a paper",
+                    Box::new(move |db| {
+                        db.ask_question(u2, QaTarget::Presentation(pres), "why?", false)
+                            .map(drop)
+                    }),
+                ),
+                (
+                    "discuss a session",
+                    Box::new(move |db| {
+                        db.ask_question(loners[1], QaTarget::Session(s1), "how?", false)
+                            .map(drop)
+                    }),
+                ),
+                ("paper view", Box::new(move |db| db.view_paper(u3, paper))),
+                (
+                    "mixed",
+                    Box::new(move |db| {
+                        db.view_paper(loners[0], paper)?;
+                        db.check_in(u1, s0)?;
+                        db.follow(u0, loners[0])
+                    }),
+                ),
+            ];
+            for (name, write) in &windows {
+                write(&mut db).unwrap();
+                hive_obs::reset();
+                let next = get(&db);
+                let counts = hive_obs::snapshot();
+                assert_eq!(counts.counter("core.kn.patch"), 1, "{name}: patched");
+                assert_eq!(counts.counter("graph.csr.reflatten"), 0, "{name}: in place");
+                assert!(!Arc::ptr_eq(&held, &next), "{name}: the patch copied the held network");
+                assert!(Arc::ptr_eq(&held.corpus, &next.corpus), "{name}: shares the corpus");
+                assert!(Arc::ptr_eq(&held.paper_vectors, &next.paper_vectors));
+                assert!(Arc::ptr_eq(&held.user_vectors, &next.user_vectors));
+                assert_kn_equals_cold_build(&next, &db, name);
+                held = next;
+            }
+
+            // A window past REFLATTEN_FRACTION of the edges: the rows are
+            // folded once, not patched edge by edge.
+            let past = (held.csr.edge_count() as f64 * REFLATTEN_FRACTION) as usize + 1;
+            for i in 0..past {
+                db.check_in(users[i % users.len()], sessions[i % sessions.len()]).unwrap();
+            }
+            hive_obs::reset();
+            let next = get(&db);
+            assert_eq!(hive_obs::snapshot().counter("graph.csr.reflatten"), 1, "re-folded");
+            assert!(Arc::ptr_eq(&held.session_vectors, &next.session_vectors));
+            assert_kn_equals_cold_build(&next, &db, "past the fraction");
             hive_obs::reset();
         });
     }

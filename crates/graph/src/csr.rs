@@ -1,4 +1,4 @@
-//! Compressed-sparse-row (CSR) snapshot of a [`Graph`].
+//! Compressed-sparse-row (CSR) snapshots for the PPR kernel.
 //!
 //! The dynamic [`Graph`] stores per-node `Vec`s of edges — convenient
 //! for incremental construction, hostile to the tight loops of power
@@ -10,11 +10,20 @@
 //! over its in-edges, written once — so a sweep needs no scatter and its
 //! output bits depend only on the edge order fixed here.
 //!
-//! Build once per graph snapshot and reuse across queries; callers that
-//! cache a `CsrView` (e.g. the knowledge network) skip the rebuild on
-//! every ranking call.
+//! [`UndirectedCsr`] is the same arrays for an undirected graph with no
+//! [`Graph`] behind them, plus each in-edge's raw weight, so it can be
+//! moved forward in place. In an undirected graph a node's out-row is
+//! its in-row, in the same order and with the same weights, so the
+//! out-weight a [`Graph`] sums over a node's out-edges is the sum over
+//! its own CSR row in row order. A cold build folds an edge list into
+//! rows with [`Graph::add_undirected_edge`]'s rule (strengthen a present
+//! edge, else append it); [`UndirectedCsr::patch`] continues that fold
+//! on the flat arrays. Both are bit-identical to [`CsrView::build`] of a
+//! [`Graph`] given the same `add_undirected_edge` calls. It has its own
+//! type so that a CSR built from a directed graph can never be patched.
 
-use crate::graph::Graph;
+use crate::graph::{EdgeRef, Graph, NodeId};
+use std::ops::Range;
 
 /// Immutable CSR snapshot of a graph's incoming adjacency, prepared for
 /// pull-based PageRank-style iteration.
@@ -67,6 +76,296 @@ impl CsrView {
     pub fn is_empty(&self) -> bool {
         self.out_weight.is_empty()
     }
+
+    /// The index range of `v`'s in-edges.
+    fn row(&self, v: usize) -> Range<usize> {
+        self.in_off[v] as usize..self.in_off[v + 1] as usize
+    }
+
+    /// Bitwise comparison against `other`, floats by `to_bits`: the
+    /// patch-vs-build oracle of the property tests. Returns the first
+    /// difference found.
+    pub fn bitwise_diff(&self, other: &CsrView) -> Option<String> {
+        if self.in_off != other.in_off {
+            return Some("row offsets differ".to_string());
+        }
+        if self.in_src != other.in_src {
+            return Some("edge sources differ".to_string());
+        }
+        if let Some(i) = first_bit_difference(&self.out_weight, &other.out_weight) {
+            return Some(format!("out-weight of node {i} differs"));
+        }
+        first_bit_difference(&self.in_coef, &other.in_coef)
+            .map(|i| format!("pull coefficient of edge {i} differs"))
+    }
+}
+
+/// The first index at which `a` and `b` differ by bits, or `a.len()`
+/// when only their lengths differ.
+fn first_bit_difference(a: &[f64], b: &[f64]) -> Option<usize> {
+    match a.iter().zip(b).position(|(x, y)| x.to_bits() != y.to_bits()) {
+        Some(i) => Some(i),
+        None => (a.len() != b.len()).then_some(a.len().min(b.len())),
+    }
+}
+
+/// Above this fraction of the current in-edges, a window is not patched
+/// in place: [`UndirectedCsr::patch`] re-folds every row once instead.
+/// A patch costs a search of each touched row plus one pass over the
+/// arrays; past a quarter of the edges one `O(V + E)` fold is cheaper.
+pub const REFLATTEN_FRACTION: f64 = 0.25;
+
+/// Spare slots a copy keeps in each edge array, so the first append
+/// after a copy does not reallocate it.
+const SPARE_EDGES: usize = 64;
+
+/// An undirected weighted graph as the kernel's [`CsrView`] plus each
+/// in-edge's raw weight, moved forward in place by [`Self::patch`].
+/// Nodes are `0..node_count`; the node count is fixed at build.
+#[derive(Debug, Default)]
+pub struct UndirectedCsr {
+    view: CsrView,
+    /// Raw weight of each in-edge, parallel to `view.in_src`.
+    in_w: Vec<f64>,
+}
+
+/// One node's row while folding: `(neighbor, weight)` in insertion order.
+type Row = Vec<(u32, f64)>;
+
+impl Clone for UndirectedCsr {
+    /// A derived clone would have exact capacity, so the first append
+    /// after a copy-on-write would reallocate every edge array; this
+    /// one leaves `SPARE_EDGES` free slots in each.
+    fn clone(&self) -> Self {
+        let view = CsrView {
+            in_off: self.view.in_off.clone(),
+            in_src: with_spare(&self.view.in_src),
+            in_coef: with_spare(&self.view.in_coef),
+            out_weight: self.view.out_weight.clone(),
+        };
+        UndirectedCsr { view, in_w: with_spare(&self.in_w) }
+    }
+}
+
+fn with_spare<T: Copy>(v: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.len() + SPARE_EDGES);
+    out.extend_from_slice(v);
+    out
+}
+
+impl UndirectedCsr {
+    /// The CSR of `node_count` nodes and `edges`, each `(a, b, weight)`
+    /// added as [`Graph::add_undirected_edge`] adds it, in order. Every
+    /// endpoint must be below `node_count` and every weight finite and
+    /// positive.
+    pub fn build(
+        node_count: usize,
+        edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
+    ) -> Self {
+        let mut rows: Vec<Row> = vec![Vec::new(); node_count];
+        for (a, b, w) in edges {
+            fold_edge(&mut rows, a, b, w);
+        }
+        Self::flatten(rows)
+    }
+
+    /// Flattens folded rows, summing each node's out-weight over its row
+    /// in row order, the order [`Graph::out_weight`] sums in.
+    fn flatten(rows: Vec<Row>) -> Self {
+        let edges = rows.iter().map(Vec::len).sum::<usize>() + SPARE_EDGES;
+        let out_weight: Vec<f64> =
+            rows.iter().map(|row| row.iter().map(|e| e.1).sum()).collect();
+        let mut in_off = Vec::with_capacity(rows.len() + 1);
+        let mut in_src = Vec::with_capacity(edges);
+        let mut in_coef = Vec::with_capacity(edges);
+        let mut in_w = Vec::with_capacity(edges);
+        in_off.push(0u32);
+        for row in &rows {
+            for &(u, w) in row {
+                in_src.push(u);
+                in_coef.push(w / out_weight[u as usize]);
+                in_w.push(w);
+            }
+            in_off.push(in_src.len() as u32);
+        }
+        UndirectedCsr { view: CsrView { in_off, in_src, in_coef, out_weight }, in_w }
+    }
+
+    /// The rows as a fold holds them.
+    fn rows(&self) -> Vec<Row> {
+        (0..self.node_count())
+            .map(|v| {
+                let row = self.view.row(v);
+                let weights = self.in_w[row.clone()].iter().copied();
+                self.view.in_src[row].iter().copied().zip(weights).collect()
+            })
+            .collect()
+    }
+
+    /// The arrays the PPR kernel reads.
+    pub fn view(&self) -> &CsrView {
+        &self.view
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.view.node_count()
+    }
+
+    /// Number of directed edges: two per undirected edge, one per
+    /// self-loop, as [`Graph::edge_count`] counts them.
+    pub fn edge_count(&self) -> usize {
+        self.view.edge_count()
+    }
+
+    /// `v`'s edges with their raw weights, in insertion order. In an
+    /// undirected graph these are its out-edges too.
+    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
+        let row = self.view.row(v.index());
+        self.view.in_src[row.clone()]
+            .iter()
+            .zip(&self.in_w[row])
+            .map(|(&u, &weight)| EdgeRef { neighbor: NodeId(u), weight })
+    }
+
+    /// Adds `edges`, each as [`Graph::add_undirected_edge`] adds it, in
+    /// order, leaving the CSR bit-identical to a cold
+    /// [`UndirectedCsr::build`] of every edge so far. Endpoints must be
+    /// below [`Self::node_count`].
+    ///
+    /// Each half of an edge strengthens its in-edge in place, or is
+    /// queued (a later half of the same edge strengthens the queued
+    /// entry). One backward pass appends the queue to the rows. Each
+    /// touched node's out-weight is then re-summed over its row, and the
+    /// coefficient of its out-edge in each neighbour's row rewritten.
+    /// A window of more than [`REFLATTEN_FRACTION`] of the in-edges is
+    /// instead folded into all rows at once (`graph.csr.reflatten`).
+    pub fn patch(&mut self, edges: &[(NodeId, NodeId, f64)]) {
+        if edges.is_empty() {
+            return;
+        }
+        if edges.len() as f64 > self.edge_count() as f64 * REFLATTEN_FRACTION {
+            hive_obs::count("graph.csr.reflatten", 1);
+            let mut rows = self.rows();
+            for &(a, b, w) in edges {
+                fold_edge(&mut rows, a, b, w);
+            }
+            *self = Self::flatten(rows);
+            return;
+        }
+        let mut queued: Vec<(u32, u32, f64)> = Vec::new();
+        let mut touched: Vec<u32> = Vec::with_capacity(2 * edges.len());
+        for &(a, b, w) in edges {
+            self.add_half(b.0, a.0, w, &mut queued);
+            if a != b {
+                self.add_half(a.0, b.0, w, &mut queued);
+            }
+            touched.extend([a.0, b.0]);
+        }
+        self.append(queued);
+        touched.sort_unstable();
+        touched.dedup();
+        let view = &mut self.view;
+        for &x in &touched {
+            view.out_weight[x as usize] = self.in_w[view.row(x as usize)].iter().sum();
+        }
+        for &x in &touched {
+            for j in view.row(x as usize) {
+                let row = view.row(view.in_src[j] as usize);
+                if let Some(k) = view.in_src[row.clone()].iter().position(|&s| s == x) {
+                    let e = row.start + k;
+                    view.in_coef[e] = self.in_w[e] / view.out_weight[x as usize];
+                }
+            }
+        }
+    }
+
+    /// One half of an undirected edge: in-edge `src → row` strengthened
+    /// in place, or in the queue, or queued.
+    fn add_half(&mut self, row: u32, src: u32, w: f64, queued: &mut Vec<(u32, u32, f64)>) {
+        let edges = self.view.row(row as usize);
+        if let Some(i) = self.view.in_src[edges.clone()].iter().position(|&s| s == src) {
+            self.in_w[edges.start + i] += w;
+        } else if let Some(q) = queued.iter_mut().find(|q| q.0 == row && q.1 == src) {
+            q.2 += w;
+        } else {
+            queued.push((row, src, w));
+        }
+    }
+
+    /// Appends `queued` in-edges `(row, src, weight)` to the ends of
+    /// their rows, each row's in queue order, in one backward pass that
+    /// moves every block of untouched rows once. Coefficients of the new
+    /// entries are left for the caller to write.
+    fn append(&mut self, mut queued: Vec<(u32, u32, f64)>) {
+        if queued.is_empty() {
+            return;
+        }
+        // Stable: a row's entries keep their queue order.
+        queued.sort_by_key(|q| q.0);
+        let view = &mut self.view;
+        let old_len = view.in_src.len();
+        let mut shift = queued.len();
+        view.in_src.resize(old_len + shift, 0);
+        view.in_coef.resize(old_len + shift, 0.0);
+        self.in_w.resize(old_len + shift, 0.0);
+        // Old entries at or past `end` have moved; `shift` is the number
+        // of queued entries in rows up to the row being placed.
+        let mut end = old_len;
+        let mut hi = queued.len();
+        while hi > 0 {
+            let row = queued[hi - 1].0 as usize;
+            let lo =
+                queued[..hi].iter().rposition(|q| q.0 as usize != row).map_or(0, |i| i + 1);
+            let row_end = view.in_off[row + 1] as usize;
+            view.in_src.copy_within(row_end..end, row_end + shift);
+            view.in_coef.copy_within(row_end..end, row_end + shift);
+            self.in_w.copy_within(row_end..end, row_end + shift);
+            let at = row_end + shift - (hi - lo);
+            for (i, &(_, src, w)) in queued[lo..hi].iter().enumerate() {
+                view.in_src[at + i] = src;
+                self.in_w[at + i] = w;
+            }
+            shift -= hi - lo;
+            end = row_end;
+            hi = lo;
+        }
+        let mut added = 0u32;
+        let mut next = 0;
+        for v in queued[0].0 as usize..view.node_count() {
+            while next < queued.len() && queued[next].0 as usize == v {
+                added += 1;
+                next += 1;
+            }
+            view.in_off[v + 1] += added;
+        }
+    }
+
+    /// Bitwise comparison against `other`: the kernel's arrays as
+    /// [`CsrView::bitwise_diff`] compares them, then the raw weights.
+    pub fn bitwise_diff(&self, other: &UndirectedCsr) -> Option<String> {
+        self.view.bitwise_diff(&other.view).or_else(|| {
+            first_bit_difference(&self.in_w, &other.in_w)
+                .map(|i| format!("raw weight of edge {i} differs"))
+        })
+    }
+}
+
+/// [`Graph::add_undirected_edge`] on rows: `b` joins `a`'s row and `a`
+/// joins `b`'s (once for a self-loop), each strengthening a present
+/// entry, else appended.
+fn fold_edge(rows: &mut [Row], a: NodeId, b: NodeId, w: f64) {
+    fold_half(&mut rows[b.index()], a.0, w);
+    if a != b {
+        fold_half(&mut rows[a.index()], b.0, w);
+    }
+}
+
+fn fold_half(row: &mut Row, src: u32, w: f64) {
+    match row.iter_mut().find(|e| e.0 == src) {
+        Some(e) => e.1 += w,
+        None => row.push((src, w)),
+    }
 }
 
 #[cfg(test)]
@@ -91,5 +390,34 @@ mod tests {
         // coef of a→b is 3/(3+1).
         assert!((csr.in_coef[0] - 0.75).abs() < 1e-12);
         assert_eq!(csr.out_weight[c.index()], 0.0);
+    }
+
+    /// A window that strengthens, appends to the first and last rows,
+    /// repeats a new edge and adds a self-loop equals a cold build and
+    /// `CsrView::build` of the same `Graph`, and a copy keeps spare room.
+    #[test]
+    fn patch_equals_a_cold_build_and_the_graph_csr() {
+        let n = 4;
+        let base = [(0, 1, 0.5), (1, 2, 0.3), (2, 2, 0.9)];
+        let window = [(1, 2, 0.7), (3, 0, 0.2), (0, 3, 0.4), (0, 0, 0.1), (3, 3, 0.6)];
+        let edge = |&(a, b, w): &(u32, u32, f64)| (NodeId(a), NodeId(b), w);
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.add_node(format!("n{i}"));
+        }
+        for (a, b, w) in base.iter().chain(&window).map(edge) {
+            g.add_undirected_edge(a, b, w);
+        }
+        let mut csr = UndirectedCsr::build(n, base.iter().map(edge)).clone();
+        assert!(csr.in_w.capacity() >= csr.in_w.len() + SPARE_EDGES);
+        let window: Vec<_> = window.iter().map(edge).collect();
+        csr.patch(&window);
+        let cold = UndirectedCsr::build(n, base.iter().map(edge).chain(window.iter().copied()));
+        assert_eq!(csr.bitwise_diff(&cold), None);
+        assert_eq!(csr.view().bitwise_diff(&CsrView::build(&g)), None);
+        assert_eq!(csr.edge_count(), g.edge_count());
+        for v in g.nodes() {
+            assert!(csr.in_edges(v).eq(g.in_edges(v)), "row {v:?}");
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! Graph algorithms behind Hive's knowledge-network services (paper §2.4):
 //!
 //! * a dynamic directed weighted multigraph with node interning and its
-//!   CSR view,
+//!   CSR view, and an undirected CSR with no graph behind it that a
+//!   window of edges patches in place,
 //! * **personalized PageRank** — the spreading-activation primitive that
 //!   ranks every PPR-backed read (search, resource and peer
 //!   recommendation) around the active context,
@@ -37,7 +38,7 @@ pub mod ppr;
 pub mod traverse;
 
 pub use community::{label_propagation, louvain, modularity, nmi, nmi_of_partitions, CommunityAssignment};
-pub use csr::CsrView;
+pub use csr::{CsrView, UndirectedCsr};
 pub use graph::{EdgeRef, Graph, NodeId};
 pub use ini::{diffuse, DiffusionParams, ImpactIndex, ImpactQueryEngine, RecomputeEngine};
 pub use kcore::core_numbers;

@@ -35,17 +35,17 @@ fn probe_pair(hive: &Hive) -> Option<(UserId, UserId)> {
     }
 }
 
-/// The user's eight highest PPR scores with their node keys, or `None`
-/// when the user is not in the unified graph.
+/// The user's eight highest PPR scores with their nodes' IRIs, or
+/// `None` when the user is not in the unified graph.
 fn ppr_top(kn: &KnowledgeNetwork, ppr: &PprCache, u: UserId) -> Option<Vec<(String, f64)>> {
-    let node = kn.unified.node(&u.iri())?;
+    let node = kn.layout.user(u)?;
     let mut seeds = HashMap::new();
     seeds.insert(node, 1.0);
-    let scores = ppr.scores(&kn.unified_csr, &seeds, PprConfig::default());
+    let scores = ppr.scores(kn.csr.view(), &seeds, PprConfig::default());
     let mut ranked: Vec<(String, f64)> = scores
         .iter()
         .enumerate()
-        .map(|(i, &s)| (kn.unified.key(hive_graph::NodeId(i as u32)).to_string(), s))
+        .filter_map(|(i, &s)| Some((kn.layout.iri(hive_graph::NodeId(i as u32))?, s)))
         .collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     ranked.truncate(8);

@@ -14,11 +14,18 @@
 //!    forward across interleaved mutations and queries must answer the
 //!    soak fingerprint's battery exactly like a cold
 //!    [`hive_core::Epoch::rebuild`] of a clone of the same database.
+//! 3. **Unified CSR** — [`UndirectedCsr::patch`] moves the knowledge
+//!    tier's CSR forward by a window of undirected edges; after any
+//!    randomized sequence of windows the CSR, and a cold
+//!    [`UndirectedCsr::build`] of every edge so far, must equal
+//!    [`CsrView::build`] of a [`Graph`] given the same
+//!    `add_undirected_edge` calls, every array compared by `to_bits`.
 
 use hive_bench::prop::{check, DEFAULT_CASES};
 use hive_bench::prop_ensure;
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::{Epoch, Hive};
+use hive_graph::{CsrView, Graph, NodeId, UndirectedCsr};
 use hive_rng::Rng;
 use hive_sim_harness::oracle::fingerprint;
 use hive_store::{GraphView, StoredTriple, Term, TripleStore};
@@ -176,4 +183,92 @@ fn delta_patched_facade_matches_cold_platform_body() {
         "the knowledge snapshot must have been delta-patched at least once \
          ({before} -> {after}); otherwise this test only compared rebuilds"
     );
+}
+
+// ---- layer 3: UndirectedCsr::patch vs CsrView::build of a Graph --------
+
+/// One random undirected edge among `n` nodes: endpoints collide often
+/// (re-weights of present edges, repeats within a window, self-loops).
+fn gen_edge(n: u32, rng: &mut Rng) -> (NodeId, NodeId, f64) {
+    let a = NodeId(rng.gen_range(0..n));
+    let b = NodeId(rng.gen_range(0..n));
+    (a, b, gen_weight(rng))
+}
+
+/// `csr` equals `CsrView::build(g)` bit for bit, and each row's raw
+/// weights are `g`'s in-edge weights by bits.
+fn csr_matches_graph(csr: &UndirectedCsr, g: &Graph) -> Result<(), String> {
+    if let Some(diff) = csr.view().bitwise_diff(&CsrView::build(g)) {
+        return Err(diff);
+    }
+    for v in g.nodes() {
+        let bits = |w: f64| w.to_bits();
+        let row = csr.in_edges(v).map(|e| (e.neighbor, bits(e.weight)));
+        if !row.eq(g.in_edges(v).map(|e| (e.neighbor, bits(e.weight)))) {
+            return Err(format!("raw weights of row {v:?} differ"));
+        }
+    }
+    Ok(())
+}
+
+/// After every window of 0 to 29 undirected edges on up to 12 nodes,
+/// the patched CSR, and the cold fold of all edges so far, equal
+/// `CsrView::build` of a `Graph` given the same `add_undirected_edge`
+/// calls. Nodes may have no edge at all; windows may be empty, repeat an
+/// edge, add self-loops, and pass `REFLATTEN_FRACTION`. Both the
+/// in-place patch and the fold past the fraction must have run.
+#[test]
+fn patched_unified_csr_is_bitwise_identical_to_the_graph_csr() {
+    hive_obs::with_level(hive_obs::Level::Counts, || {
+        let (mut in_place, mut folded) = (0, 0);
+        check("delta::unified_csr_patch_equals_graph_csr", DEFAULT_CASES, |rng| {
+            unified_csr_case(rng, &mut in_place, &mut folded)
+        });
+        assert!(in_place > 0 && folded > 0, "{in_place} windows patched, {folded} folded");
+    });
+}
+
+/// One case of the layer-3 property, counting the non-empty windows
+/// patched in place and those folded past the fraction.
+fn unified_csr_case(
+    rng: &mut Rng,
+    in_place: &mut usize,
+    folded: &mut usize,
+) -> Result<(), String> {
+    let n = rng.gen_range(1..=12u32);
+    let mut g = Graph::new();
+    for i in 0..n {
+        g.add_node(format!("n{i}"));
+    }
+    let mut all = Vec::new();
+    for _ in 0..rng.gen_range(0..40usize) {
+        all.push(gen_edge(n, rng));
+    }
+    for &(a, b, w) in &all {
+        g.add_undirected_edge(a, b, w);
+    }
+    let mut csr = UndirectedCsr::build(n as usize, all.iter().copied());
+    csr_matches_graph(&csr, &g).map_err(|e| format!("cold build: {e}"))?;
+    // Windows against the same live CSR, each from a copy (as a
+    // pinned epoch forces), so errors compound and surface.
+    for _ in 0..rng.gen_range(1..4usize) {
+        let len = rng.gen_range(0..30usize);
+        let window: Vec<_> = (0..len).map(|_| gen_edge(n, rng)).collect();
+        for &(a, b, w) in &window {
+            g.add_undirected_edge(a, b, w);
+        }
+        csr = csr.clone();
+        let before = hive_obs::snapshot().counter("graph.csr.reflatten");
+        csr.patch(&window);
+        if hive_obs::snapshot().counter("graph.csr.reflatten") > before {
+            *folded += 1;
+        } else if !window.is_empty() {
+            *in_place += 1;
+        }
+        all.extend(window);
+        csr_matches_graph(&csr, &g).map_err(|e| format!("patched: {e}"))?;
+        let cold = UndirectedCsr::build(n as usize, all.iter().copied());
+        csr_matches_graph(&cold, &g).map_err(|e| format!("cold fold: {e}"))?;
+    }
+    Ok(())
 }

@@ -110,7 +110,18 @@ fn concept_layers_propagate_across_alignment() {
 fn unified_graph_is_mostly_connected() {
     let world = WorldBuilder::new(SimConfig::small()).build();
     let kn = KnowledgeNetwork::build(&world.db);
-    let comp = hive_graph::connected_components(&kn.unified);
+    // The unified layer as a `Graph` over its nodes' IRIs, built on
+    // demand from the CSR rows (each row lists a node's neighbours).
+    let mut g = hive_graph::Graph::new();
+    for i in 0..kn.layout.node_count() as u32 {
+        g.add_node(kn.layout.iri(hive_graph::NodeId(i)).expect("in range"));
+    }
+    for v in g.nodes().collect::<Vec<_>>() {
+        for e in kn.csr.in_edges(v) {
+            g.add_edge(e.neighbor, v, e.weight);
+        }
+    }
+    let comp = hive_graph::connected_components(&g);
     let mut sizes: HashMap<usize, usize> = HashMap::new();
     for c in &comp {
         *sizes.entry(*c).or_insert(0) += 1;
