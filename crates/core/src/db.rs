@@ -115,8 +115,8 @@ impl DbDelta {
     }
 
     /// True when this mutation adds at least one edge to the dynamic
-    /// knowledge-network layers, i.e. a patched network must re-derive
-    /// its CSR snapshot afterwards. Exhaustive on purpose (lint R10).
+    /// knowledge-network layers, i.e. a patch changes the network's CSR
+    /// in place. Exhaustive on purpose (lint R10).
     pub fn touches_graph(&self) -> bool {
         match self {
             DbDelta::Neutral => false,
@@ -301,8 +301,9 @@ impl HiveDb {
     /// The patchable graph events of the full activity log, in
     /// chronological order. Fresh knowledge-network builds replay exactly
     /// this sequence, so a cache patched with [`Self::deltas_since`]
-    /// converges on the same node interning, adjacency order, and float
-    /// accumulation order as a cold rebuild — bit for bit.
+    /// converges on the same row order and float accumulation order as a
+    /// cold rebuild, bit for bit (node order is arithmetic and fixed by
+    /// the entity counts).
     pub fn replay_deltas(&self) -> Vec<DbDelta> {
         self.log
             .iter()

@@ -24,10 +24,10 @@
 //!
 //! The knowledge tier keys no node by a string and holds no adjacency
 //! list: its unified layer is one flat [`hive_graph::UndirectedCsr`]
-//! whose nodes are numbered by arithmetic. A cold build folds the static edges and the
-//! replayed log's [`crate::knowledge::delta_edges`] into it; a patch
-//! adds the window's edges in place, so a copy for a pinned epoch is a
-//! few `memcpy`s.
+//! whose nodes are numbered by arithmetic. A cold build adds the static
+//! edges and the replayed log's [`crate::knowledge::delta_edges`] to an
+//! empty one; a patch adds the window's edges in place, so a copy for a
+//! pinned epoch is a few `memcpy`s.
 //!
 //! The relationship tier holds only what an explanation reads: the term
 //! dictionary of the `rel:*` export and its [`GraphView`]. One routine
@@ -149,8 +149,8 @@ impl Derived for KnowledgeNetwork {
     const PATCH_SPAN: &'static str = "kn-delta";
     const BUILD_SPAN: Option<&'static str> = Some("kn-build");
 
-    /// Adds the window's unified edges to the CSR in place (a window
-    /// past `REFLATTEN_FRACTION` of its edges re-folds the rows once).
+    /// Adds the window's unified edges to the CSR in place, whatever
+    /// the window's size.
     fn patch(&mut self, window: &[DbDelta]) {
         self.apply_window(window, &FusionWeights::default());
     }
@@ -250,7 +250,6 @@ mod tests {
     use crate::ids::UserId;
     use crate::model::{QaTarget, User};
     use crate::sim::{SimConfig, WorldBuilder};
-    use hive_graph::csr::REFLATTEN_FRACTION;
     use hive_store::view::REBUILD_FRACTION;
     use hive_store::Term;
 
@@ -351,10 +350,10 @@ mod tests {
     }
 
     /// A patched knowledge network equals a cold build after a window of
-    /// every patchable delta, and after one past `REFLATTEN_FRACTION` of
-    /// its edges. The previous network stays held, as a published epoch
-    /// holds it, so every patch copies first; the copy shares the
-    /// content layer.
+    /// every patchable delta, and after a bulk window of more than a
+    /// quarter of its edges. The previous network stays held, as a
+    /// published epoch holds it, so every patch copies first; the copy
+    /// shares the content layer.
     #[test]
     fn patched_kn_equals_a_cold_build() {
         hive_obs::with_level(hive_obs::Level::Counts, || {
@@ -414,7 +413,6 @@ mod tests {
                 let next = get(&db);
                 let counts = hive_obs::snapshot();
                 assert_eq!(counts.counter("core.kn.patch"), 1, "{name}: patched");
-                assert_eq!(counts.counter("graph.csr.reflatten"), 0, "{name}: in place");
                 assert!(!Arc::ptr_eq(&held, &next), "{name}: the patch copied the held network");
                 assert!(Arc::ptr_eq(&held.corpus, &next.corpus), "{name}: shares the corpus");
                 assert!(Arc::ptr_eq(&held.paper_vectors, &next.paper_vectors));
@@ -423,17 +421,20 @@ mod tests {
                 held = next;
             }
 
-            // A window past REFLATTEN_FRACTION of the edges: the rows are
-            // folded once, not patched edge by edge.
-            let past = (held.csr.edge_count() as f64 * REFLATTEN_FRACTION) as usize + 1;
-            for i in 0..past {
+            // A bulk window of more than a quarter of the edges, many of
+            // them new: still one patch, not a rebuild.
+            let bulk = held.csr.edge_count() / 4 + 1;
+            for i in 0..bulk {
                 db.check_in(users[i % users.len()], sessions[i % sessions.len()]).unwrap();
             }
             hive_obs::reset();
             let next = get(&db);
-            assert_eq!(hive_obs::snapshot().counter("graph.csr.reflatten"), 1, "re-folded");
+            let counts = hive_obs::snapshot();
+            assert_eq!(counts.counter("core.kn.patch"), 1, "bulk: patched");
+            assert_eq!(counts.counter("core.kn.miss"), 0, "bulk: not rebuilt");
+            assert!(next.csr.edge_count() > held.csr.edge_count(), "bulk: new edges");
             assert!(Arc::ptr_eq(&held.session_vectors, &next.session_vectors));
-            assert_kn_equals_cold_build(&next, &db, "past the fraction");
+            assert_kn_equals_cold_build(&next, &db, "bulk");
             hive_obs::reset();
         });
     }

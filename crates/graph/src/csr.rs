@@ -15,10 +15,10 @@
 //! moved forward in place. In an undirected graph a node's out-row is
 //! its in-row, in the same order and with the same weights, so the
 //! out-weight a [`Graph`] sums over a node's out-edges is the sum over
-//! its own CSR row in row order. A cold build folds an edge list into
-//! rows with [`Graph::add_undirected_edge`]'s rule (strengthen a present
-//! edge, else append it); [`UndirectedCsr::patch`] continues that fold
-//! on the flat arrays. Both are bit-identical to [`CsrView::build`] of a
+//! its own CSR row in row order. [`UndirectedCsr::patch`] adds edges
+//! with [`Graph::add_undirected_edge`]'s rule (strengthen a present
+//! edge, else append it) on the flat arrays, and a cold build is a patch
+//! of the empty graph. Both are bit-identical to [`CsrView::build`] of a
 //! [`Graph`] given the same `add_undirected_edge` calls. It has its own
 //! type so that a CSR built from a directed graph can never be patched.
 
@@ -109,14 +109,8 @@ fn first_bit_difference(a: &[f64], b: &[f64]) -> Option<usize> {
     }
 }
 
-/// Above this fraction of the current in-edges, a window is not patched
-/// in place: [`UndirectedCsr::patch`] re-folds every row once instead.
-/// A patch costs a search of each touched row plus one pass over the
-/// arrays; past a quarter of the edges one `O(V + E)` fold is cheaper.
-pub const REFLATTEN_FRACTION: f64 = 0.25;
-
-/// Spare slots a copy keeps in each edge array, so the first append
-/// after a copy does not reallocate it.
+/// Spare slots each edge array keeps past its length when it is built,
+/// copied or grown, so the first appends after a copy do not reallocate.
 const SPARE_EDGES: usize = 64;
 
 /// An undirected weighted graph as the kernel's [`CsrView`] plus each
@@ -128,9 +122,6 @@ pub struct UndirectedCsr {
     /// Raw weight of each in-edge, parallel to `view.in_src`.
     in_w: Vec<f64>,
 }
-
-/// One node's row while folding: `(neighbor, weight)` in insertion order.
-type Row = Vec<(u32, f64)>;
 
 impl Clone for UndirectedCsr {
     /// A derived clone would have exact capacity, so the first append
@@ -153,53 +144,35 @@ fn with_spare<T: Copy>(v: &[T]) -> Vec<T> {
     out
 }
 
+/// Resizes `v` to `len`, reserving `SPARE_EDGES` more when it grows
+/// past its capacity.
+fn grow<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
+    if len > v.capacity() {
+        v.reserve_exact(len - v.len() + SPARE_EDGES);
+    }
+    v.resize(len, fill);
+}
+
 impl UndirectedCsr {
     /// The CSR of `node_count` nodes and `edges`, each `(a, b, weight)`
-    /// added as [`Graph::add_undirected_edge`] adds it, in order. Every
-    /// endpoint must be below `node_count` and every weight finite and
-    /// positive.
+    /// added as [`Graph::add_undirected_edge`] adds it, in order: a
+    /// patch of the empty graph. Every endpoint must be below
+    /// `node_count` and every weight finite and positive.
     pub fn build(
         node_count: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId, f64)>,
     ) -> Self {
-        let mut rows: Vec<Row> = vec![Vec::new(); node_count];
-        for (a, b, w) in edges {
-            fold_edge(&mut rows, a, b, w);
-        }
-        Self::flatten(rows)
-    }
-
-    /// Flattens folded rows, summing each node's out-weight over its row
-    /// in row order, the order [`Graph::out_weight`] sums in.
-    fn flatten(rows: Vec<Row>) -> Self {
-        let edges = rows.iter().map(Vec::len).sum::<usize>() + SPARE_EDGES;
-        let out_weight: Vec<f64> =
-            rows.iter().map(|row| row.iter().map(|e| e.1).sum()).collect();
-        let mut in_off = Vec::with_capacity(rows.len() + 1);
-        let mut in_src = Vec::with_capacity(edges);
-        let mut in_coef = Vec::with_capacity(edges);
-        let mut in_w = Vec::with_capacity(edges);
-        in_off.push(0u32);
-        for row in &rows {
-            for &(u, w) in row {
-                in_src.push(u);
-                in_coef.push(w / out_weight[u as usize]);
-                in_w.push(w);
-            }
-            in_off.push(in_src.len() as u32);
-        }
-        UndirectedCsr { view: CsrView { in_off, in_src, in_coef, out_weight }, in_w }
-    }
-
-    /// The rows as a fold holds them.
-    fn rows(&self) -> Vec<Row> {
-        (0..self.node_count())
-            .map(|v| {
-                let row = self.view.row(v);
-                let weights = self.in_w[row.clone()].iter().copied();
-                self.view.in_src[row].iter().copied().zip(weights).collect()
-            })
-            .collect()
+        // An edgeless node's out-weight is the sum over an empty row, as
+        // `Graph::out_weight` computes it (the bits of `-0.0`).
+        let empty_row: f64 = std::iter::empty::<f64>().sum();
+        let view = CsrView {
+            in_off: vec![0; node_count + 1],
+            out_weight: vec![empty_row; node_count],
+            ..CsrView::default()
+        };
+        let mut csr = UndirectedCsr { view, in_w: Vec::new() };
+        csr.patch(&edges.into_iter().collect::<Vec<_>>());
+        csr
     }
 
     /// The arrays the PPR kernel reads.
@@ -233,111 +206,160 @@ impl UndirectedCsr {
     /// [`UndirectedCsr::build`] of every edge so far. Endpoints must be
     /// below [`Self::node_count`].
     ///
-    /// Each half of an edge strengthens its in-edge in place, or is
-    /// queued (a later half of the same edge strengthens the queued
-    /// entry). One backward pass appends the queue to the rows. Each
-    /// touched node's out-weight is then re-summed over its row, and the
-    /// coefficient of its out-edge in each neighbour's row rewritten.
-    /// A window of more than [`REFLATTEN_FRACTION`] of the in-edges is
-    /// instead folded into all rows at once (`graph.csr.reflatten`).
+    /// Each half of an edge strengthens its in-edge in place, or is set
+    /// aside as new, and `append` adds the new ones to their rows.
+    /// Each touched node's out-weight is then re-summed over its row,
+    /// and every coefficient of its out-edges rewritten in its
+    /// neighbours' rows, each of which is searched or scanned once. Past
+    /// the row searches a fold of the window would make, the cost is
+    /// `O(V + E)` at most, so no window is better served by re-folding
+    /// every row.
     pub fn patch(&mut self, edges: &[(NodeId, NodeId, f64)]) {
         if edges.is_empty() {
             return;
         }
-        if edges.len() as f64 > self.edge_count() as f64 * REFLATTEN_FRACTION {
-            hive_obs::count("graph.csr.reflatten", 1);
-            let mut rows = self.rows();
-            for &(a, b, w) in edges {
-                fold_edge(&mut rows, a, b, w);
-            }
-            *self = Self::flatten(rows);
-            return;
-        }
-        let mut queued: Vec<(u32, u32, f64)> = Vec::new();
-        let mut touched: Vec<u32> = Vec::with_capacity(2 * edges.len());
+        // In-edges no row holds yet, `(row, src, weight)` in window order.
+        let mut new = Vec::new();
+        let mut is_touched = vec![false; self.node_count()];
+        let mut touched = Vec::new();
         for &(a, b, w) in edges {
-            self.add_half(b.0, a.0, w, &mut queued);
+            self.add_half(b.0, a.0, w, &mut new);
             if a != b {
-                self.add_half(a.0, b.0, w, &mut queued);
+                self.add_half(a.0, b.0, w, &mut new);
             }
-            touched.extend([a.0, b.0]);
+            for x in [a.0, b.0] {
+                if !is_touched[x as usize] {
+                    is_touched[x as usize] = true;
+                    touched.push(x);
+                }
+            }
         }
-        self.append(queued);
-        touched.sort_unstable();
-        touched.dedup();
+        self.append(new);
         let view = &mut self.view;
+        // Per row, how many of its in-edges come from a touched node: one
+        // per touched neighbour, since a row holds a source at most once.
+        let mut pending = vec![0u32; view.node_count()];
         for &x in &touched {
-            view.out_weight[x as usize] = self.in_w[view.row(x as usize)].iter().sum();
+            let row = view.row(x as usize);
+            view.out_weight[x as usize] = self.in_w[row.clone()].iter().sum();
+            for &v in &view.in_src[row] {
+                pending[v as usize] += 1;
+            }
         }
+        // The coefficient of `x`'s out-edge in each neighbour's row: found
+        // by a search where `x` is the row's only touched source, else
+        // written with the row's others in one scan of the row.
         for &x in &touched {
             for j in view.row(x as usize) {
-                let row = view.row(view.in_src[j] as usize);
-                if let Some(k) = view.in_src[row.clone()].iter().position(|&s| s == x) {
-                    let e = row.start + k;
-                    view.in_coef[e] = self.in_w[e] / view.out_weight[x as usize];
+                let v = view.in_src[j] as usize;
+                let row = view.row(v);
+                match pending[v] {
+                    0 => {}
+                    1 => {
+                        if let Some(k) = view.in_src[row.clone()].iter().position(|&s| s == x) {
+                            let e = row.start + k;
+                            view.in_coef[e] = self.in_w[e] / view.out_weight[x as usize];
+                        }
+                    }
+                    _ => {
+                        for e in row {
+                            let src = view.in_src[e] as usize;
+                            if is_touched[src] {
+                                view.in_coef[e] = self.in_w[e] / view.out_weight[src];
+                            }
+                        }
+                        pending[v] = 0;
+                    }
                 }
             }
         }
     }
 
     /// One half of an undirected edge: in-edge `src → row` strengthened
-    /// in place, or in the queue, or queued.
-    fn add_half(&mut self, row: u32, src: u32, w: f64, queued: &mut Vec<(u32, u32, f64)>) {
+    /// in place, or else left in `new`.
+    fn add_half(&mut self, row: u32, src: u32, w: f64, new: &mut Vec<(u32, u32, f64)>) {
         let edges = self.view.row(row as usize);
-        if let Some(i) = self.view.in_src[edges.clone()].iter().position(|&s| s == src) {
-            self.in_w[edges.start + i] += w;
-        } else if let Some(q) = queued.iter_mut().find(|q| q.0 == row && q.1 == src) {
-            q.2 += w;
-        } else {
-            queued.push((row, src, w));
+        match self.view.in_src[edges.clone()].iter().position(|&s| s == src) {
+            Some(i) => self.in_w[edges.start + i] += w,
+            None => new.push((row, src, w)),
         }
     }
 
-    /// Appends `queued` in-edges `(row, src, weight)` to the ends of
-    /// their rows, each row's in queue order, in one backward pass that
-    /// moves every block of untouched rows once. Coefficients of the new
+    /// Appends `new` in-edges `(row, src, weight)`, in window order, to
+    /// the ends of their rows as a fold of them would: a repeat
+    /// strengthens the first occurrence, and each row takes its in-edges
+    /// in order of first occurrence. The entries are grouped by row with
+    /// a counting sort, then placed in one backward pass that moves
+    /// every block of untouched rows once. Coefficients of the new
     /// entries are left for the caller to write.
-    fn append(&mut self, mut queued: Vec<(u32, u32, f64)>) {
-        if queued.is_empty() {
+    fn append(&mut self, new: Vec<(u32, u32, f64)>) {
+        if new.is_empty() {
             return;
         }
-        // Stable: a row's entries keep their queue order.
-        queued.sort_by_key(|q| q.0);
         let view = &mut self.view;
+        // `start[v]..start[v + 1]` of `grouped` holds row `v`'s entries.
+        let mut start = vec![0u32; view.node_count() + 1];
+        let mut rows = Vec::new();
+        for &(row, ..) in &new {
+            if start[row as usize + 1] == 0 {
+                rows.push(row as usize);
+            }
+            start[row as usize + 1] += 1;
+        }
+        for v in 0..view.node_count() {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut grouped = vec![(0u32, 0.0); new.len()];
+        for (row, src, w) in new {
+            grouped[next[row as usize] as usize] = (src, w);
+            next[row as usize] += 1;
+        }
+        // Fold each row's repeats into its first occurrences, which end
+        // up first in the row's group: `next[v]` becomes their end.
+        let mut shift = 0;
+        for v in rows {
+            let group = &mut grouped[start[v] as usize..start[v + 1] as usize];
+            let mut kept = 0;
+            for i in 0..group.len() {
+                let (src, w) = group[i];
+                match group[..kept].iter_mut().find(|e| e.0 == src) {
+                    Some(e) => e.1 += w,
+                    None => {
+                        group[kept] = (src, w);
+                        kept += 1;
+                    }
+                }
+            }
+            next[v] = start[v] + kept as u32;
+            shift += kept;
+        }
         let old_len = view.in_src.len();
-        let mut shift = queued.len();
-        view.in_src.resize(old_len + shift, 0);
-        view.in_coef.resize(old_len + shift, 0.0);
-        self.in_w.resize(old_len + shift, 0.0);
-        // Old entries at or past `end` have moved; `shift` is the number
-        // of queued entries in rows up to the row being placed.
+        grow(&mut view.in_src, old_len + shift, 0);
+        grow(&mut view.in_coef, old_len + shift, 0.0);
+        grow(&mut self.in_w, old_len + shift, 0.0);
+        // `shift` is the number of new entries in the rows up to the one
+        // placed; old entries at or past `end` have moved.
         let mut end = old_len;
-        let mut hi = queued.len();
-        while hi > 0 {
-            let row = queued[hi - 1].0 as usize;
-            let lo =
-                queued[..hi].iter().rposition(|q| q.0 as usize != row).map_or(0, |i| i + 1);
-            let row_end = view.in_off[row + 1] as usize;
+        for v in (0..view.node_count()).rev() {
+            if shift == 0 {
+                break;
+            }
+            let row_end = view.in_off[v + 1] as usize;
+            view.in_off[v + 1] += shift as u32;
+            let kept = &grouped[start[v] as usize..next[v] as usize];
+            if kept.is_empty() {
+                continue;
+            }
             view.in_src.copy_within(row_end..end, row_end + shift);
             view.in_coef.copy_within(row_end..end, row_end + shift);
             self.in_w.copy_within(row_end..end, row_end + shift);
-            let at = row_end + shift - (hi - lo);
-            for (i, &(_, src, w)) in queued[lo..hi].iter().enumerate() {
-                view.in_src[at + i] = src;
-                self.in_w[at + i] = w;
+            shift -= kept.len();
+            for (i, &(src, w)) in kept.iter().enumerate() {
+                view.in_src[row_end + shift + i] = src;
+                self.in_w[row_end + shift + i] = w;
             }
-            shift -= hi - lo;
             end = row_end;
-            hi = lo;
-        }
-        let mut added = 0u32;
-        let mut next = 0;
-        for v in queued[0].0 as usize..view.node_count() {
-            while next < queued.len() && queued[next].0 as usize == v {
-                added += 1;
-                next += 1;
-            }
-            view.in_off[v + 1] += added;
         }
     }
 
@@ -348,23 +370,6 @@ impl UndirectedCsr {
             first_bit_difference(&self.in_w, &other.in_w)
                 .map(|i| format!("raw weight of edge {i} differs"))
         })
-    }
-}
-
-/// [`Graph::add_undirected_edge`] on rows: `b` joins `a`'s row and `a`
-/// joins `b`'s (once for a self-loop), each strengthening a present
-/// entry, else appended.
-fn fold_edge(rows: &mut [Row], a: NodeId, b: NodeId, w: f64) {
-    fold_half(&mut rows[b.index()], a.0, w);
-    if a != b {
-        fold_half(&mut rows[a.index()], b.0, w);
-    }
-}
-
-fn fold_half(row: &mut Row, src: u32, w: f64) {
-    match row.iter_mut().find(|e| e.0 == src) {
-        Some(e) => e.1 += w,
-        None => row.push((src, w)),
     }
 }
 

@@ -212,29 +212,23 @@ fn csr_matches_graph(csr: &UndirectedCsr, g: &Graph) -> Result<(), String> {
 }
 
 /// After every window of 0 to 29 undirected edges on up to 12 nodes,
-/// the patched CSR, and the cold fold of all edges so far, equal
+/// the patched CSR, and the cold build of all edges so far, equal
 /// `CsrView::build` of a `Graph` given the same `add_undirected_edge`
 /// calls. Nodes may have no edge at all; windows may be empty, repeat an
-/// edge, add self-loops, and pass `REFLATTEN_FRACTION`. Both the
-/// in-place patch and the fold past the fraction must have run.
+/// edge, add self-loops, and hold as many edges as the graph they patch.
+/// Small and bulk windows must both have run.
 #[test]
 fn patched_unified_csr_is_bitwise_identical_to_the_graph_csr() {
-    hive_obs::with_level(hive_obs::Level::Counts, || {
-        let (mut in_place, mut folded) = (0, 0);
-        check("delta::unified_csr_patch_equals_graph_csr", DEFAULT_CASES, |rng| {
-            unified_csr_case(rng, &mut in_place, &mut folded)
-        });
-        assert!(in_place > 0 && folded > 0, "{in_place} windows patched, {folded} folded");
+    let (mut small, mut bulk) = (0, 0);
+    check("delta::unified_csr_patch_equals_graph_csr", DEFAULT_CASES, |rng| {
+        unified_csr_case(rng, &mut small, &mut bulk)
     });
+    assert!(small > 0 && bulk > 0, "{small} small windows patched, {bulk} bulk ones");
 }
 
 /// One case of the layer-3 property, counting the non-empty windows
-/// patched in place and those folded past the fraction.
-fn unified_csr_case(
-    rng: &mut Rng,
-    in_place: &mut usize,
-    folded: &mut usize,
-) -> Result<(), String> {
+/// smaller than the CSR they patch and those at least as large.
+fn unified_csr_case(rng: &mut Rng, small: &mut usize, bulk: &mut usize) -> Result<(), String> {
     let n = rng.gen_range(1..=12u32);
     let mut g = Graph::new();
     for i in 0..n {
@@ -258,17 +252,16 @@ fn unified_csr_case(
             g.add_undirected_edge(a, b, w);
         }
         csr = csr.clone();
-        let before = hive_obs::snapshot().counter("graph.csr.reflatten");
-        csr.patch(&window);
-        if hive_obs::snapshot().counter("graph.csr.reflatten") > before {
-            *folded += 1;
+        if window.len() >= csr.edge_count() {
+            *bulk += 1;
         } else if !window.is_empty() {
-            *in_place += 1;
+            *small += 1;
         }
+        csr.patch(&window);
         all.extend(window);
         csr_matches_graph(&csr, &g).map_err(|e| format!("patched: {e}"))?;
         let cold = UndirectedCsr::build(n as usize, all.iter().copied());
-        csr_matches_graph(&cold, &g).map_err(|e| format!("cold fold: {e}"))?;
+        csr_matches_graph(&cold, &g).map_err(|e| format!("cold build: {e}"))?;
     }
     Ok(())
 }
