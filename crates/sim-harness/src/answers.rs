@@ -260,11 +260,58 @@ mod tests {
     use hive_core::sim::{SimConfig, WorldBuilder};
     use hive_core::Hive;
 
+    /// What a digest battery over [`read_digests`] touched.
+    #[derive(Default)]
+    struct Coverage {
+        kinds: std::collections::BTreeSet<EvidenceKind>,
+        previews: usize,
+        concepts: usize,
+        paths: usize,
+        similar: usize,
+    }
+
+    /// One digest per read over `users` of `h`'s world: each user's search
+    /// (default config and a wide one with many key concepts) for a topic
+    /// phrase, resource and peer recommendation, an explanation against
+    /// the next user of `users`, and similar peers.
+    fn read_digests(h: &Hive, users: &[UserId]) -> ([u64; 6], Coverage) {
+        let mut rng = hive_rng::Rng::seed_from_u64(7);
+        let wide = DiscoverConfig::defaults().with_top_k(40).with_concepts_per_hit(20);
+        let mut hashes = [Digest::default(); 6];
+        let mut seen = Coverage::default();
+        for (i, &u) in users.iter().enumerate() {
+            let query = hive_core::sim::topic_phrase(i % hive_core::sim::topic_count(), &mut rng);
+            hashes[0].push(&h.search(u, &query, DiscoverConfig::default()));
+            let hits = h.search(u, &query, wide);
+            seen.previews += hits.iter().filter(|x| x.preview.is_some()).count();
+            seen.concepts += hits.iter().map(|x| x.key_concepts.len()).sum::<usize>();
+            hashes[1].push(&hits);
+            hashes[2].push(&h.recommend_resources(u, DiscoverConfig::default()));
+            let recs = h.recommend_peers(u, PeerRecConfig::default());
+            seen.kinds.extend(recs.iter().flat_map(|rec| rec.reasons.iter().map(|r| r.kind)));
+            hashes[3].push(&recs);
+            let exp = h.explain_relationship(u, users[(i + 1) % users.len()]);
+            seen.kinds.extend(exp.items.iter().map(|r| r.kind));
+            seen.paths += exp.paths.len();
+            hashes[4].push(&exp);
+            let peers = h.similar_peers(u, 10);
+            seen.similar += peers.len();
+            hashes[5].push(&peers);
+        }
+        assert!(
+            seen.previews > 0 && seen.concepts > 0 && seen.paths > 0 && seen.similar > 0,
+            "{} {} {} {}",
+            seen.previews,
+            seen.concepts,
+            seen.paths,
+            seen.similar
+        );
+        (hashes.map(|d| d.finish()), seen)
+    }
+
     /// The served bits of the four context-ranked reads and of content
-    /// similarity, pinned on the small world: every user's search
-    /// (default config and a wide one with many key concepts), resource
-    /// and peer recommendation, an explanation against the next user, and
-    /// similar peers. One digest per read.
+    /// similarity, pinned on the small world for every user. One digest
+    /// per read.
     #[test]
     fn served_read_bits_are_pinned() {
         // Recorded against the read path before the score-then-render
@@ -279,37 +326,30 @@ mod tests {
             0x6c5c_3741_bc2e_91e2, // similar_peers
         ];
         let h = Hive::new(WorldBuilder::new(SimConfig::small()).build().db);
-        let users = h.db().user_ids();
-        let mut rng = hive_rng::Rng::seed_from_u64(7);
-        let wide = DiscoverConfig::defaults().with_top_k(40).with_concepts_per_hit(20);
-        let mut hashes = [Digest::default(); 6];
-        let mut kinds = std::collections::BTreeSet::new();
-        let (mut previews, mut concepts, mut paths, mut similar) = (0, 0, 0, 0);
-        for (i, &u) in users.iter().enumerate() {
-            let query = hive_core::sim::topic_phrase(i % hive_core::sim::topic_count(), &mut rng);
-            hashes[0].push(&h.search(u, &query, DiscoverConfig::default()));
-            let hits = h.search(u, &query, wide);
-            previews += hits.iter().filter(|x| x.preview.is_some()).count();
-            concepts += hits.iter().map(|x| x.key_concepts.len()).sum::<usize>();
-            hashes[1].push(&hits);
-            hashes[2].push(&h.recommend_resources(u, DiscoverConfig::default()));
-            let recs = h.recommend_peers(u, PeerRecConfig::default());
-            kinds.extend(recs.iter().flat_map(|rec| rec.reasons.iter().map(|r| r.kind)));
-            hashes[3].push(&recs);
-            let exp = h.explain_relationship(u, users[(i + 1) % users.len()]);
-            kinds.extend(exp.items.iter().map(|r| r.kind));
-            paths += exp.paths.len();
-            hashes[4].push(&exp);
-            let peers = h.similar_peers(u, 10);
-            similar += peers.len();
-            hashes[5].push(&peers);
-        }
-        assert_eq!(kinds.len(), 12, "every evidence kind is covered: {kinds:?}");
-        assert!(
-            previews > 0 && concepts > 0 && paths > 0 && similar > 0,
-            "{previews} {concepts} {paths} {similar}"
-        );
-        assert_eq!(hashes.map(|d| d.finish()), GOLDEN, "served read bits moved");
+        let (digests, seen) = read_digests(&h, &h.db().user_ids());
+        assert_eq!(seen.kinds.len(), 12, "every evidence kind is covered: {:?}", seen.kinds);
+        assert_eq!(digests, GOLDEN, "served read bits moved");
+    }
+
+    /// The same six reads on the medium world, whose larger vocabulary and
+    /// longer texts the small world does not reach, for every third user.
+    #[test]
+    fn medium_world_read_bits_are_pinned() {
+        // Recorded against the read path that scored candidates by a
+        // merge join over per-kind vector maps and cut previews from
+        // re-tokenized text; every change since must keep them.
+        const GOLDEN: [u64; 6] = [
+            0xe03d_546d_22c8_88d6, // search, default config
+            0xcf12_50d0_2521_7677, // search, top 40 with 20 concepts per hit
+            0xbd02_bd29_bcac_4a4c, // recommend_resources
+            0x00a5_4121_f87d_b6d8, // recommend_peers
+            0x5f41_3f69_a74f_aeb1, // explain_relationship
+            0xf94a_e450_c737_4b0a, // similar_peers
+        ];
+        let h = Hive::new(WorldBuilder::new(SimConfig::medium()).build().db);
+        let users: Vec<UserId> = h.db().user_ids().into_iter().step_by(3).collect();
+        let (digests, _) = read_digests(&h, &users);
+        assert_eq!(digests, GOLDEN, "served read bits moved");
     }
 
     fn last_char(s: &mut String) {
