@@ -50,6 +50,7 @@ use crate::reports::{self, ReportScope, UpdateReport};
 use crate::tier::{RelSnapshot, Tier};
 use hive_concept::{bootstrap_concept_map, BootstrapConfig, ConceptMap};
 use hive_obs::ServiceKind;
+use hive_text::tfidf::{cosine_of_dot, Gather};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -175,19 +176,20 @@ impl Hive {
     pub fn similar_peers(&self, user: UserId, k: usize) -> Vec<(UserId, f64)> {
         self.service(ServiceKind::SimilarPeers, |h| {
             let kn = h.knowledge();
-            // `KnowledgeNetwork::user_similarity`: a user without a
-            // vector is similar to no one.
-            let Some(uv) = kn.user_vectors.get(&user) else {
+            let content = &kn.content;
+            // `KnowledgeNetwork::user_similarity`, with the user's row
+            // scattered once and every user row gathered against it.
+            let Some(row) = content.row(Resource::User(user)) else {
                 return Vec::new();
             };
-            let mut out: Vec<(UserId, f64)> = h
-                .db
-                .user_ids()
-                .into_iter()
-                .filter(|&v| v != user)
-                .filter_map(|v| {
-                    let vv = kn.user_vectors.get(&v)?;
-                    Some((v, uv.cosine(vv)))
+            let (profile, norm) = (Gather::new([content.entries(row)]), content.norm(row));
+            let mut out: Vec<(UserId, f64)> = content
+                .user_rows()
+                .filter(|&other| other != row)
+                .filter_map(|other| {
+                    let Some(Resource::User(v)) = content.resource(other) else { return None };
+                    let [dot] = profile.dots(content.entries(other));
+                    Some((v, cosine_of_dot(dot, norm, content.norm(other))))
                 })
                 .filter(|(_, s)| *s > 0.0)
                 .collect();
@@ -621,7 +623,7 @@ mod tests {
             );
             assert!(!Arc::ptr_eq(&kn, &kn3), "a graph-touching window patches a copy");
             assert!(Arc::ptr_eq(&kn.corpus, &kn3.corpus), "the copy shares the corpus");
-            assert!(Arc::ptr_eq(&kn.user_vectors, &kn3.user_vectors), "and the vectors");
+            assert!(Arc::ptr_eq(&kn.content, &kn3.content), "and the content matrix");
             assert!(!Arc::ptr_eq(&r1, &r3), "generation move invalidates");
             h.check_in(users[1], h.db().session_ids()[0]).unwrap();
             let kn4 = h.knowledge();

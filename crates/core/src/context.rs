@@ -15,6 +15,7 @@
 //! * the top context **terms** for snippet extraction and previews.
 
 use crate::db::HiveDb;
+use crate::discover::Resource;
 use crate::ids::UserId;
 use crate::knowledge::KnowledgeNetwork;
 use crate::model::{ActivityEvent, QaTarget, WorkpadItem};
@@ -73,13 +74,26 @@ impl ActivityContext {
 
 /// Builds the activity context of `user` from their active workpad and
 /// recent history.
+///
+/// The content vector is summed in a dense array over the vocabulary and
+/// compacted in term order once: each term adds its contributions in the
+/// order the records give them, as a sparse accumulation would, so the
+/// bits are the same.
 pub fn build_context(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
     user: UserId,
     cfg: ContextConfig,
 ) -> ActivityContext {
-    let mut vector = SparseVector::new();
+    let mut sums = vec![0.0; kn.corpus.term_count()];
+    let mut add = |v: &[(u32, f64)], w: f64| {
+        for &(t, x) in v {
+            if let Some(sum) = sums.get_mut(t as usize) {
+                *sum += x * w;
+            }
+        }
+    };
+    let content = &kn.content;
     let mut seeds: HashMap<String, f64> = HashMap::new();
     let seed = |seeds: &mut HashMap<String, f64>, iri: String, mass: f64| {
         *seeds.entry(iri).or_insert(0.0) += mass;
@@ -87,9 +101,7 @@ pub fn build_context(
     // The user themself is always a (light) seed: recommendations start
     // from who you are even with an empty pad.
     seed(&mut seeds, user.iri(), 0.25 * cfg.workpad_weight);
-    if let Some(uv) = kn.user_vectors.get(&user) {
-        vector.accumulate(uv.vector(), 0.25 * cfg.workpad_weight);
-    }
+    add(content.vector(Resource::User(user)), 0.25 * cfg.workpad_weight);
     // Active workpad items.
     if let Some(pad_id) = db.active_workpad_of(user) {
         if let Ok(pad) = db.get_workpad(pad_id) {
@@ -100,34 +112,26 @@ pub fn build_context(
                 match item {
                     WorkpadItem::UserAvatar(u) => {
                         seed(&mut seeds, u.iri(), w);
-                        if let Some(v) = kn.user_vectors.get(&u) {
-                            vector.accumulate(v.vector(), w);
-                        }
+                        add(content.vector(Resource::User(u)), w);
                     }
                     WorkpadItem::Paper(p) => {
                         seed(&mut seeds, p.iri(), w);
-                        if let Some(v) = kn.paper_vectors.get(&p) {
-                            vector.accumulate(v.vector(), w);
-                        }
+                        add(content.vector(Resource::Paper(p)), w);
                     }
                     WorkpadItem::Presentation(p) => {
                         if let Ok(pres) = db.get_presentation(p) {
                             seed(&mut seeds, pres.paper.iri(), w);
                             seed(&mut seeds, pres.session.iri(), 0.5 * w);
                         }
-                        if let Some(v) = kn.presentation_vectors.get(&p) {
-                            vector.accumulate(v.vector(), w);
-                        }
+                        add(content.vector(Resource::Presentation(p)), w);
                     }
                     WorkpadItem::Session(s) => {
                         seed(&mut seeds, s.iri(), w);
-                        if let Some(v) = kn.session_vectors.get(&s) {
-                            vector.accumulate(v.vector(), w);
-                        }
+                        add(content.vector(Resource::Session(s)), w);
                     }
                     WorkpadItem::Question(q) => {
                         if let Ok(question) = db.get_question(q) {
-                            vector.accumulate(&kn.corpus.vectorize_known(&question.text), w);
+                            add(kn.corpus.vectorize_known(&question.text).entries(), w);
                             let session = match question.target {
                                 QaTarget::Presentation(p) => {
                                     db.get_presentation(p).map(|pr| pr.session).ok()
@@ -151,7 +155,7 @@ pub fn build_context(
                     }
                     WorkpadItem::Note(n) => {
                         if let Some(text) = owner_pad.notes.get(n as usize) {
-                            vector.accumulate(&kn.corpus.vectorize_known(text), w);
+                            add(kn.corpus.vectorize_known(text).entries(), w);
                         }
                     }
                 }
@@ -168,25 +172,20 @@ pub fn build_context(
         match rec.event {
             ActivityEvent::CheckIn(s) => {
                 seed(&mut seeds, s.iri(), w);
-                if let Some(v) = kn.session_vectors.get(&s) {
-                    vector.accumulate(v.vector(), w);
-                }
+                add(content.vector(Resource::Session(s)), w);
             }
             ActivityEvent::ViewPaper(p) => {
                 seed(&mut seeds, p.iri(), w);
-                if let Some(v) = kn.paper_vectors.get(&p) {
-                    vector.accumulate(v.vector(), w);
-                }
+                add(content.vector(Resource::Paper(p)), w);
             }
             ActivityEvent::ViewPresentation(p) => {
-                if let Some(v) = kn.presentation_vectors.get(&p) {
-                    vector.accumulate(v.vector(), w);
-                }
+                add(content.vector(Resource::Presentation(p)), w);
             }
             ActivityEvent::Follow(u) => seed(&mut seeds, u.iri(), 0.5 * w),
             _ => {}
         }
     }
+    let mut vector = SparseVector::from_dense(&sums);
     vector.normalize();
     let terms = vector
         .top_k(cfg.top_terms)
@@ -258,8 +257,9 @@ mod tests {
         assert!(ctx.seeds.contains_key(&sessions[1].iri()));
         // The graph-pad context is closer to the graph paper than the
         // tensor paper despite Zach's tensor interests.
-        let sim_graph = ctx.similarity(kn.paper_vectors[&papers[1]].vector());
-        let sim_tensor = ctx.similarity(kn.paper_vectors[&papers[0]].vector());
+        let paper = |p| SparseVector::from_entries(kn.content.vector(Resource::Paper(p)).to_vec());
+        let sim_graph = ctx.similarity(&paper(papers[1]));
+        let sim_tensor = ctx.similarity(&paper(papers[0]));
         assert!(sim_graph > sim_tensor, "{sim_graph} > {sim_tensor}");
     }
 

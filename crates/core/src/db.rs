@@ -1245,15 +1245,30 @@ impl HiveDb {
         Ok(())
     }
 
-    /// Refuses a restored log whose `at` ever decreases, or a clock
-    /// behind the last record. Live writes stamp each record with the
-    /// current time and the clock never runs back, and
-    /// [`index::ActivityQuery::run`] clips postings and the log by
-    /// binary search on `at`, so either edit would make windowed queries
-    /// answer differently from the scan.
+    /// Refuses a restored log, or check-in, tweet, question or answer
+    /// arena, whose time ever decreases, or a clock behind the last
+    /// record. Live writes stamp each row with the current time and the
+    /// clock never runs back, and [`index::ActivityQuery::run`] and the
+    /// `*_within` reads clip the log and the arenas by binary search on
+    /// time, so either edit would make windowed queries answer
+    /// differently from the scan.
     fn check_clock_order(&self) -> Result<()> {
         if self.log.windows(2).any(|w| w[1].at < w[0].at) {
             return Err(HiveError::Invalid("activity log out of clock order in snapshot".into()));
+        }
+        fn ordered<T>(rows: &ChunkVec<T>, at: impl Fn(&T) -> Timestamp) -> bool {
+            let mut times = rows.iter().map(at);
+            let first = times.next();
+            times.try_fold(first, |prev, t| (prev <= Some(t)).then_some(Some(t))).is_some()
+        }
+        let arenas = [
+            ("check-ins", ordered(&self.checkins, |c| c.at)),
+            ("tweets", ordered(&self.tweets, |t| t.at)),
+            ("questions", ordered(&self.questions, |q| q.asked_at)),
+            ("answers", ordered(&self.answers, |a| a.answered_at)),
+        ];
+        if let Some((arena, _)) = arenas.iter().find(|(_, ok)| !ok) {
+            return Err(HiveError::Invalid(format!("{arena} out of clock order in snapshot")));
         }
         if self.log.last().is_some_and(|r| self.clock.now() < r.at) {
             return Err(HiveError::Invalid("clock behind the activity log in snapshot".into()));
@@ -1318,6 +1333,40 @@ impl HiveDb {
             .iter()
             .map(|&pos| &self.log[pos as usize])
             .collect()
+    }
+
+    /// Check-ins stamped in `[from, to)`, in order.
+    pub fn checkins_within(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> impl Iterator<Item = &CheckIn> {
+        self.checkins.window(from, to, |c| c.at).filter_map(|i| self.checkins.get(i))
+    }
+
+    /// Tweets posted in `[from, to)`, in order.
+    pub fn tweets_within(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = &Tweet> {
+        self.tweets.window(from, to, |t| t.at).filter_map(|i| self.tweets.get(i))
+    }
+
+    /// Questions asked in `[from, to)`, in id order.
+    pub fn questions_within(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> impl Iterator<Item = (QuestionId, &Question)> {
+        let rows = self.questions.window(from, to, |q| q.asked_at);
+        rows.filter_map(|i| Some((QuestionId(i as u32), self.questions.get(i)?)))
+    }
+
+    /// Answers given in `[from, to)`, in id order.
+    pub fn answers_within(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> impl Iterator<Item = (AnswerId, &Answer)> {
+        let rows = self.answers.window(from, to, |a| a.answered_at);
+        rows.filter_map(|i| Some((AnswerId(i as u32), self.answers.get(i)?)))
     }
 
     /// Activity records in a time window `[from, to)`.

@@ -13,6 +13,7 @@
 //! Every chunk but the last holds exactly [`CHUNK`] rows, so row `i`
 //! lives at `chunks[i / CHUNK][i % CHUNK]` and ids stay arena positions.
 
+use crate::clock::Timestamp;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
@@ -47,6 +48,30 @@ impl<T> ChunkVec<T> {
     /// Row `i`, or `None` past the end.
     pub(crate) fn get(&self, i: usize) -> Option<&T> {
         self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    /// The rows whose `at` falls in `[from, to)`, for rows in
+    /// non-decreasing `at` order: two binary searches.
+    pub(crate) fn window(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+        at: impl Fn(&T) -> Timestamp,
+    ) -> std::ops::Range<usize> {
+        let first = |t: Timestamp| {
+            let (mut lo, mut hi) = (0, self.len());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.get(mid).is_some_and(|row| at(row) < t) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        let lo = first(from);
+        lo..first(to).max(lo)
     }
 
     /// Every row, in id order.

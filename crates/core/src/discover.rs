@@ -16,10 +16,11 @@
 use crate::context::ActivityContext;
 use crate::db::HiveDb;
 use crate::ids::{PaperId, PresentationId, SessionId, UserId};
-use crate::knowledge::{ContentVector, KnowledgeNetwork};
+use crate::knowledge::KnowledgeNetwork;
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
-use hive_text::snippet::{extract_snippet, SnippetConfig, SnippetContext};
+use hive_text::snippet::{extract_snippet_ids, SnippetConfig, SnippetContext};
+use hive_text::tfidf::{cosine_of_dot, Gather};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -196,15 +197,6 @@ fn resource_title(db: &HiveDb, r: Resource) -> String {
     }
 }
 
-fn resource_vector(kn: &KnowledgeNetwork, r: Resource) -> Option<&ContentVector> {
-    match r {
-        Resource::Paper(p) => kn.paper_vectors.get(&p),
-        Resource::Presentation(p) => kn.presentation_vectors.get(&p),
-        Resource::Session(s) => kn.session_vectors.get(&s),
-        Resource::User(u) => kn.user_vectors.get(&u),
-    }
-}
-
 /// The PPR vector over the unified graph from the context seeds and its
 /// maximum (at least `f64::MIN_POSITIVE`), or `None` when no seed is a
 /// graph node.
@@ -232,11 +224,14 @@ fn graph_activation(
 /// purely contextual (the recommendation mode of Table 1: "request
 /// resource recommendations based on context").
 ///
-/// Every resource is a candidate, enumerated from the arenas: papers,
-/// presentations, sessions, then users when `include_users` is set,
-/// each in id order. Every candidate is scored as a number; titles,
+/// Every resource is a candidate: the rows of the content matrix, that
+/// is papers, presentations, sessions, then users when `include_users`
+/// is set, each in id order. The query and context vectors are scattered
+/// once, and one gather pass over the rows' entries scores every
+/// candidate as a number, with the bits of a merge-join cosine. Titles,
 /// previews and key concepts are built only for the `top_k` hits
-/// returned.
+/// returned; a preview scores its windows over the row's stored term
+/// ids.
 pub fn search(
     db: &HiveDb,
     kn: &KnowledgeNetwork,
@@ -247,6 +242,7 @@ pub fn search(
 ) -> Vec<SearchHit> {
     let qvec = kn.corpus.vectorize_known(query);
     let (qnorm, cnorm) = (qvec.norm(), ctx.vector.norm());
+    let profile = Gather::new([qvec.entries(), ctx.vector.entries()]);
     // A resource's activation is its PPR score over the maximum, 0 off
     // the graph (a presentation has no node).
     let ppr = graph_activation(kn, ppr_cache, ctx);
@@ -257,22 +253,14 @@ pub fn search(
             _ => 0.0,
         }
     };
-    let users = if cfg.include_users { db.user_ids() } else { Vec::new() };
-    let mut scored: Vec<(Resource, f64)> = db
-        .paper_ids()
-        .into_iter()
-        .map(Resource::Paper)
-        .chain(db.presentation_ids().into_iter().map(Resource::Presentation))
-        .chain(db.session_ids().into_iter().map(Resource::Session))
-        .chain(users.into_iter().map(Resource::User))
-        .filter_map(|r| {
-            let (q, c) = match resource_vector(kn, r) {
-                Some(v) => (
-                    qvec.cosine_normed(qnorm, v.vector(), v.norm()),
-                    ctx.vector.cosine_normed(cnorm, v.vector(), v.norm()),
-                ),
-                None => (0.0, 0.0),
-            };
+    let content = &kn.content;
+    let rows = if cfg.include_users { content.rows() } else { content.user_rows().start };
+    let mut scored: Vec<(Resource, f64)> = (0..rows)
+        .filter_map(|row| {
+            let r = content.resource(row)?;
+            let norm = content.norm(row);
+            let [q, c] = profile.dots(content.entries(row));
+            let (q, c) = (cosine_of_dot(q, qnorm, norm), cosine_of_dot(c, cnorm, norm));
             let a = activation(r);
             let score = cfg.query_weight * q + cfg.context_weight * c + cfg.graph_weight * a;
             (score > 0.0).then_some((r, score))
@@ -288,7 +276,8 @@ pub fn search(
     scored.sort_by(order);
     let context = SnippetContext::new(
         query.split_whitespace().chain(ctx.terms.iter().map(String::as_str)),
-    );
+    )
+    .ids(|t| kn.corpus.lookup(t));
     scored
         .into_iter()
         .map(|(r, score)| {
@@ -301,9 +290,12 @@ pub fn search(
             };
             let text = resource_text(db, r);
             if !text.is_empty() {
-                hit.preview = extract_snippet(&text, &context, SnippetConfig::default())
-                    .filter(|s| s.score > 0.0)
-                    .map(|s| s.text);
+                let row = content.row(r);
+                let (tokens, ends) = row.map(|row| content.text(row)).unwrap_or_default();
+                hit.preview =
+                    extract_snippet_ids(&text, tokens, ends, &context, SnippetConfig::default())
+                        .filter(|s| s.score > 0.0)
+                        .map(|s| s.text);
                 hit.key_concepts = kn.key_concepts(r, &text, cfg.concepts_per_hit);
             }
             hit

@@ -443,10 +443,7 @@ fn evidence_with(
             if sess_a.contains(&sb) {
                 continue;
             }
-            let sim = match (kn.session_vectors.get(&sa), kn.session_vectors.get(&sb)) {
-                (Some(va), Some(vb)) => va.cosine(vb),
-                _ => 0.0,
-            };
+            let sim = kn.content.similarity(Resource::Session(sa), Resource::Session(sb));
             if sim > 0.4 {
                 related_sessions += 1;
             }

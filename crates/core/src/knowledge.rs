@@ -51,7 +51,7 @@ use hive_concept::{bootstrap_concept_map, AlignConfig, BootstrapConfig, ContextN
 use hive_graph::{Graph, NodeId, UndirectedCsr};
 use hive_store::{Term, TripleStore};
 use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
-use hive_text::tfidf::{Corpus, SparseVector};
+use hive_text::tfidf::{cosine_of_dot, dot, term_frequencies, Corpus, SparseVector};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -98,37 +98,171 @@ impl Default for FusionWeights {
     }
 }
 
-/// A TF-IDF content vector with its norm, summed once when the content
-/// layer is built. Content vectors change only when a structural delta
-/// rebuilds the network, and patched copies share them through the same
-/// `Arc`, so a comparison never re-sums a stored vector's norm.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ContentVector {
-    vector: SparseVector,
-    norm: f64,
+/// Searchable resource kinds in content-matrix row order, which is also
+/// the order search enumerates its candidates in.
+const ROW_KINDS: usize = 4;
+const PAPER_ROWS: usize = 0;
+const PRESENTATION_ROWS: usize = 1;
+const SESSION_ROWS: usize = 2;
+const USER_ROWS: usize = 3;
+
+/// The content layer as one flat matrix, a row per searchable resource:
+/// papers, presentations, sessions, then users, each kind in id order,
+/// so a row is its kind's offset plus the arena index (as a node is in
+/// [`NodeLayout`]). A row holds
+///
+/// * the resource's TF-IDF entries in term order, with their norm summed
+///   once at build time, and
+/// * the term ids of the text its preview is cut from, with the token
+///   count at each sentence end ([`hive_text::tokenize_sentences`]).
+///
+/// Both come from the one tokenization the build does. Scoring many rows
+/// against one profile is a pass over contiguous entries
+/// ([`hive_text::Gather`]); a preview scores its windows over the stored
+/// ids instead of re-tokenizing the text. Rows change only when a
+/// structural delta rebuilds the network, and patched copies share the
+/// matrix through one `Arc`, so a comparison never re-sums a norm.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ContentMatrix {
+    /// Rows of each kind, in row order.
+    counts: [u32; ROW_KINDS],
+    /// Row `r`'s entries are `entries[entry_start[r]..entry_start[r + 1]]`.
+    entry_start: Vec<u32>,
+    entries: Vec<(u32, f64)>,
+    /// Each row's [`SparseVector::norm`].
+    norms: Vec<f64>,
+    /// Row `r`'s tokens are `tokens[token_start[r]..token_start[r + 1]]`.
+    token_start: Vec<u32>,
+    tokens: Vec<u32>,
+    /// Row `r`'s sentence ends, counted from its first token, are
+    /// `ends[end_start[r]..end_start[r + 1]]`.
+    end_start: Vec<u32>,
+    ends: Vec<u32>,
 }
 
-impl ContentVector {
-    fn new(vector: SparseVector) -> Self {
-        let norm = vector.norm();
-        ContentVector { vector, norm }
+impl ContentMatrix {
+    fn new() -> Self {
+        ContentMatrix {
+            entry_start: vec![0],
+            token_start: vec![0],
+            end_start: vec![0],
+            ..Default::default()
+        }
     }
 
-    /// The vector.
-    pub fn vector(&self) -> &SparseVector {
-        &self.vector
+    /// Appends the next row's TF-IDF vector.
+    fn push_vector(&mut self, v: SparseVector) {
+        self.entries.extend_from_slice(v.entries());
+        self.entry_start.push(self.entries.len() as u32);
+        self.norms.push(v.norm());
     }
 
-    /// The vector's [`SparseVector::norm`].
-    pub fn norm(&self) -> f64 {
-        self.norm
+    /// Appends the next row's text as term ids ([`Corpus::intern_sentences`]
+    /// with `seen`); returns them.
+    fn push_text(
+        &mut self,
+        corpus: &mut Corpus,
+        seen: &mut HashMap<String, Option<u32>>,
+        text: &str,
+    ) -> &[u32] {
+        let (tokens, ends) = corpus.intern_sentences(text, seen);
+        let first = self.tokens.len();
+        self.tokens.extend(tokens);
+        self.token_start.push(self.tokens.len() as u32);
+        self.ends.extend(ends);
+        self.end_start.push(self.ends.len() as u32);
+        &self.tokens[first..]
     }
 
-    /// [`SparseVector::cosine`] with both stored norms: the same
-    /// arithmetic on the same norms, so the same bits.
-    pub fn cosine(&self, other: &ContentVector) -> f64 {
-        self.vector.cosine_normed(self.norm, &other.vector, other.norm)
+    /// Drops the spare capacity the appends left: a matrix lives as long
+    /// as its network.
+    fn shrink_to_fit(&mut self) {
+        self.entry_start.shrink_to_fit();
+        self.entries.shrink_to_fit();
+        self.norms.shrink_to_fit();
+        self.token_start.shrink_to_fit();
+        self.tokens.shrink_to_fit();
+        self.end_start.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.norms.len()
+    }
+
+    /// The rows of users, the last kind.
+    pub fn user_rows(&self) -> std::ops::Range<usize> {
+        let first: u32 = self.counts[..USER_ROWS].iter().sum();
+        first as usize..self.rows()
+    }
+
+    /// The row of `r`, if the matrix has one.
+    pub fn row(&self, r: Resource) -> Option<usize> {
+        let (kind, index) = match r {
+            Resource::Paper(p) => (PAPER_ROWS, p.0),
+            Resource::Presentation(p) => (PRESENTATION_ROWS, p.0),
+            Resource::Session(s) => (SESSION_ROWS, s.0),
+            Resource::User(u) => (USER_ROWS, u.0),
+        };
+        let offset: u32 = self.counts[..kind].iter().sum();
+        (index < self.counts[kind]).then_some((offset + index) as usize)
+    }
+
+    /// The resource of `row`.
+    pub fn resource(&self, row: usize) -> Option<Resource> {
+        let mut index = u32::try_from(row).ok()?;
+        for (kind, &count) in self.counts.iter().enumerate() {
+            if index < count {
+                return Some(match kind {
+                    PAPER_ROWS => Resource::Paper(PaperId(index)),
+                    PRESENTATION_ROWS => Resource::Presentation(PresentationId(index)),
+                    SESSION_ROWS => Resource::Session(SessionId(index)),
+                    _ => Resource::User(UserId(index)),
+                });
+            }
+            index -= count;
+        }
+        None
+    }
+
+    /// `row`'s TF-IDF entries in term order (empty out of range).
+    pub fn entries(&self, row: usize) -> &[(u32, f64)] {
+        span(&self.entry_start, row).and_then(|s| self.entries.get(s)).unwrap_or_default()
+    }
+
+    /// The TF-IDF entries of `r`, empty if it has no row.
+    pub fn vector(&self, r: Resource) -> &[(u32, f64)] {
+        self.row(r).map(|row| self.entries(row)).unwrap_or_default()
+    }
+
+    /// `row`'s norm (0 out of range).
+    pub fn norm(&self, row: usize) -> f64 {
+        self.norms.get(row).copied().unwrap_or(0.0)
+    }
+
+    /// `row`'s token ids and the token count at each of its sentence ends.
+    pub fn text(&self, row: usize) -> (&[u32], &[u32]) {
+        let tokens = span(&self.token_start, row).and_then(|s| self.tokens.get(s));
+        let ends = span(&self.end_start, row).and_then(|s| self.ends.get(s));
+        (tokens.unwrap_or_default(), ends.unwrap_or_default())
+    }
+
+    /// Content similarity of two resources in `[0, 1]`: the cosine of
+    /// their rows by a merge join over both, 0 if either has no row.
+    pub fn similarity(&self, a: Resource, b: Resource) -> f64 {
+        match (self.row(a), self.row(b)) {
+            (Some(a), Some(b)) => {
+                cosine_of_dot(dot(self.entries(a), self.entries(b)), self.norm(a), self.norm(b))
+            }
+            _ => 0.0,
+        }
+    }
+}
+
+/// The range `start[row]..start[row + 1]`, if `row` is in range.
+fn span(start: &[u32], row: usize) -> Option<std::ops::Range<usize>> {
+    Some(*start.get(row)? as usize..*start.get(row + 1)? as usize)
 }
 
 /// The IRI prefix of each node kind, in node order.
@@ -255,14 +389,10 @@ pub struct KnowledgeNetwork {
     pub csr: UndirectedCsr,
     /// Content corpus over papers, presentations, sessions, and profiles.
     pub corpus: Arc<Corpus>,
-    /// TF-IDF vectors per paper.
-    pub paper_vectors: Arc<HashMap<PaperId, ContentVector>>,
-    /// TF-IDF vectors per presentation (slide text).
-    pub presentation_vectors: Arc<HashMap<PresentationId, ContentVector>>,
-    /// TF-IDF vectors per session (title + topics).
-    pub session_vectors: Arc<HashMap<SessionId, ContentVector>>,
-    /// Per-user content vectors (interests + authored papers).
-    pub user_vectors: Arc<HashMap<UserId, ContentVector>>,
+    /// A row per paper (title + abstract), presentation (slide text),
+    /// session (title + topics) and user (profile text; its vector also
+    /// sums the user's papers).
+    pub content: Arc<ContentMatrix>,
     /// Each resource's ranked key phrases, filled on first use.
     key_concepts: Arc<Mutex<HashMap<Resource, Arc<[String]>>>>,
 }
@@ -278,16 +408,12 @@ impl KnowledgeNetwork {
     pub fn build_with(db: &HiveDb, w: FusionWeights) -> Self {
         let layout = NodeLayout::of(db);
         let csr = UndirectedCsr::build(layout.node_count(), unified_edges(db, &layout, &w));
-        let (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors) =
-            build_content(db);
+        let (corpus, content) = build_content(db);
         KnowledgeNetwork {
             layout,
             csr,
             corpus: Arc::new(corpus),
-            paper_vectors: Arc::new(paper_vectors),
-            presentation_vectors: Arc::new(presentation_vectors),
-            session_vectors: Arc::new(session_vectors),
-            user_vectors: Arc::new(user_vectors),
+            content: Arc::new(content),
             key_concepts: Arc::default(),
         }
     }
@@ -320,17 +446,14 @@ impl KnowledgeNetwork {
 
     /// Content similarity between two users in `[0, 1]`.
     pub fn user_similarity(&self, a: UserId, b: UserId) -> f64 {
-        match (self.user_vectors.get(&a), self.user_vectors.get(&b)) {
-            (Some(va), Some(vb)) => va.cosine(vb),
-            _ => 0.0,
-        }
+        self.content.similarity(Resource::User(a), Resource::User(b))
     }
 
     /// The `rel:*` triple export of `db` (`rel_export`: static entities,
     /// then a chronological replay of the activity log) as a weighted
     /// RDF store, for ranked path and BGP queries over it.
-    // lint:mutator(TripleStore) -- the workspace's one declared mutator
-    // of the type, which is what keeps `TripleStore` under lint R9.
+    // lint:mutator(TripleStore) -- the workspace's one sanctioned mutator
+    // of the type, which hive-store's manifest declares protected (R9).
     pub fn to_store(&self, db: &HiveDb) -> TripleStore {
         let mut st = TripleStore::new();
         for (s, p, o, w) in rel_export(db) {
@@ -587,59 +710,48 @@ pub fn citation_graph(db: &HiveDb) -> Graph {
     g
 }
 
-type ContentIndexes = (
-    Corpus,
-    HashMap<PaperId, ContentVector>,
-    HashMap<PresentationId, ContentVector>,
-    HashMap<SessionId, ContentVector>,
-    HashMap<UserId, ContentVector>,
-);
-
-fn build_content(db: &HiveDb) -> ContentIndexes {
+/// The corpus and the content matrix of `db`. Papers, presentations and
+/// sessions are indexed first, so IDF reflects the whole collection, and
+/// then weighted against it; a user's row is its profile's vector plus
+/// its papers' rows, renormalized. Term ids are interned in that order.
+fn build_content(db: &HiveDb) -> (Corpus, ContentMatrix) {
     let mut corpus = Corpus::new();
+    let mut m = ContentMatrix::new();
+    let mut seen = HashMap::new();
+    let (papers, presentations, sessions) =
+        (db.paper_ids(), db.presentation_ids(), db.session_ids());
+    m.counts = [papers.len(), presentations.len(), sessions.len(), 0].map(|n| n as u32);
+    let slides = |p| db.get_presentation(p).map(|x| x.slides_text.clone());
+    let texts = papers
+        .into_iter()
+        .map(|p| db.get_paper(p).map(|x| x.text()))
+        .chain(presentations.into_iter().map(slides))
+        .chain(sessions.into_iter().map(|s| db.get_session(s).map(|x| x.text())));
     // Index first so IDF reflects the whole collection...
-    let mut paper_tf = HashMap::new();
-    for p in db.paper_ids() {
-        let Ok(paper) = db.get_paper(p) else { continue; };
-        paper_tf.insert(p, corpus.index_document(&paper.text()));
+    let mut tfs = Vec::new();
+    for text in texts {
+        let ids = m.push_text(&mut corpus, &mut seen, &text.unwrap_or_default());
+        tfs.push(corpus.index_ids(ids));
     }
-    let mut pres_tf = HashMap::new();
-    for pr in db.presentation_ids() {
-        let Ok(pres) = db.get_presentation(pr) else { continue; };
-        pres_tf.insert(pr, corpus.index_document(&pres.slides_text));
+    // ...then weight each document against it.
+    for tf in &tfs {
+        m.push_vector(corpus.tfidf(tf));
     }
-    let mut sess_tf = HashMap::new();
-    for s in db.session_ids() {
-        let Ok(session) = db.get_session(s) else { continue; };
-        sess_tf.insert(s, corpus.index_document(&session.text()));
-    }
-    // ...then weight each arena's documents against it.
-    fn weighted<K: Copy + std::hash::Hash + Eq>(
-        corpus: &Corpus,
-        tf: &HashMap<K, SparseVector>,
-    ) -> HashMap<K, ContentVector> {
-        tf.iter().map(|(&k, v)| (k, ContentVector::new(corpus.tfidf(v)))).collect()
-    }
-    let paper_vectors = weighted(&corpus, &paper_tf);
-    let presentation_vectors = weighted(&corpus, &pres_tf);
-    let session_vectors = weighted(&corpus, &sess_tf);
-    // User vectors: declared interests + authored papers, renormalized.
-    let mut user_vectors = HashMap::new();
-    for u in db.user_ids() {
-        let Ok(user) = db.get_user(u) else { continue; };
-        let profile = user.profile_text();
-        let mut v = corpus.vectorize(&profile);
-        for p in db.papers_of(u) {
-            if let Some(pv) = paper_vectors.get(p) {
-                v.accumulate(pv.vector(), 1.0);
-            }
+    // User rows: declared interests + authored papers, renormalized.
+    let users = db.user_ids();
+    m.counts[USER_ROWS] = users.len() as u32;
+    for u in users {
+        let profile = db.get_user(u).map(|x| x.profile_text()).unwrap_or_default();
+        let ids = m.push_text(&mut corpus, &mut seen, &profile);
+        let mut v = corpus.tfidf(&term_frequencies(ids));
+        for &p in db.papers_of(u) {
+            v.accumulate(m.vector(Resource::Paper(p)), 1.0);
         }
         v.normalize();
-        if !v.is_empty() {
-            user_vectors.insert(u, ContentVector::new(v));
-        }
+        m.push_vector(v);
     }
-    (corpus, paper_vectors, presentation_vectors, session_vectors, user_vectors)
+    m.shrink_to_fit();
+    (corpus, m)
 }
 
 /// The Figure-3 concept-map layers: a papers layer bootstrapped from
@@ -794,6 +906,57 @@ mod tests {
         let sim_01 = kn.user_similarity(users[0], users[1]);
         let sim_02 = kn.user_similarity(users[0], users[2]);
         assert!(sim_01 > sim_02, "{sim_01} > {sim_02}");
+    }
+
+    /// Every row of the small and medium worlds stores its text's tokens,
+    /// sentence by sentence, and a preview scored over them equals the
+    /// string extraction field for field, under the contexts of several
+    /// users with and without a query, a context of terms no document
+    /// uses, and an empty one.
+    #[test]
+    fn previews_from_stored_ids_equal_the_string_extraction() {
+        use hive_text::snippet::{extract_snippet, extract_snippet_ids};
+        use hive_text::snippet::{SnippetConfig, SnippetContext};
+        for cfg in [crate::sim::SimConfig::small(), crate::sim::SimConfig::medium()] {
+            let db = crate::sim::WorldBuilder::new(cfg).build().db;
+            let kn = KnowledgeNetwork::build(&db);
+            let m = &kn.content;
+            let mut rng = hive_rng::Rng::seed_from_u64(5);
+            let mut contexts: Vec<Vec<String>> =
+                vec![Vec::new(), vec!["zzyzx".into(), "qwertyuiop graphs".into()]];
+            for (i, &u) in db.user_ids().iter().step_by(7).enumerate() {
+                let terms = crate::context::build_context(&db, &kn, u, Default::default()).terms;
+                let query = crate::sim::topic_phrase(i % crate::sim::topic_count(), &mut rng);
+                contexts.push(terms.clone());
+                contexts.push(query.split_whitespace().map(str::to_string).chain(terms).collect());
+            }
+            let contexts: Vec<SnippetContext> = contexts
+                .iter()
+                .map(|c| SnippetContext::new(c.iter().map(String::as_str)))
+                .collect();
+            let ids: Vec<_> = contexts.iter().map(|c| c.ids(|t| kn.corpus.lookup(t))).collect();
+            assert_eq!(m.rows(), m.user_rows().end);
+            for row in 0..m.rows() {
+                let r = m.resource(row).expect("every row is a resource");
+                assert_eq!(m.row(r), Some(row));
+                let text = crate::discover::resource_text(&db, r);
+                let (tokens, ends) = m.text(row);
+                let expected: Vec<u32> = hive_text::tokenize_filtered(&text)
+                    .iter()
+                    .map(|t| kn.corpus.lookup(t).expect("every document token is interned"))
+                    .collect();
+                assert_eq!(tokens, expected, "{r:?}");
+                assert_eq!(ends.len(), hive_text::tokenize::sentences(&text).len(), "{r:?}");
+                for (context, ids) in contexts.iter().zip(&ids) {
+                    let cfg = SnippetConfig::default();
+                    assert_eq!(
+                        extract_snippet_ids(&text, tokens, ends, ids, cfg),
+                        extract_snippet(&text, context, cfg),
+                        "{r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

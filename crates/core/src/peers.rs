@@ -19,11 +19,13 @@
 
 use crate::context::ActivityContext;
 use crate::db::HiveDb;
+use crate::discover::Resource;
 use crate::evidence::{batch_relationship_evidence, combined_score, EvidenceItem};
 use crate::ids::{SessionId, UserId};
 use crate::knowledge::KnowledgeNetwork;
 use crate::ppr::PprCache;
 use hive_graph::{NodeId, PprConfig};
+use hive_text::tfidf::{cosine_of_dot, Gather};
 use std::collections::HashMap;
 
 /// How the two signals are blended (ablation axis for experiment E4).
@@ -238,22 +240,32 @@ pub fn predict_sessions(
     let friends: Vec<UserId> = {
         let mut f = db.connections_of(user);
         f.extend(db.following(user));
+        f.sort_unstable();
+        f.dedup();
         f
     };
-    let user_vec = kn.user_vectors.get(&user);
+    // The user's vector is scattered once and every session row gathered
+    // against it: the bits of a merge-join cosine.
+    let content = &kn.content;
+    let user_row = content.row(Resource::User(user));
+    let profile = Gather::new([user_row.map(|r| content.entries(r)).unwrap_or_default()]);
+    let user_norm = user_row.map_or(0.0, |r| content.norm(r));
     let mut out: Vec<(SessionId, f64)> = db
         .session_ids()
         .into_iter()
         .filter(|s| !already.contains(s))
         .map(|s| {
-            let content = match (user_vec, kn.session_vectors.get(&s)) {
-                (Some(uv), Some(sv)) => uv.cosine(sv),
+            let content = match (user_row, content.row(Resource::Session(s))) {
+                (Some(_), Some(row)) => {
+                    let [dot] = profile.dots(content.entries(row));
+                    cosine_of_dot(dot, user_norm, content.norm(row))
+                }
                 _ => 0.0,
             };
             let attending_friends = db
                 .checkins_in(s)
                 .iter()
-                .filter(|c| friends.contains(&c.user))
+                .filter(|c| friends.binary_search(&c.user).is_ok())
                 .count();
             let social = 1.0 - (0.7f64).powi(attending_friends as i32);
             (s, 0.6 * content + 0.4 * social)

@@ -432,7 +432,7 @@ mod tests {
         let clean = WorldBuilder::new(SimConfig::small()).build().db.snapshot();
         assert!(HiveDb::from_snapshot(&clean).is_ok());
         type Edit = fn(&mut PlatformSnapshot);
-        let edits: [(&str, Edit); 27] = [
+        let edits: [(&str, Edit); 31] = [
             ("log record's user", |s| s.log[0].user = UserId(GONE)),
             ("check-in event's session", |s| {
                 retarget(s, |e| match e {
@@ -495,6 +495,23 @@ mod tests {
                 let i = s.log.windows(2).position(|w| w[0].at < w[1].at).expect("the log spans ticks");
                 let (a, b) = (s.log[i].at, s.log[i + 1].at);
                 (s.log[i].at, s.log[i + 1].at) = (b, a);
+            }),
+            ("check-ins out of clock order", |s| {
+                let i = s.checkins.windows(2).position(|w| w[0].at < w[1].at).expect("spans ticks");
+                (s.checkins[i].at, s.checkins[i + 1].at) = (s.checkins[i + 1].at, s.checkins[i].at);
+            }),
+            ("tweets out of clock order", |s| {
+                let i = s.tweets.windows(2).position(|w| w[0].at < w[1].at).expect("spans ticks");
+                (s.tweets[i].at, s.tweets[i + 1].at) = (s.tweets[i + 1].at, s.tweets[i].at);
+            }),
+            ("answers out of clock order", |s| {
+                let at: Vec<Timestamp> = s.answers.iter().map(|a| a.answered_at).collect();
+                let i = at.windows(2).position(|w| w[0] < w[1]).expect("spans ticks");
+                (s.answers[i].answered_at, s.answers[i + 1].answered_at) = (at[i + 1], at[i]);
+            }),
+            ("question later than its successor", |s| {
+                let last = s.questions.len() - 1;
+                s.questions[0].asked_at = Timestamp(s.questions[last].asked_at.ticks() + 1);
             }),
             ("clock behind the log", |s| {
                 let last = s.log[s.log.len() - 1].at.ticks();

@@ -347,6 +347,7 @@ mod tests {
             + db.conference_ids().len();
         assert_eq!(kn.layout.node_count(), entities, "{window}: node count");
         assert_eq!(kn.csr.bitwise_diff(&cold.csr), None, "{window}");
+        assert_eq!(kn.content, cold.content, "{window}: content");
     }
 
     /// A patched knowledge network equals a cold build after a window of
@@ -415,8 +416,7 @@ mod tests {
                 assert_eq!(counts.counter("core.kn.patch"), 1, "{name}: patched");
                 assert!(!Arc::ptr_eq(&held, &next), "{name}: the patch copied the held network");
                 assert!(Arc::ptr_eq(&held.corpus, &next.corpus), "{name}: shares the corpus");
-                assert!(Arc::ptr_eq(&held.paper_vectors, &next.paper_vectors));
-                assert!(Arc::ptr_eq(&held.user_vectors, &next.user_vectors));
+                assert!(Arc::ptr_eq(&held.content, &next.content), "{name}: shares the content");
                 assert_kn_equals_cold_build(&next, &db, name);
                 held = next;
             }
@@ -433,7 +433,7 @@ mod tests {
             assert_eq!(counts.counter("core.kn.patch"), 1, "bulk: patched");
             assert_eq!(counts.counter("core.kn.miss"), 0, "bulk: not rebuilt");
             assert!(next.csr.edge_count() > held.csr.edge_count(), "bulk: new edges");
-            assert!(Arc::ptr_eq(&held.session_vectors, &next.session_vectors));
+            assert!(Arc::ptr_eq(&held.content, &next.content));
             assert_kn_equals_cold_build(&next, &db, "bulk");
             hive_obs::reset();
         });

@@ -9,7 +9,7 @@
 
 use crate::clock::Timestamp;
 use crate::db::HiveDb;
-use crate::ids::SessionId;
+use crate::ids::{AnswerId, QuestionId, SessionId};
 use crate::model::QaTarget;
 use hive_text::tokenize::tokenize_filtered;
 use std::collections::HashMap;
@@ -36,6 +36,13 @@ impl Default for HeatWeights {
 }
 
 /// Sessions ranked by weighted activity inside `[from, to)`.
+///
+/// Reads only the window: the check-in, tweet, question and answer
+/// arenas are each in clock order, so a binary search bounds each. A
+/// session's heat adds its check-ins, then its tweets, then each of its
+/// questions in id order followed by that question's answers, the order
+/// a walk over every session and question adds them in, so the heats
+/// have the same bits for any [`HeatWeights`].
 pub fn trending_sessions(
     db: &HiveDb,
     from: Timestamp,
@@ -44,43 +51,37 @@ pub fn trending_sessions(
     w: HeatWeights,
 ) -> Vec<(SessionId, f64)> {
     let mut heat: HashMap<SessionId, f64> = HashMap::new();
-    let in_window = |t: Timestamp| t >= from && t < to;
-    for s in db.session_ids() {
-        for ci in db.checkins_in(s) {
-            if in_window(ci.at) {
-                *heat.entry(s).or_insert(0.0) += w.checkin;
-            }
-        }
-        for &tid in db.tweets_in(s) {
-            if db.get_tweet(tid).map(|t| in_window(t.at)).unwrap_or(false) {
-                *heat.entry(s).or_insert(0.0) += w.tweet;
-            }
-        }
+    for c in db.checkins_within(from, to) {
+        *heat.entry(c.session).or_insert(0.0) += w.checkin;
     }
-    for q in db.question_ids() {
+    for t in db.tweets_within(from, to) {
+        *heat.entry(t.session).or_insert(0.0) += w.tweet;
+    }
+    // Each question, then its answers (`None` sorts first, and answers
+    // are appended to a question in id order).
+    let mut qa: Vec<(QuestionId, Option<AnswerId>)> =
+        db.questions_within(from, to).map(|(q, _)| (q, None)).collect();
+    qa.extend(db.answers_within(from, to).map(|(a, answer)| (answer.question, Some(a))));
+    qa.sort_unstable();
+    for (q, answer) in qa {
         let Ok(question) = db.get_question(q) else { continue; };
-        let session = match question.target {
-            QaTarget::Presentation(p) => match db.get_presentation(p) {
-                Ok(pres) => pres.session,
-                Err(_) => continue,
-            },
-            QaTarget::Session(s) => s,
-        };
-        if in_window(question.asked_at) {
-            *heat.entry(session).or_insert(0.0) += w.question;
-        }
-        for &aid in db.answers_to(q) {
-            let Ok(answer) = db.get_answer(aid) else { continue; };
-            if in_window(answer.answered_at) {
-                *heat.entry(session).or_insert(0.0) += w.answer;
-            }
-        }
+        let Some(session) = session_of(db, question.target) else { continue; };
+        let add = if answer.is_some() { w.answer } else { w.question };
+        *heat.entry(session).or_insert(0.0) += add;
     }
     // lint:allow(determinism-taint) -- total order with id tiebreak on the next line
     let mut out: Vec<(SessionId, f64)> = heat.into_iter().filter(|(_, h)| *h > 0.0).collect();
     out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     out.truncate(k);
     out
+}
+
+/// The session a Q/A target belongs to, if its presentation exists.
+fn session_of(db: &HiveDb, target: QaTarget) -> Option<SessionId> {
+    match target {
+        QaTarget::Presentation(p) => db.get_presentation(p).ok().map(|pres| pres.session),
+        QaTarget::Session(s) => Some(s),
+    }
 }
 
 /// Term frequencies over all discussion text (questions, answers,
@@ -239,6 +240,87 @@ mod tests {
             !terms.contains(&"transact"),
             "old-window terms are not rising: {terms:?}"
         );
+    }
+
+    /// The walk over every session's check-ins and tweets and every
+    /// question and answer that `trending_sessions` once was, kept as
+    /// its reference.
+    fn trending_by_full_scan(
+        db: &HiveDb,
+        from: Timestamp,
+        to: Timestamp,
+        k: usize,
+        w: HeatWeights,
+    ) -> Vec<(SessionId, f64)> {
+        let mut heat: HashMap<SessionId, f64> = HashMap::new();
+        let in_window = |t: Timestamp| t >= from && t < to;
+        for s in db.session_ids() {
+            for ci in db.checkins_in(s) {
+                if in_window(ci.at) {
+                    *heat.entry(s).or_insert(0.0) += w.checkin;
+                }
+            }
+            for &tid in db.tweets_in(s) {
+                if db.get_tweet(tid).map(|t| in_window(t.at)).unwrap_or(false) {
+                    *heat.entry(s).or_insert(0.0) += w.tweet;
+                }
+            }
+        }
+        for q in db.question_ids() {
+            let Ok(question) = db.get_question(q) else { continue; };
+            let Some(session) = session_of(db, question.target) else { continue; };
+            if in_window(question.asked_at) {
+                *heat.entry(session).or_insert(0.0) += w.question;
+            }
+            for &aid in db.answers_to(q) {
+                let Ok(answer) = db.get_answer(aid) else { continue; };
+                if in_window(answer.answered_at) {
+                    *heat.entry(session).or_insert(0.0) += w.answer;
+                }
+            }
+        }
+        let mut out: Vec<(SessionId, f64)> = heat.into_iter().filter(|(_, h)| *h > 0.0).collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out.truncate(k);
+        out
+    }
+
+    /// The windowed read equals the full scan bit for bit over random
+    /// windows and weights of mixed magnitude, on the small world.
+    #[test]
+    fn windowed_heat_equals_the_full_scan() {
+        let db = &crate::sim::WorldBuilder::new(crate::sim::SimConfig::small()).build().db;
+        assert!(db.question_ids().len() > 10 && db.tweets_in(db.session_ids()[0]).len() > 1);
+        let mut rng = hive_rng::Rng::seed_from_u64(11);
+        let end = db.now().ticks() + 2;
+        let bits = |v: &[(SessionId, f64)]| -> Vec<(SessionId, u64)> {
+            v.iter().map(|&(s, h)| (s, h.to_bits())).collect()
+        };
+        let mut nonempty = 0;
+        for _ in 0..300 {
+            let a = rng.gen_range(0..end);
+            let b = rng.gen_range(0..end);
+            let (from, to) = (Timestamp(a.min(b)), Timestamp(a.max(b)));
+            let mut weight = || rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-3..4i32));
+            let w = HeatWeights {
+                checkin: weight(),
+                question: weight(),
+                answer: weight(),
+                comment: weight(),
+                tweet: weight(),
+            };
+            let k = rng.gen_range(1..40usize);
+            let windowed = trending_sessions(db, from, to, k, w);
+            nonempty += usize::from(!windowed.is_empty());
+            assert_eq!(bits(&windowed), bits(&trending_by_full_scan(db, from, to, k, w)));
+        }
+        let all = (Timestamp(0), Timestamp(u64::MAX));
+        let w = HeatWeights::default();
+        assert_eq!(
+            bits(&trending_sessions(db, all.0, all.1, 100, w)),
+            bits(&trending_by_full_scan(db, all.0, all.1, 100, w))
+        );
+        assert!(nonempty > 100, "most windows hold activity: {nonempty}");
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   only the deterministic pool implementation qualifies.
 //! * **facade / clock (R7, R3)** — declared by the owning crate with
 //!   `facade = "src/api.rs"` / `clock = "src/clock.rs"`.
+//! * **protected snapshot types (R9)** — declared by each type's home
+//!   crate with `protected = "HiveDb"` (several names comma-separated),
+//!   so R9 keeps covering a type even when its last `lint:mutator(T)`
+//!   marker goes away, and reports that instead.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -37,6 +41,19 @@ pub struct WorkspaceConfig {
     pub facade_files: Vec<String>,
     /// Workspace-relative files allowed to read the wall clock (R3).
     pub clock_files: Vec<String>,
+    /// Snapshot types R9 protects, each with where it is declared.
+    pub protected: Vec<ProtectedType>,
+}
+
+/// A snapshot type declared protected (R9) by its home crate's manifest.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProtectedType {
+    /// The type name, as `lint:mutator(..)` markers name it.
+    pub name: String,
+    /// Workspace-relative path of the declaring manifest.
+    pub manifest: String,
+    /// 1-based line of the declaration.
+    pub line: usize,
 }
 
 /// Minimal per-crate manifest facts.
@@ -48,6 +65,8 @@ struct CrateManifest {
     has_bin_section: bool,
     facade: Option<String>,
     clock: Option<String>,
+    /// `(type, line)` of each declared protected type.
+    protected: Vec<(String, usize)>,
 }
 
 /// Parses the few `[package.metadata.hive-lint]` keys and `[[bin]]`
@@ -56,7 +75,7 @@ struct CrateManifest {
 fn parse_crate_manifest(contents: &str) -> CrateManifest {
     let mut m = CrateManifest { panic_free: true, ..CrateManifest::default() };
     let mut in_lint_meta = false;
-    for raw in contents.lines() {
+    for (n, raw) in contents.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -81,6 +100,10 @@ fn parse_crate_manifest(contents: &str) -> CrateManifest {
             "thread-crate" => m.thread_crate = value == "true",
             "facade" => m.facade = Some(value.to_string()),
             "clock" => m.clock = Some(value.to_string()),
+            "protected" => {
+                let names = value.split(',').map(str::trim).filter(|t| !t.is_empty());
+                m.protected.extend(names.map(|t| (t.to_string(), n + 1)));
+            }
             _ => {}
         }
     }
@@ -123,6 +146,10 @@ pub fn load(root: &Path) -> io::Result<WorkspaceConfig> {
         if let Some(c) = m.clock {
             cfg.clock_files.push(format!("crates/{name}/{c}"));
         }
+        for (ty, line) in m.protected {
+            let manifest = format!("crates/{name}/Cargo.toml");
+            cfg.protected.push(ProtectedType { name: ty, manifest, line });
+        }
     }
     Ok(cfg)
 }
@@ -134,11 +161,13 @@ mod tests {
     #[test]
     fn metadata_keys_are_parsed() {
         let m = parse_crate_manifest(
-            "[package]\nname = \"x\"\n[package.metadata.hive-lint]\npanic-free = false\nthread-crate = true\nfacade = \"src/api.rs\"\n",
+            "[package]\nname = \"x\"\n[package.metadata.hive-lint]\npanic-free = false\n\
+             thread-crate = true\nfacade = \"src/api.rs\"\nprotected = \"Db, Store\"\n",
         );
         assert!(!m.panic_free);
         assert!(m.thread_crate);
         assert_eq!(m.facade.as_deref(), Some("src/api.rs"));
+        assert_eq!(m.protected, [("Db".to_string(), 7), ("Store".to_string(), 7)]);
     }
 
     #[test]

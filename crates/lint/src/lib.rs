@@ -53,9 +53,11 @@
 //!   `Hive::service_mut(..)` choke point, so no Table-1 service can
 //!   silently bypass the hive-obs span/counter layer.
 //! * **R9 `snapshot-discipline`** — `&mut` access to a protected
-//!   snapshot type (any type some function declares itself a
-//!   `lint:mutator(T)` for: `HiveDb`, `TripleStore`) only through its
-//!   home crate, owners, or functions declared `lint:mutator(T)`.
+//!   snapshot type (declared by its home crate's manifest, see
+//!   [`config`]: `HiveDb`, `TripleStore`; or named by a
+//!   `lint:mutator(T)` marker) only through its home crate, owners, or
+//!   functions declared `lint:mutator(T)`; a declared type that no
+//!   marker names is itself reported.
 //! * **R10 `exhaustive-delta`** — every `match` on a delta enum (any
 //!   declared `*Delta` enum, e.g. `DbDelta`) names all variants: no `_`,
 //!   no catch-all binding, no `matches!`, so a new delta kind fails to
@@ -72,8 +74,8 @@
 //! `// lint:allow(<rule>)` comment on the same line or the line above
 //! (`# lint:allow(<rule>)` in TOML); one [`AllowIndex`] decides every
 //! waiver. Crate coverage (panic-free,
-//! io-exempt, thread crates, facade/clock files) is derived from the
-//! workspace manifests — see [`config`].
+//! io-exempt, thread crates, facade/clock files, protected types) is
+//! derived from the workspace manifests — see [`config`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

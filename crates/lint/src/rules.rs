@@ -105,7 +105,7 @@ pub fn check_ast(ws: &Workspace, cfg: &WorkspaceConfig, allows: &AllowIndex) -> 
     let mut out = Vec::new();
     check_panic_paths(ws, cfg, allows, &mut out);
     check_service_routing(ws, cfg, allows, &mut out);
-    check_snapshot_discipline(ws, allows, &mut out);
+    check_snapshot_discipline(ws, cfg, allows, &mut out);
     check_exhaustive_delta(ws, allows, &mut out);
     check_lock_scope(ws, cfg, allows, &mut out);
     check_determinism_taint(ws, allows, &mut out);
@@ -172,16 +172,10 @@ fn check_service_routing(
     }
 }
 
-/// The set of protected snapshot types: every type some function
-/// declares itself a mutation choke point for via `lint:mutator(T)`.
-fn protected_types(ws: &Workspace) -> BTreeSet<String> {
-    let mut tys = BTreeSet::new();
-    for r in &ws.records {
-        for t in &r.mutator_of {
-            tys.insert(t.clone());
-        }
-    }
-    tys
+/// Every type some function declares itself a mutation choke point for
+/// via `lint:mutator(T)`.
+fn marked_types(ws: &Workspace) -> BTreeSet<String> {
+    ws.records.iter().flat_map(|r| r.mutator_of.iter().cloned()).collect()
 }
 
 /// True if `r` may legitimately mutate protected type `ty`: it lives in
@@ -206,14 +200,37 @@ fn may_mutate(ws: &Workspace, r: &FnRecord, ty: &str) -> bool {
 
 /// R9 `snapshot-discipline`: `&mut` access to a protected type only
 /// through its home crate, owners, or declared `lint:mutator(T)` choke
-/// points. Two shapes:
+/// points. The protected types are those the config declares and those
+/// a marker names. Three shapes:
 ///
+/// * a declared type that no `lint:mutator(T)` marker names (its
+///   sanctioned mutation path is gone, or its marker was dropped),
 /// * a function takes `&mut T` as a parameter without being a declared
 ///   mutator (handing out raw mutable access), and
 /// * a call to a `&mut self` method of `T` on a *borrowed* receiver
 ///   (owned locals are scratch state and exempt).
-fn check_snapshot_discipline(ws: &Workspace, allows: &AllowIndex, out: &mut Vec<Diagnostic>) {
-    let protected = protected_types(ws);
+fn check_snapshot_discipline(
+    ws: &Workspace,
+    cfg: &WorkspaceConfig,
+    allows: &AllowIndex,
+    out: &mut Vec<Diagnostic>,
+) {
+    let marked = marked_types(ws);
+    for declared in cfg.protected.iter().filter(|t| !marked.contains(&t.name)) {
+        out.push(Diagnostic::new(
+            SNAPSHOT_DISCIPLINE,
+            &declared.manifest,
+            declared.line,
+            1,
+            format!(
+                "`{ty}` is declared protected but no `lint:mutator({ty})` marker names it; mark \
+                 its mutation choke point, or drop the declaration with the type",
+                ty = declared.name
+            ),
+        ));
+    }
+    let mut protected = marked;
+    protected.extend(cfg.protected.iter().map(|t| t.name.clone()));
     if protected.is_empty() {
         return;
     }

@@ -1,9 +1,10 @@
-//! Fixture tests: one deliberate violation per rule R1-R8 and R13,
+//! Fixture tests: one deliberate violation per rule R1-R9 and R13,
 //! asserting the exact rule id, file label, and line of each
 //! diagnostic, plus a `lint:allow` escape-hatch case that must stay
-//! silent. R2 and R7 run on the AST engine, the rest on the token rules.
+//! silent. R2, R7 and R9 run on the AST engine, the rest on the token
+//! rules.
 
-use hive_lint::config::WorkspaceConfig;
+use hive_lint::config::{ProtectedType, WorkspaceConfig};
 use hive_lint::{
     ast, check_lib_root, check_manifest, check_source, parser, resolve, rules, tokenize,
     AllowIndex, Diagnostic, SourceRules,
@@ -162,6 +163,40 @@ impl Db {
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].rule, rules::DELTA_LOG);
     assert_eq!(diags[0].line, 3, "only the unwaived bump");
+}
+
+/// A workspace whose manifest `fixtures/Cargo.toml` declares `Snap`
+/// protected (R9) on line 9.
+fn protects_snap() -> WorkspaceConfig {
+    let snap = ProtectedType {
+        name: "Snap".to_string(),
+        manifest: "fixtures/Cargo.toml".to_string(),
+        line: 9,
+    };
+    WorkspaceConfig { protected: vec![snap], ..WorkspaceConfig::default() }
+}
+
+#[test]
+fn r9_snapshot_discipline_fires_on_unmarked_types_and_raw_handles() {
+    let src = include_str!("fixtures/r9_snapshot_fail.rs");
+    let diags = analyze(&protects_snap(), "fixtures/r9_snapshot_fail.rs", src);
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert!(diags.iter().all(|d| d.rule == rules::SNAPSHOT_DISCIPLINE));
+    assert_eq!(diags[0].file, "fixtures/Cargo.toml", "the declaration no marker names");
+    assert_eq!(diags[0].line, 9);
+    assert!(diags[0].message.contains("lint:mutator(Snap)"));
+    assert_eq!(diags[1].file, "fixtures/r9_snapshot_fail.rs");
+    assert_eq!(diags[1].line, 4, "the raw `&mut Snap` parameter");
+    // Without the declaration no marker names `Snap`, so R9 never
+    // learns of it: the gap the declaration closes.
+    assert!(analyze(&WorkspaceConfig::default(), "fixtures/r9_snapshot_fail.rs", src).is_empty());
+}
+
+#[test]
+fn r9_snapshot_discipline_passes_marked_choke_points_and_waivers() {
+    let src = include_str!("fixtures/r9_snapshot_pass.rs");
+    let diags = analyze(&protects_snap(), "fixtures/r9_snapshot_pass.rs", src);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! term density, and an early-position prior, traded off per \[14\]'s
 //! "relevant snippets for web navigation" formulation.
 
-use crate::tokenize::{sentences, tokenize_filtered};
+use crate::tokenize::{sentences, tokenize_filtered, tokenize_sentences};
 use std::collections::HashSet;
 
 /// An extracted snippet.
@@ -52,6 +52,25 @@ impl SnippetContext {
     pub fn new<'a>(raw: impl IntoIterator<Item = &'a str>) -> Self {
         SnippetContext { terms: raw.into_iter().flat_map(tokenize_filtered).collect() }
     }
+
+    /// The context over a vocabulary's term ids, for documents held as
+    /// ids: `lookup` maps a term to its id. A term the vocabulary lacks
+    /// occurs in no such document but still counts toward coverage.
+    pub fn ids(&self, lookup: impl Fn(&str) -> Option<u32>) -> ContextIds {
+        // lint:allow(determinism-taint) -- the ids are sorted below
+        let mut ids: Vec<u32> = self.terms.iter().filter_map(|t| lookup(t)).collect();
+        ids.sort_unstable();
+        ContextIds { ids, terms: self.terms.len() }
+    }
+}
+
+/// A [`SnippetContext`] as term ids ([`SnippetContext::ids`]).
+#[derive(Clone, Debug, Default)]
+pub struct ContextIds {
+    /// Ids of the context terms the vocabulary knows, sorted.
+    ids: Vec<u32>,
+    /// Distinct context terms, known or not.
+    terms: usize,
 }
 
 /// Extracts the best snippet of up to `cfg.max_sentences` consecutive
@@ -61,55 +80,98 @@ pub fn extract_snippet(
     context: &SnippetContext,
     cfg: SnippetConfig,
 ) -> Option<Snippet> {
-    let sents = sentences(document);
-    if sents.is_empty() {
-        return None;
-    }
+    let (tokens, ends) = tokenize_sentences(document);
     let context = &context.terms;
-    let sent_tokens: Vec<Vec<String>> = sents.iter().map(|s| tokenize_filtered(s)).collect();
-    let n = sents.len();
+    let best = best_window(&tokens, &ends, |t| context.contains(t), context.len(), cfg)?;
+    best.cut(&sentences(document))
+}
+
+/// [`extract_snippet`] for a document tokenized once ahead of time:
+/// `tokens` and `ends` are [`tokenize_sentences`] of the document, with
+/// each token mapped to the id `context` was built with. The
+/// windows, their scores and the snippet are the same, field for field;
+/// only the sentences are split from `document` again.
+pub fn extract_snippet_ids(
+    document: &str,
+    tokens: &[u32],
+    ends: &[u32],
+    context: &ContextIds,
+    cfg: SnippetConfig,
+) -> Option<Snippet> {
+    let ids = &context.ids;
+    let best = best_window(tokens, ends, |t| ids.binary_search(t).is_ok(), context.terms, cfg)?;
+    best.cut(&sentences(document))
+}
+
+/// The best window of a document: its score and sentence range.
+struct Window {
+    score: f64,
+    start: usize,
+    len: usize,
+}
+
+impl Window {
+    /// The snippet of this window over the document's `sentences`.
+    fn cut(self, sentences: &[&str]) -> Option<Snippet> {
+        Some(Snippet {
+            text: sentences.get(self.start..self.start + self.len)?.join(" "),
+            start_sentence: self.start,
+            sentence_count: self.len,
+            score: self.score,
+        })
+    }
+}
+
+/// Scores every window of up to `cfg.max_sentences` consecutive sentences
+/// of a document given as its filtered tokens and the token count at each
+/// sentence end, against a context of `context_terms` distinct terms that
+/// `in_context` recognizes: coverage of distinct context terms, term
+/// density, and an early-position prior. The one scorer behind both
+/// extraction paths. `None` for a document without sentences.
+fn best_window<T: Ord>(
+    tokens: &[T],
+    ends: &[u32],
+    in_context: impl Fn(&T) -> bool,
+    context_terms: usize,
+    cfg: SnippetConfig,
+) -> Option<Window> {
+    let n = ends.len();
     let win = cfg.max_sentences.max(1);
-    let mut best: Option<(f64, usize, usize)> = None;
+    let mut best: Option<Window> = None;
+    let mut covered: Vec<&T> = Vec::new();
     for start in 0..n {
+        let first = if start == 0 { 0 } else { ends[start - 1] as usize };
         for len in 1..=win.min(n - start) {
-            let window_tokens: Vec<&String> =
-                sent_tokens[start..start + len].iter().flatten().collect();
-            if window_tokens.is_empty() {
+            let window = tokens.get(first..ends[start + len - 1] as usize).unwrap_or_default();
+            if window.is_empty() {
                 continue;
             }
-            let covered: HashSet<&String> = window_tokens
-                .iter()
-                .copied()
-                .filter(|t| context.contains(*t))
-                .collect();
-            let coverage = if context.is_empty() {
+            covered.clear();
+            covered.extend(window.iter().filter(|t| in_context(t)));
+            let hits = covered.len();
+            covered.sort_unstable();
+            covered.dedup();
+            let coverage = if context_terms == 0 {
                 0.0
             } else {
-                covered.len() as f64 / context.len() as f64
+                covered.len() as f64 / context_terms as f64
             };
-            let hits = window_tokens.iter().filter(|t| context.contains(**t)).count();
-            let density = hits as f64 / window_tokens.len() as f64;
+            let density = hits as f64 / window.len() as f64;
             let position = 1.0 - cfg.position_weight * (start as f64 / n as f64);
             let score =
                 (cfg.coverage_weight * coverage + (1.0 - cfg.coverage_weight) * density) * position;
-            let better = match best {
+            let better = match &best {
                 None => true,
-                Some((bs, _, blen)) => {
-                    score > bs + 1e-12 || ((score - bs).abs() <= 1e-12 && len < blen)
+                Some(b) => {
+                    score > b.score + 1e-12 || ((score - b.score).abs() <= 1e-12 && len < b.len)
                 }
             };
             if better {
-                best = Some((score, start, len));
+                best = Some(Window { score, start, len });
             }
         }
     }
-    let (score, start, len) = best?;
-    Some(Snippet {
-        text: sents[start..start + len].join(" "),
-        start_sentence: start,
-        sentence_count: len,
-        score,
-    })
+    best
 }
 
 #[cfg(test)]

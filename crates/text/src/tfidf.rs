@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use crate::tokenize::tokenize_filtered;
+use crate::tokenize::{normalize, tokenize_filtered, tokenize_sentences_with};
 
 /// A sparse term-weight vector keyed by corpus term ids.
 ///
@@ -87,28 +87,25 @@ impl SparseVector {
         self.entries.iter().copied()
     }
 
+    /// The `(term, weight)` entries in ascending term order.
+    pub fn entries(&self) -> &[(u32, f64)] {
+        &self.entries
+    }
+
+    /// The vector whose weight of term `t` is `dense[t]`, zeros dropped.
+    pub fn from_dense(dense: &[f64]) -> Self {
+        let entries = dense.iter().enumerate().filter(|&(_, &v)| v != 0.0);
+        SparseVector { entries: entries.map(|(t, &v)| (t as u32, v)).collect() }
+    }
+
     /// Euclidean norm (summed in term order).
     pub fn norm(&self) -> f64 {
         self.entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
     }
 
-    /// Dot product with another vector: a merge join over the two
-    /// sorted entry lists, accumulated in term order.
+    /// Dot product with another vector ([`dot`]).
     pub fn dot(&self, other: &SparseVector) -> f64 {
-        let (a, b) = (&self.entries, &other.entries);
-        let (mut i, mut j, mut acc) = (0, 0, 0.0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += a[i].1 * b[j].1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        acc
+        dot(&self.entries, &other.entries)
     }
 
     /// Cosine similarity in `[0, 1]` for non-negative vectors.
@@ -120,17 +117,13 @@ impl SparseVector {
     /// that compares one vector with many and sums each norm once. The
     /// arithmetic is the same, so are the bits.
     pub fn cosine_normed(&self, norm: f64, other: &SparseVector, other_norm: f64) -> f64 {
-        let denom = norm * other_norm;
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.dot(other) / denom
-        }
+        cosine_of_dot(self.dot(other), norm, other_norm)
     }
 
-    /// In-place scaled accumulation: `self += scale * other`.
-    pub fn accumulate(&mut self, other: &SparseVector, scale: f64) {
-        for (t, v) in other.iter() {
+    /// In-place scaled accumulation: `self += scale * other`, for
+    /// `other`'s entries in ascending term order.
+    pub fn accumulate(&mut self, other: &[(u32, f64)], scale: f64) {
+        for &(t, v) in other {
             self.add(t, v * scale);
         }
     }
@@ -161,6 +154,92 @@ impl SparseVector {
         all.truncate(k);
         all
     }
+}
+
+/// Dot product of two vectors given as entries in ascending term order: a
+/// merge join, accumulated in term order.
+pub fn dot(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
+    let (mut i, mut j, mut acc) = (0, 0, 0.0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                acc += a[i].1 * b[j].1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    acc
+}
+
+/// The cosine of two vectors from their dot product and norms: 0 when
+/// either norm is 0, else `dot / (norm * other_norm)`.
+pub fn cosine_of_dot(dot: f64, norm: f64, other_norm: f64) -> f64 {
+    let denom = norm * other_norm;
+    if denom == 0.0 {
+        0.0
+    } else {
+        dot / denom
+    }
+}
+
+/// `K` sparse vectors scattered into one dense array over the terms they
+/// name, so that many rows are scored against all of them in one pass
+/// over each row's entries.
+///
+/// [`Gather::dots`] gives, for each vector, the bits of [`dot`] with the
+/// vector first: it takes the same products in the same term order, and
+/// a term the vector lacks adds `+0.0`, which leaves every finite sum
+/// as it is (the merge join's sum starts at `+0.0` and never becomes
+/// `-0.0`).
+#[derive(Clone, Debug)]
+pub struct Gather<const K: usize> {
+    dense: Vec<[f64; K]>,
+}
+
+impl<const K: usize> Gather<K> {
+    /// Scatters `vectors`, each given as entries in ascending term order.
+    pub fn new(vectors: [&[(u32, f64)]; K]) -> Self {
+        let terms = vectors.iter().flat_map(|v| v.iter()).map(|&(t, _)| t as usize + 1);
+        let mut dense = vec![[0.0; K]; terms.max().unwrap_or(0)];
+        for (k, v) in vectors.iter().enumerate() {
+            for &(t, w) in v.iter() {
+                if let Some(slot) = dense.get_mut(t as usize) {
+                    slot[k] = w;
+                }
+            }
+        }
+        Gather { dense }
+    }
+
+    /// The dot product of each scattered vector with `row`, whose entries
+    /// are in ascending term order.
+    pub fn dots(&self, row: &[(u32, f64)]) -> [f64; K] {
+        let mut acc = [0.0; K];
+        for &(t, w) in row {
+            let x = self.dense.get(t as usize).copied().unwrap_or([0.0; K]);
+            for k in 0..K {
+                acc[k] += x[k] * w;
+            }
+        }
+        acc
+    }
+}
+
+/// The raw term-frequency vector of a document's term ids.
+pub fn term_frequencies(ids: &[u32]) -> SparseVector {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    let mut entries: Vec<(u32, f64)> = Vec::new();
+    for id in sorted {
+        match entries.last_mut() {
+            Some((t, n)) if *t == id => *n += 1.0,
+            _ => entries.push((id, 1.0)),
+        }
+    }
+    SparseVector { entries }
 }
 
 /// A TF-IDF corpus: term dictionary, document frequencies, and document
@@ -213,16 +292,39 @@ impl Corpus {
         self.term_names.get(id as usize).map(String::as_str)
     }
 
+    /// [`crate::tokenize::tokenize_sentences`] of `text` as term ids,
+    /// interning new terms: the ids of its filtered tokens and the token
+    /// count at each sentence end. `seen` keeps each distinct raw token's id (`None` for a
+    /// stopword) from call to call, so that a token is normalized and
+    /// looked up once per `seen`; any `seen` filled by this corpus gives
+    /// the same ids.
+    pub fn intern_sentences(
+        &mut self,
+        text: &str,
+        seen: &mut HashMap<String, Option<u32>>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        tokenize_sentences_with(text, |token| {
+            if let Some(&id) = seen.get(token) {
+                return id;
+            }
+            let id = normalize(token).map(|term| self.term_id(&term));
+            seen.insert(token.to_string(), id);
+            id
+        })
+    }
+
     /// Indexes a document (tokenized+filtered internally), updating
     /// document frequencies, and returns its raw term-frequency vector.
     pub fn index_document(&mut self, text: &str) -> SparseVector {
-        let tokens = tokenize_filtered(text);
-        let mut tf = SparseVector::new();
-        for tok in &tokens {
-            let id = self.term_id(tok);
-            tf.add(id, 1.0);
-        }
-        for (id, _) in tf.iter().collect::<Vec<_>>() {
+        let ids: Vec<u32> = tokenize_filtered(text).iter().map(|t| self.term_id(t)).collect();
+        self.index_ids(&ids)
+    }
+
+    /// [`Self::index_document`] for a document given as its term ids
+    /// ([`Self::intern_sentences`]).
+    pub fn index_ids(&mut self, ids: &[u32]) -> SparseVector {
+        let tf = term_frequencies(ids);
+        for &(id, _) in tf.entries() {
             self.doc_freq[id as usize] += 1;
         }
         self.docs += 1;
@@ -250,13 +352,8 @@ impl Corpus {
     /// (unknown words are interned but have max IDF) and return its
     /// normalized TF-IDF vector. Does not update document frequencies.
     pub fn vectorize(&mut self, text: &str) -> SparseVector {
-        let tokens = tokenize_filtered(text);
-        let mut tf = SparseVector::new();
-        for tok in &tokens {
-            let id = self.term_id(tok);
-            tf.add(id, 1.0);
-        }
-        self.tfidf(&tf)
+        let ids: Vec<u32> = tokenize_filtered(text).iter().map(|t| self.term_id(t)).collect();
+        self.tfidf(&term_frequencies(&ids))
     }
 
     /// Like [`Self::vectorize`] but read-only: tokens outside the current
@@ -264,13 +361,8 @@ impl Corpus {
     /// hold the corpus immutably.
     pub fn vectorize_known(&self, text: &str) -> SparseVector {
         let tokens = tokenize_filtered(text);
-        let mut tf = SparseVector::new();
-        for tok in &tokens {
-            if let Some(id) = self.lookup(tok) {
-                tf.add(id, 1.0);
-            }
-        }
-        self.tfidf(&tf)
+        let ids: Vec<u32> = tokens.iter().filter_map(|t| self.lookup(t)).collect();
+        self.tfidf(&term_frequencies(&ids))
     }
 }
 
@@ -356,7 +448,7 @@ mod tests {
     fn accumulate_scales() {
         let mut a = SparseVector::from_entries([(0, 1.0)]);
         let b = SparseVector::from_entries([(0, 1.0), (1, 2.0)]);
-        a.accumulate(&b, 0.5);
+        a.accumulate(b.entries(), 0.5);
         assert!((a.get(0) - 1.5).abs() < 1e-12);
         assert!((a.get(1) - 1.0).abs() < 1e-12);
     }

@@ -8,8 +8,10 @@ use hive_rng::{Rng, SliceRandom};
 use hive_text::summarize::{
     summarize_table, Strategy as SumStrategy, SummaryConfig, Table, ValueLattice,
 };
-use hive_text::tfidf::{Corpus, SparseVector};
-use hive_text::tokenize::{tokenize, tokenize_filtered};
+use hive_text::snippet::{extract_snippet, extract_snippet_ids, SnippetConfig, SnippetContext};
+use hive_text::tfidf::{cosine_of_dot, dot, Corpus, Gather, SparseVector};
+use hive_text::tokenize::{sentences, tokenize, tokenize_filtered, tokenize_sentences};
+use std::collections::HashMap;
 
 /// Arbitrary text over a messy character pool (letters, digits,
 /// punctuation, whitespace, a few non-ASCII letters).
@@ -113,6 +115,97 @@ fn cosine_normed_matches_the_dot_over_norms_formula() {
             prop_ensure_eq!(normed.to_bits(), formula(x, y).to_bits());
             prop_ensure_eq!(normed.to_bits(), x.cosine(y).to_bits());
         }
+        Ok(())
+    });
+}
+
+/// A random sparse vector: weights of mixed magnitude over a term range
+/// that random draws make overlap, nest or miss another's, sometimes
+/// empty and sometimes with every given weight zero (so its norm is 0).
+fn gen_sparse(rng: &mut Rng) -> SparseVector {
+    let n = rng.gen_range(0..24usize);
+    let lo = rng.gen_range(0..40u32);
+    let span = rng.gen_range(1..48u32);
+    let all_zero = rng.gen_range(0..6u32) == 0;
+    SparseVector::from_entries((0..n).map(|_| {
+        let w = if all_zero {
+            0.0
+        } else {
+            rng.gen_range(0.0..1.0) * 10f64.powi(rng.gen_range(-3..4i32))
+        };
+        (lo + rng.gen_range(0..span), w)
+    }))
+}
+
+/// Scoring rows by gather against scattered vectors gives the bits of
+/// the merge join: `Gather::dots` equals `SparseVector::dot` with the
+/// scattered vector first, and the cosine over it equals
+/// `cosine_normed`, on empty rows, zero norms and disjoint supports.
+#[test]
+fn gather_dot_equals_the_merge_join_bit_for_bit() {
+    check("text::gather_equals_merge_join", DEFAULT_CASES, |rng| {
+        let (q, c) = (gen_sparse(rng), gen_sparse(rng));
+        let both = Gather::new([q.entries(), c.entries()]);
+        let one = Gather::new([q.entries()]);
+        for _ in 0..8 {
+            let row = gen_sparse(rng);
+            let [dq, dc] = both.dots(row.entries());
+            prop_ensure_eq!(dq.to_bits(), q.dot(&row).to_bits());
+            prop_ensure_eq!(dc.to_bits(), c.dot(&row).to_bits());
+            prop_ensure_eq!(one.dots(row.entries())[0].to_bits(), dq.to_bits());
+            prop_ensure_eq!(dq.to_bits(), dot(q.entries(), row.entries()).to_bits());
+            let cosine = cosine_of_dot(dq, q.norm(), row.norm());
+            let merged = q.cosine_normed(q.norm(), &row, row.norm());
+            prop_ensure_eq!(cosine.to_bits(), merged.to_bits());
+        }
+        // An empty profile scores every row 0.
+        let none = Gather::new([SparseVector::new().entries()]);
+        prop_ensure_eq!(none.dots(q.entries())[0].to_bits(), 0f64.to_bits());
+        Ok(())
+    });
+}
+
+/// Tokenizing in one pass gives each sentence's tokens in turn, whose
+/// concatenation is the whole text's; interning them gives their ids,
+/// and a snippet scored over the ids equals the string extraction field
+/// for field, on messy text, sentences of words, and contexts with terms
+/// the vocabulary lacks.
+#[test]
+fn sentence_tokens_and_id_snippets_match_the_text_path() {
+    check("text::id_snippets_match", DEFAULT_CASES, |rng| {
+        let doc = if rng.gen_range(0..2u32) == 0 {
+            gen_text(rng)
+        } else {
+            let n = rng.gen_range(0..8usize);
+            (0..n).map(|_| gen_word_text(rng, 6) + ".").collect::<Vec<_>>().join(" ")
+        };
+        let sents = sentences(&doc);
+        let (tokens, ends) = tokenize_sentences(&doc);
+        prop_ensure_eq!(tokens, tokenize_filtered(&doc));
+        let mut count = 0;
+        for (sentence, &end) in sents.iter().zip(&ends) {
+            count += tokenize_filtered(sentence).len() as u32;
+            prop_ensure_eq!(end, count);
+        }
+        prop_ensure_eq!(ends.len(), sents.len());
+        let mut corpus = Corpus::new();
+        let mut seen = HashMap::new();
+        corpus.index_document(&gen_word_text(rng, 6));
+        let (ids, id_ends) = corpus.intern_sentences(&doc, &mut seen);
+        prop_ensure_eq!(&id_ends, &ends);
+        let names: Vec<&str> = ids.iter().filter_map(|&id| corpus.term_name(id)).collect();
+        prop_ensure_eq!(names, tokens.iter().map(String::as_str).collect::<Vec<_>>());
+        // A second pass through the filled `seen` gives the same ids.
+        prop_ensure_eq!(corpus.intern_sentences(&doc, &mut seen).0, ids.clone());
+        let mut raw: Vec<String> = (0..rng.gen_range(0..4usize)).map(|_| gen_word(rng)).collect();
+        if let Some(t) = tokens.choose(rng) {
+            raw.push(t.clone());
+        }
+        let context = SnippetContext::new(raw.iter().map(String::as_str));
+        let cfg = SnippetConfig { max_sentences: rng.gen_range(1..4usize), ..Default::default() };
+        let context_ids = context.ids(|t| corpus.lookup(t));
+        let by_ids = extract_snippet_ids(&doc, &ids, &ends, &context_ids, cfg);
+        prop_ensure_eq!(by_ids, extract_snippet(&doc, &context, cfg));
         Ok(())
     });
 }
