@@ -1336,7 +1336,7 @@ impl HiveDb {
     }
 
     /// Check-ins stamped in `[from, to)`, in order.
-    pub fn checkins_within(
+    pub(crate) fn checkins_within(
         &self,
         from: Timestamp,
         to: Timestamp,
@@ -1345,12 +1345,12 @@ impl HiveDb {
     }
 
     /// Tweets posted in `[from, to)`, in order.
-    pub fn tweets_within(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = &Tweet> {
+    pub(crate) fn tweets_within(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = &Tweet> {
         self.tweets.window(from, to, |t| t.at).filter_map(|i| self.tweets.get(i))
     }
 
     /// Questions asked in `[from, to)`, in id order.
-    pub fn questions_within(
+    pub(crate) fn questions_within(
         &self,
         from: Timestamp,
         to: Timestamp,
@@ -1360,7 +1360,7 @@ impl HiveDb {
     }
 
     /// Answers given in `[from, to)`, in id order.
-    pub fn answers_within(
+    pub(crate) fn answers_within(
         &self,
         from: Timestamp,
         to: Timestamp,

@@ -13,7 +13,8 @@
 //!   containment and user activity) fused into one undirected weighted
 //!   graph for PPR-style propagation, held as an [`UndirectedCsr`];
 //! * the **content layer** — a TF-IDF corpus over papers, presentations
-//!   and sessions, with per-entity vectors.
+//!   and sessions, and a [`ContentMatrix`] row per paper, presentation,
+//!   session and user.
 //!
 //! The network is the serving knowledge tier, so it holds only what a
 //! Table-1 read uses, and its graph keys no node by a string. Its nodes
@@ -187,18 +188,18 @@ impl ContentMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.norms.len()
     }
 
     /// The rows of users, the last kind.
-    pub fn user_rows(&self) -> std::ops::Range<usize> {
+    pub(crate) fn user_rows(&self) -> std::ops::Range<usize> {
         let first: u32 = self.counts[..USER_ROWS].iter().sum();
         first as usize..self.rows()
     }
 
     /// The row of `r`, if the matrix has one.
-    pub fn row(&self, r: Resource) -> Option<usize> {
+    pub(crate) fn row(&self, r: Resource) -> Option<usize> {
         let (kind, index) = match r {
             Resource::Paper(p) => (PAPER_ROWS, p.0),
             Resource::Presentation(p) => (PRESENTATION_ROWS, p.0),
@@ -210,7 +211,7 @@ impl ContentMatrix {
     }
 
     /// The resource of `row`.
-    pub fn resource(&self, row: usize) -> Option<Resource> {
+    pub(crate) fn resource(&self, row: usize) -> Option<Resource> {
         let mut index = u32::try_from(row).ok()?;
         for (kind, &count) in self.counts.iter().enumerate() {
             if index < count {
@@ -227,22 +228,22 @@ impl ContentMatrix {
     }
 
     /// `row`'s TF-IDF entries in term order (empty out of range).
-    pub fn entries(&self, row: usize) -> &[(u32, f64)] {
+    pub(crate) fn entries(&self, row: usize) -> &[(u32, f64)] {
         span(&self.entry_start, row).and_then(|s| self.entries.get(s)).unwrap_or_default()
     }
 
     /// The TF-IDF entries of `r`, empty if it has no row.
-    pub fn vector(&self, r: Resource) -> &[(u32, f64)] {
+    pub(crate) fn vector(&self, r: Resource) -> &[(u32, f64)] {
         self.row(r).map(|row| self.entries(row)).unwrap_or_default()
     }
 
     /// `row`'s norm (0 out of range).
-    pub fn norm(&self, row: usize) -> f64 {
+    pub(crate) fn norm(&self, row: usize) -> f64 {
         self.norms.get(row).copied().unwrap_or(0.0)
     }
 
     /// `row`'s token ids and the token count at each of its sentence ends.
-    pub fn text(&self, row: usize) -> (&[u32], &[u32]) {
+    pub(crate) fn text(&self, row: usize) -> (&[u32], &[u32]) {
         let tokens = span(&self.token_start, row).and_then(|s| self.tokens.get(s));
         let ends = span(&self.end_start, row).and_then(|s| self.ends.get(s));
         (tokens.unwrap_or_default(), ends.unwrap_or_default())
@@ -250,7 +251,7 @@ impl ContentMatrix {
 
     /// Content similarity of two resources in `[0, 1]`: the cosine of
     /// their rows by a merge join over both, 0 if either has no row.
-    pub fn similarity(&self, a: Resource, b: Resource) -> f64 {
+    pub(crate) fn similarity(&self, a: Resource, b: Resource) -> f64 {
         match (self.row(a), self.row(b)) {
             (Some(a), Some(b)) => {
                 cosine_of_dot(dot(self.entries(a), self.entries(b)), self.norm(a), self.norm(b))

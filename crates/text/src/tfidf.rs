@@ -294,10 +294,10 @@ impl Corpus {
 
     /// [`crate::tokenize::tokenize_sentences`] of `text` as term ids,
     /// interning new terms: the ids of its filtered tokens and the token
-    /// count at each sentence end. `seen` keeps each distinct raw token's id (`None` for a
-    /// stopword) from call to call, so that a token is normalized and
-    /// looked up once per `seen`; any `seen` filled by this corpus gives
-    /// the same ids.
+    /// count at each sentence end. `seen` keeps each distinct raw token's
+    /// id (`None` for a stopword) from call to call, so that a token is
+    /// normalized and looked up once per `seen`; any `seen` filled by
+    /// this corpus gives the same ids.
     pub fn intern_sentences(
         &mut self,
         text: &str,
