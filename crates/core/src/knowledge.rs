@@ -52,7 +52,7 @@ use hive_concept::{bootstrap_concept_map, AlignConfig, BootstrapConfig, ContextN
 use hive_graph::{Graph, NodeId, UndirectedCsr};
 use hive_store::{Term, TripleStore};
 use hive_text::keyphrase::{extract_keyphrases, KeyphraseConfig};
-use hive_text::tfidf::{cosine_of_dot, dot, term_frequencies, Corpus, SparseVector};
+use hive_text::tfidf::{cosine_of_dot, dot, norm, term_frequencies, Corpus};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -130,7 +130,7 @@ pub struct ContentMatrix {
     /// Row `r`'s entries are `entries[entry_start[r]..entry_start[r + 1]]`.
     entry_start: Vec<u32>,
     entries: Vec<(u32, f64)>,
-    /// Each row's [`SparseVector::norm`].
+    /// Each row's Euclidean [`norm`].
     norms: Vec<f64>,
     /// Row `r`'s tokens are `tokens[token_start[r]..token_start[r + 1]]`.
     token_start: Vec<u32>,
@@ -151,11 +151,10 @@ impl ContentMatrix {
         }
     }
 
-    /// Appends the next row's TF-IDF vector.
-    fn push_vector(&mut self, v: SparseVector) {
-        self.entries.extend_from_slice(v.entries());
+    /// Appends the next row's entries.
+    fn push_entries(&mut self, entries: &[(u32, f64)]) {
+        self.entries.extend_from_slice(entries);
         self.entry_start.push(self.entries.len() as u32);
-        self.norms.push(v.norm());
     }
 
     /// Appends the next row's text as term ids ([`Corpus::intern_sentences`]
@@ -728,15 +727,20 @@ fn build_content(db: &HiveDb) -> (Corpus, ContentMatrix) {
         .map(|p| db.get_paper(p).map(|x| x.text()))
         .chain(presentations.into_iter().map(slides))
         .chain(sessions.into_iter().map(|s| db.get_session(s).map(|x| x.text())));
-    // Index first so IDF reflects the whole collection...
-    let mut tfs = Vec::new();
+    // Index first so IDF reflects the whole collection, keeping each
+    // document's raw counts in its row...
     for text in texts {
         let ids = m.push_text(&mut corpus, &mut seen, &text.unwrap_or_default());
-        tfs.push(corpus.index_ids(ids));
+        let tf = corpus.index_ids(ids);
+        m.push_entries(tf.entries());
     }
-    // ...then weight each document against it.
-    for tf in &tfs {
-        m.push_vector(corpus.tfidf(tf));
+    // ...then weight each document against it, in place.
+    for row in 0..m.entry_start.len() - 1 {
+        let Some(entries) = span(&m.entry_start, row).and_then(|s| m.entries.get_mut(s)) else {
+            continue;
+        };
+        corpus.weigh(entries);
+        m.norms.push(norm(entries));
     }
     // User rows: declared interests + authored papers, renormalized.
     let users = db.user_ids();
@@ -749,7 +753,8 @@ fn build_content(db: &HiveDb) -> (Corpus, ContentMatrix) {
             v.accumulate(m.vector(Resource::Paper(p)), 1.0);
         }
         v.normalize();
-        m.push_vector(v);
+        m.push_entries(v.entries());
+        m.norms.push(v.norm());
     }
     m.shrink_to_fit();
     (corpus, m)

@@ -100,7 +100,7 @@ impl SparseVector {
 
     /// Euclidean norm (summed in term order).
     pub fn norm(&self) -> f64 {
-        self.entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
+        norm(&self.entries)
     }
 
     /// Dot product with another vector ([`dot`]).
@@ -154,6 +154,12 @@ impl SparseVector {
         all.truncate(k);
         all
     }
+}
+
+/// Euclidean norm of a vector given as entries in ascending term order
+/// (summed in term order).
+pub fn norm(entries: &[(u32, f64)]) -> f64 {
+    entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt()
 }
 
 /// Dot product of two vectors given as entries in ascending term order: a
@@ -340,12 +346,28 @@ impl Corpus {
     /// Converts a raw TF vector to a unit-length TF-IDF vector using
     /// log-scaled term frequency.
     pub fn tfidf(&self, tf: &SparseVector) -> SparseVector {
-        let mut out = SparseVector::new();
-        for (id, f) in tf.iter() {
-            out.set(id, (1.0 + f).ln() * self.idf(id));
-        }
-        out.normalize();
+        let mut out = tf.clone();
+        self.weigh(&mut out.entries);
+        out.entries.retain(|&(_, w)| w != 0.0);
         out
+    }
+
+    /// [`Self::tfidf`] in place on a raw TF vector's entries, keeping any
+    /// zero weight where `tfidf` drops it. A document indexed in this
+    /// corpus has none: each count is at least 1 and each of its terms'
+    /// IDF is positive. A zero adds `+0.0` to the norm, so the other
+    /// weights are `tfidf`'s bits.
+    pub fn weigh(&self, entries: &mut [(u32, f64)]) {
+        for (id, f) in entries.iter_mut() {
+            *f = (1.0 + *f).ln() * self.idf(*id);
+        }
+        let n = norm(entries);
+        if n > 0.0 {
+            let s = 1.0 / n;
+            for (_, w) in entries.iter_mut() {
+                *w *= s;
+            }
+        }
     }
 
     /// One-shot: tokenize `text` against the *existing* vocabulary
