@@ -735,10 +735,8 @@ fn build_content(db: &HiveDb) -> (Corpus, ContentMatrix) {
         m.push_entries(tf.entries());
     }
     // ...then weight each document against it, in place.
-    for row in 0..m.entry_start.len() - 1 {
-        let Some(entries) = span(&m.entry_start, row).and_then(|s| m.entries.get_mut(s)) else {
-            continue;
-        };
+    for bounds in m.entry_start.windows(2) {
+        let entries = &mut m.entries[bounds[0] as usize..bounds[1] as usize];
         corpus.weigh(entries);
         m.norms.push(norm(entries));
     }
