@@ -11,7 +11,7 @@
 //! `bench_gate` exempts them when the recorded `host_threads` is < 2.
 
 use hive_bench::{
-    header, iters, mean, metric, report, report_header, time_once, write_json_fragment,
+    header, iters, metric, percentile, report, report_header, time_once, write_json_fragment,
 };
 use hive_core::discover::DiscoverConfig;
 use hive_core::model::QaTarget;
@@ -32,15 +32,18 @@ fn read_battery(epoch: &Epoch) {
     std::hint::black_box(epoch.similar_peers(u, 5));
 }
 
-/// Reads/sec with N reader tasks hammering one shared `ReadHandle`.
+/// Reads/sec with N reader tasks hammering one shared `ReadHandle`. Each
+/// fan-out runs 15 trials of 40 reads per task, and its rate is taken
+/// from the median trial, so one slow trial on a loaded host does not
+/// move it.
 fn bench_reads() {
     header("serve_reads");
     report_header();
     let s = server();
     let handle = s.reader();
     read_battery(&handle.epoch()); // warm the world's caches once
-    let per_task = iters(25, 3);
-    let trials = iters(3, 1);
+    let per_task = iters(40, 3);
+    let trials = iters(15, 1);
     let mut rate_r1 = 0.0;
     for n in [1usize, 2, 4] {
         let roles: Vec<usize> = (0..n).collect();
@@ -60,7 +63,7 @@ fn bench_reads() {
             per_read.push(us / (n * per_task) as f64);
         }
         report(&format!("readers_{n}"), &per_read);
-        let rate = 1e6 / mean(&per_read);
+        let rate = 1e6 / percentile(&per_read, 50.0);
         metric(&format!("reads_per_sec_r{n}"), rate);
         if n == 1 {
             rate_r1 = rate;

@@ -9,10 +9,12 @@
 //! Each arena is a `ChunkVec` (`db/chunk.rs`): rows in copy-on-write
 //! chunks of 64, so the clone a publish makes shares every row, and
 //! the writer's first append or in-place write into a chunk a published
-//! epoch still shares copies that chunk alone. The indexes, the log and
-//! the delta journal are copied whole. A mutator decides through `&self`
-//! whether to refuse and takes `&mut` to a row only once it accepts, so
-//! a refused op copies no chunk.
+//! epoch still shares copies that chunk alone. The id-keyed indexes are
+//! posting tables shared the same way (`db/index.rs`); the hash tables
+//! (follows, connections, attendance, active workpads, follow filters),
+//! the log and the delta journal are copied whole. A
+//! mutator decides through `&self` whether to refuse and takes `&mut`
+//! to a row only once it accepts, so a refused op copies no chunk.
 
 use crate::clock::{Clock, Timestamp};
 use crate::error::{HiveError, Result};
@@ -434,51 +436,47 @@ impl HiveDb {
 
     /// Sessions of a conference.
     pub fn sessions_of(&self, conf: ConferenceId) -> &[SessionId] {
-        self.indexes.sessions_by_conf.get(&conf).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.sessions_by_conf.get(conf)
     }
 
     /// Papers authored by a user.
     pub fn papers_of(&self, user: UserId) -> &[PaperId] {
-        self.indexes.papers_by_author.get(&user).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.papers_by_author.get(user)
     }
 
     /// Papers published at a venue edition.
     pub fn papers_at(&self, conf: ConferenceId) -> &[PaperId] {
-        self.indexes.papers_by_venue.get(&conf).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.papers_by_venue.get(conf)
     }
 
     /// Presentations in a session.
     pub fn presentations_in(&self, s: SessionId) -> &[PresentationId] {
-        self.indexes
-            .presentations_by_session
-            .get(&s)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.indexes.presentations_by_session.get(s)
     }
 
     /// Questions on a target.
     pub fn questions_on(&self, t: QaTarget) -> &[QuestionId] {
-        self.indexes.questions_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.questions_by_target.get(t)
     }
 
     /// Answers to a question.
     pub fn answers_to(&self, q: QuestionId) -> &[AnswerId] {
-        self.indexes.answers_by_question.get(&q).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.answers_by_question.get(q)
     }
 
     /// Comments on a target.
     pub fn comments_on(&self, t: QaTarget) -> &[CommentId] {
-        self.indexes.comments_by_target.get(&t).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.comments_by_target.get(t)
     }
 
     /// Workpads of a user.
     pub fn workpads_of(&self, u: UserId) -> &[WorkpadId] {
-        self.indexes.workpads_by_user.get(&u).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.workpads_by_user.get(u)
     }
 
     /// Tweets on a session hashtag.
     pub fn tweets_in(&self, s: SessionId) -> &[TweetId] {
-        self.indexes.tweets_by_session.get(&s).map(Vec::as_slice).unwrap_or(&[])
+        self.indexes.tweets_by_session.get(s)
     }
 
     // ---- conference participation ---------------------------------------
@@ -537,20 +535,12 @@ impl HiveDb {
 
     /// Check-ins of a user, in order.
     pub fn checkins_of(&self, user: UserId) -> Vec<&CheckIn> {
-        self.indexes
-            .checkin_by_user
-            .get(&user)
-            .map(|v| v.iter().map(|&i| &self.checkins[i]).collect())
-            .unwrap_or_default()
+        self.indexes.checkin_by_user.get(user).iter().map(|&i| &self.checkins[i]).collect()
     }
 
     /// Check-ins into a session.
     pub fn checkins_in(&self, session: SessionId) -> Vec<&CheckIn> {
-        self.indexes
-            .checkin_by_session
-            .get(&session)
-            .map(|v| v.iter().map(|&i| &self.checkins[i]).collect())
-            .unwrap_or_default()
+        self.indexes.checkin_by_session.get(session).iter().map(|&i| &self.checkins[i]).collect()
     }
 
     // ---- follows and connections ----------------------------------------
@@ -1105,9 +1095,12 @@ impl HiveDb {
         db.attendance = snap.attendance.iter().copied().collect();
         db.active_workpad = snap.active_workpads.iter().copied().collect();
         db.log = snap.log.clone();
-        db.replay_indexes();
+        // Check before the replay: a posting table grows to the largest
+        // id it is handed, so an unchecked id could allocate without
+        // bound before the snapshot is refused.
         db.check_references()?;
         db.check_clock_order()?;
+        db.replay_indexes();
         // The restored platform starts a fresh delta journal: caches
         // stamped against the pre-restore instance see `deltas_since`
         // return `None` and rebuild from the restored state.
@@ -1181,7 +1174,8 @@ impl HiveDb {
     /// Refuses restored state that names a missing row: every id a live
     /// mutator checks before it appends a row (or records attendance,
     /// an active workpad or a follow filter), plus each log record's
-    /// user and event target.
+    /// user and event target. Reads only the arenas, since restore runs
+    /// it before the index replay.
     fn check_references(&self) -> Result<()> {
         fn need(found: bool, what: &str) -> Result<()> {
             if found {
@@ -1236,8 +1230,10 @@ impl HiveDb {
         for (&u, &pad) in &self.active_workpad {
             need(self.get_workpad(pad).is_ok_and(|p| p.owner == u), "active workpad")?;
         }
-        for &(a, b) in self.follow_filters.keys() {
-            need(self.is_following(a, b), "follow filter")?;
+        let follows: HashSet<(UserId, UserId)> =
+            self.follows.iter().map(|f| (f.follower, f.followee)).collect();
+        for pair in self.follow_filters.keys() {
+            need(follows.contains(pair), "follow filter")?;
         }
         for rec in &self.log {
             need(user(rec.user) && self.event_target_exists(&rec.event), "log record")?;

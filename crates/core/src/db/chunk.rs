@@ -8,7 +8,9 @@
 //! its row's chunk, and either copy happens at most once per chunk
 //! between two publishes. Each copy adds the rows it copied to the
 //! `core.db.cow_rows` counter. Dropping a clone frees only the chunks no
-//! other clone holds.
+//! other clone holds. The index's posting tables (`db/index.rs`) keep
+//! their list pointers in the same chunks and add their copies to a
+//! counter of their own.
 //!
 //! Every chunk but the last holds exactly [`CHUNK`] rows, so row `i`
 //! lives at `chunks[i / CHUNK][i % CHUNK]` and ids stay arena positions.
@@ -29,6 +31,9 @@ use std::sync::Arc;
 /// - 64 rows: 51 pointers and 52 copied rows; 94 µs and 309 µs;
 /// - 256 rows: 18 pointers and 198 copied rows; 111 µs and 347 µs.
 const CHUNK: usize = 64;
+
+/// The counter an arena's copies add their rows to.
+const COW_ROWS: &str = "core.db.cow_rows";
 
 /// A row arena of copy-on-write chunks (see the module docs).
 pub(crate) struct ChunkVec<T> {
@@ -87,14 +92,27 @@ impl<T: Clone> ChunkVec<T> {
     /// Appends a row. The last chunk is copied first only while another
     /// clone still shares it; a full last chunk starts a new one.
     pub(crate) fn push(&mut self, row: T) {
+        self.push_counted(row, COW_ROWS);
+    }
+
+    /// [`Self::push`], adding the rows of a copied chunk to `counter`.
+    pub(crate) fn push_counted(&mut self, row: T, counter: &'static str) {
         match self.chunks.last_mut() {
-            Some(last) if last.len() < CHUNK => writable(last).push(row),
+            Some(last) if last.len() < CHUNK => writable(last, CHUNK, counter).push(row),
             _ => {
                 let mut chunk = Vec::with_capacity(CHUNK);
                 chunk.push(row);
                 self.chunks.push(Arc::new(chunk));
             }
         }
+    }
+
+    /// Row `i` for writing, or `None` past the end: its chunk is copied
+    /// first while another clone shares it, and the copied rows are
+    /// added to `counter`.
+    pub(crate) fn get_mut_counted(&mut self, i: usize, counter: &'static str) -> Option<&mut T> {
+        let chunk = self.chunks.get_mut(i / CHUNK).filter(|chunk| i % CHUNK < chunk.len())?;
+        writable(chunk, CHUNK, counter).get_mut(i % CHUNK)
     }
 
     /// Every row in id order, copied out into one `Vec`.
@@ -107,20 +125,25 @@ impl<T: Clone> ChunkVec<T> {
     }
 }
 
-/// The chunk's rows for writing: a chunk another clone still shares is
-/// first replaced by a private copy with room for [`CHUNK`] rows
+/// A shared `Vec` (a chunk, or a posting list) for writing: one another
+/// clone still shares is first replaced by a private copy with room for
+/// `room` entries, and the entries copied are added to `counter`
 /// (`Arc::make_mut` would copy it at its exact length, so the next
-/// append would reallocate). No `Weak` to a chunk is ever made, so the
+/// append would reallocate). No `Weak` to one is ever made, so the
 /// strong count alone says whether it is shared.
-fn writable<T: Clone>(chunk: &mut Arc<Vec<T>>) -> &mut Vec<T> {
-    if Arc::strong_count(chunk) > 1 {
-        let mut copy = Vec::with_capacity(CHUNK);
-        copy.extend_from_slice(chunk);
-        hive_obs::count("core.db.cow_rows", copy.len() as u64);
-        *chunk = Arc::new(copy);
+pub(crate) fn writable<'a, T: Clone>(
+    shared: &'a mut Arc<Vec<T>>,
+    room: usize,
+    counter: &'static str,
+) -> &'a mut Vec<T> {
+    if Arc::strong_count(shared) > 1 {
+        let mut copy = Vec::with_capacity(room);
+        copy.extend_from_slice(shared);
+        hive_obs::count(counter, copy.len() as u64);
+        *shared = Arc::new(copy);
     }
     // Unique now, so this never copies.
-    Arc::make_mut(chunk)
+    Arc::make_mut(shared)
 }
 
 impl<T> Clone for ChunkVec<T> {
@@ -164,7 +187,7 @@ impl<T: Clone> IndexMut<usize> for ChunkVec<T> {
     /// Row `i` for writing; copies its chunk first while another clone
     /// shares it.
     fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut writable(&mut self.chunks[i / CHUNK])[i % CHUNK]
+        &mut writable(&mut self.chunks[i / CHUNK], CHUNK, COW_ROWS)[i % CHUNK]
     }
 }
 
@@ -193,7 +216,7 @@ mod tests {
         hive_obs::with_level(hive_obs::Level::Counts, || {
             hive_obs::reset();
             let out = f();
-            (out, hive_obs::snapshot().counter("core.db.cow_rows"))
+            (out, hive_obs::snapshot().counter(COW_ROWS))
         })
     }
 

@@ -8,6 +8,19 @@
 //! binary-searched **time range**, falling back to a scan only when the
 //! query names neither.
 //!
+//! # Posting tables a clone shares
+//!
+//! Every id-keyed lookup is a `Postings` table: list `k` holds the
+//! postings of the key whose arena index is `k`, so a read is an index,
+//! not a hash. The list pointers sit in the 64-slot copy-on-write
+//! chunks of `db/chunk.rs`, and each list sits behind its own `Arc`.
+//! A clone (the one a publish makes) copies chunk pointers only. The
+//! first append to a key after a clone copies that key's chunk of list
+//! pointers and the one list it appends to, and adds both to the
+//! `core.db.cow_postings` counter. A [`QaTarget`] key has one dense key
+//! space per target kind. The follow and connection lookups are keyed
+//! by a user pair and stay hash tables of `Copy` entries.
+//!
 //! # One hook per row kind
 //!
 //! [`HiveDb`] owns one [`DbIndexes`] and keeps it current at every
@@ -28,11 +41,15 @@
 //! bit-identical results through either path —
 //! `tests/index_equivalence.rs` pins this across randomized query mixes.
 
+use super::chunk::{writable, ChunkVec};
 use super::HiveDb;
 use crate::clock::Timestamp;
 use crate::ids::*;
 use crate::model::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Half-open logical-time window `[start, end)` in clock ticks.
 ///
@@ -130,9 +147,9 @@ impl Fnv {
     }
 }
 
-/// A key or a posting the index digest feeds to its hash. Lists enter
-/// with their length, so no two distinct indexes render the same
-/// stream.
+/// A key, a posting or a posting table the index digest feeds to its
+/// hash. Lists enter with their length, so no two distinct indexes
+/// render the same stream.
 trait Entry {
     fn eat(&self, h: &mut Fnv);
 }
@@ -148,8 +165,7 @@ macro_rules! id_entries {
 }
 
 id_entries!(
-    UserId, ConferenceId, SessionId, PaperId, PresentationId, QuestionId, AnswerId, CommentId,
-    WorkpadId, TweetId
+    UserId, SessionId, PaperId, PresentationId, QuestionId, AnswerId, CommentId, WorkpadId, TweetId
 );
 
 impl Entry for u32 {
@@ -164,21 +180,6 @@ impl Entry for usize {
     }
 }
 
-impl Entry for QaTarget {
-    fn eat(&self, h: &mut Fnv) {
-        match self {
-            QaTarget::Presentation(p) => {
-                h.eat_u64(0);
-                p.eat(h);
-            }
-            QaTarget::Session(s) => {
-                h.eat_u64(1);
-                s.eat(h);
-            }
-        }
-    }
-}
-
 impl<A: Entry, B: Entry> Entry for (A, B) {
     fn eat(&self, h: &mut Fnv) {
         self.0.eat(h);
@@ -186,12 +187,177 @@ impl<A: Entry, B: Entry> Entry for (A, B) {
     }
 }
 
-impl<T: Entry> Entry for Vec<T> {
+impl<T: Entry> Entry for [T] {
     fn eat(&self, h: &mut Fnv) {
         h.eat_u64(self.len() as u64);
         for x in self {
             x.eat(h);
         }
+    }
+}
+
+impl<K, V: Entry> Entry for Postings<K, V> {
+    /// As [`Fnv::eat_map`] renders a map from key to list holding the
+    /// non-empty lists: their number, then each key and list in key
+    /// order.
+    fn eat(&self, h: &mut Fnv) {
+        h.eat_u64(self.non_empty().count() as u64);
+        eat_lists(h, self, None);
+    }
+}
+
+impl<V: Entry> Entry for ByTarget<V> {
+    /// As [`Fnv::eat_map`] renders a map keyed by [`QaTarget`]: all
+    /// non-empty lists counted, then the presentations' before the
+    /// sessions' (the target's order), each key as its kind and id.
+    fn eat(&self, h: &mut Fnv) {
+        let lists = self.presentation.non_empty().count() + self.session.non_empty().count();
+        h.eat_u64(lists as u64);
+        eat_lists(h, &self.presentation, Some(0));
+        eat_lists(h, &self.session, Some(1));
+    }
+}
+
+/// Feeds a table's non-empty lists in key order: `kind` first when the
+/// key is a [`QaTarget`]'s, then the key's id and the list.
+fn eat_lists<K, V: Entry>(h: &mut Fnv, table: &Postings<K, V>, kind: Option<u64>) {
+    for (k, list) in table.non_empty() {
+        if let Some(kind) = kind {
+            h.eat_u64(kind);
+        }
+        h.eat_u64(k as u64);
+        list.eat(h);
+    }
+}
+
+/// Copies a write makes out of the posting tables a clone shares: list
+/// pointers (a chunk of them) and list entries.
+const COW_POSTINGS: &str = "core.db.cow_postings";
+
+/// An id that numbers a dense key space: its arena index is its slot.
+pub(super) trait DenseKey: Copy {
+    /// The key's slot in a [`Postings`] table.
+    fn slot(self) -> usize;
+}
+
+macro_rules! dense_keys {
+    ($($t:ty),*) => {$(
+        impl DenseKey for $t {
+            fn slot(self) -> usize {
+                self.index()
+            }
+        }
+    )*};
+}
+
+dense_keys!(UserId, ConferenceId, SessionId, PresentationId, QuestionId);
+
+/// The posting lists of one dense key space (see the module docs): slot
+/// `k` holds key `k`'s list in a chunk a clone shares, each list behind
+/// its own `Arc`. A key never written has no list, so growing the table
+/// allocates none.
+#[derive(Clone)]
+pub(super) struct Postings<K, V> {
+    lists: ChunkVec<Option<Arc<Vec<V>>>>,
+    key: PhantomData<K>,
+}
+
+impl<K, V> Postings<K, V> {
+    /// Slot `k`'s list; empty past the end or for a key never written.
+    fn list(&self, k: usize) -> &[V] {
+        match self.lists.get(k) {
+            Some(Some(list)) => list,
+            _ => &[],
+        }
+    }
+
+    /// The non-empty lists with their slots, in key order.
+    fn non_empty(&self) -> impl Iterator<Item = (usize, &[V])> {
+        self.lists.iter().enumerate().filter_map(|(k, list)| match list.as_deref() {
+            Some(list) if !list.is_empty() => Some((k, list.as_slice())),
+            _ => None,
+        })
+    }
+}
+
+impl<K: DenseKey, V> Postings<K, V> {
+    /// `key`'s postings in append order.
+    pub(super) fn get(&self, key: K) -> &[V] {
+        self.list(key.slot())
+    }
+}
+
+impl<K: DenseKey, V: Clone> Postings<K, V> {
+    /// Appends `v` to `key`'s list, growing the table to `key` first.
+    /// While a clone shares them, the key's chunk of list pointers and
+    /// its list are copied first (counted on `core.db.cow_postings`).
+    pub(super) fn push(&mut self, key: K, v: V) {
+        let k = key.slot();
+        while self.lists.len() <= k {
+            self.lists.push_counted(None, COW_POSTINGS);
+        }
+        if let Some(slot) = self.lists.get_mut_counted(k, COW_POSTINGS) {
+            let list = slot.get_or_insert_with(Arc::default);
+            let room = list.len() + 1;
+            writable(list, room, COW_POSTINGS).push(v);
+        }
+    }
+}
+
+impl<K, V> Default for Postings<K, V> {
+    fn default() -> Self {
+        Postings { lists: ChunkVec::default(), key: PhantomData }
+    }
+}
+
+impl<K, V: PartialEq> PartialEq for Postings<K, V> {
+    /// Equal when every key has the same list, so empty lists past the
+    /// end of the shorter table do not count.
+    fn eq(&self, other: &Self) -> bool {
+        let keys = self.lists.len().max(other.lists.len());
+        (0..keys).all(|k| self.list(k) == other.list(k))
+    }
+}
+
+impl<K, V: Eq> Eq for Postings<K, V> {}
+
+impl<K, V: fmt::Debug> fmt::Debug for Postings<K, V> {
+    /// Renders the non-empty lists as a map from slot to list.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.non_empty()).finish()
+    }
+}
+
+/// Postings keyed by a [`QaTarget`]: one dense key space per kind.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(super) struct ByTarget<V> {
+    presentation: Postings<PresentationId, V>,
+    session: Postings<SessionId, V>,
+}
+
+impl<V> ByTarget<V> {
+    /// The target's postings in append order.
+    pub(super) fn get(&self, target: QaTarget) -> &[V] {
+        match target {
+            QaTarget::Presentation(p) => self.presentation.get(p),
+            QaTarget::Session(s) => self.session.get(s),
+        }
+    }
+}
+
+impl<V: Clone> ByTarget<V> {
+    /// Appends `v` to the target's list.
+    fn push(&mut self, target: QaTarget, v: V) {
+        match target {
+            QaTarget::Presentation(p) => self.presentation.push(p, v),
+            QaTarget::Session(s) => self.session.push(s, v),
+        }
+    }
+}
+
+impl<V> Default for ByTarget<V> {
+    fn default() -> Self {
+        ByTarget { presentation: Postings::default(), session: Postings::default() }
     }
 }
 
@@ -204,69 +370,69 @@ impl<T: Entry> Entry for Vec<T> {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DbIndexes {
     /// Log positions per actor, ascending.
-    by_actor: BTreeMap<UserId, Vec<u32>>,
+    by_actor: Postings<UserId, u32>,
     /// `(follower, followee)` edges.
     pub(super) follow_index: HashSet<(UserId, UserId)>,
     /// Connection position per user pair, smaller id first.
     pub(super) connection_index: HashMap<(UserId, UserId), usize>,
     /// Check-in positions per user, ascending.
-    pub(super) checkin_by_user: HashMap<UserId, Vec<usize>>,
+    pub(super) checkin_by_user: Postings<UserId, usize>,
     /// Check-in positions per session, ascending.
-    pub(super) checkin_by_session: HashMap<SessionId, Vec<usize>>,
-    pub(super) sessions_by_conf: HashMap<ConferenceId, Vec<SessionId>>,
-    pub(super) papers_by_author: HashMap<UserId, Vec<PaperId>>,
-    pub(super) papers_by_venue: HashMap<ConferenceId, Vec<PaperId>>,
-    pub(super) presentations_by_session: HashMap<SessionId, Vec<PresentationId>>,
-    pub(super) questions_by_target: HashMap<QaTarget, Vec<QuestionId>>,
-    pub(super) answers_by_question: HashMap<QuestionId, Vec<AnswerId>>,
-    pub(super) comments_by_target: HashMap<QaTarget, Vec<CommentId>>,
-    pub(super) workpads_by_user: HashMap<UserId, Vec<WorkpadId>>,
-    pub(super) tweets_by_session: HashMap<SessionId, Vec<TweetId>>,
+    pub(super) checkin_by_session: Postings<SessionId, usize>,
+    pub(super) sessions_by_conf: Postings<ConferenceId, SessionId>,
+    pub(super) papers_by_author: Postings<UserId, PaperId>,
+    pub(super) papers_by_venue: Postings<ConferenceId, PaperId>,
+    pub(super) presentations_by_session: Postings<SessionId, PresentationId>,
+    pub(super) questions_by_target: ByTarget<QuestionId>,
+    pub(super) answers_by_question: Postings<QuestionId, AnswerId>,
+    pub(super) comments_by_target: ByTarget<CommentId>,
+    pub(super) workpads_by_user: Postings<UserId, WorkpadId>,
+    pub(super) tweets_by_session: Postings<SessionId, TweetId>,
 }
 
 impl DbIndexes {
     // ---- the hooks: one per row kind, called after the row's append ----
 
     pub(super) fn on_session(&mut self, id: SessionId, session: &Session) {
-        self.sessions_by_conf.entry(session.conference).or_default().push(id);
+        self.sessions_by_conf.push(session.conference, id);
     }
 
     pub(super) fn on_paper(&mut self, id: PaperId, paper: &Paper) {
         for &a in &paper.authors {
-            self.papers_by_author.entry(a).or_default().push(id);
+            self.papers_by_author.push(a, id);
         }
         if let Some(v) = paper.venue {
-            self.papers_by_venue.entry(v).or_default().push(id);
+            self.papers_by_venue.push(v, id);
         }
     }
 
     pub(super) fn on_presentation(&mut self, id: PresentationId, pres: &Presentation) {
-        self.presentations_by_session.entry(pres.session).or_default().push(id);
+        self.presentations_by_session.push(pres.session, id);
     }
 
     pub(super) fn on_question(&mut self, id: QuestionId, question: &Question) {
-        self.questions_by_target.entry(question.target).or_default().push(id);
+        self.questions_by_target.push(question.target, id);
     }
 
     pub(super) fn on_answer(&mut self, id: AnswerId, answer: &Answer) {
-        self.answers_by_question.entry(answer.question).or_default().push(id);
+        self.answers_by_question.push(answer.question, id);
     }
 
     pub(super) fn on_comment(&mut self, id: CommentId, comment: &Comment) {
-        self.comments_by_target.entry(comment.target).or_default().push(id);
+        self.comments_by_target.push(comment.target, id);
     }
 
     pub(super) fn on_workpad(&mut self, id: WorkpadId, pad: &Workpad) {
-        self.workpads_by_user.entry(pad.owner).or_default().push(id);
+        self.workpads_by_user.push(pad.owner, id);
     }
 
     pub(super) fn on_tweet(&mut self, id: TweetId, tweet: &Tweet) {
-        self.tweets_by_session.entry(tweet.session).or_default().push(id);
+        self.tweets_by_session.push(tweet.session, id);
     }
 
     pub(super) fn on_checkin(&mut self, pos: usize, checkin: &CheckIn) {
-        self.checkin_by_user.entry(checkin.user).or_default().push(pos);
-        self.checkin_by_session.entry(checkin.session).or_default().push(pos);
+        self.checkin_by_user.push(checkin.user, pos);
+        self.checkin_by_session.push(checkin.session, pos);
     }
 
     pub(super) fn on_follow(&mut self, follow: &Follow) {
@@ -278,38 +444,39 @@ impl DbIndexes {
     }
 
     pub(super) fn on_record(&mut self, pos: usize, rec: &ActivityRecord) {
-        self.by_actor.entry(rec.user).or_default().push(pos as u32);
+        self.by_actor.push(rec.user, pos as u32);
     }
 
     /// Ascending log positions of `actor`'s records.
     pub fn actor_postings(&self, actor: UserId) -> &[u32] {
-        self.by_actor.get(&actor).map(Vec::as_slice).unwrap_or(&[])
+        self.by_actor.get(actor)
     }
 
     /// Deterministic digest of every map in the index (FNV-1a over each
-    /// map in key order, every key and posting list with its length).
-    /// The sim-harness fingerprint oracle uses this to prove that the
-    /// index kept at each write, a cold replay and a replication
-    /// follower's index are bit-identical.
+    /// map in key order, every key and posting list with its length; a
+    /// posting table counts only its non-empty lists, as a map holding
+    /// them would). The sim-harness fingerprint oracle uses this to
+    /// prove that the index kept at each write, a cold replay and a
+    /// replication follower's index are bit-identical.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.eat_map(&self.by_actor);
+        self.by_actor.eat(&mut h);
         // lint:allow(determinism-taint) -- sorted before hashing
         let mut follows: Vec<(UserId, UserId)> = self.follow_index.iter().copied().collect();
         follows.sort_unstable();
         follows.eat(&mut h);
         h.eat_map(&self.connection_index);
-        h.eat_map(&self.checkin_by_user);
-        h.eat_map(&self.checkin_by_session);
-        h.eat_map(&self.sessions_by_conf);
-        h.eat_map(&self.papers_by_author);
-        h.eat_map(&self.papers_by_venue);
-        h.eat_map(&self.presentations_by_session);
-        h.eat_map(&self.questions_by_target);
-        h.eat_map(&self.answers_by_question);
-        h.eat_map(&self.comments_by_target);
-        h.eat_map(&self.workpads_by_user);
-        h.eat_map(&self.tweets_by_session);
+        self.checkin_by_user.eat(&mut h);
+        self.checkin_by_session.eat(&mut h);
+        self.sessions_by_conf.eat(&mut h);
+        self.papers_by_author.eat(&mut h);
+        self.papers_by_venue.eat(&mut h);
+        self.presentations_by_session.eat(&mut h);
+        self.questions_by_target.eat(&mut h);
+        self.answers_by_question.eat(&mut h);
+        self.comments_by_target.eat(&mut h);
+        self.workpads_by_user.eat(&mut h);
+        self.tweets_by_session.eat(&mut h);
         h.0
     }
 }
@@ -501,31 +668,37 @@ mod tests {
         db.create_workpad(users[0], "pad").unwrap();
         let base = db.indexes().clone();
         type Edit = fn(&mut DbIndexes);
-        let edits: [(&str, Edit); 14] = [
-            ("by_actor", |x| x.by_actor.entry(UserId(9)).or_default().push(0)),
+        let edits: [(&str, Edit); 16] = [
+            ("by_actor", |x| x.by_actor.push(UserId(9), 0)),
             ("follow_index", |x| {
                 x.follow_index.insert((UserId(2), UserId(0)));
             }),
             ("connection_index", |x| {
                 x.connection_index.insert((UserId(1), UserId(2)), 0);
             }),
-            ("checkin_by_user", |x| x.checkin_by_user.entry(UserId(0)).or_default().push(0)),
-            ("checkin_by_session", |x| x.checkin_by_session.entry(SessionId(1)).or_default().push(0)),
-            ("sessions_by_conf", |x| x.sessions_by_conf.entry(ConferenceId(1)).or_default().push(SessionId(0))),
-            ("papers_by_author", |x| x.papers_by_author.entry(UserId(0)).or_default().push(PaperId(1))),
-            ("papers_by_venue", |x| x.papers_by_venue.entry(ConferenceId(1)).or_default().push(PaperId(0))),
+            ("checkin_by_user", |x| x.checkin_by_user.push(UserId(0), 0)),
+            ("checkin_by_session", |x| x.checkin_by_session.push(SessionId(1), 0)),
+            ("sessions_by_conf", |x| x.sessions_by_conf.push(ConferenceId(1), SessionId(0))),
+            ("papers_by_author", |x| x.papers_by_author.push(UserId(0), PaperId(1))),
+            ("papers_by_venue", |x| x.papers_by_venue.push(ConferenceId(1), PaperId(0))),
             ("presentations_by_session", |x| {
-                x.presentations_by_session.entry(SessionId(0)).or_default().push(PresentationId(0))
+                x.presentations_by_session.push(SessionId(0), PresentationId(0))
             }),
-            ("questions_by_target", |x| {
-                x.questions_by_target.entry(QaTarget::Session(SessionId(0))).or_default().push(QuestionId(0))
+            ("questions on a session", |x| {
+                x.questions_by_target.push(QaTarget::Session(SessionId(0)), QuestionId(0))
             }),
-            ("answers_by_question", |x| x.answers_by_question.entry(QuestionId(0)).or_default().push(AnswerId(1))),
-            ("comments_by_target", |x| {
-                x.comments_by_target.entry(QaTarget::Session(SessionId(1))).or_default().push(CommentId(0))
+            ("questions on a presentation", |x| {
+                x.questions_by_target.push(QaTarget::Presentation(PresentationId(0)), QuestionId(1))
             }),
-            ("workpads_by_user", |x| x.workpads_by_user.entry(UserId(1)).or_default().push(WorkpadId(0))),
-            ("tweets_by_session", |x| x.tweets_by_session.entry(SessionId(0)).or_default().push(TweetId(0))),
+            ("answers_by_question", |x| x.answers_by_question.push(QuestionId(0), AnswerId(1))),
+            ("comments on a session", |x| {
+                x.comments_by_target.push(QaTarget::Session(SessionId(1)), CommentId(0))
+            }),
+            ("comments on a presentation", |x| {
+                x.comments_by_target.push(QaTarget::Presentation(PresentationId(0)), CommentId(1))
+            }),
+            ("workpads_by_user", |x| x.workpads_by_user.push(UserId(1), WorkpadId(0))),
+            ("tweets_by_session", |x| x.tweets_by_session.push(SessionId(0), TweetId(0))),
         ];
         for (map, edit) in edits {
             let mut edited = base.clone();
@@ -533,6 +706,68 @@ mod tests {
             assert_ne!(edited, base, "{map}: the edit must change the index");
             assert_ne!(edited.digest(), base.digest(), "{map}: the digest must move");
         }
+    }
+
+    fn cow_postings<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            let out = f();
+            (out, hive_obs::snapshot().counter(COW_POSTINGS))
+        })
+    }
+
+    #[test]
+    fn postings_equal_up_to_trailing_empty_lists() {
+        let mut a: Postings<UserId, u32> = Postings::default();
+        a.push(UserId(3), 7);
+        a.push(UserId(1), 5);
+        assert_eq!((a.get(UserId(0)), a.get(UserId(1)), a.get(UserId(9))), (&[][..], &[5][..], &[][..]));
+        let mut b = a.clone();
+        b.lists.push(None);
+        b.lists.push(Some(Arc::default()));
+        assert_eq!(a, b, "trailing empty lists do not count");
+        let digest = |p: &Postings<UserId, u32>| {
+            let mut h = Fnv::new();
+            p.eat(&mut h);
+            h.0
+        };
+        assert_eq!(digest(&a), digest(&b));
+        assert_eq!(format!("{a:?}"), "{1: [5], 3: [7]}");
+        b.push(UserId(4), 0);
+        assert_ne!(a, b);
+        assert_ne!(digest(&a), digest(&b));
+    }
+
+    /// A clone shares every chunk of list pointers and every list; the
+    /// first append to a key copies the key's chunk and its list, once.
+    #[test]
+    fn an_append_copies_one_chunk_of_pointers_and_one_list() {
+        let mut table: Postings<UserId, u32> = Postings::default();
+        for k in 0..130u32 {
+            for v in 0..=k % 3 {
+                table.push(UserId(k), v);
+            }
+        }
+        // Nothing shares the table: appends copy nothing.
+        let ((), copied) = cow_postings(|| table.push(UserId(70), 9));
+        assert_eq!(copied, 0);
+        let pinned = table.clone();
+        let ((), copied) = cow_postings(|| {
+            table.push(UserId(70), 10);
+            table.push(UserId(70), 11);
+            table.push(UserId(71), 12);
+        });
+        assert_eq!(copied, 64 + 3 + 3, "the chunk of slots 64..128 and the lists of keys 70 and 71");
+        assert_eq!(pinned.get(UserId(70)), &[0, 1, 9]);
+        assert_eq!(table.get(UserId(70)), &[0, 1, 9, 10, 11]);
+        assert_eq!(pinned.get(UserId(72)), table.get(UserId(72)));
+        let list = |p: &Postings<UserId, u32>, k: usize| p.lists[k].clone();
+        let shared = |k: usize| list(&pinned, k).zip(list(&table, k)).is_some_and(|(a, b)| Arc::ptr_eq(&a, &b));
+        assert!(shared(72) && shared(3) && !shared(70), "only the written list was copied");
+        // A new key past the end copies the shared tail chunk of slots.
+        let ((), copied) = cow_postings(|| table.push(UserId(131), 1));
+        assert_eq!(copied, 2, "slots 128 and 129 of the shared tail");
+        assert_eq!(pinned.get(UserId(131)), &[] as &[u32]);
     }
 
     #[test]

@@ -428,7 +428,9 @@ mod tests {
 
     #[test]
     fn snapshots_naming_missing_rows_are_refused() {
-        const GONE: u32 = 999_999;
+        // Past any arena, and far past what a table sized by an unchecked
+        // id could allocate before the refusal.
+        const GONE: u32 = u32::MAX - 1;
         let clean = WorldBuilder::new(SimConfig::small()).build().db.snapshot();
         assert!(HiveDb::from_snapshot(&clean).is_ok());
         type Edit = fn(&mut PlatformSnapshot);

@@ -251,7 +251,7 @@ mod tests {
     use super::*;
     use crate::discover::DiscoverConfig;
     use crate::ids::UserId;
-    use crate::model::{QaTarget, User, WorkpadItem};
+    use crate::model::{Paper, Presentation, QaTarget, Session, User, WorkpadItem};
     use crate::peers::PeerRecConfig;
     use crate::sim::{SimConfig, WorldBuilder};
 
@@ -433,6 +433,70 @@ mod tests {
             assert!(copied > 0, "{name}: the edit copied the chunk it shares with the epoch");
             assert_eq!(epoch.db().to_json().unwrap(), frozen, "{name}: the epoch kept its rows");
         }
+    }
+
+    /// A publish shares the index's posting lists with the writer, so
+    /// one write of every hooked kind afterwards must leave the epoch's
+    /// index as it was. Snapshots hold no index, so the epoch is compared
+    /// with a replay of its own snapshot taken at publish.
+    #[test]
+    fn hooked_writes_leave_the_published_index_alone() {
+        let mut s = server();
+        let epoch = s.publish();
+        let at_publish = HiveDb::from_snapshot(&epoch.db().snapshot()).unwrap();
+        let digest = epoch.db().indexes().digest();
+        assert!(epoch.db().indexes() == at_publish.indexes());
+        let db = s.hive().db();
+        let (u, v) = (db.user_ids()[0], db.user_ids()[1]);
+        let (conf, session, paper) = (db.conference_ids()[0], db.session_ids()[0], db.paper_ids()[0]);
+        let pres = db.presentation_ids()[0];
+        let presenter = db.get_paper(paper).unwrap().authors[0];
+        let w = s.writer();
+        // A newcomer's follow and connection request cannot be refused,
+        // and the newcomer's key lies past the end of every user table.
+        let newcomer = w.add_user(User::new("Newcomer", "Genoa"));
+        let late = w.db_mut().add_session(Session::new(conf, "Late-breaking results", "demo")).unwrap();
+        let mut late_paper = Paper::new("A late paper", vec![u]);
+        late_paper.venue = Some(conf);
+        w.add_paper(late_paper).unwrap();
+        w.add_presentation(Presentation::new(paper, presenter, late)).unwrap();
+        let q = w.ask_question(u, QaTarget::Presentation(pres), "why?", true).unwrap();
+        w.ask_question(v, QaTarget::Session(session), "how?", false).unwrap();
+        w.answer_question(v, q, "because").unwrap();
+        w.comment(u, QaTarget::Presentation(pres), "nice").unwrap();
+        w.comment(v, QaTarget::Session(session), "agreed").unwrap();
+        w.create_workpad(u, "pad").unwrap();
+        w.post_tweet(Some(v), "@v", "live from the session", session).unwrap();
+        w.check_in(u, session).unwrap();
+        w.follow(newcomer, u).unwrap();
+        w.request_connection(newcomer, v).unwrap();
+        assert!(epoch.db().indexes() == at_publish.indexes(), "the epoch's index changed");
+        assert_eq!(epoch.db().indexes().digest(), digest);
+        assert_ne!(s.hive().db().indexes().digest(), digest, "the writer's index moved");
+    }
+
+    /// What one check-in after a publish copies out of what the epoch
+    /// shares: the tail chunk of the check-in arena (`core.db.cow_rows`),
+    /// and, in each of the three posting tables the check-in appends to,
+    /// the key's chunk of list pointers and its list
+    /// (`core.db.cow_postings`). The small world's tables hold 30 user
+    /// slots and 12 session slots, one chunk each.
+    #[test]
+    fn a_check_in_after_a_publish_copies_one_chunk_and_list_per_table() {
+        let mut s = server();
+        let epoch = s.publish();
+        let db = epoch.db();
+        let (u, session) = (db.user_ids()[3], db.session_ids()[2]);
+        let tail = db.snapshot().checkins.len() % 64;
+        let lists = db.activities_of(u).len() + db.checkins_of(u).len() + db.checkins_in(session).len();
+        let counts = hive_obs::with_level(hive_obs::Level::Counts, || {
+            hive_obs::reset();
+            s.writer().check_in(u, session).unwrap();
+            let snap = hive_obs::snapshot();
+            (snap.counter("core.db.cow_rows"), snap.counter("core.db.cow_postings"))
+        });
+        assert_eq!(counts, (tail as u64, (30 + 30 + 12 + lists) as u64));
+        assert_eq!(counts, (56, 103), "pinned on the small world");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! activity log length and the bytes of `HiveDb::to_json()` must equal
 //! what they were before the op.
 //!
-//! Each op runs while a clone of the database shares its row chunks, as
-//! a published epoch does, and a refused op must copy none of them: the
-//! `core.db.cow_rows` counter stays where it was.
+//! Each op runs while a clone of the database shares its row chunks and
+//! its index's posting lists, as a published epoch does, and a refused
+//! op must copy none of them: the `core.db.cow_rows` and
+//! `core.db.cow_postings` counters stay where they were.
 
 use hive_bench::prop::check;
 use hive_bench::prop_ensure;
@@ -230,9 +231,11 @@ fn owned_pad(db: &HiveDb, users: &[UserId]) -> Option<(UserId, WorkpadId)> {
     users.iter().find_map(|&owner| Some((owner, *db.workpads_of(owner).first()?)))
 }
 
-/// Rows copied on write so far on this thread.
-fn cow_rows() -> u64 {
-    hive_obs::snapshot().counter("core.db.cow_rows")
+/// Rows, list pointers and list entries copied on write so far on this
+/// thread.
+fn copies() -> u64 {
+    let snap = hive_obs::snapshot();
+    snap.counter("core.db.cow_rows") + snap.counter("core.db.cow_postings")
 }
 
 #[test]
@@ -257,9 +260,9 @@ fn rejected_ops_leave_no_trace_counted() {
             for op in &batch {
                 let before = trace(hive.db())?;
                 let pinned = hive.db().clone();
-                let cow_before = cow_rows();
+                let copies_before = copies();
                 let outcome = ops::apply(op, &mut hive);
-                let copied = cow_rows() - cow_before;
+                let copied = copies() - copies_before;
                 drop(pinned);
                 if outcome.is_ok() {
                     applied += 1;
@@ -269,7 +272,7 @@ fn rejected_ops_leave_no_trace_counted() {
                 rejected += 1;
                 prop_ensure!(
                     copied == 0,
-                    "step {step}: rejected {} copied {copied} shared rows",
+                    "step {step}: rejected {} copied {copied} shared rows or postings",
                     op.label()
                 );
                 let after = trace(hive.db())?;
@@ -293,6 +296,6 @@ fn rejected_ops_leave_no_trace_counted() {
     // Both outcomes were exercised, so the property is not vacuous.
     assert!(rejected >= CASES * STEPS / 2, "only {rejected} ops were rejected");
     assert!(applied >= CASES * STEPS, "only {applied} ops were applied");
-    // Applied ops do copy shared chunks, so the counter is live.
+    // Applied ops do copy shared chunks and lists, so the counters are live.
     assert!(copied_by_applied > 0, "no applied op copied a shared chunk");
 }

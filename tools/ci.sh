@@ -11,7 +11,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# The release build must print no warning. Its output is checked rather
+# than built with `-D warnings`, so CI and the benchmark build the same
+# binaries; cargo replays a cached crate's warnings, so a build with
+# nothing to compile is checked too.
+build_log=$(cargo build --release --offline --color never 2>&1 | tee /dev/stderr)
+if grep -q '^warning' <<<"$build_log"; then
+  echo "ci: cargo build --release printed a warning (see above)" >&2
+  exit 1
+fi
 cargo test -q --offline
 cargo run -p hive-lint --offline -- --json target/lint-report.json
 # Bounded crash/recovery soak (fixed seed, seconds): recovery
