@@ -31,11 +31,12 @@
 //!
 //! The relationship tier holds only what an explanation reads: the term
 //! dictionary of the `rel:*` export and its [`GraphView`]. One routine
-//! interns triples for both of its paths: a cold build interns the
-//! export (`knowledge::rel_export`) and folds it into a view with
-//! [`GraphView::from_upserts`]; a patch maps each window delta to its
-//! triple, interns it (copying the shared dictionary only when a term is
-//! new), and hands the window to [`GraphView::upsert`].
+//! interns triples and one merge moves the view, for both of its paths:
+//! a cold build interns the export (`knowledge::rel_export`) and merges
+//! it into the empty view ([`GraphView::from_upserts`]); a patch maps
+//! each window delta to its triple, interns it (copying the shared
+//! dictionary only when a term is new), and merges the window into the
+//! current view ([`GraphView::upsert`]), whatever the window's size.
 
 use crate::db::{DbDelta, HiveDb};
 use crate::knowledge::{rel_export, rel_triple, FusionWeights, KnowledgeNetwork, RelTriple};
@@ -169,7 +170,7 @@ pub(crate) struct RelSnapshot {
 
 impl RelSnapshot {
     /// Cold build over `db`: the `rel:*` export interned as a patch
-    /// interns a window, then folded into its view.
+    /// interns a window, then merged into the empty view.
     pub(crate) fn build(db: &HiveDb) -> Self {
         let mut snap = RelSnapshot { dict: Arc::default(), view: GraphView::default() };
         let upserts = snap.intern(rel_export(db));
@@ -221,8 +222,8 @@ impl Derived for RelSnapshot {
         }
     }
 
-    /// Interns the window's triples and upserts them into the view (a
-    /// window past `REBUILD_FRACTION` of the view re-assembles it once).
+    /// Interns the window's triples and merges them into the view, one
+    /// pass whatever the window's size.
     fn patch(&mut self, window: &[DbDelta]) {
         let upserts = self.intern(window.iter().filter_map(rel_triple));
         self.view.upsert(&self.dict, &upserts);
@@ -250,7 +251,6 @@ mod tests {
     use crate::ids::UserId;
     use crate::model::{QaTarget, User};
     use crate::sim::{SimConfig, WorldBuilder};
-    use hive_store::view::REBUILD_FRACTION;
     use hive_store::Term;
 
     /// `snap` equals a cold build over `db` and the store export that
@@ -274,9 +274,9 @@ mod tests {
     }
 
     /// A patched relationship snapshot equals a cold build whether its
-    /// window interns a new term, names only known ones, or is past
-    /// `REBUILD_FRACTION` of the view. The previous snapshot stays held,
-    /// as a published epoch holds it, so every patch copies first.
+    /// window interns a new term, names only known ones, or holds more
+    /// than a quarter of the view's hops. The previous snapshot stays
+    /// held, as a published epoch holds it, so every patch copies first.
     #[test]
     fn patched_rel_snapshot_equals_a_cold_build() {
         hive_obs::with_level(hive_obs::Level::Counts, || {
@@ -317,20 +317,20 @@ mod tests {
             assert_equals_cold_build(&next, &db, "known terms");
             held = next;
 
-            // (c) A window past REBUILD_FRACTION of the view, re-checking
-            // users in: the view is re-assembled, not spliced op by op.
-            let past = (held.view.edge_count() as f64 * REBUILD_FRACTION) as usize + 17;
-            for i in 0..past {
+            // (c) A window of more than a quarter of the view's hops,
+            // re-checking users in: still one merge, not a rebuild.
+            let large = held.view.edge_count() / 4 + 17;
+            for i in 0..large {
                 let session = sessions[(i / known.len()) % sessions.len()];
                 db.check_in(known[i % known.len()], session).unwrap();
             }
             hive_obs::reset();
             let next = get(&db);
             let counts = hive_obs::snapshot();
-            assert_eq!(counts.counter("store.view.rebuild_fallback"), 1, "re-assembled");
-            assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
+            assert_eq!(counts.counter("store.view.delta"), 1, "merged");
+            assert_eq!(counts.counter("store.view.build"), 0, "not rebuilt");
             assert!(Arc::ptr_eq(&held.dict, &next.dict));
-            assert_equals_cold_build(&next, &db, "past the fraction");
+            assert_equals_cold_build(&next, &db, "large window");
             hive_obs::reset();
         });
     }

@@ -126,10 +126,10 @@ impl ImpactQueryEngine for RecomputeEngine {
 ///
 /// Invalidation is *lazy*: [`ImpactQueryEngine::add_edge`] only marks
 /// the updated endpoint dirty (O(1)), and the reverse-index walk that
-/// evicts touched vectors runs once at the next query
-/// ([`ImpactIndex::sweep`]). A burst of updates between queries pays the
-/// walk once instead of per edge, and sources evicted by one dirty node
-/// are already gone when the next dirty node sweeps.
+/// evicts touched vectors runs once at the next query (the private
+/// `sweep`). A burst of updates between queries pays the walk once
+/// instead of per edge, and sources evicted by one dirty node are
+/// already gone when the next dirty node sweeps.
 pub struct ImpactIndex {
     graph: Graph,
     params: DiffusionParams,

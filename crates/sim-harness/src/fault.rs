@@ -12,7 +12,6 @@
 use hive_core::{HiveDb, HiveError};
 use hive_json::Json;
 use hive_rng::Rng;
-use hive_store::{StoreError, TripleStore};
 
 /// The four corruption families injected at every crash point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -153,13 +152,13 @@ fn field_drop(json: &str, rng: &mut Rng) -> Option<String> {
     Some(doc.render())
 }
 
-/// What loading a (possibly corrupted) snapshot did.
+/// What loading a (possibly corrupted) platform snapshot did.
 #[derive(Debug)]
-pub enum LoadOutcome<T, E> {
+pub enum LoadOutcome {
     /// The loader accepted the input.
-    Loaded(T),
+    Loaded(Box<HiveDb>),
     /// The loader rejected the input with a typed error.
-    Rejected(E),
+    Rejected(HiveError),
     /// The loader panicked — always a harness violation.
     Panicked(String),
 }
@@ -175,18 +174,9 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Loads a platform snapshot, converting panics into an outcome.
-pub fn load_platform(json: &str) -> LoadOutcome<Box<HiveDb>, HiveError> {
+pub fn load_platform(json: &str) -> LoadOutcome {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| HiveDb::from_json(json))) {
         Ok(Ok(db)) => LoadOutcome::Loaded(Box::new(db)),
-        Ok(Err(e)) => LoadOutcome::Rejected(e),
-        Err(p) => LoadOutcome::Panicked(panic_text(p)),
-    }
-}
-
-/// Loads a store snapshot, converting panics into an outcome.
-pub fn load_store(json: &str) -> LoadOutcome<Box<TripleStore>, StoreError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| TripleStore::from_json(json))) {
-        Ok(Ok(st)) => LoadOutcome::Loaded(Box::new(st)),
         Ok(Err(e)) => LoadOutcome::Rejected(e),
         Err(p) => LoadOutcome::Panicked(panic_text(p)),
     }

@@ -7,7 +7,6 @@ use crate::workload::{self, WorkloadStats};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::{Hive, HiveError, PprCache};
 use hive_rng::Rng;
-use hive_store::StoreError;
 use std::fmt;
 
 /// Which oracle family flagged a violation.
@@ -83,7 +82,7 @@ pub struct SoakReport {
     pub steps_run: usize,
     /// Crash/restore cycles performed.
     pub crashes: usize,
-    /// Corruptions injected (both platform and store snapshots).
+    /// Corruptions of the platform snapshot injected.
     pub faults_injected: usize,
     /// Corruptions correctly rejected with a typed error.
     pub fault_errors: usize,
@@ -109,7 +108,8 @@ impl SoakReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "soak seed={}: {} steps, {} crash/restore cycles, {} ops applied ({} rejected), \
-             {} faults injected ({} typed rejections, {} skipped), {} differential checks\n",
+             {} platform-snapshot faults injected ({} typed rejections, {} skipped), \
+             {} differential checks\n",
             self.seed,
             self.steps_run,
             self.crashes,
@@ -231,10 +231,15 @@ impl SimHarness {
                 return hive;
             }
         };
-        // Store-layer snapshot of the relationship export, attacked by
-        // the same fault kinds below.
-        let store_json = hive.knowledge().to_store(hive.db()).to_json().ok();
-        self.inject_faults(&json, store_json.as_deref(), step, rng, report);
+        for kind in FaultKind::ALL {
+            if let Some(problem) = attack(report, &json, kind, rng) {
+                report.violations.push(Violation {
+                    step,
+                    checker: CheckerKind::Fault,
+                    detail: format!("platform {}: {problem}", kind.label()),
+                });
+            }
+        }
         match fault::load_platform(&json) {
             LoadOutcome::Loaded(db) => {
                 let restored = Hive::new(*db);
@@ -266,56 +271,22 @@ impl SimHarness {
             }
         }
     }
-
-    fn inject_faults(
-        &self,
-        platform_json: &str,
-        store_json: Option<&str>,
-        step: usize,
-        rng: &mut Rng,
-        report: &mut SoakReport,
-    ) {
-        for kind in FaultKind::ALL {
-            let platform = attack(report, platform_json, kind, rng, fault::load_platform, |e| {
-                matches!(e, HiveError::SnapshotVersion { .. })
-            });
-            let store = store_json.and_then(|json| {
-                attack(report, json, kind, rng, fault::load_store, |e| {
-                    matches!(e, StoreError::SnapshotVersion { .. })
-                })
-            });
-            for (layer, problem) in [("platform", platform), ("store", store)] {
-                if let Some(problem) = problem {
-                    report.violations.push(Violation {
-                        step,
-                        checker: CheckerKind::Fault,
-                        detail: format!("{layer} {}: {problem}", kind.label()),
-                    });
-                }
-            }
-        }
-    }
 }
 
-/// Corrupts one snapshot layer's `json` with `kind` and loads it,
+/// Corrupts the platform snapshot `json` with `kind` and loads it,
 /// counting the attempt in `report`. Returns what the loader got wrong:
 /// every corruption must come back as a typed error, and a version bump
-/// as one that `is_version_error` recognizes.
-fn attack<T, E: fmt::Display>(
-    report: &mut SoakReport,
-    json: &str,
-    kind: FaultKind,
-    rng: &mut Rng,
-    load: fn(&str) -> LoadOutcome<T, E>,
-    is_version_error: fn(&E) -> bool,
-) -> Option<String> {
+/// as a snapshot-version error.
+fn attack(report: &mut SoakReport, json: &str, kind: FaultKind, rng: &mut Rng) -> Option<String> {
     let Some(bad) = fault::corrupt(json, kind, rng) else {
         report.faults_skipped += 1;
         return None;
     };
     report.faults_injected += 1;
-    match load(&bad) {
-        LoadOutcome::Rejected(e) if is_version_error(&e) || !kind.wants_version_error() => {
+    match fault::load_platform(&bad) {
+        LoadOutcome::Rejected(e)
+            if matches!(e, HiveError::SnapshotVersion { .. }) || !kind.wants_version_error() =>
+        {
             report.fault_errors += 1;
             None
         }

@@ -3,11 +3,12 @@
 //!
 //! The writer task drives the usual seed-generated workload through
 //! [`HiveServer::writer`] and publishes an epoch every few steps;
-//! reader tasks concurrently pull epochs off their [`ReadHandle`]s and
-//! record a fixed query battery per epoch they observe. Concurrency
-//! runs through `hive-par`'s [`hive_par::par_tasks`] (lint R6: no raw
-//! threads), with [`hive_par::force_workers`] so the tasks genuinely
-//! overlap even on a single-core host.
+//! reader tasks concurrently pull epochs off their
+//! [`ReadHandle`](hive_core::ReadHandle)s and record a fixed query
+//! battery per epoch they observe. Concurrency runs through
+//! `hive-par`'s [`hive_par::par_tasks`] (lint R6: no raw threads), with
+//! [`hive_par::force_workers`] so the tasks genuinely overlap even on a
+//! single-core host.
 //!
 //! The oracle is checked serially afterwards, in two layers:
 //!

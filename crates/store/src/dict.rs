@@ -13,8 +13,6 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-hive_json::impl_json_newtype!(TermId);
-
 impl TermId {
     /// The raw index value.
     pub fn index(self) -> usize {

@@ -11,15 +11,6 @@ pub enum StoreError {
     InvalidPosition(&'static str),
     /// A term referenced by a query is not present in the store.
     UnknownTerm(String),
-    /// Snapshot (de)serialization failure.
-    Snapshot(String),
-    /// A snapshot was written by an incompatible format version.
-    SnapshotVersion {
-        /// Version found in the snapshot.
-        found: u32,
-        /// Version this build reads and writes.
-        expected: u32,
-    },
     /// A path query referenced identical or unknown endpoints.
     BadPathQuery(String),
 }
@@ -34,11 +25,6 @@ impl fmt::Display for StoreError {
                 write!(f, "literal term not allowed in {pos} position")
             }
             StoreError::UnknownTerm(t) => write!(f, "unknown term: {t}"),
-            StoreError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
-            StoreError::SnapshotVersion { found, expected } => write!(
-                f,
-                "unsupported snapshot version {found} (this build reads version {expected})"
-            ),
             StoreError::BadPathQuery(msg) => write!(f, "bad path query: {msg}"),
         }
     }
@@ -57,7 +43,6 @@ mod tests {
             .to_string()
             .contains("predicate"));
         assert!(StoreError::UnknownTerm("x".into()).to_string().contains('x'));
-        let v = StoreError::SnapshotVersion { found: 9, expected: 1 };
-        assert!(v.to_string().contains('9') && v.to_string().contains('1'));
+        assert!(StoreError::BadPathQuery("loop".into()).to_string().contains("loop"));
     }
 }

@@ -13,8 +13,7 @@
 //! * **ranked path queries**: cheapest and top-k weighted paths between two
 //!   terms (the primitive behind Hive's relationship discovery and
 //!   explanation, Figure 2 of the paper), over a CSR [`GraphView`] that
-//!   a store builds once or a caller keeps current by upserting triples,
-//! * snapshot persistence via the in-tree `hive-json` serializer.
+//!   a store builds once or a caller keeps current by upserting triples.
 //!
 //! Weights are probabilities/strengths in `(0, 1]`; path cost composes
 //! multiplicatively (implemented additively over `-ln w`).
@@ -35,20 +34,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod dict;
 pub mod error;
 pub mod parse;
 pub mod path;
 pub mod pattern;
 pub mod query;
-pub mod snapshot;
 pub mod stats;
 pub mod store;
 pub mod term;
 pub mod view;
 
-pub use batch::{BatchResult, Op};
 pub use dict::{TermDict, TermId};
 pub use error::StoreError;
 pub use parse::{parse_query, run_query, ParsedQuery, QueryRow};

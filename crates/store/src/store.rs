@@ -33,10 +33,6 @@ impl PermIndex {
         self.set.insert(key);
     }
 
-    fn remove(&mut self, key: &(u32, u32, u32)) {
-        self.set.remove(key);
-    }
-
     /// Scans all keys whose first components match the given prefix.
     ///
     /// The `(Bound, Bound)` pair type is spelled out for clarity.
@@ -97,7 +93,6 @@ pub struct TripleStore {
     spo: PermIndex,
     pos: PermIndex,
     osp: PermIndex,
-    next_blank: u64,
 }
 
 impl TripleStore {
@@ -119,13 +114,6 @@ impl TripleStore {
     /// Access to the term dictionary.
     pub fn dict(&self) -> &TermDict {
         &self.dict
-    }
-
-    /// Mints a fresh blank node unique within this store.
-    pub fn fresh_blank(&mut self) -> Term {
-        let id = self.next_blank;
-        self.next_blank += 1;
-        Term::Blank(id)
     }
 
     fn validate(s: &Term, p: &Term, weight: f64) -> Result<(), StoreError> {
@@ -151,8 +139,8 @@ impl TripleStore {
         Ok(self.insert_ids(si, pi, oi, weight))
     }
 
-    /// Id-level insert for callers that already hold interned ids.
-    pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId, weight: f64) -> bool {
+    /// Id-level insert of a validated triple.
+    fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId, weight: f64) -> bool {
         let fresh = self.weights.insert((s, p, o), weight).is_none();
         if fresh {
             self.spo.insert((s.0, p.0, o.0));
@@ -160,23 +148,6 @@ impl TripleStore {
             self.osp.insert((o.0, s.0, p.0));
         }
         fresh
-    }
-
-    /// Removes a triple. Returns `true` if it was present.
-    pub fn remove(&mut self, s: &Term, p: &Term, o: &Term) -> bool {
-        let (Some(si), Some(pi), Some(oi)) =
-            (self.dict.get(s), self.dict.get(p), self.dict.get(o))
-        else {
-            return false;
-        };
-        if self.weights.remove(&(si, pi, oi)).is_some() {
-            self.spo.remove(&(si.0, pi.0, oi.0));
-            self.pos.remove(&(pi.0, oi.0, si.0));
-            self.osp.remove(&(oi.0, si.0, pi.0));
-            true
-        } else {
-            false
-        }
     }
 
     /// Weight of a triple, if present.
@@ -188,53 +159,6 @@ impl TripleStore {
     /// True if the triple is present (with any weight).
     pub fn contains(&self, s: &Term, p: &Term, o: &Term) -> bool {
         self.weight(s, p, o).is_some()
-    }
-
-    /// Re-weights an existing triple without changing the indexes.
-    /// Returns `false` if the triple is absent; errors on a bad weight.
-    pub fn set_weight(
-        &mut self,
-        s: &Term,
-        p: &Term,
-        o: &Term,
-        weight: f64,
-    ) -> Result<bool, StoreError> {
-        if !(weight > 0.0 && weight <= 1.0) {
-            return Err(StoreError::InvalidWeight(weight));
-        }
-        let (Some(si), Some(pi), Some(oi)) =
-            (self.dict.get(s), self.dict.get(p), self.dict.get(o))
-        else {
-            return Ok(false);
-        };
-        match self.weights.get_mut(&(si, pi, oi)) {
-            Some(w) => {
-                *w = weight;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Removes every triple matching the (term-level) pattern; unbound
-    /// positions are wildcards. Returns how many were removed.
-    ///
-    /// Used when a knowledge layer is rebuilt: e.g. dropping all
-    /// `rel:checked_in` triples before re-deriving them.
-    pub fn remove_matching(
-        &mut self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-    ) -> usize {
-        let victims: Vec<StoredTriple> = self.triples_matching(s, p, o).collect();
-        for t in &victims {
-            self.weights.remove(&(t.s, t.p, t.o));
-            self.spo.remove(&(t.s.0, t.p.0, t.o.0));
-            self.pos.remove(&(t.p.0, t.o.0, t.s.0));
-            self.osp.remove(&(t.o.0, t.s.0, t.p.0));
-        }
-        victims.len()
     }
 
     /// Id-level pattern scan choosing the best permutation index.
@@ -410,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_updates_all_indexes() {
-        let mut st = store_with(&[("a", "p", "b", 0.5), ("a", "q", "c", 0.6)]);
-        assert!(st.remove(&Term::iri("a"), &Term::iri("p"), &Term::iri("b")));
-        assert!(!st.remove(&Term::iri("a"), &Term::iri("p"), &Term::iri("b")));
-        assert_eq!(st.len(), 1);
-        assert!(st.check_invariants());
-        assert_eq!(
-            st.triples_matching(Some(&Term::iri("a")), None, None).count(),
-            1
-        );
-    }
-
-    #[test]
     fn pattern_scans_use_each_index() {
         let st = store_with(&[
             ("a", "p", "b", 0.5),
@@ -452,55 +363,6 @@ mod tests {
             st.triples_matching(Some(&Term::iri("zzz")), None, None).count(),
             0
         );
-    }
-
-    #[test]
-    fn set_weight_in_place() {
-        let mut st = store_with(&[("a", "p", "b", 0.5)]);
-        assert!(st
-            .set_weight(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"), 0.9)
-            .unwrap());
-        assert_eq!(
-            st.weight(&Term::iri("a"), &Term::iri("p"), &Term::iri("b")),
-            Some(0.9)
-        );
-        // Absent triple: no-op, not an error.
-        assert!(!st
-            .set_weight(&Term::iri("a"), &Term::iri("q"), &Term::iri("b"), 0.9)
-            .unwrap());
-        // Bad weight rejected.
-        assert!(st
-            .set_weight(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"), 1.5)
-            .is_err());
-        assert!(st.check_invariants());
-    }
-
-    #[test]
-    fn remove_matching_patterns() {
-        let mut st = store_with(&[
-            ("a", "p", "b", 0.5),
-            ("a", "p", "c", 0.5),
-            ("a", "q", "c", 0.5),
-            ("b", "p", "c", 0.5),
-        ]);
-        // Remove all of a's p-edges.
-        let n = st.remove_matching(Some(&Term::iri("a")), Some(&Term::iri("p")), None);
-        assert_eq!(n, 2);
-        assert_eq!(st.len(), 2);
-        assert!(st.check_invariants());
-        // Wildcard-everything clears the store.
-        assert_eq!(st.remove_matching(None, None, None), 2);
-        assert!(st.is_empty());
-        // Unknown terms remove nothing.
-        assert_eq!(st.remove_matching(Some(&Term::iri("zzz")), None, None), 0);
-    }
-
-    #[test]
-    fn fresh_blanks_are_unique() {
-        let mut st = TripleStore::new();
-        let b1 = st.fresh_blank();
-        let b2 = st.fresh_blank();
-        assert_ne!(b1, b2);
     }
 
     #[test]

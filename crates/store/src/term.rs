@@ -3,7 +3,6 @@
 //! Floats are stored bit-exact so `Term` can be `Eq + Hash + Ord` and used
 //! as a dictionary key. NaN is rejected at construction.
 
-use hive_json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Bit-exact wrapper for an `f64` literal so terms are hashable/orderable.
@@ -96,23 +95,6 @@ impl Term {
         }
     }
 }
-
-// Serialized as the float *value*: hive-json's writer emits the
-// shortest decimal that round-trips bit-exactly, so dump/load
-// preserves the exact bits (NaN can never occur by construction).
-impl ToJson for FloatBits {
-    fn to_json(&self) -> Json {
-        Json::Float(self.value())
-    }
-}
-
-impl FromJson for FloatBits {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        FloatBits::new(v.as_f64()?).ok_or_else(|| JsonError::new("NaN is not a valid float term"))
-    }
-}
-
-hive_json::impl_json_enum_payload!(Term { Iri, Str, Int, Float, Blank });
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

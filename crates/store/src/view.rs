@@ -11,19 +11,20 @@
 //! function of its triple set. That is what lets a view move forward
 //! with no store behind it: [`GraphView::upsert`] takes a window of
 //! triples, each inserted or re-weighted, and needs only a [`TermDict`]
-//! to tell hops from attributes. Up to [`REBUILD_FRACTION`] of the view
-//! it splices each triple into the CSR in place; past it, the view
-//! folds the window into the triples it carries and re-assembles its
-//! rows once. [`GraphView::from_upserts`] runs the same fold from an
-//! empty view, for a caller that holds a triple list and no store.
-//! Either way the view is bit-identical to [`GraphView::build`] over a
-//! store given the same inserts.
+//! to tell hops from attributes. It merges the window in one pass
+//! whatever its size: the window's hops sorted by row and key, present
+//! ones overwritten in place, the rest inserted from the back of the
+//! arrays, each untouched stretch moved once.
+//! [`GraphView::from_upserts`] is that merge into the empty view, for a
+//! caller that holds a triple list and no store. Either way the view is
+//! bit-identical to [`GraphView::build`] over a store given the same
+//! inserts.
 //!
 //! Both edge directions are materialized (reverse hops carry
 //! `forward = false`), so one view serves directed and undirected
 //! queries; per-query predicate filters apply at traversal time. A dense
-//! term-id-to-row table, re-derived whenever the node array changes,
-//! makes [`GraphView::node_index`] one array read.
+//! term-id-to-row table, re-derived whenever a row is added, makes
+//! [`GraphView::node_index`] one array read.
 
 use crate::dict::{TermDict, TermId};
 use crate::store::{StoredTriple, TripleStore};
@@ -32,13 +33,6 @@ use std::collections::BTreeMap;
 
 /// Tiny strictly-positive per-hop cost; see [`GraphView::build`].
 pub(crate) const HOP_EPSILON: f64 = 1e-9;
-
-/// A window of more triples than this fraction of the current hop count
-/// (plus a small absolute floor, so tiny views always patch) is not
-/// spliced: [`GraphView::upsert`] re-assembles the rows instead. Each
-/// triple costs an `O(row + shift)` splice; past a quarter of the view a
-/// single `O(V + E)` rebuild is cheaper.
-pub const REBUILD_FRACTION: f64 = 0.25;
 
 /// One traversable hop in a [`GraphView`]: neighbor node, the
 /// underlying stored triple, the additive cost `-ln(weight) +
@@ -58,6 +52,16 @@ pub struct ViewEdge {
 /// The canonical within-row sort key: stored triple, forward first.
 fn edge_key(e: &ViewEdge) -> (u32, u32, u32, bool) {
     (e.triple.s.0, e.triple.p.0, e.triple.o.0, !e.forward)
+}
+
+/// The row a hop leaves from: the subject of a forward hop, the object
+/// of a reverse one. A function of [`edge_key`].
+fn row_of(e: &ViewEdge) -> TermId {
+    if e.forward {
+        e.triple.s
+    } else {
+        e.triple.o
+    }
 }
 
 fn hop_cost(weight: f64) -> f64 {
@@ -99,33 +103,21 @@ impl GraphView {
 
     /// The view of `upserts` (oldest first; `dict` resolves their
     /// objects): what [`GraphView::build`] gives over a store that
-    /// inserted the same triples in the same order. Counted as a build.
+    /// inserted the same triples in the same order. It is
+    /// [`GraphView::upsert`]'s merge into the empty view, counted as a
+    /// build.
     pub fn from_upserts(dict: &TermDict, upserts: &[StoredTriple]) -> Self {
         hive_obs::count("store.view.build", 1);
-        Self::fold(BTreeMap::new(), dict, upserts)
+        let mut view = GraphView::default();
+        view.merge(dict, upserts);
+        view
     }
 
-    /// The fold [`GraphView::from_upserts`] and a window past
-    /// [`REBUILD_FRACTION`] share: the hops among `upserts` (attribute
-    /// triples skipped, as [`GraphView::build`] skips them) written over
-    /// `triples`, the last weight of a triple winning, then assembled.
-    fn fold(
-        mut triples: BTreeMap<(TermId, TermId, TermId), f64>,
-        dict: &TermDict,
-        upserts: &[StoredTriple],
-    ) -> Self {
-        for t in upserts.iter().filter(|t| is_hop(dict, t.o)) {
-            triples.insert((t.s, t.p, t.o), t.weight);
-        }
-        Self::assemble(
-            triples.into_iter().map(|((s, p, o), weight)| StoredTriple { s, p, o, weight }),
-        )
-    }
-
-    /// The row assembly every build shares: `triples` (each a hop, each
-    /// `(s, p, o)` once, in any order) as canonical rows, both
-    /// directions, with the row table derived. Rows are sorted by a key
-    /// unique within a row, so the input order never shows.
+    /// The row assembly [`GraphView::build`] uses, independent of the
+    /// merge: `triples` (each a hop, each `(s, p, o)` once, in any order)
+    /// as canonical rows, both directions, with the row table derived.
+    /// Rows are sorted by a key unique within a row, so the input order
+    /// never shows.
     fn assemble(triples: impl Iterator<Item = StoredTriple>) -> Self {
         let mut rows: BTreeMap<TermId, Vec<ViewEdge>> = BTreeMap::new();
         for t in triples {
@@ -152,8 +144,7 @@ impl GraphView {
         view
     }
 
-    /// Re-derives the term-id-to-row table from the node array: O(V),
-    /// less than one splice's shift of the edge array.
+    /// Re-derives the term-id-to-row table from the node array: O(V).
     fn index_rows(&mut self) {
         self.rows.clear();
         self.rows.resize(self.nodes.last().map_or(0, |n| n.0 as usize + 1), NO_ROW);
@@ -165,58 +156,121 @@ impl GraphView {
     /// Inserts or re-weights `upserts` (oldest first) in this view;
     /// `dict` resolves their objects, so attribute triples are skipped
     /// exactly as [`GraphView::build`] skips them, and an upsert of a
-    /// present triple replaces its hop. Up to [`REBUILD_FRACTION`] of the
-    /// view each triple is spliced in place (`store.view.delta`); past
-    /// it the view folds the window into its own forward hops (one per
-    /// triple) and re-assembles its rows once
-    /// (`store.view.rebuild_fallback`). Either way the view is
-    /// bit-identical to a cold build over the resulting triple set.
+    /// present triple replaces its hop. One merge of any window size
+    /// (`store.view.delta`); the view is bit-identical to a cold build
+    /// over the resulting triple set.
     pub fn upsert(&mut self, dict: &TermDict, upserts: &[StoredTriple]) {
-        if upserts.len() as f64 > (self.edges.len() as f64) * REBUILD_FRACTION + 16.0 {
-            hive_obs::count("store.view.rebuild_fallback", 1);
-            let own = self
-                .edges
-                .iter()
-                .filter(|e| e.forward)
-                .map(|e| ((e.triple.s, e.triple.p, e.triple.o), e.triple.weight))
-                .collect();
-            *self = Self::fold(own, dict, upserts);
-            return;
-        }
-        if self.off.is_empty() {
-            self.off.push(0); // a Default view is an empty view
-        }
-        for &triple in upserts.iter().filter(|t| is_hop(dict, t.o)) {
-            let cost = hop_cost(triple.weight);
-            self.upsert_edge(triple.s, ViewEdge { to: triple.o, triple, cost, forward: true });
-            self.upsert_edge(triple.o, ViewEdge { to: triple.s, triple, cost, forward: false });
-        }
-        self.index_rows();
+        self.merge(dict, upserts);
         hive_obs::count("store.view.delta", 1);
     }
 
-    /// Inserts or replaces one hop in `row`'s sorted edge slice,
-    /// creating the row at its sorted position if needed.
-    fn upsert_edge(&mut self, row: TermId, e: ViewEdge) {
-        let ri = match self.nodes.binary_search(&row) {
-            Ok(i) => i,
-            Err(i) => {
-                let at = self.off[i];
-                self.nodes.insert(i, row);
-                self.off.insert(i + 1, at);
-                i
+    /// The merge behind [`GraphView::upsert`] and
+    /// [`GraphView::from_upserts`]. The window's hops, both directions,
+    /// are sorted by row and canonical key, the last weight of a
+    /// repeated triple kept. Hops already present are overwritten in
+    /// place and dropped from the list. The rest go in by one backward
+    /// pass over the edge array, then one over the node and offset
+    /// arrays: each moves every untouched stretch once and stops at the
+    /// first insertion point. The row table is re-derived only when a row
+    /// was added. `O(h log h)` for `h` window hops, plus the arrays'
+    /// tails past the first insertion point.
+    fn merge(&mut self, dict: &TermDict, upserts: &[StoredTriple]) {
+        if self.off.is_empty() {
+            self.off.push(0); // a Default view is an empty view
+        }
+        let mut hops: Vec<ViewEdge> = upserts
+            .iter()
+            .filter(|t| is_hop(dict, t.o))
+            .flat_map(|&triple| {
+                let cost = hop_cost(triple.weight);
+                [
+                    ViewEdge { to: triple.o, triple, cost, forward: true },
+                    ViewEdge { to: triple.s, triple, cost, forward: false },
+                ]
+            })
+            .collect();
+        // Stable, so the later of two equal keys stays later, and the
+        // kept slot takes its weight.
+        hops.sort_by_key(|e| (row_of(e), edge_key(e)));
+        hops.dedup_by(|later, kept| {
+            let same = edge_key(later) == edge_key(kept);
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        let end = self.edges.len();
+        hops.retain(|e| match self.locate(e, end) {
+            Ok(at) => {
+                self.edges[at] = *e;
+                false
+            }
+            Err(_) => true,
+        });
+        let Some(&fill) = hops.first() else { return };
+        let added = hops
+            .chunk_by(|a, b| row_of(a) == row_of(b))
+            .filter(|g| self.node_index(row_of(&g[0])).is_none())
+            .count();
+
+        // Edges: hop `k` lands after the `k` hops before it; the old
+        // stretch from its insertion point up to the next one moves up by
+        // `k + 1`. Everything below the current `end` is still as it was,
+        // so `locate` reads the old rows.
+        let mut end = self.edges.len();
+        self.edges.resize(end + hops.len(), fill);
+        for (k, e) in hops.iter().enumerate().rev() {
+            let (Ok(at) | Err(at)) = self.locate(e, end);
+            self.edges.copy_within(at..end, at + k + 1);
+            self.edges[at + k] = *e;
+            end = at;
+        }
+
+        // Rows, one group of hops per row, from the last: the old rows
+        // from a group's row up move up by the rows still to be added,
+        // and their ends by the `below` hops in rows up to the group's.
+        let mut old = self.nodes.len();
+        let mut to_add = added;
+        let mut below = hops.len() as u32;
+        self.nodes.resize(old + added, fill.to);
+        self.off.resize(old + added + 1, 0);
+        for group in hops.chunk_by(|a, b| row_of(a) == row_of(b)).rev() {
+            let row = row_of(&group[0]);
+            let present = self.node_index(row);
+            let from = present.unwrap_or_else(|| self.nodes[..old].partition_point(|&n| n < row));
+            self.nodes.copy_within(from..old, from + to_add);
+            for i in (from..old).rev() {
+                self.off[i + to_add + 1] = self.off[i + 1] + below;
+            }
+            if present.is_none() {
+                to_add -= 1;
+                self.nodes[from + to_add] = row;
+                self.off[from + to_add + 1] = self.off[from] + below;
+            }
+            old = from;
+            below -= group.len() as u32;
+        }
+        if added > 0 {
+            self.index_rows();
+        }
+    }
+
+    /// Where hop `e`'s key sits among the old rows below `end`: `Ok` with
+    /// its index if present, else `Err` with the index it goes in at (the
+    /// start of the next row if the view has no row for it).
+    fn locate(&self, e: &ViewEdge, end: usize) -> Result<usize, usize> {
+        let row = row_of(e);
+        let (lo, hi) = match self.node_index(row) {
+            Some(i) => (self.off[i] as usize, self.off[i + 1] as usize),
+            None => {
+                let at = self.off[self.nodes.partition_point(|&n| n < row)] as usize;
+                (at, at)
             }
         };
-        let (lo, hi) = (self.off[ri] as usize, self.off[ri + 1] as usize);
-        let key = edge_key(&e);
-        match self.edges[lo..hi].binary_search_by(|x| edge_key(x).cmp(&key)) {
-            Ok(j) => self.edges[lo + j] = e,
-            Err(j) => {
-                self.edges.insert(lo + j, e);
-                for o in &mut self.off[ri + 1..] {
-                    *o += 1;
-                }
-            }
+        let key = edge_key(e);
+        match self.edges[lo..hi.min(end)].binary_search_by(|x| edge_key(x).cmp(&key)) {
+            Ok(j) => Ok(lo + j),
+            Err(j) => Err(lo + j),
         }
     }
 
@@ -403,15 +457,14 @@ mod tests {
         assert_eq!(view.node_count(), 4, "a re-weight and a self-loop in present rows");
     }
 
-    /// A window past `REBUILD_FRACTION` of the view is folded into the
-    /// view's own hops and re-assembled once, equal to a cold build.
+    /// A window many times the size of the view, repeating triples,
+    /// merges into it as one delta, equal to a cold build.
     #[test]
-    fn apply_ops_past_the_fraction_reassembles_bit_identically() {
+    fn a_large_window_merges_bit_identically() {
         let mut st = small_store();
         let mut view = GraphView::build(&st);
-        // 40 new hops (two of them re-inserted at a new weight), a
-        // re-weight and an attribute: far past this tiny view's 16-triple
-        // floor plus a quarter of its 4 hops.
+        // 40 new triples (two of them re-inserted at a new weight), a
+        // re-weight and an attribute, against this tiny view's 4 hops.
         let mut triples: Vec<Triple> =
             (0..40).map(|i| (iri(&format!("m{i}")), iri("rel"), iri("b"), 0.5)).collect();
         triples.push((iri("a"), iri("rel"), iri("b"), 0.2));
@@ -423,8 +476,8 @@ mod tests {
             hive_obs::reset();
             view.upsert(st.dict(), &window);
             let counts = hive_obs::snapshot();
-            assert_eq!(counts.counter("store.view.rebuild_fallback"), 1, "re-assembled");
-            assert_eq!(counts.counter("store.view.delta"), 0, "not spliced");
+            assert_eq!(counts.counter("store.view.delta"), 1, "merged");
+            assert_eq!(counts.counter("store.view.build"), 0, "not rebuilt");
             hive_obs::reset();
         });
         assert_eq!(view.bitwise_diff(&GraphView::build(&st)), None);

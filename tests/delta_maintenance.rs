@@ -1,7 +1,7 @@
 //! Delta-maintenance property tests: patched snapshots must be
 //! *bit-identical* to cold rebuilds, never merely close.
 //!
-//! Two layers are pinned down, both driven by the in-tree seeded
+//! Three layers are pinned down, all driven by the in-tree seeded
 //! runner (`hive_bench::prop`):
 //!
 //! 1. **View** — [`GraphView::upsert`] moves a CSR view forward by a
@@ -65,8 +65,8 @@ fn upsert(st: &mut TripleStore, rng: &mut Rng) -> Result<StoredTriple, String> {
 /// After every window of upserts, the view moved forward with
 /// `GraphView::upsert` equals a cold `GraphView::build` over a store
 /// given the same inserts, bit for bit, and so does `from_upserts` over
-/// the whole insert sequence. Windows of 0 to 29 triples both splice
-/// and pass the 16-triple floor that re-assembles the view.
+/// the whole insert sequence. Windows of 0 to 29 triples, from none to
+/// several times the size of a young view, all go through the one merge.
 #[test]
 fn apply_delta_is_bitwise_identical_to_cold_rebuild() {
     check("delta::view_patch_equals_rebuild", DEFAULT_CASES, |rng| {

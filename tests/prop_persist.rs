@@ -1,7 +1,7 @@
-//! Property tests for snapshot JSON round-tripping (platform and store
-//! layers): float weights survive bit-exactly, empty collections and
-//! unicode text round-trip, and a re-render of a restored snapshot is
-//! byte-identical to the original (canonical field order).
+//! Property tests for platform snapshot JSON round-tripping: empty
+//! collections and unicode text round-trip, and a re-render of a
+//! restored snapshot is byte-identical to the original (canonical field
+//! order).
 //!
 //! The decoders that read outside input are fuzzed too: random strings
 //! through the JSON parser, and mutated exports through the platform
@@ -9,15 +9,13 @@
 //! value or a typed error and never panics, and a refused import leaves
 //! no trace in the database.
 
-use hive_bench::prop::{check, mutate, DEFAULT_CASES};
+use hive_bench::prop::{check, mutate};
 use hive_bench::{prop_ensure, prop_ensure_eq};
 use hive_core::model::{User, WorkpadItem};
 use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_core::{Hive, HiveDb};
 use hive_json::Json;
 use hive_rng::Rng;
-use hive_store::snapshot::SNAPSHOT_VERSION;
-use hive_store::{Term, TripleStore};
 
 #[test]
 fn platform_snapshot_roundtrips_byte_identically() {
@@ -55,73 +53,6 @@ fn empty_platform_roundtrips() {
     let restored = HiveDb::from_json(&json).expect("empty collections load");
     assert!(restored.user_ids().is_empty());
     assert_eq!(restored.to_json().expect("re-renders"), json);
-}
-
-#[test]
-fn store_snapshot_roundtrips_float_weights_bit_exactly() {
-    check("store-snapshot-roundtrip", DEFAULT_CASES, |rng| {
-        let mut st = TripleStore::new();
-        let n = rng.gen_range(0..40usize);
-        let mut triples = Vec::new();
-        for i in 0..n {
-            // Weights spread across the full (0, 1] range, including
-            // values with long binary expansions.
-            let w = (rng.gen_f64() + f64::MIN_POSITIVE).min(1.0);
-            let s = Term::iri(format!("ノード:{i}—héllo"));
-            let p = Term::iri(format!("rel:ähnlich-{}", i % 3));
-            let o = if i % 4 == 0 {
-                Term::str(format!("🐝 label {i}"))
-            } else {
-                Term::iri(format!("node:{}", rng.gen_range(0..50u32)))
-            };
-            if st.insert(s.clone(), p.clone(), o.clone(), w).is_ok() {
-                triples.push((s, p, o, w));
-            }
-        }
-        let json = st.to_json().map_err(|e| e.to_string())?;
-        let restored = TripleStore::from_json(&json).map_err(|e| e.to_string())?;
-        prop_ensure_eq!(restored.len(), st.len());
-        let rejson = restored.to_json().map_err(|e| e.to_string())?;
-        prop_ensure_eq!(json, rejson, "store snapshot must re-render byte-identically");
-        for (s, p, o, w) in &triples {
-            let got = restored.weight(s, p, o);
-            prop_ensure!(
-                got.map(f64::to_bits) == Some(w.to_bits()),
-                "weight drifted: stored {w:?}, got {got:?}"
-            );
-        }
-        Ok(())
-    });
-}
-
-#[test]
-fn empty_store_roundtrips() {
-    let st = TripleStore::new();
-    let restored = TripleStore::from_json(&st.to_json().expect("serializes")).expect("loads");
-    assert!(restored.is_empty());
-}
-
-#[test]
-fn bumped_versions_always_rejected_with_found_and_expected() {
-    check("store-snapshot-version-gate", DEFAULT_CASES, |rng| {
-        let bump = rng.gen_range(1..10_000u32);
-        let found = SNAPSHOT_VERSION + bump;
-        let json = TripleStore::new()
-            .to_json()
-            .map_err(|e| e.to_string())?
-            .replace(
-                &format!("\"version\":{SNAPSHOT_VERSION}"),
-                &format!("\"version\":{found}"),
-            );
-        match TripleStore::from_json(&json) {
-            Err(hive_store::StoreError::SnapshotVersion { found: f, expected }) => {
-                prop_ensure_eq!(f, found);
-                prop_ensure_eq!(expected, SNAPSHOT_VERSION);
-                Ok(())
-            }
-            other => Err(format!("expected SnapshotVersion error, got {other:?}")),
-        }
-    });
 }
 
 /// Characters the generators draw from: JSON punctuation, digits, the

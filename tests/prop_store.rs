@@ -1,15 +1,13 @@
 //! Property tests for the weighted triple store (R2DB substrate),
 //! driven by the in-tree seeded runner (`hive_bench::prop`).
 
-use hive_bench::prop::{check, DEFAULT_CASES};
+use hive_bench::prop::{check, other_char, replace_char, DEFAULT_CASES};
 use hive_bench::{prop_ensure, prop_ensure_eq};
-use hive_core::knowledge::KnowledgeNetwork;
-use hive_core::sim::{SimConfig, WorldBuilder};
 use hive_rng::Rng;
-use hive_store::{PathQuery, StoreError, Term, TripleStore};
+use hive_store::{run_query, PathQuery, StoreError, Term, TripleStore};
 
 /// A small universe of terms so collisions (and thus interesting
-/// overwrite/remove behaviour) actually happen.
+/// overwrite behaviour) actually happen.
 fn gen_entity(rng: &mut Rng) -> Term {
     Term::iri(format!("e{}", rng.gen_range(0..12u32)))
 }
@@ -101,148 +99,6 @@ fn scans_agree_with_full_scan() {
     });
 }
 
-/// Remove undoes insert: after removing everything, the store is empty
-/// and invariants hold at every step.
-#[test]
-fn remove_restores_empty() {
-    check("store::remove_restores_empty", DEFAULT_CASES, |rng| {
-        let triples = gen_triples(rng);
-        let mut st = TripleStore::new();
-        fill(&mut st, &triples)?;
-        for (s, p, o, _) in &triples {
-            st.remove(s, p, o);
-            prop_ensure!(st.check_invariants());
-        }
-        prop_ensure!(st.is_empty());
-        Ok(())
-    });
-}
-
-/// Snapshot round trip is the identity on contents.
-#[test]
-fn snapshot_roundtrip() {
-    check("store::snapshot_roundtrip", DEFAULT_CASES, |rng| {
-        let triples = gen_triples(rng);
-        let mut st = TripleStore::new();
-        fill(&mut st, &triples)?;
-        let json = st.to_json().map_err(|e| format!("to_json: {e}"))?;
-        let restored = TripleStore::from_json(&json).map_err(|e| format!("from_json: {e}"))?;
-        prop_ensure_eq!(restored.len(), st.len());
-        for t in st.iter() {
-            let (s, p, o) = st.resolve_triple(&t);
-            prop_ensure_eq!(restored.weight(&s, &p, &o), Some(t.weight));
-        }
-        Ok(())
-    });
-}
-
-/// Characters the decoder fuzzing draws from: JSON punctuation, digits,
-/// the letters of the snapshot's keys and term tags, and multi-byte text.
-const ALPHABET: &[char] = &[
-    '{', '}', '[', ']', '"', ':', ',', '\\', '-', '.', '0', '1', '9', 'e', 'E', 'I', 'r', 'v',
-    'n', 'u', 'l', ' ', 'é', '🐝',
-];
-
-/// The relationship-store export of a world small enough that every
-/// truncation of it is cheap to check.
-fn store_export() -> String {
-    let db = WorldBuilder::new(SimConfig {
-        seed: 5,
-        users: 4,
-        topics: 2,
-        conferences: 1,
-        sessions_per_conf: 2,
-        papers_per_conf: 3,
-        ..SimConfig::small()
-    })
-    .build()
-    .db;
-    let kn = KnowledgeNetwork::build(&db);
-    kn.to_store(&db).to_json().expect("a built store exports")
-}
-
-/// Decodes `json`, which must give a store whose indexes agree or a
-/// typed error; a panic fails the enclosing test. Returns whether it
-/// decoded.
-fn decodes(json: &str) -> Result<bool, String> {
-    match TripleStore::from_json(json) {
-        Ok(st) => {
-            prop_ensure!(st.check_invariants(), "decoded store breaks its invariants");
-            Ok(true)
-        }
-        Err(
-            StoreError::Snapshot(_)
-            | StoreError::SnapshotVersion { .. }
-            | StoreError::InvalidWeight(_)
-            | StoreError::InvalidPosition(_),
-        ) => Ok(false),
-        Err(e) => Err(format!("unexpected error kind: {e}")),
-    }
-}
-
-/// The unmutated export decodes and re-exports byte for byte.
-#[test]
-fn snapshot_export_roundtrips_byte_for_byte() {
-    let json = store_export();
-    let restored = TripleStore::from_json(&json).expect("a clean export decodes");
-    assert_eq!(restored.to_json().expect("re-export"), json);
-}
-
-/// Random strings, bare and behind a well-formed snapshot prefix, are
-/// refused with a typed error.
-#[test]
-fn snapshot_decoder_refuses_random_strings() {
-    check("store::snapshot_random_strings", 256, |rng| {
-        let len = rng.gen_range(0..160usize);
-        let text: String = (0..len).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]).collect();
-        prop_ensure!(!decodes(&text)?, "random string {text:?} decoded");
-        let headed = format!("{{\"version\":1,\"triples\":[[{text}");
-        prop_ensure!(!decodes(&headed)?, "{headed:?} decoded");
-        Ok(())
-    });
-}
-
-/// Every char-boundary truncation of a real export is refused with a
-/// typed error.
-#[test]
-fn snapshot_decoder_refuses_every_truncation() {
-    let json = store_export();
-    for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
-        assert!(
-            matches!(TripleStore::from_json(&json[..cut]), Err(StoreError::Snapshot(_))),
-            "truncation at byte {cut} of {} must be refused",
-            json.len()
-        );
-    }
-}
-
-/// Single-char mutations of a real export decode to a consistent store
-/// or a typed error, never a panic; both outcomes occur.
-#[test]
-fn snapshot_decoder_survives_single_char_mutations() {
-    let json = store_export();
-    let boundaries: Vec<usize> = (0..json.len()).filter(|&i| json.is_char_boundary(i)).collect();
-    let (mut decoded, mut refused) = (0, 0);
-    check("store::snapshot_mutations", 256, |rng| {
-        let at = boundaries[rng.gen_range(0..boundaries.len())];
-        let old = json[at..].chars().next().expect("a char at a boundary");
-        let with = loop {
-            let c = ALPHABET[rng.gen_range(0..ALPHABET.len())];
-            if c != old {
-                break c;
-            }
-        };
-        let mutated = format!("{}{with}{}", &json[..at], &json[at + old.len_utf8()..]);
-        if decodes(&mutated)? {
-            decoded += 1;
-        } else {
-            refused += 1;
-        }
-        Ok(())
-    });
-    assert!(decoded > 0 && refused > 0, "{decoded} decoded, {refused} refused");
-}
-
 /// Shared body of the ranked-path invariants: scores sorted descending,
 /// within (0,1], equal to the product of hop weights, and loop-free.
 fn ranked_paths_hold(triples: &[(Term, Term, Term, f64)]) -> Result<(), String> {
@@ -301,32 +157,108 @@ fn ranked_paths_regression_low_weight_chain() {
     ranked_paths_hold(&triples).expect("regression case holds");
 }
 
-/// A batch of inserts leaves the store exactly as the same operations
-/// applied one by one, and invariants always hold.
+/// Characters the query fuzzing draws from: the query grammar's
+/// punctuation, digits, `-`, the letters of its keywords, a space and
+/// multi-byte text.
+const QUERY_ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '<', '>', '?', '*', '.', '"', '\\', '0', '1', '2', '3', '4', '5', '6',
+    '7', '8', '9', '-', 'S', 'E', 'L', 'C', 'T', 'W', 'H', 'R', 'I', 'M', ' ', 'é', '🐝',
+];
+
+/// The queries of the parser's unit tests, answered and refused alike:
+/// the seeds the mutations start from.
+const SEED_QUERIES: &[&str] = &[
+    "SELECT ?who WHERE { <user:1> <rel:coauthor> ?who . }",
+    "select ?paper ?who where { <user:1> <rel:coauthor> ?who . ?who <rel:authored> ?paper }",
+    "SELECT ?who WHERE { <user:1> <rel:coauthor> ?who [0.5] }",
+    "SELECT * WHERE { ?s <rel:coauthor> ?o }",
+    "SELECT ?u WHERE { ?u <rel:name> \"Zach\" }",
+    "SELECT ?u WHERE { ?u <rel:age> 27 }",
+    "SELECT ?who WHERE { <user:1> <rel:coauthor> ?who } LIMIT 1",
+    "SELECT ?who WHERE { <user:1> <rel:coauthor> ?who [0.9] . }",
+    "SELECT ?x WHERE { ?x <rel:coauthor> ?y . ?y <rel:authored> <paper:8> }",
+    "WHERE { ?a <p> ?b }",
+    "SELECT ?x WHERE { ?x <p> }",
+    "SELECT ?x WHERE { ?x <p> ?y ",
+    "SELECT ?zz WHERE { ?x <p> ?y }",
+    "SELECT ?x WHERE { ?x <p ?y }",
+    "SELECT ?x WHERE { ?x <p> ?y } LIMIT 0",
+    "SELECT ?x WHERE { ?x <p> ?y } garbage",
+    "SELECT ?x WHERE { ?x <p> ?y [oops] }",
+];
+
+/// The parser tests' store: co-authors, papers and two attributes.
+fn query_store() -> TripleStore {
+    let mut st = TripleStore::new();
+    let iri = Term::iri;
+    for (s, p, o, w) in [
+        ("user:1", "rel:coauthor", iri("user:2"), 0.9),
+        ("user:1", "rel:coauthor", iri("user:3"), 0.4),
+        ("user:2", "rel:authored", iri("paper:7"), 1.0),
+        ("user:3", "rel:authored", iri("paper:8"), 1.0),
+        ("user:1", "rel:name", Term::str("Zach"), 1.0),
+        ("user:1", "rel:age", Term::int(27), 1.0),
+    ] {
+        st.insert(iri(s), iri(p), o, w).expect("a valid triple");
+    }
+    st
+}
+
+/// Runs `query`, which must give rows or a typed error (a panic fails
+/// the enclosing test). Returns whether it answered.
+fn answers(st: &TripleStore, query: &str) -> Result<bool, String> {
+    match run_query(st, query) {
+        Ok(_) => Ok(true),
+        Err(StoreError::BadPathQuery(_) | StoreError::UnknownTerm(_)) => Ok(false),
+        Err(e) => Err(format!("{query:?}: unexpected error kind: {e}")),
+    }
+}
+
+/// Random strings of the query alphabet, bare, in a pattern's object
+/// position and after a whole query, give rows or a typed error; both
+/// outcomes occur.
 #[test]
-fn batch_equals_sequential() {
-    check("store::batch_equals_sequential", DEFAULT_CASES, |rng| {
-        use hive_store::Op;
-        let triples = gen_triples(rng);
-        let ops: Vec<Op> = triples
-            .iter()
-            .map(|(s, p, o, w)| Op::Insert {
-                s: s.clone(),
-                p: p.clone(),
-                o: o.clone(),
-                weight: *w,
-            })
-            .collect();
-        let mut batched = TripleStore::new();
-        batched.apply_batch(&ops).map_err(|e| format!("batch: {e}"))?;
-        let mut sequential = TripleStore::new();
-        fill(&mut sequential, &triples)?;
-        prop_ensure_eq!(batched.len(), sequential.len());
-        prop_ensure!(batched.check_invariants());
-        for t in sequential.iter() {
-            let (s, p, o) = sequential.resolve_triple(&t);
-            prop_ensure_eq!(batched.weight(&s, &p, &o), Some(t.weight));
+fn query_parser_survives_random_strings() {
+    let st = query_store();
+    let (mut answered, mut refused) = (0, 0);
+    check("store::query_random_strings", 256, |rng| {
+        let len = rng.gen_range(0..24usize);
+        let text: String =
+            (0..len).map(|_| QUERY_ALPHABET[rng.gen_range(0..QUERY_ALPHABET.len())]).collect();
+        for query in [
+            format!("SELECT * WHERE {{ ?s ?p {text} }}"),
+            format!("SELECT * WHERE {{ ?s <rel:coauthor> ?o }} {text}"),
+            text,
+        ] {
+            if answers(&st, &query)? {
+                answered += 1;
+            } else {
+                refused += 1;
+            }
         }
         Ok(())
     });
+    assert!(answered > 0 && refused > 0, "{answered} answered, {refused} refused");
+}
+
+/// Single-char mutations of the parser tests' queries give rows or a
+/// typed error, never a panic; both outcomes occur.
+#[test]
+fn query_parser_survives_single_char_mutations() {
+    let st = query_store();
+    let (mut answered, mut refused) = (0, 0);
+    check("store::query_mutations", 1_024, |rng| {
+        let seed = SEED_QUERIES[rng.gen_range(0..SEED_QUERIES.len())];
+        let boundaries: Vec<usize> = (0..seed.len()).filter(|&i| seed.is_char_boundary(i)).collect();
+        let at = boundaries[rng.gen_range(0..boundaries.len())];
+        let old = seed[at..].chars().next().unwrap_or(' ');
+        let mutated = replace_char(seed, at, other_char(rng, QUERY_ALPHABET, old));
+        if answers(&st, &mutated)? {
+            answered += 1;
+        } else {
+            refused += 1;
+        }
+        Ok(())
+    });
+    assert!(answered > 0 && refused > 0, "{answered} answered, {refused} refused");
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verify: offline build + tests + the hive-lint static-analysis
+# Tier-1 verify: offline build + tests + docs + the hive-lint static-analysis
 # pass (R1 hermetic-deps, R2 no-panic-paths, R3 deterministic-time,
 # R4 no-stray-io, R5 forbid-unsafe, R6 no-raw-threads,
 # R7 instrumented-facade, R8 delta-log, R9 snapshot-discipline,
@@ -21,6 +21,13 @@ if grep -q '^warning' <<<"$build_log"; then
   exit 1
 fi
 cargo test -q --offline
+# The docs must build with no warning either, so a doc link to a deleted
+# or private name fails here. Read the same way as the build's output.
+doc_log=$(cargo doc --no-deps --offline --workspace --color never 2>&1 | tee /dev/stderr)
+if grep -q '^warning' <<<"$doc_log"; then
+  echo "ci: cargo doc printed a warning (see above)" >&2
+  exit 1
+fi
 cargo run -p hive-lint --offline -- --json target/lint-report.json
 # Bounded crash/recovery soak (fixed seed, seconds): recovery
 # equivalence + fault injection + differential oracles must all hold,
